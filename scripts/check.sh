@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: lint (when ruff is installed) + the tier-1 test suite.
+# Repo health gate: lint (when ruff is installed), the tier-1 test suite,
+# the hostbench suite and the smoke benchmarks.
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
 
@@ -14,6 +15,12 @@ fi
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
+
+echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
+# The wall-clock benchmark's own suite (BENCHMARK.json's contract): it
+# wraps the pinned seams of the real package, so a change that renames
+# or bypasses one fails here instead of in the benchmark run.
+python -m pytest hostbench/tests -q
 
 echo "== perf smoke (wall-clock guard) =="
 # Small-dataset run of the perf harness doubling as a regression gate:
@@ -76,6 +83,15 @@ echo "== skew smoke (stats-driven split shuffle, oracle-checked) =="
 # wall-clock guard only trips on order-of-magnitude regressions.
 python benchmarks/bench_skew.py --smoke --guard-seconds 60 \
     --output "$(mktemp -d)/BENCH_skew_smoke.json"
+
+if [[ "${CHECK_HOSTBENCH_SMOKE:-0}" == "1" ]]; then
+    echo "== hostbench smoke (six workloads, 1 pass + 1 traced pass each) =="
+    # Quarter-size run of every BENCHMARK.json workload, oracle-checked,
+    # with the per-layer trace installed once.  Opt-in because it takes
+    # up to a minute; run it before committing a change that claims (or
+    # risks) a wall-clock difference.
+    python3 hostbench/run.py --smoke
+fi
 
 if [[ "${CHECK_CHAOS_FULL:-0}" == "1" ]]; then
     echo "== chaos full (>=25 schedules + replay determinism) =="

@@ -2,7 +2,10 @@
 
 Responsibilities (Hive's Driver + DDL task equivalents):
 
-* parse multi-statement scripts;
+* parse multi-statement scripts — once per distinct text: a bounded
+  statement cache hands repeats the parsed statements and their
+  structural keys, so an interactive repeat reaches the result cache
+  without paying the compile front-end;
 * DDL — ``CREATE TABLE``, ``DROP TABLE``, ``SET``;
 * DML/queries — analyze, physically compile, run the job DAG on the
   session's engine, register CTAS outputs, clean temp directories;
@@ -13,9 +16,8 @@ Responsibilities (Hive's Driver + DDL task equivalents):
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.config import (
     Configuration,
@@ -31,9 +33,10 @@ from repro.common.config import (
     STATS_ENABLED,
 )
 from repro.common.errors import RetryExhaustedError, SemanticError
+from repro.common.lru import LruCache
 from repro.common.rows import LAYOUT_VERSION, Schema, Column, DataType
 from repro.engines.base import Engine, PlanResult
-from repro.obs import Span
+from repro.obs import Span, get_metrics
 from repro.plan.analyzer import Analyzer
 from repro.plan.optimizer import prune_columns
 from repro.plan.physical import PhysicalCompiler, PhysicalPlan
@@ -46,6 +49,11 @@ from repro.storage.metastore import Metastore
 # compiler is shared; §IV-A principle 1)
 COMPILE_BASE_SECONDS = 0.6
 COMPILE_PER_JOB_SECONDS = 0.15
+
+# bounds of the session-scoped caches (the result cache's comes from
+# ``repro.result.cache.entries``, default 64)
+STATEMENT_CACHE_ENTRIES = 256
+PLAN_CACHE_ENTRIES = 64
 
 
 @dataclass
@@ -135,10 +143,54 @@ class QueryResult:
         }
 
 
+class ParsedStatement:
+    """One statement of a parsed script plus its structural key.
+
+    The key is ``repr(node)`` — it stands in for normalized query text
+    in the plan- and result-cache keys.  It is derived on first use and
+    kept, because the statement cache hands the same node to every
+    repeat of the text; that is sound only while nothing mutates an AST
+    after parse (tests assert analyze → compile → run leave it alone).
+    """
+
+    __slots__ = ("node", "_key")
+
+    def __init__(self, node: ast.Statement):
+        self.node = node
+        self._key: Optional[str] = None
+
+    @property
+    def key(self) -> str:
+        if self._key is None:
+            self._key = repr(self.node)
+        return self._key
+
+
+class CachedPlan(NamedTuple):
+    """One compiled SELECT plus what proves it is still current
+    (metastore version + input-file fingerprint at compile time)."""
+
+    plan: PhysicalPlan
+    query_id: str
+    version: int
+    snapshot: tuple
+
+
 @dataclass
 class ResultCacheEntry:
     """One cached SELECT: the rows plus everything needed to prove they
-    are still current (metastore version + input-file fingerprint)."""
+    are still current (metastore version + input-file fingerprint).
+
+    The result cache is Hive's ``hive.query.results.cache`` equivalent:
+    a repeated identical query whose inputs are untouched is answered
+    without scheduling anything, in ~0 simulated seconds.  Entries are
+    keyed by the same key as the compiled-plan cache (AST + engine + the
+    config the compiler reads) and validated on every hit against the
+    live metastore version and input snapshot; results observed while a
+    writer overlapped the query are never admitted (the caller checks
+    the version/snapshot it captured at compile time against the state
+    at completion before storing).
+    """
 
     plan: PhysicalPlan
     query_id: str
@@ -147,68 +199,6 @@ class ResultCacheEntry:
     rows: List[tuple]
     schema: Optional[Schema]
     engine: str
-
-
-class ResultCache:
-    """Driver-level LRU cache of complete SELECT results.
-
-    Hive's ``hive.query.results.cache`` equivalent: a repeated identical
-    query whose inputs are untouched is answered without scheduling
-    anything, in ~0 simulated seconds.  Entries are keyed by the same
-    key as the compiled-plan cache (AST + engine + the config the
-    compiler reads) and validated on every hit against the live
-    metastore version and input snapshot; results observed while a
-    writer overlapped the query are never admitted (the caller checks
-    the version/snapshot it captured at compile time against the state
-    at completion before storing).
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = max(1, capacity)
-        self._entries: Dict[tuple, ResultCacheEntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: tuple, version: int,
-               snapshot_of: Callable[[PhysicalPlan], tuple]
-               ) -> Optional[ResultCacheEntry]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry.version != version or entry.snapshot != snapshot_of(entry.plan):
-                # the catalog or the input files moved under the entry
-                del self._entries[key]
-                self.invalidations += 1
-                entry = None
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def store(self, key: tuple, entry: ResultCacheEntry) -> None:
-        if key in self._entries:
-            del self._entries[key]
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.pop(next(iter(self._entries)))
-            self.evictions += 1
-
-    def stats(self) -> Dict[str, object]:
-        """Counters for ``Session.caches()`` (public introspection)."""
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
 
 
 @dataclass
@@ -273,22 +263,46 @@ class Driver:
         self.conf = conf or Configuration()
         self.analyzer = Analyzer(metastore)
         self._query_counter = 0
-        # compiled-plan cache for repeated SELECTs: key -> (plan, query_id,
-        # metastore version, input snapshot).  Compilation is deterministic,
-        # so a hit skips only host-side work; the modeled compile latency
-        # is still charged, keeping simulated seconds identical.
-        self._plan_cache: Dict[tuple, tuple] = {}
+        # exact SQL text -> its parsed statements.  Parsing is a pure
+        # function of the text, so an entry never goes stale.
+        self._statement_cache: LruCache[str, Tuple[ParsedStatement, ...]] = (
+            LruCache(STATEMENT_CACHE_ENTRIES)
+        )
+        # compiled-plan cache for repeated SELECTs.  Compilation is
+        # deterministic, so a hit skips only host-side work; the modeled
+        # compile latency is still charged, keeping simulated seconds
+        # identical.
+        self._plan_cache: LruCache[tuple, CachedPlan] = (
+            LruCache(PLAN_CACHE_ENTRIES)
+        )
         # result cache (capability-gated): built on first use so the
         # configured capacity is read after any SET statements ran
-        self._result_cache: Optional[ResultCache] = None
+        self._result_cache: Optional[LruCache[tuple, ResultCacheEntry]] = None
+        # input snapshots taken at the current HDFS namespace generation,
+        # by plan identity (the plan is held so its id cannot be reused)
+        self._snapshots: Dict[int, Tuple[PhysicalPlan, tuple]] = {}
+        self._snapshots_generation = hdfs.generation
 
     # -- public API ---------------------------------------------------------
+    def parse(self, sql: str) -> Tuple[ParsedStatement, ...]:
+        """The statements of a (possibly multi-statement) script, parsed
+        at most once per distinct text while it stays in the session's
+        statement cache.  A text that fails to parse is never cached."""
+        parsed = self._statement_cache.lookup(sql)
+        if parsed is None:
+            get_metrics().counter("sql.statement_cache.misses").add(1)
+            parsed = tuple(ParsedStatement(node) for node in parse_script(sql))
+            self._statement_cache.store(sql, parsed)
+        else:
+            get_metrics().counter("sql.statement_cache.hits").add(1)
+        return parsed
+
     def execute(self, sql: str, with_metrics: bool = False) -> List[QueryResult]:
         """Run a (possibly multi-statement) HiveQL script."""
-        results = []
-        for statement in parse_script(sql):
-            results.append(self._execute_statement(statement, with_metrics))
-        return results
+        return [
+            self._execute_statement(statement, with_metrics)
+            for statement in self.parse(sql)
+        ]
 
     def query(self, sql: str, with_metrics: bool = False) -> QueryResult:
         """Run a script and return the last result that produced rows
@@ -301,9 +315,9 @@ class Driver:
 
     # -- statement dispatch ------------------------------------------------------
     def _execute_statement(
-        self, statement: ast.Statement, with_metrics: bool
+        self, statement: ParsedStatement, with_metrics: bool
     ) -> QueryResult:
-        host = self._execute_host_statement(statement)
+        host = self._execute_host_statement(statement.node)
         if host is not None:
             return host
         cached = self.result_cache_lookup(statement)
@@ -372,7 +386,7 @@ class Driver:
 
         raise SemanticError(f"unsupported statement {type(statement).__name__}")
 
-    def prepare(self, statement: ast.Statement,
+    def prepare(self, statement: ParsedStatement,
                 use_cache: bool = True) -> PreparedStatement:
         """Compile an engine-bound statement without running it.
 
@@ -381,14 +395,15 @@ class Driver:
         and the same result directory — so concurrent submissions each
         compile a fresh plan under their own query id.
         """
-        if isinstance(statement, ast.CreateTableAsSelect):
-            return self._prepare_ctas(statement)
-        if isinstance(statement, ast.InsertOverwrite):
-            return self._prepare_insert(statement)
-        if isinstance(statement, (ast.Select, ast.UnionAll)):
+        node = statement.node
+        if isinstance(node, ast.CreateTableAsSelect):
+            return self._prepare_ctas(node)
+        if isinstance(node, ast.InsertOverwrite):
+            return self._prepare_insert(node)
+        if isinstance(node, (ast.Select, ast.UnionAll)):
             return self._prepare_select(statement, use_cache=use_cache)
         raise SemanticError(
-            f"statement {type(statement).__name__} does not run on an engine"
+            f"statement {type(node).__name__} does not run on an engine"
         )
 
     # -- helpers ------------------------------------------------------------------
@@ -432,7 +447,6 @@ class Driver:
         by the failed run's earlier jobs are removed first so the re-run
         can commit them again."""
         from repro import engines as engine_registry
-        from repro.obs import get_metrics
 
         self._discard_partial_outputs(plan)
         get_metrics().counter("engine.fallbacks").add(1)
@@ -658,7 +672,7 @@ class Driver:
         )
 
     # -- result cache -------------------------------------------------------
-    def result_cache(self) -> Optional[ResultCache]:
+    def result_cache(self) -> Optional[LruCache[tuple, ResultCacheEntry]]:
         """The driver's result cache, or ``None`` when the session's
         engine does not advertise the ``result_cache`` capability or
         ``repro.result.cache.enabled`` is off."""
@@ -667,21 +681,23 @@ class Driver:
         if not self.conf.get_bool(RESULT_CACHE_ENABLED, True):
             return None
         if self._result_cache is None:
-            self._result_cache = ResultCache(
+            self._result_cache = LruCache(
                 self.conf.get_int(RESULT_CACHE_ENTRIES, 64)
             )
         return self._result_cache
 
-    def result_cache_lookup(self, statement) -> Optional[QueryResult]:
+    def result_cache_lookup(self, statement: ParsedStatement
+                            ) -> Optional[QueryResult]:
         """A finished :class:`QueryResult` for *statement* if the result
         cache holds a still-valid entry, else ``None``.  A hit costs no
         compile time and no cluster work (~0 simulated seconds)."""
         cache = self.result_cache()
-        if cache is None or not isinstance(statement, (ast.Select, ast.UnionAll)):
+        if cache is None or not isinstance(
+            statement.node, (ast.Select, ast.UnionAll)
+        ):
             return None
         entry = cache.lookup(
-            self._plan_cache_key(statement), self.metastore.version,
-            self._plan_snapshot,
+            self._plan_cache_key(statement.key), self._still_current
         )
         if entry is None:
             return None
@@ -706,7 +722,8 @@ class Driver:
             engine=entry.engine,
         )
 
-    def result_cache_store(self, statement, prepared: "PreparedStatement",
+    def result_cache_store(self, statement: ParsedStatement,
+                           prepared: "PreparedStatement",
                            result: QueryResult, version_at_compile: int,
                            snapshot_at_compile: tuple) -> None:
         """Admit a completed SELECT, unless a writer overlapped it.
@@ -726,7 +743,7 @@ class Driver:
         if self._plan_snapshot(prepared.plan) != snapshot_at_compile:
             return
         cache.store(
-            self._plan_cache_key(statement),
+            self._plan_cache_key(statement.key),
             ResultCacheEntry(
                 plan=prepared.plan,
                 query_id=prepared.query_id,
@@ -739,10 +756,12 @@ class Driver:
         )
 
     # -- plan cache ---------------------------------------------------------
-    def _plan_cache_key(self, statement) -> tuple:
+    def _plan_cache_key(self, structural_key: str) -> tuple:
         """Cache key: query structure plus everything compilation reads.
 
-        The AST repr stands in for normalized query text; the
+        The AST repr (:attr:`ParsedStatement.key`) stands in for
+        normalized query text and is the only memoized part — the conf
+        and epoch parts are read live on every call; the
         configuration the physical compiler consults is the map-join
         small-table threshold (``hive.mapjoin.smalltable.filesize``),
         stats-driven planning and skew-join knobs, and the execution
@@ -758,7 +777,7 @@ class Driver:
         assume the other layout.
         """
         return (
-            repr(statement),
+            structural_key,
             self.engine.name,
             self.conf.get(HIVE_MAPJOIN_SMALLTABLE_BYTES, None),
             self.conf.get(EXEC_VECTORIZED, None),
@@ -777,7 +796,18 @@ class Driver:
         plan stays valid while those are unchanged.  The plan's own
         intermediate locations (under ``/tmp/hive/``) are excluded — they
         exist only while the plan runs.
+
+        Listings and file sizes can only change with the HDFS namespace
+        generation, so within one generation a plan is fingerprinted
+        once: validating a cache hit against an unchanged warehouse
+        re-lists and re-sums nothing.
         """
+        if self._snapshots_generation != self.hdfs.generation:
+            self._snapshots.clear()
+            self._snapshots_generation = self.hdfs.generation
+        memo = self._snapshots.get(id(plan))
+        if memo is not None:
+            return memo[1]
         locations = set()
         for job in plan.jobs:
             for map_input in job.inputs:
@@ -794,33 +824,33 @@ class Driver:
                     (data_file.path, data_file.scale,
                      stored.row_count, stored.total_bytes)
                 )
-        return tuple(snapshot)
+        fingerprint = tuple(snapshot)
+        self._snapshots[id(plan)] = (plan, fingerprint)
+        return fingerprint
 
-    def _cached_select_plan(self, statement) -> Tuple[tuple, Optional[PhysicalPlan], str]:
-        key = self._plan_cache_key(statement)
-        entry = self._plan_cache.get(key)
-        if entry is not None:
-            plan, query_id, version, snapshot = entry
-            if (version == self.metastore.version
-                    and snapshot == self._plan_snapshot(plan)):
-                return key, plan, query_id
-            del self._plan_cache[key]  # stale: catalog or input data moved
-        return key, None, ""
+    def _still_current(self, entry) -> bool:
+        """Validity check of a plan- or result-cache entry: stale once
+        the catalog or the plan's input data moved."""
+        return (entry.version == self.metastore.version
+                and entry.snapshot == self._plan_snapshot(entry.plan))
 
-    def _prepare_select(self, statement,
+    def _prepare_select(self, statement: ParsedStatement,
                         use_cache: bool = True) -> PreparedStatement:
-        plan = None
+        entry = None
         if use_cache:
-            key, plan, query_id = self._cached_select_plan(statement)
-        if plan is None:
+            key = self._plan_cache_key(statement.key)
+            entry = self._plan_cache.lookup(key, self._still_current)
+        if entry is not None:
+            plan, query_id = entry.plan, entry.query_id
+        else:
             query_id = self._next_query_id()
             location = f"/tmp/results/{query_id}"
-            plan = self._compile(statement, location, "text", query_id)
+            plan = self._compile(statement.node, location, "text", query_id)
             if use_cache:
-                self._plan_cache[key] = (
+                self._plan_cache.store(key, CachedPlan(
                     plan, query_id, self.metastore.version,
                     self._plan_snapshot(plan),
-                )
+                ))
         compile_seconds = self._compile_seconds(plan)
         bound_plan = plan
 

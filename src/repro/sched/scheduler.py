@@ -12,19 +12,21 @@ Layering (top to bottom):
   query's job DAG runs as a coroutine inside one shared
   :class:`~repro.engines.base.EngineRuntime`.
 
-``submit`` never advances simulated time; it parses, compiles nothing,
-and spawns the query's driver process into the shared simulator.  A
-handle's :meth:`QueryHandle.result` (or :meth:`WorkloadScheduler.drain`)
-runs the simulation until every runnable query completes.  Everything is
-deterministic: same seed + same submission sequence replays the exact
-same event order, timings and results.
+``submit`` never advances simulated time; it parses (through the
+driver's statement cache, so a repeated text costs one lookup), compiles
+nothing, and spawns the query's driver process into the shared
+simulator.  A handle's :meth:`QueryHandle.result` (or
+:meth:`WorkloadScheduler.drain`) runs the simulation until every
+runnable query completes.  Everything is deterministic: same seed + same
+submission sequence replays the exact same event order, timings and
+results.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import engines as engine_registry
 from repro.common.config import (
@@ -43,11 +45,18 @@ from repro.common.errors import (
     QueryTimeoutError,
     RetryExhaustedError,
 )
-from repro.core.driver import Driver, PreparedStatement, QueryResult
+from repro.core.driver import (
+    Driver,
+    ParsedStatement,
+    PreparedStatement,
+    QueryResult,
+)
 from repro.engines.base import Engine, EngineRuntime, PlanResult, collect_plan_result
 from repro.obs import Span, get_metrics
 from repro.simulate import Interrupt, LeaseOwner
-from repro.sql import parse_script
+# submit parses through Driver.parse; the binding stays because hostbench
+# pins it as a seam (hostbench/README.md, "Pinned seams")
+from repro.sql import parse_script  # noqa: F401
 
 POLICIES = ("fifo", "fair", "capacity")
 
@@ -203,7 +212,7 @@ class QueryHandle:
     """
 
     def __init__(self, scheduler: "WorkloadScheduler", query_id: str,
-                 pool: Pool, statements: List[object],
+                 pool: Pool, statements: Sequence[ParsedStatement],
                  deadline: Optional[float] = None,
                  retry_budget: Optional[int] = None):
         self._scheduler = scheduler
@@ -349,7 +358,7 @@ class WorkloadScheduler:
         Raises :class:`AdmissionRejectedError` when the target pool's
         concurrency cap is reached *and* its bounded wait queue is full.
         """
-        statements = parse_script(sql)
+        statements = self.driver.parse(sql)
         if not statements:
             raise ExecutionError("submit needs at least one statement")
         if deadline is None:
@@ -562,7 +571,7 @@ class WorkloadScheduler:
     def _statements_body(self, handle: QueryHandle):
         sim = self.runtime.sim
         for statement in handle.statements:
-            host = self.driver._execute_host_statement(statement)
+            host = self.driver._execute_host_statement(statement.node)
             if host is not None:
                 handle.results.append(host)
                 continue

@@ -120,14 +120,19 @@ class Session(Driver):
     def caches(self) -> Dict[str, object]:
         """Live counters for the session's caches.
 
-        ``"result"`` — the driver result cache's hit/miss/eviction/
-        invalidation counters (``None`` when the engine doesn't support
-        it or it is disabled); ``"columnar"`` — per-node decoded-stripe
-        cache counters from the engine (empty for engines without a
+        ``"statement"`` — the parsed-statement cache (entries, hits,
+        misses, evictions: one miss per distinct SQL text while it stays
+        cached); ``"plan"`` — the compiled-plan cache; ``"result"`` —
+        the driver result cache's hit/miss/eviction/invalidation
+        counters (``None`` when the engine doesn't support it or it is
+        disabled); ``"columnar"`` — per-node decoded-stripe cache
+        counters from the engine (empty for engines without a
         persistent data cache).
         """
         result_cache = self.result_cache()
         return {
+            "statement": self._statement_cache.stats(),
+            "plan": self._plan_cache.stats(),
             "result": result_cache.stats() if result_cache is not None else None,
             "columnar": self.engine.cache_stats(),
         }

@@ -1,13 +1,15 @@
 """Tokenizer for the HiveQL subset.
 
-Hand-rolled single-pass scanner producing a flat token list; tracks
-line/column for error messages.  Keywords are case-insensitive;
-identifiers keep their original spelling but compare lowercased.
+One precompiled master regex, one match per token, producing a flat
+token list; line/column for error messages are derived from newline
+offsets.  Keywords are case-insensitive; identifiers keep their
+original spelling but compare lowercased.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -35,8 +37,51 @@ KEYWORDS = {
     "analyze", "compute", "statistics",
 }
 
-_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "%", "||")
-_PUNCT = "(),."
+# One alternative per token class, tried in this order at every offset.
+# Character classes are ASCII on purpose: non-ASCII letters and digits
+# are folded to "a" / "0" before matching (see _fold_non_ascii), which
+# keeps str.isalpha()/isdigit() as the definition of both.  A string's
+# closing quote must not be followed by the same quote, so a doubled
+# quote can only ever match as an escape and an unterminated literal
+# fails the whole alternative instead of ending early.
+_MASTER = re.compile(
+    r"""
+      (?P<space>      [ \t\r\n]+ | --[^\n]* | /\*.*?\*/ )
+    | (?P<word>       [A-Za-z_]\w* )
+    | (?P<number>     (?: [0-9]+ (?: \.[0-9]+ )? | \.[0-9]+ ) (?: [eE][+-]?[0-9]+ )? )
+    | (?P<string>     ' (?: [^'\\] | \\. | '' )* ' (?!')
+                    | " (?: [^"\\] | \\. | "" )* " (?!") )
+    | (?P<backtick>   `[^`]*` )
+    | (?P<unterminated> /\* | ['"`] )
+    | (?P<operator>   <> | != | <= | >= | \|\| | [=<>+\-*/%] )
+    | (?P<punct>      [(),.;] )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_STRING_ESCAPE = {
+    "'": re.compile(r"\\(.)|''", re.DOTALL),
+    '"': re.compile(r'\\(.)|""', re.DOTALL),
+}
+_ESCAPED = {"n": "\n", "t": "\t"}
+_UNTERMINATED = {
+    "/*": "unterminated comment",
+    "'": "unterminated string literal",
+    '"': "unterminated string literal",
+    "`": "unterminated backtick identifier",
+}
+
+
+def _fold_non_ascii(match: "re.Match[str]") -> str:
+    char = match.group()
+    return "a" if char.isalpha() else "0" if char.isdigit() else char
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    escaped = match.group(1)
+    if escaped is None:
+        return match.group()[0]  # doubled quote escapes itself
+    return _ESCAPED.get(escaped, escaped)
 
 
 @dataclass(frozen=True)
@@ -54,130 +99,69 @@ class Token:
         return self.raw if self.type is not TokenType.EOF else "<eof>"
 
 
+# token classes whose text is the matched slice as written
+_VERBATIM = {
+    "operator": TokenType.OPERATOR,
+    "punct": TokenType.PUNCT,
+    "number": TokenType.NUMBER,
+}
+
+
 class Lexer:
-    """Scan HiveQL text into tokens (skips whitespace and ``--`` comments)."""
+    """Scan HiveQL text into tokens (skips whitespace and comments)."""
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
     def tokenize(self) -> List[Token]:
+        text = self.text
+        scan = text if text.isascii() else _NON_ASCII.sub(_fold_non_ascii, text)
         tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                tokens.append(Token(TokenType.EOF, "", "", self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- internals --------------------------------------------------------------
-    def _peek(self, ahead: int = 0) -> str:
-        index = self.pos + ahead
-        return self.text[index] if index < len(self.text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        piece = self.text[self.pos : self.pos + count]
-        for char in piece:
-            if char == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return piece
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise ParseError("unterminated comment", self.line, self.column)
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        line, column = self.line, self.column
-        char = self._peek()
-
-        if char.isalpha() or char == "_":
-            raw = self._read_while(lambda c: c.isalnum() or c == "_")
-            lowered = raw.lower()
-            kind = TokenType.KEYWORD if lowered in KEYWORDS else TokenType.IDENT
-            return Token(kind, lowered, raw, line, column)
-
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            raw = self._read_while(lambda c: c.isdigit())
-            if self._peek() == "." and self._peek(1).isdigit():
-                raw += self._advance()
-                raw += self._read_while(lambda c: c.isdigit())
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                raw += self._advance()
-                if self._peek() in "+-":
-                    raw += self._advance()
-                raw += self._read_while(lambda c: c.isdigit())
-            return Token(TokenType.NUMBER, raw, raw, line, column)
-
-        if char in "'\"":
-            quote = self._advance()
-            chunks: List[str] = []
-            while True:
-                if self.pos >= len(self.text):
-                    raise ParseError("unterminated string literal", line, column)
-                piece = self._advance()
-                if piece == "\\" and self.pos < len(self.text):
-                    escaped = self._advance()
-                    chunks.append({"n": "\n", "t": "\t"}.get(escaped, escaped))
-                elif piece == quote:
-                    if self._peek() == quote:  # doubled quote escapes itself
-                        chunks.append(self._advance())
-                    else:
-                        break
-                else:
-                    chunks.append(piece)
-            value = "".join(chunks)
-            return Token(TokenType.STRING, value, value, line, column)
-
-        if char == "`":
-            self._advance()
-            raw = self._read_while(lambda c: c != "`")
-            if self._peek() != "`":
-                raise ParseError("unterminated backtick identifier", line, column)
-            self._advance()
-            return Token(TokenType.IDENT, raw.lower(), raw, line, column)
-
-        for operator in _OPERATORS:
-            if self.text.startswith(operator, self.pos):
-                self._advance(len(operator))
-                return Token(TokenType.OPERATOR, operator, operator, line, column)
-
-        if char in _PUNCT:
-            self._advance()
-            return Token(TokenType.PUNCT, char, char, line, column)
-
-        if char == ";":
-            self._advance()
-            return Token(TokenType.PUNCT, ";", ";", line, column)
-
-        raise ParseError(f"unexpected character {char!r}", line, column)
-
-    def _read_while(self, predicate) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and predicate(self._peek()):
-            self._advance()
-        return self.text[start : self.pos]
+        line = 1
+        line_start = 0  # offset of the first character of `line`
+        pos = 0
+        for match in _MASTER.finditer(scan):
+            start, end = match.span()
+            if start != pos:
+                break  # finditer skipped a character no alternative matches
+            pos = end
+            kind = match.lastgroup
+            column = start - line_start + 1
+            if kind == "word":
+                raw = text[start:end]
+                lowered = raw.lower()
+                token_type = (
+                    TokenType.KEYWORD if lowered in KEYWORDS else TokenType.IDENT
+                )
+                tokens.append(Token(token_type, lowered, raw, line, column))
+                continue
+            if kind in _VERBATIM:
+                raw = text[start:end]
+                tokens.append(Token(_VERBATIM[kind], raw, raw, line, column))
+                continue
+            if kind == "string":
+                quote = text[start]
+                value = text[start + 1 : end - 1]
+                if "\\" in value or quote in value:
+                    value = _STRING_ESCAPE[quote].sub(_unescape, value)
+                tokens.append(Token(TokenType.STRING, value, value, line, column))
+            elif kind == "backtick":
+                raw = text[start + 1 : end - 1]
+                tokens.append(Token(TokenType.IDENT, raw.lower(), raw, line, column))
+            elif kind == "unterminated":
+                message = _UNTERMINATED[match.group()]
+                if match.group() == "/*":  # reported where the text ends
+                    line += text.count("\n", start)
+                    column = len(text) - text.rfind("\n")
+                raise ParseError(message, line, column)
+            # only these can span lines: whitespace, comments, quoted tokens
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", start, end) + 1
+        if pos < len(text):
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            )
+        tokens.append(Token(TokenType.EOF, "", "", line, pos - line_start + 1))
+        return tokens

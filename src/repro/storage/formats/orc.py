@@ -228,14 +228,20 @@ class ColumnChunk:
 
 @dataclass
 class Stripe:
+    """One stripe's encoded column chunks; immutable once built, so the
+    byte total is summed once."""
+
     row_start: int
     row_count: int
-    chunks: Dict[str, ColumnChunk] = field(default_factory=dict)
-    stats: Dict[str, Tuple[object, object]] = field(default_factory=dict)
+    chunks: Dict[str, ColumnChunk]
+    stats: Dict[str, Tuple[object, object]]
+    total_bytes: int = field(init=False)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(chunk.stored_bytes for chunk in self.chunks.values()) + _STRIPE_FOOTER_BYTES
+    def __post_init__(self):
+        self.total_bytes = (
+            sum(chunk.stored_bytes for chunk in self.chunks.values())
+            + _STRIPE_FOOTER_BYTES
+        )
 
     def bytes_for_columns(self, columns: Optional[Sequence[str]]) -> int:
         if columns is None:
@@ -342,23 +348,27 @@ class OrcStoredFile(StoredFile):
         self._stripe_columns: List[List[Sequence]] = []
         for start in range(0, len(rows), stripe_rows):
             block = rows[start : start + stripe_rows]
-            stripe = Stripe(row_start=start, row_count=len(block))
+            chunks: Dict[str, ColumnChunk] = {}
+            stats: Dict[str, Tuple[object, object]] = {}
             decoded: List[Sequence] = []
             for position, column in enumerate(schema.columns):
                 values = [row[position] for row in block]
                 decoded.append(pack_column(values))
-                stripe.chunks[column.name.lower()] = _encode_column(column.dtype, values)
+                chunks[column.name.lower()] = _encode_column(column.dtype, values)
                 present = [value for value in values if value is not None]
                 if present:
-                    stripe.stats[column.name.lower()] = (min(present), max(present))
+                    stats[column.name.lower()] = (min(present), max(present))
                 else:
-                    stripe.stats[column.name.lower()] = (None, None)
-            self.stripes.append(stripe)
+                    stats[column.name.lower()] = (None, None)
+            self.stripes.append(Stripe(start, len(block), chunks, stats))
             self._stripe_columns.append(decoded)
+        self._total_bytes = (
+            sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
+        )
 
     @property
     def total_bytes(self) -> int:
-        return sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
+        return self._total_bytes
 
     def bytes_for_range(self, row_start: int, row_count: int) -> int:
         """Bytes for a row range; partially-overlapped stripes charge

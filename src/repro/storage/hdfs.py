@@ -139,6 +139,12 @@ class HDFS:
         self.block_size = float(block_size)
         self.replication = min(replication, num_workers)
         self._files: Dict[str, DataFile] = {}
+        #: bumped whenever the namespace changes (a file is added or
+        #: removed); stored files are immutable, so anything derived
+        #: from listings and file sizes is valid for one generation
+        self.generation = 0
+        self._sorted_paths: List[str] = []
+        self._sorted_generation = 0
         self._rng = random.Random(seed)
         self._next_block_id = 0
         self._placement_cursor = 0
@@ -155,15 +161,21 @@ class HDFS:
 
     def delete(self, path: str) -> None:
         """Delete a file or (recursively) a directory prefix."""
-        doomed = [p for p in self._files if p == path or p.startswith(path.rstrip("/") + "/")]
+        prefix = path.rstrip("/") + "/"
+        doomed = [p for p in self._files if p == path or p.startswith(prefix)]
         for p in doomed:
             del self._files[p]
+        if doomed:
+            self.generation += 1
 
     def list_dir(self, directory: str) -> List[DataFile]:
+        if self._sorted_generation != self.generation:
+            self._sorted_paths = sorted(self._files)
+            self._sorted_generation = self.generation
         prefix = directory.rstrip("/") + "/"
         return [
             self._files[path]
-            for path in sorted(self._files)
+            for path in self._sorted_paths
             if path.startswith(prefix) or path == directory
         ]
 
@@ -207,6 +219,7 @@ class HDFS:
             path, stored, format_name, scale, blocks, partition_values
         )
         self._files[path] = data_file
+        self.generation += 1
         return data_file
 
     # -- internals ----------------------------------------------------------------

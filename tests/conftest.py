@@ -6,6 +6,9 @@ import pytest
 
 from repro import HDFS, Metastore, connect
 from repro.common.rows import Schema
+from repro.workloads.hibench import HIBENCH_AGGREGATE, HIBENCH_JOIN, hibench_ddl
+from repro.workloads.serving import SERVING_CATALOG
+from repro.workloads.tpch import TPCH_QUERY_IDS, tpch_query
 
 EMP_SCHEMA = Schema.parse("emp_id int, name string, dept string, salary double, hired date")
 DEPT_SCHEMA = Schema.parse("dept string, budget double, region string")
@@ -25,6 +28,18 @@ DEPT_ROWS = [
     ("ops", 500.0, "east"),
     ("fin", 800.0, "west"),  # no employees
 ]
+
+
+def shipped_scripts():
+    """Every SQL text the workloads ship, by name, in runnable order:
+    TPC-H 1-22, HiBench (DDL first), the serving catalog."""
+    scripts = {f"tpch-{n}": tpch_query(n) for n in TPCH_QUERY_IDS}
+    scripts["hibench-ddl"] = hibench_ddl()
+    scripts["hibench-aggregate"] = HIBENCH_AGGREGATE
+    scripts["hibench-join"] = HIBENCH_JOIN
+    for index, sql in enumerate(SERVING_CATALOG):
+        scripts[f"serving-{index}"] = sql
+    return scripts
 
 
 def build_warehouse(scale: float = 5e5):

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.common.errors import SemanticError
+import repro.core.driver as driver_module
 from repro import connect
+from repro.bench import fresh_hibench, fresh_tpch
+from repro.common.errors import ParseError, SemanticError
+from repro.common.lru import LruCache
+from repro.obs import get_metrics
+
+from .conftest import EMP_ROWS, EMP_SCHEMA, build_warehouse, shipped_scripts
 
 
 class TestDdl:
@@ -216,3 +222,195 @@ class TestPlanCacheStats:
         without = local_session.query(self.SQL)  # distinct key, fresh plan
         assert not without.plan.jobs[0].broadcasts
         assert without.rows == with_stats.rows
+
+
+class TestAstReadOnly:
+    """The statement cache hands one AST to every repeat of a text, and
+    its structural key is derived once: sound only while no layer
+    mutates the tree after parse."""
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        return {
+            "tpch": fresh_tpch(1, lineitem_sample=300),
+            "hibench": fresh_hibench(0.5, sample_uservisits=300),
+        }
+
+    @pytest.mark.parametrize("engine", ["local", "hadoop", "datampi", "llap"])
+    def test_analyze_compile_run_leave_the_ast_untouched(self, stores, engine):
+        sessions = {
+            name: connect(engine=engine, hdfs=hdfs, metastore=metastore)
+            for name, (hdfs, metastore) in stores.items()
+        }
+        for name, script in shipped_scripts().items():
+            session = sessions["tpch" if name.startswith("tpch") else "hibench"]
+            parsed = session.parse(script)
+            before = [repr(statement.node) for statement in parsed]
+            session.execute(script)  # statement-cache hit: runs these nodes
+            assert [repr(statement.node) for statement in parsed] == before, name
+            assert [statement.key for statement in parsed] == before, name
+        for session in sessions.values():
+            assert session.caches()["statement"]["hits"] >= 1
+
+
+class TestStatementCache:
+    SQL = "SELECT dept, count(*) c FROM emp GROUP BY dept ORDER BY dept"
+
+    @pytest.fixture()
+    def parser_calls(self, monkeypatch):
+        """Texts that reached the parser through the driver module's
+        ``parse_script`` binding (the seam hostbench wraps)."""
+        calls = []
+        real = driver_module.parse_script
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(driver_module, "parse_script", counting)
+        return calls
+
+    def test_repeated_text_is_parsed_once(self, local_session, parser_calls):
+        first = local_session.query(self.SQL)
+        second = local_session.query(self.SQL)
+        assert second.rows == first.rows
+        assert parser_calls == [self.SQL]
+        stats = local_session.caches()["statement"]
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
+
+    def test_counters_land_in_the_metrics_registry(self, local_session):
+        registry = get_metrics()
+        hits = registry.counter("sql.statement_cache.hits").value
+        misses = registry.counter("sql.statement_cache.misses").value
+        local_session.query(self.SQL)
+        local_session.query(self.SQL)
+        assert registry.counter("sql.statement_cache.hits").value == hits + 1
+        assert registry.counter("sql.statement_cache.misses").value == misses + 1
+
+    def test_fresh_session_starts_cold(self, warehouse, parser_calls):
+        hdfs, metastore = warehouse
+        for _ in range(2):
+            with connect(engine="local", hdfs=hdfs, metastore=metastore) as session:
+                session.query(self.SQL)
+        assert parser_calls == [self.SQL, self.SQL]
+
+    @pytest.mark.parametrize("engine", ["datampi", "llap"])
+    def test_hit_matches_a_fresh_parse_of_the_same_text(self, engine):
+        # a trailing blank makes a different text (statement-cache miss)
+        # with the same AST, so the reference parses every time
+        def run(texts):
+            hdfs, metastore = build_warehouse()
+            with connect(engine=engine, hdfs=hdfs, metastore=metastore) as session:
+                results = [session.query(text) for text in texts]
+                return session.caches()["statement"]["hits"], [
+                    (r.rows, r.simulated_seconds, r.cache_hit) for r in results
+                ]
+
+        hits, cached = run([self.SQL, self.SQL, self.SQL])
+        reference_hits, reference = run([self.SQL, self.SQL + " ", self.SQL + "  "])
+        assert (hits, reference_hits) == (2, 0)
+        assert cached == reference
+        assert cached[1][2] is (engine == "llap")  # llap answers from its result cache
+
+    def test_parse_errors_are_not_cached(self, local_session, parser_calls):
+        bad = "SELECT FROM WHERE"
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                local_session.execute(bad)
+        assert parser_calls == [bad, bad]
+        stats = local_session.caches()["statement"]
+        assert (stats["entries"], stats["misses"]) == (0, 2)
+
+    def test_lru_eviction_at_capacity(self, local_session, parser_calls):
+        local_session._statement_cache = LruCache(2)
+        texts = [f"SELECT count(*) FROM emp WHERE emp_id > {n}" for n in range(3)]
+        for text in texts:
+            local_session.query(text)
+        stats = local_session.caches()["statement"]
+        assert (stats["entries"], stats["evictions"]) == (2, 1)
+        local_session.query(texts[2])  # still resident
+        local_session.query(texts[0])  # evicted: parsed again
+        assert parser_calls == texts + [texts[0]]
+
+    def test_ddl_between_identical_selects(self, warehouse):
+        hdfs, metastore = warehouse
+        with connect(engine="llap", hdfs=hdfs, metastore=metastore) as session:
+            first = session.query(self.SQL)
+            assert session.query(self.SQL).cache_hit
+            session.execute("CREATE TABLE unrelated (a int)")  # version bump
+            third = session.query(self.SQL)
+            assert not third.cache_hit and third.rows == first.rows
+            assert third.plan is not first.plan
+
+    def test_conf_part_of_the_key_is_read_live(self, warehouse):
+        hdfs, metastore = warehouse
+        with connect(engine="llap", hdfs=hdfs, metastore=metastore) as session:
+            first = session.query(self.SQL)
+            assert session.query(self.SQL).cache_hit
+            session.execute("SET hive.mapjoin.smalltable.filesize = 1")
+            third = session.query(self.SQL)  # same text, same AST, new key
+            assert not third.cache_hit and third.rows == first.rows
+            assert session.caches()["statement"]["hits"] == 2
+
+
+class TestSnapshotMemo:
+    SQL = "SELECT count(*) FROM emp"
+
+    def test_unchanged_namespace_is_fingerprinted_once(self, local_session,
+                                                       monkeypatch):
+        plan = local_session.query(self.SQL).plan
+        snapshot = local_session._plan_snapshot(plan)
+        listings = []
+        real = local_session.hdfs.list_dir
+        monkeypatch.setattr(
+            local_session.hdfs, "list_dir",
+            lambda directory: listings.append(directory) or real(directory),
+        )
+        assert local_session._plan_snapshot(plan) is snapshot
+        assert listings == []
+
+    def test_a_new_input_file_refreshes_the_fingerprint(self, warehouse):
+        hdfs, metastore = warehouse
+        with connect(engine="llap", hdfs=hdfs, metastore=metastore) as session:
+            assert session.query(self.SQL).rows == [(7,)]
+            assert session.query(self.SQL).cache_hit
+            # straight into the table directory: no metastore version bump,
+            # only the HDFS generation tells the memo to look again
+            location = metastore.get_table("emp").location
+            hdfs.write(f"{location}/part-1", EMP_SCHEMA, EMP_ROWS[:2], scale=5e5)
+            again = session.query(self.SQL)
+            assert not again.cache_hit and again.rows == [(9,)]
+            assert session.caches()["result"]["invalidations"] == 1
+
+
+class TestPlanCacheBound:
+    def test_plan_cache_evicts_least_recently_used(self, local_session):
+        local_session._plan_cache = LruCache(2)
+        texts = [f"SELECT count(*) FROM emp WHERE emp_id > {n}" for n in range(3)]
+        plans = [local_session.query(text).plan for text in texts]
+        stats = local_session.caches()["plan"]
+        assert (stats["entries"], stats["evictions"]) == (2, 1)
+        assert local_session.query(texts[2]).plan is plans[2]
+        assert local_session.query(texts[0]).plan is not plans[0]  # recompiled
+
+
+class TestLruCache:
+    def test_lookup_refreshes_recency(self):
+        cache = LruCache(2)
+        cache.store("a", 1)
+        cache.store("b", 2)
+        assert cache.lookup("a") == 1  # "b" is now the eviction candidate
+        cache.store("c", 3)
+        assert cache.lookup("b") is None
+        assert (cache.lookup("a"), cache.lookup("c")) == (1, 3)
+        assert cache.stats() == {
+            "entries": 2, "capacity": 2, "hits": 3, "misses": 1,
+            "evictions": 1, "invalidations": 0,
+        }
+
+    def test_failed_validity_check_drops_the_entry_as_a_miss(self):
+        cache = LruCache(4)
+        cache.store("k", "stale")
+        assert cache.lookup("k", lambda value: value != "stale") is None
+        assert len(cache) == 0
+        assert (cache.hits, cache.misses, cache.invalidations) == (0, 1, 1)

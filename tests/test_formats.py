@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rows import DataType, Schema
+from repro.storage.formats import orc
 from repro.storage.formats.base import get_format
 from repro.storage.formats.orc import (
     OrcFormat,
@@ -131,6 +132,24 @@ class TestOrcFormat:
         full = stored.bytes_for_range(0, 1000)
         assert 0 < half < full
         assert half == pytest.approx(full / 2, rel=0.2)
+
+    def test_byte_totals_match_the_chunk_sums(self):
+        # totals are summed once at build time; they must equal what
+        # re-summing the encoded chunks gives
+        rows = [(i, f"name{i % 7}", float(i), i % 3 == 0, "1995-01-01")
+                for i in range(2500)]
+        stored = OrcFormat(stripe_rows=1000).build(SCHEMA, rows)
+        stripe_totals = [
+            sum(chunk.stored_bytes for chunk in stripe.chunks.values())
+            + orc._STRIPE_FOOTER_BYTES
+            for stripe in stored.stripes
+        ]
+        assert [stripe.total_bytes for stripe in stored.stripes] == stripe_totals
+        assert stored.total_bytes == sum(stripe_totals) + orc._FILE_FOOTER_BYTES
+        for stripe in stored.stripes:
+            assert stripe.bytes_for_columns(None) == stripe.total_bytes
+            assert stripe.bytes_for_columns(SCHEMA.names) == stripe.total_bytes
+        assert stored.bytes_for_range(0, len(rows)) == sum(stripe_totals)
 
     def test_dictionary_beats_direct_on_repeats(self):
         repeats = [(i, "only-a-few-values-%d" % (i % 3), 0.0, True, "1995-01-01")

@@ -49,6 +49,35 @@ class TestHdfsNamespace:
         hdfs.write("/t/part-1", SCHEMA, make_rows(1))
         assert [f.path for f in hdfs.list_dir("/t")] == ["/t/part-1", "/t/part-2"]
 
+    def test_list_dir_sees_every_namespace_change(self):
+        # the sorted listing is cached per generation: each write and
+        # delete must be visible to the very next call
+        hdfs = HDFS(num_workers=4)
+        hdfs.write("/t/part-2", SCHEMA, make_rows(1))
+        assert [f.path for f in hdfs.list_dir("/t")] == ["/t/part-2"]
+        hdfs.write("/t/part-1", SCHEMA, make_rows(1))
+        hdfs.write("/t-other", SCHEMA, make_rows(1))
+        hdfs.write("/t", SCHEMA, make_rows(1))  # a file named like the dir
+        assert [f.path for f in hdfs.list_dir("/t")] == [
+            "/t", "/t/part-1", "/t/part-2"
+        ]
+        hdfs.delete("/t/part-1")
+        assert [f.path for f in hdfs.list_dir("/t/")] == ["/t/part-2"]
+
+    def test_generation_counts_namespace_changes_only(self):
+        hdfs = HDFS(num_workers=4)
+        assert hdfs.generation == 0
+        hdfs.write("/d/p1", SCHEMA, make_rows(1))
+        hdfs.write("/d/p2", SCHEMA, make_rows(1))
+        assert hdfs.generation == 2
+        hdfs.list_dir("/d")
+        hdfs.delete("/absent")  # removes nothing: same namespace
+        assert hdfs.generation == 2
+        hdfs.delete("/d")  # one recursive delete, one change
+        assert hdfs.generation == 3
+        with pytest.raises(StorageError):
+            hdfs.get("/d/p1")
+
     def test_dir_rows_concat(self):
         hdfs = HDFS(num_workers=4)
         hdfs.write("/t/part-1", SCHEMA, make_rows(3))

@@ -1,10 +1,24 @@
 """Tests for the HiveQL lexer and parser."""
 
+import json
+import os
+
 import pytest
 
 from repro.common.errors import ParseError
 from repro.sql import ast, parse_expression, parse_script, parse_statement
 from repro.sql.lexer import Lexer, TokenType
+
+from .conftest import shipped_scripts
+
+# Token streams and error positions captured from the per-character
+# scanner the regex lexer replaced (commit 9cf6185): the replacement must
+# reproduce them field for field.  Each entry carries its own text; when
+# a shipped query is edited, re-capture that entry from the lexer that
+# is current then.
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "lexer_golden.json")) as _handle:
+    LEXER_GOLDEN = json.load(_handle)
 
 
 class TestLexer:
@@ -58,6 +72,32 @@ class TestLexer:
             assert error.line == 2
         else:
             pytest.fail("expected ParseError")
+
+
+class TestLexerGolden:
+    @pytest.mark.parametrize("name", sorted(LEXER_GOLDEN["tokens"]))
+    def test_token_stream(self, name):
+        entry = LEXER_GOLDEN["tokens"][name]
+        tokens = [
+            [t.type.value, t.text, t.raw, t.line, t.column]
+            for t in Lexer(entry["text"]).tokenize()
+        ]
+        assert tokens == entry["tokens"]
+
+    @pytest.mark.parametrize("name", sorted(LEXER_GOLDEN["errors"]))
+    def test_error_message_and_position(self, name):
+        entry = LEXER_GOLDEN["errors"][name]
+        with pytest.raises(ParseError) as raised:
+            Lexer(entry["text"]).tokenize()
+        error = raised.value
+        assert (str(error), error.line, error.column) == (
+            entry["message"], entry["line"], entry["column"]
+        )
+
+    def test_corpus_covers_the_shipped_workloads(self):
+        golden = LEXER_GOLDEN["tokens"]
+        for name, text in shipped_scripts().items():
+            assert golden[name]["text"] == text, name
 
 
 class TestExpressionParsing:

@@ -26,6 +26,7 @@ from repro.common.config import (
 from repro.common.errors import (
     AdmissionRejectedError,
     ConfigError,
+    ParseError,
     QueryCancelledError,
 )
 from repro.sched import (
@@ -354,6 +355,71 @@ def test_unknown_pool_is_an_error():
     with open_session("datampi") as session:
         with pytest.raises(ConfigError):
             session.submit(SCAN, pool="nope")
+
+
+# ---------------------------------------------------------------------------
+# submit goes through the driver's statement cache
+# ---------------------------------------------------------------------------
+
+def _submit_all(engine, texts):
+    with open_session(engine) as session:
+        outcomes = []
+        for text in texts:
+            result = session.submit(text).result()
+            outcomes.append(
+                (result.rows, result.simulated_seconds, result.cache_hit)
+            )
+        return session.caches()["statement"], outcomes
+
+
+@pytest.mark.parametrize("engine", ["datampi", "llap"])
+def test_submit_statement_cache_hit_matches_fresh_parse(engine):
+    # trailing blanks: same AST from a different text, so the reference
+    # run never hits the statement cache
+    stats, cached = _submit_all(engine, [AGG, AGG, AGG])
+    reference_stats, reference = _submit_all(engine, [AGG, AGG + " ", AGG + "  "])
+    assert (stats["hits"], stats["misses"]) == (2, 1)
+    assert (reference_stats["hits"], reference_stats["misses"]) == (0, 3)
+    assert cached == reference
+    assert cached[1][2] is (engine == "llap")
+
+
+def test_submit_parses_through_the_driver_binding(monkeypatch):
+    import repro.core.driver as driver_module
+
+    parsed = []
+    real = driver_module.parse_script
+    monkeypatch.setattr(
+        driver_module, "parse_script",
+        lambda text: parsed.append(text) or real(text),
+    )
+    with open_session("datampi") as session:
+        session.submit(SCAN).result()
+        session.submit(SCAN).result()
+        session.query(SCAN)  # execute and submit share the one cache
+    assert parsed == [SCAN]
+
+
+def test_submit_does_not_cache_unparsable_text():
+    with open_session("datampi") as session:
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                session.submit("SELECT FROM WHERE")
+        stats = session.caches()["statement"]
+        assert (stats["entries"], stats["misses"]) == (0, 2)
+
+
+def test_insert_between_identical_submits_serves_fresh_rows():
+    with open_session("llap") as session:
+        session.execute("CREATE TABLE emp_copy AS SELECT * FROM emp WHERE dept = 'hr'")
+        probe = "SELECT count(*) FROM emp_copy"
+        assert session.submit(probe).result().rows == [(1,)]
+        assert session.submit(probe).result().cache_hit
+        session.submit("INSERT INTO TABLE emp_copy SELECT * FROM emp").result()
+        fresh = session.submit(probe).result()
+        assert not fresh.cache_hit and fresh.rows == [(8,)]
+        assert session.submit(probe).result().cache_hit  # re-admitted
+        assert session.caches()["statement"]["hits"] == 3
 
 
 # ---------------------------------------------------------------------------
