@@ -23,7 +23,7 @@ def _experiment():
     return results
 
 
-def test_fig09_hibench_performance(benchmark):
+def test_fig09_hibench_scaling(benchmark):
     results = run_once(benchmark, _experiment)
     csv_rows = []
     for which, series in results.items():

@@ -22,25 +22,6 @@ echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # or bypasses one fails here instead of in the benchmark run.
 python -m pytest hostbench/tests -q
 
-echo "== perf smoke (wall-clock guard) =="
-# Small-dataset run of the perf harness doubling as a regression gate:
-# the smoke suite finishes well under a second on a laptop, so a 60 s
-# ceiling only trips on order-of-magnitude regressions (or hangs), never
-# on shared-runner noise.  Writes to a scratch path so the checked-in
-# BENCH_perf.json (full-mode numbers) is not clobbered.
-python benchmarks/bench_perf.py --smoke --guard-seconds 60 \
-    --output "$(mktemp -d)/BENCH_perf_smoke.json"
-
-echo "== parallel smoke (2-worker pool, digest + simulated-time parity) =="
-# The same smoke suite with map compute dispatched to a 2-worker pool.
-# The harness itself asserts pool runs hash identically to inline runs
-# on every workload, so this catches any divergence the pool could
-# introduce; tests/test_parallel.py (tier-1, above) covers the full
-# engine x mode x format x pool-size matrix.  No wall-clock guard: on a
-# 1-core runner the pool measures IPC overhead, not speedup.
-python benchmarks/bench_perf.py --smoke --parallel 2 \
-    --output "$(mktemp -d)/BENCH_perf_parallel_smoke.json"
-
 echo "== concurrency smoke (scheduler policies, shared cluster) =="
 # Small mixed workload under every scheduling policy on both engines;
 # cross-checks rows against solo runs and fails if fair-share does not
@@ -132,28 +113,6 @@ if [[ "${CHECK_SERVING_FULL:-0}" == "1" ]]; then
         tests/test_serving.py::TestServingSoak -q
 fi
 
-if [[ "${CHECK_PARALLEL_FULL:-0}" == "1" ]]; then
-    echo "== parallel full (4-worker pool vs inline, speedup gate) =="
-    # Full-dataset run with a 4-worker pool: every workload's pool
-    # digest must match its inline digest (asserted by the harness),
-    # and on a host with >=4 cores the aggregate speedup must reach
-    # 2x.  On smaller hosts the run still checks correctness but the
-    # speedup gate disarms — a 1-core box can only measure overhead.
-    python benchmarks/bench_perf.py --parallel 4 \
-        --output /tmp/BENCH_perf_parallel_full.json
-    python - <<'PY'
-import json, os, sys
-report = json.load(open("/tmp/BENCH_perf_parallel_full.json"))
-inline = sum(w["wall_seconds"] for w in report["workloads"])
-pooled = sum(w["parallel_wall_seconds"] for w in report["workloads"])
-speedup = inline / pooled if pooled else 0.0
-print(f"aggregate pool speedup: {speedup:.2f}x over {len(report['workloads'])} workloads")
-if (os.cpu_count() or 1) >= 4 and speedup < 2.0:
-    sys.exit(f"PARALLEL REGRESSION: aggregate speedup {speedup:.2f}x < 2.0x "
-             f"with 4 workers on a {os.cpu_count()}-core host")
-PY
-fi
-
 if [[ "${CHECK_SKEW_FULL:-0}" == "1" ]]; then
     echo "== skew full (3 skew factors x 3 engines, committed report) =="
     # Full sweep over Zipf 0.8/1.2/1.6 writing the committed tail-
@@ -161,15 +120,4 @@ if [[ "${CHECK_SKEW_FULL:-0}" == "1" ]]; then
     # takes a while; run it before committing optimizer-, stats- or
     # shuffle-sensitive changes.
     python benchmarks/bench_skew.py
-fi
-
-if [[ "${CHECK_PERF_FULL:-0}" == "1" ]]; then
-    echo "== perf full (compare vs committed baseline) =="
-    # Full-dataset run compared against the checked-in BENCH_perf.json:
-    # fails on >25 % total wall-clock regression over the workloads the
-    # two files share.  Opt-in (CHECK_PERF_FULL=1) because the full
-    # suite takes a few seconds and shared runners are noisy; run it
-    # before committing any perf-sensitive change.
-    python benchmarks/bench_perf.py --compare BENCH_perf.json \
-        --output "$(mktemp -d)/BENCH_perf_full.json"
 fi

@@ -72,76 +72,6 @@ def fresh_tpch(
     return hdfs, metastore
 
 
-@dataclass
-class PerfWorkload:
-    """One wall-clock perf workload (see ``benchmarks/bench_perf.py``).
-
-    ``check_sql`` is an untimed probe executed after each timed pass:
-    workloads whose script is an INSERT (and therefore returns no rows)
-    point it at the output table so the result digest hashes the rows
-    the query actually produced instead of the empty string.
-    """
-
-    name: str
-    engine: str
-    build_warehouse: object  # () -> (HDFS, Metastore), untimed
-    setup_sql: str
-    script: str
-    check_sql: str = ""
-
-
-def perf_workloads(smoke: bool = False) -> List[PerfWorkload]:
-    """The wall-clock perf suite: a TPC-H subset plus HiBench A/J.
-
-    ``smoke`` shrinks the datasets and drops the slow workloads so CI
-    can run the suite as a regression gate in seconds.  The ORC variants
-    (``*_orc``) and the join-heavy Q12 exist to measure the vectorized
-    stripe→batch scan path and the vectorized map join.
-    """
-    from repro.workloads.hibench import HIBENCH_AGGREGATE, HIBENCH_JOIN
-    from repro.workloads.tpch import tpch_query
-
-    sf = 0.5 if smoke else 2.0
-    lineitem = 8000 if smoke else 40000
-    uservisits = 8000 if smoke else 60000
-
-    def tpch():
-        return fresh_tpch(sf, lineitem_sample=lineitem)
-
-    def tpch_orc():
-        return fresh_tpch(sf, lineitem_sample=lineitem, format_name="orc")
-
-    def hibench():
-        return fresh_hibench(1.0, sample_uservisits=uservisits)
-
-    workloads = [
-        PerfWorkload("tpch_q1", "datampi", tpch, "", tpch_query(1, sf)),
-        PerfWorkload("tpch_q6", "datampi", tpch, "", tpch_query(6, sf)),
-        PerfWorkload(
-            "tpch_q6_orc", "datampi", tpch_orc, "", tpch_query(6, sf)
-        ),
-        PerfWorkload(
-            "hibench_aggregate", "hadoop", hibench, hibench_ddl(),
-            HIBENCH_AGGREGATE,
-            check_sql="SELECT * FROM uservisits_aggre;",
-        ),
-    ]
-    if not smoke:
-        workloads += [
-            PerfWorkload("tpch_q3", "datampi", tpch, "", tpch_query(3, sf)),
-            PerfWorkload("tpch_q12", "datampi", tpch, "", tpch_query(12, sf)),
-            PerfWorkload(
-                "tpch_q1_orc", "datampi", tpch_orc, "", tpch_query(1, sf)
-            ),
-            PerfWorkload(
-                "hibench_join", "datampi", hibench, hibench_ddl(),
-                HIBENCH_JOIN,
-                check_sql="SELECT * FROM rankings_uservisits_join;",
-            ),
-        ]
-    return workloads
-
-
 def run_script(
     engine: str,
     hdfs: HDFS,

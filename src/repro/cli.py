@@ -28,7 +28,6 @@ from repro.common.config import (
     FAULT_SPEC,
     LEASE_AUDIT,
     LLAP_CACHE_MB,
-    PARALLEL_WORKERS,
     QUERY_DEADLINE,
     RESULT_CACHE_ENABLED,
     RESULT_CACHE_ENTRIES,
@@ -108,10 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--llap-cache-mb", type=float, metavar="MB",
                         help="per-node decoded-stripe cache capacity for "
                              "--engine llap (repro.llap.cache.mb)")
-    parser.add_argument("--parallel", metavar="N",
-                        help="dispatch task compute to N persistent worker "
-                             "processes ('auto' = cores-1, 0 = inline; "
-                             "repro.parallel.workers)")
     parser.add_argument("--result-cache-entries", type=int, metavar="N",
                         help="driver result-cache LRU capacity "
                              "(repro.result.cache.entries)")
@@ -231,8 +226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             session.conf.set(QUERY_DEADLINE, args.deadline)
         if args.llap_cache_mb is not None:
             session.conf.set(LLAP_CACHE_MB, args.llap_cache_mb)
-        if args.parallel is not None:
-            session.conf.set(PARALLEL_WORKERS, args.parallel)
         if args.result_cache_entries is not None:
             session.conf.set(RESULT_CACHE_ENTRIES, args.result_cache_entries)
         if args.no_result_cache:

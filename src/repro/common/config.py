@@ -60,9 +60,6 @@ LLAP_DAEMON_SLOTS = "repro.llap.daemon.slots"  # executors per daemon (0 = all)
 RESULT_CACHE_ENABLED = "repro.result.cache.enabled"  # bool; driver result cache
 RESULT_CACHE_ENTRIES = "repro.result.cache.entries"  # LRU capacity (queries)
 
-# -- host-parallelism knobs (docs/performance.md) ---------------------------
-PARALLEL_WORKERS = "repro.parallel.workers"  # pool size; 0 = inline, "auto"
-
 # -- statistics / skew-join knobs (docs/optimizer.md) -----------------------
 STATS_ENABLED = "repro.stats.enabled"  # bool; stats-driven planning
 STATS_AUTO = "repro.stats.auto"  # bool; basic-stats autogather on INSERT/CTAS

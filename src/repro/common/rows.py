@@ -18,13 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError, SemanticError
 
-#: Version of the in-memory ColumnBatch column layout.  Bumped whenever
-#: the physical representation of batch columns changes (v1: per-column
-#: Python lists; v2: typed ``array`` buffers for homogeneous numeric
-#: columns, list fallback otherwise).  Compiled-plan cache keys include
-#: this so plans compiled against one layout never serve another.
-LAYOUT_VERSION = 2
-
 
 class DataType(enum.Enum):
     """Primitive Hive column types supported by the reproduction."""
@@ -208,10 +201,9 @@ def pack_column(values) -> Sequence:
 
     Columns whose every value is a plain ``int`` become ``array('q')``
     and all-``float`` columns become ``array('d')`` — contiguous C
-    buffers that pickle as a single bytes blob instead of element-wise,
-    which is what makes shipping batches to pool workers cheap.  Any
-    other column (NULLs, strings, dates, booleans — ``bool`` is an
-    ``int`` subclass but must keep its ``repr``) stays a plain list, so
+    buffers.  Any other column (NULLs, strings, dates, booleans —
+    ``bool`` is an ``int`` subclass but must keep its ``repr``) stays a
+    plain list, so
     values read back from a packed column are bit-identical to the list
     layout.  Kernels only index/iterate columns, which both layouts
     support identically.

@@ -34,7 +34,7 @@ from repro.common.config import (
 )
 from repro.common.errors import RetryExhaustedError, SemanticError
 from repro.common.lru import LruCache
-from repro.common.rows import LAYOUT_VERSION, Schema, Column, DataType
+from repro.common.rows import Schema, Column, DataType
 from repro.engines.base import Engine, PlanResult
 from repro.obs import Span, get_metrics
 from repro.plan.analyzer import Analyzer
@@ -770,11 +770,7 @@ class Driver:
         part of the key so a plan costed under old statistics can never
         be replayed after an ANALYZE (or autogather) changed what the
         optimizer would decide — the input-snapshot check alone cannot
-        see ANALYZE, which touches no data files.  The ColumnBatch
-        ``LAYOUT_VERSION`` pins the physical column representation the
-        vectorized kernels were compiled against, so entries persisted
-        across a layout change can never serve a plan whose kernels
-        assume the other layout.
+        see ANALYZE, which touches no data files.
         """
         return (
             structural_key,
@@ -785,7 +781,6 @@ class Driver:
             self.conf.get(SKEWJOIN_THRESHOLD, None),
             self.conf.get(SKEWJOIN_FANOUT, None),
             self.metastore.stats_epoch,
-            LAYOUT_VERSION,
         )
 
     def _plan_snapshot(self, plan: PhysicalPlan) -> tuple:

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.config import (
     Configuration,
@@ -22,12 +31,11 @@ from repro.common.config import (
     HIVE_DATAMPI_PARALLELISM,
     LEASE_AUDIT,
 )
-from repro.common.errors import ExecutionError
 from repro.common.kv import KeyValue
 from repro.common.rows import Schema
-from repro.common.units import GB
-from repro.exec.mapper import ExecMapper, ExecReducer
-from repro.exec.operators import Collector, FileSinkDesc, ListCollector
+from repro.common.units import GB, MB
+from repro.exec.mapper import ExecMapper, ExecReducer, MapTaskResult
+from repro.exec.operators import Collector, FileSinkDesc
 from repro.exec.reduce import group_sorted_pairs, key_comparator, sort_pairs
 from repro.obs import MetricsRegistry, Span, Tracer, get_metrics
 from repro.plan.physical import MapInput, MRJob, PhysicalPlan
@@ -42,6 +50,7 @@ from repro.simulate import (
     Simulator,
     SlotPool,
 )
+from repro.storage.formats.orc import OrcStoredFile
 from repro.storage.hdfs import HDFS, FileSplit
 
 Row = Tuple[object, ...]
@@ -416,6 +425,95 @@ class MapOutputCollector(Collector):
         return sum(self.partition_bytes)
 
 
+def make_batches(rows, total_bytes: float, target_mb: float, min_rows: int):
+    """Chunk a split's payload into the engines' compute/I-O interleave
+    granularity.
+
+    ``rows`` is a row list or a dense :class:`ColumnBatch` (both support
+    ``len`` and contiguous slicing); each chunk carries a byte share
+    proportional to its row count.  Simulated charges are computed from
+    these shares, so the arithmetic — including the empty-payload literal
+    and the float division — must not change.
+    """
+    if not rows:
+        return [([], total_bytes)] if total_bytes > 0 else []
+    target = target_mb * MB
+    num_batches = max(1, int(total_bytes / target))
+    batch_rows = max(min_rows, (len(rows) + num_batches - 1) // num_batches)
+    batches = []
+    for start in range(0, len(rows), batch_rows):
+        chunk = rows[start : start + batch_rows]
+        batches.append((chunk, total_bytes * len(chunk) / len(rows)))
+    return batches
+
+
+class MapCompute(NamedTuple):
+    """What :func:`run_map_compute` hands back for replay."""
+
+    bytes_to_read: float  # logical bytes the split's scan read
+    records: List[Tuple[float, object]]  # (batch bytes, record()) per batch
+    result: MapTaskResult
+
+
+def run_map_compute(
+    tagged: TaggedSplit,
+    collector: Collector,
+    *,
+    num_partitions: int,
+    small_tables: Optional[Dict[str, List[Row]]],
+    vectorized: bool,
+    map_only: bool,
+    batching: Optional[Tuple[float, int]] = None,
+    record: Callable[[], object] = lambda: None,
+) -> MapCompute:
+    """Scan one split and push it through its map chain — the pure
+    compute half of a map task, with no simulator access.
+
+    A simulated map attempt *computes* (scan, operator pipeline,
+    ReduceSink encoding into *collector*) and *accounts* (simulated
+    disk/CPU/network seconds, spills, buffer emission).  Every engine
+    computes the whole split here first, then replays ``records``
+    against the simulator, so an attempt interrupted mid-replay has
+    still done all of its functional work exactly once.
+
+    *batching* is ``(target MB, minimum rows)`` for :func:`make_batches`,
+    or ``None`` to process the split as one batch.  *record* is called
+    after each batch and captures whatever mid-task quantity the engine's
+    accounting reads at that point.
+    """
+    scan = scan_split_batch if vectorized else scan_split
+    payload, bytes_to_read = scan(tagged)
+    mapper = ExecMapper(
+        tagged.operators,
+        collector=None if map_only else collector,
+        num_partitions=num_partitions,
+        small_tables=small_tables,
+        vectorized=vectorized,
+    )
+    if batching is None:
+        batches = [(payload, bytes_to_read)]
+    else:
+        batches = make_batches(payload, bytes_to_read, *batching)
+    records = []
+    for chunk, chunk_bytes in batches:
+        mapper.process_batch(chunk)
+        records.append((chunk_bytes, record()))
+    return MapCompute(bytes_to_read, records, mapper.close())
+
+
+def map_cpu_ms(costs, tagged: TaggedSplit, nbytes: float,
+               decode_bytes: Optional[float] = None) -> float:
+    """CPU milliseconds to push *nbytes* of a split through the map
+    pipeline at the engine's calibrated rates; ORC input additionally
+    pays the decode rate on *decode_bytes* (default: all of *nbytes*)."""
+    cpu_ms = nbytes / MB * costs.cpu_map_ms_per_mb
+    if isinstance(tagged.split.stored, OrcStoredFile):
+        if decode_bytes is None:
+            decode_bytes = nbytes
+        cpu_ms += decode_bytes / MB * costs.cpu_orc_decode_ms_per_mb
+    return cpu_ms
+
+
 def load_broadcast_tables(job: MRJob, hdfs: HDFS) -> Dict[str, List[Row]]:
     """Load + preprocess every broadcast (map-join) table of a job."""
     small: Dict[str, List[Row]] = {}
@@ -552,6 +650,45 @@ def pick_read_source(cluster, tagged: TaggedSplit, node_index: int) -> Optional[
         if cluster.workers[host].alive:
             return host
     return hosts[0] if hosts else None
+
+
+def charge_split_read(cluster, node, node_index: int, tagged: TaggedSplit,
+                      nbytes: float):
+    """Coroutine charging a read of *nbytes* of a split on *node*: local
+    disk, or a live replica's disk plus the network when the task is
+    remote."""
+    if nbytes <= 0:
+        return
+    source_index = pick_read_source(cluster, tagged, node_index)
+    if source_index is None:
+        yield from node.disk_read(nbytes)
+    else:
+        source = cluster.workers[source_index]
+        yield from source.disk_read(nbytes)
+        yield from cluster.network_transfer(source, node, nbytes)
+
+
+def pick_node(cluster, preferred: int, salt: int,
+              blacklist: Collection[int] = (), spread: int = 0) -> int:
+    """Deterministic placement that avoids dead and draining workers and
+    those in *blacklist*; the first execution (``salt == 0``) keeps its
+    locality-preferred node.
+
+    When the preferred node itself is gone, *spread* (the task's own
+    index) fans displaced tasks across the survivors instead of
+    stampeding them all onto the same fallback node.
+    """
+    live = [i for i, node in enumerate(cluster.workers) if node.schedulable]
+    if not live:  # everything draining: fall back to merely-alive
+        live = [i for i, node in enumerate(cluster.workers) if node.alive]
+    candidates = [i for i in live if i not in blacklist] or live
+    if not candidates:
+        return preferred  # whole cluster down: degenerate fallback
+    if preferred not in candidates:
+        salt += spread
+    elif salt == 0:
+        return preferred
+    return candidates[(preferred + salt) % len(candidates)]
 
 
 def assign_splits_locality(splits: Sequence[TaggedSplit], num_workers: int) -> List[int]:

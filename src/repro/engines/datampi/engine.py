@@ -60,6 +60,7 @@ from repro.engines.base import (
     TaggedSplit,
     TaskTiming,
     assign_splits_locality,
+    charge_split_read,
     close_job_span,
     close_task_span,
     collect_plan_result,
@@ -68,10 +69,11 @@ from repro.engines.base import (
     expand_job_splits,
     job_input_scale,
     load_broadcast_tables,
+    map_cpu_ms,
     open_job_span,
     open_task_span,
-    pick_read_source,
     record_job_metrics,
+    run_map_compute,
     run_reducer_functionally,
     scan_split,
     write_task_output,
@@ -85,7 +87,6 @@ from repro.engines.datampi.buffers import (
 from repro.engines.datampi.mpi import DynamicBarrier, SimulatedMPI
 from repro.exec.operators import Collector
 from repro.obs import Tracer, get_metrics
-from repro.parallel import pool_from_conf, resolve_compute, spec_for_split
 from repro.plan.physical import MRJob, PhysicalPlan
 from repro.simulate import (
     Cluster,
@@ -398,7 +399,6 @@ class DataMPIEngine(Engine):
         nonblocking = conf.get_bool(DATAMPI_NONBLOCKING, True)
         overlap = conf.get_bool(DATAMPI_OVERLAP, True)
         vectorized = conf.get_bool(EXEC_VECTORIZED, True)
-        pool = pool_from_conf(conf)
         # the final permitted submission runs with injected task faults
         # disabled, so only repeated node crashes can exhaust the retries
         doom_ok = submission <= retry_max
@@ -526,7 +526,7 @@ class DataMPIEngine(Engine):
                             gc_factor, mem_used, first_start_event,
                             pending_deliveries, scale, gang, doom,
                             leases, owner, task_gang,
-                            overlap, pipe_in, pipe_out, vectorized, pool,
+                            overlap, pipe_in, pipe_out, vectorized,
                         ),
                         f"{job.job_id}-s{submission}-o{index}",
                     )
@@ -608,7 +608,7 @@ class DataMPIEngine(Engine):
                 owner: Optional[LeaseOwner],
                 gang_lease: Optional[GangLease], overlap: bool = True,
                 pipe_in: bool = False, pipe_out: bool = False,
-                vectorized: bool = False, pool=None):
+                vectorized: bool = False):
         costs = self.costs
         node = cluster.workers[node_index]
         task = TaskTiming(task_id=f"o{index}", kind="o", node=node_index,
@@ -632,25 +632,6 @@ class DataMPIEngine(Engine):
         sender_started = False
         emit_seq = count()  # provenance stamp for canonical receive order
         output_rows: List = []
-        specs = []
-        futures = []
-        if doom is None:
-            for tagged in group:
-                specs.append(spec_for_split(
-                    "datampi", tagged, num_partitions=num_reducers,
-                    small_tables=small_tables, vectorized=vectorized,
-                    map_only=job.is_map_only,
-                    batch_target_mb=costs.batch_target_mb,
-                    min_batch_rows=costs.min_batch_rows,
-                    partition_capacity=(
-                        self._partition_buffer_bytes(mem_used)
-                        / max(tagged.split.scale, 1e-9)
-                    ),
-                ))
-            if pool is not None:
-                # submit the whole group before any simulated wait so the
-                # workers compute while the DES plays out task setup
-                futures = [pool.submit(spec) for spec in specs]
         try:
             if acquired is not None:
                 yield acquired
@@ -667,7 +648,7 @@ class DataMPIEngine(Engine):
                 rows0, bytes0 = scan_split(group[0])
                 partial = bytes0 * doom
                 if not pipe_in:
-                    yield from self._charge_split_read(
+                    yield from charge_split_read(
                         cluster, node, node_index, group[0], partial
                     )
                 yield from node.compute(
@@ -684,7 +665,7 @@ class DataMPIEngine(Engine):
                 return
 
             held: List[SendBuffer] = []  # overlap disabled: defer all sends
-            for position, tagged in enumerate(group):
+            for tagged in group:
                 scale = tagged.split.scale
                 if nonblocking and not job.is_map_only and not sender_started:
                     sender_done = sim.spawn(
@@ -697,26 +678,19 @@ class DataMPIEngine(Engine):
                     gang.add(sender_done)
                     sender_started = True
 
-                # the split's scan + operator pipeline ran on a pool worker
-                # (or runs inline here); replay its per-batch records —
-                # byte shares, cumulative SPL bytes, filled send buffers —
-                # so charges and emissions land at the exact simulated
-                # points the single-process path produced
-                outcome = resolve_compute(
-                    futures[position] if futures else None, specs[position]
+                # compute the whole split, then replay its batches so
+                # charges and emissions land at their simulated points
+                records, final_buffers, result = self._compute_split(
+                    job, tagged, small_tables, num_reducers, vectorized,
+                    mem_used,
                 )
 
-                orc = tagged.split.stored.__class__.__name__.startswith("Orc")
-                for batch_bytes, spl_bytes, full_buffers in outcome.records:
-                    if pipe_in:
-                        pass  # DAG stage: input is already resident in memory
-                    else:
-                        yield from self._charge_split_read(
+                for batch_bytes, (spl_bytes, full_buffers) in records:
+                    if not pipe_in:  # DAG stage: input already in memory
+                        yield from charge_split_read(
                             cluster, node, node_index, tagged, batch_bytes
                         )
-                    cpu_ms = batch_bytes / MB * costs.cpu_map_ms_per_mb
-                    if orc:
-                        cpu_ms += batch_bytes / MB * costs.cpu_orc_decode_ms_per_mb
+                    cpu_ms = map_cpu_ms(costs, tagged, batch_bytes)
                     yield from node.compute(cpu_ms * gc_factor / 1000.0)
                     task.collect_samples.append((sim.now, spl_bytes))
                     fresh = _stamp(full_buffers, scale, index, emit_seq)
@@ -728,9 +702,7 @@ class DataMPIEngine(Engine):
                     else:
                         held.extend(fresh)
 
-                result = outcome.result
-                fresh = _stamp(outcome.final_buffers, scale,
-                               index, emit_seq)
+                fresh = _stamp(final_buffers, scale, index, emit_seq)
                 if overlap:
                     yield from self._emit_buffers(
                         sim, mpi, node, fresh, queue, receive,
@@ -757,7 +729,7 @@ class DataMPIEngine(Engine):
                 )
                 gang.written.append(data_file.path)
                 if not pipe_out:
-                    yield from self._hdfs_write(cluster, node, data_file)
+                    yield from hdfs_write_pipeline(cluster, node, data_file)
         except Interrupt as interrupt:
             # another rank poisoned the communicator (or our node died):
             # stop mid-flight; resources unwind in the finally below
@@ -793,15 +765,27 @@ class DataMPIEngine(Engine):
             ).finish(sim.now)
         close_task_span(task)
 
-    def _charge_split_read(self, cluster: Cluster, node, node_index: int,
-                           tagged: TaggedSplit, nbytes: float):
-        source_index = pick_read_source(cluster, tagged, node_index)
-        if source_index is None:
-            yield from node.disk_read(nbytes)
-        else:
-            source = cluster.workers[source_index]
-            yield from source.disk_read(nbytes)
-            yield from cluster.network_transfer(source, node, nbytes)
+    def _compute_split(self, job: MRJob, tagged: TaggedSplit, small_tables,
+                       num_reducers: int, vectorized: bool, mem_used: float):
+        """Run one split's map chain into a fresh Send Partition List
+        (capacity in the split's *actual* bytes).  Returns the per-batch
+        records — ``(batch bytes, (cumulative SPL bytes, send buffers the
+        batch filled))`` — the buffers left over at close, and the map
+        result."""
+        spl = SendPartitionList(
+            max(1, num_reducers),
+            self._partition_buffer_bytes(mem_used)
+            / max(tagged.split.scale, 1e-9),
+        )
+        collector = DataMPICollector(spl)
+        _bytes_to_read, records, result = run_map_compute(
+            tagged, collector, num_partitions=num_reducers,
+            small_tables=small_tables, vectorized=vectorized,
+            map_only=job.is_map_only,
+            batching=(self.costs.batch_target_mb, self.costs.min_batch_rows),
+            record=lambda: (spl.bytes_added, collector.take_full()),
+        )
+        return records, collector.take_full() + spl.drain(), result
 
     def _emit_buffers(self, sim, mpi, node, buffers: List[SendBuffer],
                       queue: SendQueue, receive: ReceiveManager,
@@ -930,7 +914,7 @@ class DataMPIEngine(Engine):
             if not pipe_out:
                 # DAG mode skips materializing the stage boundary to HDFS:
                 # the next stage's O tasks consume these rows in memory
-                yield from self._hdfs_write(cluster, node, data_file)
+                yield from hdfs_write_pipeline(cluster, node, data_file)
             receive.release_partition(partition)
             task.kv_bytes = received
         except Interrupt as interrupt:
@@ -950,11 +934,6 @@ class DataMPIEngine(Engine):
                 leases.cancel(a_slots[node_index], acquired, owner)
         task.finished = sim.now
         close_task_span(task)
-
-    # -- HDFS write pipeline -------------------------------------------------------
-    def _hdfs_write(self, cluster: Cluster, node, data_file):
-        yield from hdfs_write_pipeline(cluster, node, data_file)
-
 
 
 _SENTINEL = SendBuffer(partition=-1)

@@ -51,6 +51,7 @@ from repro.engines.base import (
     TaskTiming,
     TaggedSplit,
     assign_splits_locality,
+    charge_split_read,
     close_job_span,
     close_task_span,
     collect_plan_result,
@@ -59,17 +60,18 @@ from repro.engines.base import (
     expand_job_splits,
     job_input_scale,
     load_broadcast_tables,
+    map_cpu_ms,
     open_job_span,
     open_task_span,
-    pick_read_source,
+    pick_node,
     record_job_metrics,
+    run_map_compute,
     run_reducer_functionally,
     scan_split,
     scan_split_batch,
     write_task_output,
 )
 from repro.obs import Tracer, get_metrics
-from repro.parallel import pool_from_conf, resolve_compute, spec_for_split
 from repro.plan.physical import MRJob, PhysicalPlan
 from repro.simulate import (
     Cluster,
@@ -115,9 +117,6 @@ DEFAULT_BLACKLIST_FAILURES = 3  # mapred.max.tracker.failures (per job)
 DEFAULT_SPECULATIVE_SLOWDOWN = 1.5  # lateness multiple that triggers a backup
 
 
-_MapOutputCollector = MapOutputCollector  # shared with the llap engine
-
-
 @dataclass
 class _FaultContext:
     """Per-job recovery policy: attempt caps, blacklist, speculation."""
@@ -152,19 +151,18 @@ class _JobState:
         self.num_reducers = num_reducers
         # map_index -> (node, collector, scale); filled as maps finish,
         # entries removed again when the hosting node dies (lost output)
-        self.map_outputs: Dict[int, Tuple[int, _MapOutputCollector, float]] = {}
+        self.map_outputs: Dict[int, Tuple[int, MapOutputCollector, float]] = {}
         self.map_completion_events: List = []  # one Event per map (replaced on loss)
         self.slowstart_event = sim.event()
         self.all_maps_event = sim.event()
         self.last_copy_done = 0.0
         self.compress_ratio = 1.0  # <1 when mapred.compress.map.output
         self.vectorized = False  # repro.exec.vectorized, read at job start
-        self.pool = None  # repro.parallel worker pool (None = inline)
         self.map_task_records: Dict[int, TaskTiming] = {}
         self.map_durations: List[float] = []  # successful runs, for speculation
 
     def map_finished(self, map_index: int, node: int,
-                     collector: _MapOutputCollector, scale: float) -> None:
+                     collector: MapOutputCollector, scale: float) -> None:
         self.map_outputs[map_index] = (node, collector, scale)
         self.maps_done += 1
         event = self.map_completion_events[map_index]
@@ -315,7 +313,6 @@ class HadoopEngine(Engine):
         compress = conf.get_bool("mapred.compress.map.output", False)
         state.compress_ratio = self.costs.compress_ratio if compress else 1.0
         state.vectorized = conf.get_bool(EXEC_VECTORIZED, True)
-        state.pool = pool_from_conf(conf)
         map_processes = [
             sim.spawn(
                 self._map_task(
@@ -397,32 +394,6 @@ class HadoopEngine(Engine):
         record_job_metrics(self.name, timing, self.spec.total_slots)
         return timing
 
-    # -- scheduling ---------------------------------------------------------------
-    def _pick_node(self, ctx: _FaultContext, cluster: Cluster,
-                   preferred: int, salt: int) -> int:
-        """Deterministic placement that avoids dead, draining and
-        blacklisted nodes; the first execution keeps its
-        locality-preferred node."""
-        live = [i for i, node in enumerate(cluster.workers) if node.schedulable]
-        if not live:  # everything draining: fall back to merely-alive
-            live = [i for i, node in enumerate(cluster.workers) if node.alive]
-        candidates = [i for i in live if i not in ctx.blacklist] or live
-        if not candidates:
-            return preferred  # whole cluster down: degenerate fallback
-        if salt == 0 and preferred in candidates:
-            return preferred
-        return candidates[(preferred + salt) % len(candidates)]
-
-    def _charge_split_read(self, cluster: Cluster, node, node_index: int,
-                           tagged: TaggedSplit, nbytes: float):
-        source_index = pick_read_source(cluster, tagged, node_index)
-        if source_index is None:
-            yield from node.disk_read(nbytes)
-        else:
-            source = cluster.workers[source_index]
-            yield from source.disk_read(nbytes)
-            yield from cluster.network_transfer(source, node, nbytes)
-
     # -- map task -------------------------------------------------------------------
     def _map_task(self, sim: Simulator, cluster: Cluster, job: MRJob,
                   state: _JobState, timing: JobTiming, index: int,
@@ -451,8 +422,9 @@ class HadoopEngine(Engine):
             if not (fresh and attempt == 1):
                 task.attempts += 1
             execution = task.attempts
-            chosen = self._pick_node(ctx, cluster, preferred,
-                                     0 if attempt == 1 else attempt)
+            chosen = pick_node(cluster, preferred,
+                               0 if attempt == 1 else attempt,
+                               blacklist=ctx.blacklist)
             doom = None
             if attempt < ctx.max_attempts:  # the last attempt always runs clean
                 doom = ctx.injector.attempt_doom(job.job_id, task.task_id, execution)
@@ -515,21 +487,6 @@ class HadoopEngine(Engine):
         committed = False
         collector = None
         result = None
-        spec = None
-        future = None
-        if doom is None:
-            spec = spec_for_split(
-                "hadoop", tagged, num_partitions=num_reducers,
-                small_tables=small_tables, vectorized=state.vectorized,
-                map_only=job.is_map_only,
-                batch_target_mb=costs.batch_target_mb,
-                min_batch_rows=costs.min_batch_rows,
-            )
-            if state.pool is not None:
-                # submit before any simulated wait: every sibling attempt
-                # scheduled at this same instant reaches the pool before
-                # the DES first blocks on a result
-                future = state.pool.submit(spec)
         try:
             yield acquired
             held_slot = True
@@ -550,32 +507,33 @@ class HadoopEngine(Engine):
                 else:
                     _rows, bytes_to_read = scan_split(tagged)
                 partial = bytes_to_read * doom
-                yield from self._charge_split_read(cluster, node, node_index,
-                                                   tagged, partial)
+                yield from charge_split_read(cluster, node, node_index,
+                                             tagged, partial)
                 yield from node.compute(
                     partial / MB * costs.cpu_map_ms_per_mb / 1000.0
                 )
                 return ("failed", "injected")
 
-            # the pure compute (scan + operator pipeline) ran on a pool
-            # worker — or runs inline right here; either way, replay its
-            # per-batch records so every simulated charge lands exactly
-            # where the single-process path put it
-            outcome = resolve_compute(future, spec)
-            collector = outcome.collector
-            result = outcome.result
+            # compute the whole split, recording the collector's
+            # cumulative bytes after each batch, then replay the batches
+            # against the simulator
+            collector = MapOutputCollector(num_reducers)
+            _bytes_to_read, records, result = run_map_compute(
+                tagged, collector, num_partitions=num_reducers,
+                small_tables=small_tables, vectorized=state.vectorized,
+                map_only=job.is_map_only,
+                batching=(costs.batch_target_mb, costs.min_batch_rows),
+                record=lambda: collector.total_bytes,
+            )
 
             scale = tagged.split.scale
-            orc = tagged.split.stored.__class__.__name__.startswith("Orc")
             spilled_mark = 0.0
             spills = 0
-            for batch_bytes, collected_bytes in outcome.records:
+            for batch_bytes, collected_bytes in records:
                 # read this chunk (locally or from a replica over the net)
-                yield from self._charge_split_read(cluster, node, node_index,
-                                                   tagged, batch_bytes)
-                cpu_ms = batch_bytes / MB * costs.cpu_map_ms_per_mb
-                if orc:
-                    cpu_ms += batch_bytes / MB * costs.cpu_orc_decode_ms_per_mb
+                yield from charge_split_read(cluster, node, node_index,
+                                             tagged, batch_bytes)
+                cpu_ms = map_cpu_ms(costs, tagged, batch_bytes)
                 yield from node.compute(cpu_ms / 1000.0)
                 emitted = collected_bytes * scale
                 task.collect_samples.append((sim.now, collected_bytes))
@@ -624,7 +582,7 @@ class HadoopEngine(Engine):
                     writer_node=node_index,
                 )
                 committed = True
-                yield from self._hdfs_write(cluster, node, data_file)
+                yield from hdfs_write_pipeline(cluster, node, data_file)
 
             return ("ok", collector, result)
         except Interrupt as interrupt:
@@ -721,8 +679,9 @@ class HadoopEngine(Engine):
             attempt += 1
             if attempt > 1:
                 task.attempts += 1
-            chosen = self._pick_node(ctx, cluster, preferred,
-                                     0 if attempt == 1 else attempt)
+            chosen = pick_node(cluster, preferred,
+                               0 if attempt == 1 else attempt,
+                               blacklist=ctx.blacklist)
             doom = None
             if attempt < ctx.max_attempts:
                 doom = ctx.injector.attempt_doom(job.job_id, task.task_id,
@@ -826,7 +785,7 @@ class HadoopEngine(Engine):
                 writer_node=node_index,
             )
             committed = True
-            yield from self._hdfs_write(cluster, node, data_file)
+            yield from hdfs_write_pipeline(cluster, node, data_file)
             return ("ok",)
         except Interrupt as interrupt:
             for fetcher in fetchers:
@@ -884,7 +843,3 @@ class HadoopEngine(Engine):
                 return
             finally:
                 fetch_slots.release()
-
-    # -- HDFS write pipeline -------------------------------------------------------
-    def _hdfs_write(self, cluster: Cluster, node, data_file):
-        yield from hdfs_write_pipeline(cluster, node, data_file)

@@ -58,6 +58,7 @@ from repro.engines.base import (
     TaskTiming,
     TaggedSplit,
     assign_splits_locality,
+    charge_split_read,
     close_job_span,
     close_task_span,
     collect_plan_result,
@@ -66,10 +67,12 @@ from repro.engines.base import (
     hdfs_write_pipeline,
     job_input_scale,
     load_broadcast_tables,
+    map_cpu_ms,
     open_job_span,
     open_task_span,
-    pick_read_source,
+    pick_node,
     record_job_metrics,
+    run_map_compute,
     run_reducer_functionally,
     scan_split,
     scan_split_batch,
@@ -77,10 +80,8 @@ from repro.engines.base import (
 )
 from repro.engines.llap.cache import StripeCache
 from repro.obs import Tracer, get_metrics
-from repro.parallel import pool_from_conf, resolve_compute, spec_for_split
 from repro.plan.physical import MRJob, PhysicalPlan
 from repro.simulate import (
-    Cluster,
     ClusterSpec,
     Interrupt,
     LeaseManager,
@@ -119,10 +120,10 @@ class LlapCosts:
 class _ScanOutcome:
     """One fragment's byte bookkeeping through the columnar cache.
 
-    The payload itself comes from :func:`repro.parallel.run_map_compute`
-    (inline or on a pool worker) via the stored file's ordinary
-    ``scan``/``scan_batch`` — byte-identical rows by construction — so
-    the cache pass only decides which bytes were hits."""
+    The payload itself comes from
+    :func:`~repro.engines.base.run_map_compute` via the stored file's
+    ordinary ``scan``/``scan_batch`` — byte-identical rows by
+    construction — so the cache pass only decides which bytes were hits."""
 
     total_bytes: float  # logical bytes the fragment processed
     hit_bytes: float  # served from the node cache (no read, no decode)
@@ -157,7 +158,6 @@ class _ShuffleState:
         self.all_maps_event = sim.event()
         self.last_copy_done = 0.0
         self.vectorized = False
-        self.pool = None  # repro.parallel worker pool (None = inline)
         self.map_task_records: Dict[int, TaskTiming] = {}
 
     def map_finished(self, map_index: int, node: int,
@@ -493,7 +493,6 @@ class LlapEngine(Engine):
         state = _ShuffleState(sim, len(splits), num_reducers)
         state.map_completion_events = [sim.event() for _ in splits]
         state.vectorized = conf.get_bool(EXEC_VECTORIZED, True)
-        state.pool = pool_from_conf(conf)
         assignment = assign_splits_locality(splits, len(cluster.workers))
         first_start_event = sim.event()
 
@@ -576,24 +575,6 @@ class LlapEngine(Engine):
         record_job_metrics(self.name, timing, self.spec.total_slots)
         return timing
 
-    # -- placement ----------------------------------------------------------
-    @staticmethod
-    def _pick_node(cluster: Cluster, preferred: int, salt: int,
-                   spread: int = 0) -> int:
-        live = [i for i, node in enumerate(cluster.workers) if node.schedulable]
-        if not live:  # everything draining: fall back to merely-alive
-            live = [i for i, node in enumerate(cluster.workers) if node.alive]
-        if not live:
-            return preferred  # whole cluster down: degenerate fallback
-        if salt == 0 and preferred in live:
-            return preferred
-        if preferred in live:
-            return live[(preferred + salt) % len(live)]
-        # the preferred node is gone: *spread* (the fragment's own index)
-        # fans displaced fragments across the survivors instead of
-        # stampeding them all onto the same fallback node
-        return live[(preferred + salt + spread) % len(live)]
-
     # -- columnar cache scan -------------------------------------------------
     def _cached_scan(self, tagged: TaggedSplit, node_index: int) -> _ScanOutcome:
         """Pass an ORC split through node *node_index*'s stripe cache.
@@ -641,20 +622,6 @@ class LlapEngine(Engine):
                 hit += nbytes
         return _ScanOutcome(hit + miss, hit, miss, orc=True)
 
-    def _charge_read(self, cluster: Cluster, node, node_index: int,
-                     tagged: TaggedSplit, nbytes: float):
-        """Charge reading *nbytes* of a split (cache misses only): local
-        disk, or replica disk + network when the fragment is remote."""
-        if nbytes <= 0:
-            return
-        source_index = pick_read_source(cluster, tagged, node_index)
-        if source_index is None:
-            yield from node.disk_read(nbytes)
-        else:
-            source = cluster.workers[source_index]
-            yield from source.disk_read(nbytes)
-            yield from cluster.network_transfer(source, node, nbytes)
-
     # -- map fragment --------------------------------------------------------
     def _map_fragment(self, runtime: EngineRuntime, fleet: _DaemonFleet,
                       job: MRJob, state: _ShuffleState, timing: JobTiming,
@@ -683,9 +650,9 @@ class LlapEngine(Engine):
         executions = 0  # actual runs; bounds doom injection
         while True:
             attempt += 1
-            chosen = self._pick_node(cluster, preferred,
-                                     0 if attempt == 1 else attempt,
-                                     spread=index)
+            chosen = pick_node(cluster, preferred,
+                               0 if attempt == 1 else attempt,
+                               spread=index)
             serving = yield from fleet.ensure_daemon(chosen)
             if not serving:
                 # the chosen node died during daemon bring-up: wait out
@@ -748,19 +715,6 @@ class LlapEngine(Engine):
         committed = False
         collector = None
         result = None
-        spec = None
-        future = None
-        if doom is None:
-            spec = spec_for_split(
-                "llap", tagged, num_partitions=num_reducers,
-                small_tables=small_tables, vectorized=state.vectorized,
-                map_only=job.is_map_only,
-            )
-            if state.pool is not None:
-                # submit before any simulated wait: sibling fragments
-                # scheduled at this instant reach the pool before the DES
-                # first blocks on a result
-                future = state.pool.submit(spec)
         try:
             yield acquired
             held_slot = True
@@ -804,29 +758,30 @@ class LlapEngine(Engine):
                     else:
                         _payload, nbytes = scan_split(tagged)
                     read_bytes = burn_bytes = nbytes
-                yield from self._charge_read(cluster, node, node_index,
+                yield from charge_split_read(cluster, node, node_index,
                                              tagged, read_bytes * doom)
                 yield from node.compute(
                     burn_bytes * doom / MB * costs.cpu_map_ms_per_mb / 1000.0
                 )
                 return ("failed", "injected")
 
-            # the fragment's scan + operator pipeline ran on a pool worker
-            # (or runs inline here); the cache pass above already split
-            # the byte charge into hits and misses
-            outcome = resolve_compute(future, spec)
-            collector = outcome.collector
-            result = outcome.result
-            total_bytes = scan.total_bytes if orc else outcome.bytes_to_read
-            miss_bytes = scan.miss_bytes if orc else outcome.bytes_to_read
+            # the whole fragment is one batch with no mid-task accounting;
+            # the cache pass above already split the byte charge into hits
+            # and misses
+            collector = MapOutputCollector(num_reducers)
+            bytes_to_read, _records, result = run_map_compute(
+                tagged, collector, num_partitions=num_reducers,
+                small_tables=small_tables, vectorized=state.vectorized,
+                map_only=job.is_map_only,
+            )
+            total_bytes = scan.total_bytes if orc else bytes_to_read
+            miss_bytes = scan.miss_bytes if orc else bytes_to_read
 
             # cache misses hit the disk (or a replica over the wire) and
             # pay the decode rate; hits cost neither
-            yield from self._charge_read(cluster, node, node_index, tagged,
+            yield from charge_split_read(cluster, node, node_index, tagged,
                                          miss_bytes)
-            cpu_ms = total_bytes / MB * costs.cpu_map_ms_per_mb
-            if orc:
-                cpu_ms += miss_bytes / MB * costs.cpu_orc_decode_ms_per_mb
+            cpu_ms = map_cpu_ms(costs, tagged, total_bytes, miss_bytes)
             yield from node.compute(cpu_ms / 1000.0)
             task.collect_samples.append((sim.now, collector.total_bytes))
 
@@ -873,9 +828,9 @@ class LlapEngine(Engine):
         executions = 0  # actual runs; bounds doom injection
         while True:
             attempt += 1
-            chosen = self._pick_node(cluster, preferred,
-                                     0 if attempt == 1 else attempt,
-                                     spread=partition)
+            chosen = pick_node(cluster, preferred,
+                               0 if attempt == 1 else attempt,
+                               spread=partition)
             serving = yield from fleet.ensure_daemon(chosen)
             if not serving:
                 yield sim.timeout(RETRY_BACKOFF_SECONDS)

@@ -144,12 +144,6 @@ class ScalarFunction:
             return self.return_type
         return self.return_type(arg_types)
 
-    def __reduce__(self):
-        # Several impls are closures (``_null_prop`` wrappers) that
-        # cannot pickle; serialize as a registry reference instead so
-        # plan specs carrying scalar calls can cross process boundaries.
-        return (get_scalar, (self.name,))
-
 
 def _first_arg_type(arg_types: List[DataType]) -> DataType:
     return arg_types[0] if arg_types else DataType.STRING

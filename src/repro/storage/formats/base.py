@@ -118,8 +118,7 @@ def contiguous_scan_batch(
     no pushdown).  The file's rows are transposed once, cached in the
     typed-buffer layout (:func:`~repro.common.rows.pack_column`), and
     every scan serves column slices — slicing a typed ``array`` yields a
-    typed ``array``, so batches stay cheap to pickle across the process
-    pool.  Byte charges are unchanged."""
+    typed ``array``.  Byte charges are unchanged."""
     row_end = min(row_start + row_count, stored.row_count)
     start = min(row_start, stored.row_count)
     columns = getattr(stored, "_columns_cache", None)

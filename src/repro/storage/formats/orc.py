@@ -434,7 +434,7 @@ class OrcStoredFile(StoredFile):
 
         No intermediate row tuples: surviving stripes contribute slices
         of their per-column value streams (typed ``array`` slices stay
-        typed, so the output batch keeps the cheap-to-pickle layout).
+        typed).
         Stripe skipping and the byte-charge arithmetic are the same
         statements as :meth:`scan`, so the cost model cannot diverge
         between the two paths.
