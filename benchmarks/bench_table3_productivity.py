@@ -25,11 +25,12 @@ def test_table3_productivity(benchmark):
     )
     datampi = report["engine for DataMPI (main changes)"].lines
     hadoop = report["engine for Hadoop"].lines
+    llap = report["engine for LLAP"].lines
 
     # paper shape: the engine-specific deltas are small relative to the
     # shared substrate both engines reuse
     assert shared > 2 * datampi, "the plug-in must be small vs the shared stack"
-    assert datampi > 0 and hadoop > 0
+    assert datampi > 0 and hadoop > 0 and llap > 0
     emit(
         f"shared substrate {shared} lines; DataMPI-specific {datampi} lines "
         f"({100 * datampi / (shared + datampi):.1f}%) — paper: ~0.3K changed "

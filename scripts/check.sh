@@ -2,6 +2,10 @@
 # Repo health gate: lint (when ruff is installed), the tier-1 test suite,
 # the hostbench suite and the smoke benchmarks.
 # Usage: scripts/check.sh [extra pytest args]
+#
+# Not part of this gate (about 5 minutes): scripts/sim_identity.sh [<base>]
+# regenerates every figure/table CSV at <base> and at HEAD and fails on
+# any byte difference — run it for engine and cost-model refactors.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

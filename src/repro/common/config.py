@@ -17,19 +17,15 @@ from repro.common.errors import ConfigError
 HIVE_DATAMPI_PARALLELISM = "hive.datampi.parallelism"  # "default" | "enhanced"
 HIVE_DATAMPI_MEM_USED_PERCENT = "hive.datampi.memusedpercent"  # float in (0,1)
 HIVE_DATAMPI_SEND_QUEUE = "hive.datampi.sendqueue"  # int >= 1
-HIVE_EXECUTION_ENGINE = "hive.execution.engine"  # "mr" | "datampi"
 HIVE_FILE_FORMAT = "hive.default.fileformat"  # "text" | "sequence" | "orc"
 HIVE_MAPJOIN_SMALLTABLE_BYTES = "hive.mapjoin.smalltable.filesize"
+HIVE_REDUCERS_BYTES_PER_REDUCER = "hive.exec.reducers.bytes.per.reducer"  # default 1 GB
 
 # -- cluster / engine knobs -------------------------------------------------
-DFS_BLOCK_SIZE = "dfs.block.size"
-DFS_REPLICATION = "dfs.replication"
-MAPRED_SLOTS_PER_NODE = "mapred.tasktracker.tasks.maximum"
-DATAMPI_SLOTS_PER_NODE = "datampi.tasks.maximum"
+MAPRED_COMPRESS_MAP_OUTPUT = "mapred.compress.map.output"  # bool (mr intermediate data)
 DATAMPI_NONBLOCKING = "datampi.shuffle.nonblocking"  # bool
 DATAMPI_OVERLAP = "datampi.shuffle.overlap"  # bool; False = send only at O end
 HIVE_DATAMPI_DAG = "hive.datampi.dag"  # bool; True = pipeline stages (future work §VII.3)
-SHUFFLE_PARTITION_BYTES = "shuffle.partition.bytes"
 EXEC_VECTORIZED = "repro.exec.vectorized"  # bool; columnar map-side execution
 
 # -- fault injection / recovery knobs ---------------------------------------

@@ -3,6 +3,8 @@
 * :mod:`repro.engines.base` — engine interface, shared functional job
   machinery (splits, broadcasts, reducer policy, output writing) and the
   timing record model every benchmark consumes.
+* :mod:`repro.engines.lifecycle` — the task-attempt job lifecycle the
+  hadoop and llap engines share; they contribute policy hooks only.
 * :mod:`repro.engines.local` — in-process reference executor (no cluster
   simulation); the correctness oracle for both real engines.
 * :mod:`repro.engines.hadoop` — simulated Hadoop 1.x MapReduce engine.

@@ -29,6 +29,7 @@ from repro.common.config import (
     HEARTBEAT_SUSPECT,
     HEARTBEAT_TIMEOUT,
     HIVE_DATAMPI_PARALLELISM,
+    HIVE_REDUCERS_BYTES_PER_REDUCER,
     LEASE_AUDIT,
 )
 from repro.common.kv import KeyValue
@@ -55,7 +56,7 @@ from repro.storage.hdfs import HDFS, FileSplit
 
 Row = Tuple[object, ...]
 
-BYTES_PER_REDUCER_DEFAULT = 1 * GB  # hive.exec.reducers.bytes.per.reducer
+BYTES_PER_REDUCER_DEFAULT = 1 * GB
 
 
 @dataclass(frozen=True)
@@ -223,15 +224,16 @@ def close_job_span(timing: JobTiming) -> None:
             span.start_child(name, start, category="phase").finish(end)
 
 
-def open_task_span(timing: JobTiming, task: TaskTiming) -> Optional[Span]:
-    """Open a task span under the job span and remember it on the task."""
-    if timing.span is None:
-        return None
-    task.span = timing.span.start_child(
-        task.task_id, task.scheduled, category="task",
-        kind=task.kind, node=task.node,
-    )
-    return task.span
+def open_task(timing: JobTiming, task_id: str, kind: str, node: int,
+              now: float) -> TaskTiming:
+    """Start a task record under *timing*, its span under the job span."""
+    task = TaskTiming(task_id=task_id, kind=kind, node=node, scheduled=now)
+    timing.tasks.append(task)
+    if timing.span is not None:
+        task.span = timing.span.start_child(
+            task_id, now, category="task", kind=kind, node=node,
+        )
+    return task
 
 
 def close_task_span(task: TaskTiming) -> None:
@@ -289,7 +291,7 @@ def decide_num_reducers(
             return 1
         return max(1, min(num_maps, max_slots))
     bytes_per_reducer = conf.get_float(
-        "hive.exec.reducers.bytes.per.reducer", BYTES_PER_REDUCER_DEFAULT
+        HIVE_REDUCERS_BYTES_PER_REDUCER, BYTES_PER_REDUCER_DEFAULT
     )
     estimate = int(total_input_bytes / bytes_per_reducer) + 1
     return max(1, min(estimate, max_slots))
@@ -543,6 +545,26 @@ def job_input_scale(job: MRJob, hdfs: HDFS) -> float:
     return total_logical / total_actual
 
 
+class JobInputs(NamedTuple):
+    """What :func:`load_job_inputs` reads from HDFS at job start."""
+
+    splits: List[TaggedSplit]
+    small_tables: Dict[str, List[Row]]
+    scale: float  # bytes-weighted input scale, applied to the job's outputs
+    total_bytes: float  # logical bytes over all splits
+
+
+def load_job_inputs(job: MRJob, hdfs: HDFS) -> JobInputs:
+    """The functional prologue every engine runs when a job starts."""
+    splits = expand_job_splits(job, hdfs)
+    return JobInputs(
+        splits,
+        load_broadcast_tables(job, hdfs),
+        job_input_scale(job, hdfs),
+        sum(tagged.logical_bytes for tagged in splits),
+    )
+
+
 def run_reducer_functionally(
     job: MRJob,
     partition_pairs: List[KeyValue],
@@ -607,9 +629,6 @@ def final_sorted_rows(plan: PhysicalPlan, hdfs: HDFS) -> List[Row]:
     rows: List[Row] = []
     for data_file in hdfs.list_dir(plan.output_location):
         rows.extend(data_file.rows)
-    last_job = plan.jobs[-1]
-    if last_job.sort_directions is not None and last_job.num_reducers_hint == 1:
-        pass  # already globally sorted by the single reducer
     if plan.final_limit is not None:
         rows = rows[: plan.final_limit]
     return rows
@@ -722,7 +741,9 @@ class EngineRuntime:
     Slot access goes through :attr:`leases`; engine-private per-node
     pools (Hadoop reduce slots, DataMPI A slots) come from
     :meth:`aux_slots` so concurrent queries on the same engine contend
-    for them too instead of conjuring private copies.
+    for them too instead of conjuring private copies.  Anything else an
+    engine keeps per simulated world (llap's daemon fleet) lives in
+    :meth:`engine_state` and is closed with the runtime.
     """
 
     def __init__(
@@ -760,6 +781,7 @@ class EngineRuntime:
         if self.sampler is not None:
             self.sampler.start()
         self._aux_slots: Dict[str, List[SlotPool]] = {}
+        self._engine_state: Dict[str, object] = {}
         self._closed = False
 
     def aux_slots(self, key: str, capacity: int, suffix: str) -> List[SlotPool]:
@@ -774,6 +796,15 @@ class EngineRuntime:
             self._aux_slots[key] = pools
         return pools
 
+    def engine_state(self, key: str, factory: Callable[[], object]):
+        """Engine-owned state that lives exactly as long as this runtime,
+        shared by every plan that asks for the same *key* (lazy, like
+        :meth:`aux_slots`).  :meth:`close` calls each value's ``close()``."""
+        state = self._engine_state.get(key)
+        if state is None:
+            state = self._engine_state[key] = factory()
+        return state
+
     def _grow_aux_slots(self, node, worker_index: int) -> None:
         for key, pools in self._aux_slots.items():
             capacity = pools[0].capacity if pools else self.spec.slots_per_node
@@ -786,6 +817,8 @@ class EngineRuntime:
         self._closed = True
         if self.sampler is not None:
             self.sampler.stop()
+        for state in self._engine_state.values():
+            state.close()  # before the injector: they hold subscriptions
         self.injector.close()
 
 
@@ -841,8 +874,9 @@ class Engine:
     ``plan_process`` is the re-entrant form the workload scheduler
     drives: a coroutine executing one plan inside a caller-owned
     :class:`EngineRuntime`, so several plans (and engines) share one
-    simulated cluster.  Engines that cannot run inside a shared
-    simulation (the local engine) simply don't implement it.
+    simulated cluster.  The cluster engines implement only this and
+    inherit ``run_plan``; the local engine, which has no simulation to
+    share, overrides ``run_plan`` instead.
     """
 
     name = "abstract"
@@ -864,7 +898,20 @@ class Engine:
         with_metrics: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> PlanResult:
-        raise NotImplementedError
+        """Solo mode: run :meth:`plan_process` to completion in a fresh
+        :class:`EngineRuntime` built from the engine's ``spec``."""
+        conf = conf or Configuration()
+        runtime = EngineRuntime(
+            self.spec, conf, with_metrics=with_metrics, tracer=tracer
+        )
+        driver = runtime.sim.spawn(
+            self.plan_process(runtime, plan, conf), "hive-driver"
+        )
+        try:
+            runtime.sim.run()
+        finally:
+            runtime.close()
+        return collect_plan_result(self, runtime, plan, driver.value or [])
 
     def plan_process(
         self,

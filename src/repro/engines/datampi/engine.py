@@ -56,22 +56,18 @@ from repro.engines.base import (
     EngineCapabilities,
     EngineRuntime,
     JobTiming,
-    PlanResult,
     TaggedSplit,
     TaskTiming,
     assign_splits_locality,
     charge_split_read,
     close_job_span,
     close_task_span,
-    collect_plan_result,
     hdfs_write_pipeline,
     decide_num_reducers,
-    expand_job_splits,
-    job_input_scale,
-    load_broadcast_tables,
+    load_job_inputs,
     map_cpu_ms,
     open_job_span,
-    open_task_span,
+    open_task,
     record_job_metrics,
     run_map_compute,
     run_reducer_functionally,
@@ -86,15 +82,13 @@ from repro.engines.datampi.buffers import (
 )
 from repro.engines.datampi.mpi import DynamicBarrier, SimulatedMPI
 from repro.exec.operators import Collector
-from repro.obs import Tracer, get_metrics
+from repro.obs import get_metrics
 from repro.plan.physical import MRJob, PhysicalPlan
 from repro.simulate import (
-    Cluster,
     ClusterSpec,
     FaultInjector,
     GangLease,
     Interrupt,
-    LeaseManager,
     LeaseOwner,
     Simulator,
     SlotPool,
@@ -210,6 +204,92 @@ class _Gang:
         self.injector.unsubscribe_crash(self._on_crash)
 
 
+@dataclass
+class _Stage:
+    """One job of a plan, as every submission of it sees it."""
+
+    runtime: EngineRuntime
+    mpi: SimulatedMPI
+    a_slots: List[SlotPool]
+    job: MRJob
+    conf: Configuration
+    owner: Optional[LeaseOwner]
+    is_last: bool
+    pipe_in: bool  # DAG mode: input is the previous stage's in-memory output
+    pipe_out: bool  # DAG mode: output stays in memory for the next stage
+    timing: Optional[JobTiming] = None
+
+
+class _Submission:
+    """One ``mpidrun`` submission: everything its O and A tasks share."""
+
+    def __init__(self, engine: "DataMPIEngine", stage: _Stage, gang: _Gang,
+                 pipe_in: bool):
+        runtime = stage.runtime
+        conf = stage.conf
+        self.sim = runtime.sim
+        self.cluster = runtime.cluster
+        self.leases = runtime.leases
+        self.mpi = stage.mpi
+        self.a_slots = stage.a_slots
+        self.job = stage.job
+        self.timing = stage.timing
+        self.owner = stage.owner
+        self.gang = gang
+        self.pipe_in = pipe_in
+        self.pipe_out = stage.pipe_out
+        inputs = load_job_inputs(stage.job, engine.hdfs)
+        self.splits = inputs.splits
+        self.small_tables = inputs.small_tables
+        self.scale = inputs.scale
+        self.total_bytes = inputs.total_bytes
+        self.mem_used = engine._mem_used_percent(conf)
+        self.gc_factor = engine._gc_factor(self.mem_used)
+        self.queue_capacity = conf.get_int(
+            HIVE_DATAMPI_SEND_QUEUE, engine.costs.default_send_queue
+        )
+        self.nonblocking = conf.get_bool(DATAMPI_NONBLOCKING, True)
+        self.overlap = conf.get_bool(DATAMPI_OVERLAP, True)
+        self.vectorized = conf.get_bool(EXEC_VECTORIZED, True)
+        self.barrier = DynamicBarrier(self.sim)
+        self.pending_deliveries: List = []
+        self.first_start_event = self.sim.event()
+        # fixed once the communicator's membership is known
+        self.num_reducers = 0
+        self.receive: Optional[ReceiveManager] = None
+
+    def check_abort(self) -> None:
+        if self.gang.tripped:
+            raise JobAbortedError(
+                f"gang abort: {self.gang.cause}", job_id=self.job.job_id,
+                cause=self.gang.cause,
+            )
+
+    def rank_failed(self, task: TaskTiming, doom: float) -> None:
+        """An injected rank failure: there is no task-granular recovery
+        in the MPI substrate, so the rank poisons the communicator."""
+        self.timing.failed_attempts += 1
+        get_metrics().counter("cluster.tasks.failed").add(1)
+        if task.span is not None:
+            task.span.add_event("injected-failure", self.sim.now,
+                                doom=doom, node=task.node)
+        task.finished = self.sim.now
+        close_task_span(task)
+        self.gang.trip(("task-failure", task.task_id))
+
+    def rank_interrupted(self, task: TaskTiming, cause: object) -> None:
+        """Another rank poisoned the communicator (or our node died):
+        the task stops mid-flight."""
+        if isinstance(cause, tuple) and cause and cause[0] == "node-crash":
+            # our host died under us: MPI_Abort now, long before the
+            # heartbeat monitor declares the node dead
+            self.gang.trip(cause)
+        if task.span is not None:
+            task.span.add_event("aborted", self.sim.now, cause=str(cause))
+        task.finished = self.sim.now
+        close_task_span(task)
+
+
 class DataMPIEngine(Engine):
     name = "datampi"
     capabilities = EngineCapabilities(
@@ -227,30 +307,6 @@ class DataMPIEngine(Engine):
         self.costs = costs or DataMPICosts()
 
     # -- public API ---------------------------------------------------------
-    def run_plan(
-        self,
-        plan: PhysicalPlan,
-        conf: Optional[Configuration] = None,
-        with_metrics: bool = False,
-        tracer: Optional[Tracer] = None,
-    ) -> PlanResult:
-        conf = conf or Configuration()
-        runtime = EngineRuntime(
-            self.spec, conf, with_metrics=with_metrics, tracer=tracer
-        )
-        timings: List[JobTiming] = []
-
-        def driver():
-            collected = yield from self.plan_process(runtime, plan, conf)
-            timings.extend(collected)
-
-        runtime.sim.spawn(driver(), "hive-driver")
-        try:
-            runtime.sim.run()
-        finally:
-            runtime.close()
-        return collect_plan_result(self, runtime, plan, timings)
-
     def plan_process(
         self,
         runtime: EngineRuntime,
@@ -262,7 +318,6 @@ class DataMPIEngine(Engine):
         substrate is per-plan (it only counts messages); the A-task slot
         pools are runtime-shared so concurrent queries contend for them."""
         conf = conf or Configuration()
-        sim = runtime.sim
         mpi = SimulatedMPI(runtime.cluster)
         a_slots = runtime.aux_slots(
             "datampi.a", runtime.spec.slots_per_node, "aslots"
@@ -286,14 +341,13 @@ class DataMPIEngine(Engine):
 
         timings: List[JobTiming] = []
         for index, job in enumerate(plan.jobs):
-            is_last = index == len(plan.jobs) - 1
-            timing = yield from self._run_job(
-                sim, runtime.cluster, mpi, a_slots, job, conf, is_last,
-                runtime.tracer, runtime.injector, runtime.leases, owner,
+            stage = _Stage(
+                runtime, mpi, a_slots, job, conf, owner,
+                is_last=index == len(plan.jobs) - 1,
                 pipe_in=index in pipelined_in,
                 pipe_out=(index + 1) in pipelined_in,
             )
-            timings.append(timing)
+            timings.append((yield from self._run_job(stage)))
         return timings
 
     # -- knobs ------------------------------------------------------------------
@@ -319,33 +373,30 @@ class DataMPIEngine(Engine):
         return min(2.0 * 1024 * 1024, max(64.0 * 1024, scaled))
 
     # -- job retry loop ----------------------------------------------------------
-    def _run_job(self, sim: Simulator, cluster: Cluster, mpi: SimulatedMPI,
-                 a_slots: List[SlotPool], job: MRJob, conf: Configuration,
-                 is_last: bool, tracer: Tracer, injector: FaultInjector,
-                 leases: LeaseManager, owner: Optional[LeaseOwner],
-                 pipe_in: bool = False, pipe_out: bool = False):
+    def _run_job(self, stage: _Stage):
         """Submit the job; on a gang abort discard the attempt's output
         and resubmit under exponential backoff until ``repro.retry.max``
         resubmissions are spent."""
+        sim = stage.runtime.sim
+        job = stage.job
+        conf = stage.conf
         retry_max = max(0, conf.get_int(RETRY_MAX, DEFAULT_RETRY_MAX))
         backoff = max(0.0, conf.get_float(RETRY_BACKOFF, DEFAULT_RETRY_BACKOFF))
-        timing = JobTiming(
+        timing = stage.timing = JobTiming(
             job_id=job.job_id,
             submitted=sim.now,
             num_maps=0,
             num_reducers=0,
         )
-        timing.span = open_job_span(tracer, self.name, job, sim.now, owner)
+        timing.span = open_job_span(
+            stage.runtime.tracer, self.name, job, sim.now, stage.owner
+        )
         submission = 0
         while True:
             submission += 1
-            gang = _Gang(sim, injector)
+            gang = _Gang(sim, stage.runtime.injector)
             try:
-                yield from self._attempt_job(
-                    sim, cluster, mpi, a_slots, job, conf, is_last, timing,
-                    injector, gang, submission, retry_max, leases, owner,
-                    pipe_in=pipe_in and submission == 1, pipe_out=pipe_out,
-                )
+                yield from self._attempt_job(stage, gang, submission, retry_max)
                 break
             except JobAbortedError as abort:
                 timing.restarts += 1
@@ -381,41 +432,26 @@ class DataMPIEngine(Engine):
         return timing
 
     # -- one submission ----------------------------------------------------------
-    def _attempt_job(self, sim: Simulator, cluster: Cluster, mpi: SimulatedMPI,
-                     a_slots: List[SlotPool], job: MRJob, conf: Configuration,
-                     is_last: bool, timing: JobTiming, injector: FaultInjector,
-                     gang: _Gang, submission: int, retry_max: int,
-                     leases: LeaseManager, owner: Optional[LeaseOwner],
-                     pipe_in: bool = False, pipe_out: bool = False):
+    def _attempt_job(self, stage: _Stage, gang: _Gang, submission: int,
+                     retry_max: int):
         costs = self.costs
-        hdfs = self.hdfs
-        splits = expand_job_splits(job, hdfs)
-        small_tables = load_broadcast_tables(job, hdfs)
-        scale = job_input_scale(job, hdfs)
-        total_bytes = sum(s.logical_bytes for s in splits)
-        mem_used = self._mem_used_percent(conf)
-        gc_factor = self._gc_factor(mem_used)
-        queue_capacity = conf.get_int(HIVE_DATAMPI_SEND_QUEUE, costs.default_send_queue)
-        nonblocking = conf.get_bool(DATAMPI_NONBLOCKING, True)
-        overlap = conf.get_bool(DATAMPI_OVERLAP, True)
-        vectorized = conf.get_bool(EXEC_VECTORIZED, True)
+        sub = _Submission(self, stage, gang,
+                          pipe_in=stage.pipe_in and submission == 1)
+        sim = sub.sim
+        job = sub.job
+        timing = sub.timing
+        injector = stage.runtime.injector
+        leases = sub.leases
         # the final permitted submission runs with injected task faults
         # disabled, so only repeated node crashes can exhaust the retries
         doom_ok = submission <= retry_max
-
-        def check_abort():
-            if gang.tripped:
-                raise JobAbortedError(
-                    f"gang abort: {gang.cause}", job_id=job.job_id,
-                    cause=gang.cause,
-                )
 
         # mpidrun spawns the CommonProcesses (once per submission); their
         # heaps appear on every node at once — this is why the paper's Fig
         # 13(c) shows DataMPI reaching its memory ceiling sooner than
         # Hadoop.  A pipelined DAG stage reuses the previous stage's live
         # processes (but a resubmission always respawns them).
-        if not pipe_in:
+        if not sub.pipe_in:
             yield sim.timeout(costs.mpidrun_spawn)
             yield sim.timeout(costs.process_launch)
         # O and A communicators each get slots_per_node processes (the
@@ -423,7 +459,7 @@ class DataMPIEngine(Engine):
         # left out of the new communicator's hostfile.  Membership may
         # have changed while mpidrun was spawning, so re-snapshot the
         # worker list before building it.
-        workers = cluster.workers
+        workers = sub.cluster.workers
         live_indices = (
             injector.schedulable_worker_indices()  # skip draining hosts
             or injector.live_worker_indices()
@@ -442,26 +478,28 @@ class DataMPIEngine(Engine):
             return live_indices[node_index % len(live_indices)]
 
         try:
-            if not splits:
-                data_file = write_task_output(job, hdfs, 0, [], scale)
+            if not sub.splits:
+                data_file = write_task_output(job, self.hdfs, 0, [], sub.scale)
                 gang.written.append(data_file.path)
                 if not timing.first_task_started:
                     timing.first_task_started = sim.now
                 timing.shuffle_done = sim.now
                 yield sim.timeout(costs.job_cleanup)
-                check_abort()
+                sub.check_abort()
                 return
 
             # DataMPI schedules at most one O task per slot (paper §IV-D:
             # "the number of O tasks is based on the number of input splits
             # and less than the maximum number of executing slots"); each O
             # task consumes several splits, so there are no task waves.
-            groups = _group_splits(splits, len(workers), self.spec.slots_per_node)
+            groups = _group_splits(sub.splits, len(workers),
+                                   self.spec.slots_per_node)
             groups = [(remap(node_index), group) for node_index, group in groups]
             num_o = len(groups)
             timing.num_maps = num_o
-            num_reducers = decide_num_reducers(
-                job, num_o, total_bytes, conf, is_last, self.spec.total_slots
+            num_reducers = sub.num_reducers = decide_num_reducers(
+                job, num_o, sub.total_bytes, stage.conf, stage.is_last,
+                self.spec.total_slots,
             )
             timing.num_reducers = num_reducers
             partition_nodes = [
@@ -470,12 +508,11 @@ class DataMPIEngine(Engine):
             # the A-side processes' share of the heap caches received
             # partitions; beyond it, buffers spill to local disk (Fig 8 left)
             cache_budget = (
-                mem_used * self.spec.heap_per_task * self.spec.slots_per_node
+                sub.mem_used * self.spec.heap_per_task * self.spec.slots_per_node
             )
-            receive = ReceiveManager(sim, partition_nodes, cache_budget)
-            barrier = DynamicBarrier(sim)
-            pending_deliveries: List = []
-            first_start_event = sim.event()
+            receive = sub.receive = ReceiveManager(
+                sim, partition_nodes, cache_budget
+            )
 
             # DataMPI's scheduler is gang-granular: the job's whole O-slot
             # set is leased atomically (all-or-nothing — a waiting gang
@@ -496,89 +533,74 @@ class DataMPIEngine(Engine):
                     (workers[node_index].slots, gang_budget[node_index])
                     for node_index in sorted(gang_budget)
                 ],
-                owner,
+                sub.owner,
             )
             ranks: List = []  # (worker_index, process) registered as MPI ranks
+
+            def launch(coroutine, name: str, node_index: int):
+                """Spawn one rank of the communicator."""
+                proc = sim.spawn(coroutine, name)
+                gang.add(proc)
+                if injector.active:
+                    # physical failure semantics: a node crash interrupts
+                    # the resident rank at the crash instant; the rank
+                    # itself trips the gang
+                    injector.register(node_index, proc)
+                    ranks.append((node_index, proc))
+                return proc
+
+            def draw_doom(task_id: str) -> Optional[float]:
+                if not doom_ok:
+                    return None
+                return injector.attempt_doom(job.job_id, task_id, submission)
 
             try:
                 yield gang_grant
                 gang_lease: GangLease = gang_grant.value
-                check_abort()  # the gang may have tripped while we waited
+                sub.check_abort()  # the gang may have tripped while we waited
                 o_processes = []
                 gang_spawned: Dict[int, int] = {}
                 for index, (node_index, group) in enumerate(groups):
-                    if not nonblocking:
-                        barrier.register()
-                    doom = (
-                        injector.attempt_doom(job.job_id, f"o{index}", submission)
-                        if doom_ok else None
-                    )
+                    if not sub.nonblocking:
+                        sub.barrier.register()
+                    doom = draw_doom(f"o{index}")
                     reserved = gang_spawned.get(node_index, 0)
                     task_gang = (
                         gang_lease if reserved < gang_budget[node_index] else None
                     )
                     gang_spawned[node_index] = reserved + 1
-                    proc = sim.spawn(
-                        self._o_task(
-                            sim, cluster, mpi, job, timing, index, group,
-                            node_index, small_tables, num_reducers,
-                            receive, barrier, queue_capacity, nonblocking,
-                            gc_factor, mem_used, first_start_event,
-                            pending_deliveries, scale, gang, doom,
-                            leases, owner, task_gang,
-                            overlap, pipe_in, pipe_out, vectorized,
-                        ),
-                        f"{job.job_id}-s{submission}-o{index}",
-                    )
-                    gang.add(proc)
-                    if injector.active:
-                        # physical failure semantics: a node crash
-                        # interrupts the resident rank at the crash
-                        # instant; the rank itself trips the gang
-                        injector.register(node_index, proc)
-                        ranks.append((node_index, proc))
-                    o_processes.append(proc)
+                    o_processes.append(launch(
+                        self._o_task(sub, index, group, node_index, doom,
+                                     task_gang),
+                        f"{job.job_id}-s{submission}-o{index}", node_index,
+                    ))
 
                 yield sim.all_of(o_processes)
-                if pending_deliveries and not gang.tripped:
-                    yield sim.all_of(pending_deliveries)
-                check_abort()
+                if sub.pending_deliveries and not gang.tripped:
+                    yield sim.all_of(sub.pending_deliveries)
+                sub.check_abort()
                 timing.shuffle_done = sim.now  # O phase over: data on the A side
                 if not timing.first_task_started:
                     timing.first_task_started = (
-                        first_start_event.value if first_start_event.triggered
-                        else sim.now
+                        sub.first_start_event.value
+                        if sub.first_start_event.triggered else sim.now
                     )
                 timing.shuffle_logical_bytes = sum(receive.received_bytes)
 
                 if not job.is_map_only:
                     a_processes = []
                     for partition in range(num_reducers):
-                        doom = (
-                            injector.attempt_doom(job.job_id, f"a{partition}",
-                                                  submission)
-                            if doom_ok else None
-                        )
+                        doom = draw_doom(f"a{partition}")
                         a_node = partition_nodes[partition].node_id - 1
-                        proc = sim.spawn(
-                            self._a_task(
-                                sim, cluster, a_slots, job, timing, partition,
-                                a_node,
-                                small_tables, receive, gc_factor, scale,
-                                gang, doom, leases, owner, pipe_out,
-                            ),
-                            f"{job.job_id}-s{submission}-a{partition}",
-                        )
-                        gang.add(proc)
-                        if injector.active:
-                            injector.register(a_node, proc)
-                            ranks.append((a_node, proc))
-                        a_processes.append(proc)
+                        a_processes.append(launch(
+                            self._a_task(sub, partition, a_node, doom),
+                            f"{job.job_id}-s{submission}-a{partition}", a_node,
+                        ))
                     yield sim.all_of(a_processes)
-                    check_abort()
+                    sub.check_abort()
 
                 yield sim.timeout(costs.job_cleanup)
-                check_abort()
+                sub.check_abort()
             finally:
                 for worker_index, proc in ranks:
                     injector.unregister(worker_index, proc)
@@ -591,30 +613,22 @@ class DataMPIEngine(Engine):
                     # interrupted (deadline) while the gang was still
                     # queued: withdraw the request so it cannot be granted
                     # to a dead waiter and wedge the pool
-                    leases.cancel_gang(gang_grant, owner)
+                    leases.cancel_gang(gang_grant, sub.owner)
         finally:
             for worker in attempt_workers:
                 worker.memory.free(process_heap)
 
     # -- O task ----------------------------------------------------------------------
-    def _o_task(self, sim: Simulator, cluster: Cluster, mpi: SimulatedMPI,
-                job: MRJob, timing: JobTiming, index: int,
-                group: List[TaggedSplit], node_index: int, small_tables,
-                num_reducers: int, receive: ReceiveManager,
-                barrier: DynamicBarrier, queue_capacity: int, nonblocking: bool,
-                gc_factor: float, mem_used: float, first_start_event,
-                pending_deliveries: List, job_scale: float, gang: _Gang,
-                doom: Optional[float], leases: LeaseManager,
-                owner: Optional[LeaseOwner],
-                gang_lease: Optional[GangLease], overlap: bool = True,
-                pipe_in: bool = False, pipe_out: bool = False,
-                vectorized: bool = False):
+    def _o_task(self, sub: _Submission, index: int, group: List[TaggedSplit],
+                node_index: int, doom: Optional[float],
+                gang_lease: Optional[GangLease]):
         costs = self.costs
-        node = cluster.workers[node_index]
-        task = TaskTiming(task_id=f"o{index}", kind="o", node=node_index,
-                          scheduled=sim.now)
-        timing.tasks.append(task)
-        open_task_span(timing, task)
+        sim = sub.sim
+        job = sub.job
+        leases = sub.leases
+        gc_factor = sub.gc_factor
+        node = sub.cluster.workers[node_index]
+        task = open_task(sub.timing, f"o{index}", "o", node_index, sim.now)
 
         if gang_lease is not None:
             # slot was granted atomically with the rest of the gang before
@@ -625,9 +639,9 @@ class DataMPIEngine(Engine):
         else:
             # remap overflow beyond the node's slot capacity: wave through
             # like any other single-slot request
-            acquired = leases.acquire(node.slots, owner)
+            acquired = leases.acquire(node.slots, sub.owner)
             held_slot = False
-        queue = SendQueue(sim, queue_capacity)
+        queue = SendQueue(sim, sub.queue_capacity)
         sender_done = None
         sender_started = False
         emit_seq = count()  # provenance stamp for canonical receive order
@@ -638,76 +652,55 @@ class DataMPIEngine(Engine):
                 held_slot = True
             yield from node.compute(costs.task_setup)
             task.started = sim.now
-            if not first_start_event.triggered:
-                first_start_event.trigger(sim.now)
+            if not sub.first_start_event.triggered:
+                sub.first_start_event.trigger(sim.now)
 
             if doom is not None:
-                # injected rank failure: burn a doom-fraction of the first
-                # split's work, then poison the communicator — there is no
-                # task-granular recovery in the MPI substrate
+                # burn a doom-fraction of the first split's work, then die
                 rows0, bytes0 = scan_split(group[0])
                 partial = bytes0 * doom
-                if not pipe_in:
+                if not sub.pipe_in:
                     yield from charge_split_read(
-                        cluster, node, node_index, group[0], partial
+                        sub.cluster, node, node_index, group[0], partial
                     )
                 yield from node.compute(
                     partial / MB * costs.cpu_map_ms_per_mb * gc_factor / 1000.0
                 )
-                timing.failed_attempts += 1
-                get_metrics().counter("cluster.tasks.failed").add(1)
-                if task.span is not None:
-                    task.span.add_event("injected-failure", sim.now,
-                                        doom=doom, node=node_index)
-                task.finished = sim.now
-                close_task_span(task)
-                gang.trip(("task-failure", task.task_id))
+                sub.rank_failed(task, doom)
                 return
 
             held: List[SendBuffer] = []  # overlap disabled: defer all sends
             for tagged in group:
                 scale = tagged.split.scale
-                if nonblocking and not job.is_map_only and not sender_started:
+                if sub.nonblocking and not job.is_map_only and not sender_started:
                     sender_done = sim.spawn(
-                        self._sender_thread(
-                            sim, mpi, node, queue, receive, pending_deliveries,
-                            task, gang,
-                        ),
+                        self._sender_thread(sub, node, queue, task),
                         f"{job.job_id}-o{index}-send",
                     )
-                    gang.add(sender_done)
+                    sub.gang.add(sender_done)
                     sender_started = True
 
                 # compute the whole split, then replay its batches so
                 # charges and emissions land at their simulated points
-                records, final_buffers, result = self._compute_split(
-                    job, tagged, small_tables, num_reducers, vectorized,
-                    mem_used,
-                )
+                records, final_buffers, result = self._compute_split(sub, tagged)
 
                 for batch_bytes, (spl_bytes, full_buffers) in records:
-                    if not pipe_in:  # DAG stage: input already in memory
+                    if not sub.pipe_in:  # DAG stage: input already in memory
                         yield from charge_split_read(
-                            cluster, node, node_index, tagged, batch_bytes
+                            sub.cluster, node, node_index, tagged, batch_bytes
                         )
                     cpu_ms = map_cpu_ms(costs, tagged, batch_bytes)
                     yield from node.compute(cpu_ms * gc_factor / 1000.0)
                     task.collect_samples.append((sim.now, spl_bytes))
                     fresh = _stamp(full_buffers, scale, index, emit_seq)
-                    if overlap:
-                        yield from self._emit_buffers(
-                            sim, mpi, node, fresh, queue, receive,
-                            barrier, nonblocking, pending_deliveries, task,
-                        )
+                    if sub.overlap:
+                        yield from self._emit_buffers(sub, node, fresh, queue, task)
                     else:
                         held.extend(fresh)
 
                 fresh = _stamp(final_buffers, scale, index, emit_seq)
-                if overlap:
-                    yield from self._emit_buffers(
-                        sim, mpi, node, fresh, queue, receive,
-                        barrier, nonblocking, pending_deliveries, task,
-                    )
+                if sub.overlap:
+                    yield from self._emit_buffers(sub, node, fresh, queue, task)
                 else:
                     held.extend(fresh)
                 output_rows.extend(result.output_rows)
@@ -717,42 +710,29 @@ class DataMPIEngine(Engine):
 
             if held:
                 # no-overlap ablation: everything ships after computation
-                yield from self._emit_buffers(
-                    sim, mpi, node, held, queue, receive,
-                    barrier, nonblocking, pending_deliveries, task,
-                )
+                yield from self._emit_buffers(sub, node, held, queue, task)
 
             if job.is_map_only:
                 data_file = write_task_output(
-                    job, self.hdfs, index, output_rows, job_scale,
+                    job, self.hdfs, index, output_rows, sub.scale,
                     writer_node=node_index,
                 )
-                gang.written.append(data_file.path)
-                if not pipe_out:
-                    yield from hdfs_write_pipeline(cluster, node, data_file)
+                sub.gang.written.append(data_file.path)
+                if not sub.pipe_out:
+                    yield from hdfs_write_pipeline(sub.cluster, node, data_file)
         except Interrupt as interrupt:
-            # another rank poisoned the communicator (or our node died):
             # stop mid-flight; resources unwind in the finally below
-            cause = interrupt.cause
-            if isinstance(cause, tuple) and cause and cause[0] == "node-crash":
-                # our host died under us: MPI_Abort now, long before the
-                # heartbeat monitor declares the node dead
-                gang.trip(cause)
-            if task.span is not None:
-                task.span.add_event("aborted", sim.now,
-                                    cause=str(interrupt.cause))
-            task.finished = sim.now
-            close_task_span(task)
+            sub.rank_interrupted(task, interrupt.cause)
             return
         finally:
-            if not nonblocking:
-                barrier.deregister()
+            if not sub.nonblocking:
+                sub.barrier.deregister()
             if sender_started:
                 queue.put(_SENTINEL)  # stop the sender thread
             if held_slot:
-                leases.release(node.slots, owner)
+                leases.release(node.slots, sub.owner)
             elif acquired is not None:
-                leases.cancel(node.slots, acquired, owner)
+                leases.cancel(node.slots, acquired, sub.owner)
         if sender_done is not None:
             yield sender_done
         task.finished = sim.now
@@ -765,37 +745,36 @@ class DataMPIEngine(Engine):
             ).finish(sim.now)
         close_task_span(task)
 
-    def _compute_split(self, job: MRJob, tagged: TaggedSplit, small_tables,
-                       num_reducers: int, vectorized: bool, mem_used: float):
+    def _compute_split(self, sub: _Submission, tagged: TaggedSplit):
         """Run one split's map chain into a fresh Send Partition List
         (capacity in the split's *actual* bytes).  Returns the per-batch
         records — ``(batch bytes, (cumulative SPL bytes, send buffers the
         batch filled))`` — the buffers left over at close, and the map
         result."""
         spl = SendPartitionList(
-            max(1, num_reducers),
-            self._partition_buffer_bytes(mem_used)
+            max(1, sub.num_reducers),
+            self._partition_buffer_bytes(sub.mem_used)
             / max(tagged.split.scale, 1e-9),
         )
         collector = DataMPICollector(spl)
         _bytes_to_read, records, result = run_map_compute(
-            tagged, collector, num_partitions=num_reducers,
-            small_tables=small_tables, vectorized=vectorized,
-            map_only=job.is_map_only,
+            tagged, collector, num_partitions=sub.num_reducers,
+            small_tables=sub.small_tables, vectorized=sub.vectorized,
+            map_only=sub.job.is_map_only,
             batching=(self.costs.batch_target_mb, self.costs.min_batch_rows),
             record=lambda: (spl.bytes_added, collector.take_full()),
         )
         return records, collector.take_full() + spl.drain(), result
 
-    def _emit_buffers(self, sim, mpi, node, buffers: List[SendBuffer],
-                      queue: SendQueue, receive: ReceiveManager,
-                      barrier: DynamicBarrier, nonblocking: bool,
-                      pending_deliveries: List, task: TaskTiming):
+    def _emit_buffers(self, sub: _Submission, node, buffers: List[SendBuffer],
+                      queue: SendQueue, task: TaskTiming):
         """Route filled (already scale-stamped) send partitions to the
         shuffle engine."""
         if not buffers:
             return
-        if nonblocking:
+        sim = sub.sim
+        receive = sub.receive
+        if sub.nonblocking:
             occupancy = get_metrics().histogram("datampi.sendqueue.occupancy")
             for buffer in buffers:
                 yield queue.put(buffer)  # blocks when the send queue is full
@@ -808,22 +787,28 @@ class DataMPIEngine(Engine):
             chunk = max(1, self.costs.blocking_round_buffers)
             for start in range(0, len(buffers), chunk):
                 round_buffers = buffers[start : start + chunk]
-                yield barrier.arrive()
+                yield sub.barrier.arrive()
                 requests = []
                 for buffer in round_buffers:
                     task.send_events.append(sim.now)
                     destination = receive.node_for(buffer.partition)
-                    requests.append(mpi.isend(node, destination, buffer.logical_bytes))
-                yield mpi.waitall(requests)
+                    requests.append(
+                        sub.mpi.isend(node, destination, buffer.logical_bytes)
+                    )
+                yield sub.mpi.waitall(requests)
                 for buffer in round_buffers:
                     yield from receive.deliver(buffer.partition, buffer)
-                yield barrier.arrive()  # completion round
+                yield sub.barrier.arrive()  # completion round
 
-    def _sender_thread(self, sim, mpi, node, queue: SendQueue,
-                       receive: ReceiveManager, pending_deliveries: List,
-                       task: TaskTiming, gang: _Gang):
+    def _sender_thread(self, sub: _Submission, node, queue: SendQueue,
+                       task: TaskTiming):
         """Non-blocking shuffle engine: drains the send queue, issues
         MPI_Isend per buffer and tracks the cached requests."""
+        sim = sub.sim
+        mpi = sub.mpi
+        receive = sub.receive
+        gang = sub.gang
+        pending_deliveries = sub.pending_deliveries
         while True:
             buffer = yield queue.get()
             if buffer is _SENTINEL:
@@ -847,20 +832,18 @@ class DataMPIEngine(Engine):
         queue.transfer_finished()
 
     # -- A task ---------------------------------------------------------------------
-    def _a_task(self, sim: Simulator, cluster: Cluster, a_slots: List[SlotPool],
-                job: MRJob, timing: JobTiming, partition: int, node_index: int,
-                small_tables, receive: ReceiveManager, gc_factor: float,
-                scale: float, gang: _Gang, doom: Optional[float],
-                leases: LeaseManager, owner: Optional[LeaseOwner],
-                pipe_out: bool = False):
+    def _a_task(self, sub: _Submission, partition: int, node_index: int,
+                doom: Optional[float]):
         costs = self.costs
-        node = cluster.workers[node_index]
-        task = TaskTiming(task_id=f"a{partition}", kind="a", node=node_index,
-                          scheduled=sim.now)
-        timing.tasks.append(task)
-        open_task_span(timing, task)
+        sim = sub.sim
+        leases = sub.leases
+        receive = sub.receive
+        gc_factor = sub.gc_factor
+        node = sub.cluster.workers[node_index]
+        pool = sub.a_slots[node_index]
+        task = open_task(sub.timing, f"a{partition}", "a", node_index, sim.now)
 
-        acquired = leases.acquire(a_slots[node_index], owner)
+        acquired = leases.acquire(pool, sub.owner)
         held_slot = False
         try:
             yield acquired
@@ -870,19 +853,12 @@ class DataMPIEngine(Engine):
 
             received = receive.received_bytes[partition]
             if doom is not None:
-                # injected rank failure mid-merge: the whole job dies with it
+                # rank failure mid-merge: the whole job dies with it
                 yield from node.compute(
                     received / MB * costs.cpu_sort_ms_per_mb * gc_factor
                     * doom / 1000.0
                 )
-                timing.failed_attempts += 1
-                get_metrics().counter("cluster.tasks.failed").add(1)
-                if task.span is not None:
-                    task.span.add_event("injected-failure", sim.now,
-                                        doom=doom, node=node_index)
-                task.finished = sim.now
-                close_task_span(task)
-                gang.trip(("task-failure", task.task_id))
+                sub.rank_failed(task, doom)
                 return
 
             spilled = receive.spilled_bytes[partition]
@@ -901,37 +877,30 @@ class DataMPIEngine(Engine):
                     received / MB * costs.cpu_sort_ms_per_mb * gc_factor / 1000.0
                 )
             output_rows = run_reducer_functionally(
-                job, receive.partition_pairs(partition), small_tables
+                sub.job, receive.partition_pairs(partition), sub.small_tables
             )
             yield from node.compute(
                 received / MB * costs.cpu_reduce_ms_per_mb * gc_factor / 1000.0
             )
             data_file = write_task_output(
-                job, self.hdfs, partition, output_rows, scale,
+                sub.job, self.hdfs, partition, output_rows, sub.scale,
                 writer_node=node_index,
             )
-            gang.written.append(data_file.path)
-            if not pipe_out:
+            sub.gang.written.append(data_file.path)
+            if not sub.pipe_out:
                 # DAG mode skips materializing the stage boundary to HDFS:
                 # the next stage's O tasks consume these rows in memory
-                yield from hdfs_write_pipeline(cluster, node, data_file)
+                yield from hdfs_write_pipeline(sub.cluster, node, data_file)
             receive.release_partition(partition)
             task.kv_bytes = received
         except Interrupt as interrupt:
-            cause = interrupt.cause
-            if isinstance(cause, tuple) and cause and cause[0] == "node-crash":
-                gang.trip(cause)
-            if task.span is not None:
-                task.span.add_event("aborted", sim.now,
-                                    cause=str(interrupt.cause))
-            task.finished = sim.now
-            close_task_span(task)
+            sub.rank_interrupted(task, interrupt.cause)
             return
         finally:
             if held_slot:
-                leases.release(a_slots[node_index], owner)
+                leases.release(pool, sub.owner)
             else:
-                leases.cancel(a_slots[node_index], acquired, owner)
+                leases.cancel(pool, acquired, sub.owner)
         task.finished = sim.now
         close_task_span(task)
 

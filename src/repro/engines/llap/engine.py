@@ -37,61 +37,39 @@ engines by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.config import (
     Configuration,
-    EXEC_VECTORIZED,
     LLAP_CACHE_MB,
     LLAP_DAEMON_SLOTS,
-    TASK_MAX_ATTEMPTS,
 )
 from repro.common.kv import KeyValue
 from repro.common.units import MB
 from repro.engines.base import (
-    Engine,
     EngineCapabilities,
     EngineRuntime,
-    JobTiming,
     MapOutputCollector,
-    PlanResult,
     TaskTiming,
     TaggedSplit,
-    assign_splits_locality,
     charge_split_read,
-    close_job_span,
-    close_task_span,
-    collect_plan_result,
-    decide_num_reducers,
-    expand_job_splits,
     hdfs_write_pipeline,
-    job_input_scale,
-    load_broadcast_tables,
     map_cpu_ms,
-    open_job_span,
-    open_task_span,
     pick_node,
-    record_job_metrics,
     run_map_compute,
     run_reducer_functionally,
     scan_split,
     scan_split_batch,
     write_task_output,
 )
+from repro.engines.lifecycle import JobContext, TaskAttemptEngine
 from repro.engines.llap.cache import StripeCache
-from repro.obs import Tracer, get_metrics
-from repro.plan.physical import MRJob, PhysicalPlan
-from repro.simulate import (
-    ClusterSpec,
-    Interrupt,
-    LeaseManager,
-    LeaseOwner,
-    Simulator,
-)
+from repro.obs import get_metrics
+from repro.plan.physical import PhysicalPlan
+from repro.simulate import ClusterSpec, Interrupt, LeaseOwner
 from repro.storage.formats.orc import OrcStoredFile
 from repro.storage.hdfs import HDFS
 
-DEFAULT_MAX_TASK_ATTEMPTS = 4
 DEFAULT_CACHE_MB = 512.0
 RETRY_BACKOFF_SECONDS = 0.5  # wait for a node before re-picking placement
 
@@ -143,56 +121,24 @@ class _Daemon:
         self.proc = None
 
 
-class _ShuffleState:
-    """Coordination state for one job's map outputs (daemon memory)."""
-
-    def __init__(self, sim: Simulator, num_maps: int, num_reducers: int):
-        self.sim = sim
-        self.maps_done = 0
-        self.num_maps = num_maps
-        self.num_reducers = num_reducers
-        # map_index -> (node, collector, scale); entries removed when the
-        # hosting daemon dies (output lived in its memory)
-        self.map_outputs: Dict[int, Tuple[int, MapOutputCollector, float]] = {}
-        self.map_completion_events: List = []
-        self.all_maps_event = sim.event()
-        self.last_copy_done = 0.0
-        self.vectorized = False
-        self.map_task_records: Dict[int, TaskTiming] = {}
-
-    def map_finished(self, map_index: int, node: int,
-                     collector: MapOutputCollector, scale: float) -> None:
-        self.map_outputs[map_index] = (node, collector, scale)
-        self.maps_done += 1
-        event = self.map_completion_events[map_index]
-        if not event.triggered:
-            event.trigger(None)
-        if self.maps_done == self.num_maps and not self.all_maps_event.triggered:
-            self.all_maps_event.trigger(None)
-
-    def invalidate_map(self, map_index: int) -> bool:
-        """Forget a completed map whose output died with its daemon."""
-        if map_index not in self.map_outputs:
-            return False
-        del self.map_outputs[map_index]
-        self.maps_done -= 1
-        self.map_completion_events[map_index] = self.sim.event()
-        return True
-
-
 class _DaemonFleet:
     """Per-runtime daemon lifecycle: bring-up, leases, crash recovery.
 
     The *simulated-time* spawn charge is engine-level (daemons persist
     across a session's runtimes); the lease/process state is per runtime
-    because each runtime is its own simulated world.
+    because each runtime is its own simulated world — the runtime owns
+    the fleet (:meth:`EngineRuntime.engine_state`) and closes it.
     """
 
     def __init__(self, engine: "LlapEngine", runtime: EngineRuntime,
-                 daemon_slots: int):
+                 conf: Configuration):
         self.engine = engine
         self.runtime = runtime
         self.sim = runtime.sim
+        daemon_slots = conf.get_int(LLAP_DAEMON_SLOTS, 0)
+        if daemon_slots <= 0:
+            daemon_slots = runtime.spec.slots_per_node
+        daemon_slots = min(daemon_slots, runtime.spec.slots_per_node)
         self.daemon_slots = daemon_slots
         self.daemons = [
             _Daemon(index) for index in range(len(runtime.cluster.workers))
@@ -345,7 +291,17 @@ class _DaemonFleet:
                 daemon.ready.trigger(None)  # unblock waiters; they re-check
 
 
-class LlapEngine(Engine):
+class _LlapJob(JobContext):
+    """A job's context plus the daemon fleet its fragments run in."""
+
+    def __init__(self, engine: "LlapEngine", runtime: EngineRuntime, job,
+                 conf: Configuration, is_last: bool,
+                 owner: Optional[LeaseOwner], fleet: _DaemonFleet):
+        super().__init__(engine, runtime, job, conf, is_last, owner)
+        self.fleet = fleet
+
+
+class LlapEngine(TaskAttemptEngine):
     name = "llap"
     capabilities = EngineCapabilities(
         vectorized=True, persistent=True, result_cache=True,
@@ -366,7 +322,6 @@ class LlapEngine(Engine):
         self._caches: Dict[int, StripeCache] = {}
         self._cache_mb = DEFAULT_CACHE_MB
         self._daemons_started = False
-        self._fleets: Dict[int, _DaemonFleet] = {}
 
     # -- cache surface ------------------------------------------------------
     def node_cache(self, index: int) -> StripeCache:
@@ -390,31 +345,6 @@ class LlapEngine(Engine):
         }
 
     # -- public API ---------------------------------------------------------
-    def run_plan(
-        self,
-        plan: PhysicalPlan,
-        conf: Optional[Configuration] = None,
-        with_metrics: bool = False,
-        tracer: Optional[Tracer] = None,
-    ) -> PlanResult:
-        conf = conf or Configuration()
-        runtime = EngineRuntime(
-            self.spec, conf, with_metrics=with_metrics, tracer=tracer
-        )
-        timings: List[JobTiming] = []
-
-        def driver():
-            collected = yield from self.plan_process(runtime, plan, conf)
-            timings.extend(collected)
-
-        runtime.sim.spawn(driver(), "hive-driver")
-        try:
-            runtime.sim.run()
-        finally:
-            self._drop_fleet(runtime)
-            runtime.close()
-        return collect_plan_result(self, runtime, plan, timings)
-
     def plan_process(
         self,
         runtime: EngineRuntime,
@@ -424,156 +354,32 @@ class LlapEngine(Engine):
     ):
         conf = conf or Configuration()
         self._cache_mb = conf.get_float(LLAP_CACHE_MB, DEFAULT_CACHE_MB)
-        fleet = self._fleet(runtime, conf)
+        fleet = runtime.engine_state(
+            "llap.fleet", lambda: _DaemonFleet(self, runtime, conf)
+        )
         yield from fleet.ensure_started()
-        timings: List[JobTiming] = []
+        timings = []
         for index, job in enumerate(plan.jobs):
-            is_last = index == len(plan.jobs) - 1
-            timing = yield from self._run_job(
-                runtime, fleet, job, conf, is_last, owner
-            )
-            timings.append(timing)
+            ctx = _LlapJob(self, runtime, job, conf,
+                           index == len(plan.jobs) - 1, owner, fleet)
+            timings.append((yield from self.run_job(ctx)))
         return timings
 
-    # -- fleet bookkeeping --------------------------------------------------
-    def _fleet(self, runtime: EngineRuntime, conf: Configuration) -> _DaemonFleet:
-        fleet = self._fleets.get(id(runtime))
-        if fleet is None:
-            daemon_slots = conf.get_int(LLAP_DAEMON_SLOTS, 0)
-            if daemon_slots <= 0:
-                daemon_slots = runtime.spec.slots_per_node
-            daemon_slots = min(daemon_slots, runtime.spec.slots_per_node)
-            fleet = _DaemonFleet(self, runtime, daemon_slots)
-            self._fleets[id(runtime)] = fleet
-        return fleet
+    # -- lifecycle policy (see TaskAttemptEngine) ------------------------------
+    def place(self, ctx: _LlapJob, preferred: int, salt: int,
+              index: int) -> int:
+        return pick_node(ctx.cluster, preferred, salt, spread=index)
 
-    def _drop_fleet(self, runtime: EngineRuntime) -> None:
-        fleet = self._fleets.pop(id(runtime), None)
-        if fleet is not None:
-            fleet.close()
+    def admit(self, ctx: _LlapJob, node_index: int):
+        """An attempt needs a serving daemon.  When the chosen node died
+        during daemon bring-up, wait out the blip and place elsewhere."""
+        serving = yield from ctx.fleet.ensure_daemon(node_index)
+        if not serving:
+            yield ctx.sim.timeout(RETRY_BACKOFF_SECONDS)
+        return serving
 
-    # -- job execution ------------------------------------------------------
-    def _run_job(self, runtime: EngineRuntime, fleet: _DaemonFleet,
-                 job: MRJob, conf: Configuration, is_last: bool,
-                 owner: Optional[LeaseOwner]):
-        sim = runtime.sim
-        cluster = runtime.cluster
-        costs = self.costs
-        hdfs = self.hdfs
-        splits = expand_job_splits(job, hdfs)
-        small_tables = load_broadcast_tables(job, hdfs)
-        scale = job_input_scale(job, hdfs)
-        total_bytes = sum(s.logical_bytes for s in splits)
-        num_reducers = decide_num_reducers(
-            job, len(splits), total_bytes, conf, is_last, self.spec.total_slots
-        )
-        timing = JobTiming(
-            job_id=job.job_id,
-            submitted=sim.now,
-            num_maps=len(splits),
-            num_reducers=num_reducers,
-        )
-        timing.span = open_job_span(runtime.tracer, self.name, job, sim.now,
-                                    owner)
-        max_attempts = max(1, conf.get_int(TASK_MAX_ATTEMPTS,
-                                           DEFAULT_MAX_TASK_ATTEMPTS))
-
-        yield sim.timeout(costs.job_submit)
-
-        if not splits:
-            write_task_output(job, hdfs, 0, [], scale)
-            timing.first_task_started = sim.now
-            timing.shuffle_done = sim.now
-            yield sim.timeout(costs.job_cleanup)
-            timing.finished = sim.now
-            close_job_span(timing)
-            record_job_metrics(self.name, timing, self.spec.total_slots)
-            return timing
-
-        state = _ShuffleState(sim, len(splits), num_reducers)
-        state.map_completion_events = [sim.event() for _ in splits]
-        state.vectorized = conf.get_bool(EXEC_VECTORIZED, True)
-        assignment = assign_splits_locality(splits, len(cluster.workers))
-        first_start_event = sim.event()
-
-        map_processes = [
-            sim.spawn(
-                self._map_fragment(
-                    runtime, fleet, job, state, timing, index, tagged,
-                    assignment[index], small_tables, num_reducers,
-                    first_start_event, scale, max_attempts, owner,
-                ),
-                f"{job.job_id}-m{index}",
-            )
-            for index, tagged in enumerate(splits)
-        ]
-        reduce_processes = []
-        if not job.is_map_only:
-            for partition in range(num_reducers):
-                node_index = partition % len(cluster.workers)
-                reduce_processes.append(
-                    sim.spawn(
-                        self._reduce_fragment(
-                            runtime, fleet, job, state, timing, partition,
-                            node_index, small_tables, scale, max_attempts,
-                            owner,
-                        ),
-                        f"{job.job_id}-r{partition}",
-                    )
-                )
-
-        # a dead daemon takes the map output in its memory with it: those
-        # completed maps re-execute (map-only output is already in HDFS)
-        respawned: List = []
-
-        def on_crash(worker_index: int) -> None:
-            if job.is_map_only:
-                return
-            for map_index, entry in sorted(state.map_outputs.items()):
-                if entry[0] != worker_index:
-                    continue
-                state.invalidate_map(map_index)
-                get_metrics().counter("llap.maps.lost").add(1)
-                respawned.append(
-                    sim.spawn(
-                        self._map_fragment(
-                            runtime, fleet, job, state, timing, map_index,
-                            splits[map_index], assignment[map_index],
-                            small_tables, num_reducers, first_start_event,
-                            scale, max_attempts, owner,
-                            task=state.map_task_records[map_index],
-                        ),
-                        f"{job.job_id}-m{map_index}-rerun",
-                    )
-                )
-
-        runtime.injector.subscribe_crash(on_crash)
-        try:
-            pending = map_processes + reduce_processes
-            while pending:
-                yield sim.all_of(pending)
-                pending = respawned[:]
-                del respawned[:]
-        finally:
-            # an interrupt (query deadline) must not leave a stale
-            # subscriber respawning fragments for an abandoned job
-            runtime.injector.unsubscribe_crash(on_crash)
-
-        if job.is_map_only:
-            timing.shuffle_done = sim.now
-        else:
-            timing.shuffle_done = max(timing.shuffle_done, state.last_copy_done)
-        yield sim.timeout(costs.job_cleanup)
-        timing.finished = sim.now
-        timing.shuffle_logical_bytes = sum(
-            collector.total_bytes * map_scale
-            for _node, collector, map_scale in state.map_outputs.values()
-        )
-        yield first_start_event  # already triggered by the first fragment
-        timing.first_task_started = first_start_event.value
-        close_job_span(timing)
-        record_job_metrics(self.name, timing, self.spec.total_slots)
-        return timing
+    def reduce_gate(self, ctx: _LlapJob):
+        return ctx.all_maps_event  # LLAP streams once the map side is done
 
     # -- columnar cache scan -------------------------------------------------
     def _cached_scan(self, tagged: TaggedSplit, node_index: int) -> _ScanOutcome:
@@ -622,94 +428,19 @@ class LlapEngine(Engine):
                 hit += nbytes
         return _ScanOutcome(hit + miss, hit, miss, orc=True)
 
-    # -- map fragment --------------------------------------------------------
-    def _map_fragment(self, runtime: EngineRuntime, fleet: _DaemonFleet,
-                      job: MRJob, state: _ShuffleState, timing: JobTiming,
-                      index: int, tagged: TaggedSplit, preferred: int,
-                      small_tables, num_reducers: int, first_start_event,
-                      job_scale: float, max_attempts: int,
-                      owner: Optional[LeaseOwner],
-                      task: Optional[TaskTiming] = None):
-        """Coordinator for one logical map fragment: attempt-level retry
-        against daemon availability and injected faults."""
-        sim = runtime.sim
-        cluster = runtime.cluster
-        injector = runtime.injector
-        fresh = task is None
-        if fresh:
-            task = TaskTiming(task_id=f"m{index}", kind="map", node=preferred,
-                              scheduled=sim.now)
-            timing.tasks.append(task)
-            open_task_span(timing, task)
-            state.map_task_records[index] = task
-        elif task.span is not None:
-            task.span.add_event("re-execute", sim.now, reason="lost-map-output")
-
-        commit_cell: Dict[str, bool] = {}
-        attempt = 0  # placement tries (incl. waiting out dead nodes)
-        executions = 0  # actual runs; bounds doom injection
-        while True:
-            attempt += 1
-            chosen = pick_node(cluster, preferred,
-                               0 if attempt == 1 else attempt,
-                               spread=index)
-            serving = yield from fleet.ensure_daemon(chosen)
-            if not serving:
-                # the chosen node died during daemon bring-up: wait out
-                # the blip and place the attempt elsewhere
-                yield sim.timeout(RETRY_BACKOFF_SECONDS)
-                continue
-            executions += 1
-            if not fresh or executions > 1:
-                task.attempts += 1
-            doom = None
-            if executions < max_attempts:  # the last attempt always runs clean
-                doom = injector.attempt_doom(job.job_id, task.task_id,
-                                             task.attempts)
-            proc = sim.spawn(
-                self._map_attempt(
-                    runtime, fleet, job, state, task, tagged, chosen,
-                    small_tables, num_reducers, first_start_event, job_scale,
-                    index, doom, commit_cell, owner,
-                ),
-                f"{job.job_id}-{task.task_id}-e{task.attempts}",
-            )
-            injector.register(chosen, proc)
-            result = yield proc
-            injector.unregister(chosen, proc)
-            outcome = result[0] if isinstance(result, tuple) else "killed"
-            if outcome == "ok":
-                _tag, collector, map_result = result
-                task.node = chosen
-                task.rows_read = map_result.rows_read
-                task.kv_pairs = map_result.kv_pairs
-                task.kv_bytes = map_result.kv_bytes * tagged.split.scale
-                task.finished = sim.now
-                close_task_span(task)
-                state.map_finished(index, chosen, collector,
-                                   tagged.split.scale)
-                return
-            timing.failed_attempts += 1
-            get_metrics().counter("cluster.tasks.failed").add(1)
-            if task.span is not None:
-                task.span.add_event("attempt-failed", sim.now,
-                                    outcome=outcome, node=chosen,
-                                    execution=task.attempts)
-
-    def _map_attempt(self, runtime: EngineRuntime, fleet: _DaemonFleet,
-                     job: MRJob, state: _ShuffleState, task: TaskTiming,
-                     tagged: TaggedSplit, node_index: int, small_tables,
-                     num_reducers: int, first_start_event, job_scale: float,
-                     index: int, doom: Optional[float],
-                     commit_cell: Dict[str, bool],
-                     owner: Optional[LeaseOwner]):
+    # -- map attempt ---------------------------------------------------------
+    def map_attempt(self, ctx: _LlapJob, task: TaskTiming, index: int,
+                    node_index: int, doom: Optional[float]):
         """One map attempt inside node *node_index*'s daemon."""
-        sim = runtime.sim
-        cluster = runtime.cluster
-        leases: LeaseManager = runtime.leases
+        sim = ctx.sim
+        cluster = ctx.cluster
+        leases = ctx.leases
+        owner = ctx.owner
+        job = ctx.job
         costs = self.costs
+        tagged = ctx.splits[index]
         node = cluster.workers[node_index]
-        exec_pool = fleet.exec_slots[node_index]
+        exec_pool = ctx.fleet.exec_slots[node_index]
         acquired = leases.acquire(exec_pool, owner)
         held_slot = False
         committed = False
@@ -720,8 +451,8 @@ class LlapEngine(Engine):
             held_slot = True
             yield sim.timeout(costs.fragment_dispatch)
             task.started = sim.now
-            if not first_start_event.triggered:
-                first_start_event.trigger(sim.now)
+            if not ctx.first_start_event.triggered:
+                ctx.first_start_event.trigger(sim.now)
 
             orc = isinstance(tagged.split.stored, OrcStoredFile)
             scan = None
@@ -753,10 +484,8 @@ class LlapEngine(Engine):
                 if orc:
                     read_bytes, burn_bytes = scan.miss_bytes, scan.total_bytes
                 else:
-                    if state.vectorized:
-                        _payload, nbytes = scan_split_batch(tagged)
-                    else:
-                        _payload, nbytes = scan_split(tagged)
+                    scan_plain = scan_split_batch if ctx.vectorized else scan_split
+                    _payload, nbytes = scan_plain(tagged)
                     read_bytes = burn_bytes = nbytes
                 yield from charge_split_read(cluster, node, node_index,
                                              tagged, read_bytes * doom)
@@ -768,10 +497,10 @@ class LlapEngine(Engine):
             # the whole fragment is one batch with no mid-task accounting;
             # the cache pass above already split the byte charge into hits
             # and misses
-            collector = MapOutputCollector(num_reducers)
+            collector = MapOutputCollector(ctx.num_reducers)
             bytes_to_read, _records, result = run_map_compute(
-                tagged, collector, num_partitions=num_reducers,
-                small_tables=small_tables, vectorized=state.vectorized,
+                tagged, collector, num_partitions=ctx.num_reducers,
+                small_tables=ctx.small_tables, vectorized=ctx.vectorized,
                 map_only=job.is_map_only,
             )
             total_bytes = scan.total_bytes if orc else bytes_to_read
@@ -787,11 +516,10 @@ class LlapEngine(Engine):
 
             if job.is_map_only:
                 # commit point: exactly one attempt writes the part-file
-                if commit_cell.get("done"):
+                if not ctx.claim_commit(task):
                     return ("lost-race", None)
-                commit_cell["done"] = True
                 data_file = write_task_output(
-                    job, self.hdfs, index, result.output_rows, job_scale,
+                    job, self.hdfs, index, result.output_rows, ctx.scale,
                     writer_node=node_index,
                 )
                 committed = True
@@ -808,75 +536,16 @@ class LlapEngine(Engine):
             elif acquired is not None:
                 leases.cancel(exec_pool, acquired, owner)
 
-    # -- reduce fragment -----------------------------------------------------
-    def _reduce_fragment(self, runtime: EngineRuntime, fleet: _DaemonFleet,
-                         job: MRJob, state: _ShuffleState, timing: JobTiming,
-                         partition: int, preferred: int, small_tables,
-                         scale: float, max_attempts: int,
-                         owner: Optional[LeaseOwner]):
-        sim = runtime.sim
-        cluster = runtime.cluster
-        injector = runtime.injector
-        task = TaskTiming(task_id=f"r{partition}", kind="reduce",
-                          node=preferred, scheduled=sim.now)
-        timing.tasks.append(task)
-        open_task_span(timing, task)
-
-        yield state.all_maps_event  # LLAP streams once the map side is done
-        commit_cell: Dict[str, bool] = {}
-        attempt = 0  # placement tries (incl. waiting out dead nodes)
-        executions = 0  # actual runs; bounds doom injection
-        while True:
-            attempt += 1
-            chosen = pick_node(cluster, preferred,
-                               0 if attempt == 1 else attempt,
-                               spread=partition)
-            serving = yield from fleet.ensure_daemon(chosen)
-            if not serving:
-                yield sim.timeout(RETRY_BACKOFF_SECONDS)
-                continue
-            executions += 1
-            if executions > 1:
-                task.attempts += 1
-            doom = None
-            if executions < max_attempts:
-                doom = injector.attempt_doom(job.job_id, task.task_id,
-                                             task.attempts)
-            proc = sim.spawn(
-                self._reduce_attempt(
-                    runtime, fleet, job, state, task, partition, chosen,
-                    small_tables, scale, doom, commit_cell, owner,
-                ),
-                f"{job.job_id}-{task.task_id}-e{task.attempts}",
-            )
-            injector.register(chosen, proc)
-            result = yield proc
-            injector.unregister(chosen, proc)
-            outcome = result[0] if isinstance(result, tuple) else "killed"
-            if outcome == "ok":
-                task.node = chosen
-                task.finished = sim.now
-                close_task_span(task)
-                return
-            timing.failed_attempts += 1
-            get_metrics().counter("cluster.tasks.failed").add(1)
-            if task.span is not None:
-                task.span.add_event("attempt-failed", sim.now,
-                                    outcome=outcome, node=chosen,
-                                    execution=task.attempts)
-
-    def _reduce_attempt(self, runtime: EngineRuntime, fleet: _DaemonFleet,
-                        job: MRJob, state: _ShuffleState, task: TaskTiming,
-                        partition: int, node_index: int, small_tables,
-                        scale: float, doom: Optional[float],
-                        commit_cell: Dict[str, bool],
-                        owner: Optional[LeaseOwner]):
-        sim = runtime.sim
-        cluster = runtime.cluster
-        leases: LeaseManager = runtime.leases
+    # -- reduce attempt ------------------------------------------------------
+    def reduce_attempt(self, ctx: _LlapJob, task: TaskTiming, partition: int,
+                       node_index: int, doom: Optional[float]):
+        sim = ctx.sim
+        cluster = ctx.cluster
+        leases = ctx.leases
+        owner = ctx.owner
         costs = self.costs
         node = cluster.workers[node_index]
-        pool = fleet.exec_slots[node_index]
+        pool = ctx.fleet.exec_slots[node_index]
         acquired = leases.acquire(pool, owner)
         held_slot = False
         committed = False
@@ -895,9 +564,9 @@ class LlapEngine(Engine):
             )
             copied = 0.0
             pairs_by_map: Dict[int, List[KeyValue]] = {}
-            for map_index in range(state.num_maps):
+            for map_index in range(ctx.num_maps):
                 while True:
-                    if map_index not in state.map_outputs:
+                    if map_index not in ctx.map_outputs:
                         # a crash invalidated this map mid-stream and its
                         # re-run needs an executor slot — possibly in this
                         # very pool.  Parking here while holding ours would
@@ -906,30 +575,30 @@ class LlapEngine(Engine):
                         leases.release(pool, owner)
                         held_slot = False
                         acquired = None
-                        while map_index not in state.map_outputs:
-                            yield state.map_completion_events[map_index]
+                        while map_index not in ctx.map_outputs:
+                            yield ctx.map_completion_events[map_index]
                         acquired = leases.acquire(pool, owner)
                         yield acquired
                         held_slot = True
-                    entry = state.map_outputs[map_index]
+                    entry = ctx.map_outputs[map_index]
                     source_index, collector, map_scale = entry
                     chunk = collector.partition_bytes[partition] * map_scale
                     if chunk > 0 and source_index != node_index:
                         source = cluster.workers[source_index]
                         yield from cluster.network_transfer(source, node,
                                                             chunk)
-                    if state.map_outputs.get(map_index) is not entry:
+                    if ctx.map_outputs.get(map_index) is not entry:
                         continue  # source daemon died mid-stream: re-pull
                     pairs_by_map[map_index] = list(
                         collector.partitions[partition]
                     )
                     copied += chunk
                     break
-            state.last_copy_done = max(state.last_copy_done, sim.now)
+            ctx.last_copy_done = max(ctx.last_copy_done, sim.now)
             task.kv_bytes = copied
             if shuffle_span is not None:
                 shuffle_span.finish(sim.now, bytes=copied,
-                                    maps=state.num_maps)
+                                    maps=ctx.num_maps)
 
             if doom is not None:
                 return ("failed", "injected")
@@ -939,18 +608,19 @@ class LlapEngine(Engine):
                     copied / MB * costs.cpu_sort_ms_per_mb / 1000.0
                 )
             pairs: List[KeyValue] = []
-            for map_index in range(state.num_maps):
+            for map_index in range(ctx.num_maps):
                 pairs.extend(pairs_by_map.get(map_index, ()))
-            output_rows = run_reducer_functionally(job, pairs, small_tables)
+            output_rows = run_reducer_functionally(
+                ctx.job, pairs, ctx.small_tables
+            )
             yield from node.compute(
                 copied / MB * costs.cpu_reduce_ms_per_mb / 1000.0
             )
 
-            if commit_cell.get("done"):
+            if not ctx.claim_commit(task):
                 return ("lost-race", None)
-            commit_cell["done"] = True
             data_file = write_task_output(
-                job, self.hdfs, partition, output_rows, scale,
+                ctx.job, self.hdfs, partition, output_rows, ctx.scale,
                 writer_node=node_index,
             )
             committed = True

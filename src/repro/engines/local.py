@@ -7,7 +7,7 @@ Hadoop and DataMPI engines produce exactly the rows this engine produces
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.config import Configuration, EXEC_VECTORIZED
 from repro.common.kv import KeyValue
@@ -17,10 +17,8 @@ from repro.engines.base import (
     JobTiming,
     PlanResult,
     decide_num_reducers,
-    expand_job_splits,
     final_sorted_rows,
-    job_input_scale,
-    load_broadcast_tables,
+    load_job_inputs,
     run_reducer_functionally,
     scan_split,
     scan_split_batch,
@@ -88,10 +86,7 @@ class LocalEngine(Engine):
 
     def _run_job(self, job, conf: Configuration, is_last: bool) -> JobTiming:
         hdfs = self.hdfs
-        splits = expand_job_splits(job, hdfs)
-        small_tables: Dict[str, list] = load_broadcast_tables(job, hdfs)
-        scale = job_input_scale(job, hdfs)
-        total_bytes = sum(split.logical_bytes for split in splits)
+        splits, small_tables, scale, total_bytes = load_job_inputs(job, hdfs)
         num_reducers = decide_num_reducers(
             job, len(splits), total_bytes, conf, is_last, self.max_slots
         )

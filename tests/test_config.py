@@ -1,7 +1,12 @@
 """Tests for repro.common.config.Configuration."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
+from repro.common import config
 from repro.common.config import Configuration
 from repro.common.errors import ConfigError
 
@@ -79,3 +84,20 @@ class TestConfiguration:
         conf = Configuration()
         with pytest.raises(ConfigError):
             conf.set("", "v")
+
+
+def test_every_declared_key_is_read_by_the_package():
+    """A key constant nothing imports is a knob that silently does
+    nothing when set."""
+    declared = {
+        name for name, value in vars(config).items()
+        if name.isupper() and isinstance(value, str)
+    }
+    imported = set()
+    package = pathlib.Path(repro.__file__).parent
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module == "repro.common.config"):
+                imported.update(alias.name for alias in node.names)
+    assert declared - imported == set()

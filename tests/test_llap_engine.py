@@ -3,6 +3,9 @@ daemon startup, the node-local columnar cache (hits, eviction
 determinism, crash invalidation), and the driver result cache
 (hits, metastore/snapshot invalidation, concurrent-writer safety)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import connect
@@ -15,6 +18,7 @@ from repro.common.config import (
 from repro.common.rows import Schema
 from repro.engines.base import compare_result_rows
 from repro.engines.llap import LlapEngine, StripeCache
+from repro.sched.scheduler import scheduler_from_conf
 from repro.storage.hdfs import HDFS
 from repro.storage.metastore import Metastore
 
@@ -106,6 +110,28 @@ class TestDaemonLifecycle:
                 "a warm llap fragment dispatch must undercut hadoop's "
                 "per-job JVM startup"
             )
+
+    def test_closed_scheduler_runtime_is_released(self):
+        """The daemon fleet belongs to the runtime it runs in: closing a
+        scheduler drops both, while the engine (and its caches) lives on
+        for the session's next runtime."""
+        hdfs, metastore = build_orc_warehouse()
+        session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
+                          engine_config={"result_cache": False})
+        runtimes = []
+        for _ in range(2):
+            scheduler = scheduler_from_conf(session)
+            handle = scheduler.submit(QUERIES[0])
+            scheduler.drain()
+            assert handle.result().rows
+            injector = scheduler.runtime.injector
+            runtimes.append(weakref.ref(scheduler.runtime))
+            scheduler.close()
+            assert not injector._membership_subscribers
+            del scheduler, handle, injector
+            gc.collect()
+        assert [ref() for ref in runtimes] == [None, None]
+        assert total_cache(session, "hits") > 0, "caches outlive runtimes"
 
     def test_capabilities_surface(self):
         caps = LlapEngine.capabilities

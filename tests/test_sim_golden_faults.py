@@ -1,0 +1,104 @@
+"""Absolute golden for the fault paths and the shared-runtime path.
+
+``data/sim_golden.json`` is fault-free; this file pins what the task
+attempt / retry / lost-map / speculation / gang-restart paths do on
+``build_big_warehouse``: per engine and fault plan,
+``[repr(total seconds), attempts, restarts, failed attempts, row
+digest]``, and per engine one scheduler run of three concurrent queries
+under injected task failures (``repr`` of the makespan and of each
+latency).  The comparison is exact.  Re-capture (only after a deliberate
+cost-model change) with
+``PYTHONPATH=src python -m tests.test_sim_golden_faults``.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro import connect
+from repro.common.config import (
+    FAULT_SPEC,
+    RETRY_BACKOFF,
+    RETRY_MAX,
+    SPECULATIVE_EXECUTION,
+)
+from .conftest import build_big_warehouse
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "sim_golden_faults.json"
+)
+
+SQL = "SELECT grp, sum(val) FROM facts GROUP BY grp ORDER BY grp"
+ENGINES = ("hadoop", "datampi", "llap")
+_RETRY = {RETRY_MAX: "10", RETRY_BACKOFF: "0.5"}
+FAULTS = {
+    "fail": dict(_RETRY, **{FAULT_SPEC: "seed:7; fail:0.3"}),
+    "crash": dict(_RETRY, **{FAULT_SPEC: "crash:w1@6-60"}),
+    "slow": {FAULT_SPEC: "slow:w0x8@0", SPECULATIVE_EXECUTION: "true"},
+}
+SHARED_CONF = {FAULT_SPEC: "seed:3; fail:0.2"}
+SHARED_QUERIES = 3
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def measure_solo(engine, fault):
+    hdfs, metastore = build_big_warehouse()
+    with connect(engine=engine, hdfs=hdfs, metastore=metastore,
+                 conf=FAULTS[fault]) as session:
+        result = session.query(SQL)
+    return [
+        repr(result.execution.total_seconds),
+        result.attempts,
+        result.restarts,
+        sum(job.failed_attempts for job in result.execution.jobs),
+        _digest(result.rows),
+    ]
+
+
+def measure_shared(engine):
+    hdfs, metastore = build_big_warehouse()
+    with connect(engine=engine, hdfs=hdfs, metastore=metastore,
+                 conf=SHARED_CONF) as session:
+        handles = [session.submit(SQL) for _ in range(SHARED_QUERIES)]
+        session.scheduler.drain()
+        return [repr(session.scheduler.summary()["makespan"])] + [
+            repr(handle.latency) for handle in handles
+        ]
+
+
+def measure_all():
+    out = {
+        f"{engine}/{fault}": measure_solo(engine, fault)
+        for engine in ENGINES for fault in FAULTS
+    }
+    for engine in ENGINES:
+        out[f"{engine}/shared"] = measure_shared(engine)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_path_matches_golden(golden, engine, fault):
+    assert measure_solo(engine, fault) == golden[f"{engine}/{fault}"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_shared_runtime_matches_golden(golden, engine):
+    assert measure_shared(engine) == golden[f"{engine}/shared"]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(measure_all(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
