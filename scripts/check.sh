@@ -6,6 +6,10 @@
 # Not part of this gate (about 5 minutes): scripts/sim_identity.sh [<base>]
 # regenerates every figure/table CSV at <base> and at HEAD and fails on
 # any byte difference — run it for engine and cost-model refactors.
+# The second gate for exec-layer refactors is in the tier-1 run below:
+# tests/test_exec_boundary.py parses the sources and fails when the
+# engines' column-kernel path and the local oracle's row/closure path
+# start sharing names (PYTHONPATH=src python -m pytest tests/test_exec_boundary.py).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

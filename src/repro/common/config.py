@@ -26,7 +26,6 @@ MAPRED_COMPRESS_MAP_OUTPUT = "mapred.compress.map.output"  # bool (mr intermedia
 DATAMPI_NONBLOCKING = "datampi.shuffle.nonblocking"  # bool
 DATAMPI_OVERLAP = "datampi.shuffle.overlap"  # bool; False = send only at O end
 HIVE_DATAMPI_DAG = "hive.datampi.dag"  # bool; True = pipeline stages (future work §VII.3)
-EXEC_VECTORIZED = "repro.exec.vectorized"  # bool; columnar map-side execution
 
 # -- fault injection / recovery knobs ---------------------------------------
 FAILURE_RATE = "repro.failure.rate"  # per-attempt task failure probability

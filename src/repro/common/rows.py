@@ -286,12 +286,14 @@ class ColumnBatch:
         return ColumnBatch(self.columns, self.size, self.sel[:count])
 
     def to_rows(self) -> List[Tuple[object, ...]]:
-        """Late materialization: selected rows as plain tuples."""
+        """Late materialization: selected rows as plain tuples (a
+        zero-width batch still has ``live_count`` rows: empty tuples)."""
+        if not self.columns:
+            return [()] * self.live_count
         if self.sel is None:
-            return list(zip(*self.columns)) if self.columns else []
+            return list(zip(*self.columns))
         sel = self.sel
-        packed = [[column[i] for i in sel] for column in self.columns]
-        return list(zip(*packed)) if packed else []
+        return list(zip(*[[column[i] for i in sel] for column in self.columns]))
 
     def __len__(self) -> int:
         return self.size

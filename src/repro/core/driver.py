@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.config import (
     Configuration,
-    EXEC_VECTORIZED,
     HIVE_FILE_FORMAT,
     HIVE_MAPJOIN_SMALLTABLE_BYTES,
     RESULT_CACHE_ENABLED,
@@ -763,20 +762,18 @@ class Driver:
         normalized query text and is the only memoized part — the conf
         and epoch parts are read live on every call; the
         configuration the physical compiler consults is the map-join
-        small-table threshold (``hive.mapjoin.smalltable.filesize``),
-        stats-driven planning and skew-join knobs, and the execution
-        mode decides which pipeline the cached plan's descriptors get
-        compiled into at task start.  The metastore ``stats_epoch`` is
-        part of the key so a plan costed under old statistics can never
-        be replayed after an ANALYZE (or autogather) changed what the
-        optimizer would decide — the input-snapshot check alone cannot
-        see ANALYZE, which touches no data files.
+        small-table threshold (``hive.mapjoin.smalltable.filesize``)
+        and the stats-driven planning and skew-join knobs.  The
+        metastore ``stats_epoch`` is part of the key so a plan costed
+        under old statistics can never be replayed after an ANALYZE (or
+        autogather) changed what the optimizer would decide — the
+        input-snapshot check alone cannot see ANALYZE, which touches no
+        data files.
         """
         return (
             structural_key,
             self.engine.name,
             self.conf.get(HIVE_MAPJOIN_SMALLTABLE_BYTES, None),
-            self.conf.get(EXEC_VECTORIZED, None),
             self.conf.get(STATS_ENABLED, None),
             self.conf.get(SKEWJOIN_THRESHOLD, None),
             self.conf.get(SKEWJOIN_FANOUT, None),

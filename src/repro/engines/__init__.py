@@ -6,7 +6,8 @@
 * :mod:`repro.engines.lifecycle` — the task-attempt job lifecycle the
   hadoop and llap engines share; they contribute policy hooks only.
 * :mod:`repro.engines.local` — in-process reference executor (no cluster
-  simulation); the correctness oracle for both real engines.
+  simulation); the correctness oracle for the cluster engines.  It alone
+  runs the row operators; the engines run the column kernels.
 * :mod:`repro.engines.hadoop` — simulated Hadoop 1.x MapReduce engine.
 * :mod:`repro.engines.datampi` — the paper's contribution: the DataMPI
   engine with bipartite O/A communicators and the optimized shuffle.
@@ -16,8 +17,8 @@
 The registry is the public extension point.  Every engine is described
 by an :class:`EngineSpec`: a factory, declared
 :class:`~repro.engines.base.EngineCapabilities` (what the driver and
-scheduler branch on — vectorized, speculative, gang_scheduling,
-persistent, result_cache, shared_runtime) and a typed per-engine
+scheduler branch on — speculative, gang_scheduling, persistent,
+result_cache, shared_runtime) and a typed per-engine
 configuration namespace (:class:`EngineOption`) that
 ``repro.connect(engine_config=...)`` validates against.  Third-party
 engines plug in with ``repro.engines.register(EngineSpec(...))`` — or

@@ -38,6 +38,7 @@ from repro.common.units import GB, MB
 from repro.exec.mapper import ExecMapper, ExecReducer, MapTaskResult
 from repro.exec.operators import Collector, FileSinkDesc
 from repro.exec.reduce import group_sorted_pairs, key_comparator, sort_pairs
+from repro.exec.vectorized import BroadcastTable
 from repro.obs import MetricsRegistry, Span, Tracer, get_metrics
 from repro.plan.physical import MapInput, MRJob, PhysicalPlan
 from repro.simulate import (
@@ -72,7 +73,6 @@ class EngineCapabilities:
     opts the engine into the driver-level result cache.
     """
 
-    vectorized: bool = False
     speculative: bool = False
     gang_scheduling: bool = False
     persistent: bool = False
@@ -81,7 +81,6 @@ class EngineCapabilities:
 
     def as_dict(self) -> Dict[str, bool]:
         return {
-            "vectorized": self.vectorized,
             "speculative": self.speculative,
             "gang_scheduling": self.gang_scheduling,
             "persistent": self.persistent,
@@ -365,7 +364,8 @@ def expand_job_splits(job: MRJob, hdfs: HDFS) -> List[TaggedSplit]:
 
 
 def scan_split(tagged: TaggedSplit) -> Tuple[List[Row], float]:
-    """Read a split's rows, honoring ORC pruning hints.
+    """Read a split's rows, honoring ORC pruning hints — the reference
+    executor's scan (the engines call :func:`scan_split_batch`).
 
     Returns (rows, logical bytes actually read).
     """
@@ -380,11 +380,11 @@ def scan_split(tagged: TaggedSplit) -> Tuple[List[Row], float]:
 
 
 def scan_split_batch(tagged: TaggedSplit):
-    """Columnar twin of :func:`scan_split` for the vectorized mode.
+    """Read a split as a column batch, honoring ORC pruning hints.
 
     Returns (:class:`~repro.common.rows.ColumnBatch`, logical bytes) —
-    the batch holds the same rows in the same order and the byte charge
-    is identical, so simulated seconds cannot differ between modes.
+    the batch holds the rows :func:`scan_split` returns, in the same
+    order, and the byte charge is identical.
     """
     hints = tagged.map_input.hints
     result = tagged.split.stored.scan_batch(
@@ -413,7 +413,7 @@ class MapOutputCollector(Collector):
         self.partition_bytes[partition] += pair.serialized_size()
 
     def collect_batch(self, partitions, pairs) -> None:
-        # the vectorized sink pre-seeds every pair's _size memo
+        # the sink kernel pre-seeds every pair's _size memo
         partition_lists = self.partitions
         partition_bytes = self.partition_bytes
         for partition, pair in zip(partitions, pairs):
@@ -463,7 +463,6 @@ def run_map_compute(
     *,
     num_partitions: int,
     small_tables: Optional[Dict[str, List[Row]]],
-    vectorized: bool,
     map_only: bool,
     batching: Optional[Tuple[float, int]] = None,
     record: Callable[[], object] = lambda: None,
@@ -483,14 +482,13 @@ def run_map_compute(
     after each batch and captures whatever mid-task quantity the engine's
     accounting reads at that point.
     """
-    scan = scan_split_batch if vectorized else scan_split
-    payload, bytes_to_read = scan(tagged)
+    payload, bytes_to_read = scan_split_batch(tagged)
     mapper = ExecMapper(
         tagged.operators,
         collector=None if map_only else collector,
         num_partitions=num_partitions,
         small_tables=small_tables,
-        vectorized=vectorized,
+        vectorized=True,
     )
     if batching is None:
         batches = [(payload, bytes_to_read)]
@@ -516,18 +514,24 @@ def map_cpu_ms(costs, tagged: TaggedSplit, nbytes: float,
     return cpu_ms
 
 
-def load_broadcast_tables(job: MRJob, hdfs: HDFS) -> Dict[str, List[Row]]:
-    """Load + preprocess every broadcast (map-join) table of a job."""
-    small: Dict[str, List[Row]] = {}
+def load_broadcast_tables(
+    job: MRJob, hdfs: HDFS, *, vectorized: bool
+) -> Dict[str, BroadcastTable]:
+    """Load + preprocess every broadcast (map-join) table of a job.
+
+    Each table is loaded once per job run; the returned objects also own
+    the hash tables the job's map-join operators build over them."""
+    small: Dict[str, BroadcastTable] = {}
     for spec in job.broadcasts:
         rows = hdfs.dir_rows(spec.location)
         if spec.operators:
             mapper = ExecMapper(
-                list(spec.operators) + [FileSinkDesc()], collector=None, num_partitions=1
+                list(spec.operators) + [FileSinkDesc()], collector=None,
+                num_partitions=1, vectorized=vectorized,
             )
             mapper.process_batch(rows)
             rows = mapper.close().output_rows
-        small[spec.location] = rows
+        small[spec.location] = BroadcastTable(rows)
     return small
 
 
@@ -549,17 +553,17 @@ class JobInputs(NamedTuple):
     """What :func:`load_job_inputs` reads from HDFS at job start."""
 
     splits: List[TaggedSplit]
-    small_tables: Dict[str, List[Row]]
+    small_tables: Dict[str, BroadcastTable]
     scale: float  # bytes-weighted input scale, applied to the job's outputs
     total_bytes: float  # logical bytes over all splits
 
 
-def load_job_inputs(job: MRJob, hdfs: HDFS) -> JobInputs:
+def load_job_inputs(job: MRJob, hdfs: HDFS, *, vectorized: bool) -> JobInputs:
     """The functional prologue every engine runs when a job starts."""
     splits = expand_job_splits(job, hdfs)
     return JobInputs(
         splits,
-        load_broadcast_tables(job, hdfs),
+        load_broadcast_tables(job, hdfs, vectorized=vectorized),
         job_input_scale(job, hdfs),
         sum(tagged.logical_bytes for tagged in splits),
     )
@@ -569,8 +573,11 @@ def run_reducer_functionally(
     job: MRJob,
     partition_pairs: List[KeyValue],
     small_tables: Optional[Dict[str, List[Row]]] = None,
+    *,
+    vectorized: bool,
 ) -> List[Row]:
-    """Sort, group and reduce one partition's pairs; returns output rows."""
+    """Sort, group and reduce one partition's pairs; returns output rows.
+    *vectorized* names the caller's role, as for :class:`ExecMapper`."""
     from repro.exec.reduce import ReduceAggregateDesc
 
     ordered = sort_pairs(partition_pairs, job.sort_directions)
@@ -578,6 +585,7 @@ def run_reducer_functionally(
         job.reduce_logic,
         job.reduce_operators,
         small_tables=small_tables,
+        vectorized=vectorized,
     )
     saw_group = False
     for key, values in group_sorted_pairs(ordered):

@@ -41,7 +41,6 @@ from repro.common.config import (
     Configuration,
     DATAMPI_NONBLOCKING,
     DATAMPI_OVERLAP,
-    EXEC_VECTORIZED,
     HIVE_DATAMPI_DAG,
     HIVE_DATAMPI_MEM_USED_PERCENT,
     HIVE_DATAMPI_SEND_QUEUE,
@@ -71,7 +70,7 @@ from repro.engines.base import (
     record_job_metrics,
     run_map_compute,
     run_reducer_functionally,
-    scan_split,
+    scan_split_batch,
     write_task_output,
 )
 from repro.engines.datampi.buffers import (
@@ -238,7 +237,7 @@ class _Submission:
         self.gang = gang
         self.pipe_in = pipe_in
         self.pipe_out = stage.pipe_out
-        inputs = load_job_inputs(stage.job, engine.hdfs)
+        inputs = load_job_inputs(stage.job, engine.hdfs, vectorized=True)
         self.splits = inputs.splits
         self.small_tables = inputs.small_tables
         self.scale = inputs.scale
@@ -250,7 +249,6 @@ class _Submission:
         )
         self.nonblocking = conf.get_bool(DATAMPI_NONBLOCKING, True)
         self.overlap = conf.get_bool(DATAMPI_OVERLAP, True)
-        self.vectorized = conf.get_bool(EXEC_VECTORIZED, True)
         self.barrier = DynamicBarrier(self.sim)
         self.pending_deliveries: List = []
         self.first_start_event = self.sim.event()
@@ -292,9 +290,7 @@ class _Submission:
 
 class DataMPIEngine(Engine):
     name = "datampi"
-    capabilities = EngineCapabilities(
-        vectorized=True, gang_scheduling=True, shared_runtime=True
-    )
+    capabilities = EngineCapabilities(gang_scheduling=True, shared_runtime=True)
 
     def __init__(
         self,
@@ -657,7 +653,7 @@ class DataMPIEngine(Engine):
 
             if doom is not None:
                 # burn a doom-fraction of the first split's work, then die
-                rows0, bytes0 = scan_split(group[0])
+                _batch0, bytes0 = scan_split_batch(group[0])
                 partial = bytes0 * doom
                 if not sub.pipe_in:
                     yield from charge_split_read(
@@ -759,8 +755,7 @@ class DataMPIEngine(Engine):
         collector = DataMPICollector(spl)
         _bytes_to_read, records, result = run_map_compute(
             tagged, collector, num_partitions=sub.num_reducers,
-            small_tables=sub.small_tables, vectorized=sub.vectorized,
-            map_only=sub.job.is_map_only,
+            small_tables=sub.small_tables, map_only=sub.job.is_map_only,
             batching=(self.costs.batch_target_mb, self.costs.min_batch_rows),
             record=lambda: (spl.bytes_added, collector.take_full()),
         )
@@ -877,7 +872,8 @@ class DataMPIEngine(Engine):
                     received / MB * costs.cpu_sort_ms_per_mb * gc_factor / 1000.0
                 )
             output_rows = run_reducer_functionally(
-                sub.job, receive.partition_pairs(partition), sub.small_tables
+                sub.job, receive.partition_pairs(partition), sub.small_tables,
+                vectorized=True,
             )
             yield from node.compute(
                 received / MB * costs.cpu_reduce_ms_per_mb * gc_factor / 1000.0

@@ -53,7 +53,6 @@ from repro.engines.base import (
     pick_node,
     run_map_compute,
     run_reducer_functionally,
-    scan_split,
     scan_split_batch,
     write_task_output,
 )
@@ -117,9 +116,7 @@ class _HadoopJob(JobContext):
 
 class HadoopEngine(TaskAttemptEngine):
     name = "hadoop"
-    capabilities = EngineCapabilities(
-        vectorized=True, speculative=True, shared_runtime=True
-    )
+    capabilities = EngineCapabilities(speculative=True, shared_runtime=True)
 
     def __init__(
         self,
@@ -212,8 +209,7 @@ class HadoopEngine(TaskAttemptEngine):
             if doom is not None:
                 # injected failure: burn the work done up to the doom point,
                 # then die — the coordinator re-launches elsewhere
-                scan = scan_split_batch if ctx.vectorized else scan_split
-                _rows, bytes_to_read = scan(tagged)
+                _batch, bytes_to_read = scan_split_batch(tagged)
                 partial = bytes_to_read * doom
                 yield from charge_split_read(cluster, node, node_index,
                                              tagged, partial)
@@ -228,8 +224,7 @@ class HadoopEngine(TaskAttemptEngine):
             collector = MapOutputCollector(ctx.num_reducers)
             _bytes_to_read, records, result = run_map_compute(
                 tagged, collector, num_partitions=ctx.num_reducers,
-                small_tables=ctx.small_tables, vectorized=ctx.vectorized,
-                map_only=job.is_map_only,
+                small_tables=ctx.small_tables, map_only=job.is_map_only,
                 batching=(costs.batch_target_mb, costs.min_batch_rows),
                 record=lambda: collector.total_bytes,
             )
@@ -441,7 +436,7 @@ class HadoopEngine(TaskAttemptEngine):
             for map_index in range(ctx.num_maps):
                 pairs.extend(pairs_by_map.get(map_index, ()))
             output_rows = run_reducer_functionally(
-                ctx.job, pairs, ctx.small_tables
+                ctx.job, pairs, ctx.small_tables, vectorized=True
             )
 
             yield from node.compute(copied / MB * costs.cpu_reduce_ms_per_mb / 1000.0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.config import Configuration, EXEC_VECTORIZED, TASK_MAX_ATTEMPTS
+from repro.common.config import Configuration, TASK_MAX_ATTEMPTS
 from repro.engines.base import (
     Engine,
     EngineRuntime,
@@ -60,7 +60,7 @@ class JobContext:
         self.leases = runtime.leases
         self.job = job
         self.owner = owner
-        inputs = load_job_inputs(job, engine.hdfs)
+        inputs = load_job_inputs(job, engine.hdfs, vectorized=True)
         self.splits = inputs.splits
         self.small_tables = inputs.small_tables
         self.scale = inputs.scale
@@ -81,7 +81,6 @@ class JobContext:
         self.max_attempts = max(
             1, conf.get_int(TASK_MAX_ATTEMPTS, DEFAULT_MAX_TASK_ATTEMPTS)
         )
-        self.vectorized = conf.get_bool(EXEC_VECTORIZED, True)
         self.first_start_event = sim.event()  # value: first attempt's start
         # map_index -> (node, collector, scale); filled as maps finish,
         # entries removed again when the hosting node dies (lost output)

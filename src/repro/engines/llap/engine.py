@@ -58,7 +58,6 @@ from repro.engines.base import (
     pick_node,
     run_map_compute,
     run_reducer_functionally,
-    scan_split,
     scan_split_batch,
     write_task_output,
 )
@@ -304,8 +303,7 @@ class _LlapJob(JobContext):
 class LlapEngine(TaskAttemptEngine):
     name = "llap"
     capabilities = EngineCapabilities(
-        vectorized=True, persistent=True, result_cache=True,
-        shared_runtime=True,
+        persistent=True, result_cache=True, shared_runtime=True
     )
 
     def __init__(
@@ -484,8 +482,7 @@ class LlapEngine(TaskAttemptEngine):
                 if orc:
                     read_bytes, burn_bytes = scan.miss_bytes, scan.total_bytes
                 else:
-                    scan_plain = scan_split_batch if ctx.vectorized else scan_split
-                    _payload, nbytes = scan_plain(tagged)
+                    _payload, nbytes = scan_split_batch(tagged)
                     read_bytes = burn_bytes = nbytes
                 yield from charge_split_read(cluster, node, node_index,
                                              tagged, read_bytes * doom)
@@ -500,8 +497,7 @@ class LlapEngine(TaskAttemptEngine):
             collector = MapOutputCollector(ctx.num_reducers)
             bytes_to_read, _records, result = run_map_compute(
                 tagged, collector, num_partitions=ctx.num_reducers,
-                small_tables=ctx.small_tables, vectorized=ctx.vectorized,
-                map_only=job.is_map_only,
+                small_tables=ctx.small_tables, map_only=job.is_map_only,
             )
             total_bytes = scan.total_bytes if orc else bytes_to_read
             miss_bytes = scan.miss_bytes if orc else bytes_to_read
@@ -611,7 +607,7 @@ class LlapEngine(TaskAttemptEngine):
             for map_index in range(ctx.num_maps):
                 pairs.extend(pairs_by_map.get(map_index, ()))
             output_rows = run_reducer_functionally(
-                ctx.job, pairs, ctx.small_tables
+                ctx.job, pairs, ctx.small_tables, vectorized=True
             )
             yield from node.compute(
                 copied / MB * costs.cpu_reduce_ms_per_mb / 1000.0

@@ -1,19 +1,24 @@
 """Reference executor: runs a physical plan functionally, no simulation.
 
 Used as the correctness oracle — integration tests assert that the
-Hadoop and DataMPI engines produce exactly the rows this engine produces
-— and by unit tests that only care about query semantics.
+hadoop, datampi and llap engines produce exactly the rows this engine
+produces — and by unit tests that only care about query semantics.
+
+The oracle is independent by construction: it always runs the row
+operators with closure-compiled expressions (``vectorized=False``
+everywhere below, whatever the configuration says), while the engines
+always run the generated column kernels; the two share no evaluation
+logic, so a kernel bug cannot hide from it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.common.config import Configuration, EXEC_VECTORIZED
+from repro.common.config import Configuration
 from repro.common.kv import KeyValue
 from repro.engines.base import (
     Engine,
-    EngineCapabilities,
     JobTiming,
     PlanResult,
     decide_num_reducers,
@@ -21,7 +26,6 @@ from repro.engines.base import (
     load_job_inputs,
     run_reducer_functionally,
     scan_split,
-    scan_split_batch,
     write_task_output,
 )
 from repro.exec.mapper import ExecMapper
@@ -38,17 +42,11 @@ class _PartitionedCollector(Collector):
     def collect(self, partition: int, pair: KeyValue) -> None:
         self.partitions[partition].append(pair)
 
-    def collect_batch(self, partitions, pairs) -> None:
-        partition_lists = self.partitions
-        for partition, pair in zip(partitions, pairs):
-            partition_lists[partition].append(pair)
-
 
 class LocalEngine(Engine):
     """Single-process, zero-latency execution of a physical plan."""
 
     name = "local"
-    capabilities = EngineCapabilities(vectorized=True)
 
     def __init__(self, hdfs: HDFS, max_slots: int = 28):
         self.hdfs = hdfs
@@ -86,20 +84,20 @@ class LocalEngine(Engine):
 
     def _run_job(self, job, conf: Configuration, is_last: bool) -> JobTiming:
         hdfs = self.hdfs
-        splits, small_tables, scale, total_bytes = load_job_inputs(job, hdfs)
+        splits, small_tables, scale, total_bytes = load_job_inputs(
+            job, hdfs, vectorized=False
+        )
         num_reducers = decide_num_reducers(
             job, len(splits), total_bytes, conf, is_last, self.max_slots
         )
         timing = JobTiming(job_id=job.job_id, num_maps=len(splits), num_reducers=num_reducers)
-        vectorized = conf.get_bool(EXEC_VECTORIZED, True)
 
         if job.is_map_only:
             for task_index, tagged in enumerate(splits):
-                scan = scan_split_batch if vectorized else scan_split
-                rows, _bytes = scan(tagged)
+                rows, _bytes = scan_split(tagged)
                 mapper = ExecMapper(
                     tagged.operators, collector=None, num_partitions=1,
-                    small_tables=small_tables, vectorized=vectorized,
+                    small_tables=small_tables, vectorized=False,
                 )
                 mapper.process_batch(rows)
                 result = mapper.close()
@@ -110,21 +108,21 @@ class LocalEngine(Engine):
 
         collector = _PartitionedCollector(num_reducers)
         for tagged in splits:
-            scan = scan_split_batch if vectorized else scan_split
-            rows, _bytes = scan(tagged)
+            rows, _bytes = scan_split(tagged)
             mapper = ExecMapper(
                 tagged.operators,
                 collector=collector,
                 num_partitions=num_reducers,
                 small_tables=small_tables,
-                vectorized=vectorized,
+                vectorized=False,
             )
             mapper.process_batch(rows)
             mapper.close()
 
         for partition in range(num_reducers):
             output_rows = run_reducer_functionally(
-                job, collector.partitions[partition], small_tables
+                job, collector.partitions[partition], small_tables,
+                vectorized=False,
             )
             write_task_output(job, hdfs, partition, output_rows, scale)
         return timing

@@ -1,12 +1,16 @@
-"""Runtime execution layer shared by both engines.
+"""Runtime execution layer shared by all engines.
 
 * :mod:`repro.exec.expressions` — bound (index-resolved) expressions
-  compiled to closures, with Hive's three-valued NULL logic.
-* :mod:`repro.exec.operators` — push-style map-side operators
-  (Filter/Select/ReduceSink/FileSink/map GroupBy/MapJoin) mirroring
-  Hive's physical operators.
+  with Hive's three-valued NULL logic, evaluated two independent ways:
+  a closure compiler (the reference) and column-kernel codegen
+  (production).
+* :mod:`repro.exec.operators` — operator descriptors
+  (Filter/Select/ReduceSink/FileSink/map GroupBy/MapJoin, mirroring
+  Hive's physical operators) and the reference row operators.
+* :mod:`repro.exec.vectorized` — the column-kernel operators every
+  engine task runs.
 * :mod:`repro.exec.reduce` — reduce-side logics (aggregate, join, sort,
-  identity) consuming grouped key/values.
+  identity) turning grouped key/values into rows.
 * :mod:`repro.exec.mapper` — ExecMapper/ExecReducer drivers: the
   engine-independent task bodies (paper §IV-B keeps these identical
   between Hadoop and DataMPI).

@@ -1,8 +1,15 @@
-"""Bound expressions: index-resolved, NULL-aware, compiled to closures.
+"""Bound expressions: index-resolved, NULL-aware, evaluated two ways.
 
-The analyzer turns parser AST (names) into these nodes (row positions);
-``compile_expression`` then produces a plain ``row -> value`` closure so
-the per-row hot path has no interpretive dispatch.
+The analyzer turns parser AST (names) into these nodes (row positions).
+Each node then has exactly two evaluators that share no logic:
+
+* :meth:`BoundExpression.compile` — a plain ``row -> value`` closure
+  tree.  Only the reference executor (``engines/local.py``, through the
+  row operators) uses it; it is deliberately un-optimized so that it
+  stays an independent oracle.
+* :func:`_emit` — Python source over column lists, assembled by the
+  ``codegen_*_kernel`` family into one generated function per operator.
+  Every production engine task runs these and nothing else.
 
 Semantics follow Hive:
 
@@ -31,7 +38,14 @@ from repro.common.kv import (
     serialize_fields,
 )
 from repro.common.rows import DataType
-from repro.sql.functions import ScalarFunction
+from repro.sql.functions import (
+    AvgAggregate,
+    CountAggregate,
+    MaxAggregate,
+    MinAggregate,
+    ScalarFunction,
+    SumAggregate,
+)
 
 Row = Tuple[object, ...]
 Evaluator = Callable[[Row], object]
@@ -333,9 +347,50 @@ def _like_to_regex(pattern: str) -> str:
     return "".join(out)
 
 
-class _CodegenUnsupported(Exception):
-    """Raised while emitting source for a node codegen can't express."""
+def compile_expression(expression: BoundExpression) -> Evaluator:
+    """Compile one expression for the reference row operators."""
+    return expression.compile()
 
+
+def compile_many(expressions: List[BoundExpression]) -> Callable[[Row], Row]:
+    """Compile a projection list into a ``row -> tuple`` closure: an
+    all-column-reference list becomes a single ``itemgetter``, small
+    arities unroll the tuple construction instead of paying a generator
+    per row."""
+    if not expressions:
+        return lambda row: ()
+    if all(type(expression) is InputRef for expression in expressions):
+        indices = [expression.index for expression in expressions]
+        if len(indices) == 1:
+            index = indices[0]
+            return lambda row: (row[index],)
+        return operator.itemgetter(*indices)
+    compiled = [expression.compile() for expression in expressions]
+    if len(compiled) == 1:
+        only = compiled[0]
+        return lambda row: (only(row),)
+    if len(compiled) == 2:
+        first, second = compiled
+        return lambda row: (first(row), second(row))
+    if len(compiled) == 3:
+        first, second, third = compiled
+        return lambda row: (first(row), second(row), third(row))
+    if len(compiled) == 4:
+        first, second, third, fourth = compiled
+        return lambda row: (first(row), second(row), third(row), fourth(row))
+    return lambda row: tuple([evaluator(row) for evaluator in compiled])
+
+
+# ---------------------------------------------------------------------------
+# column-kernel codegen (production execution; see repro.exec.vectorized)
+# ---------------------------------------------------------------------------
+#
+# Each kernel compiles one operator's whole per-batch work into a single
+# generated function running ONE ``for i in sel:`` loop over column lists
+# (``col{idx}`` locals — a distinct prefix from the ``c{n}`` environment
+# constants).  The emitter covers every node class above and the five
+# aggregates the planner places map-side, so kernel construction is
+# total: there is no second mode to fall back to.
 
 _ARITH_TEMPLATES = {
     "+": "{n} = None if {a} is None or {b} is None else {a} + {b}",
@@ -367,18 +422,16 @@ def _cast_callable(target: DataType) -> Callable[[object], object]:
 
 
 def _emit(expression: BoundExpression, lines: List[str], env: dict,
-          counter: List[int], indent: str = "    ",
-          ref: Optional[Callable[[int], str]] = None) -> str:
+          counter: List[int], indent: str,
+          ref: Callable[[int], str]) -> str:
     """Append statements evaluating *expression*; returns a cheap atom
     (a temp name, an input reference or a bound constant) holding its
-    value.  *ref* renders an :class:`InputRef` atom — the default is the
-    row form ``row[i]``; the column kernels pass ``col{i}[i]`` so the
-    same emitter serves both execution modes."""
+    value.  *ref* renders an :class:`InputRef` atom (``col{i}[i]``, see
+    :func:`_column_ref`).  The emitter is total over the node classes of
+    this module; anything else raises :class:`ExecutionError`."""
     kind = type(expression)
     if kind is InputRef:
-        if ref is not None:
-            return ref(expression.index)
-        return f"row[{expression.index}]"
+        return ref(expression.index)
     if kind is Const:
         name = f"c{len(env)}"
         env[name] = expression.value
@@ -386,7 +439,7 @@ def _emit(expression: BoundExpression, lines: List[str], env: dict,
     if kind is Arithmetic:
         template = _ARITH_TEMPLATES.get(expression.op)
         if template is None:
-            raise _CodegenUnsupported
+            raise ExecutionError(f"unknown arithmetic op {expression.op!r}")
         a = _emit(expression.left, lines, env, counter, indent, ref)
         b = _emit(expression.right, lines, env, counter, indent, ref)
         name = f"v{counter[0]}"
@@ -396,7 +449,7 @@ def _emit(expression: BoundExpression, lines: List[str], env: dict,
     if kind is Comparison:
         pyop = _COMPARE_OPS.get(expression.op)
         if pyop is None:
-            raise _CodegenUnsupported
+            raise ExecutionError(f"unknown comparison {expression.op!r}")
         a = _emit(expression.left, lines, env, counter, indent, ref)
         b = _emit(expression.right, lines, env, counter, indent, ref)
         name = f"v{counter[0]}"
@@ -493,18 +546,16 @@ def _emit(expression: BoundExpression, lines: List[str], env: dict,
             expression.operands, kind is LogicalAnd, lines, env, counter,
             indent, ref,
         )
-    raise _CodegenUnsupported
+    raise ExecutionError(f"no column kernel for expression {kind.__name__}")
 
 
 def _emit_logical(operands: List[BoundExpression], is_and: bool,
                   lines: List[str], env: dict, counter: List[int],
-                  indent: str, ref: Optional[Callable[[int], str]] = None) -> str:
+                  indent: str, ref: Callable[[int], str]) -> str:
     """Three-valued AND/OR with the closure compiler's exact short-circuit:
     stop at the first definitive operand (falsy for AND, truthy for OR),
     otherwise remember NULLs and keep going.  Later operands nest inside
     the continue-branch so they are only evaluated when reached."""
-    if not operands:
-        raise _CodegenUnsupported
     result = f"v{counter[0]}"
     saw_null = f"v{counter[0] + 1}"
     counter[0] += 2
@@ -534,73 +585,18 @@ def _emit_logical(operands: List[BoundExpression], is_and: bool,
     return result
 
 
-def _codegen_many(expressions: List[BoundExpression]) -> Optional[Callable[[Row], Row]]:
-    """Fuse a projection list into ONE generated function.
-
-    The closure tree built by :meth:`BoundExpression.compile` pays a
-    Python call per node per row; for the arithmetic-heavy projections
-    of aggregation queries that dominates the profile.  Emitting the
-    whole list as straight-line source collapses it to a single frame.
-    Returns None when any node falls outside the supported subset (the
-    caller keeps the closure path as ground truth and fallback).
-    """
-    lines: List[str] = []
-    env: dict = {}
-    counter = [0]
-    try:
-        atoms = [_emit(expression, lines, env, counter) for expression in expressions]
-    except _CodegenUnsupported:
-        return None
-    tuple_src = ", ".join(atoms) + ("," if len(atoms) == 1 else "")
-    source = "def _projection(row):\n" + "\n".join(lines) + \
-        f"\n    return ({tuple_src})"
-    exec(compile(source, "<repro-exec-codegen>", "exec"), env)
-    return env["_projection"]
-
-
-def codegen_group_update(
-    aggregates: List[Tuple[object, Optional[BoundExpression]]],
-) -> Optional[Tuple[Callable[[Row, list], None], list]]:
-    """Fuse a GROUP BY's per-row work into one ``(row, acc) -> None`` call.
-
-    For count/sum/avg — whose accumulators are plain value tuples and
-    whose ``partial()`` is the accumulator itself — the per-aggregate
-    ``update`` dispatch can be generated inline over a flat, mutable slot
-    list: no tuple reallocation per row, one Python frame for the whole
-    aggregate set.  Returns ``(update, initial_slots)`` where
-    ``initial_slots`` is the concatenation of every aggregate's
-    ``create()`` tuple (so ``tuple(acc)`` is exactly the concatenated
-    partials at flush time), or None when any aggregate or argument
-    falls outside the fusable subset.
-    """
-    if not aggregates:
-        return None
-    lines: List[str] = []
-    env: dict = {}
-    counter = [0]
-    try:
-        initial = _emit_aggregate_updates(aggregates, lines, env, counter, "    ")
-    except _CodegenUnsupported:
-        return None
-    source = "def _update_group(row, acc):\n" + "\n".join(lines)
-    exec(compile(source, "<repro-exec-codegen>", "exec"), env)
-    return env["_update_group"], initial
-
 
 def _emit_aggregate_updates(
     aggregates: List[Tuple[object, Optional[BoundExpression]]],
     lines: List[str], env: dict, counter: List[int], indent: str,
-    ref: Optional[Callable[[int], str]] = None,
+    ref: Callable[[int], str],
 ) -> list:
-    """Emit per-row update statements over a flat slot list named ``acc``.
-
-    Shared by the row-path :func:`codegen_group_update` and the column
-    kernel :func:`codegen_group_kernel` so both execution modes perform
-    bit-identical accumulation.  Returns the initial slot list; raises
-    :class:`_CodegenUnsupported` outside the count/sum/avg subset.
+    """Emit per-row update statements over a flat slot list named ``acc``
+    for the aggregates the planner places map-side (count, sum, avg, min,
+    max).  Each aggregate's slots are laid out exactly like its
+    ``partial()`` tuple, so the slot list *is* the concatenated partials.
+    Returns the initial slot list (the concatenated ``create()`` tuples).
     """
-    from repro.sql.functions import AvgAggregate, CountAggregate, SumAggregate
-
     initial: list = []
     for aggregate, arg in aggregates:
         kind = type(aggregate)
@@ -609,13 +605,12 @@ def _emit_aggregate_updates(
             indent, ref,
         )
         slot = len(initial)
+        lines.append(f"{indent}if {atom} is not None:")
         if kind is CountAggregate:
             initial.append(0)
-            lines.append(f"{indent}if {atom} is not None:")
             lines.append(f"{indent}    acc[{slot}] += 1")
         elif kind is SumAggregate:
             initial.append(None)
-            lines.append(f"{indent}if {atom} is not None:")
             lines.append(f"{indent}    s{slot} = acc[{slot}]")
             lines.append(
                 f"{indent}    acc[{slot}] = {atom} if s{slot} is None "
@@ -623,80 +618,23 @@ def _emit_aggregate_updates(
             )
         elif kind is AvgAggregate:
             initial.extend([0.0, 0])
-            lines.append(f"{indent}if {atom} is not None:")
             lines.append(f"{indent}    acc[{slot}] += {atom}")
             lines.append(f"{indent}    acc[{slot + 1}] += 1")
+        elif kind is MinAggregate or kind is MaxAggregate:
+            initial.append(None)
+            beats = "<" if kind is MinAggregate else ">"
+            lines.append(f"{indent}    s{slot} = acc[{slot}]")
+            lines.append(
+                f"{indent}    if s{slot} is None or {atom} {beats} s{slot}:"
+            )
+            lines.append(f"{indent}        acc[{slot}] = {atom}")
         else:
-            raise _CodegenUnsupported
+            raise ExecutionError(
+                f"no column kernel for map-side aggregate {kind.__name__}"
+            )
     return initial
 
 
-def compile_expression(expression: BoundExpression) -> Evaluator:
-    """Compile one expression, preferring generated straight-line code.
-
-    Filter predicates evaluate once per input row; when the expression is
-    inside the codegen subset this avoids a Python call per tree node.
-    Falls back to the closure compiler for everything else.
-    """
-    lines: List[str] = []
-    env: dict = {}
-    counter = [0]
-    try:
-        atom = _emit(expression, lines, env, counter)
-    except _CodegenUnsupported:
-        return expression.compile()
-    source = "def _evaluate(row):\n" + "\n".join(lines) + f"\n    return {atom}"
-    exec(compile(source, "<repro-exec-codegen>", "exec"), env)
-    return env["_evaluate"]
-
-
-def compile_many(expressions: List[BoundExpression]) -> Callable[[Row], Row]:
-    """Compile a projection list into a ``row -> tuple`` closure.
-
-    Projection lists sit on the innermost loop of every operator, so the
-    common shapes get dedicated fast paths: an all-column-reference list
-    becomes a single ``itemgetter``, the arithmetic/comparison subset is
-    code-generated into one function (see :func:`_codegen_many`), and
-    small arities unroll the tuple construction instead of paying a
-    generator per row.
-    """
-    if not expressions:
-        return lambda row: ()
-    if all(type(expression) is InputRef for expression in expressions):
-        indices = [expression.index for expression in expressions]
-        if len(indices) == 1:
-            index = indices[0]
-            return lambda row: (row[index],)
-        return operator.itemgetter(*indices)
-    generated = _codegen_many(expressions)
-    if generated is not None:
-        return generated
-    compiled = [expression.compile() for expression in expressions]
-    if len(compiled) == 1:
-        only = compiled[0]
-        return lambda row: (only(row),)
-    if len(compiled) == 2:
-        first, second = compiled
-        return lambda row: (first(row), second(row))
-    if len(compiled) == 3:
-        first, second, third = compiled
-        return lambda row: (first(row), second(row), third(row))
-    if len(compiled) == 4:
-        first, second, third, fourth = compiled
-        return lambda row: (first(row), second(row), third(row), fourth(row))
-    return lambda row: tuple(evaluator(row) for evaluator in compiled)
-
-
-# ---------------------------------------------------------------------------
-# column-loop codegen (vectorized execution; see repro.exec.vectorized)
-# ---------------------------------------------------------------------------
-#
-# Each kernel compiles one operator's whole per-batch work into a single
-# generated function running ONE ``for i in sel:`` loop over column lists
-# (``col{idx}`` locals — a distinct prefix from the ``c{n}`` environment
-# constants).  Every kernel returns None when any expression falls
-# outside the emitter's subset; the caller then drops the task back to
-# the row pipeline, which stays the ground truth.
 
 def _column_ref(used: set) -> Callable[[int], str]:
     """Atom renderer for column kernels; records referenced columns."""
@@ -725,17 +663,14 @@ def _compile_kernel(source: str, env: dict, name: str):
 
 def codegen_filter_kernel(
     predicate: BoundExpression,
-) -> Optional[Callable[[List[list], Sequence[int]], List[int]]]:
+) -> Callable[[List[list], Sequence[int]], List[int]]:
     """``(cols, sel) -> new_sel``: positions where the predicate is TRUE
     (three-valued logic — NULL and FALSE rows are dropped alike)."""
     lines: List[str] = []
     env: dict = {}
     counter = [0]
     used: set = set()
-    try:
-        atom = _emit(predicate, lines, env, counter, "        ", _column_ref(used))
-    except _CodegenUnsupported:
-        return None
+    atom = _emit(predicate, lines, env, counter, "        ", _column_ref(used))
     source = "\n".join(
         ["def _filter_batch(cols, sel):"]
         + _column_bindings(used)
@@ -756,27 +691,25 @@ def codegen_filter_kernel(
 
 def codegen_project_kernel(
     expressions: List[BoundExpression],
-) -> Optional[Callable[[List[list], Sequence[int]], List[list]]]:
+) -> Callable[[List[list], Sequence[int]], List[list]]:
     """``(cols, sel) -> out_cols``: evaluate a projection list over the
-    selected rows, producing dense output columns."""
+    selected rows, producing dense output columns (none for an empty
+    list — the zero-width batch keeps its row count)."""
     lines: List[str] = []
     env: dict = {}
     counter = [0]
     used: set = set()
-    try:
-        atoms = [
-            _emit(expression, lines, env, counter, "        ", _column_ref(used))
-            for expression in expressions
-        ]
-    except _CodegenUnsupported:
-        return None
+    atoms = [
+        _emit(expression, lines, env, counter, "        ", _column_ref(used))
+        for expression in expressions
+    ]
     header = ["def _project_batch(cols, sel):"] + _column_bindings(used)
     for position in range(len(atoms)):
         header.append(f"    out{position} = []")
         header.append(f"    a{position} = out{position}.append")
     body = ["    for i in sel:"] + lines + [
         f"        a{position}({atom})" for position, atom in enumerate(atoms)
-    ]
+    ] if atoms else []
     outs = ", ".join(f"out{position}" for position in range(len(atoms)))
     source = "\n".join(header + body + [f"    return [{outs}]"])
     return _compile_kernel(source, env, "_project_batch")
@@ -784,7 +717,7 @@ def codegen_project_kernel(
 
 def codegen_keys_kernel(
     expressions: List[BoundExpression],
-) -> Optional[Callable[[List[list], Sequence[int]], list]]:
+) -> Callable[[List[list], Sequence[int]], list]:
     """``(cols, sel) -> keys``: one key tuple per selected row, with
     ``None`` standing for a key containing NULL (never matches an
     equi-join; the probe loop handles outer-join padding)."""
@@ -792,13 +725,10 @@ def codegen_keys_kernel(
     env: dict = {}
     counter = [0]
     used: set = set()
-    try:
-        atoms = [
-            _emit(expression, lines, env, counter, "        ", _column_ref(used))
-            for expression in expressions
-        ]
-    except _CodegenUnsupported:
-        return None
+    atoms = [
+        _emit(expression, lines, env, counter, "        ", _column_ref(used))
+        for expression in expressions
+    ]
     header = ["def _keys_batch(cols, sel):"] + _column_bindings(used) + [
         "    out = []",
         "    append = out.append",
@@ -823,14 +753,14 @@ def codegen_group_kernel(
     key_expressions: List[BoundExpression],
     aggregates: List[Tuple[object, Optional[BoundExpression]]],
     max_groups: int,
-) -> Optional[Tuple[Callable, list, bool]]:
+) -> Tuple[Callable, list, bool]:
     """``(cols, sel, table, initial, flush) -> None``: the whole map-side
     GROUP BY inner loop — key build, hash probe, pressure flush and the
-    fused count/sum/avg accumulator updates — in one generated frame.
-    Returns ``(kernel, initial_slots, scalar_key)``; accumulation
-    statements come from the same emitter as the row path, so partials
-    are identical.  Single-key grouping probes the table with the bare
-    value (``scalar_key`` True): no per-row 1-tuple allocation, and a
+    fused accumulator updates — in one generated frame.  Returns
+    ``(kernel, initial_slots, scalar_key)``; a group's slot list is
+    exactly its concatenated partial tuples (see
+    :func:`_emit_aggregate_updates`).  Single-key grouping probes the
+    table with the bare value (``scalar_key`` True): no per-row 1-tuple allocation, and a
     string key's cached hash is reused — equality over scalars matches
     equality over their 1-tuples, so the groups are unchanged.
     """
@@ -840,26 +770,23 @@ def codegen_group_kernel(
     used: set = set()
     ref = _column_ref(used)
     scalar_key = len(key_expressions) == 1
-    try:
-        key_atoms = [
-            _emit(expression, lines, env, counter, "        ", ref)
-            for expression in key_expressions
-        ]
-        probe = [
-            f"        k = {key_atoms[0] if scalar_key else _tuple_src(key_atoms)}",
-            "        acc = table_get(k)",
-            "        if acc is None:",
-            f"            if len(table) >= {int(max_groups)}:",
-            "                flush()",
-            "            acc = initial[:]",
-            "            table[k] = acc",
-        ]
-        agg_lines: List[str] = []
-        initial = _emit_aggregate_updates(
-            aggregates, agg_lines, env, counter, "        ", ref
-        ) if aggregates else []
-    except _CodegenUnsupported:
-        return None
+    key_atoms = [
+        _emit(expression, lines, env, counter, "        ", ref)
+        for expression in key_expressions
+    ]
+    probe = [
+        f"        k = {key_atoms[0] if scalar_key else _tuple_src(key_atoms)}",
+        "        acc = table_get(k)",
+        "        if acc is None:",
+        f"            if len(table) >= {int(max_groups)}:",
+        "                flush()",
+        "            acc = initial[:]",
+        "            table[k] = acc",
+    ]
+    agg_lines: List[str] = []
+    initial = _emit_aggregate_updates(
+        aggregates, agg_lines, env, counter, "        ", ref
+    )
     source = "\n".join(
         ["def _group_batch(cols, sel, table, initial, flush):"]
         + _column_bindings(used)
@@ -951,7 +878,7 @@ def codegen_sink_kernel(
     key_expressions: List[BoundExpression],
     value_expressions: List[BoundExpression],
     tag: int,
-) -> Optional[Callable]:
+) -> Callable:
     """``(cols, sel, num_partitions, collect, histogram) -> (pairs, bytes)``:
     the entire ReduceSink row loop fused — key/value build, the single
     key encoding that feeds both the partition hash and the wire size,
@@ -965,18 +892,15 @@ def codegen_sink_kernel(
     counter = [0]
     used: set = set()
     ref = _column_ref(used)
-    try:
-        key_exprs = [
-            _emit(expression, key_lines, env, counter, "        ", ref)
-            for expression in key_expressions
-        ]
-        value_lines: List[str] = []
-        value_exprs = [
-            _emit(expression, value_lines, env, counter, "        ", ref)
-            for expression in value_expressions
-        ]
-    except _CodegenUnsupported:
-        return None
+    key_exprs = [
+        _emit(expression, key_lines, env, counter, "        ", ref)
+        for expression in key_expressions
+    ]
+    value_lines: List[str] = []
+    value_exprs = [
+        _emit(expression, value_lines, env, counter, "        ", ref)
+        for expression in value_expressions
+    ]
     env.update({
         "_ser": serialize_fields,
         "_fs": fields_size,

@@ -1,9 +1,15 @@
 """ExecMapper / ExecReducer: engine-independent task bodies.
 
 The paper's design keeps Hive's ExecMapper/ExecReducer intact and swaps
-only the surrounding engine (job control + shuffle).  Likewise here: both
+only the surrounding engine (job control + shuffle).  Likewise here: all
 engines instantiate these drivers, feed them rows/groups, and own the
 collector the pipeline emits into.
+
+Both drivers take one switch, ``vectorized``, naming the *role* of the
+caller: the production engines pass ``True`` and run the column-kernel
+operators (:func:`build_vector_pipeline`); the reference executor
+(``engines/local.py``) passes ``False`` and runs the row operators
+(:func:`build_pipeline`).  This is the only module that knows both.
 """
 
 from __future__ import annotations
@@ -11,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.kv import KeyValue
 from repro.common.rows import ColumnBatch
 from repro.exec.operators import (
     Collector,
+    FileSinkDesc,
     MapOperator,
     OperatorContext,
     ReduceSinkDesc,
@@ -63,16 +69,12 @@ class ExecMapper:
                 self.context.collector = SkewRoutingCollector(
                     last.skew, collector, self.context
                 )
-        # Vectorized mode is all-or-nothing per task: when any descriptor
-        # falls outside the column-kernel subset the whole task runs the
-        # row pipeline (the ground truth both modes are checked against).
         self.vector_pipeline: Optional[VectorOperator] = (
             build_vector_pipeline(descriptors, self.context)
             if vectorized else None
         )
         self.pipeline: Optional[MapOperator] = (
-            None if self.vector_pipeline is not None
-            else build_pipeline(descriptors, self.context)
+            None if vectorized else build_pipeline(descriptors, self.context)
         )
         self._closed = False
 
@@ -122,33 +124,52 @@ class ExecMapper:
 
 
 class ExecReducer:
-    """Drives one reduce task: grouped pairs -> reduce logic -> pipeline."""
+    """Drives one reduce task: grouped pairs -> reduce logic -> rows ->
+    the tail pipeline, which sees them once, at close."""
 
     def __init__(
         self,
         logic_desc: object,
         downstream_descriptors: List[object],
-        collector: Optional[Collector] = None,
-        num_partitions: int = 1,
         small_tables: Optional[Dict[str, List[Row]]] = None,
+        vectorized: bool = False,
     ):
-        self.context = OperatorContext(
-            collector=collector,
-            num_partitions=num_partitions,
-            small_tables=small_tables,
-        )
-        downstream = build_pipeline(downstream_descriptors, self.context)
-        self.logic: ReduceLogic = build_reduce_logic(logic_desc, downstream)
+        self.context = OperatorContext(small_tables=small_tables)
+        self.logic: ReduceLogic = build_reduce_logic(logic_desc)
+        self.tail: Optional[MapOperator] = None
+        self.vector_tail: Optional[VectorOperator] = None
+        if not vectorized:
+            self.tail = build_pipeline(downstream_descriptors, self.context)
+        elif [type(desc) for desc in downstream_descriptors] != [FileSinkDesc]:
+            self.vector_tail = build_vector_pipeline(
+                downstream_descriptors, self.context
+            )
+        # else: a bare FileSink (every ORDER BY stage, HiBench JOIN job 2)
+        # is the identity — the logic's rows are the task's output
         self._closed = False
 
     def reduce_group(self, key: Row, values: Sequence[Tuple]) -> None:
         self.logic.reduce(key, values)
 
     def close(self) -> MapTaskResult:
-        if not self._closed:
-            self.logic.close()
-            self._closed = True
         context = self.context
+        if not self._closed:
+            rows = self.logic.rows
+            if self.tail is not None:
+                self.tail.process_rows(rows)
+                self.tail.close()
+            elif self.vector_tail is None:
+                context.rows_emitted += len(rows)
+                context.output_rows = rows
+            else:
+                if rows:
+                    # a one-shot transpose: typed arrays (pack_column)
+                    # do not pay for themselves on a single pass
+                    self.vector_tail.process_batch(
+                        ColumnBatch(list(zip(*rows)), len(rows))
+                    )
+                self.vector_tail.close()
+            self._closed = True
         return MapTaskResult(
             output_rows=context.output_rows,
             rows_read=context.rows_read,

@@ -1,19 +1,22 @@
-"""Map-side physical operators (Hive's operator tree, push style).
+"""Operator descriptors, and the reference row operators built from them.
 
-The physical plan stores *descriptors* (plain dataclasses); each task
-instantiates fresh runtime operators from them, compiling the bound
-expressions into closures.  Rows are pushed down the pipeline one batch
-at a time by :class:`repro.exec.mapper.ExecMapper`; the pipeline ends in
-either a :class:`ReduceSinkOperator` (emitting shuffle pairs through the
-engine's collector — Hadoop's spill buffer or the DataMPICollector) or a
-:class:`FileSinkOperator` (buffering output rows for HDFS).
+The physical plan stores *descriptors* (plain dataclasses).  They have
+two runtimes.  Every engine task instantiates the column-kernel
+operators of :mod:`repro.exec.vectorized`.  The row operators in this
+module — bound expressions compiled into closures, rows pushed down the
+pipeline one list per hop — run only under the reference executor
+(``engines/local.py``): they are the oracle the engines are checked
+against, so they stay simple rather than fast.  Either pipeline ends in
+a ReduceSink (emitting shuffle pairs through the engine's collector —
+Hadoop's spill buffer or the DataMPICollector) or a FileSink (buffering
+output rows for HDFS).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
 from repro.common.errors import ExecutionError
@@ -21,10 +24,8 @@ from repro.common.kv import KeyValue, fields_size, serialize_fields
 from repro.exec.expressions import (
     BoundExpression,
     Const,
-    codegen_group_update,
     compile_expression,
     compile_many,
-    stable_hash,
 )
 
 Row = Tuple[object, ...]
@@ -234,23 +235,13 @@ class OperatorContext:
 # ---------------------------------------------------------------------------
 
 class MapOperator:
+    """A row operator: one entry point, a batch of rows per call."""
+
     def __init__(self, child: Optional["MapOperator"]):
         self.child = child
 
-    def process(self, row: Row) -> None:
-        raise NotImplementedError
-
     def process_rows(self, rows: Rows) -> None:
-        """Push a batch of rows; semantically one ``process`` per row.
-
-        The batch path is the hot path — every operator overrides it to
-        hoist attribute lookups out of the per-row loop and hand its
-        child one list instead of one Python call per row.  This default
-        keeps third-party operators correct without an override.
-        """
-        process = self.process
-        for row in rows:
-            process(row)
+        raise NotImplementedError
 
     def close(self) -> None:
         if self.child is not None:
@@ -261,10 +252,6 @@ class FilterOperator(MapOperator):
     def __init__(self, desc: FilterDesc, child: MapOperator):
         super().__init__(child)
         self._predicate = compile_expression(desc.predicate)
-
-    def process(self, row: Row) -> None:
-        if self._predicate(row) is True:
-            self.child.process(row)
 
     def process_rows(self, rows: Rows) -> None:
         predicate = self._predicate
@@ -278,9 +265,6 @@ class SelectOperator(MapOperator):
         super().__init__(child)
         self._project = compile_many(desc.expressions)
 
-    def process(self, row: Row) -> None:
-        self.child.process(self._project(row))
-
     def process_rows(self, rows: Rows) -> None:
         project = self._project
         self.child.process_rows([project(row) for row in rows])
@@ -288,107 +272,57 @@ class SelectOperator(MapOperator):
 
 class MapGroupByOperator(MapOperator):
     """Hash-based partial aggregation; flushes when the table grows past
-    the configured bound (Hive's map-side GroupBy with memory pressure)."""
+    the configured bound (Hive's map-side GroupBy with memory pressure).
+    One generic loop over the GenericUDAF protocol
+    (``create -> update* -> partial``) — this is the reference the
+    generated group kernel is checked against."""
 
     def __init__(self, desc: MapGroupByDesc, child: MapOperator):
         super().__init__(child)
         self._key = compile_many(desc.key_expressions)
-        self._aggregates = [
-            (aggregate, arg.compile() if arg is not None else None)
-            for aggregate, arg in desc.aggregates
-        ]
-        # Batch path: one fused projection evaluates every aggregate
-        # argument (COUNT(*) takes the same True sentinel as `process`).
+        self._aggregates = [aggregate for aggregate, _arg in desc.aggregates]
+        self._updates = [aggregate.update for aggregate in self._aggregates]
+        # COUNT(*) has no argument: it counts the sentinel True
         self._args_of = compile_many(
             [
                 arg if arg is not None else Const(True)
                 for _aggregate, arg in desc.aggregates
             ]
         )
-        self._updates = [aggregate.update for aggregate, _arg in desc.aggregates]
-        self._creates = [aggregate.create for aggregate, _arg in desc.aggregates]
-        # Fully fused path (count/sum/avg over codegen-able args): one
-        # generated call updates a flat slot list in place per row.
-        fused = codegen_group_update(desc.aggregates)
-        if fused is not None:
-            self._fused_update, self._fused_initial = fused
-        else:
-            self._fused_update = None
-            self._fused_initial = None
         self._max_groups = desc.max_groups_in_memory
         self._table: Dict[Row, list] = {}
         self.flushes = 0
 
-    def process(self, row: Row) -> None:
-        # route through the batch path so the hash table always holds one
-        # accumulator layout (flat slots when fused, tuple lists otherwise)
-        self.process_rows((row,))
-
     def process_rows(self, rows: Rows) -> None:
         key_of = self._key
         table = self._table
-        table_get = table.get
         args_of = self._args_of
+        aggregates = self._aggregates
         updates = self._updates
-        creates = self._creates
         max_groups = self._max_groups
-        fused = self._fused_update
-        if fused is not None:
-            initial = self._fused_initial
-            for row in rows:
-                key = key_of(row)
-                accumulators = table_get(key)
-                if accumulators is None:
-                    if len(table) >= max_groups:
-                        self._flush()
-                    accumulators = initial[:]
-                    table[key] = accumulators
-                fused(row, accumulators)
-            return
-        if len(updates) == 1:
-            # single-aggregate GROUP BY (the HiBench/TPC-H common case):
-            # no inner loop, no accumulator-list indexing dance
-            update = updates[0]
-            create = creates[0]
-            for row in rows:
-                key = key_of(row)
-                accumulators = table_get(key)
-                if accumulators is None:
-                    if len(table) >= max_groups:
-                        self._flush()
-                    accumulators = [create()]
-                    table[key] = accumulators
-                accumulators[0] = update(accumulators[0], args_of(row)[0])
-            return
         for row in rows:
             key = key_of(row)
-            accumulators = table_get(key)
+            accumulators = table.get(key)
             if accumulators is None:
                 if len(table) >= max_groups:
                     self._flush()  # clears in place; `table` stays bound
-                accumulators = [create() for create in creates]
+                accumulators = [aggregate.create() for aggregate in aggregates]
                 table[key] = accumulators
-            values = args_of(row)
-            position = 0
-            for update in updates:
-                accumulators[position] = update(accumulators[position], values[position])
-                position += 1
+            accumulators[:] = [
+                update(accumulator, value) for update, accumulator, value
+                in zip(updates, accumulators, args_of(row))
+            ]
 
     def _flush(self) -> None:
         self.flushes += 1
         if not self._table:
             return
         batch: Rows = []
-        if self._fused_update is not None:
-            # flat slots are exactly the concatenated partial tuples
-            for key, accumulators in self._table.items():
-                batch.append(tuple(key) + tuple(accumulators))
-        else:
-            for key, accumulators in self._table.items():
-                flat: List[object] = list(key)
-                for (aggregate, _arg), accumulator in zip(self._aggregates, accumulators):
-                    flat.extend(aggregate.partial(accumulator))
-                batch.append(tuple(flat))
+        for key, accumulators in self._table.items():
+            flat: List[object] = list(key)
+            for aggregate, accumulator in zip(self._aggregates, accumulators):
+                flat.extend(aggregate.partial(accumulator))
+            batch.append(tuple(flat))
         self._table.clear()
         self.child.process_rows(batch)
 
@@ -419,20 +353,6 @@ class MapJoinOperator(MapOperator):
             if any(part is None for part in key):
                 continue  # NULL never matches an equi-join key
             self._hash.setdefault(key, []).append(row)
-
-    def process(self, row: Row) -> None:
-        key = self._probe_key(row)
-        matches = None
-        if not any(part is None for part in key):
-            matches = self._hash.get(key)
-        if matches:
-            for small_row in matches:
-                if self._swap:
-                    self.child.process(small_row + row)
-                else:
-                    self.child.process(row + small_row)
-        elif self._join_type == "left":
-            self.child.process(row + (None,) * self._small_width)
 
     def process_rows(self, rows: Rows) -> None:
         probe_key = self._probe_key
@@ -465,11 +385,6 @@ class LimitOperator(MapOperator):
         super().__init__(child)
         self._remaining = desc.limit
 
-    def process(self, row: Row) -> None:
-        if self._remaining > 0:
-            self._remaining -= 1
-            self.child.process(row)
-
     def process_rows(self, rows: Rows) -> None:
         if self._remaining <= 0:
             return
@@ -488,19 +403,6 @@ class ReduceSinkOperator(MapOperator):
         self._value = compile_many(desc.value_expressions)
         self._tag = desc.tag
         self._context = context
-
-    def process(self, row: Row) -> None:
-        key = self._key(row)
-        value = (self._tag,) + self._value(row)
-        pair = KeyValue(key, value)
-        partition = stable_hash(key) % self._context.num_partitions
-        context = self._context
-        size = pair.serialized_size()
-        context.kv_pairs_out += 1
-        context.kv_bytes_out += size
-        histogram = context.kv_size_histogram
-        histogram[size] = histogram.get(size, 0) + 1
-        context.collector.collect(partition, pair)
 
     def process_rows(self, rows: Rows) -> None:
         key_of = self._key
@@ -531,9 +433,6 @@ class ReduceSinkOperator(MapOperator):
         context.kv_pairs_out += pairs_out
         context.kv_bytes_out += bytes_out
 
-    def close(self) -> None:
-        pass
-
 
 class FileSinkOperator(MapOperator):
     """Terminal: buffers final output rows (the task writes them to HDFS)."""
@@ -542,16 +441,9 @@ class FileSinkOperator(MapOperator):
         super().__init__(None)
         self._context = context
 
-    def process(self, row: Row) -> None:
-        self._context.rows_emitted += 1
-        self._context.output_rows.append(row)
-
     def process_rows(self, rows: Rows) -> None:
         self._context.rows_emitted += len(rows)
         self._context.output_rows.extend(rows)
-
-    def close(self) -> None:
-        pass
 
 
 def build_pipeline(

@@ -1,10 +1,12 @@
 """Reduce-side logics: aggregate finalization, reduce-side join, sort.
 
 A reduce task receives groups of ``(key, [values])`` where each value is
-``(tag, field, field, ...)``; the logic transforms a group into output
-rows and pushes them into a downstream map-operator pipeline (having
-filters, projections, limits, file sink) — mirroring Hive's reduce-side
-operator tree rooted at a GroupBy/Join operator.
+``(tag, field, field, ...)``; the logic turns each group into output
+rows, collected in group order in :attr:`ReduceLogic.rows`.
+:class:`~repro.exec.mapper.ExecReducer` owns what happens next: the
+task's tail pipeline (having filters, projections, limits, file sink)
+sees those rows once, at close — mirroring Hive's reduce-side operator
+tree rooted at a GroupBy/Join operator.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.common.errors import ExecutionError
 from repro.common.kv import KeyValue
 from repro.common.rows import compare_values
-from repro.exec.operators import MapOperator
 
 Row = Tuple[object, ...]
 Value = Tuple[object, ...]  # (tag, *fields)
@@ -67,20 +68,17 @@ ReduceLogicDesc = object
 # ---------------------------------------------------------------------------
 
 class ReduceLogic:
-    def __init__(self, desc: ReduceLogicDesc, downstream: MapOperator):
+    def __init__(self, desc: ReduceLogicDesc):
         self.desc = desc
-        self.downstream = downstream
+        self.rows: List[Row] = []  # every group's output, in group order
 
     def reduce(self, key: Row, values: Sequence[Value]) -> None:
         raise NotImplementedError
 
-    def close(self) -> None:
-        self.downstream.close()
-
 
 class AggregateReduceLogic(ReduceLogic):
-    def __init__(self, desc: ReduceAggregateDesc, downstream: MapOperator):
-        super().__init__(desc, downstream)
+    def __init__(self, desc: ReduceAggregateDesc):
+        super().__init__(desc)
         if desc.inputs_are_partials and len(desc.partial_arities) != len(desc.aggregates):
             raise ExecutionError("partial_arities must match aggregates")
 
@@ -107,7 +105,7 @@ class AggregateReduceLogic(ReduceLogic):
             aggregate.result(accumulator)
             for aggregate, accumulator in zip(desc.aggregates, accumulators)
         )
-        self.downstream.process(tuple(key) + results)
+        self.rows.append(tuple(key) + results)
 
 
 class JoinReduceLogic(ReduceLogic):
@@ -121,34 +119,35 @@ class JoinReduceLogic(ReduceLogic):
         right_rows = [value[1:] for value in values if value[0] != 0]
         if right_rows:
             left_rows = [value[1:] for value in values if value[0] == 0]
-            batch = [left + right for left in left_rows for right in right_rows]
-            self.downstream.process_rows(batch)
+            self.rows.extend(
+                [left + right for left in left_rows for right in right_rows]
+            )
         elif desc.join_type == "left":
             nulls = (None,) * desc.right_width
-            self.downstream.process_rows(
+            self.rows.extend(
                 [value[1:] + nulls for value in values if value[0] == 0]
             )
 
 
 class SortReduceLogic(ReduceLogic):
     def reduce(self, key: Row, values: Sequence[Value]) -> None:
-        self.downstream.process_rows([value[1:] for value in values])
+        self.rows.extend([value[1:] for value in values])
 
 
 class DistinctReduceLogic(ReduceLogic):
     def reduce(self, key: Row, values: Sequence[Value]) -> None:
-        self.downstream.process(tuple(key))
+        self.rows.append(tuple(key))
 
 
-def build_reduce_logic(desc: ReduceLogicDesc, downstream: MapOperator) -> ReduceLogic:
+def build_reduce_logic(desc: ReduceLogicDesc) -> ReduceLogic:
     if isinstance(desc, ReduceAggregateDesc):
-        return AggregateReduceLogic(desc, downstream)
+        return AggregateReduceLogic(desc)
     if isinstance(desc, ReduceJoinDesc):
-        return JoinReduceLogic(desc, downstream)
+        return JoinReduceLogic(desc)
     if isinstance(desc, ReduceSortDesc):
-        return SortReduceLogic(desc, downstream)
+        return SortReduceLogic(desc)
     if isinstance(desc, ReduceDistinctDesc):
-        return DistinctReduceLogic(desc, downstream)
+        return DistinctReduceLogic(desc)
     raise ExecutionError(f"unknown reduce logic {type(desc).__name__}")
 
 

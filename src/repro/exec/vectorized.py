@@ -1,24 +1,29 @@
-"""Vectorized map-side operators over :class:`~repro.common.rows.ColumnBatch`.
+"""Column-kernel operators over :class:`~repro.common.rows.ColumnBatch`.
 
-The second execution mode of the map pipeline (``repro.exec.vectorized``,
-default on): instead of pushing one list of row tuples per operator hop,
-each operator runs a codegen'd whole-column loop (see the
-``codegen_*_kernel`` family in :mod:`repro.exec.expressions`) against a
-column batch.  Filters narrow the batch's *selection vector* rather than
-copying data; rows materialize back into tuples only at the serde/shuffle
-boundary (ReduceSink) and at FileSink — Hive's VectorizedRowBatch design.
+The one execution path of every engine task — map chains, broadcast
+(map-join build) chains and reduce tails alike.  Each operator runs a
+codegen'd whole-column loop (the ``codegen_*_kernel`` family in
+:mod:`repro.exec.expressions`) against a column batch.  Filters narrow
+the batch's *selection vector* rather than copying data; rows
+materialize back into tuples only at the serde/shuffle boundary
+(ReduceSink) and at FileSink — Hive's VectorizedRowBatch design.
 
-The mode is all-or-nothing per task: :func:`build_vector_pipeline` returns
-``None`` when any descriptor or expression falls outside the kernel
-subset, and :class:`~repro.exec.mapper.ExecMapper` then runs the row
-pipeline, which remains the ground truth.  Both modes are byte-identical:
-same rows in the same order, same shuffle pair sizes, same simulated
-seconds (the engines charge bytes, not Python frames).
+:func:`build_vector_pipeline` is total over the planner's descriptors:
+there is no second mode to fall back to.  The row operators of
+:mod:`repro.exec.operators` share no evaluation logic with this module;
+they run only under the reference executor (``engines/local.py``),
+which every engine is checked against — same rows in the same order,
+same shuffle pair sizes.
+
+Compiled artifacts are owned, not cached globally: a kernel lives on the
+descriptor it was compiled from (so it dies with the cached plan), and a
+map-join hash table lives on the job run's :class:`BroadcastTable` (so
+it dies with the job).  This module keeps no module-level state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.common.rows import ColumnBatch
@@ -29,7 +34,6 @@ from repro.exec.expressions import (
     codegen_keys_kernel,
     codegen_project_kernel,
     codegen_sink_kernel,
-    compile_many,
 )
 from repro.exec.operators import (
     FileSinkDesc,
@@ -45,25 +49,42 @@ from repro.exec.operators import (
 Row = Tuple[object, ...]
 
 
-class VectorizationUnsupported(Exception):
-    """Raised while building a vector pipeline for an unsupported plan."""
+def _kernel_of(desc, build: Callable):
+    """``build()``, compiled once and kept on the descriptor *desc* itself.
+
+    Descriptors are plain dataclass instances inside the driver's cached
+    plans, so every task of every run re-sees the same objects; the
+    instance attribute is not a dataclass field (``==``/``repr`` ignore
+    it) and is collected with the plan.
+    """
+    attributes = vars(desc)
+    kernel = attributes.get("_kernel")
+    if kernel is None:
+        kernel = attributes["_kernel"] = build()
+    return kernel
 
 
-#: Compile-once cache for pure per-descriptor artifacts (kernels, map-join
-#: hash tables).  Descriptors live inside the driver's cached plans, so
-#: every task of every run re-sees the same objects; pinning the anchor
-#: objects in the value keeps their id()s from being recycled by the GC.
-_KERNEL_CACHE: Dict[tuple, tuple] = {}
+class BroadcastTable(list):
+    """The rows of one loaded broadcast table, plus the map-join hash
+    tables built over them (keyed by build-key kernel).  A hash table is
+    read-only after its build, so every task of the job run — they share
+    this object — probes one copy, and it is freed with the job."""
 
+    def __init__(self, rows=()):
+        super().__init__(rows)
+        self.hash_tables: Dict[Callable, Dict[Row, List[Row]]] = {}
 
-def _cached(kind: str, anchors: tuple, build):
-    key = (kind,) + tuple(id(anchor) for anchor in anchors)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[0], anchors)):
-        return hit[1]
-    value = build()
-    _KERNEL_CACHE[key] = (anchors, value)
-    return value
+    def hash_table(self, build_keys: Callable) -> Dict[Row, List[Row]]:
+        """``key -> [rows]`` under the *build_keys* kernel, built once."""
+        table = self.hash_tables.get(build_keys)
+        if table is None:
+            table = self.hash_tables[build_keys] = {}
+            if self:
+                keys = build_keys(list(zip(*self)), range(len(self)))
+                for key, row in zip(keys, self):
+                    if key is not None:  # NULL never matches an equi-join key
+                        table.setdefault(key, []).append(row)
+        return table
 
 
 def _live(batch: ColumnBatch):
@@ -88,11 +109,9 @@ class VectorFilterOperator(VectorOperator):
 
     def __init__(self, desc: FilterDesc, child: VectorOperator):
         super().__init__(child)
-        self._kernel = _cached(
-            "filter", (desc,), lambda: codegen_filter_kernel(desc.predicate)
+        self._kernel = _kernel_of(
+            desc, lambda: codegen_filter_kernel(desc.predicate)
         )
-        if self._kernel is None:
-            raise VectorizationUnsupported("filter predicate")
 
     def process_batch(self, batch: ColumnBatch) -> None:
         sel = self._kernel(batch.columns, _live(batch))
@@ -107,21 +126,16 @@ class VectorSelectOperator(VectorOperator):
 
     def __init__(self, desc: SelectDesc, child: VectorOperator):
         super().__init__(child)
-        if desc.expressions and all(
-            type(expression) is InputRef for expression in desc.expressions
-        ):
+        if all(type(expression) is InputRef for expression in desc.expressions):
             self._indices: Optional[List[int]] = [
                 expression.index for expression in desc.expressions
             ]
             self._kernel = None
         else:
             self._indices = None
-            self._kernel = _cached(
-                "project", (desc,),
-                lambda: codegen_project_kernel(desc.expressions),
+            self._kernel = _kernel_of(
+                desc, lambda: codegen_project_kernel(desc.expressions)
             )
-            if self._kernel is None or not desc.expressions:
-                raise VectorizationUnsupported("projection list")
 
     def process_batch(self, batch: ColumnBatch) -> None:
         if self._indices is not None:
@@ -135,20 +149,17 @@ class VectorSelectOperator(VectorOperator):
 class VectorMapGroupByOperator(VectorOperator):
     """Map-side partial aggregation: the whole inner loop (key build,
     hash probe, pressure flush, accumulator updates) is one generated
-    frame sharing its accumulation statements with the row path."""
+    frame."""
 
     def __init__(self, desc: MapGroupByDesc, child: VectorOperator):
         super().__init__(child)
-        fused = _cached(
-            "group", (desc,),
+        self._kernel, self._initial, self._scalar_key = _kernel_of(
+            desc,
             lambda: codegen_group_kernel(
                 desc.key_expressions, desc.aggregates,
                 desc.max_groups_in_memory,
             ),
         )
-        if fused is None:
-            raise VectorizationUnsupported("group-by aggregates")
-        self._kernel, self._initial, self._scalar_key = fused
         self._table: Dict[object, list] = {}
         self.flushes = 0
 
@@ -188,12 +199,13 @@ class VectorMapJoinOperator(VectorOperator):
     def __init__(self, desc: MapJoinDesc, child: VectorOperator,
                  context: OperatorContext):
         super().__init__(child)
-        self._probe_keys = _cached(
-            "probe-keys", (desc,),
-            lambda: codegen_keys_kernel(desc.probe_key_expressions),
+        self._probe_keys, build_keys = _kernel_of(
+            desc,
+            lambda: (
+                codegen_keys_kernel(desc.probe_key_expressions),
+                codegen_keys_kernel(desc.build_key_expressions),
+            ),
         )
-        if self._probe_keys is None:
-            raise VectorizationUnsupported("map-join probe keys")
         self._left_join = desc.join_type == "left"
         self._null_pad = (None,) * desc.small_width
         self._swap = desc.swap_output
@@ -203,23 +215,9 @@ class VectorMapJoinOperator(VectorOperator):
             raise ExecutionError(
                 f"map-join small table not loaded: {desc.small_location}"
             ) from None
-        # the hash table is read-only after the build, so every task of
-        # the job (they share the broadcast row list) reuses one build
-        self._hash: Dict[Row, List[Row]] = _cached(
-            "mapjoin-hash", (desc, small_rows),
-            lambda: self._build_hash(desc, small_rows),
-        )
-
-    @staticmethod
-    def _build_hash(desc: MapJoinDesc, small_rows) -> Dict[Row, List[Row]]:
-        build_key = compile_many(desc.build_key_expressions)
-        table: Dict[Row, List[Row]] = {}
-        for row in small_rows:
-            key = build_key(row)
-            if any(part is None for part in key):
-                continue  # NULL never matches an equi-join key
-            table.setdefault(key, []).append(row)
-        return table
+        if not isinstance(small_rows, BroadcastTable):
+            small_rows = BroadcastTable(small_rows)  # caller-supplied list
+        self._hash = small_rows.hash_table(build_keys)
 
     def process_batch(self, batch: ColumnBatch) -> None:
         keys = self._probe_keys(batch.columns, _live(batch))
@@ -268,19 +266,17 @@ class VectorLimitOperator(VectorOperator):
 class VectorReduceSinkOperator(VectorOperator):
     """Terminal: the fused sink kernel encodes each key once (the bytes
     drive both the partition hash and the wire size), pre-warms the pair
-    size memo and feeds the engine's collector — identical pair stream
-    to the row path's ``ReduceSinkOperator.process_rows``."""
+    size memo and feeds the engine's collector — the pair stream the
+    reference ``ReduceSinkOperator`` produces."""
 
     def __init__(self, desc: ReduceSinkDesc, context: OperatorContext):
         super().__init__(None)
-        self._kernel = _cached(
-            "sink", (desc,),
+        self._kernel = _kernel_of(
+            desc,
             lambda: codegen_sink_kernel(
                 desc.key_expressions, desc.value_expressions, desc.tag
             ),
         )
-        if self._kernel is None:
-            raise VectorizationUnsupported("reduce-sink key/value")
         self._context = context
 
     def process_batch(self, batch: ColumnBatch) -> None:
@@ -317,36 +313,28 @@ class VectorFileSinkOperator(VectorOperator):
 
 def build_vector_pipeline(
     descriptors: List[object], context: OperatorContext
-) -> Optional[VectorOperator]:
-    """Instantiate a vector pipeline from descriptors (sink must be last).
-
-    Returns ``None`` when the plan cannot be fully vectorized — the task
-    then runs the row pipeline instead (all-or-nothing per task, so the
-    two modes never mix within one operator chain).
-    """
+) -> VectorOperator:
+    """Instantiate a vector pipeline from descriptors (sink must be last)."""
     if not descriptors:
-        return None
-    try:
-        tail = descriptors[-1]
-        if isinstance(tail, ReduceSinkDesc):
-            operator: VectorOperator = VectorReduceSinkOperator(tail, context)
-        elif isinstance(tail, FileSinkDesc):
-            operator = VectorFileSinkOperator(tail, context)
+        raise ExecutionError("empty operator pipeline")
+    tail = descriptors[-1]
+    if isinstance(tail, ReduceSinkDesc):
+        operator: VectorOperator = VectorReduceSinkOperator(tail, context)
+    elif isinstance(tail, FileSinkDesc):
+        operator = VectorFileSinkOperator(tail, context)
+    else:
+        raise ExecutionError(f"pipeline must end in a sink, got {type(tail).__name__}")
+    for descriptor in reversed(descriptors[:-1]):
+        if isinstance(descriptor, FilterDesc):
+            operator = VectorFilterOperator(descriptor, operator)
+        elif isinstance(descriptor, SelectDesc):
+            operator = VectorSelectOperator(descriptor, operator)
+        elif isinstance(descriptor, MapGroupByDesc):
+            operator = VectorMapGroupByOperator(descriptor, operator)
+        elif isinstance(descriptor, MapJoinDesc):
+            operator = VectorMapJoinOperator(descriptor, operator, context)
+        elif isinstance(descriptor, LimitDesc):
+            operator = VectorLimitOperator(descriptor, operator)
         else:
-            return None
-        for descriptor in reversed(descriptors[:-1]):
-            if isinstance(descriptor, FilterDesc):
-                operator = VectorFilterOperator(descriptor, operator)
-            elif isinstance(descriptor, SelectDesc):
-                operator = VectorSelectOperator(descriptor, operator)
-            elif isinstance(descriptor, MapGroupByDesc):
-                operator = VectorMapGroupByOperator(descriptor, operator)
-            elif isinstance(descriptor, MapJoinDesc):
-                operator = VectorMapJoinOperator(descriptor, operator, context)
-            elif isinstance(descriptor, LimitDesc):
-                operator = VectorLimitOperator(descriptor, operator)
-            else:
-                return None
-    except VectorizationUnsupported:
-        return None
+            raise ExecutionError(f"unknown operator descriptor {type(descriptor).__name__}")
     return operator

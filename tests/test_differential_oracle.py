@@ -2,20 +2,22 @@
 
 All 22 TPC-H queries run solo on the reference (local) executor to
 produce oracle rows, then are submitted *concurrently* in batches to a
-shared simulated cluster — for each engine (hadoop, datampi, llap) in
-both row-at-a-time and vectorized execution modes.  Every query's rows under
+shared simulated cluster — for each engine (hadoop, datampi, llap).  The
+oracle runs the row operators with closure-compiled expressions, the
+engines run the generated column kernels, so this is also the 22-query
+check of one evaluator against the other.  Every query's rows under
 concurrency must match its solo oracle exactly: scheduling may reorder
 work in time, never change answers.
 
-The warehouse is tiny (SF-1, small lineitem sample) so the whole
-16-configuration sweep stays in the tier-1 budget.
+The warehouse is tiny (SF-1, small lineitem sample) so the sweep stays
+in the tier-1 budget.
 """
 
 import pytest
 
 from repro import connect
 from repro.bench import fresh_tpch
-from repro.common.config import EXEC_VECTORIZED, SCHED_POLICY
+from repro.common.config import SCHED_POLICY
 from repro.engines.base import compare_result_rows
 from repro.workloads.tpch import TPCH_QUERY_IDS, tpch_query
 
@@ -23,7 +25,6 @@ SF = 1
 LINEITEM_SAMPLE = 800
 BATCH_SIZE = 8
 ENGINES = ("hadoop", "datampi", "llap")
-MODES = (False, True)  # row-at-a-time, vectorized
 
 
 def batches(items, size):
@@ -51,11 +52,13 @@ def oracle(store):
     return rows
 
 
-@pytest.mark.parametrize("vectorized", MODES, ids=["row", "vectorized"])
-@pytest.mark.parametrize("engine", ENGINES)
-def test_concurrent_tpch_matches_local_oracle(store, oracle, engine, vectorized):
+# ids keep the suffix they had beside the retired ``-row`` cells
+@pytest.mark.parametrize(
+    "engine", ENGINES, ids=[f"{engine}-vectorized" for engine in ENGINES]
+)
+def test_concurrent_tpch_matches_local_oracle(store, oracle, engine):
     hdfs, metastore = store
-    conf = {SCHED_POLICY: "fair", EXEC_VECTORIZED: vectorized}
+    conf = {SCHED_POLICY: "fair"}
     with connect(engine=engine, hdfs=hdfs, metastore=metastore,
                  conf=conf) as session:
         for batch in batches(list(TPCH_QUERY_IDS), BATCH_SIZE):
@@ -67,9 +70,8 @@ def test_concurrent_tpch_matches_local_oracle(store, oracle, engine, vectorized)
             for query, handle in handles:
                 rows = handle.result().rows
                 assert compare_result_rows(oracle[query], rows, ordered=True), (
-                    f"Q{query} on {engine}"
-                    f"{'/vectorized' if vectorized else ''} diverged from "
-                    "the local oracle under concurrent scheduling"
+                    f"Q{query} on {engine} diverged from the local oracle "
+                    "under concurrent scheduling"
                 )
         ledger = session.scheduler.runtime.leases.ledger
         assert ledger.oversubscribed_pools() == []

@@ -53,12 +53,11 @@ def group_by_split():
     return expand_job_splits(plan.jobs[0], hdfs)[0]
 
 
-@pytest.mark.parametrize("vectorized", [False, True], ids=["row", "vectorized"])
-def test_map_compute_records_once_per_batch(group_by_split, vectorized):
+def test_map_compute_records_once_per_batch(group_by_split):
     collector = MapOutputCollector(3)
     compute = run_map_compute(
         group_by_split, collector, num_partitions=3, small_tables=None,
-        vectorized=vectorized, map_only=False,
+        map_only=False,
         batching=(group_by_split.logical_bytes / MB / 4, 1),
         record=lambda: collector.total_bytes,
     )
@@ -76,12 +75,12 @@ def test_map_compute_without_batching_is_one_batch(group_by_split):
     batched = MapOutputCollector(3)
     run_map_compute(
         group_by_split, batched, num_partitions=3, small_tables=None,
-        vectorized=True, map_only=False, batching=(1.0, 1),
+        map_only=False, batching=(1.0, 1),
     )
     whole = MapOutputCollector(3)
     compute = run_map_compute(
         group_by_split, whole, num_partitions=3, small_tables=None,
-        vectorized=True, map_only=False,
+        map_only=False,
     )
     assert compute.records == [(compute.bytes_to_read, None)]
     assert whole.partitions == batched.partitions

@@ -1,10 +1,25 @@
 """Tests for bound-expression compilation (NULL logic, operators)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.rows import DataType
+from repro.common.errors import ExecutionError
+from repro.common.rows import ColumnBatch, DataType
 from repro.exec import expressions as bexpr
-from repro.exec.expressions import Const, InputRef, compile_many, stable_hash
+from repro.exec.expressions import (
+    Const,
+    InputRef,
+    codegen_filter_kernel,
+    codegen_group_kernel,
+    codegen_keys_kernel,
+    codegen_project_kernel,
+    compile_many,
+    stable_hash,
+)
+from repro.exec.mapper import ExecMapper
+from repro.exec.operators import FileSinkDesc, MapGroupByDesc
+from repro.sql.functions import AGGREGATES, get_scalar
 
 
 def ref(index, dtype=DataType.BIGINT):
@@ -156,8 +171,8 @@ class TestStableHash:
 
 
 class TestCodegenEquivalence:
-    """The generated straight-line evaluators must agree with the closure
-    compiler — the ground truth — on both values and types, including the
+    """The generated column kernels must agree with the closure compiler
+    — the reference — on both values and types, including the
     three-valued-logic corners and short-circuit laziness."""
 
     ROWS = [
@@ -179,11 +194,25 @@ class TestCodegenEquivalence:
         arith = [
             bexpr.Arithmetic(op, a, b) for op in ("+", "-", "*", "/", "%")
         ]
+        text = ref(2, DataType.STRING)
         leaves = comparisons + arith + [
-            bexpr.InSet(operand=ref(2), values=frozenset({"a", "bb"})),
-            bexpr.InSet(operand=ref(2), values=frozenset({"a"}), negated=True),
+            bexpr.InSet(operand=text, values=frozenset({"a", "bb"})),
+            bexpr.InSet(operand=text, values=frozenset({"a"}), negated=True),
             bexpr.IsNullExpr(operand=a),
             bexpr.IsNullExpr(operand=b, negated=True),
+            bexpr.LikeExpr(operand=text, pattern="%b"),
+            bexpr.LikeExpr(operand=text, pattern="_", negated=True),
+            bexpr.CastExpr(operand=text, dtype=DataType.INT),
+            bexpr.CastExpr(operand=a, dtype=DataType.STRING),
+            bexpr.ScalarCall(function=get_scalar("upper"), args=[text]),
+            bexpr.ScalarCall(function=get_scalar("substr"),
+                             args=[text, const(1), const(1)]),
+            bexpr.CaseExpr(
+                branches=[(bexpr.Comparison(">", a, const(3)), const("big")),
+                          (bexpr.IsNullExpr(operand=a), text)],
+                else_value=const("small"),
+            ),
+            bexpr.CaseExpr(branches=[(bexpr.Comparison("<", a, b), b)]),
             const(1),
             const(0),
             Const(None, DataType.BIGINT),
@@ -200,24 +229,39 @@ class TestCodegenEquivalence:
                               bexpr.LogicalNot(operand=y)]
                 ),
             ]
-        return leaves + composites
+        return leaves + composites + [
+            bexpr.LogicalAnd(operands=[]), bexpr.LogicalOr(operands=[]),
+        ]
 
-    def _outcome(self, fn, row):
+    def _outcome(self, fn, *args):
         try:
-            value = fn(row)
+            value = fn(*args)
         except TypeError:
             return ("TypeError",)  # e.g. None < int must fail identically
         return (type(value).__name__, value)
 
-    def test_matches_closure_compiler(self):
-        from repro.exec.expressions import compile_expression
+    def _one_row_batch(self, row):
+        batch = ColumnBatch.from_rows([row])
+        return batch.columns, range(batch.size)
 
+    def test_matches_closure_compiler(self):
         for expression in self._grid():
             closure = expression.compile()
-            generated = compile_expression(expression)
+            project = codegen_project_kernel([expression])
+            keep = codegen_filter_kernel(expression)
             for row in self.ROWS:
-                assert self._outcome(generated, row) == \
-                    self._outcome(closure, row), (expression, row)
+                expected = self._outcome(closure, row)
+                batch = self._one_row_batch(row)
+                assert self._outcome(
+                    lambda cols, sel: project(cols, sel)[0][0], *batch
+                ) == expected, (expression, row)
+                # a filter keeps a row only when the predicate is TRUE
+                kept = self._outcome(keep, *batch)
+                if expected == ("TypeError",):
+                    assert kept == expected, (expression, row)
+                else:
+                    assert kept == ("list", [0] if expected[1] is True else []), \
+                        (expression, row)
 
     def test_compile_many_matches_per_expression(self):
         expressions = [
@@ -229,89 +273,109 @@ class TestCodegenEquivalence:
             ),
         ]
         project = compile_many(expressions)
+        kernel = codegen_project_kernel(expressions)
         singles = [e.compile() for e in expressions]
         for row in self.ROWS:
             expected = tuple(self._outcome(fn, row) for fn in singles)
+            batch = self._one_row_batch(row)
             if ("TypeError",) in expected:
                 with pytest.raises(TypeError):
                     project(row)
+                with pytest.raises(TypeError):
+                    kernel(*batch)
             else:
-                got = project(row)
-                assert tuple(
-                    (type(v).__name__, v) for v in got
-                ) == expected, row
+                for got in (project(row),
+                            tuple(column[0] for column in kernel(*batch))):
+                    assert tuple(
+                        (type(v).__name__, v) for v in got
+                    ) == expected, row
 
-    def test_unsupported_nodes_fall_back(self):
-        from repro.exec.expressions import compile_expression
+    def test_unknown_node_has_no_kernel(self):
+        class Exotic(bexpr.BoundExpression):
+            pass
 
-        expr = bexpr.CaseExpr(
-            branches=[(bexpr.Comparison(">", ref(0), const(3)), const("big"))],
-            else_value=const("small"),
-        )
-        fn = compile_expression(expr)
-        assert fn((5,)) == "big"
-        assert fn((1,)) == "small"
+        for build in (codegen_filter_kernel,
+                      lambda e: codegen_project_kernel([ref(0), e]),
+                      lambda e: codegen_keys_kernel([e])):
+            with pytest.raises(ExecutionError, match="Exotic"):
+                build(bexpr.LogicalNot(operand=Exotic()))
+
+
+def _group_by(batches, key_exprs, aggregates, max_groups, vectorized):
+    """Map-side GROUP BY partial rows: through the generated group kernel
+    (*vectorized*), or through the reference operator's generic
+    ``create -> update* -> partial`` loop."""
+    mapper = ExecMapper(
+        [MapGroupByDesc(key_exprs, aggregates, max_groups), FileSinkDesc()],
+        None, 1, vectorized=vectorized,
+    )
+    for rows in batches:
+        mapper.process_batch(rows)
+    return mapper.close().output_rows
+
+
+# columns: int key, string key, mixed int/float measure, string measure
+_GROUP_ROW = st.tuples(
+    st.sampled_from([0, 1, 2, None]),
+    st.sampled_from(["a", "b", None]),
+    st.one_of(st.none(), st.integers(-5, 5),
+              st.floats(-4.0, 4.0, allow_nan=False)),
+    st.one_of(st.none(), st.text("xyz", max_size=2)),
+)
+_GROUP_AGGREGATES = st.lists(
+    st.sampled_from([
+        ("count", None), ("count", 2), ("count", 3), ("sum", 2), ("avg", 2),
+        ("min", 2), ("max", 2), ("min", 3), ("max", 3),
+    ]),
+    min_size=0, max_size=4,
+)
 
 
 class TestFusedGroupUpdate:
-    """codegen_group_update must replay exactly what the per-aggregate
-    create/update/partial protocol produces."""
+    """The generated group kernel must replay exactly what the
+    per-aggregate create/update/partial protocol produces."""
 
     ROWS = [(3, 1.5), (None, 2.0), (4, None), (0, -1.0), (7, 3.5)]
 
-    def _generic(self, aggregates, arg_fns, rows):
-        accs = [agg.create() for agg, _arg in aggregates]
-        for row in rows:
-            for i, (agg, _arg) in enumerate(aggregates):
-                accs[i] = agg.update(accs[i], arg_fns[i](row))
-        out = ()
-        for (agg, _arg), acc in zip(aggregates, accs):
-            out += tuple(agg.partial(acc))
-        return out
+    def _check(self, batches, key_columns, specs, max_groups):
+        key_exprs = [ref(column) for column in key_columns]
+        aggregates = [
+            (AGGREGATES[name], None if column is None else ref(column))
+            for name, column in specs
+        ]
+        expected, got = (
+            _group_by(batches, key_exprs, aggregates, max_groups, vectorized)
+            for vectorized in (False, True)
+        )
+        # repr: identical values *and* types (1 vs 1.0), in identical order
+        assert repr(got) == repr(expected)
+        return got
 
     def test_count_sum_avg_fused(self):
-        from repro.exec.expressions import codegen_group_update
-        from repro.sql.functions import (
-            AvgAggregate,
-            CountAggregate,
-            SumAggregate,
-        )
-
-        aggregates = [
-            (CountAggregate(), None),  # COUNT(*)
-            (CountAggregate(), ref(0)),
-            (SumAggregate(), ref(0)),
-            (SumAggregate(), ref(1)),
-            (AvgAggregate(), ref(1)),
+        specs = [("count", None), ("count", 0), ("sum", 0), ("sum", 1),
+                 ("avg", 1), ("min", 0), ("max", 1)]
+        assert self._check([self.ROWS], [], specs, 10) == [
+            (5, 4, 14, 6.0, 6.0, 4, 0, 3.5)
         ]
-        fused = codegen_group_update(aggregates)
-        assert fused is not None
-        update, initial = fused
-        acc = initial[:]
-        for row in self.ROWS:
-            update(row, acc)
-
-        arg_fns = [
-            (arg.compile() if arg is not None else (lambda row: True))
-            for _agg, arg in aggregates
-        ]
-        assert tuple(acc) == self._generic(aggregates, arg_fns, self.ROWS)
 
     def test_sum_of_all_nulls_stays_null(self):
-        from repro.exec.expressions import codegen_group_update
-        from repro.sql.functions import SumAggregate
+        rows = [(None,), (None,)]
+        assert self._check([rows], [], [("sum", 0), ("min", 0), ("max", 0)],
+                           10) == [(None, None, None)]
 
-        update, initial = codegen_group_update([(SumAggregate(), ref(0))])
-        acc = initial[:]
-        for row in [(None,), (None,)]:
-            update(row, acc)
-        assert acc == [None]
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(st.lists(_GROUP_ROW, max_size=12), min_size=1, max_size=3),
+        key_columns=st.sampled_from([[], [0], [1], [0, 1]]),
+        specs=_GROUP_AGGREGATES,
+        max_groups=st.integers(1, 4),
+    )
+    def test_kernel_matches_aggregate_protocol(self, batches, key_columns,
+                                               specs, max_groups):
+        self._check(batches, key_columns, specs, max_groups)
 
-    def test_unsupported_aggregate_returns_none(self):
-        from repro.exec.expressions import codegen_group_update
-        from repro.sql.functions import MinAggregate, SumAggregate
-
-        assert codegen_group_update(
-            [(SumAggregate(), ref(0)), (MinAggregate(), ref(1))]
-        ) is None
-        assert codegen_group_update([]) is None
+    def test_unknown_aggregate_has_no_kernel(self):
+        with pytest.raises(ExecutionError, match="CountDistinctAggregate"):
+            codegen_group_kernel(
+                [], [(AGGREGATES["count_distinct"], ref(0))], 10
+            )

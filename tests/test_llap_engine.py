@@ -6,11 +6,8 @@ determinism, crash invalidation), and the driver result cache
 import gc
 import weakref
 
-import pytest
-
 from repro import connect
 from repro.common.config import (
-    EXEC_VECTORIZED,
     FAULT_SPEC,
     LLAP_CACHE_MB,
     SCHED_POLICY,
@@ -57,14 +54,10 @@ def total_cache(session, field):
 
 
 class TestSoloEquivalence:
-    @pytest.mark.parametrize("vectorized", [False, True],
-                             ids=["row", "vectorized"])
-    def test_orc_queries_match_local(self, vectorized):
+    def test_orc_queries_match_local(self):
         hdfs, metastore = build_orc_warehouse()
-        conf = {EXEC_VECTORIZED: vectorized}
-        llap = connect(engine="llap", hdfs=hdfs, metastore=metastore, conf=conf)
-        local = connect(engine="local", hdfs=hdfs, metastore=metastore,
-                        conf=conf)
+        llap = connect(engine="llap", hdfs=hdfs, metastore=metastore)
+        local = connect(engine="local", hdfs=hdfs, metastore=metastore)
         for sql in QUERIES:
             assert compare_result_rows(
                 local.query(sql).rows, llap.query(sql).rows, ordered=True
@@ -136,7 +129,7 @@ class TestDaemonLifecycle:
     def test_capabilities_surface(self):
         caps = LlapEngine.capabilities
         assert caps.persistent and caps.result_cache and caps.shared_runtime
-        assert caps.vectorized and not caps.speculative
+        assert not caps.speculative and not caps.gang_scheduling
 
 
 # ---------------------------------------------------------------------------

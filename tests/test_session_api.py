@@ -187,9 +187,12 @@ class TestCapabilities:
                     engine_config={"cache_mb": 64})
 
     def test_registered_engine_derives_capabilities_from_class(self):
-        registry.register("mine2", LocalEngine, aliases=("m2",))
+        class Speculating(LocalEngine):
+            capabilities = registry.EngineCapabilities(speculative=True)
+
+        registry.register("mine2", Speculating, aliases=("m2",))
         try:
-            assert registry.capabilities("mine2").vectorized
+            assert registry.capabilities("mine2").speculative
             assert not registry.capabilities("mine2").persistent
         finally:
             registry.unregister("mine2")

@@ -3,8 +3,7 @@
 A Zipf-skewed fact table joins a small dim table with the map-join
 threshold forced down, so the plan is a shuffle join whose hot keys the
 heavy-hitter sketch flags for SharesSkew-style splitting.  Every
-configuration (engine x execution mode x storage format x skew factor)
-must return rows byte-identical to the local oracle — and identical with
+configuration (engine x storage format x skew factor) must return rows byte-identical to the local oracle — and identical with
 skew splitting disabled — while the shape checks assert the split
 actually flattens the per-reducer byte distribution.
 """
@@ -16,7 +15,6 @@ import pytest
 
 from repro import HDFS, Metastore, connect
 from repro.common.config import (
-    EXEC_VECTORIZED,
     HIVE_MAPJOIN_SMALLTABLE_BYTES,
     SKEWJOIN_THRESHOLD,
 )
@@ -26,7 +24,6 @@ from repro.engines.base import compare_result_rows
 NUM_KEYS = 40
 NUM_FACT_ROWS = 1500
 ENGINES = ("hadoop", "datampi", "llap")
-MODES = (False, True)  # row-at-a-time, vectorized
 FORMATS = ("sequence", "orc")
 
 SKEW_SQL = (
@@ -111,17 +108,16 @@ def oracle_rows():
 
 
 class TestSkewJoinOracle:
-    @pytest.mark.parametrize("vectorized", MODES, ids=["row", "vectorized"])
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_rows_identical_with_and_without_split(
-        self, oracle_rows, engine, vectorized
-    ):
+    # ids keep the suffix they had beside the retired ``-row`` cells
+    @pytest.mark.parametrize(
+        "engine", ENGINES, ids=[f"{engine}-vectorized" for engine in ENGINES]
+    )
+    def test_rows_identical_with_and_without_split(self, oracle_rows, engine):
         hdfs, metastore = build_skew_warehouse(alpha=1.2)
-        mode = {EXEC_VECTORIZED: vectorized}
-        with analyzed_session(hdfs, metastore, engine, mode) as on:
+        with analyzed_session(hdfs, metastore, engine) as on:
             rows_on = on.query(SKEW_SQL).rows
         with analyzed_session(hdfs, metastore, engine,
-                              dict(mode, **{SKEWJOIN_THRESHOLD: 0})) as off:
+                              {SKEWJOIN_THRESHOLD: 0}) as off:
             rows_off = off.query(SKEW_SQL).rows
         expected = oracle_rows(1.2, "sequence")
         assert compare_result_rows(expected, rows_on, ordered=True), (

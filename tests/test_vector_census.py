@@ -1,0 +1,92 @@
+"""Census: the column kernels cover every operator list the planner emits.
+
+Production engines run :func:`build_vector_pipeline` with no fallback, so
+it must accept every map-input chain, every broadcast (map-join build)
+chain and every reduce tail of every plan the shipped workloads compile:
+TPC-H 1-22, HiBench AGGREGATE/JOIN, the serving catalog and the
+``test_vectorized`` corpus.  The check is written against plan
+descriptors — the scripts run on the local oracle only so that later
+statements see the tables earlier ones created.
+"""
+
+import pytest
+
+from repro import connect
+from repro.bench import fresh_hibench, fresh_tpch
+from repro.engines.local import LocalEngine
+from repro.exec.operators import FileSinkDesc, ListCollector, OperatorContext
+from repro.exec.vectorized import build_vector_pipeline
+from repro.workloads.hibench import hibench_ddl
+
+from .conftest import shipped_scripts
+from .test_vectorized import _CORPUS, _STORE
+
+SCRIPTS = {
+    name: text for name, text in shipped_scripts().items()
+    if name != "hibench-ddl"
+}
+SCRIPTS.update(
+    (f"corpus-{index}-{table}", template.format(t=table))
+    for index, template in enumerate(_CORPUS) for table in ("f", "fo")
+)
+
+
+def operator_lists(plan):
+    """``(label, descriptors, job)`` for every pipeline a plan makes the
+    engines build."""
+    for job in plan.jobs:
+        for map_input in job.inputs:
+            yield f"{job.job_id} map {map_input.location}", map_input.operators, job
+        for spec in job.broadcasts:
+            chain = list(spec.operators) + [FileSinkDesc()]
+            yield f"{job.job_id} broadcast {spec.location}", chain, job
+        if not job.is_map_only:
+            yield f"{job.job_id} reduce tail", job.reduce_operators, job
+
+
+@pytest.fixture(scope="module")
+def sessions():
+    stores = {
+        "tpch": fresh_tpch(1, lineitem_sample=800),
+        "hibench": fresh_hibench(0.5, sample_uservisits=300),
+        "corpus": _STORE,
+    }
+    opened = {
+        name: connect(engine="local", hdfs=hdfs, metastore=metastore)
+        for name, (hdfs, metastore) in stores.items()
+    }
+    opened["hibench"].execute(hibench_ddl())
+    opened["serving"] = opened["hibench"]  # the catalog reads hivebench tables
+    return opened
+
+
+@pytest.fixture()
+def compiled_plans(monkeypatch):
+    """Every plan handed to the local engine while the test runs."""
+    plans = []
+    run_plan = LocalEngine.run_plan
+
+    def spy(self, plan, *args, **kwargs):
+        plans.append(plan)
+        return run_plan(self, plan, *args, **kwargs)
+
+    monkeypatch.setattr(LocalEngine, "run_plan", spy)
+    return plans
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_every_compiled_pipeline_vectorizes(sessions, compiled_plans, name):
+    sessions[name.split("-")[0]].execute(SCRIPTS[name])
+    assert compiled_plans, f"{name} compiled no plan"
+    checked = 0
+    for plan in compiled_plans:
+        for label, descriptors, job in operator_lists(plan):
+            context = OperatorContext(
+                collector=ListCollector(),
+                small_tables={spec.location: [] for spec in job.broadcasts},
+            )
+            assert build_vector_pipeline(descriptors, context) is not None, (
+                f"{name}: {label} has no vector pipeline: {descriptors}"
+            )
+            checked += 1
+    assert checked >= len(compiled_plans)

@@ -1,30 +1,60 @@
-"""Vectorized execution: dual-mode equivalence and ColumnBatch semantics.
+"""Column-kernel execution: engine-vs-oracle equivalence, ColumnBatch
+semantics and kernel ownership.
 
-The vectorized map pipeline (``repro.exec.vectorized``) must be
-indistinguishable from the row pipeline: same rows in the same order on
-every engine, same shuffle pair sizes.  The first half of this module
-replays a query corpus (plus a hypothesis-generated stream) through both
-modes and asserts identical results; the second half unit-tests the
-selection-vector contract of :class:`~repro.common.rows.ColumnBatch`
-(nulls, empty batches, batch-boundary LIMIT, zero-copy windows) and the
-byte accounting of the fused sink kernel.
+The engines run the column-kernel pipeline (:mod:`repro.exec.vectorized`)
+and nothing else; the ``local`` oracle runs the row operators with
+closure-compiled expressions.  The two share no evaluation logic and must
+be indistinguishable: same rows in the same order, same shuffle pair
+sizes.  The first half of this module replays a query corpus (plus a
+hypothesis-generated stream) on both and asserts identical results; the
+second half unit-tests the selection-vector contract of
+:class:`~repro.common.rows.ColumnBatch` (nulls, empty batches,
+batch-boundary LIMIT, zero-copy windows), the byte accounting of the
+fused sink kernel, and the lifetime of compiled kernels and map-join
+hash tables.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.engines.base as engine_base
+import repro.exec.vectorized as vectorized_module
 from repro import HDFS, Metastore, connect
+from repro.bench import fresh_tpch
 from repro.common.errors import ExecutionError
 from repro.common.kv import KeyValue
-from repro.common.rows import ColumnBatch, Schema
+from repro.common.rows import ColumnBatch, DataType, Schema
 from repro.engines.base import compare_result_rows
-from repro.exec.expressions import InputRef, codegen_sink_kernel
-from repro.exec.operators import LimitDesc
-from repro.exec.vectorized import VectorLimitOperator, build_vector_pipeline
+from repro.exec.expressions import (
+    Arithmetic,
+    Comparison,
+    Const,
+    InputRef,
+    codegen_project_kernel,
+    codegen_sink_kernel,
+)
+from repro.exec.mapper import ExecMapper, ExecReducer
+from repro.exec.operators import (
+    FileSinkDesc,
+    FilterDesc,
+    LimitDesc,
+    MapJoinDesc,
+    OperatorContext,
+    SelectDesc,
+)
+from repro.exec.reduce import ReduceJoinDesc, ReduceSortDesc
+from repro.exec.vectorized import (
+    BroadcastTable,
+    VectorLimitOperator,
+    build_vector_pipeline,
+)
+from repro.workloads.tpch import tpch_query
 
 SCHEMA = Schema.parse("k int, grp string, val double, flag boolean")
 DIM_SCHEMA = Schema.parse("grp string, weight int")
@@ -88,13 +118,10 @@ _CORPUS = [
 ]
 
 
-def _run(engine, sql, vectorized):
+def _run(engine, sql):
     hdfs, metastore = _STORE
-    session = connect(
-        engine=engine, hdfs=hdfs, metastore=metastore,
-        conf={"repro.exec.vectorized": "true" if vectorized else "false"},
-    )
-    return session.query(sql).rows
+    with connect(engine=engine, hdfs=hdfs, metastore=metastore) as session:
+        return session.query(sql).rows
 
 
 @pytest.mark.parametrize("engine", ["hadoop", "datampi"])
@@ -102,11 +129,11 @@ def _run(engine, sql, vectorized):
 def test_corpus_modes_agree(engine, table):
     for template in _CORPUS:
         sql = template.format(t=table)
-        expected = _run(engine, sql, vectorized=False)
-        actual = _run(engine, sql, vectorized=True)
+        expected = _run("local", sql)
+        actual = _run(engine, sql)
         assert compare_result_rows(expected, actual, ordered=True), (
-            f"{engine}/{table} modes disagree on: {sql}\n"
-            f"row-mode {expected[:5]}... vector-mode {actual[:5]}..."
+            f"{engine}/{table} disagrees with the oracle on: {sql}\n"
+            f"local {expected[:5]}... {engine} {actual[:5]}..."
         )
 
 
@@ -158,11 +185,11 @@ def queries(draw):
 )
 @given(sql=queries())
 def test_fuzz_modes_agree(sql):
-    expected = _run("datampi", sql, vectorized=False)
-    actual = _run("datampi", sql, vectorized=True)
+    expected = _run("local", sql)
+    actual = _run("datampi", sql)
     assert compare_result_rows(expected, actual, ordered=True), (
-        f"modes disagree on: {sql}\nrow-mode {expected[:5]}... "
-        f"vector-mode {actual[:5]}..."
+        f"datampi disagrees with the oracle on: {sql}\n"
+        f"local {expected[:5]}... datampi {actual[:5]}..."
     )
 
 
@@ -259,8 +286,13 @@ def test_window_slice_contract_violations():
 
 
 def test_build_vector_pipeline_rejects_unknown_plans():
-    assert build_vector_pipeline([], None) is None
-    assert build_vector_pipeline([LimitDesc(limit=1)], None) is None
+    context = OperatorContext()
+    with pytest.raises(ExecutionError, match="empty"):
+        build_vector_pipeline([], context)
+    with pytest.raises(ExecutionError, match="must end in a sink.*LimitDesc"):
+        build_vector_pipeline([LimitDesc(limit=1)], context)
+    with pytest.raises(ExecutionError, match="unknown operator.*ReduceSortDesc"):
+        build_vector_pipeline([ReduceSortDesc(), FileSinkDesc()], context)
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +337,154 @@ def test_sink_kernel_sizes_match_serde():
     assert histogram == Counter(
         KeyValue(row[:2], (0,) + row[2:]).serialized_size() for row in rows
     )
+
+
+# ---------------------------------------------------------------------------
+# zero-width batches, empty projections
+# ---------------------------------------------------------------------------
+
+def test_zero_width_batch_keeps_its_row_count():
+    assert ColumnBatch([], 3).to_rows() == [(), (), ()]
+    assert ColumnBatch([], 3, [0, 2]).to_rows() == [(), ()]
+    assert ColumnBatch([], 0).to_rows() == []
+
+
+def test_empty_projection_is_supported():
+    kernel = codegen_project_kernel([])
+    assert kernel([[1, 2, 3]], range(3)) == []
+    rows = [(1,), (2,), (3,)]
+    outputs = []
+    for vectorized in (False, True):
+        mapper = ExecMapper(
+            [SelectDesc([]), FileSinkDesc()], None, 1, vectorized=vectorized
+        )
+        mapper.process_batch(rows)
+        outputs.append(mapper.close().output_rows)
+    assert outputs == [[(), (), ()]] * 2
+
+
+# ---------------------------------------------------------------------------
+# reduce tails run the column kernels too
+# ---------------------------------------------------------------------------
+
+def _ref(index, dtype=DataType.BIGINT):
+    return InputRef(index, dtype)
+
+
+_TAIL = [
+    FilterDesc(Comparison(">", _ref(0), Const(1, DataType.BIGINT))),
+    SelectDesc([_ref(2), Arithmetic("*", _ref(0), Const(10, DataType.BIGINT))]),
+    LimitDesc(limit=3),
+    FileSinkDesc(),
+]
+
+
+@pytest.mark.parametrize("tail", [_TAIL, [FileSinkDesc()]],
+                         ids=["operators", "bare-sink"])
+def test_reduce_tail_matches_reference(tail):
+    groups = [
+        ((key,), [(0, key, f"L{key}")] + [(1, f"R{key}{n}") for n in range(key)])
+        for key in range(5)
+    ]
+    outputs = []
+    for vectorized in (False, True):
+        reducer = ExecReducer(
+            ReduceJoinDesc(join_type="left", left_width=2, right_width=1),
+            tail, vectorized=vectorized,
+        )
+        for key, values in groups:
+            reducer.reduce_group(key, values)
+        outputs.append(reducer.close().output_rows)
+        assert reducer.close().output_rows == outputs[-1]  # idempotent
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+# ---------------------------------------------------------------------------
+# ownership: kernels live on descriptors, hash tables on the job's
+# broadcast tables, nothing in a module-level container
+# ---------------------------------------------------------------------------
+
+def test_kernels_are_compiled_once_per_descriptor_and_not_on_the_sink():
+    predicate = FilterDesc(Comparison(">", _ref(0), Const(1, DataType.BIGINT)))
+    project = SelectDesc([Arithmetic("+", _ref(0), _ref(0))])
+    compiled = []
+    for _job_run in range(2):
+        # load_broadcast_tables appends a throw-away sink per job run
+        sink = FileSinkDesc()
+        build_vector_pipeline([predicate, project, sink], OperatorContext())
+        assert vars(sink) == {"column_names": []}
+        compiled.append((vars(predicate)["_kernel"], vars(project)["_kernel"]))
+    assert compiled[0][0] is compiled[1][0] and compiled[0][1] is compiled[1][1]
+    # the memo is not a dataclass field: equality and repr ignore it
+    assert predicate == FilterDesc(predicate.predicate)
+    assert "_kernel" not in repr(predicate)
+
+
+def test_map_join_hash_is_shared_through_the_broadcast_table():
+    desc = MapJoinDesc(
+        small_location="/small", probe_key_expressions=[_ref(0)],
+        build_key_expressions=[_ref(0)], small_width=2,
+    )
+    table = BroadcastTable([(1, "one"), (None, "null"), (2, "two"), (2, "deux")])
+    outputs = []
+    for _task in range(2):
+        mapper = ExecMapper([desc, FileSinkDesc()], None, 1,
+                            small_tables={"/small": table}, vectorized=True)
+        mapper.process_batch([(2, "L2"), (None, "LN"), (9, "L9")])
+        outputs.append(mapper.close().output_rows)
+    assert outputs[0] == outputs[1] == [
+        (2, "L2", 2, "two"), (2, "L2", 2, "deux")
+    ]
+    (hash_table,) = table.hash_tables.values()  # built once, NULL key skipped
+    assert sorted(hash_table) == [(1,), (2,)]
+
+
+def _module_level_containers(module):
+    """Mutable module globals: where a process-wide cache would live."""
+    return {
+        name: len(value) for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set)) and not name.startswith("__")
+    }
+
+
+def test_sessions_leave_no_kernels_or_broadcast_tables_behind(monkeypatch):
+    """Plans and job runs own what is compiled and built for them: five
+    runs of one cached map-join plan and three fresh sessions leave
+    nothing alive once the sessions are closed."""
+    filters, broadcasts = [], []
+    load = engine_base.load_broadcast_tables
+    run_plan = engine_base.Engine.run_plan
+
+    def loading(job, hdfs, **kwargs):
+        tables = load(job, hdfs, **kwargs)
+        broadcasts.extend(weakref.ref(table) for table in tables.values())
+        return tables
+
+    def running(self, plan, *args, **kwargs):
+        for job in plan.jobs:
+            chains = [i.operators for i in job.inputs] + [job.reduce_operators]
+            filters.extend(
+                weakref.ref(desc) for chain in chains for desc in chain
+                if isinstance(desc, FilterDesc)
+            )
+        return run_plan(self, plan, *args, **kwargs)
+
+    monkeypatch.setattr(engine_base, "load_broadcast_tables", loading)
+    monkeypatch.setattr(engine_base.Engine, "run_plan", running)
+
+    hdfs, metastore = fresh_tpch(1, lineitem_sample=300)
+    with connect(engine="datampi", hdfs=hdfs, metastore=metastore) as session:
+        for _ in range(5):
+            session.execute(tpch_query(10, 1))
+    for _ in range(3):
+        with connect(engine="datampi", hdfs=hdfs,
+                     metastore=metastore) as session:
+            for number in (3, 5, 10):
+                session.execute(tpch_query(number, 1))
+    del session
+    gc.collect()
+
+    assert filters and broadcasts
+    assert [ref() for ref in filters if ref() is not None] == []
+    assert _module_level_containers(vectorized_module) == {}
+    assert [ref() for ref in broadcasts if ref() is not None] == []
