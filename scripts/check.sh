@@ -3,9 +3,14 @@
 # the hostbench suite and the smoke benchmarks.
 # Usage: scripts/check.sh [extra pytest args]
 #
-# Not part of this gate (about 5 minutes): scripts/sim_identity.sh [<base>]
+# Not part of this gate (about 5 minutes) but REQUIRED for any change
+# under src/repro/simulate/ or to an engine's event structure (what it
+# schedules, spawns or waits on): scripts/sim_identity.sh [<base>]
 # regenerates every figure/table CSV at <base> and at HEAD and fails on
-# any byte difference — run it for engine and cost-model refactors.
+# any byte difference.  Tier-1 is not sufficient there — a same-instant
+# reordering has passed every tier-1 golden and still moved fig08
+# (docs/performance.md, "DES substrate"); `-k fig08` gives that bench
+# alone in under a minute while iterating.
 # The second gate for exec-layer refactors is in the tier-1 run below:
 # tests/test_exec_boundary.py parses the sources and fails when the
 # engines' column-kernel path and the local oracle's row/closure path
@@ -23,6 +28,14 @@ fi
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
+
+echo "== simulated-time goldens + event budget under PYTHONHASHSEED=1 =="
+# Same-instant ordering bugs are the kind that hide behind one hash
+# seed (a set or dict walked in address order decides who goes first),
+# so the exact-value suites run a second time under a different one.
+PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
+    tests/test_sim_golden.py tests/test_sim_golden_faults.py \
+    tests/test_sim_golden_shuffle.py tests/test_event_budget.py
 
 echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # The wall-clock benchmark's own suite (BENCHMARK.json's contract): it

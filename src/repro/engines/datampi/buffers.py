@@ -232,11 +232,13 @@ class ReceiveManager:
         return [self.partition_pairs(p)
                 for p in range(len(self.partition_nodes))]
 
-    def deliver(self, partition: int, buffer: SendBuffer):
-        """Coroutine: account a delivered buffer; spill when over budget.
+    def accept(self, partition: int, buffer: SendBuffer) -> float:
+        """Account a delivered buffer; returns the bytes that overflow
+        the node's cache budget (0.0 when it all fits), which the caller
+        must write to the node's disk.
 
         The network transfer has already happened (shuffle engine); this
-        charges only the A-side memory/disk consequences.  A buffer that
+        decides only the A-side memory/disk split.  A buffer that
         straddles the budget boundary is split: the part that fits stays
         cached, only the overflow goes to disk.
         """
@@ -252,7 +254,14 @@ class ReceiveManager:
         overflow = logical - fit
         if overflow > _EPSILON_BYTES:
             self.spilled_bytes[partition] += overflow
-            yield from node.disk_write(overflow)
+            return overflow
+        return 0.0
+
+    def deliver(self, partition: int, buffer: SendBuffer):
+        """Coroutine: :meth:`accept` a buffer and spill its overflow."""
+        overflow = self.accept(partition, buffer)
+        if overflow:
+            yield from self.partition_nodes[partition].disk_write(overflow)
 
     def release_partition(self, partition: int) -> None:
         """A task consumed its data: free the cached buffer space.

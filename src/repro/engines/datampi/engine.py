@@ -85,6 +85,7 @@ from repro.obs import get_metrics
 from repro.plan.physical import MRJob, PhysicalPlan
 from repro.simulate import (
     ClusterSpec,
+    Event,
     FaultInjector,
     GangLease,
     Interrupt,
@@ -166,6 +167,8 @@ class _Gang:
         self.tripped = False
         self.cause: object = None
         self.procs: List = []
+        self._sweep_at = 64
+        self._watched: Optional[Event] = None
         self.written: List[str] = []
         #: worker indices in the current submission's hostfile — set by
         #: ``_attempt_job`` once the communicator's membership is fixed
@@ -188,7 +191,17 @@ class _Gang:
             if proc.alive:
                 proc.interrupt(("gang-abort", self.cause))
             return
+        if len(self.procs) >= self._sweep_at:
+            # finished ranks have nothing left to interrupt; survivors
+            # keep their launch order, which is the order a trip uses
+            self.procs = [rank for rank in self.procs if rank.alive]
+            self._sweep_at = 2 * len(self.procs) + 64
         self.procs.append(proc)
+
+    def watch(self, event: Event) -> None:
+        """Trigger *event* if the gang trips before it fires by itself:
+        whoever waits on it wakes at the abort instant."""
+        self._watched = event
 
     def trip(self, cause: object) -> None:
         if self.tripped:
@@ -198,6 +211,8 @@ class _Gang:
         for proc in self.procs:
             if proc.alive:
                 proc.interrupt(("gang-abort", cause))
+        if self._watched is not None and not self._watched.triggered:
+            self._watched.trigger(None)
 
     def close(self) -> None:
         self.injector.unsubscribe_crash(self._on_crash)
@@ -250,11 +265,23 @@ class _Submission:
         self.nonblocking = conf.get_bool(DATAMPI_NONBLOCKING, True)
         self.overlap = conf.get_bool(DATAMPI_OVERLAP, True)
         self.barrier = DynamicBarrier(self.sim)
-        self.pending_deliveries: List = []
+        self.occupancy = get_metrics().histogram("datampi.sendqueue.occupancy")
+        # MPI_Isends whose buffer has not landed on the A side yet, and
+        # the event ``_attempt_job`` waits on while that is non-zero
+        self.outstanding = 0
+        self.drained: Optional[Event] = None
         self.first_start_event = self.sim.event()
         # fixed once the communicator's membership is known
         self.num_reducers = 0
         self.receive: Optional[ReceiveManager] = None
+
+    def landed(self, queue: SendQueue) -> None:
+        """One send's buffer is accounted on the A side: free its send
+        queue slot and, if it was the last one out, end the drain."""
+        queue.transfer_finished()
+        self.outstanding -= 1
+        if not self.outstanding and self.drained is not None:
+            self.drained.trigger(None)
 
     def check_abort(self) -> None:
         if self.gang.tripped:
@@ -572,8 +599,12 @@ class DataMPIEngine(Engine):
                     ))
 
                 yield sim.all_of(o_processes)
-                if sub.pending_deliveries and not gang.tripped:
-                    yield sim.all_of(sub.pending_deliveries)
+                if sub.outstanding and not gang.tripped:
+                    # the drain window: every O task is done, the last
+                    # buffers are still on the wire
+                    sub.drained = sim.event()
+                    gang.watch(sub.drained)
+                    yield sub.drained
                 sub.check_abort()
                 timing.shuffle_done = sim.now  # O phase over: data on the A side
                 if not timing.first_task_started:
@@ -670,7 +701,7 @@ class DataMPIEngine(Engine):
                 scale = tagged.split.scale
                 if sub.nonblocking and not job.is_map_only and not sender_started:
                     sender_done = sim.spawn(
-                        self._sender_thread(sub, node, queue, task),
+                        self._sender_thread(sub, node, queue),
                         f"{job.job_id}-o{index}-send",
                     )
                     sub.gang.add(sender_done)
@@ -770,9 +801,11 @@ class DataMPIEngine(Engine):
         sim = sub.sim
         receive = sub.receive
         if sub.nonblocking:
-            occupancy = get_metrics().histogram("datampi.sendqueue.occupancy")
+            occupancy = sub.occupancy
             for buffer in buffers:
-                yield queue.put(buffer)  # blocks when the send queue is full
+                admitted = queue.put(buffer)
+                if not admitted.triggered:
+                    yield admitted  # the send queue is full: computation blocks
                 task.send_events.append(sim.now)
                 occupancy.observe(queue.backlog)
         else:
@@ -795,36 +828,48 @@ class DataMPIEngine(Engine):
                     yield from receive.deliver(buffer.partition, buffer)
                 yield sub.barrier.arrive()  # completion round
 
-    def _sender_thread(self, sub: _Submission, node, queue: SendQueue,
-                       task: TaskTiming):
-        """Non-blocking shuffle engine: drains the send queue, issues
-        MPI_Isend per buffer and tracks the cached requests."""
+    def _sender_thread(self, sub: _Submission, node, queue: SendQueue):
+        """Non-blocking shuffle engine: drains the send queue and issues
+        one MPI_Isend per buffer.  It never waits on a request: each
+        completion is a callback that accounts the buffer on the A side
+        (one engine testing its cached requests, Fig 7 — not a thread
+        per request)."""
         sim = sub.sim
         mpi = sub.mpi
         receive = sub.receive
-        gang = sub.gang
-        pending_deliveries = sub.pending_deliveries
         while True:
-            buffer = yield queue.get()
+            taken = queue.get()
+            buffer = taken.value if taken.triggered else (yield taken)
             if buffer is _SENTINEL:
                 return
             queue.transfer_started()
             yield sim.timeout(self.costs.send_setup_seconds)  # request setup
             destination = receive.node_for(buffer.partition)
             request = mpi.isend(node, destination, buffer.logical_bytes)
-            delivery = sim.spawn(
-                self._deliver_after(request, queue, receive, buffer),
-                f"{task.task_id}-dlv",
-            )
-            gang.add(delivery)
-            pending_deliveries.append(delivery)
+            sub.outstanding += 1
+            request.event.add_callback(self._delivered, sub, queue, buffer)
+
+    def _delivered(self, _value, sub: _Submission, queue: SendQueue,
+                   buffer: SendBuffer) -> None:
+        """A send's bytes have crossed both NICs."""
+        if sub.gang.tripped:
+            return  # MPI_Abort: nothing lands in a dead communicator
+        overflow = sub.receive.accept(buffer.partition, buffer)
+        if overflow:
+            # A-side spill: the buffer has not landed until its overflow
+            # is on disk, and that takes simulated time
+            sub.gang.add(sub.sim.spawn(
+                self._spill(sub, queue, buffer.partition, overflow),
+                f"o{buffer.sender}-spill",
+            ))
+        else:
+            sub.landed(queue)
 
     @staticmethod
-    def _deliver_after(request, queue: SendQueue, receive: ReceiveManager,
-                       buffer: SendBuffer):
-        yield request.event
-        yield from receive.deliver(buffer.partition, buffer)
-        queue.transfer_finished()
+    def _spill(sub: _Submission, queue: SendQueue, partition: int,
+               overflow: float):
+        yield from sub.receive.node_for(partition).disk_write(overflow)
+        sub.landed(queue)
 
     # -- A task ---------------------------------------------------------------------
     def _a_task(self, sub: _Submission, partition: int, node_index: int,

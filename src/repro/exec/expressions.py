@@ -26,6 +26,7 @@ import operator
 import re
 import zlib
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError, SemanticError
@@ -37,7 +38,9 @@ from repro.common.kv import (
     fields_size,
     serialize_fields,
 )
+from repro.common.lru import LruCache
 from repro.common.rows import DataType
+from repro.obs import get_metrics
 from repro.sql.functions import (
     AvgAggregate,
     CountAggregate,
@@ -656,8 +659,24 @@ def _tuple_src(atoms: List[str]) -> str:
     return "(" + ", ".join(atoms) + ")"
 
 
+#: Compiled kernel *code*, keyed by source text: ``compile()`` runs once
+#: per distinct source per process.  Only code objects live here.  A
+#: kernel *function* is still made by ``exec`` into the caller's fresh
+#: ``env`` (its constants and bound scalar functions) and still lives on
+#: the plan descriptor that asked for it, so this cache can pin neither a
+#: plan, a broadcast table nor a session.
+KERNEL_CODE_CACHE: "LruCache[str, CodeType]" = LruCache(512)
+
+
 def _compile_kernel(source: str, env: dict, name: str):
-    exec(compile(source, "<repro-vector-codegen>", "exec"), env)
+    code = KERNEL_CODE_CACHE.lookup(source)
+    if code is None:
+        get_metrics().counter("exec.kernel_cache.misses").add(1)
+        code = compile(source, "<repro-vector-codegen>", "exec")
+        KERNEL_CODE_CACHE.store(source, code)
+    else:
+        get_metrics().counter("exec.kernel_cache.hits").add(1)
+    exec(code, env)
     return env[name]
 
 

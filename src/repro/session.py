@@ -33,6 +33,7 @@ from repro.common.config import Configuration
 from repro.common.errors import ExecutionError
 from repro.core.driver import Driver, make_warehouse
 from repro.engines.base import Engine
+from repro.exec.expressions import KERNEL_CODE_CACHE
 from repro.simulate.cluster import ClusterSpec
 from repro.storage.hdfs import HDFS
 from repro.storage.metastore import Metastore
@@ -127,12 +128,15 @@ class Session(Driver):
         counters (``None`` when the engine doesn't support it or it is
         disabled); ``"columnar"`` — per-node decoded-stripe cache
         counters from the engine (empty for engines without a
-        persistent data cache).
+        persistent data cache); ``"kernel"`` — the process-wide kernel
+        code cache (one miss per distinct generated source, shared by
+        every session: a task that "compiled" shows up as a miss here).
         """
         result_cache = self.result_cache()
         return {
             "statement": self._statement_cache.stats(),
             "plan": self._plan_cache.stats(),
+            "kernel": KERNEL_CODE_CACHE.stats(),
             "result": result_cache.stats() if result_cache is not None else None,
             "columnar": self.engine.cache_stats(),
         }

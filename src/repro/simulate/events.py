@@ -57,6 +57,14 @@ class Event:
     abandons the event (an interrupted process, an ``AnyOf`` race whose
     winner was someone else) can detach itself so long-lived events do
     not accumulate stale entries across thousands of waits.
+
+    A condition (:class:`AllOf` / :class:`AnyOf`) registers on its
+    children as a *join*, stored in the same list as ``(None,
+    (condition, position))``.  :meth:`trigger` runs a join on the spot
+    instead of giving it an agenda entry: counting a child off is
+    bookkeeping no process can observe.  When the count completes the
+    condition triggers there and then, so its waiters' wakeups take the
+    FIFO position the join's own hop used to occupy.
     """
 
     __slots__ = ("sim", "_callbacks", "triggered", "value")
@@ -74,7 +82,10 @@ class Event:
         self.value = value
         callbacks, self._callbacks = self._callbacks, []
         for callback, extra in callbacks:
-            self.sim.call_soon(callback, value, *extra)
+            if callback is None:
+                extra[0]._child_fired(value, extra[1])
+            else:
+                self.sim.call_soon(callback, value, *extra)
         return self
 
     def add_callback(self, callback: Callable[..., None], *extra: Any) -> None:
@@ -95,9 +106,18 @@ class Event:
         except ValueError:
             pass
 
+    def _add_join(self, condition: "Event", position: int) -> None:
+        """Register *condition* (which checked we have not triggered) to
+        have ``_child_fired(value, position)`` run by :meth:`trigger`."""
+        self._callbacks.append((None, (condition, position)))
+
+    def _remove_join(self, condition: "Event", position: int) -> None:
+        self.remove_callback(None, condition, position)
+
     @property
     def callback_count(self) -> int:
-        """Number of callbacks still registered (leak introspection)."""
+        """Number of callbacks and joins still registered (leak
+        introspection)."""
         return len(self._callbacks)
 
 
@@ -124,30 +144,41 @@ class Timeout(Event):
 
 
 class AllOf(Event):
-    """Triggers when every child event has triggered; value is their list."""
+    """Triggers when every child event has triggered; value is their list.
+
+    Children that have already triggered are counted off in the
+    constructor; if that is all of them the condition is born triggered.
+    """
 
     __slots__ = ("_pending", "_values")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         events = list(events)
-        self._pending = len(events)
         self._values: List[Any] = [None] * len(events)
-        if not events:
-            self.trigger([])
-            return
+        self._pending = 0
         for position, event in enumerate(events):
-            event.add_callback(self._on_child, position)
+            if event.triggered:
+                self._values[position] = event.value
+            else:
+                self._pending += 1
+                event._add_join(self, position)
+        if not self._pending:
+            self.trigger(self._values)
 
-    def _on_child(self, value: Any, position: int) -> None:
+    def _child_fired(self, value: Any, position: int) -> None:
         self._values[position] = value
         self._pending -= 1
-        if self._pending == 0 and not self.triggered:
-            self.trigger(list(self._values))
+        if not self._pending:
+            self.trigger(self._values)
 
 
 class AnyOf(Event):
-    """Triggers when the first child triggers; value is (index, value)."""
+    """Triggers when the first child triggers; value is (index, value).
+
+    A child that has already triggered decides the race in the
+    constructor (the first such child in list order wins).
+    """
 
     __slots__ = ("_children",)
 
@@ -156,21 +187,26 @@ class AnyOf(Event):
         events = list(events)
         if not events:
             raise ExecutionError("AnyOf requires at least one event")
-        self._children: List[Event] = events
+        self._children: List[Event] = []
         for position, event in enumerate(events):
-            event.add_callback(self._on_child, position)
+            if event.triggered:
+                self.trigger((position, event.value))
+                return
+        self._children = events
+        for position, event in enumerate(events):
+            event._add_join(self, position)
 
-    def _on_child(self, value: Any, position: int) -> None:
-        if self.triggered:
-            return
-        self.trigger((position, value))
+    def _child_fired(self, value: Any, position: int) -> None:
+        children, self._children = self._children, []
+        if not children:
+            return  # decided already: the winner was listed twice
         # The race is decided: detach from every loser so repeated races
         # against a long-lived event (per-query deadline guards, session
-        # shutdown latches) do not pile stale callbacks onto it.
-        children, self._children = self._children, []
+        # shutdown latches) do not pile stale joins onto it.
         for lost, child in enumerate(children):
             if lost != position and not child.triggered:
-                child.remove_callback(self._on_child, lost)
+                child._remove_join(self, lost)
+        self.trigger((position, value))
 
 
 class Process(Event):
@@ -210,41 +246,27 @@ class Process(Event):
         self._interrupt = Interrupt(cause)
         self.sim.call_soon(self._step, None)
 
-    def _wakeup(self, _value: Any, event: Event) -> None:
-        """Wakeup callback bound to one wait target.
+    def _wakeup(self, value: Any, event: Optional[Event]) -> None:
+        """Resume the generator: the callback registered on the wait
+        target *event* (and, from :meth:`_step`, the first step).
 
         After an interrupt the abandoned event may still fire and call
         back into us; if our *new* wait target happens to be triggered
-        already, a bare ``_step`` would resume the process twice at the
+        already, an unbound resume would run the process twice at the
         same instant.  Binding the wakeup to the event it was registered
         on makes stale wakeups exactly identifiable.
         """
-        if event is self._waiting_on:
-            self._step(None)
-
-    def _step(self, value: Any) -> None:
-        if self.triggered:
+        if event is not self._waiting_on:
             return
+        # a pending interrupt takes this resume; its own hop then finds
+        # nothing left to deliver
         interrupt, self._interrupt = self._interrupt, None
-        if interrupt is None and self._waiting_on is not None:
-            waited = self._waiting_on
-            if not waited.triggered:
-                return  # spurious call
-            value = waited.value
-        elif interrupt is not None and self._waiting_on is not None:
-            # Abandoning an untriggered event: detach our wakeup so an
-            # interrupt-heavy workload does not leak one stale callback
-            # per wait onto long-lived events.  (If it already triggered
-            # the callback list was drained; the queued wakeup then hits
-            # the identity guard above and no-ops.)
-            if not self._waiting_on.triggered:
-                self._waiting_on.remove_callback(self._wakeup, self._waiting_on)
         self._waiting_on = None
         try:
-            if interrupt is not None:
-                target = self._generator.throw(interrupt)
-            else:
+            if interrupt is None:
                 target = self._generator.send(value)
+            else:
+                target = self._generator.throw(interrupt)
         except StopIteration as stop:
             if self.span is not None and not self.span.closed:
                 self.span.finish(self.sim.now)
@@ -262,6 +284,27 @@ class Process(Event):
             )
         self._waiting_on = target
         target.add_callback(self._wakeup, target)
+
+    def _step(self, value: Any) -> None:
+        """The hop ``spawn`` and ``interrupt`` schedule: start the
+        generator, or throw the pending interrupt into it."""
+        if self.triggered:
+            return
+        waited = self._waiting_on
+        if waited is not None:
+            if self._interrupt is None:
+                if not waited.triggered:
+                    return  # spurious call
+                value = waited.value
+            elif not waited.triggered:
+                # Abandoning an untriggered event: detach our wakeup so
+                # an interrupt-heavy workload does not leak one stale
+                # callback per wait onto long-lived events.  (If it
+                # already triggered the callback list was drained; the
+                # queued wakeup then hits the identity guard above and
+                # no-ops.)
+                waited.remove_callback(self._wakeup, waited)
+        self._wakeup(value, waited)
 
 
 class ScheduledCall:
@@ -404,32 +447,41 @@ class Simulator:
         soon = self._soon
         heappop = heapq.heappop
         while self._pending_regular > 0:
-            # heap entries due at the current instant run before anything
-            # in the FIFO: they were scheduled earlier (lower sequence)
-            if agenda:
-                when, _seq, handle = agenda[0]
-                if when <= self.now:
-                    heappop(agenda)
-                elif soon:
-                    handle = soon.popleft()
-                else:
-                    if handle.cancelled:
-                        heappop(agenda)  # skip without touching the clock
-                        self._cancelled_in_agenda -= 1
-                        continue
-                    if until is not None and when > until:
-                        self.now = until
-                        return self.now
-                    heappop(agenda)
-                    self.now = when
+            if agenda and agenda[0][0] <= self.now:
+                # heap entries due at the current instant run before
+                # anything in the FIFO: they were scheduled earlier
+                # (lower sequence)
+                handle = heappop(agenda)[2]
+                if handle.cancelled:
+                    self._cancelled_in_agenda -= 1
+                    continue
             elif soon:
-                handle = soon.popleft()
+                # Nothing run from the FIFO can make the heap head due —
+                # the clock stands still and a ``call_at`` for this
+                # instant joins the FIFO — so drain without looking at
+                # the heap again.
+                while soon and self._pending_regular > 0:
+                    handle = soon.popleft()
+                    if handle.cancelled:
+                        continue
+                    handle.executed = True
+                    if not handle.daemon:
+                        self._pending_regular -= 1
+                    handle.callback(*handle.args)
+                continue
+            elif agenda:
+                when, _seq, handle = agenda[0]
+                if handle.cancelled:
+                    heappop(agenda)  # skip without touching the clock
+                    self._cancelled_in_agenda -= 1
+                    continue
+                if until is not None and when > until:
+                    self.now = until
+                    return self.now
+                heappop(agenda)
+                self.now = when
             else:
                 break
-            if handle.cancelled:
-                if handle.in_heap:
-                    self._cancelled_in_agenda -= 1
-                continue
             handle.executed = True
             if not handle.daemon:
                 self._pending_regular -= 1

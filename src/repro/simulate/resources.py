@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -110,9 +111,17 @@ class Bandwidth:
         if nbytes <= _EPSILON_BYTES:
             event.trigger(None)
             return event
-        self._update()
-        self._active.append(_Transfer(float(nbytes), event, category))
-        self._reschedule()
+        item = _Transfer(float(nbytes), event, category)
+        if self._active:
+            shortest = self._advance()
+            if item.remaining < shortest.remaining:
+                shortest = item
+        else:
+            # idle link: nothing to advance, the newcomer is the argmin
+            self._last_update = self.sim.now
+            shortest = item
+        self._active.append(item)
+        self._arm(shortest)
         return event
 
     def set_rate(self, rate_bytes_per_s: float) -> None:
@@ -123,9 +132,9 @@ class Bandwidth:
         """
         if rate_bytes_per_s <= 0:
             raise ExecutionError(f"bandwidth rate must be positive: {rate_bytes_per_s}")
-        self._update()
+        shortest = self._advance()
         self.rate = float(rate_bytes_per_s)
-        self._reschedule()
+        self._arm(shortest)
 
     @property
     def active_transfers(self) -> int:
@@ -133,72 +142,109 @@ class Bandwidth:
 
     def progressed_bytes(self) -> float:
         """Total bytes moved up to the current instant (for samplers)."""
-        self._update()
+        self._advance()
         return self.bytes_moved
 
     # -- internals ------------------------------------------------------------
-    def _update(self) -> None:
+    def _advance(
+        self,
+        target: Optional[_Transfer] = None,
+        finished: Optional[List[_Transfer]] = None,
+    ) -> Optional[_Transfer]:
+        """The link's one pass over its transfers: credit every transfer
+        its share of the time since the last pass and return the one
+        with the least left (the first such in admission order).
+
+        Given a *finished* list (the timer tick), transfers that are
+        done — the timer's *target* and any other whose remainder fell
+        below epsilon — move to it instead of staying active.
+
+        The float operations and their order are the cost model: each
+        counter accumulates transfer by transfer in admission order, and
+        residues of finished transfers are credited by the caller only
+        after the whole pass, so ``bytes_moved`` and ``categorized`` are
+        the same sums as ever.
+        """
         now = self.sim.now
         elapsed = now - self._last_update
         self._last_update = now
-        if elapsed <= 0 or not self._active:
-            return
-        share = elapsed * self.rate / len(self._active)
-        for item in self._active:
-            remaining = item.remaining
-            progressed = share if share < remaining else remaining
-            item.remaining -= progressed
-            self.bytes_moved += progressed
-            if item.category is not None:
-                self.categorized[item.category] = (
-                    self.categorized.get(item.category, 0.0) + progressed
+        active = self._active
+        shortest = None
+        smallest = math.inf
+        if elapsed > 0 and active:
+            share = elapsed * self.rate / len(active)
+            categorized = self.categorized
+            moved = self.bytes_moved
+            for item in active:
+                remaining = item.remaining
+                progressed = share if share < remaining else remaining
+                remaining -= progressed
+                item.remaining = remaining
+                moved += progressed
+                category = item.category
+                if category is not None:
+                    categorized[category] = (
+                        categorized.get(category, 0.0) + progressed
+                    )
+                if finished is not None and (
+                    item is target or remaining <= _EPSILON_BYTES
+                ):
+                    finished.append(item)
+                # strict "<": ties go to the earliest admitted transfer
+                elif remaining < smallest:
+                    smallest = remaining
+                    shortest = item
+            self.bytes_moved = moved
+            self.busy_time += elapsed
+            if finished:
+                for item in finished:  # survivors keep admission order
+                    active.remove(item)
+        else:
+            # no time has passed since the last pass (an admit right
+            # after a tick, a tick coinciding with an admit): nothing to
+            # credit, only the split and the argmin
+            if finished is not None:
+                finished.extend(
+                    item for item in active
+                    if item is target or item.remaining <= _EPSILON_BYTES
                 )
-        self.busy_time += elapsed
+                for item in finished:
+                    active.remove(item)
+            for item in active:
+                if item.remaining < smallest:
+                    smallest = item.remaining
+                    shortest = item
+        return shortest
 
-    def _reschedule(self) -> None:
+    def _arm(self, shortest: Optional[_Transfer]) -> None:
+        """Point the completion timer at *shortest* (None: link idle)."""
         if self._timer is not None:
             self.sim.cancel(self._timer)
             self._timer = None
-            self._timer_target = None
-        if not self._active:
-            return
-        # manual argmin: min(key=lambda) pays one frame per transfer and
-        # this runs after every admit/finish on links with long queues
-        shortest = self._active[0]
-        smallest = shortest.remaining
-        for item in self._active:
-            if item.remaining < smallest:
-                smallest = item.remaining
-                shortest = item
-        delay = smallest * len(self._active) / self.rate
         self._timer_target = shortest
+        if shortest is None:
+            return
+        delay = shortest.remaining * len(self._active) / self.rate
         self._timer = self.sim.call_at(self.sim.now + delay, self._on_timer)
 
     def _on_timer(self) -> None:
         target, self._timer = self._timer_target, None
-        self._timer_target = None
-        self._update()
+        finished: List[_Transfer] = []
+        shortest = self._advance(target, finished)
         # every transfer that finishes in this tick — the timer target
         # *and* any other whose remainder fell below epsilon — must have
         # its float residue credited to the counters, otherwise
         # bytes_moved/categorized drift below the true byte count
-        finished: List[_Transfer] = []
-        active: List[_Transfer] = []
-        for item in self._active:
-            if item is target or item.remaining <= _EPSILON_BYTES:
-                residue = item.remaining
-                if residue > 0:
-                    self.bytes_moved += residue
-                    if item.category is not None:
-                        self.categorized[item.category] = (
-                            self.categorized.get(item.category, 0.0) + residue
-                        )
-                    item.remaining = 0.0
-                finished.append(item)
-            else:
-                active.append(item)
-        self._active = active
-        self._reschedule()
+        for item in finished:
+            residue = item.remaining
+            if residue > 0:
+                self.bytes_moved += residue
+                if item.category is not None:
+                    self.categorized[item.category] = (
+                        self.categorized.get(item.category, 0.0) + residue
+                    )
+                item.remaining = 0.0
+        self._arm(shortest)
         for item in finished:
             item.event.trigger(None)
 

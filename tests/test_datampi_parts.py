@@ -1,4 +1,7 @@
-"""Unit tests for the DataMPI building blocks: MPI layer, SPL, queues."""
+"""Unit tests for the DataMPI building blocks: MPI layer, SPL, queues,
+the gang."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +14,9 @@ from repro.engines.datampi.buffers import (
     SendPartitionList,
     SendQueue,
 )
+from repro.engines.datampi.engine import DataMPIEngine, _Gang
 from repro.engines.datampi.mpi import DynamicBarrier, SimulatedMPI
-from repro.simulate import Cluster, ClusterSpec, Simulator
+from repro.simulate import Cluster, ClusterSpec, Interrupt, Simulator
 
 
 @pytest.fixture()
@@ -216,3 +220,106 @@ class TestReceiveManager:
         assert manager.cached_bytes[node] == 80
         manager.release_partition(0)
         assert manager.cached_bytes[node] == 0
+
+    def test_accept_returns_only_the_overflow(self, cluster):
+        sim = cluster.sim
+        manager = ReceiveManager(sim, [cluster.workers[0]], cache_budget_per_node=100.0)
+        fits = SendBuffer(0, pairs=[kv(1)], actual_bytes=60, scale=1.0)
+        straddles = SendBuffer(0, pairs=[kv(2)], actual_bytes=60, scale=1.0)
+        assert manager.accept(0, fits) == 0.0
+        assert manager.accept(0, straddles) == 20.0
+        assert manager.spilled_bytes[0] == 20.0
+        assert sim.now == 0.0  # accounting only: the caller pays the disk
+
+
+class _NoFaults:
+    """The slice of FaultInjector a gang touches."""
+
+    def subscribe_crash(self, callback):
+        pass
+
+    def unsubscribe_crash(self, callback):
+        pass
+
+
+class TestGang:
+    def _rank(self, sim, seconds):
+        def rank():
+            try:
+                yield sim.timeout(seconds)
+            except Interrupt as interrupt:
+                return interrupt.cause
+            return "finished"
+
+        return sim.spawn(rank())
+
+    def test_finished_ranks_are_not_retained(self):
+        # one entry per MPI_Isend used to pile up here for the whole
+        # submission, and trip() walked them all
+        sim = Simulator()
+        gang = _Gang(sim, _NoFaults())
+        survivor = self._rank(sim, 1e9)
+        gang.add(survivor)
+        for _ in range(5000):
+            gang.add(self._rank(sim, 0.001))
+            sim.run(until=sim.now + 0.002)
+        assert len(gang.procs) < 200
+        assert survivor in gang.procs
+        gang.trip("abort")
+        sim.run(until=sim.now + 1.0)
+        assert survivor.value == ("gang-abort", "abort")
+
+    def test_trip_interrupts_live_ranks_in_launch_order(self):
+        sim = Simulator()
+        gang = _Gang(sim, _NoFaults())
+        order = []
+
+        def rank(label):
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt:
+                order.append(label)
+
+        for index in range(200):
+            gang.add(self._rank(sim, 0.001))  # finish before the trip
+            gang.add(sim.spawn(rank(index)))
+        sim.run(until=1.0)
+        gang.trip("abort")
+        sim.run()
+        assert order == list(range(200))
+
+    def test_watched_event_fires_at_the_trip_instant(self):
+        sim = Simulator()
+        gang = _Gang(sim, _NoFaults())
+        drained = sim.event()
+        gang.watch(drained)
+        woke = []
+
+        def waiter():
+            yield drained
+            woke.append(sim.now)
+
+        sim.spawn(waiter())
+        sim.call_at(3.0, gang.trip, "node-crash")
+        sim.call_at(9.0, lambda: None)
+        sim.run()
+        assert woke == [3.0]
+
+    def test_trip_leaves_an_already_fired_watch_alone(self):
+        sim = Simulator()
+        gang = _Gang(sim, _NoFaults())
+        drained = sim.event()
+        gang.watch(drained)
+        drained.trigger(None)
+        gang.trip("late")  # must not trigger the event a second time
+        assert gang.tripped
+
+    def test_delivery_into_an_aborted_communicator_is_dropped(self):
+        # a send still on the wire when the gang trips completes later;
+        # it must neither land in the dead submission's receive cache
+        # nor end a drain the abort already ended
+        sim = Simulator()
+        gang = _Gang(sim, _NoFaults())
+        gang.trip("node-crash")
+        dead = SimpleNamespace(gang=gang)  # no receive cache to touch
+        DataMPIEngine(hdfs=None)._delivered(None, dead, None, SendBuffer(0))

@@ -13,16 +13,29 @@ Each test here pins a specific accounting fix:
   budget and ``release_partition`` must free exactly what was cached;
 * a stale wakeup from an abandoned wait target must not double-resume a
   process;
-* the same-instant FIFO fast path must preserve scheduling order.
+* the same-instant FIFO fast path must preserve scheduling order, stop
+  when only daemon work is left and honour ``until=``;
+* ``AllOf`` / ``AnyOf`` register on their children as joins (no agenda
+  entry per child): the joins must show up in ``callback_count``, be
+  detached from race losers, and conditions over already-triggered
+  children must be born triggered;
+* ``Bandwidth``'s fused one-pass admit/finish must perform exactly the
+  float operations of the three-loop version it replaced (kept below as
+  the reference) — completion instants and counters identical to the
+  last bit.
 """
 
+from typing import Dict, List, Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.common.kv import KeyValue
 from repro.engines.datampi.buffers import ReceiveManager, SendBuffer, SendQueue
-from repro.simulate import Cluster, ClusterSpec, Interrupt, Simulator
-from repro.simulate.resources import Bandwidth
+from repro.simulate import Cluster, ClusterSpec, Event, Interrupt, Simulator
+from repro.simulate.resources import _EPSILON_BYTES, Bandwidth
 
 
 class TestCancelAfterFire:
@@ -270,6 +283,36 @@ class TestSameInstantFifo:
         sim.run()
         assert order == ["heap", "starter", "soon"]
 
+    def test_daemon_entry_in_fifo_does_not_keep_run_alive(self):
+        sim = Simulator()
+        order = []
+
+        def root():
+            # same instant -> joins the FIFO, but as daemon work
+            sim.call_at(sim.now, order.append, "daemon", daemon=True)
+
+        sim.call_soon(root)
+        sim.run()
+        assert order == []  # run() stopped with only the daemon entry left
+        sim.call_soon(order.append, "regular")
+        sim.run()
+        assert order == ["daemon", "regular"]  # ...and it kept its place
+
+    def test_until_is_honoured_mid_drain(self):
+        sim = Simulator()
+        order = []
+
+        def root():
+            sim.call_soon(order.append, "a")
+            sim.call_at(sim.now + 2.0, order.append, "late")
+            sim.call_soon(order.append, "b")
+
+        sim.call_at(1.0, root)
+        assert sim.run(until=2.0) == 2.0
+        assert order == ["a", "b"]
+        assert sim.run() == 3.0
+        assert order == ["a", "b", "late"]
+
     def test_nested_same_instant_callbacks_keep_clock(self):
         sim = Simulator()
         seen = []
@@ -408,3 +451,337 @@ class TestCallbackDetach:
         sim.spawn(driver())
         sim.run()
         assert seen == [[0, 1, 2]]
+
+
+class TestConditionJoins:
+    """``AllOf`` / ``AnyOf`` count their children off synchronously."""
+
+    def test_callback_count_includes_joins(self):
+        # otherwise test_any_of_detaches_from_losing_children passes
+        # vacuously: AnyOf no longer registers through add_callback
+        sim = Simulator()
+        shutdown, gate = sim.event(), sim.event()
+        race = sim.any_of([sim.timeout(1.0), shutdown])
+        both = sim.all_of([gate, shutdown])
+        assert shutdown.callback_count == 2
+        assert gate.callback_count == 1
+        sim.run()
+        assert race.triggered and not both.triggered
+        assert shutdown.callback_count == 1  # only AllOf's join is left
+
+    def test_a_child_firing_costs_no_agenda_entry(self):
+        sim = Simulator()
+        children = [sim.event() for _ in range(3)]
+        both = sim.all_of(children)
+        for child in children:
+            child.trigger(None)
+        # nobody waits on the condition: nothing was scheduled at all
+        assert both.triggered
+        assert sim.run() == 0.0 and not sim._soon
+
+    def test_all_of_over_triggered_children_is_born_triggered(self):
+        sim = Simulator()
+        children = [sim.event() for _ in range(3)]
+        for position in (2, 0, 1):
+            children[position].trigger(f"v{position}")
+        seen = []
+
+        def waiter():
+            yield sim.timeout(1.0)
+            condition = sim.all_of(children)
+            assert condition.triggered
+            assert condition.value == ["v0", "v1", "v2"]
+            values = yield condition
+            seen.append((sim.now, values))
+
+        sim.spawn(waiter())
+        sim.run()
+        assert seen == [(1.0, ["v0", "v1", "v2"])]
+        assert [child.callback_count for child in children] == [0, 0, 0]
+
+    def test_all_of_counts_triggered_children_off_and_keeps_order(self):
+        sim = Simulator()
+        early, late = sim.event(), sim.event()
+        early.trigger("early")
+        condition = sim.all_of([late, early, late])
+        assert not condition.triggered
+        late.trigger("late")
+        assert condition.triggered
+        assert condition.value == ["late", "early", "late"]
+
+    def test_any_of_over_triggered_child_is_born_triggered(self):
+        sim = Simulator()
+        pending, first, second = sim.event(), sim.event(), sim.event()
+        second.trigger("second")
+        first.trigger("first")
+        seen = []
+
+        def waiter():
+            yield sim.timeout(1.0)
+            race = sim.any_of([pending, first, second])
+            assert race.triggered and race.value == (1, "first")
+            seen.append((sim.now, (yield race)))
+
+        sim.spawn(waiter())
+        sim.run()
+        assert seen == [(1.0, (1, "first"))]
+        assert pending.callback_count == 0  # never registered on the loser
+
+    def test_any_of_detaches_its_join_from_every_loser(self):
+        sim = Simulator()
+        losers = [sim.event() for _ in range(3)]
+        winner = sim.event()
+        race = sim.any_of(losers[:2] + [winner] + losers[2:])
+        assert [loser.callback_count for loser in losers] == [1, 1, 1]
+        winner.trigger("won")
+        assert race.triggered and race.value == (2, "won")
+        assert [loser.callback_count for loser in losers] == [0, 0, 0]
+        losers[0].trigger("too late")  # must not re-trigger the race
+        sim.run()
+        assert race.value == (2, "won")
+
+    def test_same_child_listed_twice(self):
+        sim = Simulator()
+        child = sim.event()
+        race = sim.any_of([child, child])
+        both = sim.all_of([child, child])
+        child.trigger("x")
+        assert race.value == (0, "x")
+        assert both.value == ["x", "x"]
+
+    def test_interrupt_while_waiting_on_all_of_resumes_once(self):
+        sim = Simulator()
+        children = [sim.event(), sim.event()]
+        log = []
+
+        def waiter():
+            try:
+                yield sim.all_of(children)
+                log.append("unexpected")
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            # the abandoned AllOf fires while we sleep here
+            yield sim.timeout(5.0)
+            log.append(("slept", sim.now))
+
+        process = sim.spawn(waiter())
+
+        def driver():
+            yield sim.timeout(1.0)
+            process.interrupt("test")
+            yield sim.timeout(1.0)
+            for child in children:
+                child.trigger(None)
+
+        sim.spawn(driver())
+        sim.run()
+        assert log == [("interrupted", 1.0), ("slept", 6.0)]
+
+
+class _ThreeLoopBandwidth:
+    """The processor-sharing link as it stood before the passes were
+    fused: ``_update`` (advance), ``_reschedule`` (cancel + argmin +
+    re-arm) and ``_on_timer`` (advance, split, reschedule) each walk the
+    transfer list on their own.  Kept as the reference the fused
+    :class:`Bandwidth` is held against."""
+
+    class _Transfer:
+        __slots__ = ("remaining", "event", "category")
+
+        def __init__(self, remaining, event, category):
+            self.remaining = remaining
+            self.event = event
+            self.category = category
+
+    def __init__(self, sim: Simulator, rate_bytes_per_s: float):
+        self.sim = sim
+        self.rate = float(rate_bytes_per_s)
+        self._active: List = []
+        self._last_update = sim.now
+        self._timer = None
+        self._timer_target = None
+        self.bytes_moved = 0.0
+        self.busy_time = 0.0
+        self.categorized: Dict[str, float] = {}
+
+    def transfer(self, nbytes: float, category: Optional[str] = None) -> Event:
+        event = Event(self.sim)
+        if nbytes <= _EPSILON_BYTES:
+            event.trigger(None)
+            return event
+        self._update()
+        self._active.append(self._Transfer(float(nbytes), event, category))
+        self._reschedule()
+        return event
+
+    def set_rate(self, rate_bytes_per_s: float) -> None:
+        self._update()
+        self.rate = float(rate_bytes_per_s)
+        self._reschedule()
+
+    def progressed_bytes(self) -> float:
+        self._update()
+        return self.bytes_moved
+
+    def _update(self) -> None:
+        now = self.sim.now
+        elapsed = now - self._last_update
+        self._last_update = now
+        if elapsed <= 0 or not self._active:
+            return
+        share = elapsed * self.rate / len(self._active)
+        for item in self._active:
+            remaining = item.remaining
+            progressed = share if share < remaining else remaining
+            item.remaining -= progressed
+            self.bytes_moved += progressed
+            if item.category is not None:
+                self.categorized[item.category] = (
+                    self.categorized.get(item.category, 0.0) + progressed
+                )
+        self.busy_time += elapsed
+
+    def _reschedule(self) -> None:
+        if self._timer is not None:
+            self.sim.cancel(self._timer)
+            self._timer = None
+            self._timer_target = None
+        if not self._active:
+            return
+        shortest = self._active[0]
+        smallest = shortest.remaining
+        for item in self._active:
+            if item.remaining < smallest:
+                smallest = item.remaining
+                shortest = item
+        delay = smallest * len(self._active) / self.rate
+        self._timer_target = shortest
+        self._timer = self.sim.call_at(self.sim.now + delay, self._on_timer)
+
+    def _on_timer(self) -> None:
+        target, self._timer = self._timer_target, None
+        self._timer_target = None
+        self._update()
+        finished, active = [], []
+        for item in self._active:
+            if item is target or item.remaining <= _EPSILON_BYTES:
+                residue = item.remaining
+                if residue > 0:
+                    self.bytes_moved += residue
+                    if item.category is not None:
+                        self.categorized[item.category] = (
+                            self.categorized.get(item.category, 0.0) + residue
+                        )
+                    item.remaining = 0.0
+                finished.append(item)
+            else:
+                active.append(item)
+        self._active = active
+        self._reschedule()
+        for item in finished:
+            item.event.trigger(None)
+
+
+class _CountingSimulator(Simulator):
+    """Counts timer traffic: the fused link must arm and cancel exactly
+    as often (``simulate.events_cancelled`` is compared exactly)."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = 0
+        self.withdrawn = 0
+
+    def call_at(self, *args, **kwargs):
+        self.armed += 1
+        return super().call_at(*args, **kwargs)
+
+    def cancel(self, handle):
+        if not (handle.cancelled or handle.executed):
+            self.withdrawn += 1
+        super().cancel(handle)
+
+
+# sizes that tie, differ in the last digits, sit at the epsilon edge, or
+# are large enough (a 20 GB table's logical bytes) that one ulp of
+# rounding residue exceeds epsilon — there a tie's loser outlives the
+# tick, so which transfer the timer targets becomes visible
+_SIZES = st.one_of(
+    st.sampled_from([50.0, 50.0, 100.0, 100.0000001, 33.333, 1e-7, 1e-6,
+                     1.5e-6, 2e-6, 0.0, 2e10, 2e10, 2e11 / 3.0, 5e11, 5e11]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    st.floats(min_value=1e9, max_value=1e12, allow_nan=False),
+)
+# gaps that make operations coincide with each other and with completions
+_GAPS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3.0]),
+    st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+)
+_OPERATIONS = st.lists(
+    st.tuples(
+        _GAPS,
+        st.one_of(
+            st.tuples(st.just("admit"), _SIZES,
+                      st.sampled_from([None, "read", "write"])),
+            st.tuples(st.just("set_rate"),
+                      st.sampled_from([1.0, 64.0, 100.0, 117e6, 1e9 / 7.0])),
+            st.tuples(st.just("probe")),
+        ),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def _drive(link_class, operations):
+    """Run *operations* against one link; everything a caller of the
+    link can see, as exact reprs."""
+    sim = _CountingSimulator()
+    link = link_class(sim, 100.0)
+    seen = []
+
+    def driver():
+        for index, (gap, operation) in enumerate(operations):
+            yield sim.timeout(gap)
+            if operation[0] == "admit":
+                link.transfer(operation[1], operation[2]).add_callback(
+                    lambda _value, _index=index: seen.append(
+                        ("done", _index, repr(sim.now))
+                    )
+                )
+            elif operation[0] == "set_rate":
+                link.set_rate(operation[1])
+            else:
+                seen.append(("probe", index, repr(link.progressed_bytes())))
+
+    sim.spawn(driver())
+    sim.run()
+    return (
+        seen,
+        repr(link.bytes_moved),
+        [(name, repr(value)) for name, value in link.categorized.items()],
+        repr(link.busy_time),
+        len(link._active),
+        sim.armed,
+        sim.withdrawn,
+        repr(sim.now),
+    )
+
+
+class TestBandwidthFusedPass:
+    @settings(max_examples=400, deadline=None)
+    @given(_OPERATIONS)
+    def test_identical_to_three_loop_reference(self, operations):
+        assert _drive(Bandwidth, operations) == _drive(
+            _ThreeLoopBandwidth, operations
+        )
+
+    def test_idle_link_fast_path_matches_reference(self):
+        # one transfer at a time: every admit finds the link idle
+        operations = [(0.5, ("admit", size, "read"))
+                      for size in (10.0, 1e-6 + 1e-9, 33.333)]
+        operations = [
+            step for admit in operations
+            for step in (admit, (7.0, ("probe",)))
+        ]
+        assert _drive(Bandwidth, operations) == _drive(
+            _ThreeLoopBandwidth, operations
+        )

@@ -6,8 +6,12 @@ attempt / retry / lost-map / speculation / gang-restart paths do on
 ``[repr(total seconds), attempts, restarts, failed attempts, row
 digest]``, and per engine one scheduler run of three concurrent queries
 under injected task failures (``repr`` of the makespan and of each
-latency).  The comparison is exact.  Re-capture (only after a deliberate
-cost-model change) with
+latency).  ``datampi/drain-crash`` (captured at ``7e980c7``) crashes a
+node at 60.4 s with the heartbeat monitor off: every O task of the first
+submission has finished (60.35 s) but deliveries are still on the wire
+(until 60.46 s), so the gang must abort at the crash instant, not when
+the last delivery lands.  The comparison is exact.  Re-capture (only
+after a deliberate cost-model change) with
 ``PYTHONPATH=src python -m tests.test_sim_golden_faults``.
 """
 
@@ -20,6 +24,7 @@ import pytest
 from repro import connect
 from repro.common.config import (
     FAULT_SPEC,
+    HEARTBEAT_ENABLED,
     RETRY_BACKOFF,
     RETRY_MAX,
     SPECULATIVE_EXECUTION,
@@ -38,6 +43,9 @@ FAULTS = {
     "crash": dict(_RETRY, **{FAULT_SPEC: "crash:w1@6-60"}),
     "slow": {FAULT_SPEC: "slow:w0x8@0", SPECULATIVE_EXECUTION: "true"},
 }
+DRAIN_CRASH = dict(
+    _RETRY, **{FAULT_SPEC: "crash:w1@60.4-200", HEARTBEAT_ENABLED: "false"}
+)
 SHARED_CONF = {FAULT_SPEC: "seed:3; fail:0.2"}
 SHARED_QUERIES = 3
 
@@ -46,10 +54,10 @@ def _digest(rows):
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-def measure_solo(engine, fault):
+def measure_solo(engine, conf):
     hdfs, metastore = build_big_warehouse()
     with connect(engine=engine, hdfs=hdfs, metastore=metastore,
-                 conf=FAULTS[fault]) as session:
+                 conf=conf) as session:
         result = session.query(SQL)
     return [
         repr(result.execution.total_seconds),
@@ -73,9 +81,10 @@ def measure_shared(engine):
 
 def measure_all():
     out = {
-        f"{engine}/{fault}": measure_solo(engine, fault)
+        f"{engine}/{fault}": measure_solo(engine, FAULTS[fault])
         for engine in ENGINES for fault in FAULTS
     }
+    out["datampi/drain-crash"] = measure_solo("datampi", DRAIN_CRASH)
     for engine in ENGINES:
         out[f"{engine}/shared"] = measure_shared(engine)
     return out
@@ -90,7 +99,11 @@ def golden():
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fault_path_matches_golden(golden, engine, fault):
-    assert measure_solo(engine, fault) == golden[f"{engine}/{fault}"]
+    assert measure_solo(engine, FAULTS[fault]) == golden[f"{engine}/{fault}"]
+
+
+def test_crash_inside_datampi_drain_window_matches_golden(golden):
+    assert measure_solo("datampi", DRAIN_CRASH) == golden["datampi/drain-crash"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -16,6 +16,7 @@ hash tables.
 
 import gc
 import random
+import types
 import weakref
 from collections import Counter
 
@@ -32,6 +33,7 @@ from repro.common.kv import KeyValue
 from repro.common.rows import ColumnBatch, DataType, Schema
 from repro.engines.base import compare_result_rows
 from repro.exec.expressions import (
+    KERNEL_CODE_CACHE,
     Arithmetic,
     Comparison,
     Const,
@@ -54,6 +56,7 @@ from repro.exec.vectorized import (
     VectorLimitOperator,
     build_vector_pipeline,
 )
+from repro.obs import get_metrics
 from repro.workloads.tpch import tpch_query
 
 SCHEMA = Schema.parse("k int, grp string, val double, flag boolean")
@@ -450,7 +453,8 @@ def _module_level_containers(module):
 def test_sessions_leave_no_kernels_or_broadcast_tables_behind(monkeypatch):
     """Plans and job runs own what is compiled and built for them: five
     runs of one cached map-join plan and three fresh sessions leave
-    nothing alive once the sessions are closed."""
+    nothing alive once the sessions are closed — with the process-wide
+    kernel code cache populated, because it holds code objects only."""
     filters, broadcasts = [], []
     load = engine_base.load_broadcast_tables
     run_plan = engine_base.Engine.run_plan
@@ -485,6 +489,39 @@ def test_sessions_leave_no_kernels_or_broadcast_tables_behind(monkeypatch):
     gc.collect()
 
     assert filters and broadcasts
+    assert len(KERNEL_CODE_CACHE) > 0
     assert [ref() for ref in filters if ref() is not None] == []
     assert _module_level_containers(vectorized_module) == {}
     assert [ref() for ref in broadcasts if ref() is not None] == []
+
+
+def test_kernel_code_cache_holds_bounded_code_objects_only():
+    hdfs, metastore = fresh_tpch(1, lineitem_sample=300)
+    with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
+        session.execute(tpch_query(6, 1))
+    assert len(KERNEL_CODE_CACHE) > 0
+    assert {type(code) for code in KERNEL_CODE_CACHE.values()} == {types.CodeType}
+    assert len(KERNEL_CODE_CACHE) <= KERNEL_CODE_CACHE.capacity == 512
+
+
+def test_fresh_session_recompiles_nothing_it_shares_with_the_last():
+    """``compile()`` runs once per distinct source per process: a second
+    session over the same query only hits, and the counters say so."""
+    def kernel_counters():
+        metrics = get_metrics()
+        return (metrics.counter("exec.kernel_cache.hits").value,
+                metrics.counter("exec.kernel_cache.misses").value)
+
+    hdfs, metastore = fresh_tpch(1, lineitem_sample=300)
+    with connect(engine="datampi", hdfs=hdfs, metastore=metastore) as session:
+        session.execute(tpch_query(3, 1))
+        warm = session.caches()["kernel"]
+    hits, misses = kernel_counters()
+    with connect(engine="datampi", hdfs=hdfs, metastore=metastore) as session:
+        session.execute(tpch_query(3, 1))
+        again = session.caches()["kernel"]
+    assert again["misses"] == warm["misses"]
+    assert again["hits"] > warm["hits"]
+    assert kernel_counters() == (
+        hits + again["hits"] - warm["hits"], misses
+    )
