@@ -11,6 +11,14 @@
 # reordering has passed every tier-1 golden and still moved fig08
 # (docs/performance.md, "DES substrate"); `-k fig08` gives that bench
 # alone in under a minute while iterating.
+# The same script is REQUIRED for any change under
+# src/repro/storage/formats/: encoded sizes are cost-model inputs (the
+# simulated disk is charged the compressed ORC streams, block boundaries
+# come from the Sequence/Text prefix sums), so an encoder change must
+# emit exactly the same bytes.  tests/test_orc_golden.py and
+# tests/test_sim_golden_write.py pin that in tier-1; re-capture them
+# (PYTHONPATH=src python tests/test_orc_golden.py, likewise
+# tests/test_sim_golden_write.py) only after a declared format change.
 # The second gate for exec-layer refactors is in the tier-1 run below:
 # tests/test_exec_boundary.py parses the sources and fails when the
 # engines' column-kernel path and the local oracle's row/closure path
@@ -29,13 +37,16 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== simulated-time goldens + event budget under PYTHONHASHSEED=1 =="
+echo "== simulated-time + encoded-byte goldens, event budget under PYTHONHASHSEED=1 =="
 # Same-instant ordering bugs are the kind that hide behind one hash
 # seed (a set or dict walked in address order decides who goes first),
 # so the exact-value suites run a second time under a different one.
+# The byte goldens ride along: ORC dictionary encoding walks a set of
+# strings before sorting it, and hash order must not reach the stream.
 PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
     tests/test_sim_golden.py tests/test_sim_golden_faults.py \
-    tests/test_sim_golden_shuffle.py tests/test_event_budget.py
+    tests/test_sim_golden_shuffle.py tests/test_event_budget.py \
+    tests/test_orc_golden.py tests/test_sim_golden_write.py
 
 echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # The wall-clock benchmark's own suite (BENCHMARK.json's contract): it

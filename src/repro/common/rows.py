@@ -206,23 +206,49 @@ def pack_column(values) -> Sequence:
     plain list, so
     values read back from a packed column are bit-identical to the list
     layout.  Kernels only index/iterate columns, which both layouts
-    support identically.
+    support identically.  A typed buffer comes back as it is: this is
+    the *normal form* stored files keep their columns in.
     """
-    if type(values) is not list:
-        values = list(values)
-    if not values:
+    if isinstance(values, array):
         return values
-    first = type(values[0])
-    if first is int:
-        if all(type(v) is int for v in values):
-            try:
-                return array("q", values)
-            except OverflowError:
-                return values  # beyond 64-bit: keep Python ints
-    elif first is float:
-        if all(type(v) is float for v in values):
-            return array("d", values)
-    return values
+    if type(values) not in (list, tuple):
+        values = list(values)
+    if values:
+        first = type(values[0])
+        # the type scan is one C-level pass, not a generator step per value
+        if first is int:
+            if set(map(type, values)) == {int}:
+                try:
+                    return array("q", values)
+                except OverflowError:
+                    pass  # beyond 64-bit: keep Python ints
+        elif first is float:
+            if set(map(type, values)) == {float}:
+                return array("d", values)
+    return values if type(values) is list else list(values)
+
+
+def concat_columns(pieces: List[Sequence]) -> Sequence:
+    """Join slices of one column, preserving typed buffers when every
+    piece packed to the same typecode.  A single piece comes back as it
+    is (columns are read-only once built, so sharing is safe)."""
+    if not pieces:
+        return []
+    if len(pieces) == 1:
+        return pieces[0]
+    first = pieces[0]
+    if isinstance(first, array) and all(
+        isinstance(piece, array) and piece.typecode == first.typecode
+        for piece in pieces[1:]
+    ):
+        out = array(first.typecode)
+        for piece in pieces:
+            out.extend(piece)
+        return out
+    out_list: list = []
+    for piece in pieces:
+        out_list.extend(piece)
+    return out_list
 
 
 class ColumnBatch:
@@ -237,7 +263,9 @@ class ColumnBatch:
     row 0..size-1 is live (a *dense* batch), otherwise only the listed
     positions are.  Vectorized filters narrow ``sel`` instead of copying
     column data; rows materialize back into tuples only at the
-    serde/shuffle boundary and at FileSink (:meth:`to_rows`).
+    serde/shuffle boundary (:meth:`to_rows`) — a FileSink keeps the live
+    rows as columns (:meth:`dense`) and the stored file is built from
+    those.
 
     ``len()`` and slicing deliberately mirror a row list over the
     *unfiltered* batch so the engines' byte-proportional batching
@@ -290,10 +318,41 @@ class ColumnBatch:
         zero-width batch still has ``live_count`` rows: empty tuples)."""
         if not self.columns:
             return [()] * self.live_count
-        if self.sel is None:
-            return list(zip(*self.columns))
+        return list(zip(*self.dense().columns))
+
+    def dense(self) -> "ColumnBatch":
+        """The live rows as a batch without a selection vector.  An
+        engine window (a ``range`` with step 1) is sliced, any other
+        selection gathered (typed buffers stay typed either way); an
+        already dense batch comes back as it is."""
         sel = self.sel
-        return list(zip(*[[column[i] for i in sel] for column in self.columns]))
+        if sel is None:
+            return self
+        if type(sel) is range and sel.step == 1:
+            columns = [column[sel.start:sel.stop] for column in self.columns]
+        else:
+            columns = [
+                array(column.typecode, map(column.__getitem__, sel))
+                if isinstance(column, array)
+                else list(map(column.__getitem__, sel))
+                for column in self.columns
+            ]
+        return ColumnBatch(columns, len(sel))
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """One dense batch holding the rows of the dense *batches*, in
+        order.  Empty batches are skipped whatever their width (a sink
+        that received nothing has none); with nothing left the result is
+        the zero-width empty batch."""
+        batches = [batch for batch in batches if batch.size]
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            [concat_columns(pieces)
+             for pieces in zip(*[batch.columns for batch in batches])],
+            sum(batch.size for batch in batches),
+        )
 
     def __len__(self) -> int:
         return self.size

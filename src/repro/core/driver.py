@@ -501,6 +501,7 @@ class Driver:
         fmt = statement.format_name or self._default_format()
         location = f"/warehouse/{statement.name.lower()}"
         plan = self._compile(statement.query, location, fmt, query_id)
+        plan.returns_rows = False
         compile_seconds = self._compile_seconds(plan)
 
         def finalize(execution: Optional[PlanResult],
@@ -569,6 +570,7 @@ class Driver:
         plan.jobs[-1].output_schema = target_schema
         plan.jobs[-1].output_partition_values = partition_values
         plan.output_schema = target_schema
+        plan.returns_rows = False
         compile_seconds = self._compile_seconds(plan)
 
         def finalize(execution: Optional[PlanResult],

@@ -20,6 +20,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.common.config import (
@@ -33,7 +34,7 @@ from repro.common.config import (
     LEASE_AUDIT,
 )
 from repro.common.kv import KeyValue
-from repro.common.rows import Schema
+from repro.common.rows import ColumnBatch, Schema
 from repro.common.units import GB, MB
 from repro.exec.mapper import ExecMapper, ExecReducer, MapTaskResult
 from repro.exec.operators import Collector, FileSinkDesc
@@ -575,8 +576,9 @@ def run_reducer_functionally(
     small_tables: Optional[Dict[str, List[Row]]] = None,
     *,
     vectorized: bool,
-) -> List[Row]:
-    """Sort, group and reduce one partition's pairs; returns output rows.
+) -> Union[List[Row], ColumnBatch]:
+    """Sort, group and reduce one partition's pairs; returns the task's
+    output as its tail produced it (see :class:`MapTaskResult`).
     *vectorized* names the caller's role, as for :class:`ExecMapper`."""
     from repro.exec.reduce import ReduceAggregateDesc
 
@@ -599,18 +601,19 @@ def run_reducer_functionally(
         # SQL: a global aggregate over zero rows still yields one row
         # (COUNT(*) = 0, SUM = NULL)
         reducer.reduce_group((), [])
-    return reducer.close().output_rows
+    return reducer.close().output
 
 
 def write_task_output(
     job: MRJob,
     hdfs: HDFS,
     task_index: int,
-    rows: Sequence[Row],
+    rows: Union[Sequence[Row], ColumnBatch],
     scale: float,
     writer_node: Optional[int] = None,
 ):
-    """Write one task's output part-file under the job's output dir.
+    """Write one task's output part-file under the job's output dir —
+    *rows* as the task produced it, columns or row tuples.
 
     The job id participates in the file name so INSERT INTO (append)
     never collides with files from earlier jobs in the same directory.
@@ -628,13 +631,17 @@ def write_task_output(
 
 
 def final_sorted_rows(plan: PhysicalPlan, hdfs: HDFS) -> List[Row]:
-    """Assemble the query's final row set from the plan's output dir.
+    """Assemble the query's final row set from the plan's output dir —
+    empty for a plan that returns none (INSERT / CTAS: the target table
+    is not read back).
 
     When the last job was a total ORDER BY, its single part-file is
     already ordered; otherwise part-file order is used (Hive semantics:
     unordered).  ``final_limit`` is applied exactly here.
     """
     rows: List[Row] = []
+    if not plan.returns_rows:
+        return rows
     for data_file in hdfs.list_dir(plan.output_location):
         rows.extend(data_file.rows)
     if plan.final_limit is not None:

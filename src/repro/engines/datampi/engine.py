@@ -49,6 +49,7 @@ from repro.common.config import (
 )
 from repro.common.errors import JobAbortedError, RetryExhaustedError
 from repro.common.kv import KeyValue
+from repro.common.rows import ColumnBatch
 from repro.common.units import MB
 from repro.engines.base import (
     Engine,
@@ -672,7 +673,7 @@ class DataMPIEngine(Engine):
         sender_done = None
         sender_started = False
         emit_seq = count()  # provenance stamp for canonical receive order
-        output_rows: List = []
+        outputs: List[ColumnBatch] = []  # one per split, map-only jobs
         try:
             if acquired is not None:
                 yield acquired
@@ -730,7 +731,7 @@ class DataMPIEngine(Engine):
                     yield from self._emit_buffers(sub, node, fresh, queue, task)
                 else:
                     held.extend(fresh)
-                output_rows.extend(result.output_rows)
+                outputs.append(result.output)
                 task.rows_read += result.rows_read
                 task.kv_pairs += result.kv_pairs
                 task.kv_bytes += result.kv_bytes * scale
@@ -741,8 +742,8 @@ class DataMPIEngine(Engine):
 
             if job.is_map_only:
                 data_file = write_task_output(
-                    job, self.hdfs, index, output_rows, sub.scale,
-                    writer_node=node_index,
+                    job, self.hdfs, index, ColumnBatch.concat(outputs),
+                    sub.scale, writer_node=node_index,
                 )
                 sub.gang.written.append(data_file.path)
                 if not sub.pipe_out:
@@ -916,7 +917,7 @@ class DataMPIEngine(Engine):
                 yield from node.compute(
                     received / MB * costs.cpu_sort_ms_per_mb * gc_factor / 1000.0
                 )
-            output_rows = run_reducer_functionally(
+            output = run_reducer_functionally(
                 sub.job, receive.partition_pairs(partition), sub.small_tables,
                 vectorized=True,
             )
@@ -924,7 +925,7 @@ class DataMPIEngine(Engine):
                 received / MB * costs.cpu_reduce_ms_per_mb * gc_factor / 1000.0
             )
             data_file = write_task_output(
-                sub.job, self.hdfs, partition, output_rows, sub.scale,
+                sub.job, self.hdfs, partition, output, sub.scale,
                 writer_node=node_index,
             )
             sub.gang.written.append(data_file.path)

@@ -280,7 +280,7 @@ class HadoopEngine(TaskAttemptEngine):
                 if not ctx.claim_commit(task):
                     return ("lost-race", None)
                 data_file = write_task_output(
-                    job, self.hdfs, index, result.output_rows, ctx.scale,
+                    job, self.hdfs, index, result.output, ctx.scale,
                     writer_node=node_index,
                 )
                 committed = True
@@ -435,7 +435,7 @@ class HadoopEngine(TaskAttemptEngine):
             pairs: List[KeyValue] = []
             for map_index in range(ctx.num_maps):
                 pairs.extend(pairs_by_map.get(map_index, ()))
-            output_rows = run_reducer_functionally(
+            output = run_reducer_functionally(
                 ctx.job, pairs, ctx.small_tables, vectorized=True
             )
 
@@ -443,7 +443,7 @@ class HadoopEngine(TaskAttemptEngine):
             if not ctx.claim_commit(task):
                 return ("lost-race", None)
             data_file = write_task_output(
-                ctx.job, self.hdfs, partition, output_rows, ctx.scale,
+                ctx.job, self.hdfs, partition, output, ctx.scale,
                 writer_node=node_index,
             )
             committed = True

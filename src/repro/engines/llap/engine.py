@@ -515,7 +515,7 @@ class LlapEngine(TaskAttemptEngine):
                 if not ctx.claim_commit(task):
                     return ("lost-race", None)
                 data_file = write_task_output(
-                    job, self.hdfs, index, result.output_rows, ctx.scale,
+                    job, self.hdfs, index, result.output, ctx.scale,
                     writer_node=node_index,
                 )
                 committed = True
@@ -606,7 +606,7 @@ class LlapEngine(TaskAttemptEngine):
             pairs: List[KeyValue] = []
             for map_index in range(ctx.num_maps):
                 pairs.extend(pairs_by_map.get(map_index, ()))
-            output_rows = run_reducer_functionally(
+            output = run_reducer_functionally(
                 ctx.job, pairs, ctx.small_tables, vectorized=True
             )
             yield from node.compute(
@@ -616,7 +616,7 @@ class LlapEngine(TaskAttemptEngine):
             if not ctx.claim_commit(task):
                 return ("lost-race", None)
             data_file = write_task_output(
-                ctx.job, self.hdfs, partition, output_rows, ctx.scale,
+                ctx.job, self.hdfs, partition, output, ctx.scale,
                 writer_node=node_index,
             )
             committed = True

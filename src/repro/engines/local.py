@@ -101,7 +101,7 @@ class LocalEngine(Engine):
                 )
                 mapper.process_batch(rows)
                 result = mapper.close()
-                write_task_output(job, hdfs, task_index, result.output_rows, scale)
+                write_task_output(job, hdfs, task_index, result.output, scale)
             if not splits:
                 write_task_output(job, hdfs, 0, [], scale)
             return timing
@@ -120,9 +120,9 @@ class LocalEngine(Engine):
             mapper.close()
 
         for partition in range(num_reducers):
-            output_rows = run_reducer_functionally(
+            output = run_reducer_functionally(
                 job, collector.partitions[partition], small_tables,
                 vectorized=False,
             )
-            write_task_output(job, hdfs, partition, output_rows, scale)
+            write_task_output(job, hdfs, partition, output, scale)
         return timing

@@ -15,7 +15,7 @@ operators (:func:`build_vector_pipeline`); the reference executor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.rows import ColumnBatch
 from repro.exec.operators import (
@@ -35,12 +35,34 @@ Row = Tuple[object, ...]
 
 @dataclass
 class MapTaskResult:
-    """Functional products of one map task."""
+    """Functional products of one map (or reduce) task.
 
-    output_rows: List[Row]  # non-empty only for map-only jobs
+    ``output`` is what the task's FileSink received, in the
+    representation its pipeline runs on: one dense
+    :class:`~repro.common.rows.ColumnBatch` from the column kernels, row
+    tuples from the row operators (and from a reduce logic feeding a
+    bare FileSink).  ``HDFS.write`` takes either; ``output_rows`` is the
+    row view for everyone else."""
+
+    output: Union[List[Row], ColumnBatch]  # non-empty only for map-only jobs
     rows_read: int
     kv_pairs: int
     kv_bytes: int
+
+    @property
+    def output_rows(self) -> List[Row]:
+        if isinstance(self.output, ColumnBatch):
+            return self.output.to_rows()
+        return self.output
+
+
+def _task_result(context: OperatorContext) -> MapTaskResult:
+    return MapTaskResult(
+        output=context.output,
+        rows_read=context.rows_read,
+        kv_pairs=context.kv_pairs_out,
+        kv_bytes=context.kv_bytes_out,
+    )
 
 
 class ExecMapper:
@@ -114,13 +136,7 @@ class ExecMapper:
             else:
                 self.pipeline.close()
             self._closed = True
-        context = self.context
-        return MapTaskResult(
-            output_rows=context.output_rows,
-            rows_read=context.rows_read,
-            kv_pairs=context.kv_pairs_out,
-            kv_bytes=context.kv_bytes_out,
-        )
+        return _task_result(self.context)
 
 
 class ExecReducer:
@@ -160,7 +176,7 @@ class ExecReducer:
                 self.tail.close()
             elif self.vector_tail is None:
                 context.rows_emitted += len(rows)
-                context.output_rows = rows
+                context.output = rows
             else:
                 if rows:
                     # a one-shot transpose: typed arrays (pack_column)
@@ -170,9 +186,4 @@ class ExecReducer:
                     )
                 self.vector_tail.close()
             self._closed = True
-        return MapTaskResult(
-            output_rows=context.output_rows,
-            rows_read=context.rows_read,
-            kv_pairs=context.kv_pairs_out,
-            kv_bytes=context.kv_bytes_out,
-        )
+        return _task_result(context)

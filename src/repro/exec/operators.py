@@ -219,7 +219,10 @@ class OperatorContext:
         self.collector = collector
         self.num_partitions = max(1, num_partitions)
         self.small_tables = small_tables or {}
-        self.output_rows: List[Row] = []
+        # what the task's FileSink received, in the representation its
+        # pipeline runs on: row tuples from the row operators, one dense
+        # ColumnBatch (published at close) from the column kernels
+        self.output = []
         # counters
         self.rows_read = 0
         self.rows_emitted = 0
@@ -443,7 +446,7 @@ class FileSinkOperator(MapOperator):
 
     def process_rows(self, rows: Rows) -> None:
         self._context.rows_emitted += len(rows)
-        self._context.output_rows.extend(rows)
+        self._context.output.extend(rows)
 
 
 def build_pipeline(

@@ -6,7 +6,8 @@ codegen'd whole-column loop (the ``codegen_*_kernel`` family in
 :mod:`repro.exec.expressions`) against a column batch.  Filters narrow
 the batch's *selection vector* rather than copying data; rows
 materialize back into tuples only at the serde/shuffle boundary
-(ReduceSink) and at FileSink — Hive's VectorizedRowBatch design.
+(ReduceSink) — a FileSink keeps columns, and the stored file is built
+from them — Hive's VectorizedRowBatch design.
 
 :func:`build_vector_pipeline` is total over the planner's descriptors:
 there is no second mode to fall back to.  The row operators of
@@ -296,19 +297,22 @@ class VectorReduceSinkOperator(VectorOperator):
 
 
 class VectorFileSinkOperator(VectorOperator):
-    """Terminal: the only place a map-only pipeline materializes rows."""
+    """Terminal: keeps each batch's live rows as columns (a window is a
+    slice, typed buffers stay typed) and publishes them at close as the
+    task's output, one dense batch — it never becomes row tuples on its
+    way to ``HDFS.write``."""
 
     def __init__(self, desc: FileSinkDesc, context: OperatorContext):
         super().__init__(None)
         self._context = context
+        self._batches: List[ColumnBatch] = []
 
     def process_batch(self, batch: ColumnBatch) -> None:
-        rows = batch.to_rows()
-        self._context.rows_emitted += len(rows)
-        self._context.output_rows.extend(rows)
+        self._context.rows_emitted += batch.live_count
+        self._batches.append(batch.dense())
 
     def close(self) -> None:
-        pass
+        self._context.output = ColumnBatch.concat(self._batches)
 
 
 def build_vector_pipeline(

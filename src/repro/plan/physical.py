@@ -128,6 +128,10 @@ class PhysicalPlan:
     output_location: str
     output_schema: Schema
     final_limit: Optional[int] = None
+    # whether the statement hands the rows under output_location back to
+    # the client (a SELECT's result directory); an INSERT / CTAS writes a
+    # table and returns none, so nothing reads its target back
+    returns_rows: bool = True
     # human-readable costing/skew decisions, rendered by explain_plan
     optimizer_notes: List[str] = field(default_factory=list)
 

@@ -1,9 +1,10 @@
 """Format-neutral interfaces for stored tables.
 
-A :class:`StoredFile` owns the rows of one HDFS file plus everything the
-cost model needs: the *encoded* byte size (computed by really encoding the
-rows) and, for columnar formats, per-stripe/per-column sub-sizes so that
-column pruning and predicate pushdown translate into fewer bytes read.
+A :class:`StoredFile` owns the contents of one HDFS file — as columns —
+plus everything the cost model needs: the *encoded* byte size (computed
+by really encoding the values) and, for columnar formats,
+per-stripe/per-column sub-sizes so that column pruning and predicate
+pushdown translate into fewer bytes read.
 
 ``ScanResult`` is what a table-scan operator gets back: the surviving rows
 (possibly a superset that still needs residual filtering) and the number of
@@ -13,8 +14,10 @@ encoded bytes a real reader would have pulled off the disk for them.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import StorageError
 from repro.common.rows import ColumnBatch, Schema, pack_column
@@ -48,20 +51,42 @@ class BatchScanResult:
 
 
 class StoredFile(abc.ABC):
-    """Encoded representation of a row block inside one HDFS file."""
+    """Encoded representation of a row block inside one HDFS file.
 
-    def __init__(self, schema: Schema, rows: List[Row]):
+    Columns are the one representation a file is built from and kept
+    in: a constructor takes ``(schema, columns, size)`` — one indexable
+    sequence of *size* values per schema column, in any container,
+    walked once in schema order — and keeps what it needs of them in
+    :func:`~repro.common.rows.pack_column` normal form, so a columnar
+    scan hands kernels typed buffers.
+    :attr:`rows` is a derivation, made on first use and cached; only row
+    readers trigger it (:meth:`scan`, ``HDFS.dir_rows``, the result
+    fetch of a SELECT, ``ANALYZE``) — the engines' column path and
+    :attr:`row_count` never do.  A file built from rows
+    (:meth:`FileFormat.build`) keeps the producer's tuples as that view
+    and has nothing to derive.
+    """
+
+    def __init__(self, schema: Schema, size: int):
         self.schema = schema
-        self.rows = rows
+        self.row_count = size
+        self._rows: Optional[List[Row]] = None
+
+    @property
+    def rows(self) -> List[Row]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._derive_rows()
+        return rows
+
+    @abc.abstractmethod
+    def _derive_rows(self) -> List[Row]:
+        """The file's contents as row tuples, built from its columns."""
 
     @property
     @abc.abstractmethod
     def total_bytes(self) -> int:
         """Encoded size of the whole file in bytes (un-scaled)."""
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
 
     @abc.abstractmethod
     def scan(
@@ -80,6 +105,7 @@ class StoredFile(abc.ABC):
         top) — pruning affects only the byte charge and skipped stripes.
         """
 
+    @abc.abstractmethod
     def scan_batch(
         self,
         row_start: int,
@@ -88,62 +114,106 @@ class StoredFile(abc.ABC):
         stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
     ) -> BatchScanResult:
         """Columnar scan: same contract as :meth:`scan` but the result is
-        a full-width :class:`~repro.common.rows.ColumnBatch`.
-
-        Row-oriented formats (Text/Sequence) get this rows→batch adapter
-        for free; columnar formats override it to serve decoded column
-        streams directly, with no intermediate row tuples.  Byte charges
-        and stripe skipping are identical to :meth:`scan` by construction.
+        a full-width :class:`~repro.common.rows.ColumnBatch` served from
+        the file's columns, with no intermediate row tuples.  Byte
+        charges and stripe skipping are identical to :meth:`scan`.
         """
-        result = self.scan(
-            row_start, row_count, columns=columns,
-            stats_conjuncts=stats_conjuncts,
-        )
-        return BatchScanResult(
-            batch=ColumnBatch.from_rows(result.rows, width=len(self.schema)),
-            bytes_read=result.bytes_read,
-            rows_skipped=result.rows_skipped,
-        )
 
     @abc.abstractmethod
     def bytes_for_range(self, row_start: int, row_count: int) -> int:
         """Encoded bytes covering a row range (used to size input splits)."""
 
 
-def contiguous_scan_batch(
-    stored: StoredFile, row_start: int, row_count: int
-) -> BatchScanResult:
-    """``scan_batch`` for row-major formats whose :meth:`StoredFile.scan`
-    returns the plain contiguous row range (Text, Sequence: no pruning,
-    no pushdown).  The file's rows are transposed once, cached in the
-    typed-buffer layout (:func:`~repro.common.rows.pack_column`), and
-    every scan serves column slices — slicing a typed ``array`` yields a
-    typed ``array``.  Byte charges are unchanged."""
-    row_end = min(row_start + row_count, stored.row_count)
-    start = min(row_start, stored.row_count)
-    columns = getattr(stored, "_columns_cache", None)
-    if columns is None:
-        if stored.rows:
-            columns = [pack_column(column) for column in zip(*stored.rows)]
-        else:
-            columns = [[] for _ in range(len(stored.schema))]
-        stored._columns_cache = columns
-    return BatchScanResult(
-        batch=ColumnBatch(
-            [column[start:row_end] for column in columns], row_end - start
-        ),
-        bytes_read=stored.bytes_for_range(row_start, row_count),
-    )
+class RowMajorStoredFile(StoredFile):
+    """Shared shape of the row-oriented encodings (Text, Sequence): the
+    whole file's columns in normal form plus a prefix sum of encoded row
+    sizes (the subclass says what a row costs), so a range's bytes are
+    one subtraction.  No pruning, no pushdown: every scan returns the
+    plain contiguous range and pays for its full width."""
+
+    def __init__(self, schema: Schema, columns: Iterable[Sequence], size: int):
+        super().__init__(schema, size)
+        if size:
+            self.columns = [pack_column(column) for column in columns]
+        else:  # an empty producer may not know the width
+            self.columns = [[] for _ in range(len(schema))]
+        # a typed buffer like the columns: 8 bytes a row, not an int object
+        self._offsets = array("q", accumulate(self._row_sizes(), initial=0))
+
+    @abc.abstractmethod
+    def _row_sizes(self) -> Iterable[int]:
+        """Encoded size of every row, in order, sized from
+        ``self.columns`` in column-wise C-level passes."""
+
+    def _derive_rows(self) -> List[Row]:
+        return ColumnBatch(self.columns, self.row_count).to_rows()
+
+    @property
+    def total_bytes(self) -> int:
+        return self._offsets[-1]
+
+    def bytes_for_range(self, row_start: int, row_count: int) -> int:
+        row_end = min(row_start + row_count, self.row_count)
+        row_start = min(row_start, self.row_count)
+        return self._offsets[row_end] - self._offsets[row_start]
+
+    def scan(
+        self,
+        row_start: int,
+        row_count: int,
+        columns: Optional[Sequence[str]] = None,
+        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
+    ) -> ScanResult:
+        row_end = min(row_start + row_count, self.row_count)
+        return ScanResult(
+            rows=self.rows[row_start:row_end],
+            bytes_read=self.bytes_for_range(row_start, row_count),
+        )
+
+    def scan_batch(
+        self,
+        row_start: int,
+        row_count: int,
+        columns: Optional[Sequence[str]] = None,
+        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
+    ) -> BatchScanResult:
+        """Column slices of the range — slicing a typed ``array`` yields
+        a typed ``array``; hints are ignored exactly as :meth:`scan`
+        ignores them and the byte charge is the same."""
+        row_end = min(row_start + row_count, self.row_count)
+        start = min(row_start, self.row_count)
+        return BatchScanResult(
+            batch=ColumnBatch(
+                [column[start:row_end] for column in self.columns],
+                row_end - start,
+            ),
+            bytes_read=self.bytes_for_range(row_start, row_count),
+        )
 
 
 class FileFormat(abc.ABC):
-    """Factory turning rows into a :class:`StoredFile`."""
+    """Factory turning columns (or, through :meth:`build`, rows) into a
+    :class:`StoredFile`."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def build(self, schema: Schema, rows: List[Row]) -> StoredFile:
-        """Encode *rows* and return the stored representation."""
+    def from_columns(
+        self, schema: Schema, columns: Iterable[Sequence], size: int
+    ) -> StoredFile:
+        """Encode *size* rows given as one sequence per schema column
+        (walked once, so a lazy transpose never holds two copies)."""
+
+    def build(self, schema: Schema, rows: Sequence[Row]) -> StoredFile:
+        """Encode *rows*: the one adapter for row producers (loaders, the
+        reference executor, reduce output), a single transpose at the
+        door."""
+        rows = list(rows)
+        # zip(*rows) yields one column at a time and the formats walk
+        # them once: a single transposed tuple is alive, not all of them
+        stored = self.from_columns(schema, zip(*rows), len(rows))
+        stored._rows = rows  # the producer's tuples: nothing to derive
+        return stored
 
 
 _REGISTRY: Dict[str, FileFormat] = {}

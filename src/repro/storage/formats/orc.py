@@ -20,15 +20,24 @@ in Table II comes from.
 
 from __future__ import annotations
 
+import functools
 import struct
+import sys
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
 from array import array
+from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import is_, ne, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import StorageError
-from repro.common.rows import ColumnBatch, DataType, Schema, pack_column
+from repro.common.rows import (
+    ColumnBatch,
+    DataType,
+    Schema,
+    concat_columns,
+    pack_column,
+)
 from repro.storage.formats.base import (
     BatchScanResult,
     FileFormat,
@@ -84,48 +93,106 @@ def unzigzag(value: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# bulk primitives: the same bytes as the scalar ones above, a column at a
+# time in C-level passes
+# ---------------------------------------------------------------------------
+
+_VARINT_TABLE_SIZE = 1 << 14  # every one- and two-byte varint
+
+
+@functools.lru_cache(maxsize=None)
+def _varint_table() -> Tuple[bytes, ...]:
+    """``write_varint`` of every value below 2^14, built on first use
+    (under 1 MiB; a process that never writes ORC never pays for it)."""
+    table = []
+    for value in range(_VARINT_TABLE_SIZE):
+        out = bytearray()
+        write_varint(value, out)
+        table.append(bytes(out))
+    return tuple(table)
+
+
+def _wide_varint(value: int, table: Tuple[bytes, ...]) -> bytes:
+    """``write_varint`` of a value of 2^14 or more: below 2^28 it is the
+    low 14 bits as two continuation bytes, then the table's varint of
+    the rest."""
+    if value >> 28:
+        out = bytearray()
+        write_varint(value, out)
+        return bytes(out)
+    return (bytes((value & 0x7F | 0x80, value >> 7 & 0x7F | 0x80))
+            + table[value >> 14])
+
+
+def _varint_pieces(values: Sequence[int]) -> List[bytes]:
+    """``write_varint`` of each of the non-negative *values*, one bytes
+    object per value."""
+    table = _varint_table()
+    try:
+        return list(map(table.__getitem__, values))
+    except IndexError:  # some value takes three bytes or more
+        return [
+            table[value] if value < _VARINT_TABLE_SIZE
+            else _wide_varint(value, table)
+            for value in values
+        ]
+
+
+def _varints(values: List[int]) -> bytes:
+    """The concatenated varints of *values* — a list: ``bytes()`` of a
+    typed array would be its raw buffer."""
+    if not values:
+        return b""
+    if min(values) < 0:
+        raise StorageError("varint requires non-negative value")
+    if max(values) < 0x80:
+        return bytes(values)  # one byte each, the values themselves
+    return b"".join(_varint_pieces(values))
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_bits(flags: bytes) -> bytes:
+    """Bit-pack *flags* (one 0/1 byte per position), least significant
+    bit first within each byte."""
+    if not flags:
+        return b""
+    bits = int(flags[::-1].translate(_BIT_DIGITS), 2)
+    return bits.to_bytes((len(flags) + 7) // 8, "little")
+
+
+# ---------------------------------------------------------------------------
 # column encoders (operate on the non-null values; nulls go in a bitmap)
 # ---------------------------------------------------------------------------
 
+_is_null = functools.partial(is_, None)
+
+
 def _encode_null_bitmap(values: Sequence[object]) -> bytes:
-    bits = bytearray((len(values) + 7) // 8)
-    for position, value in enumerate(values):
-        if value is None:
-            bits[position // 8] |= 1 << (position % 8)
-    return bytes(bits)
+    return _pack_bits(bytes(map(_is_null, values)))
 
 
 def _decode_null_bitmap(bitmap: bytes, count: int) -> List[bool]:
     return [bool(bitmap[i // 8] & (1 << (i % 8))) for i in range(count)]
 
 
-def _encode_int_stream(values: List[int]) -> Tuple[str, bytes]:
+def _encode_int_stream(values: Sequence[int]) -> Tuple[str, bytes]:
     """RLE when runs dominate, zigzag-delta varints otherwise."""
-    if not values:
+    count = len(values)
+    if not count:
         return "delta", b""
-    runs = 1
-    for previous, current in zip(values, values[1:]):
-        if current != previous:
-            runs += 1
-    out = bytearray()
-    if len(values) / runs >= 2.0:  # average run length >= 2 -> RLE pays off
-        run_value = values[0]
-        run_length = 1
-        for current in values[1:]:
-            if current == run_value:
-                run_length += 1
-            else:
-                write_varint(run_length, out)
-                write_varint(zigzag(run_value), out)
-                run_value, run_length = current, 1
-        write_varint(run_length, out)
-        write_varint(zigzag(run_value), out)
-        return "rle", bytes(out)
-    previous = 0
-    for current in values:
-        write_varint(zigzag(current - previous), out)
-        previous = current
-    return "delta", bytes(out)
+    # positions whose value differs from the one before: the run starts
+    changes = list(compress(range(1, count), map(ne, values, values[1:])))
+    if count / (len(changes) + 1) >= 2.0:  # average run length >= 2 -> RLE pays off
+        starts = [0] + changes
+        lengths = map(sub, changes + [count], starts)
+        encoded = [zigzag(values[start]) for start in starts]
+        return "rle", _varints(list(chain.from_iterable(zip(lengths, encoded))))
+    deltas = map(sub, values, chain((0,), values))
+    return "delta", _varints([  # zigzag(), inlined: no call per value
+        delta << 1 if delta >= 0 else ((-delta) << 1) - 1 for delta in deltas
+    ])
 
 
 def _decode_int_stream(encoding: str, data: bytes, count: int) -> List[int]:
@@ -145,25 +212,44 @@ def _decode_int_stream(encoding: str, data: bytes, count: int) -> List[int]:
     return values
 
 
-def _encode_string_stream(values: List[str]) -> Tuple[str, bytes]:
-    """Dictionary encoding when the column repeats enough, else direct."""
-    distinct = sorted(set(values))
-    out = bytearray()
+def _length_prefixed(texts: Sequence[str]) -> bytes:
+    """Each text as a varint UTF-8 byte length followed by the bytes."""
+    if not texts:
+        return b""
+    pieces: list = [None] * (2 * len(texts))
+    if "".join(texts).isascii():
+        lengths = list(map(len, texts))  # ASCII: one byte per character
+        if max(lengths) < 0x80:
+            # one-byte varints are ASCII as well: interleave as text and
+            # encode the whole stream once instead of once per value
+            pieces[0::2] = map(chr, lengths)
+            pieces[1::2] = texts
+            return "".join(pieces).encode("ascii")
+    encoded = list(map(str.encode, texts))
+    pieces[0::2] = _varint_pieces(list(map(len, encoded)))
+    pieces[1::2] = encoded
+    return b"".join(pieces)
+
+
+def _encode_string_stream(
+    values: Sequence[str], distinct: Optional[Set[str]] = None
+) -> Tuple[str, bytes]:
+    """Dictionary encoding when the column repeats enough, else direct.
+    *distinct* is ``set(values)`` when the caller already has it."""
+    if distinct is None:
+        distinct = set(values)
     if values and len(distinct) / len(values) < _DICT_THRESHOLD:
-        index_of = {text: position for position, text in enumerate(distinct)}
-        write_varint(len(distinct), out)
-        for text in distinct:
-            data = text.encode("utf-8")
-            write_varint(len(data), out)
-            out += data
-        for text in values:
-            write_varint(index_of[text], out)
-        return "dict", bytes(out)
-    for text in values:
-        data = text.encode("utf-8")
-        write_varint(len(data), out)
-        out += data
-    return "direct", bytes(out)
+        dictionary = sorted(distinct)  # sorted: hash order cannot leak
+        index_of = dict(zip(dictionary, range(len(dictionary))))
+        indices = map(index_of.__getitem__, values)
+        return "dict", b"".join((
+            _varints([len(dictionary)]),
+            _length_prefixed(dictionary),
+            # up to 2^7 entries every index is its own one-byte varint
+            bytes(indices) if len(dictionary) <= 0x80
+            else _varints(list(indices)),
+        ))
+    return "direct", _length_prefixed(values)
 
 
 def _decode_string_stream(encoding: str, data: bytes, count: int) -> List[str]:
@@ -188,20 +274,21 @@ def _decode_string_stream(encoding: str, data: bytes, count: int) -> List[str]:
     return values
 
 
-def _encode_double_stream(values: List[float]) -> Tuple[str, bytes]:
-    return "raw", b"".join(_F64.pack(value) for value in values)
+def _encode_double_stream(values: Sequence[float]) -> Tuple[str, bytes]:
+    """Big-endian IEEE-754, eight bytes per value: one buffer copy and a
+    byte swap instead of a ``struct.pack`` per value."""
+    buffer = array("d", values)
+    if sys.byteorder == "little":
+        buffer.byteswap()
+    return "raw", buffer.tobytes()
 
 
 def _decode_double_stream(data: bytes, count: int) -> List[float]:
     return [_F64.unpack_from(data, i * 8)[0] for i in range(count)]
 
 
-def _encode_bool_stream(values: List[bool]) -> Tuple[str, bytes]:
-    bits = bytearray((len(values) + 7) // 8)
-    for position, value in enumerate(values):
-        if value:
-            bits[position // 8] |= 1 << (position % 8)
-    return "bitpack", bytes(bits)
+def _encode_bool_stream(values: Sequence[bool]) -> Tuple[str, bytes]:
+    return "bitpack", _pack_bits(bytes(map(bool, values)))
 
 
 def _decode_bool_stream(data: bytes, count: int) -> List[bool]:
@@ -267,15 +354,39 @@ class Stripe:
         return True
 
 
-def _encode_column(dtype: DataType, values: List[object]) -> ColumnChunk:
-    null_bitmap = _encode_null_bitmap(values)
-    present = [value for value in values if value is not None]
+_TEXT_TYPES = (DataType.STRING, DataType.DATE)
+
+
+def _encode_column(
+    dtype: DataType, values: Sequence[object]
+) -> Tuple[ColumnChunk, Tuple[object, object]]:
+    """One stripe column -> its chunk and its (min, max) statistics."""
+    distinct = None
+    if isinstance(values, array):
+        has_nulls = False  # a typed buffer cannot hold NULLs: no scan
+    elif dtype in _TEXT_TYPES:
+        # the dictionary decision needs the distinct values anyway; they
+        # also answer "any NULL?" and bound the stats without three more
+        # passes of string comparisons over the column
+        distinct = set(values)
+        has_nulls = None in distinct
+        distinct.discard(None)
+    else:
+        has_nulls = None in values
+    if has_nulls:
+        null_bitmap = _encode_null_bitmap(values)
+        present = [value for value in values if value is not None]
+    else:
+        null_bitmap = bytes((len(values) + 7) // 8)
+        present = values
+    domain = present if distinct is None else distinct
+    stats = (min(domain), max(domain)) if len(domain) else (None, None)
     if dtype in (DataType.INT, DataType.BIGINT):
         encoding, raw = _encode_int_stream(present)
     elif dtype is DataType.DOUBLE:
         encoding, raw = _encode_double_stream(present)
-    elif dtype in (DataType.STRING, DataType.DATE):
-        encoding, raw = _encode_string_stream(present)
+    elif dtype in _TEXT_TYPES:
+        encoding, raw = _encode_string_stream(present, distinct)
     elif dtype is DataType.BOOLEAN:
         encoding, raw = _encode_bool_stream(present)
     else:
@@ -283,7 +394,7 @@ def _encode_column(dtype: DataType, values: List[object]) -> ColumnChunk:
     compressed = zlib.compress(raw, 6)
     if len(compressed) >= len(raw):
         compressed = raw  # ORC stores incompressible chunks uncompressed
-    return ColumnChunk(encoding, null_bitmap, compressed, len(raw))
+    return ColumnChunk(encoding, null_bitmap, compressed, len(raw)), stats
 
 
 def _decode_column(dtype: DataType, chunk: ColumnChunk, count: int) -> List[object]:
@@ -296,7 +407,7 @@ def _decode_column(dtype: DataType, chunk: ColumnChunk, count: int) -> List[obje
         present = _decode_int_stream(chunk.encoding, raw, present_count)
     elif dtype is DataType.DOUBLE:
         present = _decode_double_stream(raw, present_count)
-    elif dtype in (DataType.STRING, DataType.DATE):
+    elif dtype in _TEXT_TYPES:
         present = _decode_string_stream(chunk.encoding, raw, present_count)
     elif dtype is DataType.BOOLEAN:
         present = _decode_bool_stream(raw, present_count)
@@ -310,61 +421,50 @@ def _decode_column(dtype: DataType, chunk: ColumnChunk, count: int) -> List[obje
 # the stored file
 # ---------------------------------------------------------------------------
 
-def _concat_column(pieces: List[Sequence]) -> Sequence:
-    """Join per-stripe column slices, preserving typed buffers when every
-    contributing stripe packed to the same typecode."""
-    if not pieces:
-        return []
-    if len(pieces) == 1:
-        return pieces[0]
-    first = pieces[0]
-    if isinstance(first, array) and all(
-        isinstance(piece, array) and piece.typecode == first.typecode
-        for piece in pieces[1:]
-    ):
-        out = array(first.typecode)
-        for piece in pieces:
-            out.extend(piece)
-        return out
-    out_list: list = []
-    for piece in pieces:
-        out_list.extend(piece)
-    return out_list
-
-
 class OrcStoredFile(StoredFile):
     """Stripe-organized columnar file with stats and real encoded streams."""
 
-    def __init__(self, schema: Schema, rows: List[Row], stripe_rows: int):
-        super().__init__(schema, rows)
+    def __init__(self, schema: Schema, columns: Iterable[Sequence],
+                 size: int, stripe_rows: int):
+        super().__init__(schema, size)
         self.stripe_rows = stripe_rows
-        self.stripes: List[Stripe] = []
-        # decoded column streams, one list-of-columns per stripe — the
-        # per-column value lists computed while encoding ARE the decoded
-        # representation (packed into typed buffers where the values
-        # allow, see pack_column), so the columnar scan (scan_batch)
-        # serves them directly without ever materializing intermediate
-        # row tuples
-        self._stripe_columns: List[List[Sequence]] = []
-        for start in range(0, len(rows), stripe_rows):
-            block = rows[start : start + stripe_rows]
-            chunks: Dict[str, ColumnChunk] = {}
-            stats: Dict[str, Tuple[object, object]] = {}
-            decoded: List[Sequence] = []
-            for position, column in enumerate(schema.columns):
-                values = [row[position] for row in block]
-                decoded.append(pack_column(values))
-                chunks[column.name.lower()] = _encode_column(column.dtype, values)
-                present = [value for value in values if value is not None]
-                if present:
-                    stats[column.name.lower()] = (min(present), max(present))
-                else:
-                    stats[column.name.lower()] = (None, None)
-            self.stripes.append(Stripe(start, len(block), chunks, stats))
-            self._stripe_columns.append(decoded)
+        bounds = [
+            (start, min(start + stripe_rows, size))
+            for start in range(0, size, stripe_rows)
+        ]
+        # decoded column streams, one list-of-columns per stripe: slices
+        # of the columns the file was built from, each in pack_column
+        # normal form (a NULL-bearing column still packs in the stripes
+        # that hold no NULL).  They are what gets encoded AND what the
+        # columnar scan (scan_batch) serves; the file keeps no other copy
+        # of its contents.
+        self._stripe_columns: List[List[Sequence]] = [[] for _ in bounds]
+        chunks: List[Dict[str, ColumnChunk]] = [{} for _ in bounds]
+        stats: List[Dict[str, Tuple[object, object]]] = [{} for _ in bounds]
+        # column-major, so *columns* is walked once and a whole-file
+        # column can be dropped as soon as its stripes are cut
+        for spec, column in zip(schema.columns, columns):
+            name = spec.name.lower()
+            for index, (start, stop) in enumerate(bounds):
+                values = pack_column(column[start:stop])
+                self._stripe_columns[index].append(values)
+                chunks[index][name], stats[index][name] = _encode_column(
+                    spec.dtype, values
+                )
+        self.stripes: List[Stripe] = [
+            Stripe(start, stop - start, stripe_chunks, stripe_stats)
+            for (start, stop), stripe_chunks, stripe_stats
+            in zip(bounds, chunks, stats)
+        ]
         self._total_bytes = (
             sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
         )
+
+    def _derive_rows(self) -> List[Row]:
+        rows: List[Row] = []
+        for stripe, decoded in zip(self.stripes, self._stripe_columns):
+            rows.extend(ColumnBatch(decoded, stripe.row_count).to_rows())
+        return rows
 
     @property
     def total_bytes(self) -> int:
@@ -463,7 +563,7 @@ class OrcStoredFile(StoredFile):
             for position in range(width):
                 parts[position].append(decoded[position][local_lo:local_hi])
             size += hi - lo
-        out_columns = [_concat_column(pieces) for pieces in parts]
+        out_columns = [concat_columns(pieces) for pieces in parts]
         return BatchScanResult(
             batch=ColumnBatch(out_columns, size),
             bytes_read=int(bytes_read),
@@ -519,8 +619,10 @@ class OrcFormat(FileFormat):
             raise StorageError("stripe_rows must be >= 1")
         self.stripe_rows = stripe_rows
 
-    def build(self, schema: Schema, rows: List[Row]) -> OrcStoredFile:
-        return OrcStoredFile(schema, rows, self.stripe_rows)
+    def from_columns(
+        self, schema: Schema, columns: Iterable[Sequence], size: int
+    ) -> OrcStoredFile:
+        return OrcStoredFile(schema, columns, size, self.stripe_rows)
 
 
 register_format(OrcFormat())

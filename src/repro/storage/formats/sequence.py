@@ -9,19 +9,16 @@ carries.  Like Text it is row-oriented: no pruning, no pushdown.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, Optional, Sequence
+from array import array
+from itertools import repeat
+from typing import Iterable, List, Sequence
 
 from repro.common.kv import _FIXED_FIELD_SIZES, fields_size
 from repro.common.rows import Schema
 from repro.storage.formats.base import (
-    BatchScanResult,
     FileFormat,
     Row,
-    ScanResult,
-    StatsConjunct,
-    StoredFile,
-    contiguous_scan_batch,
+    RowMajorStoredFile,
     register_format,
 )
 
@@ -37,12 +34,14 @@ def record_size(row: Row) -> int:
 def _column_size_contribution(column):
     """Per-row encoded sizes of one column, exploiting type homogeneity.
 
-    Returns an ``int`` when every row pays the same fixed tag size, a
-    list of per-row sizes for string-bearing columns, or ``None`` when
+    Returns an ``int`` when every row pays the same fixed tag size, the
+    per-row sizes (an iterable) for string-bearing columns, or ``None`` when
     a subclassed/exotic type means the per-row ``record_size`` fallback
     must size the whole file.  The type scan and the size computations
     are C-level passes — no per-field Python dispatch.
     """
+    if isinstance(column, array):  # packed ints or doubles: one fixed tag
+        return _FIXED_FIELD_SIZES[float if column.typecode == "d" else int]
     types = set(map(type, column))
     if types <= _FIXED_FIELD_SIZES.keys():
         if len(types) == 1:
@@ -53,7 +52,7 @@ def _column_size_contribution(column):
         # one isascii pass over the concatenation beats one per element;
         # all-ASCII columns (the norm) then size as bare C-level lengths
         if "".join(column).isascii():
-            return [3 + length for length in map(len, column)]
+            return map((3).__add__, map(len, column))  # tag + 2-byte length
         return [
             3 + (len(value) if value.isascii() else len(value.encode("utf-8")))
             for value in column
@@ -68,74 +67,34 @@ def _column_size_contribution(column):
     return None
 
 
-class SequenceStoredFile(StoredFile):
-    def __init__(self, schema: Schema, rows: List[Row]):
-        super().__init__(schema, rows)
+class SequenceStoredFile(RowMajorStoredFile):
+    def _row_sizes(self) -> Iterable[int]:
         # INSERT output tables re-encode on every write, so the build
         # sizes every row; doing it column-wise turns the per-row
         # per-field dispatch into a few C-level passes.  The sizes are
         # identical to per-row record_size() by construction.
-        self._offsets = [0]
-        if not rows:
-            return
         constant = _RECORD_HEADER_BYTES + 2  # record header + key + row arity
-        varying: List[List[int]] = []
-        for column in zip(*rows):
+        varying: List[Iterable[int]] = []
+        for column in self.columns:
             contribution = _column_size_contribution(column)
             if contribution is None:  # exotic types: row-by-row fallback
-                running = 0
-                for row in rows:
-                    running += record_size(row)
-                    self._offsets.append(running)
-                return
+                return map(record_size, self.rows)
             if isinstance(contribution, int):
                 constant += contribution
             else:
                 varying.append(contribution)
-        if not varying:
-            sizes: Sequence[int] = [constant] * len(rows)
-        elif len(varying) == 1:
-            sizes = [constant + size for size in varying[0]]
-        else:
-            sizes = [constant + sum(parts) for parts in zip(*varying)]
-        self._offsets.extend(accumulate(sizes))
-
-    @property
-    def total_bytes(self) -> int:
-        return self._offsets[-1]
-
-    def bytes_for_range(self, row_start: int, row_count: int) -> int:
-        row_end = min(row_start + row_count, self.row_count)
-        row_start = min(row_start, self.row_count)
-        return self._offsets[row_end] - self._offsets[row_start]
-
-    def scan(
-        self,
-        row_start: int,
-        row_count: int,
-        columns: Optional[Sequence[str]] = None,
-        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> ScanResult:
-        row_end = min(row_start + row_count, self.row_count)
-        rows = self.rows[row_start:row_end]
-        return ScanResult(rows=rows, bytes_read=self.bytes_for_range(row_start, row_count))
-
-    def scan_batch(
-        self,
-        row_start: int,
-        row_count: int,
-        columns: Optional[Sequence[str]] = None,
-        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> BatchScanResult:
-        # row-oriented: hints are ignored exactly as scan() ignores them
-        return contiguous_scan_batch(self, row_start, row_count)
+        if varying:
+            return map(sum, zip(repeat(constant), *varying))
+        return repeat(constant, self.row_count)
 
 
 class SequenceFormat(FileFormat):
     name = "sequence"
 
-    def build(self, schema: Schema, rows: List[Row]) -> SequenceStoredFile:
-        return SequenceStoredFile(schema, rows)
+    def from_columns(
+        self, schema: Schema, columns: Iterable[Sequence], size: int
+    ) -> SequenceStoredFile:
+        return SequenceStoredFile(schema, columns, size)
 
 
 register_format(SequenceFormat())

@@ -7,17 +7,15 @@ Table II shows ORCFile beating Text by ~22 %.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from array import array
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from repro.common.rows import Schema, coerce_value
 from repro.storage.formats.base import (
-    BatchScanResult,
     FileFormat,
     Row,
-    ScanResult,
-    StatsConjunct,
-    StoredFile,
-    contiguous_scan_batch,
+    RowMajorStoredFile,
     register_format,
 )
 
@@ -39,53 +37,63 @@ def decode_row(line: str, schema: Schema) -> Row:
     return tuple(values)
 
 
-class TextStoredFile(StoredFile):
-    """Rows plus a prefix-sum of line sizes for O(1) range byte counts."""
+_ASCII_RENDERED = {int, float, bool}  # str() gives digits, signs, letters
 
-    def __init__(self, schema: Schema, rows: List[Row]):
-        super().__init__(schema, rows)
-        self._offsets = [0]
-        running = 0
-        for row in rows:
-            running += len(encode_row(row).encode("utf-8")) + 1  # newline
-            self._offsets.append(running)
 
-    @property
-    def total_bytes(self) -> int:
-        return self._offsets[-1]
+def _field_sizes(column: Sequence) -> Iterator[int]:
+    """UTF-8 byte length of every value of one column as
+    :func:`encode_row` renders it (``\\N`` for NULL) — a lazy C-level
+    pass, so sizing a file holds no per-column list of sizes."""
+    if isinstance(column, array):
+        return map(len, map(str, column))
+    types = set(map(type, column))
+    if types <= _ASCII_RENDERED:
+        return map(len, map(str, column))
+    if types == {str}:
+        texts = column
+    elif type(None) in types:
+        texts = [r"\N" if value is None else str(value) for value in column]
+    else:
+        texts = list(map(str, column))
+    # one isascii pass over the concatenation beats one per element;
+    # all-ASCII columns (the norm) then size as bare C-level lengths
+    if "".join(texts).isascii():
+        return map(len, texts)
+    return map(len, map(str.encode, texts))
 
-    def bytes_for_range(self, row_start: int, row_count: int) -> int:
-        row_end = min(row_start + row_count, self.row_count)
-        row_start = min(row_start, self.row_count)
-        return self._offsets[row_end] - self._offsets[row_start]
 
-    def scan(
-        self,
-        row_start: int,
-        row_count: int,
-        columns: Optional[Sequence[str]] = None,
-        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> ScanResult:
-        row_end = min(row_start + row_count, self.row_count)
-        rows = self.rows[row_start:row_end]
-        return ScanResult(rows=rows, bytes_read=self.bytes_for_range(row_start, row_count))
+def text_size(rows: Sequence[Row]) -> int:
+    """Encoded bytes of *rows* as one text file, without building it —
+    what a loader scales a table by.  The same field sizes as
+    :class:`TextStoredFile`, summed a column at a time, so one
+    transposed column is alive instead of a whole throwaway file."""
+    total = width = 0
+    for column in zip(*rows):
+        total += sum(_field_sizes(column))
+        width += 1
+    return total + len(rows) * max(1, width)  # delimiters + the newline
 
-    def scan_batch(
-        self,
-        row_start: int,
-        row_count: int,
-        columns: Optional[Sequence[str]] = None,
-        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> BatchScanResult:
-        # row-oriented: hints are ignored exactly as scan() ignores them
-        return contiguous_scan_batch(self, row_start, row_count)
+
+class TextStoredFile(RowMajorStoredFile):
+    """Columns plus a prefix sum of line sizes for O(1) range byte counts.
+
+    A line's size is that of ``encode_row(row).encode("utf-8")`` plus
+    the newline, summed column-wise: field bytes per column, then one
+    delimiter between fields."""
+
+    def _row_sizes(self) -> Iterator[int]:
+        # delimiters + the newline (a zero-width line is the newline)
+        framing = repeat(max(1, len(self.columns)), self.row_count)
+        return map(sum, zip(framing, *map(_field_sizes, self.columns)))
 
 
 class TextFormat(FileFormat):
     name = "text"
 
-    def build(self, schema: Schema, rows: List[Row]) -> TextStoredFile:
-        return TextStoredFile(schema, rows)
+    def from_columns(
+        self, schema: Schema, columns: Iterable[Sequence], size: int
+    ) -> TextStoredFile:
+        return TextStoredFile(schema, columns, size)
 
 
 register_format(TextFormat())

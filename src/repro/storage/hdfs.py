@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import StorageError
-from repro.common.rows import Schema
+from repro.common.rows import ColumnBatch, Schema
 from repro.common.units import MB
 from repro.storage.formats.base import StoredFile, get_format
 
@@ -67,7 +67,7 @@ class FileSplit:
 
 
 class DataFile:
-    """One HDFS file: encoded rows plus block layout."""
+    """One HDFS file: encoded contents plus block layout."""
 
     def __init__(
         self,
@@ -199,7 +199,7 @@ class HDFS:
         self,
         path: str,
         schema: Schema,
-        rows: Sequence[Row],
+        rows: Union[Sequence[Row], ColumnBatch],
         format_name: str = "text",
         scale: float = 1.0,
         writer_node: Optional[int] = None,
@@ -207,13 +207,23 @@ class HDFS:
     ) -> DataFile:
         """Encode *rows* with *format_name* and register the file.
 
+        *rows* is what the writer produced: row tuples, or — from an
+        engine task, whose output is columnar already — a
+        :class:`~repro.common.rows.ColumnBatch`, which reaches the format
+        as columns without ever becoming rows.
+
         The first replica of every block lands on *writer_node* when given
         (HDFS's writer-affinity rule); remaining replicas are placed
         pseudo-randomly on distinct datanodes.
         """
         if path in self._files:
             raise StorageError(f"file exists: {path}")
-        stored = get_format(format_name).build(schema, list(rows))
+        file_format = get_format(format_name)
+        if isinstance(rows, ColumnBatch):
+            batch = rows.dense()
+            stored = file_format.from_columns(schema, batch.columns, batch.size)
+        else:
+            stored = file_format.build(schema, rows)
         blocks = self._split_into_blocks(stored, scale, writer_node)
         data_file = DataFile(
             path, stored, format_name, scale, blocks, partition_values

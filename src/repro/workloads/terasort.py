@@ -49,10 +49,9 @@ def load_teragen(
         metastore.drop_table("teradata")
     table = metastore.create_table("teradata", TERA_SCHEMA, format_name="text")
     logical = nominal_gb * GB
-    from repro.storage.formats.base import get_format
+    from repro.storage.formats.text import text_size
 
-    encoded = get_format("text").build(TERA_SCHEMA, rows)
-    scale = logical / max(1, encoded.total_bytes)
+    scale = logical / max(1, text_size(rows))
     parts = 8
     chunk = (len(rows) + parts - 1) // parts
     for part in range(parts):

@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 from repro.common.units import GB, KB, MB
 from repro.sql.functions import date_add_days
-from repro.storage.formats.base import get_format
+from repro.storage.formats.text import text_size
 from repro.storage.hdfs import HDFS
 from repro.storage.metastore import Metastore
 from repro.workloads.tpch.schema import (
@@ -250,7 +250,7 @@ def load_tpch(
     for name, rows in tables:
         schema = TPCH_SCHEMAS[name]
         logical = FIXED_BYTES.get(name) or BYTES_PER_SF[name] * sf
-        text_actual = get_format("text").build(schema, rows).total_bytes
+        text_actual = text_size(rows)
         scale = logical / max(1, text_actual)
         if metastore.has_table(name):
             metastore.drop_table(name)

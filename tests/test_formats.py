@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.rows import DataType, Schema
+from repro.common.rows import DataType, Schema, pack_column
 from repro.storage.formats import orc
 from repro.storage.formats.base import get_format
 from repro.storage.formats.orc import (
@@ -14,7 +14,7 @@ from repro.storage.formats.orc import (
     write_varint,
     zigzag,
 )
-from repro.storage.formats.text import decode_row, encode_row
+from repro.storage.formats.text import decode_row, encode_row, text_size
 
 SCHEMA = Schema.parse("id int, name string, price double, flag boolean, day date")
 
@@ -174,6 +174,44 @@ class TestOrcFormat:
         assert stats["name"] == ("alpha", "beta")
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(min_value=-(2**70), max_value=2**70)),
+    st.one_of(st.none(), st.text(max_size=20)),
+    st.one_of(st.none(), st.floats()),
+    st.one_of(st.none(), st.booleans()),
+    st.one_of(st.integers(0, 9), st.floats(allow_nan=False), st.just("é")),
+), max_size=40))
+def test_property_text_sizes_match_the_row_encoder(rows):
+    """Column-wise Text sizing (the file's prefix sums, and ``text_size``
+    — what loaders scale tables by) equals ``encode_row`` byte for byte."""
+    schema = Schema.parse("a bigint, b string, c double, d boolean, e string")
+    expected = [len(encode_row(row).encode("utf-8")) + 1 for row in rows]
+    stored = get_format("text").build(schema, rows)
+    assert [
+        stored.bytes_for_range(index, 1) for index in range(len(rows))
+    ] == expected
+    assert stored.total_bytes == text_size(rows) == sum(expected)
+    from_columns = get_format("text").from_columns(
+        schema, [pack_column(column) for column in zip(*rows)], len(rows)
+    )
+    assert from_columns.total_bytes == stored.total_bytes
+    assert repr(from_columns.rows) == repr(rows)  # repr: NaN != NaN
+
+
+def test_text_size_matches_the_golden_totals():
+    """The file-less sizer the loaders scale tables by gives the pinned
+    Text totals of the hand-made golden corpus."""
+    import json
+
+    from .test_orc_golden import GOLDEN_PATH, handmade_cases
+
+    with open(GOLDEN_PATH) as handle:
+        golden = json.load(handle)
+    for name, _schema, rows, _stripe_rows in handmade_cases():
+        assert text_size(rows) == golden[name]["text"]["total"], name
+
+
 _orc_row = st.tuples(
     st.one_of(st.none(), st.integers(min_value=-(2**40), max_value=2**40)),
     st.one_of(st.none(), st.text(max_size=20)),
@@ -191,3 +229,17 @@ def test_property_orc_round_trip(rows):
     for index in range(len(stored.stripes)):
         decoded.extend(stored.decode_stripe(index))
     assert decoded == rows
+    # the same file handed over as columns (what an engine task writes):
+    # equal chunks and stats, and the rows are derived back from them
+    columns = [pack_column(column) for column in zip(*rows)]
+    from_columns = OrcFormat(stripe_rows=16).from_columns(
+        SCHEMA, columns, len(rows)
+    )
+    assert [(s.chunks, s.stats) for s in from_columns.stripes] == \
+        [(s.chunks, s.stats) for s in stored.stripes]
+    assert from_columns.total_bytes == stored.total_bytes
+    assert from_columns.rows == rows
+    assert [
+        row for index in range(len(from_columns.stripes))
+        for row in from_columns.decode_stripe(index)
+    ] == rows
