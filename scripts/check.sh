@@ -19,6 +19,14 @@
 # tests/test_sim_golden_write.py pin that in tier-1; re-capture them
 # (PYTHONPATH=src python tests/test_orc_golden.py, likewise
 # tests/test_sim_golden_write.py) only after a declared format change.
+# And it is REQUIRED for any change to what a collector, a Send
+# Partition List or the ReceiveManager holds, or to how a ReduceSink
+# sizes or partitions pairs: pair sizes, partitions and send-buffer
+# boundaries are cost-model inputs (every spill, copy and MPI_Isend is
+# charged from them).  tests/test_pair_golden.py pins them in tier-1
+# against values captured at d8e5cc1, before the shuffle went columnar;
+# re-capture (PYTHONPATH=src python tests/test_pair_golden.py) only
+# after a declared change.
 # The second gate for exec-layer refactors is in the tier-1 run below:
 # tests/test_exec_boundary.py parses the sources and fails when the
 # engines' column-kernel path and the local oracle's row/closure path
@@ -37,16 +45,20 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== simulated-time + encoded-byte goldens, event budget under PYTHONHASHSEED=1 =="
+echo "== simulated-time, encoded-byte + shuffle-pair goldens, event budget under PYTHONHASHSEED=1 =="
 # Same-instant ordering bugs are the kind that hide behind one hash
 # seed (a set or dict walked in address order decides who goes first),
 # so the exact-value suites run a second time under a different one.
 # The byte goldens ride along: ORC dictionary encoding walks a set of
 # strings before sorting it, and hash order must not reach the stream.
+# So does the pair golden: partitions come from crc32 of the key bytes,
+# never from hash(), and the skew router's heavy-key dict must not
+# decide an order.
 PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
     tests/test_sim_golden.py tests/test_sim_golden_faults.py \
     tests/test_sim_golden_shuffle.py tests/test_event_budget.py \
-    tests/test_orc_golden.py tests/test_sim_golden_write.py
+    tests/test_orc_golden.py tests/test_sim_golden_write.py \
+    tests/test_pair_golden.py
 
 echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # The wall-clock benchmark's own suite (BENCHMARK.json's contract): it

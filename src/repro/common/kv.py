@@ -25,8 +25,10 @@ Each tuple is prefixed with a 1-byte arity.
 from __future__ import annotations
 
 import struct
+from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 
@@ -200,3 +202,85 @@ def kv_size(pair: KeyValue) -> int:
     wire size, so this mirrors :func:`serialize_kv` byte-for-byte.
     """
     return fields_size(pair.key) + fields_size(pair.value)
+
+
+# ---------------------------------------------------------------------------
+# column-level serde (the production shuffle sizes and hashes whole columns)
+# ---------------------------------------------------------------------------
+#
+# The same wire format, one column of fields at a time: each pass below is
+# a C-level ``map`` over the column and yields exactly what the per-value
+# functions above yield for every value in it.  A column they cannot
+# decide from its type set alone returns ``None`` and the caller walks it
+# with the per-value serde (:func:`exact_field_sizes`,
+# :func:`exact_field_bytes`), errors included.
+
+def _bounded_key_strings(lengths: List[int]) -> List[int]:
+    """*lengths* (UTF-8 bytes per string), bounded as ``_encode_fields``
+    bounds a string it encodes."""
+    if max(lengths) > 0xFFFF:
+        raise ExecutionError("string field longer than 64 KiB")
+    return lengths
+
+
+def bulk_field_sizes(column: Sequence, key: bool = False):
+    """Wire sizes of the fields of a non-empty *column* as ``(fixed,
+    varying)``: field *i* takes ``fixed + varying[i]`` bytes, and
+    ``varying`` is ``None`` when every field takes the same.  A *key*
+    column also raises what encoding its fields would raise (a key is
+    encoded, a value only sized).  ``None``: the type set does not
+    decide it."""
+    if isinstance(column, array):  # 'q' / 'd' buffers hold exact ints / floats
+        return 9, None
+    kinds = set(map(type, column))  # type(True) is bool: never the 9-byte branch
+    if kinds == {str}:
+        # len() is a byte length only behind isascii()
+        if all(map(str.isascii, column)):
+            lengths = list(map(len, column))
+        else:
+            lengths = list(map(len, map(str.encode, column)))
+        if key:
+            _bounded_key_strings(lengths)
+        return 3, lengths
+    if not kinds <= _FIXED_FIELD_SIZES.keys():
+        return None
+    if key and int in kinds:
+        if len(kinds) > 1:
+            return None
+        deque(map(_I64.pack, column), maxlen=0)  # beyond 64 bits: struct.error
+    if len(kinds) == 1:
+        return _FIXED_FIELD_SIZES[kinds.pop()], None
+    return 0, list(map(_FIXED_FIELD_SIZES.__getitem__, map(type, column)))
+
+
+def exact_field_sizes(column: Sequence, key: bool = False):
+    """:func:`bulk_field_sizes` by the per-value serde."""
+    if key:
+        return 0, [len(data) for data in exact_field_bytes(column)]
+    return 0, [fields_size((field,)) - 1 for field in column]
+
+
+def bulk_field_bytes(column: Sequence) -> Optional[List[bytes]]:
+    """Tagged wire bytes of every field of a non-empty key *column* (what
+    ``_encode_fields`` appends per field), or ``None`` when the type set
+    does not decide the encoding."""
+    if isinstance(column, array):
+        kinds = {int} if column.typecode == "q" else {float}
+    else:
+        kinds = set(map(type, column))
+    if kinds == {str}:
+        encoded = list(map(str.encode, column))
+        lengths = _bounded_key_strings(list(map(len, encoded)))
+        headers = map(b"S".__add__, map(_U16.pack, lengths))
+        return list(map(bytes.__add__, headers, encoded))
+    if kinds == {int}:
+        return list(map(b"I".__add__, map(_I64.pack, column)))
+    if kinds == {float}:
+        return list(map(b"D".__add__, map(_F64.pack, column)))
+    return None
+
+
+def exact_field_bytes(column: Sequence) -> List[bytes]:
+    """:func:`bulk_field_bytes` by the per-value serde."""
+    # arity byte in front, empty-value arity byte behind
+    return [serialize_fields((field,))[1:-1] for field in column]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError, SemanticError
@@ -251,6 +252,25 @@ def concat_columns(pieces: List[Sequence]) -> Sequence:
     return out_list
 
 
+def take_columns(columns: Sequence[Sequence], sel: Sequence[int]) -> List[Sequence]:
+    """The *sel* positions of every column.  An engine window (a
+    ``range`` with step 1) is sliced; any other selection is gathered
+    through one shared ``itemgetter`` — a single C call per column, which
+    yields a tuple (typed buffers are rebuilt typed)."""
+    if type(sel) is range and sel.step == 1:
+        return [column[sel.start:sel.stop] for column in columns]
+    if len(sel) > 1:
+        gather = itemgetter(*sel)
+    else:  # itemgetter returns a tuple only from two indices on
+        def gather(column):
+            return tuple(map(column.__getitem__, sel))
+    return [
+        array(column.typecode, gather(column)) if isinstance(column, array)
+        else gather(column)
+        for column in columns
+    ]
+
+
 class ColumnBatch:
     """A batch of rows stored column-wise (Hive's VectorizedRowBatch).
 
@@ -262,10 +282,10 @@ class ColumnBatch:
     on demand).  ``sel`` is the selection vector: ``None`` means every
     row 0..size-1 is live (a *dense* batch), otherwise only the listed
     positions are.  Vectorized filters narrow ``sel`` instead of copying
-    column data; rows materialize back into tuples only at the
-    serde/shuffle boundary (:meth:`to_rows`) — a FileSink keeps the live
-    rows as columns (:meth:`dense`) and the stored file is built from
-    those.
+    column data; rows materialize back into tuples only for row
+    readers (:meth:`to_rows`) — a FileSink keeps the live rows as
+    columns (:meth:`dense`) and the stored file is built from those, a
+    ReduceSink gathers them into column runs.
 
     ``len()`` and slicing deliberately mirror a row list over the
     *unfiltered* batch so the engines' byte-proportional batching
@@ -328,16 +348,7 @@ class ColumnBatch:
         sel = self.sel
         if sel is None:
             return self
-        if type(sel) is range and sel.step == 1:
-            columns = [column[sel.start:sel.stop] for column in self.columns]
-        else:
-            columns = [
-                array(column.typecode, map(column.__getitem__, sel))
-                if isinstance(column, array)
-                else list(map(column.__getitem__, sel))
-                for column in self.columns
-            ]
-        return ColumnBatch(columns, len(sel))
+        return ColumnBatch(take_columns(self.columns, sel), len(sel))
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

@@ -33,12 +33,12 @@ from repro.common.config import (
     HIVE_REDUCERS_BYTES_PER_REDUCER,
     LEASE_AUDIT,
 )
-from repro.common.kv import KeyValue
 from repro.common.rows import ColumnBatch, Schema
 from repro.common.units import GB, MB
 from repro.exec.mapper import ExecMapper, ExecReducer, MapTaskResult
 from repro.exec.operators import Collector, FileSinkDesc
-from repro.exec.reduce import group_sorted_pairs, key_comparator, sort_pairs
+from repro.exec.reduce import key_comparator
+from repro.exec.shuffle import Segments, split_positions
 from repro.exec.vectorized import BroadcastTable
 from repro.obs import MetricsRegistry, Span, Tracer, get_metrics
 from repro.plan.physical import MapInput, MRJob, PhysicalPlan
@@ -402,29 +402,26 @@ class MapOutputCollector(Collector):
 
     Shared by every cluster engine that materializes map output for a
     shuffle (Hadoop spills it to local disk; LLAP keeps it in daemon
-    memory) — the bucketing and byte accounting are identical.
+    memory) — the bucketing and byte accounting are identical.  A
+    partition holds :class:`~repro.exec.shuffle.Segments` of the sink's
+    runs, not pairs.
     """
 
     def __init__(self, num_partitions: int):
-        self.partitions: List[List[KeyValue]] = [[] for _ in range(num_partitions)]
+        self.partitions: List[Segments] = [Segments() for _ in range(num_partitions)]
         self.partition_bytes: List[int] = [0] * num_partitions
 
-    def collect(self, partition: int, pair: KeyValue) -> None:
-        self.partitions[partition].append(pair)
-        self.partition_bytes[partition] += pair.serialized_size()
-
-    def collect_batch(self, partitions, pairs) -> None:
-        # the sink kernel pre-seeds every pair's _size memo
-        partition_lists = self.partitions
-        partition_bytes = self.partition_bytes
-        for partition, pair in zip(partitions, pairs):
-            partition_lists[partition].append(pair)
-            partition_bytes[partition] += pair._size
+    def collect_batch(self, partition_ids, run) -> None:
+        for partition, positions in split_positions(
+            partition_ids, len(self.partitions)
+        ):
+            self.partitions[partition].add(run, positions)
+            self.partition_bytes[partition] += sum(run.sizes_at(positions))
 
     @property
     def total_bytes(self) -> int:
         # summed on demand (per batch / at close) instead of maintaining
-        # a third counter on the per-pair path
+        # a third counter on the per-batch path
         return sum(self.partition_bytes)
 
 
@@ -572,36 +569,24 @@ def load_job_inputs(job: MRJob, hdfs: HDFS, *, vectorized: bool) -> JobInputs:
 
 def run_reducer_functionally(
     job: MRJob,
-    partition_pairs: List[KeyValue],
+    shuffle_input,
     small_tables: Optional[Dict[str, List[Row]]] = None,
     *,
     vectorized: bool,
 ) -> Union[List[Row], ColumnBatch]:
-    """Sort, group and reduce one partition's pairs; returns the task's
-    output as its tail produced it (see :class:`MapTaskResult`).
-    *vectorized* names the caller's role, as for :class:`ExecMapper`."""
-    from repro.exec.reduce import ReduceAggregateDesc
-
-    ordered = sort_pairs(partition_pairs, job.sort_directions)
+    """Sort, group and reduce one partition's *shuffle_input* — the
+    :class:`~repro.exec.shuffle.Segments` an engine's partition received
+    (``len()`` is its pair count), a list of pair objects from the
+    reference executor; returns the task's output as its tail produced
+    it (see :class:`MapTaskResult`).  *vectorized* names the caller's
+    role, as for :class:`ExecMapper`."""
     reducer = ExecReducer(
         job.reduce_logic,
         job.reduce_operators,
         small_tables=small_tables,
         vectorized=vectorized,
     )
-    saw_group = False
-    for key, values in group_sorted_pairs(ordered):
-        saw_group = True
-        reducer.reduce_group(key, values)
-    if (
-        not saw_group
-        and isinstance(job.reduce_logic, ReduceAggregateDesc)
-        and job.reduce_logic.key_arity == 0
-    ):
-        # SQL: a global aggregate over zero rows still yields one row
-        # (COUNT(*) = 0, SUM = NULL)
-        reducer.reduce_group((), [])
-    return reducer.close().output
+    return reducer.run(shuffle_input, job.sort_directions).output
 
 
 def write_task_output(

@@ -16,12 +16,16 @@ Three cooperating pieces:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import accumulate
+from operator import itemgetter
+from typing import Deque, Dict, List, Tuple
 
 from repro.common.errors import ExecutionError
-from repro.common.kv import KeyValue
+from repro.exec.shuffle import Segments, split_positions
 from repro.simulate.cluster import Node
 from repro.simulate.events import Event, Simulator
 
@@ -33,7 +37,7 @@ class SendBuffer:
     """One full send partition: the unit the shuffle engine transmits."""
 
     partition: int
-    pairs: List[KeyValue] = field(default_factory=list)
+    segments: Segments = field(default_factory=Segments)  # its pairs
     actual_bytes: int = 0
     scale: float = 1.0  # stamped by the O task when the buffer is emitted
     sender: int = -1  # emitting O task index, stamped with scale
@@ -52,59 +56,57 @@ class SendPartitionList:
             raise ExecutionError("SPL needs at least one partition")
         self.num_partitions = num_partitions
         self.capacity = partition_capacity_bytes
+        # byte counts are whole numbers: a buffer holding this many has
+        # reached the (float) capacity
+        self._full_at = math.ceil(partition_capacity_bytes)
         self._buffers: List[SendBuffer] = [
             SendBuffer(partition=i) for i in range(num_partitions)
         ]
-        self.pairs_added = 0
         self.bytes_added = 0
 
-    def add(self, partition: int, pair: KeyValue) -> Optional[SendBuffer]:
-        """Append a pair; returns the filled buffer when the partition
-        crosses its capacity (caller pushes it to the send queue)."""
-        buffer = self._buffers[partition]
-        try:
-            # the ReduceSink seeds the size memo; read it without a frame
-            size = pair._size
-        except AttributeError:
-            size = pair.serialized_size()
-        buffer.pairs.append(pair)
-        buffer.actual_bytes += size
-        self.pairs_added += 1
-        self.bytes_added += size
-        if buffer.actual_bytes >= self.capacity:
-            self._buffers[partition] = SendBuffer(partition=partition)
-            return buffer
-        return None
+    def add_many(self, partition_ids, run, on_full) -> None:
+        """Append the pairs of *run* (pair *i* to ``partition_ids[i]``).
 
-    def add_many(self, partitions, pairs, on_full) -> None:
-        """Bulk :meth:`add`: the vectorized sink's whole batch in one
-        frame.  Every pair arrives with its ``_size`` memo pre-seeded;
-        filled buffers go to *on_full* in the exact order per-pair
-        ``add`` would have produced them."""
+        A buffer closes on the pair that takes its bytes to the
+        capacity; where that happens is found per partition from prefix
+        sums, and the closed buffers go to *on_full* in the order of
+        their closing pairs in the emit stream — the buffers, and the
+        order, adding pair by pair produces.
+        """
         buffers = self._buffers
-        capacity = self.capacity
-        nbytes = 0
-        for partition, pair in zip(partitions, pairs):
+        full_at = self._full_at
+        closed: List[Tuple[int, SendBuffer]] = []  # (closing pair, buffer)
+        for partition, positions in split_positions(
+            partition_ids, self.num_partitions
+        ):
             buffer = buffers[partition]
-            size = pair._size
-            buffer.pairs.append(pair)
-            buffer.actual_bytes += size
-            nbytes += size
-            if buffer.actual_bytes >= capacity:
-                buffers[partition] = SendBuffer(partition=partition)
-                on_full(buffer)
-        self.pairs_added += len(pairs)
-        self.bytes_added += nbytes
+            count = len(positions)
+            filled = list(accumulate(run.sizes_at(positions)))
+            start = 0  # first pair of the open buffer
+            before = -buffer.actual_bytes  # bytes of this call in front of it
+            while True:
+                last = bisect_left(filled, full_at + before, start)
+                if last >= count:
+                    break
+                buffer.segments.add(run, positions[start:last + 1])
+                buffer.actual_bytes = filled[last] - before
+                closed.append((positions[last], buffer))
+                buffer = buffers[partition] = SendBuffer(partition=partition)
+                start = last + 1
+                before = filled[last]
+            if start < count:
+                buffer.segments.add(run, positions[start:])
+                buffer.actual_bytes = filled[-1] - before
+        self.bytes_added += sum(run.sizes)
+        closed.sort(key=itemgetter(0))
+        for _position, buffer in closed:
+            on_full(buffer)
 
     def drain(self) -> List[SendBuffer]:
         """Remaining non-empty partial buffers (task close)."""
-        out = [buffer for buffer in self._buffers if buffer.pairs]
+        out = [buffer for buffer in self._buffers if buffer.segments]
         self._buffers = [SendBuffer(partition=i) for i in range(self.num_partitions)]
         return out
-
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(buffer.actual_bytes for buffer in self._buffers)
 
 
 class SendQueue:
@@ -197,7 +199,7 @@ class ReceiveManager:
         self.sim = sim
         self.partition_nodes = partition_nodes
         self.cache_budget = cache_budget_per_node
-        self._arrivals: List[List[Tuple[int, int, List[KeyValue]]]] = [
+        self._arrivals: List[List[Tuple[int, int, Segments]]] = [
             [] for _ in partition_nodes
         ]
         self.cached_bytes: Dict[Node, float] = {}
@@ -208,7 +210,7 @@ class ReceiveManager:
     def node_for(self, partition: int) -> Node:
         return self.partition_nodes[partition]
 
-    def partition_pairs(self, partition: int) -> List[KeyValue]:
+    def partition_pairs(self, partition: int) -> Segments:
         """The partition's pairs in canonical (sender, emission-seq)
         order, regardless of network arrival interleaving.
 
@@ -218,19 +220,12 @@ class ReceiveManager:
         order — byte-stable, mirroring the Hadoop engine's fixed
         map-index merge order.
         """
-        chunks = sorted(self._arrivals[partition],
-                        key=lambda entry: (entry[0], entry[1]))
-        out: List[KeyValue] = []
-        for _sender, _seq, pairs in chunks:
-            out.extend(pairs)
+        out = Segments()
+        for _sender, _seq, segments in sorted(
+            self._arrivals[partition], key=itemgetter(0, 1)
+        ):
+            out.extend(segments)
         return out
-
-    @property
-    def pairs(self) -> List[List[KeyValue]]:
-        """Canonically ordered pairs for every partition (see
-        :meth:`partition_pairs`)."""
-        return [self.partition_pairs(p)
-                for p in range(len(self.partition_nodes))]
 
     def accept(self, partition: int, buffer: SendBuffer) -> float:
         """Account a delivered buffer; returns the bytes that overflow
@@ -244,7 +239,7 @@ class ReceiveManager:
         """
         node = self.partition_nodes[partition]
         logical = buffer.logical_bytes
-        self._arrivals[partition].append((buffer.sender, buffer.seq, buffer.pairs))
+        self._arrivals[partition].append((buffer.sender, buffer.seq, buffer.segments))
         self.received_bytes[partition] += logical
         used = self.cached_bytes.get(node, 0.0)
         fit = min(logical, max(0.0, self.cache_budget - used))

@@ -48,7 +48,6 @@ from repro.common.config import (
     RETRY_MAX,
 )
 from repro.common.errors import JobAbortedError, RetryExhaustedError
-from repro.common.kv import KeyValue
 from repro.common.rows import ColumnBatch
 from repro.common.units import MB
 from repro.engines.base import (
@@ -132,22 +131,13 @@ class DataMPICollector(Collector):
     def __init__(self, spl: SendPartitionList):
         self.spl = spl
         self.full_buffers: List[SendBuffer] = []
-        # prebound: collect() runs once per shuffle pair
-        self._add = spl.add
-        self._on_full = self.full_buffers.append
 
-    def collect(self, partition: int, pair: KeyValue) -> None:
-        filled = self._add(partition, pair)
-        if filled is not None:
-            self._on_full(filled)
-
-    def collect_batch(self, partitions, pairs) -> None:
-        self.spl.add_many(partitions, pairs, self._on_full)
+    def collect_batch(self, partition_ids, run) -> None:
+        self.spl.add_many(partition_ids, run, self.full_buffers.append)
 
     def take_full(self) -> List[SendBuffer]:
-        # clear in place: collect() holds a bound append to this list
-        out = self.full_buffers[:]
-        self.full_buffers.clear()
+        out = self.full_buffers
+        self.full_buffers = []
         return out
 
 

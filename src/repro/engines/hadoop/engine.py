@@ -40,7 +40,6 @@ from repro.common.config import (
     SPECULATIVE_EXECUTION,
     SPECULATIVE_SLOWDOWN,
 )
-from repro.common.kv import KeyValue
 from repro.common.units import MB
 from repro.engines.base import (
     EngineCapabilities,
@@ -57,6 +56,7 @@ from repro.engines.base import (
     write_task_output,
 )
 from repro.engines.lifecycle import JobContext, TaskAttemptEngine
+from repro.exec.shuffle import Segments
 from repro.obs import get_metrics
 from repro.plan.physical import PhysicalPlan
 from repro.simulate import ClusterSpec, Interrupt, LeaseOwner, SlotPool
@@ -402,7 +402,7 @@ class HadoopEngine(TaskAttemptEngine):
             fetch_slots = SlotPool(sim, costs.parallel_copies,
                                    f"{task.task_id}.fetchers")
             copied_cell = [0.0]
-            pairs_by_map: Dict[int, List[KeyValue]] = {}
+            pairs_by_map: Dict[int, Segments] = {}
             fetchers = [
                 sim.spawn(
                     self._fetch_map_output(
@@ -432,9 +432,10 @@ class HadoopEngine(TaskAttemptEngine):
                     # read back spilled (compressed) runs
                     yield from node.disk_read(copied * ctx.compress_ratio)
 
-            pairs: List[KeyValue] = []
+            pairs = Segments()
             for map_index in range(ctx.num_maps):
-                pairs.extend(pairs_by_map.get(map_index, ()))
+                if map_index in pairs_by_map:
+                    pairs.extend(pairs_by_map[map_index])
             output = run_reducer_functionally(
                 ctx.job, pairs, ctx.small_tables, vectorized=True
             )
@@ -467,7 +468,7 @@ class HadoopEngine(TaskAttemptEngine):
     def _fetch_map_output(self, ctx: _HadoopJob, node, partition: int,
                           map_index: int, fetch_slots: SlotPool,
                           copied_cell: List[float],
-                          pairs_by_map: Dict[int, List[KeyValue]]):
+                          pairs_by_map: Dict[int, Segments]):
         """One fetcher: wait for the map, grab a copier slot, pull the
         partition (disk at the source, network, decompress), spill past
         the in-memory shuffle budget.
@@ -486,7 +487,7 @@ class HadoopEngine(TaskAttemptEngine):
             raw_chunk = collector.partition_bytes[partition] * map_scale
             chunk = raw_chunk * ratio
             if chunk <= 0:
-                pairs_by_map[map_index] = list(collector.partitions[partition])
+                pairs_by_map[map_index] = collector.partitions[partition]
                 return
             yield fetch_slots.acquire()
             try:
@@ -499,7 +500,7 @@ class HadoopEngine(TaskAttemptEngine):
                     )
                 if ctx.map_outputs.get(map_index) is not entry:
                     continue  # source died mid-copy: re-fetch from the rerun
-                pairs_by_map[map_index] = list(collector.partitions[partition])
+                pairs_by_map[map_index] = collector.partitions[partition]
                 copied_cell[0] += raw_chunk
                 if copied_cell[0] > costs.shuffle_memory_mb * MB:
                     yield from node.disk_write(chunk)  # overflow to disk

@@ -37,14 +37,13 @@ engines by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.config import (
     Configuration,
     LLAP_CACHE_MB,
     LLAP_DAEMON_SLOTS,
 )
-from repro.common.kv import KeyValue
 from repro.common.units import MB
 from repro.engines.base import (
     EngineCapabilities,
@@ -63,6 +62,7 @@ from repro.engines.base import (
 )
 from repro.engines.lifecycle import JobContext, TaskAttemptEngine
 from repro.engines.llap.cache import StripeCache
+from repro.exec.shuffle import Segments
 from repro.obs import get_metrics
 from repro.plan.physical import PhysicalPlan
 from repro.simulate import ClusterSpec, Interrupt, LeaseOwner
@@ -559,7 +559,7 @@ class LlapEngine(TaskAttemptEngine):
                 if task.span is not None else None
             )
             copied = 0.0
-            pairs_by_map: Dict[int, List[KeyValue]] = {}
+            pairs_by_map: Dict[int, Segments] = {}
             for map_index in range(ctx.num_maps):
                 while True:
                     if map_index not in ctx.map_outputs:
@@ -585,9 +585,7 @@ class LlapEngine(TaskAttemptEngine):
                                                             chunk)
                     if ctx.map_outputs.get(map_index) is not entry:
                         continue  # source daemon died mid-stream: re-pull
-                    pairs_by_map[map_index] = list(
-                        collector.partitions[partition]
-                    )
+                    pairs_by_map[map_index] = collector.partitions[partition]
                     copied += chunk
                     break
             ctx.last_copy_done = max(ctx.last_copy_done, sim.now)
@@ -603,9 +601,10 @@ class LlapEngine(TaskAttemptEngine):
                 yield from node.compute(
                     copied / MB * costs.cpu_sort_ms_per_mb / 1000.0
                 )
-            pairs: List[KeyValue] = []
+            pairs = Segments()
             for map_index in range(ctx.num_maps):
-                pairs.extend(pairs_by_map.get(map_index, ()))
+                if map_index in pairs_by_map:
+                    pairs.extend(pairs_by_map[map_index])
             output = run_reducer_functionally(
                 ctx.job, pairs, ctx.small_tables, vectorized=True
             )

@@ -26,18 +26,12 @@ import operator
 import re
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import CodeType
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError, SemanticError
-from repro.common.kv import (
-    _F64,
-    _I64,
-    _U16,
-    KeyValue,
-    fields_size,
-    serialize_fields,
-)
+from repro.common.kv import serialize_fields
 from repro.common.lru import LruCache
 from repro.common.rows import DataType
 from repro.obs import get_metrics
@@ -590,52 +584,72 @@ def _emit_logical(operands: List[BoundExpression], is_and: bool,
 
 
 def _emit_aggregate_updates(
-    aggregates: List[Tuple[object, Optional[BoundExpression]]],
-    lines: List[str], env: dict, counter: List[int], indent: str,
-    ref: Callable[[int], str],
-) -> list:
-    """Emit per-row update statements over a flat slot list named ``acc``
-    for the aggregates the planner places map-side (count, sum, avg, min,
-    max).  Each aggregate's slots are laid out exactly like its
-    ``partial()`` tuple, so the slot list *is* the concatenated partials.
-    Returns the initial slot list (the concatenated ``create()`` tuples).
+    aggregates: List[Tuple[object, List[str]]], lines: List[str], env: dict,
+    indent: str, merge: bool = False, own_methods: bool = False,
+) -> Tuple[list, List[str]]:
+    """Emit per-row statements folding each aggregate's atoms into a flat
+    slot list named ``acc``: its argument (``update``), or with *merge*
+    the fields of a map-side partial tuple (``merge``).  count, sum, avg,
+    min and max — what the planner places map-side — run inline, their
+    slots laid out exactly like ``partial()``, so a map-side slot list
+    *is* the concatenated partials; sums add left to right with ``+``,
+    the order ``Aggregate.update`` / ``merge`` add in (a compensated
+    builtin ``sum`` would differ in the last ulp).  With *own_methods*
+    (reduce side) any other aggregate — ``COUNT(DISTINCT)``, which has no
+    partial — keeps its accumulator in one slot and goes through its own
+    ``create`` / ``update`` / ``merge`` / ``result``.
+
+    Returns the initial slot list (the concatenated ``create()`` tuples)
+    and one result expression per aggregate over ``acc``.
     """
     initial: list = []
-    for aggregate, arg in aggregates:
+    results: List[str] = []
+    for aggregate, atoms in aggregates:
         kind = type(aggregate)
-        atom = _emit(
-            arg if arg is not None else Const(True), lines, env, counter,
-            indent, ref,
-        )
+        atom = atoms[0]
         slot = len(initial)
+        here = f"acc[{slot}]"
+        results.append(here)
+        if kind not in (CountAggregate, SumAggregate, AvgAggregate,
+                        MinAggregate, MaxAggregate):
+            if not own_methods:
+                raise ExecutionError(
+                    f"no column kernel for map-side aggregate {kind.__name__}"
+                )
+            name = f"g{len(env)}"
+            env[name] = aggregate
+            initial.append(aggregate.create())
+            folded = (f"merge({here}, {_tuple_src(atoms)})" if merge
+                      else f"update({here}, {atom})")
+            lines.append(f"{indent}{here} = {name}.{folded}")
+            results[-1] = f"{name}.result({here})"
+            continue
         lines.append(f"{indent}if {atom} is not None:")
         if kind is CountAggregate:
             initial.append(0)
-            lines.append(f"{indent}    acc[{slot}] += 1")
+            lines.append(f"{indent}    {here} += {atom if merge else 1}")
         elif kind is SumAggregate:
             initial.append(None)
-            lines.append(f"{indent}    s{slot} = acc[{slot}]")
+            lines.append(f"{indent}    s{slot} = {here}")
             lines.append(
-                f"{indent}    acc[{slot}] = {atom} if s{slot} is None "
+                f"{indent}    {here} = {atom} if s{slot} is None "
                 f"else s{slot} + {atom}"
             )
         elif kind is AvgAggregate:
             initial.extend([0.0, 0])
-            lines.append(f"{indent}    acc[{slot}] += {atom}")
-            lines.append(f"{indent}    acc[{slot + 1}] += 1")
-        elif kind is MinAggregate or kind is MaxAggregate:
+            count = f"acc[{slot + 1}]"
+            lines.append(f"{indent}    {here} += {atom}")
+            lines.append(f"{indent}    {count} += {atoms[1] if merge else 1}")
+            results[-1] = f"{here} / {count} if {count} else None"
+        else:
             initial.append(None)
             beats = "<" if kind is MinAggregate else ">"
-            lines.append(f"{indent}    s{slot} = acc[{slot}]")
+            lines.append(f"{indent}    s{slot} = {here}")
             lines.append(
                 f"{indent}    if s{slot} is None or {atom} {beats} s{slot}:"
             )
-            lines.append(f"{indent}        acc[{slot}] = {atom}")
-        else:
-            raise ExecutionError(
-                f"no column kernel for map-side aggregate {kind.__name__}"
-            )
-    return initial
+            lines.append(f"{indent}        {here} = {atom}")
+    return initial, results
 
 
 
@@ -803,8 +817,12 @@ def codegen_group_kernel(
         "            table[k] = acc",
     ]
     agg_lines: List[str] = []
-    initial = _emit_aggregate_updates(
-        aggregates, agg_lines, env, counter, "        ", ref
+    # COUNT(*) has no argument: it counts the sentinel True
+    initial, _results = _emit_aggregate_updates(
+        [(aggregate, [_emit(arg if arg is not None else Const(True), agg_lines,
+                            env, counter, "        ", ref)])
+         for aggregate, arg in aggregates],
+        agg_lines, env, "        ",
     )
     source = "\n".join(
         ["def _group_batch(cols, sel, table, initial, flush):"]
@@ -817,179 +835,43 @@ def codegen_group_kernel(
     return _compile_kernel(source, env, "_group_batch"), initial, scalar_key
 
 
-def _emit_inline_key_encode(
-    atoms: List[str], lines: List[str], indent: str
-) -> None:
-    """Emit statements computing ``kb = serialize_fields(key)`` inline.
-
-    Per field: an exact-type branch producing the same tagged bytes
-    :func:`repro.common.kv._encode_fields` would; any field outside the
-    exact primitive types sets its part to ``None`` and the assembly
-    falls back to ``_ser(key)``, so the bytes are identical by
-    construction in every case.
+def codegen_reduce_aggregate_kernel(
+    aggregates: List[object], partial_arities: Optional[List[int]]
+) -> Callable[[Sequence[int], Sequence[int], List[Sequence]], List[list]]:
+    """``(order, ends, cols, initial) -> out_cols``: the reduce-side GROUP
+    BY loop over value columns — the map-side group kernel's sibling,
+    built from the same statements (:func:`_emit_aggregate_updates`).
+    *order* is the sorted permutation, *ends* each group's end within
+    it; one result per aggregate per group.  With *partial_arities* the
+    columns are the concatenated map-side partial tuples (merge), with
+    ``None`` one raw argument column per aggregate (update).  Returns
+    ``(kernel, initial_slots)``.
     """
-    for position, atom in enumerate(atoms):
-        part = f"kp{position}"
-        lines += [
-            f"{indent}kt = type({atom})",
-            f"{indent}if kt is str:",
-            f"{indent}    kd = {atom}.encode('utf-8')",
-            f"{indent}    {part} = _TS + _u16(len(kd)) + kd",
-            f"{indent}elif kt is int:",
-            f"{indent}    {part} = _TI + _i64({atom})",
-            f"{indent}elif kt is float:",
-            f"{indent}    {part} = _TD + _f64({atom})",
-            f"{indent}elif {atom} is None:",
-            f"{indent}    {part} = _TN",
-            f"{indent}elif kt is bool:",
-            f"{indent}    {part} = _BT if {atom} else _BF",
-            f"{indent}else:",
-            f"{indent}    {part} = None",
-        ]
-    parts = [f"kp{position}" for position in range(len(atoms))]
-    if parts:
-        null_test = " or ".join(f"{part} is None" for part in parts)
-        lines += [
-            f"{indent}if {null_test}:",
-            f"{indent}    kb = _ser(key)",
-            f"{indent}else:",
-            f"{indent}    kb = _AR + {' + '.join(parts)} + _Z0",
-        ]
-    else:
-        lines.append(f"{indent}kb = _AR + _Z0")
-
-
-def _emit_inline_value_size(
-    atoms: List[str], base: int, lines: List[str], indent: str
-) -> None:
-    """Emit statements computing ``vsz = fields_size(value)`` inline.
-
-    *base* carries the statically-known bytes (arity byte plus the
-    integer tag's 9).  Mirrors :func:`repro.common.kv.fields_size`
-    branch for branch; any exotic field type makes the whole value fall
-    back to ``_fs(value)`` (``vsz`` set to ``None`` then resolved once).
-    """
-    lines.append(f"{indent}vsz = {base}")
-    for atom in atoms:
-        lines += [
-            f"{indent}if vsz is not None:",
-            f"{indent}    vt = type({atom})",
-            f"{indent}    if vt is str:",
-            f"{indent}        vsz += 3 + (len({atom}) if {atom}.isascii()"
-            f" else len({atom}.encode('utf-8')))",
-            f"{indent}    elif vt is int or vt is float:",
-            f"{indent}        vsz += 9",
-            f"{indent}    elif {atom} is None:",
-            f"{indent}        vsz += 1",
-            f"{indent}    elif vt is bool:",
-            f"{indent}        vsz += 2",
-            f"{indent}    else:",
-            f"{indent}        vsz = None",
-        ]
-    if atoms:
-        lines += [
-            f"{indent}if vsz is None:",
-            f"{indent}    vsz = _fs(value)",
-        ]
-
-
-def codegen_sink_kernel(
-    key_expressions: List[BoundExpression],
-    value_expressions: List[BoundExpression],
-    tag: int,
-) -> Callable:
-    """``(cols, sel, num_partitions, collect, histogram) -> (pairs, bytes)``:
-    the entire ReduceSink row loop fused — key/value build, the single
-    key encoding that feeds both the partition hash and the wire size,
-    the memo pre-warm and the size histogram.  Key encoding and value
-    sizing are emitted inline (exact-type branches mirroring the kv
-    serde) so the per-pair work is branch arithmetic, not function
-    calls; exotic types fall back to the serde functions themselves.
-    """
-    key_lines: List[str] = []
     env: dict = {}
-    counter = [0]
     used: set = set()
     ref = _column_ref(used)
-    key_exprs = [
-        _emit(expression, key_lines, env, counter, "        ", ref)
-        for expression in key_expressions
-    ]
-    value_lines: List[str] = []
-    value_exprs = [
-        _emit(expression, value_lines, env, counter, "        ", ref)
-        for expression in value_expressions
-    ]
-    env.update({
-        "_ser": serialize_fields,
-        "_fs": fields_size,
-        "_crc": zlib.crc32,
-        "_KV": KeyValue,
-        "_new": object.__new__,
-        "_u16": _U16.pack,
-        "_i64": _I64.pack,
-        "_f64": _F64.pack,
-        "_TS": b"S",
-        "_TI": b"I",
-        "_TD": b"D",
-        "_TN": b"N",
-        "_BT": b"B\x01",
-        "_BF": b"B\x00",
-        "_AR": bytes([len(key_expressions)]),
-        "_Z0": b"\x00",
-    })
-    # alias every field into a plain local so the inline branches never
-    # re-evaluate an expression (column loads are cheap; temps are free)
-    key_atoms = []
-    for position, expr in enumerate(key_exprs):
-        key_lines.append(f"        kw{position} = {expr}")
-        key_atoms.append(f"kw{position}")
-    value_atoms = []
-    for position, expr in enumerate(value_exprs):
-        value_lines.append(f"        vw{position} = {expr}")
-        value_atoms.append(f"vw{position}")
-    key_lines.append(f"        key = {_tuple_src(key_atoms)}")
-    _emit_inline_key_encode(key_atoms, key_lines, "        ")
-    value_src = "(" + ", ".join([str(int(tag))] + value_atoms) + \
-        ("," if not value_atoms else "") + ")"
-    value_lines.append(f"        value = {value_src}")
-    # arity byte + the tag field, an exact int, is always 9 bytes
-    _emit_inline_value_size(value_atoms, 1 + 9, value_lines, "        ")
-    source = "\n".join(
-        ["def _sink_batch(cols, sel, num_partitions, collect_batch, histogram):"]
-        + _column_bindings(used)
-        + [
-            "    parts = []",
-            "    parts_append = parts.append",
-            "    out_pairs = []",
-            "    pairs_append = out_pairs.append",
-            "    sizes = []",
-            "    sizes_append = sizes.append",
-            "    for i in sel:",
-        ]
-        + key_lines
-        + value_lines
-        + [
-            "        size = len(kb) - 1 + vsz",
-            # KeyValue is a frozen dataclass: filling __dict__ directly
-            # skips its __init__ (two object.__setattr__ frames) and the
-            # size-memo seeding write; the resulting pair is
-            # indistinguishable from one built the normal way
-            "        pair = _new(_KV)",
-            "        state = pair.__dict__",
-            '        state["key"] = key',
-            '        state["value"] = value',
-            '        state["_size"] = size',
-            "        sizes_append(size)",
-            "        parts_append((_crc(kb) & 0x7FFFFFFF) % num_partitions)",
-            "        pairs_append(pair)",
-            # histogram is a Counter: update() counts the size list in C
-            "    histogram.update(sizes)",
-            "    collect_batch(parts, out_pairs)",
-            "    return len(out_pairs), sum(sizes)",
-        ]
+    arities = partial_arities or [1] * len(aggregates)
+    starts = accumulate(arities, initial=0)  # each partial's first column
+    lines: List[str] = []
+    initial, results = _emit_aggregate_updates(
+        [(aggregate, [ref(start + part) for part in range(arity)])
+         for aggregate, start, arity in zip(aggregates, starts, arities)],
+        lines, env, "            ", merge=partial_arities is not None,
+        own_methods=True,
     )
-    return _compile_kernel(source, env, "_sink_batch")
+    outs = [f"out{position}" for position in range(len(aggregates))]
+    source = "\n".join(
+        ["def _reduce_groups(order, ends, cols, initial):"]
+        + _column_bindings(used)
+        + [f"    {out} = []" for out in outs]
+        + ["    start = 0", "    for end in ends:", "        acc = initial[:]",
+           "        for i in order[start:end]:"]
+        + (lines or ["            pass"])
+        + ["        start = end"]
+        + [f"        {out}.append({result})" for out, result in zip(outs, results)]
+        + [f"    return [{', '.join(outs)}]"]
+    )
+    return _compile_kernel(source, env, "_reduce_groups"), initial
 
 
 def stable_hash(fields: Tuple[object, ...]) -> int:

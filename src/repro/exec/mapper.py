@@ -7,9 +7,11 @@ collector the pipeline emits into.
 
 Both drivers take one switch, ``vectorized``, naming the *role* of the
 caller: the production engines pass ``True`` and run the column-kernel
-operators (:func:`build_vector_pipeline`); the reference executor
+operators (:func:`build_vector_pipeline`) and the columnar reduce
+(:func:`reduce_segments`); the reference executor
 (``engines/local.py``) passes ``False`` and runs the row operators
-(:func:`build_pipeline`).  This is the only module that knows both.
+(:func:`build_pipeline`) and the pair-at-a-time sort, grouping and
+reduce logics.  This is the only module that knows both.
 """
 
 from __future__ import annotations
@@ -18,16 +20,22 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.rows import ColumnBatch
+from repro.exec.column_reduce import reduce_segments
 from repro.exec.operators import (
     Collector,
-    FileSinkDesc,
     MapOperator,
     OperatorContext,
     ReduceSinkDesc,
     SkewRoutingCollector,
     build_pipeline,
 )
-from repro.exec.reduce import ReduceLogic, build_reduce_logic
+from repro.exec.reduce import (
+    ReduceAggregateDesc,
+    ReduceLogic,
+    build_reduce_logic,
+    group_sorted_pairs,
+    sort_pairs,
+)
 from repro.exec.vectorized import VectorOperator, build_vector_pipeline
 
 Row = Tuple[object, ...]
@@ -40,9 +48,8 @@ class MapTaskResult:
     ``output`` is what the task's FileSink received, in the
     representation its pipeline runs on: one dense
     :class:`~repro.common.rows.ColumnBatch` from the column kernels, row
-    tuples from the row operators (and from a reduce logic feeding a
-    bare FileSink).  ``HDFS.write`` takes either; ``output_rows`` is the
-    row view for everyone else."""
+    tuples from the row operators.  ``HDFS.write`` takes either;
+    ``output_rows`` is the row view for everyone else."""
 
     output: Union[List[Row], ColumnBatch]  # non-empty only for map-only jobs
     rows_read: int
@@ -140,8 +147,15 @@ class ExecMapper:
 
 
 class ExecReducer:
-    """Drives one reduce task: grouped pairs -> reduce logic -> rows ->
-    the tail pipeline, which sees them once, at close."""
+    """Drives one reduce task: shuffle input -> sort, group, reduce logic
+    -> the tail pipeline, which sees the logic's output once.
+
+    The engines (``vectorized=True``) hand :meth:`run` the
+    :class:`~repro.exec.shuffle.Segments` their partition received and
+    reduce over column slices (:func:`reduce_segments`); the reference
+    executor hands it ``KeyValue`` pairs and runs the row logics of
+    :mod:`repro.exec.reduce` one group at a time.
+    """
 
     def __init__(
         self,
@@ -151,39 +165,39 @@ class ExecReducer:
         vectorized: bool = False,
     ):
         self.context = OperatorContext(small_tables=small_tables)
-        self.logic: ReduceLogic = build_reduce_logic(logic_desc)
+        self.logic_desc = logic_desc
+        self.logic: Optional[ReduceLogic] = None
         self.tail: Optional[MapOperator] = None
         self.vector_tail: Optional[VectorOperator] = None
-        if not vectorized:
-            self.tail = build_pipeline(downstream_descriptors, self.context)
-        elif [type(desc) for desc in downstream_descriptors] != [FileSinkDesc]:
+        if vectorized:
             self.vector_tail = build_vector_pipeline(
                 downstream_descriptors, self.context
             )
-        # else: a bare FileSink (every ORDER BY stage, HiBench JOIN job 2)
-        # is the identity — the logic's rows are the task's output
-        self._closed = False
+        else:
+            self.logic = build_reduce_logic(logic_desc)
+            self.tail = build_pipeline(downstream_descriptors, self.context)
 
-    def reduce_group(self, key: Row, values: Sequence[Tuple]) -> None:
-        self.logic.reduce(key, values)
-
-    def close(self) -> MapTaskResult:
-        context = self.context
-        if not self._closed:
-            rows = self.logic.rows
-            if self.tail is not None:
-                self.tail.process_rows(rows)
-                self.tail.close()
-            elif self.vector_tail is None:
-                context.rows_emitted += len(rows)
-                context.output = rows
-            else:
-                if rows:
-                    # a one-shot transpose: typed arrays (pack_column)
-                    # do not pay for themselves on a single pass
-                    self.vector_tail.process_batch(
-                        ColumnBatch(list(zip(*rows)), len(rows))
-                    )
-                self.vector_tail.close()
-            self._closed = True
-        return _task_result(context)
+    def run(self, shuffle_input,
+            directions: Optional[Sequence[bool]] = None) -> MapTaskResult:
+        """Reduce one partition's whole *shuffle_input*."""
+        if self.vector_tail is not None:
+            batch = reduce_segments(self.logic_desc, shuffle_input, directions)
+            if batch.size:
+                self.vector_tail.process_batch(batch)
+            self.vector_tail.close()
+            return _task_result(self.context)
+        saw_group = False
+        for key, values in group_sorted_pairs(sort_pairs(shuffle_input, directions)):
+            saw_group = True
+            self.logic.reduce(key, values)
+        if (
+            not saw_group
+            and isinstance(self.logic_desc, ReduceAggregateDesc)
+            and self.logic_desc.key_arity == 0
+        ):
+            # SQL: a global aggregate over zero rows still yields one row
+            # (COUNT(*) = 0, SUM = NULL)
+            self.logic.reduce((), [])
+        self.tail.process_rows(self.logic.rows)
+        self.tail.close()
+        return _task_result(self.context)

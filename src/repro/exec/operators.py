@@ -121,22 +121,23 @@ MapOperatorDesc = object  # union of the dataclasses above
 # ---------------------------------------------------------------------------
 
 class Collector:
-    """Engine-provided sink for shuffle pairs (partition pre-computed)."""
+    """Engine-provided sink for shuffle pairs (partition pre-computed).
+
+    Two entry points, one per executor role: the reference row sink
+    calls :meth:`collect` once per pair; the column sink calls
+    :meth:`collect_batch` once per batch with a
+    :class:`~repro.exec.shuffle.PairRun`.  A collector implements the
+    one its engine's role uses.
+    """
 
     def collect(self, partition: int, pair: KeyValue) -> None:
         raise NotImplementedError
 
-    def collect_batch(self, partitions, pairs) -> None:
-        """Bulk :meth:`collect` over parallel partition/pair lists.
-
-        The vectorized ReduceSink emits one call per column batch;
-        engines override this with an inlined loop so the per-pair cost
-        is list appends, not method dispatch.  Pair order is preserved,
-        so buffer-fill sequences are identical to per-pair collect().
-        """
-        collect = self.collect
-        for partition, pair in zip(partitions, pairs):
-            collect(partition, pair)
+    def collect_batch(self, partition_ids, run) -> None:
+        """Take the pairs of *run*; pair *i* goes to ``partition_ids[i]``.
+        Order is the emit order, so buffer-fill sequences are those of
+        per-pair collection."""
+        raise NotImplementedError
 
 
 class ListCollector(Collector):
@@ -153,10 +154,10 @@ class SkewRoutingCollector(Collector):
     """Re-routes heavy join keys per a :class:`SkewRouteDesc`.
 
     Wraps the engine collector inside :class:`~repro.exec.mapper.ExecMapper`
-    — below the sink (row and vectorized paths both read
+    — below the sink (row and column sinks both read
     ``context.collector`` at call time) and above the engine's partition
     buffers, so byte accounting per partition stays exact on every
-    engine, the local oracle and pooled workers alike.  Routing is
+    engine and the local oracle alike.  Routing is
     deterministic: per-key round-robin counters start at zero in every
     task and targets are ``(hash_partition + s) % P`` for ``s <
     fanout``, so a run's pair placement never depends on task order.
@@ -201,10 +202,48 @@ class SkewRoutingCollector(Collector):
             context.kv_bytes_out += size * extra
             context.kv_size_histogram[size] += extra
 
-    def collect_batch(self, partitions, pairs) -> None:
-        collect = self.collect
-        for partition, pair in zip(partitions, pairs):
-            collect(partition, pair)
+    def collect_batch(self, partition_ids, run) -> None:
+        """:meth:`collect` over a run.  Split mode only re-targets ids;
+        replicate mode hands on a longer run in which every copy sits
+        at its original's place in the emit stream."""
+        offsets = self._next
+        keys = list(zip(*run.key_columns))
+        heavy = [i for i, key in enumerate(keys) if key in offsets]
+        if not heavy:
+            self._inner.collect_batch(partition_ids, run)
+            return
+        fanout = self._fanout
+        num_partitions = self._num_partitions
+        if self._split:
+            for i in heavy:
+                offset = offsets[keys[i]]
+                offsets[keys[i]] = (offset + 1) % fanout
+                partition_ids[i] = (partition_ids[i] + offset) % num_partitions
+            self._inner.collect_batch(partition_ids, run)
+            return
+        positions: List[int] = []
+        routed: List[int] = []
+        done = 0
+        for i in heavy:
+            positions += range(done, i)
+            routed += partition_ids[done:i]
+            positions += [i] * fanout
+            routed += [
+                (partition_ids[i] + offset) % num_partitions
+                for offset in range(fanout)
+            ]
+            done = i + 1
+        positions += range(done, len(run))
+        routed += partition_ids[done:]
+        extra = fanout - 1
+        if extra > 0:
+            context = self._context
+            sizes = [run.sizes[i] for i in heavy]
+            context.kv_pairs_out += extra * len(heavy)
+            context.kv_bytes_out += extra * sum(sizes)
+            for size in sizes:
+                context.kv_size_histogram[size] += extra
+        self._inner.collect_batch(routed, run.take(positions))
 
 
 class OperatorContext:
@@ -416,7 +455,6 @@ class ReduceSinkOperator(MapOperator):
         histogram = context.kv_size_histogram
         histogram_get = histogram.get
         collect = context.collector.collect
-        seed_size = object.__setattr__
         pairs_out = 0
         bytes_out = 0
         for row in rows:
@@ -427,12 +465,13 @@ class ReduceSinkOperator(MapOperator):
             key_bytes = serialize_fields(key)
             value = (tag,) + value_of(row)
             size = len(key_bytes) - 1 + fields_size(value)
-            pair = KeyValue(key, value)
-            seed_size(pair, "_size", size)  # pre-warm the memo
             pairs_out += 1
             bytes_out += size
             histogram[size] = histogram_get(size, 0) + 1
-            collect((crc32(key_bytes) & 0x7FFFFFFF) % num_partitions, pair)
+            collect(
+                (crc32(key_bytes) & 0x7FFFFFFF) % num_partitions,
+                KeyValue(key, value),
+            )
         context.kv_pairs_out += pairs_out
         context.kv_bytes_out += bytes_out
 

@@ -1,12 +1,17 @@
-"""Reduce-side logics: aggregate finalization, reduce-side join, sort.
+"""Reduce-side descriptors, and the reference logics built from them.
 
-A reduce task receives groups of ``(key, [values])`` where each value is
-``(tag, field, field, ...)``; the logic turns each group into output
-rows, collected in group order in :attr:`ReduceLogic.rows`.
-:class:`~repro.exec.mapper.ExecReducer` owns what happens next: the
-task's tail pipeline (having filters, projections, limits, file sink)
-sees those rows once, at close — mirroring Hive's reduce-side operator
-tree rooted at a GroupBy/Join operator.
+The physical plan names a reduce task's work with one of the four
+descriptors below.  They have two runtimes, like the map operators: the
+engines reduce over column slices (:mod:`repro.exec.column_reduce`); the
+``ReduceLogic`` classes here run only under the reference executor
+(``engines/local.py``).  There a reduce task receives groups of
+``(key, [values])`` where each value is ``(tag, field, field, ...)``; the
+logic turns each group into output rows, collected in group order in
+:attr:`ReduceLogic.rows`.  :class:`~repro.exec.mapper.ExecReducer` owns
+what happens next: the task's tail pipeline (having filters,
+projections, limits, file sink) sees those rows once, at close —
+mirroring Hive's reduce-side operator tree rooted at a GroupBy/Join
+operator.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import functools
 import operator
 from itertools import chain, groupby
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.common.kv import KeyValue
@@ -152,7 +157,10 @@ def build_reduce_logic(desc: ReduceLogicDesc) -> ReduceLogic:
 
 
 # ---------------------------------------------------------------------------
-# framework-side sort & group helpers (shared by both engines)
+# framework-side sort & group helpers.  ``key_comparator`` defines the
+# shuffle order for every executor; the pair-at-a-time sort and grouping
+# below run under the reference executor only (the engines sort one index
+# permutation over key columns, :mod:`repro.exec.column_reduce`).
 # ---------------------------------------------------------------------------
 
 def key_comparator(directions: Optional[Sequence[bool]] = None):
@@ -233,16 +241,3 @@ def group_sorted_pairs(
     per-group value extraction is a single ``map`` pass."""
     for key, group in groupby(pairs, key=_key_of):
         yield key, list(map(_value_of, group))
-
-
-def merge_sorted_runs(
-    runs: List[List[KeyValue]], directions: Optional[Sequence[bool]] = None
-) -> List[KeyValue]:
-    """K-way merge of sorted runs (Hadoop's on-disk merge, DataMPI's
-    in-memory merge both use this)."""
-    import heapq
-
-    compare = key_comparator(directions)
-    key_fn = functools.cmp_to_key(compare)
-    merged = heapq.merge(*runs, key=lambda pair: key_fn(pair.key))
-    return list(merged)

@@ -4,10 +4,10 @@ The one execution path of every engine task — map chains, broadcast
 (map-join build) chains and reduce tails alike.  Each operator runs a
 codegen'd whole-column loop (the ``codegen_*_kernel`` family in
 :mod:`repro.exec.expressions`) against a column batch.  Filters narrow
-the batch's *selection vector* rather than copying data; rows
-materialize back into tuples only at the serde/shuffle boundary
-(ReduceSink) — a FileSink keeps columns, and the stored file is built
-from them — Hive's VectorizedRowBatch design.
+the batch's *selection vector* rather than copying data, and rows
+never materialize back into tuples: a FileSink keeps columns, and the
+stored file is built from them; a ReduceSink hands the engine column
+runs (:mod:`repro.exec.shuffle`) — Hive's VectorizedRowBatch design.
 
 :func:`build_vector_pipeline` is total over the planner's descriptors:
 there is no second mode to fall back to.  The row operators of
@@ -27,14 +27,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ExecutionError
-from repro.common.rows import ColumnBatch
+from repro.common.rows import ColumnBatch, take_columns
 from repro.exec.expressions import (
     InputRef,
     codegen_filter_kernel,
     codegen_group_kernel,
     codegen_keys_kernel,
     codegen_project_kernel,
-    codegen_sink_kernel,
 )
 from repro.exec.operators import (
     FileSinkDesc,
@@ -46,11 +45,12 @@ from repro.exec.operators import (
     ReduceSinkDesc,
     SelectDesc,
 )
+from repro.exec.shuffle import emit_run
 
 Row = Tuple[object, ...]
 
 
-def _kernel_of(desc, build: Callable):
+def kernel_of(desc, build: Callable):
     """``build()``, compiled once and kept on the descriptor *desc* itself.
 
     Descriptors are plain dataclass instances inside the driver's cached
@@ -110,7 +110,7 @@ class VectorFilterOperator(VectorOperator):
 
     def __init__(self, desc: FilterDesc, child: VectorOperator):
         super().__init__(child)
-        self._kernel = _kernel_of(
+        self._kernel = kernel_of(
             desc, lambda: codegen_filter_kernel(desc.predicate)
         )
 
@@ -134,7 +134,7 @@ class VectorSelectOperator(VectorOperator):
             self._kernel = None
         else:
             self._indices = None
-            self._kernel = _kernel_of(
+            self._kernel = kernel_of(
                 desc, lambda: codegen_project_kernel(desc.expressions)
             )
 
@@ -154,7 +154,7 @@ class VectorMapGroupByOperator(VectorOperator):
 
     def __init__(self, desc: MapGroupByDesc, child: VectorOperator):
         super().__init__(child)
-        self._kernel, self._initial, self._scalar_key = _kernel_of(
+        self._kernel, self._initial, self._scalar_key = kernel_of(
             desc,
             lambda: codegen_group_kernel(
                 desc.key_expressions, desc.aggregates,
@@ -171,21 +171,16 @@ class VectorMapGroupByOperator(VectorOperator):
 
     def _flush(self) -> None:
         self.flushes += 1
-        if not self._table:
+        table = self._table
+        if not table:
             return
-        # flat slots are exactly the concatenated partial tuples
-        if self._scalar_key:
-            rows = [
-                (key,) + tuple(accumulators)
-                for key, accumulators in self._table.items()
-            ]
-        else:
-            rows = [
-                key + tuple(accumulators)
-                for key, accumulators in self._table.items()
-            ]
-        self._table.clear()
-        self.child.process_batch(ColumnBatch.from_rows(rows))
+        # flat slots are exactly the concatenated partial tuples, so the
+        # batch is the key column(s) followed by the slot columns
+        columns = [list(table)] if self._scalar_key else list(map(list, zip(*table)))
+        columns += map(list, zip(*table.values()))
+        size = len(table)
+        table.clear()
+        self.child.process_batch(ColumnBatch(columns, size))
 
     def close(self) -> None:
         self._flush()
@@ -200,7 +195,7 @@ class VectorMapJoinOperator(VectorOperator):
     def __init__(self, desc: MapJoinDesc, child: VectorOperator,
                  context: OperatorContext):
         super().__init__(child)
-        self._probe_keys, build_keys = _kernel_of(
+        self._probe_keys, build_keys = kernel_of(
             desc,
             lambda: (
                 codegen_keys_kernel(desc.probe_key_expressions),
@@ -265,32 +260,53 @@ class VectorLimitOperator(VectorOperator):
 
 
 class VectorReduceSinkOperator(VectorOperator):
-    """Terminal: the fused sink kernel encodes each key once (the bytes
-    drive both the partition hash and the wire size), pre-warms the pair
-    size memo and feeds the engine's collector — the pair stream the
-    reference ``ReduceSinkOperator`` produces."""
+    """Terminal: hands the engine's collector one
+    :class:`~repro.exec.shuffle.PairRun` per batch — the referenced
+    columns gathered once (a window is a slice), wire sizes and
+    partitions computed per column — the pair stream the reference
+    ``ReduceSinkOperator`` produces, never one object per pair.  The
+    planner projects in front of a sink, so keys and values are plain
+    column references; anything else is projected into dense columns
+    first and takes the same path."""
 
     def __init__(self, desc: ReduceSinkDesc, context: OperatorContext):
         super().__init__(None)
-        self._kernel = _kernel_of(
-            desc,
-            lambda: codegen_sink_kernel(
-                desc.key_expressions, desc.value_expressions, desc.tag
-            ),
-        )
+        expressions = desc.key_expressions + desc.value_expressions
+        if all(type(expression) is InputRef for expression in expressions):
+            self._project = None
+            # a column referenced twice (a join key is also a value) is
+            # gathered once
+            indices = [expression.index for expression in expressions]
+            self._distinct = sorted(set(indices))
+            self._slots = [self._distinct.index(index) for index in indices]
+        else:
+            self._project = kernel_of(
+                desc, lambda: codegen_project_kernel(expressions)
+            )
+        self._key_arity = len(desc.key_expressions)
+        self._tag = desc.tag
         self._context = context
 
     def process_batch(self, batch: ColumnBatch) -> None:
         context = self._context
-        pairs, nbytes = self._kernel(
-            batch.columns,
-            _live(batch),
-            context.num_partitions,
-            context.collector.collect_batch,
-            context.kv_size_histogram,
+        count = batch.live_count
+        if not count:
+            return
+        if self._project is not None:
+            columns = self._project(batch.columns, _live(batch))
+        else:
+            referenced = [batch.columns[index] for index in self._distinct]
+            if batch.sel is not None:
+                referenced = take_columns(referenced, batch.sel)
+            columns = [referenced[slot] for slot in self._slots]
+        partition_ids, run = emit_run(
+            columns[:self._key_arity], columns[self._key_arity:], self._tag,
+            count, context.num_partitions,
         )
-        context.kv_pairs_out += pairs
-        context.kv_bytes_out += nbytes
+        context.kv_size_histogram.update(run.sizes)
+        context.kv_pairs_out += count
+        context.kv_bytes_out += sum(run.sizes)
+        context.collector.collect_batch(partition_ids, run)
 
     def close(self) -> None:
         pass

@@ -18,6 +18,8 @@ from repro.engines.datampi.engine import DataMPIEngine, _Gang
 from repro.engines.datampi.mpi import DynamicBarrier, SimulatedMPI
 from repro.simulate import Cluster, ClusterSpec, Interrupt, Simulator
 
+from .shuffle_reference import pairs_of, run_of, segments_of
+
 
 @pytest.fixture()
 def cluster():
@@ -109,29 +111,35 @@ class TestDynamicBarrier:
 
 
 def kv(i):
-    return KeyValue((i,), ("payload" * 4,))
+    return KeyValue((i,), (0, "payload" * 4))
+
+
+def buffer_of(partition, pairs, actual_bytes):
+    return SendBuffer(partition, segments=segments_of(pairs),
+                      actual_bytes=actual_bytes, scale=1.0)
 
 
 class TestSendPartitionList:
     def test_fills_and_rotates(self):
         spl = SendPartitionList(num_partitions=2, partition_capacity_bytes=100)
         filled = []
-        for i in range(12):
-            buffer = spl.add(i % 2, kv(i))
-            if buffer is not None:
-                filled.append(buffer)
+        run = run_of([kv(i) for i in range(12)])
+        spl.add_many([i % 2 for i in range(12)], run, filled.append)
         assert filled, "partitions must fill at 100-byte capacity"
         assert all(buffer.actual_bytes >= 100 for buffer in filled)
+        assert spl.bytes_added == sum(run.sizes)
         leftovers = spl.drain()
-        total_pairs = sum(len(b.pairs) for b in filled + leftovers)
+        total_pairs = sum(len(b.segments) for b in filled + leftovers)
         assert total_pairs == 12
 
     def test_drain_resets(self):
         spl = SendPartitionList(2, 1e9)
-        spl.add(0, kv(1))
-        assert spl.drain()
+        filled = []
+        spl.add_many([0], run_of([kv(1)]), filled.append)
+        assert filled == []
+        drained = spl.drain()
+        assert [pairs_of(buffer.segments) for buffer in drained] == [[kv(1)]]
         assert spl.drain() == []
-        assert spl.buffered_bytes == 0
 
     def test_zero_partitions_rejected(self):
         with pytest.raises(ExecutionError):
@@ -195,8 +203,8 @@ class TestReceiveManager:
         manager = ReceiveManager(sim, [cluster.workers[0]], cache_budget_per_node=100.0)
 
         def deliver():
-            small = SendBuffer(0, pairs=[kv(1)], actual_bytes=60, scale=1.0)
-            big = SendBuffer(0, pairs=[kv(2)], actual_bytes=60, scale=1.0)
+            small = buffer_of(0, [kv(1)], 60)
+            big = buffer_of(0, [kv(2)], 60)
             yield from manager.deliver(0, small)
             yield from manager.deliver(0, big)  # straddles the budget
 
@@ -205,7 +213,7 @@ class TestReceiveManager:
         # the second buffer is split: 40 bytes still fit, 20 spill
         assert manager.cached_partition_bytes[0] == 100
         assert manager.spilled_bytes[0] == 20
-        assert len(manager.pairs[0]) == 2
+        assert pairs_of(manager.partition_pairs(0)) == [kv(1), kv(2)]
         assert sim.now > 0  # the spill paid disk time
 
     def test_release_partition_frees_cache(self, cluster):
@@ -214,7 +222,7 @@ class TestReceiveManager:
         manager = ReceiveManager(sim, [node], cache_budget_per_node=1000.0)
 
         def deliver():
-            yield from manager.deliver(0, SendBuffer(0, pairs=[kv(1)], actual_bytes=80, scale=1.0))
+            yield from manager.deliver(0, buffer_of(0, [kv(1)], 80))
 
         self.run(deliver(), sim)
         assert manager.cached_bytes[node] == 80
@@ -224,8 +232,8 @@ class TestReceiveManager:
     def test_accept_returns_only_the_overflow(self, cluster):
         sim = cluster.sim
         manager = ReceiveManager(sim, [cluster.workers[0]], cache_budget_per_node=100.0)
-        fits = SendBuffer(0, pairs=[kv(1)], actual_bytes=60, scale=1.0)
-        straddles = SendBuffer(0, pairs=[kv(2)], actual_bytes=60, scale=1.0)
+        fits = buffer_of(0, [kv(1)], 60)
+        straddles = buffer_of(0, [kv(2)], 60)
         assert manager.accept(0, fits) == 0.0
         assert manager.accept(0, straddles) == 20.0
         assert manager.spilled_bytes[0] == 20.0

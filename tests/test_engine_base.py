@@ -25,6 +25,7 @@ from repro.sql import parse_statement
 from repro.storage.formats.orc import OrcStoredFile
 
 from .conftest import build_big_warehouse
+from .shuffle_reference import pairs_of
 
 
 def test_make_batches_matches_engine_chunking():
@@ -83,7 +84,9 @@ def test_map_compute_without_batching_is_one_batch(group_by_split):
         map_only=False,
     )
     assert compute.records == [(compute.bytes_to_read, None)]
-    assert whole.partitions == batched.partitions
+    assert list(map(pairs_of, whole.partitions)) == \
+        list(map(pairs_of, batched.partitions))
+    assert any(len(segments) for segments in whole.partitions)
 
 
 def test_orc_decode_charge_follows_the_class_not_its_name():

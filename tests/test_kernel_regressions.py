@@ -37,6 +37,8 @@ from repro.engines.datampi.buffers import ReceiveManager, SendBuffer, SendQueue
 from repro.simulate import Cluster, ClusterSpec, Event, Interrupt, Simulator
 from repro.simulate.resources import _EPSILON_BYTES, Bandwidth
 
+from .shuffle_reference import segments_of
+
 
 class TestCancelAfterFire:
     def test_cancel_of_executed_handle_is_noop(self):
@@ -137,10 +139,10 @@ class TestReceivePartialSpill:
         manager = ReceiveManager(
             sim, [cluster.workers[0]], cache_budget_per_node=100.0
         )
-        pairs = [KeyValue((1,), ("v",))]
+        pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(sim, manager, [
-            SendBuffer(0, pairs=pairs, actual_bytes=70, scale=1.0),
-            SendBuffer(0, pairs=pairs, actual_bytes=70, scale=1.0),
+            SendBuffer(0, segments=pairs, actual_bytes=70, scale=1.0),
+            SendBuffer(0, segments=pairs, actual_bytes=70, scale=1.0),
         ])
         # the all-or-nothing version spilled the whole second buffer (70);
         # the fix caches the 30 bytes that still fit and spills 40
@@ -153,10 +155,10 @@ class TestReceivePartialSpill:
         node = cluster.workers[0]
         # two partitions sharing one node's cache budget
         manager = ReceiveManager(sim, [node, node], cache_budget_per_node=100.0)
-        pairs = [KeyValue((1,), ("v",))]
+        pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(sim, manager, [
-            SendBuffer(0, pairs=pairs, actual_bytes=60, scale=1.0),
-            SendBuffer(1, pairs=pairs, actual_bytes=60, scale=1.0),
+            SendBuffer(0, segments=pairs, actual_bytes=60, scale=1.0),
+            SendBuffer(1, segments=pairs, actual_bytes=60, scale=1.0),
         ])
         # partition 1 straddled: only 40 of its 60 bytes are cached
         assert manager.cached_bytes[node] == pytest.approx(100.0)
@@ -170,10 +172,10 @@ class TestReceivePartialSpill:
         sim = cluster.sim
         node = cluster.workers[0]
         manager = ReceiveManager(sim, [node], cache_budget_per_node=1000.0)
-        pairs = [KeyValue((1,), ("v",))]
+        pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(
             sim, manager,
-            [SendBuffer(0, pairs=pairs, actual_bytes=80, scale=1.0)],
+            [SendBuffer(0, segments=pairs, actual_bytes=80, scale=1.0)],
         )
         manager.release_partition(0)
         assert manager.cached_bytes[node] == pytest.approx(0.0)
@@ -184,10 +186,10 @@ class TestReceivePartialSpill:
         sim = cluster.sim
         node = cluster.workers[0]
         manager = ReceiveManager(sim, [node], cache_budget_per_node=1000.0)
-        pairs = [KeyValue((1,), ("v",))]
+        pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(
             sim, manager,
-            [SendBuffer(0, pairs=pairs, actual_bytes=80, scale=1.0)],
+            [SendBuffer(0, segments=pairs, actual_bytes=80, scale=1.0)],
         )
         # corrupt the node-level ledger: the release now frees more than
         # the node holds, which must surface as an error, not be clamped

@@ -29,7 +29,6 @@ from repro.exec.reduce import (
     ReduceSortDesc,
     group_sorted_pairs,
     key_comparator,
-    merge_sorted_runs,
     sort_pairs,
 )
 from repro.sql.functions import AGGREGATES
@@ -185,7 +184,16 @@ class TestMapJoin:
             ExecMapper([desc, FileSinkDesc()], None, 1, small_tables={})
 
 
+def _reduced(reducer, *groups):
+    """Output rows of *reducer* over ``(key, [value, ...])`` groups."""
+    pairs = [KeyValue(key, value) for key, values in groups for value in values]
+    return reducer.run(pairs).output_rows
+
+
 class TestReduceLogics:
+    """The reference (row) logics; ``test_column_reduce.py`` checks the
+    engines' columnar reduce against them."""
+
     def test_aggregate_merge_partials(self):
         reducer = ExecReducer(
             ReduceAggregateDesc(
@@ -197,8 +205,7 @@ class TestReduceLogics:
             [FileSinkDesc()],
         )
         # values: (tag, sum_partial, avg_sum, avg_count)
-        reducer.reduce_group(("k",), [(0, 3, 3.0, 2), (0, 4, 5.0, 1)])
-        rows = reducer.close().output_rows
+        rows = _reduced(reducer, (("k",), [(0, 3, 3.0, 2), (0, 4, 5.0, 1)]))
         assert rows == [("k", 7, pytest.approx(8.0 / 3))]
 
     def test_aggregate_raw_values(self):
@@ -210,8 +217,8 @@ class TestReduceLogics:
             ),
             [FileSinkDesc()],
         )
-        reducer.reduce_group(("k",), [(0, "x"), (0, "x"), (0, "y")])
-        assert reducer.close().output_rows == [("k", 2)]
+        rows = _reduced(reducer, (("k",), [(0, "x"), (0, "x"), (0, "y")]))
+        assert rows == [("k", 2)]
 
     def test_join_inner_and_left(self):
         for join_type, expect_unmatched in (("inner", False), ("left", True)):
@@ -219,21 +226,22 @@ class TestReduceLogics:
                 ReduceJoinDesc(join_type=join_type, left_width=2, right_width=1),
                 [FileSinkDesc()],
             )
-            reducer.reduce_group((1,), [(0, 1, "L"), (1, "R")])
-            reducer.reduce_group((2,), [(0, 2, "Lonely")])
-            rows = reducer.close().output_rows
+            rows = _reduced(
+                reducer,
+                ((1,), [(0, 1, "L"), (1, "R")]),
+                ((2,), [(0, 2, "Lonely")]),
+            )
             assert (1, "L", "R") in rows
             assert ((2, "Lonely", None) in rows) == expect_unmatched
 
     def test_sort_identity(self):
         reducer = ExecReducer(ReduceSortDesc(), [FileSinkDesc()])
-        reducer.reduce_group((1,), [(0, "a", 1), (0, "b", 2)])
-        assert reducer.close().output_rows == [("a", 1), ("b", 2)]
+        rows = _reduced(reducer, ((1,), [(0, "a", 1), (0, "b", 2)]))
+        assert rows == [("a", 1), ("b", 2)]
 
     def test_distinct(self):
         reducer = ExecReducer(ReduceDistinctDesc(key_arity=2), [FileSinkDesc()])
-        reducer.reduce_group(("a", 1), [(0,), (0,)])
-        assert reducer.close().output_rows == [("a", 1)]
+        assert _reduced(reducer, (("a", 1), [(0,), (0,)])) == [("a", 1)]
 
 
 class TestSortHelpers:
@@ -258,12 +266,6 @@ class TestSortHelpers:
         )
         groups = list(group_sorted_pairs(pairs))
         assert [(key, len(values)) for key, values in groups] == [((1,), 3), ((2,), 2)]
-
-    def test_merge_sorted_runs(self):
-        run_a = sort_pairs([KeyValue((k,), ()) for k in (1, 3, 5)])
-        run_b = sort_pairs([KeyValue((k,), ()) for k in (2, 4)])
-        merged = [pair.key[0] for pair in merge_sorted_runs([run_a, run_b])]
-        assert merged == [1, 2, 3, 4, 5]
 
     def test_key_comparator_length_tiebreak(self):
         compare = key_comparator()

@@ -10,7 +10,7 @@ hypothesis-generated stream) on both and asserts identical results; the
 second half unit-tests the selection-vector contract of
 :class:`~repro.common.rows.ColumnBatch` (nulls, empty batches,
 batch-boundary LIMIT, zero-copy windows), the byte accounting of the
-fused sink kernel, and the lifetime of compiled kernels and map-join
+column sink, and the lifetime of compiled kernels and map-join
 hash tables.
 """
 
@@ -29,7 +29,7 @@ import repro.exec.vectorized as vectorized_module
 from repro import HDFS, Metastore, connect
 from repro.bench import fresh_tpch
 from repro.common.errors import ExecutionError
-from repro.common.kv import KeyValue
+from repro.common.kv import KeyValue, kv_size
 from repro.common.rows import ColumnBatch, DataType, Schema
 from repro.engines.base import compare_result_rows
 from repro.exec.expressions import (
@@ -39,7 +39,7 @@ from repro.exec.expressions import (
     Const,
     InputRef,
     codegen_project_kernel,
-    codegen_sink_kernel,
+    stable_hash,
 )
 from repro.exec.mapper import ExecMapper, ExecReducer
 from repro.exec.operators import (
@@ -48,6 +48,7 @@ from repro.exec.operators import (
     LimitDesc,
     MapJoinDesc,
     OperatorContext,
+    ReduceSinkDesc,
     SelectDesc,
 )
 from repro.exec.reduce import ReduceJoinDesc, ReduceSortDesc
@@ -58,6 +59,8 @@ from repro.exec.vectorized import (
 )
 from repro.obs import get_metrics
 from repro.workloads.tpch import tpch_query
+
+from .shuffle_reference import RunCollector, pairs_in, segments_of
 
 SCHEMA = Schema.parse("k int, grp string, val double, flag boolean")
 DIM_SCHEMA = Schema.parse("grp string, weight int")
@@ -299,47 +302,38 @@ def test_build_vector_pipeline_rejects_unknown_plans():
 
 
 # ---------------------------------------------------------------------------
-# fused sink kernel: byte accounting must match the kv serde exactly
+# column sink: byte accounting must match the kv serde exactly
 # ---------------------------------------------------------------------------
 
 def test_sink_kernel_sizes_match_serde():
-    # exercise every inline branch: ascii/non-ascii str, int, float,
+    # exercise every sizing pass: ascii/non-ascii str, int, float,
     # None, both bools — in keys and values
     rows = [
         (1, "ascii", 1.5, None, True),
         (2, "héllo", -2.0, "x", False),
         (3, "", 0.25, None, True),
     ]
-    batch = ColumnBatch.from_rows(rows)
     refs = [InputRef(i) for i in range(5)]
-    kernel = codegen_sink_kernel(refs[:2], refs[2:], tag=0)
-    assert kernel is not None
-
-    collected = []
-
-    def collect_batch(partitions, pairs):
-        collected.extend(zip(partitions, pairs))
-
-    histogram = Counter()
-    count, nbytes = kernel(
-        batch.columns, range(batch.size), 4, collect_batch, histogram
+    collector = RunCollector()
+    mapper = ExecMapper(
+        [ReduceSinkDesc(refs[:2], refs[2:], tag=0)], collector, 4,
+        vectorized=True,
     )
-    assert count == len(rows)
-    assert len(collected) == len(rows)
-    total = 0
-    for (partition, pair), row in zip(collected, rows):
-        assert 0 <= partition < 4
-        assert pair.key == row[:2]
-        assert pair.value == (0,) + row[2:]
-        # the memoized size the kernel pre-seeded must equal what the
-        # serde would compute from scratch for the same pair
-        fresh = KeyValue(pair.key, pair.value).serialized_size()
-        assert pair.serialized_size() == fresh
-        total += fresh
-    assert nbytes == total
-    assert histogram == Counter(
-        KeyValue(row[:2], (0,) + row[2:]).serialized_size() for row in rows
-    )
+    mapper.process_batch(rows)
+    result = mapper.close()
+    (partition_ids, run), = collector.batches
+    assert len(run) == len(partition_ids) == result.kv_pairs == len(rows)
+    assert all(0 <= partition < 4 for partition in partition_ids)
+    pairs = pairs_in(run)
+    assert [(pair.key, pair.value) for pair in pairs] == \
+        [(row[:2], (0,) + row[2:]) for row in rows]
+    # the sizes the sink computed per column must equal what the serde
+    # computes from scratch for the same pair
+    fresh = [kv_size(pair) for pair in pairs]
+    assert run.sizes == fresh
+    assert partition_ids == [stable_hash(pair.key) % 4 for pair in pairs]
+    assert result.kv_bytes == sum(fresh)
+    assert mapper.context.kv_size_histogram == Counter(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +383,16 @@ def test_reduce_tail_matches_reference(tail):
         ((key,), [(0, key, f"L{key}")] + [(1, f"R{key}{n}") for n in range(key)])
         for key in range(5)
     ]
+    pairs = [KeyValue(key, value) for key, values in groups for value in values]
     outputs = []
     for vectorized in (False, True):
         reducer = ExecReducer(
             ReduceJoinDesc(join_type="left", left_width=2, right_width=1),
             tail, vectorized=vectorized,
         )
-        for key, values in groups:
-            reducer.reduce_group(key, values)
-        outputs.append(reducer.close().output_rows)
-        assert reducer.close().output_rows == outputs[-1]  # idempotent
+        result = reducer.run(segments_of(pairs) if vectorized else pairs)
+        assert isinstance(result.output, ColumnBatch) == vectorized
+        outputs.append(result.output_rows)
     assert outputs[0] == outputs[1] and outputs[0]
 
 
