@@ -271,34 +271,55 @@ def take_columns(columns: Sequence[Sequence], sel: Sequence[int]) -> List[Sequen
     ]
 
 
+def and_no_nulls(
+    facts: Sequence[Optional[Sequence[bool]]],
+) -> Optional[List[bool]]:
+    """``no_nulls`` of pieces laid end to end: a column is NULL-free
+    only if it is in every piece, and nothing is known once one piece
+    promises nothing (or there is no piece to ask)."""
+    if not facts or None in facts:
+        return None
+    return list(map(all, zip(*facts)))
+
+
 class ColumnBatch:
     """A batch of rows stored column-wise (Hive's VectorizedRowBatch).
 
     ``columns`` holds one sequence per column, all of length ``size`` —
     a typed ``array`` buffer for homogeneous numeric columns (see
     :func:`pack_column`), a plain Python list otherwise; NULLs are
-    ``None`` entries inside list columns (the
-    null mask is implicit — :meth:`null_mask` derives the explicit form
-    on demand).  ``sel`` is the selection vector: ``None`` means every
-    row 0..size-1 is live (a *dense* batch), otherwise only the listed
-    positions are.  Vectorized filters narrow ``sel`` instead of copying
-    column data; rows materialize back into tuples only for row
-    readers (:meth:`to_rows`) — a FileSink keeps the live rows as
-    columns (:meth:`dense`) and the stored file is built from those, a
-    ReduceSink gathers them into column runs.
+    ``None`` entries inside list columns.  ``sel`` is the selection
+    vector: ``None`` means every row 0..size-1 is live (a *dense*
+    batch), otherwise only the listed positions are.  Vectorized filters
+    narrow ``sel`` instead of copying column data; rows materialize back
+    into tuples only for row readers (:meth:`to_rows`) — a FileSink
+    keeps the live rows as columns (:meth:`dense`) and the stored file
+    is built from those, a ReduceSink gathers them into column runs.
+
+    ``no_nulls`` is VectorizedRowBatch's ``noNulls``, one flag per
+    column, and what lets a kernel drop its NULL guards.  The contract:
+    **absent means nullable; a present ``True`` is a promise** that the
+    column holds no ``None`` at any position, live or not.  ``None`` (no
+    facts at all) and a ``False`` entry are always safe; whoever builds
+    a batch passes ``True`` only for what it knows for free — a typed
+    buffer, a stored file's write-time type scan, an operator's own
+    output.  Selections, windows and gathers keep the facts (a subset of
+    a NULL-free column is NULL-free); :meth:`concat` ANDs them.
 
     ``len()`` and slicing deliberately mirror a row list over the
     *unfiltered* batch so the engines' byte-proportional batching
     (``_make_batches``) works identically on either representation.
     """
 
-    __slots__ = ("columns", "size", "sel")
+    __slots__ = ("columns", "size", "sel", "no_nulls")
 
     def __init__(self, columns: List[Sequence], size: int,
-                 sel: Optional[List[int]] = None):
+                 sel: Optional[List[int]] = None,
+                 no_nulls: Optional[Sequence[bool]] = None):
         self.columns = columns
         self.size = size
         self.sel = sel
+        self.no_nulls = no_nulls
 
     @classmethod
     def from_rows(cls, rows: Sequence[Tuple[object, ...]],
@@ -317,21 +338,17 @@ class ColumnBatch:
         """Rows surviving the selection vector."""
         return self.size if self.sel is None else len(self.sel)
 
-    def null_mask(self, column: int) -> List[bool]:
-        """Explicit null mask for one column (True where NULL)."""
-        return [value is None for value in self.columns[column]]
-
     def with_selection(self, sel: Optional[List[int]]) -> "ColumnBatch":
         """Same columns, new selection vector (no data copied)."""
-        return ColumnBatch(self.columns, self.size, sel)
+        return ColumnBatch(self.columns, self.size, sel, self.no_nulls)
 
     def take_first(self, count: int) -> "ColumnBatch":
         """Keep only the first *count* live rows (batch-boundary LIMIT)."""
         if count >= self.live_count:
             return self
         if self.sel is None:
-            return ColumnBatch(self.columns, self.size, list(range(count)))
-        return ColumnBatch(self.columns, self.size, self.sel[:count])
+            return self.with_selection(list(range(count)))
+        return self.with_selection(self.sel[:count])
 
     def to_rows(self) -> List[Tuple[object, ...]]:
         """Late materialization: selected rows as plain tuples (a
@@ -348,7 +365,9 @@ class ColumnBatch:
         sel = self.sel
         if sel is None:
             return self
-        return ColumnBatch(take_columns(self.columns, sel), len(sel))
+        return ColumnBatch(
+            take_columns(self.columns, sel), len(sel), None, self.no_nulls
+        )
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
@@ -363,6 +382,8 @@ class ColumnBatch:
             [concat_columns(pieces)
              for pieces in zip(*[batch.columns for batch in batches])],
             sum(batch.size for batch in batches),
+            None,
+            and_no_nulls([batch.no_nulls for batch in batches]),
         )
 
     def __len__(self) -> int:
@@ -388,7 +409,7 @@ class ColumnBatch:
         if start == 0 and stop == self.size:
             return self
         length = max(0, stop - start)
-        return ColumnBatch(self.columns, length, range(start, stop))
+        return ColumnBatch(self.columns, length, range(start, stop), self.no_nulls)
 
     def __repr__(self) -> str:
         return (

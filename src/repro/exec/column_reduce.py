@@ -21,13 +21,19 @@ from __future__ import annotations
 import functools
 from array import array
 from bisect import bisect_left
+from functools import partial
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
-from repro.common.rows import ColumnBatch, concat_columns, take_columns
-from repro.exec.expressions import codegen_reduce_aggregate_kernel
+from repro.common.rows import (
+    ColumnBatch,
+    and_no_nulls,
+    concat_columns,
+    take_columns,
+)
+from repro.exec.expressions import InputRef, codegen_reduce_aggregate_kernel
 from repro.exec.reduce import (
     ReduceAggregateDesc,
     ReduceDistinctDesc,
@@ -54,11 +60,12 @@ def merge_parts(parts: Parts) -> List[Tuple[PairRun, Sequence[int]]]:
     return merged
 
 
-def gather_parts(parts: Parts) -> Tuple[List[Sequence], List[Sequence], int]:
-    """``(key columns, value columns, pair count)`` of same-shaped
-    *parts*, concatenated in order.  A part covering its whole run
-    shares the run's columns (positions ascend, so as many positions as
-    pairs is all of them)."""
+def gather_parts(parts: Parts) -> Tuple[ColumnBatch, ColumnBatch]:
+    """The keys and the values of same-shaped *parts*, concatenated in
+    order, as two dense batches.  A part covering its whole run shares
+    the run's columns (positions ascend, so as many positions as pairs
+    is all of them).  A column is promised NULL-free when it gathered
+    into a typed buffer, or when every run's sink promised it."""
     keys, values, count = [], [], 0
     for run, positions in parts:
         columns = run.key_columns + run.value_columns
@@ -70,11 +77,17 @@ def gather_parts(parts: Parts) -> Tuple[List[Sequence], List[Sequence], int]:
     for pieces in (keys, values):
         if len(set(map(len, pieces))) > 1:
             raise ExecutionError("shuffle runs of one reducer differ in width")
-    return (
-        [concat_columns(list(pieces)) for pieces in zip(*keys)],
-        [concat_columns(list(pieces)) for pieces in zip(*values)],
-        count,
-    )
+    key_columns = [concat_columns(list(pieces)) for pieces in zip(*keys)]
+    value_columns = [concat_columns(list(pieces)) for pieces in zip(*values)]
+    columns = key_columns + value_columns
+    claimed = and_no_nulls([run.no_nulls for run, _positions in parts])
+    no_nulls = [
+        isinstance(column, array) or claim
+        for column, claim in zip(columns, claimed or [False] * len(columns))
+    ]
+    arity = len(key_columns)
+    return (ColumnBatch(key_columns, count, None, no_nulls[:arity]),
+            ColumnBatch(value_columns, count, None, no_nulls[arity:]))
 
 
 def _native_sortable(key_columns: List[Sequence]) -> bool:
@@ -97,21 +110,29 @@ def sort_permutation(keys: Sequence, key_columns: List[Sequence],
 
     *keys* is the key sequence the sort reads — the bare column for a
     single-column key, tuples otherwise (equal orders: a 1-tuple compares
-    as its element).  All-ascending and all-descending keys go through
-    the builtin sort when :func:`_native_sortable`; NULLs, bools, mixed
-    directions and incomparable type mixes take the Hive comparator.
+    as its element).  When :func:`_native_sortable` the builtin sort
+    does it: one pass over *keys* when every column goes the same way,
+    otherwise one *stable* pass per key column, last column first, each
+    in its own direction (``reverse=True`` keeps equal elements in
+    order, so earlier passes survive as the tie-break).  NULLs, bools
+    and incomparable type mixes take the Hive comparator.
     """
     arity = len(key_columns)
-    if directions is None or all(directions):
-        reverse: Optional[bool] = False
-    elif not any(directions) and len(directions) >= arity:
-        reverse = True
-    else:
-        reverse = None
+    ascending = [
+        directions is None or position >= len(directions)
+        or bool(directions[position])
+        for position in range(arity)
+    ]
     counter = get_metrics().counter
-    if reverse is not None and _native_sortable(key_columns):
+    if _native_sortable(key_columns):
         try:
-            order = sorted(arrival, key=keys.__getitem__, reverse=reverse)
+            if len(set(ascending)) == 1:
+                order = sorted(arrival, key=keys.__getitem__,
+                               reverse=not ascending[0])
+            else:
+                order = list(arrival)
+                for column, up in zip(reversed(key_columns), reversed(ascending)):
+                    order.sort(key=column.__getitem__, reverse=not up)
             counter("exec.reduce.sort_native").add(1)
             return order
         except TypeError:
@@ -153,8 +174,8 @@ def _aggregate(desc: ReduceAggregateDesc, parts: Parts, directions) -> ColumnBat
     partial_arities = desc.partial_arities if desc.inputs_are_partials else None
     if partial_arities is not None and len(partial_arities) != len(desc.aggregates):
         raise ExecutionError("partial_arities must match aggregates")
-    key_columns, value_columns, count = gather_parts(parts)
-    if not count:
+    keys, values = gather_parts(parts)
+    if not keys.size:
         if desc.key_arity:
             return ColumnBatch([], 0)
         # SQL: a global aggregate over zero rows still yields one row
@@ -163,13 +184,14 @@ def _aggregate(desc: ReduceAggregateDesc, parts: Parts, directions) -> ColumnBat
             [[aggregate.result(aggregate.create())]
              for aggregate in desc.aggregates], 1,
         )
-    order, ends = _sorted(key_columns, range(count), directions)
-    kernel, initial = kernel_of(desc, lambda: codegen_reduce_aggregate_kernel(
-        desc.aggregates, partial_arities
-    ))
-    columns = _group_keys(key_columns, order, ends)
-    columns += kernel(order, ends, value_columns, initial)
-    return ColumnBatch(columns, len(ends))
+    order, ends = _sorted(keys.columns, range(keys.size), directions)
+    kernel, initial, out_no_nulls = kernel_of(
+        desc, [InputRef(index) for index in range(values.width)],
+        partial(codegen_reduce_aggregate_kernel, desc.aggregates, partial_arities),
+    ).for_facts(values.no_nulls)
+    columns = _group_keys(keys.columns, order, ends)
+    columns += kernel(order, ends, values.columns, initial)
+    return ColumnBatch(columns, len(ends), None, keys.no_nulls + out_no_nulls)
 
 
 def _join(desc: ReduceJoinDesc, parts: Parts, directions) -> ColumnBatch:
@@ -182,17 +204,19 @@ def _join(desc: ReduceJoinDesc, parts: Parts, directions) -> ColumnBatch:
     sides: Tuple[list, list] = ([], [])
     for part in parts:
         sides[part[0].tag != 0].append(part)
-    left_keys, left_values, left_count = gather_parts(sides[0])
-    right_keys, right_values, right_count = gather_parts(sides[1])
+    left_keys, left_side = gather_parts(sides[0])
+    right_keys, right_side = gather_parts(sides[1])
+    left_count, left_values = left_side.size, left_side.columns
+    right_count, right_values = right_side.size, right_side.columns
     left_outer = desc.join_type == "left"
     count = left_count + right_count
     if not count:
         return ColumnBatch([], 0)
     if left_count and right_count:
-        key_columns = [concat_columns([left, right])
-                       for left, right in zip(left_keys, right_keys)]
+        key_columns = [concat_columns([left, right]) for left, right
+                       in zip(left_keys.columns, right_keys.columns)]
     else:
-        key_columns = left_keys or right_keys
+        key_columns = left_keys.columns or right_keys.columns
         if not right_count:  # NULL padding needs columns to sit behind
             right_values = [[] for _ in range(desc.right_width)]
     # the pairs' indices in arrival order (parts interleave the sides)
@@ -225,9 +249,14 @@ def _join(desc: ReduceJoinDesc, parts: Parts, directions) -> ColumnBatch:
     if left_outer:  # the NULL row sits behind each right column
         right_values = [[*column, None] for column in right_values]
     right_rows = list(map((-left_count).__add__, right_rows))
+    no_nulls = None
+    if left_count and right_count:  # else a side's width is not known here
+        no_nulls = left_side.no_nulls + (
+            [False] * right_side.width if left_outer else right_side.no_nulls
+        )
     return ColumnBatch(
         take_columns(left_values, left_rows) + take_columns(right_values, right_rows),
-        len(left_rows),
+        len(left_rows), None, no_nulls,
     )
 
 
@@ -243,11 +272,16 @@ def reduce_segments(desc: object, segments,
         return _join(desc, parts, directions)
     if not isinstance(desc, (ReduceSortDesc, ReduceDistinctDesc)):
         raise ExecutionError(f"unknown reduce logic {type(desc).__name__}")
-    key_columns, value_columns, count = gather_parts(parts)
+    keys, values = gather_parts(parts)
+    count = keys.size
     if not count:
         return ColumnBatch([], 0)
     if isinstance(desc, ReduceSortDesc):
-        order, _ends = _sorted(key_columns, range(count), directions, grouped=False)
-        return ColumnBatch(take_columns(value_columns, order), count)
-    order, ends = _sorted(key_columns, range(count), directions)
-    return ColumnBatch(_group_keys(key_columns, order, ends), len(ends))
+        order, _ends = _sorted(keys.columns, range(count), directions, grouped=False)
+        return ColumnBatch(
+            take_columns(values.columns, order), count, None, values.no_nulls
+        )
+    order, ends = _sorted(keys.columns, range(count), directions)
+    return ColumnBatch(
+        _group_keys(keys.columns, order, ends), len(ends), None, keys.no_nulls
+    )

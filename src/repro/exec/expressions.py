@@ -28,7 +28,15 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import CodeType
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Container,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import ExecutionError, SemanticError
 from repro.common.kv import serialize_fields
@@ -388,16 +396,29 @@ def compile_many(expressions: List[BoundExpression]) -> Callable[[Row], Row]:
 # constants).  The emitter covers every node class above and the five
 # aggregates the planner places map-side, so kernel construction is
 # total: there is no second mode to fall back to.
-
-_ARITH_TEMPLATES = {
-    "+": "{n} = None if {a} is None or {b} is None else {a} + {b}",
-    "-": "{n} = None if {a} is None or {b} is None else {a} - {b}",
-    "*": "{n} = None if {a} is None or {b} is None else {a} * {b}",
-    "/": "{n} = None if {a} is None or {b} is None or {b} == 0 else {a} / {b}",
-    "%": "{n} = None if {a} is None or {b} is None or {b} == 0 else {a} % {b}",
-}
+#
+# The emitter tracks *nullability per atom*.  A kernel is generated for
+# a set of NULL-free input columns (``ColumnBatch.no_nulls``; empty when
+# nothing is known); :func:`_emit` returns ``(atom, maybe_null)`` and a
+# NULL guard is emitted only for an atom that can be NULL:
+#
+# * a never-null atom is an inline expression (``(c0 - col2[i])``),
+#   evaluated where it is used;
+# * a maybe-null atom is a name (a guarded ``vN = None if … else …``
+#   temporary or a column value loaded into ``x{idx}``), because its
+#   guards repeat it.
+#
+# Structurally equal deterministic subexpressions are emitted once
+# (value numbering): the first occurrence is computed into a name and
+# later ones read it.  Evaluation keeps the closure compiler's order and
+# its short-circuits, so the same operations run on the same values.
 
 _COMPARE_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+_ARITH_OPS = ("+", "-", "*", "/", "%")
+
+#: node classes whose value, when not NULL, is exactly ``True``/``False``
+_BOOLEAN_NODES = (Comparison, LogicalAnd, LogicalOr, LogicalNot, LikeExpr,
+                  InSet, IsNullExpr)
 
 
 def _cast_callable(target: DataType) -> Callable[[object], object]:
@@ -418,251 +439,492 @@ def _cast_callable(target: DataType) -> Callable[[object], object]:
     return cast
 
 
-def _emit(expression: BoundExpression, lines: List[str], env: dict,
-          counter: List[int], indent: str,
-          ref: Callable[[int], str]) -> str:
-    """Append statements evaluating *expression*; returns a cheap atom
-    (a temp name, an input reference or a bound constant) holding its
-    value.  *ref* renders an :class:`InputRef` atom (``col{i}[i]``, see
-    :func:`_column_ref`).  The emitter is total over the node classes of
-    this module; anything else raises :class:`ExecutionError`."""
+def referenced_columns(expressions: Sequence[BoundExpression]) -> frozenset:
+    """The input column indexes *expressions* read."""
+    found = set()
+    pending = list(expressions)
+    while pending:
+        node = pending.pop()
+        if type(node) is InputRef:
+            found.add(node.index)
+        elif isinstance(node, BoundExpression):
+            pending.extend(vars(node).values())
+        elif type(node) in (list, tuple):  # operands, CASE branches
+            pending.extend(node)
+    return frozenset(found)
+
+
+class _Codegen:
+    """One kernel's generation state: the environment its constants and
+    functions are bound in, the facts it is generated for, and the value
+    numbers of its expressions (structurally equal subtrees share one)."""
+
+    def __init__(self, expressions: Sequence[BoundExpression],
+                 no_nulls: Container[int]):
+        self.env: dict = {}
+        self.no_nulls = no_nulls  # input columns that hold no NULL
+        self.used: set = set()    # input columns referenced
+        self._temps = 0
+        self._numbers: dict = {}  # structural key -> value number
+        self._nodes: dict = {}    # id(node) -> (value number, sub-expressions)
+        self.volatile: set = set()  # numbers of subtrees calling a function
+        self.uses: dict = {}        # value number -> occurrences
+        for expression in expressions:
+            self._count(expression)
+
+    def number(self, node: BoundExpression) -> int:
+        """The value number of *node*."""
+        return self._node(node)[0]
+
+    def shared(self, number: int) -> bool:
+        """The value occurs more than once in the kernel."""
+        return self.uses.get(number, 0) > 1
+
+    def _node(self, node: BoundExpression) -> Tuple[int, list]:
+        """``(value number, sub-expressions)`` of *node*, numbering its
+        subtree on first sight.  ``Const(1)``, ``Const(1.0)`` and
+        ``Const(True)`` are ``==`` but not the same constant, so a
+        constant is keyed by type and ``repr``."""
+        known = self._nodes.get(id(node))
+        if known is not None:
+            return known
+        children: list = []
+        volatile = False
+        if type(node) is Const:
+            key = (Const, type(node.value), repr(node.value))
+        else:
+            fields = []
+            for value in vars(node).values():
+                if isinstance(value, BoundExpression):
+                    children.append(value)
+                elif type(value) is list:  # operands, arguments, CASE branches
+                    for item in value:
+                        if type(item) is tuple:
+                            children.extend(item)
+                        else:
+                            children.append(item)
+                else:
+                    fields.append(value)
+            numbers = tuple(map(self.number, children))
+            key = (type(node), numbers, tuple(fields))
+            # a scalar function is not known to be deterministic
+            volatile = (type(node) is ScalarCall
+                        or not self.volatile.isdisjoint(numbers))
+        number = self._numbers.setdefault(key, len(self._numbers))
+        if volatile:
+            self.volatile.add(number)
+        known = self._nodes[id(node)] = (number, children)
+        return known
+
+    def _count(self, node: BoundExpression) -> None:
+        number, children = self._node(node)
+        seen = self.uses.get(number, 0)
+        self.uses[number] = seen + 1
+        if not seen:  # a repeated subtree's parts are computed once with it
+            for child in children:
+                self._count(child)
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"v{self._temps - 1}"
+
+    def bind(self, prefix: str, value: object) -> str:
+        name = f"{prefix}{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def scope(self) -> "_Scope":
+        return _Scope(self, {}, True)
+
+    def bindings(self) -> List[str]:
+        return [f"col{index} = cols[{index}]" for index in sorted(self.used)]
+
+    def compile(self, lines: List[str], name: str):
+        """The kernel function *name* defined by *lines*."""
+        counter = get_metrics().counter
+        counter("exec.kernel.variants").add(1)
+        free = sum(index in self.no_nulls for index in self.used)
+        counter("exec.kernel.free_refs").add(free)
+        counter("exec.kernel.guarded_refs").add(len(self.used) - free)
+        return _compile_kernel("\n".join(lines), self.env, name)
+
+
+class _Scope:
+    """A block of generated statements (relative indentation) and what
+    is already computed when control reaches its end: value number ->
+    ``(atom, maybe_null)``.  A child scope is a nested block — it reads
+    what its parents computed before it, and what it computes stays
+    inside (a ``CASE`` branch or a short-circuited operand may not run).
+    With *hoist* off no statement is emitted for a never-null value, so
+    that a chain of such operands can stay one inline expression."""
+
+    __slots__ = ("gen", "lines", "memo", "hoist")
+
+    def __init__(self, gen: _Codegen, memo: dict, hoist: bool):
+        self.gen = gen
+        self.lines: List[str] = []
+        self.memo = memo
+        self.hoist = hoist
+
+    def child(self, hoist: Optional[bool] = None) -> "_Scope":
+        return _Scope(self.gen, dict(self.memo),
+                      self.hoist if hoist is None else hoist)
+
+    def named(self, atom: str) -> str:
+        """*atom* as something cheap to repeat: a compound inline
+        expression is computed once, here, into a temporary."""
+        if atom.isidentifier():
+            return atom
+        name = self.gen.temp()
+        self.lines.append(f"{name} = {atom}")
+        return name
+
+    def guarded(self, operands: List[Tuple[str, bool]], value: str,
+                also: str = "") -> Tuple[str, bool]:
+        """*value* — a template over the operand atoms (``"{0} + {1}"``)
+        — NULL when an operand is, or when the template *also* holds.
+        Without a test to make the value stays inline.  With one,
+        compound operands are computed first, in order: the guard must
+        not skip or reorder their evaluation."""
+        atoms = [atom for atom, _maybe in operands]
+        if "None" in atoms:  # a NULL literal: decided here, not per row
+            for atom in atoms:
+                self.named(atom)
+            return "None", True
+        if not also and not any(maybe for _atom, maybe in operands):
+            return f"({value.format(*atoms)})", False
+        atoms = [self.named(atom) for atom in atoms]
+        tests = [
+            f"{atom} is None"
+            for atom, (_atom, maybe) in zip(atoms, operands) if maybe
+        ]
+        if also:
+            tests.append(also.format(*atoms))
+        name = self.gen.temp()
+        self.lines.append(
+            f"{name} = None if {' or '.join(tests)} else {value.format(*atoms)}"
+        )
+        return name, True
+
+
+def _indented(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _yields_bool(expression: BoundExpression) -> bool:
+    if type(expression) is Const:
+        return type(expression.value) is bool
+    return isinstance(expression, _BOOLEAN_NODES)
+
+
+def _emit(expression: BoundExpression, scope: _Scope) -> Tuple[str, bool]:
+    """Append to *scope* the statements evaluating *expression*; returns
+    ``(atom, maybe_null)``.  A maybe-null atom is a name (or the literal
+    ``None``); a never-null atom may be any inline expression, to be
+    used once.  The emitter is total over the node classes of this
+    module; anything else raises :class:`ExecutionError`."""
+    gen = scope.gen
+    number = gen.number(expression)
+    known = scope.memo.get(number)
+    if known is not None:
+        return known
     kind = type(expression)
     if kind is InputRef:
-        return ref(expression.index)
-    if kind is Const:
-        name = f"c{len(env)}"
-        env[name] = expression.value
-        return name
-    if kind is Arithmetic:
-        template = _ARITH_TEMPLATES.get(expression.op)
-        if template is None:
+        index = expression.index
+        gen.used.add(index)
+        atom, maybe = f"col{index}[i]", index not in gen.no_nulls
+        if maybe or (scope.hoist and gen.shared(number)):
+            scope.lines.append(f"x{index} = {atom}")
+            atom = f"x{index}"
+    elif kind is Const:
+        if expression.value is None:
+            atom, maybe = "None", True
+        else:
+            atom, maybe = gen.bind("c", expression.value), False
+    elif kind is Arithmetic:
+        if expression.op not in _ARITH_OPS:
             raise ExecutionError(f"unknown arithmetic op {expression.op!r}")
-        a = _emit(expression.left, lines, env, counter, indent, ref)
-        b = _emit(expression.right, lines, env, counter, indent, ref)
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        lines.append(indent + template.format(n=name, a=a, b=b))
-        return name
-    if kind is Comparison:
+        operands = [_emit(expression.left, scope), _emit(expression.right, scope)]
+        # Hive yields NULL on division by zero
+        atom, maybe = scope.guarded(
+            operands, f"{{0}} {expression.op} {{1}}",
+            "{1} == 0" if expression.op in "/%" else "",
+        )
+    elif kind is Comparison:
         pyop = _COMPARE_OPS.get(expression.op)
         if pyop is None:
             raise ExecutionError(f"unknown comparison {expression.op!r}")
-        a = _emit(expression.left, lines, env, counter, indent, ref)
-        b = _emit(expression.right, lines, env, counter, indent, ref)
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        lines.append(
-            f"{indent}{name} = None if {a} is None or {b} is None "
-            f"else {a} {pyop} {b}"
-        )
-        return name
-    if kind is ScalarCall:
-        args = [
-            _emit(arg, lines, env, counter, indent, ref)
-            for arg in expression.args
-        ]
-        impl_name = f"f{len(env)}"
-        env[impl_name] = expression.function.impl
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        lines.append(f"{indent}{name} = {impl_name}({', '.join(args)})")
-        return name
-    if kind is IsNullExpr:
-        atom = _emit(expression.operand, lines, env, counter, indent, ref)
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        test = "is not None" if expression.negated else "is None"
-        lines.append(f"{indent}{name} = {atom} {test}")
-        return name
-    if kind is InSet:
-        atom = _emit(expression.operand, lines, env, counter, indent, ref)
-        set_name = f"c{len(env)}"
-        env[set_name] = expression.values
-        name = f"v{counter[0]}"
-        counter[0] += 1
+        operands = [_emit(expression.left, scope), _emit(expression.right, scope)]
+        atom, maybe = scope.guarded(operands, f"{{0}} {pyop} {{1}}")
+    elif kind is ScalarCall:
+        args = [_emit(arg, scope)[0] for arg in expression.args]
+        impl = gen.bind("f", expression.function.impl)
+        atom, maybe = gen.temp(), True
+        scope.lines.append(f"{atom} = {impl}({', '.join(args)})")
+    elif kind is IsNullExpr:
+        operand, maybe = _emit(expression.operand, scope)
+        if maybe:
+            test = "is not None" if expression.negated else "is None"
+            atom = f"({operand} {test})"
+        else:  # decided here; the operand is still evaluated
+            scope.named(operand)
+            atom = "True" if expression.negated else "False"
+        maybe = False
+    elif kind is InSet:
+        values = gen.bind("c", expression.values)
         membership = "not in" if expression.negated else "in"
-        lines.append(
-            f"{indent}{name} = None if {atom} is None "
-            f"else {atom} {membership} {set_name}"
+        atom, maybe = scope.guarded(
+            [_emit(expression.operand, scope)], f"{{0}} {membership} {values}"
         )
-        return name
-    if kind is LikeExpr:
-        atom = _emit(expression.operand, lines, env, counter, indent, ref)
-        match_name = f"f{len(env)}"
-        env[match_name] = re.compile(
+    elif kind is LikeExpr:
+        match = gen.bind("f", re.compile(
             _like_to_regex(expression.pattern), re.DOTALL
-        ).fullmatch
-        name = f"v{counter[0]}"
-        counter[0] += 1
+        ).fullmatch)
         test = "is None" if expression.negated else "is not None"
-        lines.append(
-            f"{indent}{name} = None if {atom} is None "
-            f"else {match_name}(str({atom})) {test}"
+        atom, maybe = scope.guarded(
+            [_emit(expression.operand, scope)], f"{match}(str({{0}})) {test}"
         )
-        return name
-    if kind is CastExpr:
-        atom = _emit(expression.operand, lines, env, counter, indent, ref)
-        cast_name = f"f{len(env)}"
-        env[cast_name] = _cast_callable(expression.dtype)
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        lines.append(f"{indent}{name} = {cast_name}({atom})")
-        return name
-    if kind is CaseExpr:
-        name = f"v{counter[0]}"
-        counter[0] += 1
-
-        def emit_branches(branches, level: str) -> None:
-            if not branches:
-                if expression.else_value is not None:
-                    atom = _emit(
-                        expression.else_value, lines, env, counter, level, ref
-                    )
-                    lines.append(f"{level}{name} = {atom}")
-                else:
-                    lines.append(f"{level}{name} = None")
-                return
-            condition, value = branches[0]
-            cond_atom = _emit(condition, lines, env, counter, level, ref)
-            lines.append(f"{level}if {cond_atom}:")
-            value_atom = _emit(value, lines, env, counter, level + "    ", ref)
-            lines.append(f"{level}    {name} = {value_atom}")
-            lines.append(f"{level}else:")
-            emit_branches(branches[1:], level + "    ")
-
-        emit_branches(list(expression.branches), indent)
-        return name
-    if kind is LogicalNot:
-        atom = _emit(expression.operand, lines, env, counter, indent, ref)
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        lines.append(f"{indent}{name} = None if {atom} is None else not {atom}")
-        return name
-    if kind is LogicalAnd or kind is LogicalOr:
-        return _emit_logical(
-            expression.operands, kind is LogicalAnd, lines, env, counter,
-            indent, ref,
+    elif kind is CastExpr:
+        operand, _maybe = _emit(expression.operand, scope)
+        cast = gen.bind("f", _cast_callable(expression.dtype))
+        atom, maybe = gen.temp(), True  # a malformed value casts to NULL
+        scope.lines.append(f"{atom} = {cast}({operand})")
+    elif kind is CaseExpr:
+        atom, maybe = _emit_case(expression, scope)
+    elif kind is LogicalNot:
+        atom, maybe = scope.guarded(
+            [_emit(expression.operand, scope)], "not {0}"
         )
-    raise ExecutionError(f"no column kernel for expression {kind.__name__}")
+    elif kind is LogicalAnd or kind is LogicalOr:
+        atom, maybe = _emit_logical(
+            expression.operands, kind is LogicalAnd, scope
+        )
+    else:
+        raise ExecutionError(f"no column kernel for expression {kind.__name__}")
+    if number not in gen.volatile:
+        if not maybe and scope.hoist and gen.shared(number):
+            atom = scope.named(atom)
+        if atom.isidentifier():
+            scope.memo[number] = (atom, maybe)
+    return atom, maybe
+
+
+def _emit_case(expression: CaseExpr, scope: _Scope) -> Tuple[str, bool]:
+    """``if``/``else`` chain assigning one temporary.  A condition runs
+    whenever control reaches it (in the enclosing block); a value runs in
+    its own branch.  NULL unless every branch value and the ELSE are
+    proven otherwise."""
+    name = scope.gen.temp()
+    maybe_null = expression.else_value is None
+
+    def emit_branches(branches, block: _Scope) -> None:
+        nonlocal maybe_null
+        if not branches:
+            atom = "None"
+            if expression.else_value is not None:
+                atom, maybe = _emit(expression.else_value, block)
+                maybe_null = maybe_null or maybe
+            block.lines.append(f"{name} = {atom}")
+            return
+        condition, value = branches[0]
+        test, _maybe = _emit(condition, block)
+        then, otherwise = block.child(), block.child()
+        atom, maybe = _emit(value, then)
+        maybe_null = maybe_null or maybe
+        then.lines.append(f"{name} = {atom}")
+        emit_branches(branches[1:], otherwise)
+        block.lines += [f"if {test}:", *_indented(then.lines),
+                        "else:", *_indented(otherwise.lines)]
+
+    emit_branches(list(expression.branches), scope)
+    return name, maybe_null
 
 
 def _emit_logical(operands: List[BoundExpression], is_and: bool,
-                  lines: List[str], env: dict, counter: List[int],
-                  indent: str, ref: Callable[[int], str]) -> str:
+                  scope: _Scope) -> Tuple[str, bool]:
     """Three-valued AND/OR with the closure compiler's exact short-circuit:
     stop at the first definitive operand (falsy for AND, truthy for OR),
-    otherwise remember NULLs and keep going.  Later operands nest inside
-    the continue-branch so they are only evaluated when reached."""
-    result = f"v{counter[0]}"
-    saw_null = f"v{counter[0] + 1}"
-    counter[0] += 2
-    lines.append(f"{indent}{saw_null} = False")
+    otherwise remember NULLs and keep going.  Each operand is emitted in
+    a block nested in the one before it — it runs only when reached.
+
+    When every operand is a never-null boolean that needs no statement,
+    the whole thing is Python's own ``and``/``or`` chain: the same
+    left-to-right short-circuit over the same tests."""
     definitive = "False" if is_and else "True"
     exhausted = "True" if is_and else "False"
-
-    def emit_rest(rest: List[BoundExpression], level: str) -> None:
-        if not rest:
-            lines.append(
-                f"{level}{result} = None if {saw_null} else {exhausted}"
-            )
-            return
-        atom = _emit(rest[0], lines, env, counter, level, ref)
-        lines.append(f"{level}if {atom} is None:")
-        lines.append(f"{level}    {saw_null} = True")
+    blocks: List[Tuple[str, bool, List[str]]] = []
+    inline = True
+    block = scope
+    for operand in operands:
+        block = block.child(hoist=False)
+        atom, maybe = _emit(operand, block)
+        blocks.append((atom, maybe, block.lines))
+        if maybe or block.lines or not _yields_bool(operand):
+            inline = False
+    if inline:
+        if not blocks:
+            return exhausted, False
+        joiner = " and " if is_and else " or "
+        return "(" + joiner.join(atom for atom, _maybe, _lines in blocks) + ")", False
+    gen = scope.gen
+    result = gen.temp()
+    maybe_null = any(maybe for _atom, maybe, _lines in blocks)
+    if maybe_null:
+        saw_null = gen.temp()
+        scope.lines.append(f"{saw_null} = False")
+        tail = [f"{result} = None if {saw_null} else {exhausted}"]
+    else:
+        tail = [f"{result} = {exhausted}"]
+    for atom, maybe, lines in reversed(blocks):
         # continue past NULLs and non-definitive values
-        if is_and:
-            lines.append(f"{level}if {atom} is None or {atom}:")
-        else:
-            lines.append(f"{level}if {atom} is None or not {atom}:")
-        emit_rest(rest[1:], level + "    ")
-        lines.append(f"{level}else:")
-        lines.append(f"{level}    {result} = {definitive}")
+        proceed = atom if is_and else f"not {atom}"
+        if maybe:
+            lines = lines + [f"if {atom} is None:", f"    {saw_null} = True"]
+            proceed = f"{atom} is None or {proceed}"
+        tail = lines + [f"if {proceed}:", *_indented(tail),
+                        "else:", f"    {result} = {definitive}"]
+    scope.lines += tail
+    return result, maybe_null
 
-    emit_rest(list(operands), indent)
-    return result
 
+_INLINE_AGGREGATES = (CountAggregate, SumAggregate, AvgAggregate,
+                      MinAggregate, MaxAggregate)
+
+
+class _Fold(NamedTuple):
+    """What :func:`_emit_aggregate_updates` hands a kernel builder."""
+
+    initial: list         # the concatenated ``create()`` tuples
+    updates: List[str]    # per-row statements folding into ``acc``
+    results: List[str]    # one expression over ``acc`` per aggregate
+    seeds: Optional[List[str]]  # a new group's slots from its first row
+    slot_no_nulls: List[bool]   # per slot: never NULL once a row is in
+    result_no_nulls: List[bool]  # per aggregate: its result is never NULL
 
 
 def _emit_aggregate_updates(
-    aggregates: List[Tuple[object, List[str]]], lines: List[str], env: dict,
-    indent: str, merge: bool = False, own_methods: bool = False,
-) -> Tuple[list, List[str]]:
-    """Emit per-row statements folding each aggregate's atoms into a flat
-    slot list named ``acc``: its argument (``update``), or with *merge*
-    the fields of a map-side partial tuple (``merge``).  count, sum, avg,
-    min and max — what the planner places map-side — run inline, their
-    slots laid out exactly like ``partial()``, so a map-side slot list
-    *is* the concatenated partials; sums add left to right with ``+``,
-    the order ``Aggregate.update`` / ``merge`` add in (a compensated
-    builtin ``sum`` would differ in the last ulp).  With *own_methods*
-    (reduce side) any other aggregate — ``COUNT(DISTINCT)``, which has no
+    aggregates: List[Tuple[object, List[Tuple[str, bool]]]], scope: _Scope,
+    merge: bool = False, own_methods: bool = False,
+) -> _Fold:
+    """Per-row statements folding each aggregate's ``(atom, maybe_null)``
+    operands into a flat slot list named ``acc``: its argument
+    (``update``), or with *merge* the fields of a map-side partial tuple
+    (``merge``).  count, sum, avg, min and max — what the planner places
+    map-side — run inline, their slots laid out exactly like
+    ``partial()``, so a map-side slot list *is* the concatenated
+    partials; sums add left to right with ``+``, the order
+    ``Aggregate.update`` / ``merge`` add in (a compensated builtin
+    ``sum`` would differ in the last ulp).  With *own_methods* (reduce
+    side) any other aggregate — ``COUNT(DISTINCT)``, which has no
     partial — keeps its accumulator in one slot and goes through its own
     ``create`` / ``update`` / ``merge`` / ``result``.
 
-    Returns the initial slot list (the concatenated ``create()`` tuples)
-    and one result expression per aggregate over ``acc``.
+    An operand that can be NULL keeps its ``if … is not None:`` guard on
+    a copy of the initial slots.  When none can, a group's slots are
+    *seeded* from its first row instead — exactly what ``initial[:]``
+    plus one update leaves, ``AVG``'s ``0.0 + x`` (−0.0, int → float)
+    and ``SUM``'s first value being ``x`` itself included — and later
+    rows take bare updates, since no slot is ever NULL.
+
+    A slot is NULL-free — every group has a row — for ``COUNT`` and
+    ``AVG`` always and for ``SUM`` / ``MIN`` / ``MAX`` over a never-null
+    operand; so is the result, except that a merged ``AVG`` divides by a
+    count its partials cannot prove non-zero.
     """
+    seeded = all(
+        isinstance(aggregate, _INLINE_AGGREGATES)
+        and not any(maybe for _atom, maybe in operands)
+        for aggregate, operands in aggregates
+    )
     initial: list = []
+    lines: List[str] = []
     results: List[str] = []
-    for aggregate, atoms in aggregates:
+    seeds: List[str] = []
+    slot_no_nulls: List[bool] = []
+    result_no_nulls: List[bool] = []
+    for aggregate, operands in aggregates:
         kind = type(aggregate)
-        atom = atoms[0]
+        atom, maybe = operands[0]
         slot = len(initial)
         here = f"acc[{slot}]"
         results.append(here)
-        if kind not in (CountAggregate, SumAggregate, AvgAggregate,
-                        MinAggregate, MaxAggregate):
+        if kind not in _INLINE_AGGREGATES:
             if not own_methods:
                 raise ExecutionError(
                     f"no column kernel for map-side aggregate {kind.__name__}"
                 )
-            name = f"g{len(env)}"
-            env[name] = aggregate
+            name = scope.gen.bind("g", aggregate)
             initial.append(aggregate.create())
+            slot_no_nulls.append(False)
+            result_no_nulls.append(False)
+            atoms = [atom for atom, _maybe in operands]
             folded = (f"merge({here}, {_tuple_src(atoms)})" if merge
                       else f"update({here}, {atom})")
-            lines.append(f"{indent}{here} = {name}.{folded}")
+            lines.append(f"{here} = {name}.{folded}")
             results[-1] = f"{name}.result({here})"
             continue
-        lines.append(f"{indent}if {atom} is not None:")
+        update: List[str] = []
+        result_no_nulls.append(
+            kind is CountAggregate
+            or not maybe and not (merge and kind is AvgAggregate)
+        )
         if kind is CountAggregate:
             initial.append(0)
-            lines.append(f"{indent}    {here} += {atom if merge else 1}")
+            slot_no_nulls.append(True)
+            counted = atom if merge else "1"
+            seeds.append(f"0 + {counted}")
+            update.append(f"{here} += {counted}")
         elif kind is SumAggregate:
             initial.append(None)
-            lines.append(f"{indent}    s{slot} = {here}")
-            lines.append(
-                f"{indent}    {here} = {atom} if s{slot} is None "
-                f"else s{slot} + {atom}"
-            )
+            slot_no_nulls.append(not maybe)
+            seeds.append(atom)
+            if seeded:
+                update.append(f"{here} += {atom}")
+            else:
+                update.append(f"s{slot} = {here}")
+                update.append(
+                    f"{here} = {atom} if s{slot} is None else s{slot} + {atom}"
+                )
         elif kind is AvgAggregate:
             initial.extend([0.0, 0])
+            slot_no_nulls.extend([True, True])
             count = f"acc[{slot + 1}]"
-            lines.append(f"{indent}    {here} += {atom}")
-            lines.append(f"{indent}    {count} += {atoms[1] if merge else 1}")
+            counted = operands[1][0] if merge else "1"
+            seeds.extend([f"0.0 + {atom}", f"0 + {counted}"])
+            update.append(f"{here} += {atom}")
+            update.append(f"{count} += {counted}")
             results[-1] = f"{here} / {count} if {count} else None"
         else:
             initial.append(None)
+            slot_no_nulls.append(not maybe)
             beats = "<" if kind is MinAggregate else ">"
-            lines.append(f"{indent}    s{slot} = {here}")
-            lines.append(
-                f"{indent}    if s{slot} is None or {atom} {beats} s{slot}:"
-            )
-            lines.append(f"{indent}        {here} = {atom}")
-    return initial, results
+            atom = scope.named(atom)  # compared, then stored
+            seeds.append(atom)
+            if seeded:
+                update.append(f"if {atom} {beats} {here}:")
+            else:
+                update.append(f"s{slot} = {here}")
+                update.append(f"if s{slot} is None or {atom} {beats} s{slot}:")
+            update.append(f"    {here} = {atom}")
+        if maybe:
+            update = [f"if {atom} is not None:", *_indented(update)]
+        lines += update
+    return _Fold(initial, lines, results, seeds if seeded else None,
+                 slot_no_nulls, result_no_nulls)
 
 
-
-def _column_ref(used: set) -> Callable[[int], str]:
-    """Atom renderer for column kernels; records referenced columns."""
-    def ref(index: int) -> str:
-        used.add(index)
-        return f"col{index}[i]"
-    return ref
-
-
-def _column_bindings(used: set) -> List[str]:
-    return [f"    col{index} = cols[{index}]" for index in sorted(used)]
+def _collect(lines: List[str], value: str, condition: str = "") -> List[str]:
+    """Kernel body returning ``[value for i in sel if condition]`` —
+    literally that comprehension when no statement (*lines*) has to run
+    per row, the explicit loop otherwise."""
+    if not lines:
+        keep = f" if {condition}" if condition else ""
+        return [f"return [{value} for i in sel{keep}]"]
+    append = [f"append({value})"]
+    if condition:
+        append = [f"if {condition}:", *_indented(append)]
+    return ["out = []", "append = out.append", "for i in sel:",
+            *_indented(lines + append), "return out"]
 
 
 def _tuple_src(atoms: List[str]) -> str:
@@ -694,150 +956,138 @@ def _compile_kernel(source: str, env: dict, name: str):
     return env[name]
 
 
+# Every ``codegen_*_kernel`` takes *no_nulls*: the input columns promised
+# NULL-free (``ColumnBatch.no_nulls``).  The default — nothing known —
+# guards every column reference and is always safe.
+
 def codegen_filter_kernel(
-    predicate: BoundExpression,
+    predicate: BoundExpression, no_nulls: Container[int] = frozenset(),
 ) -> Callable[[List[list], Sequence[int]], List[int]]:
     """``(cols, sel) -> new_sel``: positions where the predicate is TRUE
-    (three-valued logic — NULL and FALSE rows are dropped alike)."""
-    lines: List[str] = []
-    env: dict = {}
-    counter = [0]
-    used: set = set()
-    atom = _emit(predicate, lines, env, counter, "        ", _column_ref(used))
-    source = "\n".join(
-        ["def _filter_batch(cols, sel):"]
-        + _column_bindings(used)
-        + [
-            "    out = []",
-            "    append = out.append",
-            "    for i in sel:",
-        ]
-        + lines
-        + [
-            f"        if {atom} is True:",
-            "            append(i)",
-            "    return out",
-        ]
+    (three-valued logic — NULL and FALSE rows are dropped alike).  A
+    predicate that needs no statement is one list comprehension."""
+    gen = _Codegen([predicate], no_nulls)
+    scope = gen.scope()
+    atom, _maybe = _emit(predicate, scope)
+    test = atom if _yields_bool(predicate) else f"{atom} is True"
+    body = _collect(scope.lines, "i", test)
+    return gen.compile(
+        ["def _filter_batch(cols, sel):", *_indented(gen.bindings() + body)],
+        "_filter_batch",
     )
-    return _compile_kernel(source, env, "_filter_batch")
 
 
 def codegen_project_kernel(
-    expressions: List[BoundExpression],
+    expressions: List[BoundExpression], no_nulls: Container[int] = frozenset(),
 ) -> Callable[[List[list], Sequence[int]], List[list]]:
     """``(cols, sel) -> out_cols``: evaluate a projection list over the
     selected rows, producing dense output columns (none for an empty
-    list — the zero-width batch keeps its row count)."""
-    lines: List[str] = []
-    env: dict = {}
-    counter = [0]
-    used: set = set()
-    atoms = [
-        _emit(expression, lines, env, counter, "        ", _column_ref(used))
-        for expression in expressions
+    list — the zero-width batch keeps its row count).  The kernel's
+    ``no_nulls`` attribute says, per output column, whether it is
+    NULL-free whenever the promised inputs are."""
+    gen = _Codegen(expressions, no_nulls)
+    scope = gen.scope()
+    atoms = [_emit(expression, scope) for expression in expressions]
+    outs = [f"out{position}" for position in range(len(atoms))]
+    body = [
+        line for out in outs
+        for line in (f"{out} = []", f"a{out} = {out}.append")
     ]
-    header = ["def _project_batch(cols, sel):"] + _column_bindings(used)
-    for position in range(len(atoms)):
-        header.append(f"    out{position} = []")
-        header.append(f"    a{position} = out{position}.append")
-    body = ["    for i in sel:"] + lines + [
-        f"        a{position}({atom})" for position, atom in enumerate(atoms)
-    ] if atoms else []
-    outs = ", ".join(f"out{position}" for position in range(len(atoms)))
-    source = "\n".join(header + body + [f"    return [{outs}]"])
-    return _compile_kernel(source, env, "_project_batch")
+    if atoms:
+        body += ["for i in sel:", *_indented(scope.lines)]
+        body += [f"    a{out}({atom})" for out, (atom, _maybe) in zip(outs, atoms)]
+    body.append(f"return [{', '.join(outs)}]")
+    kernel = gen.compile(
+        ["def _project_batch(cols, sel):", *_indented(gen.bindings() + body)],
+        "_project_batch",
+    )
+    kernel.no_nulls = [not maybe for _atom, maybe in atoms]
+    return kernel
 
 
 def codegen_keys_kernel(
-    expressions: List[BoundExpression],
+    expressions: List[BoundExpression], no_nulls: Container[int] = frozenset(),
 ) -> Callable[[List[list], Sequence[int]], list]:
     """``(cols, sel) -> keys``: one key tuple per selected row, with
     ``None`` standing for a key containing NULL (never matches an
     equi-join; the probe loop handles outer-join padding)."""
-    lines: List[str] = []
-    env: dict = {}
-    counter = [0]
-    used: set = set()
-    atoms = [
-        _emit(expression, lines, env, counter, "        ", _column_ref(used))
-        for expression in expressions
-    ]
-    header = ["def _keys_batch(cols, sel):"] + _column_bindings(used) + [
-        "    out = []",
-        "    append = out.append",
-        "    for i in sel:",
-    ]
-    tail: List[str] = []
-    if atoms:
-        null_test = " or ".join(f"{atom} is None" for atom in atoms)
-        tail += [
-            f"        if {null_test}:",
-            "            append(None)",
-            "        else:",
-            f"            append({_tuple_src(atoms)})",
-        ]
-    else:
-        tail += ["        append(())"]
-    source = "\n".join(header + lines + tail + ["    return out"])
-    return _compile_kernel(source, env, "_keys_batch")
+    gen = _Codegen(expressions, no_nulls)
+    scope = gen.scope()
+    atoms = [_emit(expression, scope) for expression in expressions]
+    key = _tuple_src([atom for atom, _maybe in atoms])
+    null_test = " or ".join(f"{atom} is None" for atom, maybe in atoms if maybe)
+    if null_test:
+        key = f"None if {null_test} else {key}"
+    body = _collect(scope.lines, key)
+    return gen.compile(
+        ["def _keys_batch(cols, sel):", *_indented(gen.bindings() + body)],
+        "_keys_batch",
+    )
 
 
 def codegen_group_kernel(
     key_expressions: List[BoundExpression],
     aggregates: List[Tuple[object, Optional[BoundExpression]]],
     max_groups: int,
-) -> Tuple[Callable, list, bool]:
+    no_nulls: Container[int] = frozenset(),
+) -> Tuple[Callable, list, bool, List[bool]]:
     """``(cols, sel, table, initial, flush) -> None``: the whole map-side
     GROUP BY inner loop — key build, hash probe, pressure flush and the
     fused accumulator updates — in one generated frame.  Returns
-    ``(kernel, initial_slots, scalar_key)``; a group's slot list is
-    exactly its concatenated partial tuples (see
-    :func:`_emit_aggregate_updates`).  Single-key grouping probes the
-    table with the bare value (``scalar_key`` True): no per-row 1-tuple allocation, and a
-    string key's cached hash is reused — equality over scalars matches
-    equality over their 1-tuples, so the groups are unchanged.
+    ``(kernel, initial_slots, scalar_key, out_no_nulls)``; a group's
+    slot list is exactly its concatenated partial tuples (see
+    :func:`_emit_aggregate_updates`) and *out_no_nulls* says which of
+    the flushed columns (keys, then slots) are NULL-free.  Single-key
+    grouping probes the table with the bare value (``scalar_key`` True):
+    no per-row 1-tuple allocation, and a string key's cached hash is
+    reused — equality over scalars matches equality over their
+    1-tuples, so the groups are unchanged.
     """
-    lines: List[str] = []
-    env: dict = {}
-    counter = [0]
-    used: set = set()
-    ref = _column_ref(used)
-    scalar_key = len(key_expressions) == 1
-    key_atoms = [
-        _emit(expression, lines, env, counter, "        ", ref)
-        for expression in key_expressions
-    ]
-    probe = [
-        f"        k = {key_atoms[0] if scalar_key else _tuple_src(key_atoms)}",
-        "        acc = table_get(k)",
-        "        if acc is None:",
-        f"            if len(table) >= {int(max_groups)}:",
-        "                flush()",
-        "            acc = initial[:]",
-        "            table[k] = acc",
-    ]
-    agg_lines: List[str] = []
     # COUNT(*) has no argument: it counts the sentinel True
-    initial, _results = _emit_aggregate_updates(
-        [(aggregate, [_emit(arg if arg is not None else Const(True), agg_lines,
-                            env, counter, "        ", ref)])
-         for aggregate, arg in aggregates],
-        agg_lines, env, "        ",
+    arguments = [
+        argument if argument is not None else Const(True, DataType.BOOLEAN)
+        for _aggregate, argument in aggregates
+    ]
+    gen = _Codegen(key_expressions + arguments, no_nulls)
+    scope = gen.scope()
+    keys = [_emit(expression, scope) for expression in key_expressions]
+    key_atoms = [atom for atom, _maybe in keys]
+    scalar_key = len(keys) == 1
+    fold = _emit_aggregate_updates(
+        [(aggregate, [_emit(argument, scope)])
+         for (aggregate, _argument), argument in zip(aggregates, arguments)],
+        scope,
     )
-    source = "\n".join(
-        ["def _group_batch(cols, sel, table, initial, flush):"]
-        + _column_bindings(used)
-        + ["    table_get = table.get", "    for i in sel:"]
-        + lines
-        + probe
-        + agg_lines
+    body = [
+        *scope.lines,
+        f"k = {key_atoms[0] if scalar_key else _tuple_src(key_atoms)}",
+        "acc = table_get(k)",
+        "if acc is None:",
+        f"    if len(table) >= {int(max_groups)}:",
+        "        flush()",
+    ]
+    if fold.seeds is None:
+        body += ["    acc = initial[:]", "    table[k] = acc", *fold.updates]
+    else:
+        body.append(f"    table[k] = [{', '.join(fold.seeds)}]")
+        if fold.updates:
+            body += ["else:", *_indented(fold.updates)]
+    kernel = gen.compile(
+        ["def _group_batch(cols, sel, table, initial, flush):",
+         *_indented(gen.bindings()),
+         "    table_get = table.get",
+         "    for i in sel:",
+         *_indented(_indented(body))],
+        "_group_batch",
     )
-    return _compile_kernel(source, env, "_group_batch"), initial, scalar_key
+    out_no_nulls = [not maybe for _atom, maybe in keys] + fold.slot_no_nulls
+    return kernel, fold.initial, scalar_key, out_no_nulls
 
 
 def codegen_reduce_aggregate_kernel(
-    aggregates: List[object], partial_arities: Optional[List[int]]
-) -> Callable[[Sequence[int], Sequence[int], List[Sequence]], List[list]]:
+    aggregates: List[object], partial_arities: Optional[List[int]],
+    no_nulls: Container[int] = frozenset(),
+) -> Tuple[Callable, list, List[bool]]:
     """``(order, ends, cols, initial) -> out_cols``: the reduce-side GROUP
     BY loop over value columns — the map-side group kernel's sibling,
     built from the same statements (:func:`_emit_aggregate_updates`).
@@ -845,33 +1095,45 @@ def codegen_reduce_aggregate_kernel(
     it; one result per aggregate per group.  With *partial_arities* the
     columns are the concatenated map-side partial tuples (merge), with
     ``None`` one raw argument column per aggregate (update).  Returns
-    ``(kernel, initial_slots)``.
+    ``(kernel, initial_slots, out_no_nulls)``.
     """
-    env: dict = {}
-    used: set = set()
-    ref = _column_ref(used)
     arities = partial_arities or [1] * len(aggregates)
     starts = accumulate(arities, initial=0)  # each partial's first column
-    lines: List[str] = []
-    initial, results = _emit_aggregate_updates(
-        [(aggregate, [ref(start + part) for part in range(arity)])
-         for aggregate, start, arity in zip(aggregates, starts, arities)],
-        lines, env, "            ", merge=partial_arities is not None,
-        own_methods=True,
+    columns = [
+        [InputRef(start + part) for part in range(arity)]
+        for start, arity in zip(starts, arities)
+    ]
+    gen = _Codegen([], no_nulls)
+    scope = gen.scope()
+    fold = _emit_aggregate_updates(
+        [(aggregate, [_emit(column, scope) for column in partial])
+         for aggregate, partial in zip(aggregates, columns)],
+        scope, merge=partial_arities is not None, own_methods=True,
     )
     outs = [f"out{position}" for position in range(len(aggregates))]
-    source = "\n".join(
-        ["def _reduce_groups(order, ends, cols, initial):"]
-        + _column_bindings(used)
-        + [f"    {out} = []" for out in outs]
-        + ["    start = 0", "    for end in ends:", "        acc = initial[:]",
-           "        for i in order[start:end]:"]
-        + (lines or ["            pass"])
-        + ["        start = end"]
-        + [f"        {out}.append({result})" for out, result in zip(outs, results)]
-        + [f"    return [{', '.join(outs)}]"]
+    per_row = scope.lines + fold.updates
+    if fold.seeds is None:
+        group = ["acc = initial[:]", "for i in order[start:end]:",
+                 *_indented(per_row or ["pass"])]
+    else:  # the group's first pair seeds the slots, the rest update them
+        group = ["i = order[start]", *scope.lines,
+                 f"acc = [{', '.join(fold.seeds)}]"]
+        if fold.updates:
+            group += ["for i in order[start + 1:end]:", *_indented(per_row)]
+    kernel = gen.compile(
+        ["def _reduce_groups(order, ends, cols, initial):",
+         *_indented(gen.bindings()),
+         *[f"    {out} = []" for out in outs],
+         "    start = 0",
+         "    for end in ends:",
+         *_indented(_indented(group)),
+         "        start = end",
+         *[f"        {out}.append({result})"
+           for out, result in zip(outs, fold.results)],
+         f"    return [{', '.join(outs)}]"],
+        "_reduce_groups",
     )
-    return _compile_kernel(source, env, "_reduce_groups"), initial
+    return kernel, fold.initial, fold.result_no_nulls
 
 
 def stable_hash(fields: Tuple[object, ...]) -> int:

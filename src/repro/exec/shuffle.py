@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.common.errors import ExecutionError
@@ -32,16 +32,20 @@ from repro.obs import get_metrics
 
 
 class PairRun:
-    """Shuffle pairs of one sink, column-wise, in emit order."""
+    """Shuffle pairs of one sink, column-wise, in emit order.
+    ``no_nulls`` carries the sink's ``ColumnBatch.no_nulls`` promises
+    over the key columns, then the value columns (``None``: none made)."""
 
-    __slots__ = ("key_columns", "value_columns", "tag", "sizes")
+    __slots__ = ("key_columns", "value_columns", "tag", "sizes", "no_nulls")
 
     def __init__(self, key_columns: List[Sequence], value_columns: List[Sequence],
-                 tag: int, sizes: List[int]):
+                 tag: int, sizes: List[int],
+                 no_nulls: Optional[Sequence[bool]] = None):
         self.key_columns = key_columns
         self.value_columns = value_columns
         self.tag = tag
         self.sizes = sizes  # wire bytes per pair
+        self.no_nulls = no_nulls
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -60,6 +64,7 @@ class PairRun:
             take_columns(self.value_columns, positions),
             self.tag,
             list(map(self.sizes.__getitem__, positions)),
+            self.no_nulls,
         )
 
 

@@ -16,6 +16,13 @@ they run only under the reference executor (``engines/local.py``),
 which every engine is checked against — same rows in the same order,
 same shuffle pair sizes.
 
+Kernels are generated for what a batch promises about NULLs
+(``ColumnBatch.no_nulls``): a descriptor keeps one kernel per set of
+NULL-free columns among those it reads (:class:`Kernels` — in practice
+one or two), and every operator says what it can promise about its
+output, so the facts a stored file knows for free reach the kernels
+downstream.  Where a fact is not cheaply known it is simply absent.
+
 Compiled artifacts are owned, not cached globally: a kernel lives on the
 descriptor it was compiled from (so it dies with the cached plan), and a
 map-join hash table lives on the job run's :class:`BroadcastTable` (so
@@ -24,7 +31,10 @@ it dies with the job).  This module keeps no module-level state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from itertools import compress
+from operator import and_
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.common.rows import ColumnBatch, take_columns
@@ -34,6 +44,7 @@ from repro.exec.expressions import (
     codegen_group_kernel,
     codegen_keys_kernel,
     codegen_project_kernel,
+    referenced_columns,
 )
 from repro.exec.operators import (
     FileSinkDesc,
@@ -50,8 +61,41 @@ from repro.exec.shuffle import emit_run
 Row = Tuple[object, ...]
 
 
-def kernel_of(desc, build: Callable):
-    """``build()``, compiled once and kept on the descriptor *desc* itself.
+class Kernels:
+    """The compiled kernels of one descriptor: one per set of NULL-free
+    columns among those its *expressions* read.  ``build(no_nulls)`` is
+    the ``codegen_*_kernel`` call that generates a variant; a variant is
+    keyed by one flag per referenced column (:meth:`known`)."""
+
+    __slots__ = ("referenced", "build", "variants")
+
+    def __init__(self, expressions, build: Callable):
+        self.referenced = sorted(referenced_columns(expressions))
+        self.build = build
+        self.variants: Dict[Tuple[bool, ...], object] = {}
+
+    def known(self, facts: Optional[Sequence[bool]]) -> Tuple[bool, ...]:
+        """Per referenced column: a batch's ``no_nulls`` promises it."""
+        if facts is None:
+            return (False,) * len(self.referenced)
+        return tuple([facts[column] for column in self.referenced])
+
+    def variant(self, known: Tuple[bool, ...]):
+        kernel = self.variants.get(known)
+        if kernel is None:
+            kernel = self.variants[known] = self.build(
+                frozenset(compress(self.referenced, known))
+            )
+        return kernel
+
+    def for_facts(self, facts: Optional[Sequence[bool]]):
+        return self.variant(self.known(facts))
+
+
+def kernel_of(desc, expressions, build: Callable,
+              slot: str = "_kernel") -> Kernels:
+    """The :class:`Kernels` of the descriptor *desc*, kept on *desc*
+    itself (under *slot*: a map-join has two).
 
     Descriptors are plain dataclass instances inside the driver's cached
     plans, so every task of every run re-sees the same objects; the
@@ -59,29 +103,43 @@ def kernel_of(desc, build: Callable):
     it) and is collected with the plan.
     """
     attributes = vars(desc)
-    kernel = attributes.get("_kernel")
-    if kernel is None:
-        kernel = attributes["_kernel"] = build()
-    return kernel
+    kernels = attributes.get(slot)
+    if kernels is None:
+        kernels = attributes[slot] = Kernels(expressions, build)
+    return kernels
+
+
+def _facts_of(facts: Optional[Sequence[bool]], indices: List[int]):
+    """*facts* re-pointed at the columns *indices* name."""
+    return None if facts is None else [facts[index] for index in indices]
 
 
 class BroadcastTable(list):
     """The rows of one loaded broadcast table, plus the map-join hash
-    tables built over them (keyed by build-key kernel).  A hash table is
+    tables built over them (keyed by build-key kernels).  A hash table is
     read-only after its build, so every task of the job run — they share
     this object — probes one copy, and it is freed with the job."""
 
     def __init__(self, rows=()):
         super().__init__(rows)
-        self.hash_tables: Dict[Callable, Dict[Row, List[Row]]] = {}
+        self.hash_tables: Dict[Kernels, Dict[Row, List[Row]]] = {}
+        self._no_nulls: Optional[List[bool]] = None
 
-    def hash_table(self, build_keys: Callable) -> Dict[Row, List[Row]]:
-        """``key -> [rows]`` under the *build_keys* kernel, built once."""
+    @property
+    def no_nulls(self) -> List[bool]:
+        """Per column: no row holds a NULL there (one check per table)."""
+        if self._no_nulls is None:
+            self._no_nulls = [None not in column for column in zip(*self)]
+        return self._no_nulls
+
+    def hash_table(self, build_keys: Kernels) -> Dict[Row, List[Row]]:
+        """``key -> [rows]`` under the *build_keys* kernels, built once."""
         table = self.hash_tables.get(build_keys)
         if table is None:
             table = self.hash_tables[build_keys] = {}
             if self:
-                keys = build_keys(list(zip(*self)), range(len(self)))
+                kernel = build_keys.for_facts(self.no_nulls)
+                keys = kernel(list(zip(*self)), range(len(self)))
                 for key, row in zip(keys, self):
                     if key is not None:  # NULL never matches an equi-join key
                         table.setdefault(key, []).append(row)
@@ -110,12 +168,14 @@ class VectorFilterOperator(VectorOperator):
 
     def __init__(self, desc: FilterDesc, child: VectorOperator):
         super().__init__(child)
-        self._kernel = kernel_of(
-            desc, lambda: codegen_filter_kernel(desc.predicate)
+        self._kernels = kernel_of(
+            desc, [desc.predicate],
+            partial(codegen_filter_kernel, desc.predicate),
         )
 
     def process_batch(self, batch: ColumnBatch) -> None:
-        sel = self._kernel(batch.columns, _live(batch))
+        kernel = self._kernels.for_facts(batch.no_nulls)
+        sel = kernel(batch.columns, _live(batch))
         if sel:
             self.child.process_batch(batch.with_selection(sel))
 
@@ -131,20 +191,27 @@ class VectorSelectOperator(VectorOperator):
             self._indices: Optional[List[int]] = [
                 expression.index for expression in desc.expressions
             ]
-            self._kernel = None
+            self._kernels = None
         else:
             self._indices = None
-            self._kernel = kernel_of(
-                desc, lambda: codegen_project_kernel(desc.expressions)
+            self._kernels = kernel_of(
+                desc, desc.expressions,
+                partial(codegen_project_kernel, desc.expressions),
             )
 
     def process_batch(self, batch: ColumnBatch) -> None:
         if self._indices is not None:
             columns = [batch.columns[index] for index in self._indices]
-            self.child.process_batch(ColumnBatch(columns, batch.size, batch.sel))
+            self.child.process_batch(ColumnBatch(
+                columns, batch.size, batch.sel,
+                _facts_of(batch.no_nulls, self._indices),
+            ))
             return
-        columns = self._kernel(batch.columns, _live(batch))
-        self.child.process_batch(ColumnBatch(columns, batch.live_count))
+        kernel = self._kernels.for_facts(batch.no_nulls)
+        columns = kernel(batch.columns, _live(batch))
+        self.child.process_batch(
+            ColumnBatch(columns, batch.live_count, None, kernel.no_nulls)
+        )
 
 
 class VectorMapGroupByOperator(VectorOperator):
@@ -154,20 +221,33 @@ class VectorMapGroupByOperator(VectorOperator):
 
     def __init__(self, desc: MapGroupByDesc, child: VectorOperator):
         super().__init__(child)
-        self._kernel, self._initial, self._scalar_key = kernel_of(
-            desc,
-            lambda: codegen_group_kernel(
-                desc.key_expressions, desc.aggregates,
-                desc.max_groups_in_memory,
-            ),
+        arguments = [
+            argument for _aggregate, argument in desc.aggregates
+            if argument is not None
+        ]
+        self._kernels = kernel_of(
+            desc, desc.key_expressions + arguments,
+            partial(codegen_group_kernel, desc.key_expressions,
+                    desc.aggregates, desc.max_groups_in_memory),
         )
         self._table: Dict[object, list] = {}
+        # what every batch so far promised: a group seeded by a kernel
+        # that was promised less may hold a NULL slot, which a kernel
+        # promised more would not guard — so the promises only narrow
+        self._known: Optional[Tuple[bool, ...]] = None
+        self._scalar_key = False
+        self._out_no_nulls: Optional[List[bool]] = None
         self.flushes = 0
 
     def process_batch(self, batch: ColumnBatch) -> None:
-        self._kernel(
-            batch.columns, _live(batch), self._table, self._initial, self._flush
+        known = self._kernels.known(batch.no_nulls)
+        if self._known is not None and known != self._known:
+            known = tuple(map(and_, known, self._known))
+        self._known = known
+        kernel, initial, self._scalar_key, self._out_no_nulls = (
+            self._kernels.variant(known)
         )
+        kernel(batch.columns, _live(batch), self._table, initial, self._flush)
 
     def _flush(self) -> None:
         self.flushes += 1
@@ -180,7 +260,9 @@ class VectorMapGroupByOperator(VectorOperator):
         columns += map(list, zip(*table.values()))
         size = len(table)
         table.clear()
-        self.child.process_batch(ColumnBatch(columns, size))
+        self.child.process_batch(
+            ColumnBatch(columns, size, None, self._out_no_nulls)
+        )
 
     def close(self) -> None:
         self._flush()
@@ -195,12 +277,13 @@ class VectorMapJoinOperator(VectorOperator):
     def __init__(self, desc: MapJoinDesc, child: VectorOperator,
                  context: OperatorContext):
         super().__init__(child)
-        self._probe_keys, build_keys = kernel_of(
-            desc,
-            lambda: (
-                codegen_keys_kernel(desc.probe_key_expressions),
-                codegen_keys_kernel(desc.build_key_expressions),
-            ),
+        self._probe_keys, build_keys = (
+            kernel_of(desc, expressions,
+                      partial(codegen_keys_kernel, expressions), slot)
+            for slot, expressions in (
+                ("_kernel", desc.probe_key_expressions),
+                ("_build_kernel", desc.build_key_expressions),
+            )
         )
         self._left_join = desc.join_type == "left"
         self._null_pad = (None,) * desc.small_width
@@ -214,9 +297,15 @@ class VectorMapJoinOperator(VectorOperator):
         if not isinstance(small_rows, BroadcastTable):
             small_rows = BroadcastTable(small_rows)  # caller-supplied list
         self._hash = small_rows.hash_table(build_keys)
+        # left-join padding puts NULLs in every small-side column
+        self._small_no_nulls = (
+            [False] * desc.small_width if self._left_join
+            else small_rows.no_nulls
+        )
 
     def process_batch(self, batch: ColumnBatch) -> None:
-        keys = self._probe_keys(batch.columns, _live(batch))
+        probe_keys = self._probe_keys.for_facts(batch.no_nulls)
+        keys = probe_keys(batch.columns, _live(batch))
         table_get = self._hash.get
         left_join = self._left_join
         null_pad = self._null_pad
@@ -243,7 +332,12 @@ class VectorMapJoinOperator(VectorOperator):
             columns = small_columns + big_columns
         else:
             columns = big_columns + small_columns
-        self.child.process_batch(ColumnBatch(columns, len(gather)))
+        big = batch.no_nulls
+        big = [False] * batch.width if big is None else list(big)
+        small = self._small_no_nulls
+        self.child.process_batch(ColumnBatch(
+            columns, len(gather), None, small + big if self._swap else big + small
+        ))
 
 
 class VectorLimitOperator(VectorOperator):
@@ -276,12 +370,14 @@ class VectorReduceSinkOperator(VectorOperator):
             self._project = None
             # a column referenced twice (a join key is also a value) is
             # gathered once
-            indices = [expression.index for expression in expressions]
-            self._distinct = sorted(set(indices))
-            self._slots = [self._distinct.index(index) for index in indices]
+            self._indices = [expression.index for expression in expressions]
+            self._distinct = sorted(set(self._indices))
+            self._slots = [
+                self._distinct.index(index) for index in self._indices
+            ]
         else:
             self._project = kernel_of(
-                desc, lambda: codegen_project_kernel(expressions)
+                desc, expressions, partial(codegen_project_kernel, expressions)
             )
         self._key_arity = len(desc.key_expressions)
         self._tag = desc.tag
@@ -293,16 +389,20 @@ class VectorReduceSinkOperator(VectorOperator):
         if not count:
             return
         if self._project is not None:
-            columns = self._project(batch.columns, _live(batch))
+            project = self._project.for_facts(batch.no_nulls)
+            columns = project(batch.columns, _live(batch))
+            no_nulls = project.no_nulls
         else:
             referenced = [batch.columns[index] for index in self._distinct]
             if batch.sel is not None:
                 referenced = take_columns(referenced, batch.sel)
             columns = [referenced[slot] for slot in self._slots]
+            no_nulls = _facts_of(batch.no_nulls, self._indices)
         partition_ids, run = emit_run(
             columns[:self._key_arity], columns[self._key_arity:], self._tag,
             count, context.num_partitions,
         )
+        run.no_nulls = no_nulls
         context.kv_size_histogram.update(run.sizes)
         context.kv_pairs_out += count
         context.kv_bytes_out += sum(run.sizes)

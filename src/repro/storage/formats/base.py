@@ -129,7 +129,12 @@ class RowMajorStoredFile(StoredFile):
     whole file's columns in normal form plus a prefix sum of encoded row
     sizes (the subclass says what a row costs), so a range's bytes are
     one subtraction.  No pruning, no pushdown: every scan returns the
-    plain contiguous range and pays for its full width."""
+    plain contiguous range and pays for its full width.
+
+    ``no_nulls`` (one flag per column, what :meth:`scan_batch` puts on
+    its batches) falls out of the build: a typed buffer cannot hold a
+    NULL, and a list column's value types are scanned once here, for the
+    sizing and the flag alike."""
 
     def __init__(self, schema: Schema, columns: Iterable[Sequence], size: int):
         super().__init__(schema, size)
@@ -137,13 +142,23 @@ class RowMajorStoredFile(StoredFile):
             self.columns = [pack_column(column) for column in columns]
         else:  # an empty producer may not know the width
             self.columns = [[] for _ in range(len(schema))]
+        # the type scan is one C-level pass per list column
+        kinds = [
+            None if isinstance(column, array) else set(map(type, column))
+            for column in self.columns
+        ]
+        self.no_nulls = [
+            types is None or type(None) not in types for types in kinds
+        ]
         # a typed buffer like the columns: 8 bytes a row, not an int object
-        self._offsets = array("q", accumulate(self._row_sizes(), initial=0))
+        self._offsets = array("q", accumulate(self._row_sizes(kinds), initial=0))
 
     @abc.abstractmethod
-    def _row_sizes(self) -> Iterable[int]:
+    def _row_sizes(self, kinds: List[Optional[set]]) -> Iterable[int]:
         """Encoded size of every row, in order, sized from
-        ``self.columns`` in column-wise C-level passes."""
+        ``self.columns`` in column-wise C-level passes.  *kinds* holds
+        each list column's set of value types (``None`` for a typed
+        buffer)."""
 
     def _derive_rows(self) -> List[Row]:
         return ColumnBatch(self.columns, self.row_count).to_rows()
@@ -185,7 +200,7 @@ class RowMajorStoredFile(StoredFile):
         return BatchScanResult(
             batch=ColumnBatch(
                 [column[start:row_end] for column in self.columns],
-                row_end - start,
+                row_end - start, None, self.no_nulls,
             ),
             bytes_read=self.bytes_for_range(row_start, row_count),
         )

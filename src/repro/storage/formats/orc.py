@@ -35,6 +35,7 @@ from repro.common.rows import (
     ColumnBatch,
     DataType,
     Schema,
+    and_no_nulls,
     concat_columns,
     pack_column,
 )
@@ -301,12 +302,15 @@ def _decode_bool_stream(data: bytes, count: int) -> List[bool]:
 
 @dataclass
 class ColumnChunk:
-    """One column's streams within a stripe."""
+    """One column's streams within a stripe.  ``has_nulls`` is ORC's
+    per-chunk ``hasNull`` statistic: the encoder needs it to choose the
+    bitmap, and the file keeps it for ``scan_batch``'s ``no_nulls``."""
 
     encoding: str
     null_bitmap: bytes
     compressed: bytes
     uncompressed_bytes: int
+    has_nulls: bool = True
 
     @property
     def stored_bytes(self) -> int:
@@ -394,7 +398,8 @@ def _encode_column(
     compressed = zlib.compress(raw, 6)
     if len(compressed) >= len(raw):
         compressed = raw  # ORC stores incompressible chunks uncompressed
-    return ColumnChunk(encoding, null_bitmap, compressed, len(raw)), stats
+    chunk = ColumnChunk(encoding, null_bitmap, compressed, len(raw), has_nulls)
+    return chunk, stats
 
 
 def _decode_column(dtype: DataType, chunk: ColumnChunk, count: int) -> List[object]:
@@ -455,6 +460,11 @@ class OrcStoredFile(StoredFile):
             Stripe(start, stop - start, stripe_chunks, stripe_stats)
             for (start, stop), stripe_chunks, stripe_stats
             in zip(bounds, chunks, stats)
+        ]
+        # per stripe, in schema order: the chunk holds no NULL
+        self._stripe_no_nulls: List[List[bool]] = [
+            [not chunk.has_nulls for chunk in stripe_chunks.values()]
+            for stripe_chunks in chunks
         ]
         self._total_bytes = (
             sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
@@ -541,6 +551,7 @@ class OrcStoredFile(StoredFile):
         """
         width = len(self.schema)
         parts: List[List[Sequence]] = [[] for _ in range(width)]
+        facts: List[List[bool]] = []
         size = 0
         bytes_read = 0.0
         skipped = 0
@@ -562,10 +573,12 @@ class OrcStoredFile(StoredFile):
             local_hi = hi - stripe.row_start
             for position in range(width):
                 parts[position].append(decoded[position][local_lo:local_hi])
+            facts.append(self._stripe_no_nulls[stripe_index])
             size += hi - lo
         out_columns = [concat_columns(pieces) for pieces in parts]
+        no_nulls = and_no_nulls(facts) or [True] * width  # no rows: vacuous
         return BatchScanResult(
-            batch=ColumnBatch(out_columns, size),
+            batch=ColumnBatch(out_columns, size, None, no_nulls),
             bytes_read=int(bytes_read),
             rows_skipped=skipped,
         )

@@ -9,7 +9,6 @@ carries.  Like Text it is row-oriented: no pruning, no pushdown.
 
 from __future__ import annotations
 
-from array import array
 from itertools import repeat
 from typing import Iterable, List, Sequence
 
@@ -31,18 +30,19 @@ def record_size(row: Row) -> int:
     return _RECORD_HEADER_BYTES + 1 + fields_size(row)
 
 
-def _column_size_contribution(column):
+def _column_size_contribution(column, types):
     """Per-row encoded sizes of one column, exploiting type homogeneity.
+    *types* is the column's set of value types (``None`` for a typed
+    buffer).
 
     Returns an ``int`` when every row pays the same fixed tag size, the
     per-row sizes (an iterable) for string-bearing columns, or ``None`` when
     a subclassed/exotic type means the per-row ``record_size`` fallback
-    must size the whole file.  The type scan and the size computations
-    are C-level passes — no per-field Python dispatch.
+    must size the whole file.  The size computations are C-level passes
+    — no per-field Python dispatch.
     """
-    if isinstance(column, array):  # packed ints or doubles: one fixed tag
+    if types is None:  # packed ints or doubles: one fixed tag
         return _FIXED_FIELD_SIZES[float if column.typecode == "d" else int]
-    types = set(map(type, column))
     if types <= _FIXED_FIELD_SIZES.keys():
         if len(types) == 1:
             return _FIXED_FIELD_SIZES[next(iter(types))]
@@ -68,15 +68,15 @@ def _column_size_contribution(column):
 
 
 class SequenceStoredFile(RowMajorStoredFile):
-    def _row_sizes(self) -> Iterable[int]:
+    def _row_sizes(self, kinds) -> Iterable[int]:
         # INSERT output tables re-encode on every write, so the build
         # sizes every row; doing it column-wise turns the per-row
         # per-field dispatch into a few C-level passes.  The sizes are
         # identical to per-row record_size() by construction.
         constant = _RECORD_HEADER_BYTES + 2  # record header + key + row arity
         varying: List[Iterable[int]] = []
-        for column in self.columns:
-            contribution = _column_size_contribution(column)
+        for column, types in zip(self.columns, kinds):
+            contribution = _column_size_contribution(column, types)
             if contribution is None:  # exotic types: row-by-row fallback
                 return map(record_size, self.rows)
             if isinstance(contribution, int):

@@ -7,9 +7,8 @@ Table II shows ORCFile beating Text by ~22 %.
 
 from __future__ import annotations
 
-from array import array
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.common.rows import Schema, coerce_value
 from repro.storage.formats.base import (
@@ -40,14 +39,12 @@ def decode_row(line: str, schema: Schema) -> Row:
 _ASCII_RENDERED = {int, float, bool}  # str() gives digits, signs, letters
 
 
-def _field_sizes(column: Sequence) -> Iterator[int]:
+def _field_sizes(column: Sequence, types: Optional[set]) -> Iterator[int]:
     """UTF-8 byte length of every value of one column as
     :func:`encode_row` renders it (``\\N`` for NULL) — a lazy C-level
-    pass, so sizing a file holds no per-column list of sizes."""
-    if isinstance(column, array):
-        return map(len, map(str, column))
-    types = set(map(type, column))
-    if types <= _ASCII_RENDERED:
+    pass, so sizing a file holds no per-column list of sizes.  *types*
+    is the column's set of value types (``None`` for a typed buffer)."""
+    if types is None or types <= _ASCII_RENDERED:
         return map(len, map(str, column))
     if types == {str}:
         texts = column
@@ -69,7 +66,7 @@ def text_size(rows: Sequence[Row]) -> int:
     transposed column is alive instead of a whole throwaway file."""
     total = width = 0
     for column in zip(*rows):
-        total += sum(_field_sizes(column))
+        total += sum(_field_sizes(column, set(map(type, column))))
         width += 1
     return total + len(rows) * max(1, width)  # delimiters + the newline
 
@@ -81,10 +78,10 @@ class TextStoredFile(RowMajorStoredFile):
     the newline, summed column-wise: field bytes per column, then one
     delimiter between fields."""
 
-    def _row_sizes(self) -> Iterator[int]:
+    def _row_sizes(self, kinds) -> Iterator[int]:
         # delimiters + the newline (a zero-width line is the newline)
         framing = repeat(max(1, len(self.columns)), self.row_count)
-        return map(sum, zip(framing, *map(_field_sizes, self.columns)))
+        return map(sum, zip(framing, *map(_field_sizes, self.columns, kinds)))
 
 
 class TextFormat(FileFormat):

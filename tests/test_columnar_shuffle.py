@@ -15,6 +15,7 @@ runs):
   ``==`` (floats included: accumulation order is part of the contract).
 """
 
+import functools
 import math
 import struct
 from array import array
@@ -41,6 +42,7 @@ from repro.common.kv import (
 from repro.common.rows import ColumnBatch, Schema, pack_column
 from repro.engines.base import MapOutputCollector
 from repro.engines.datampi.buffers import SendPartitionList
+from repro.exec.column_reduce import sort_permutation
 from repro.exec.expressions import Arithmetic, Const, InputRef
 from repro.exec.mapper import ExecMapper, ExecReducer
 from repro.exec.operators import (
@@ -56,6 +58,7 @@ from repro.exec.reduce import (
     ReduceDistinctDesc,
     ReduceJoinDesc,
     ReduceSortDesc,
+    key_comparator,
 )
 from repro.exec.shuffle import Segments, emit_run
 from repro.sql.functions import AGGREGATES
@@ -634,6 +637,43 @@ def test_permutation_is_stable_and_keeps_arrival_order_across_sides():
     _assert_same_rows(_reduce_both(desc, pairs))
 
 
+_TIED_KEY_COLUMNS = st.one_of(
+    st.lists(st.sampled_from([0, 1, 2, 2.0, -1.5]), min_size=0, max_size=24),
+    st.lists(st.sampled_from(["a", "b", "ab"]), min_size=0, max_size=24),
+    st.lists(st.sampled_from([0, 1, None, True, "a"]), min_size=0, max_size=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TIED_KEY_COLUMNS, min_size=1, max_size=3),
+       st.lists(st.booleans(), min_size=0, max_size=4), st.booleans())
+def test_mixed_direction_sort_is_the_comparator_order(columns, directions, packed):
+    """``DESC, ASC`` mixes sort by stable builtin passes: the permutation
+    must be the Hive comparator's (ties in arrival order) whatever the
+    directions — heavy ties, NULLs, bools and incomparable mixes
+    included (those fall back to the comparator itself)."""
+    size = min(map(len, columns))
+    columns = [column[:size] for column in columns]
+    if packed:
+        columns = [pack_column(column) for column in columns]
+    keys = list(zip(*columns))
+    compare = key_comparator(directions)
+    try:
+        expected = sorted(range(size), key=functools.cmp_to_key(
+            lambda a, b: compare(keys[a], keys[b])
+        ))
+    except TypeError:
+        expected = TypeError
+    try:
+        order = sort_permutation(
+            columns[0] if len(columns) == 1 else keys, columns, directions,
+            range(size),
+        )
+    except TypeError:
+        order = TypeError
+    assert order == expected
+
+
 # ---------------------------------------------------------------------------
 # observability: why a task left the fast path, from a counter
 # ---------------------------------------------------------------------------
@@ -650,7 +690,8 @@ def _shuffle_counters():
 def test_benchmark_queries_never_leave_the_bulk_sizing_path():
     """TPC-H 1-22 + HiBench: every sink column is sized by a bulk pass
     (``columns_exact`` stays 0, the value on the tree that introduced the
-    counter) and only the mixed-direction ORDER BYs use the comparator."""
+    counter) and every sort — the mixed-direction ORDER BYs included —
+    is the builtin one."""
     before = _shuffle_counters()
     hdfs, metastore = fresh_tpch(1, lineitem_sample=1500)
     with connect(engine="datampi", hdfs=hdfs, metastore=metastore) as session:
@@ -661,11 +702,15 @@ def test_benchmark_queries_never_leave_the_bulk_sizing_path():
         session.execute(hibench_ddl())
         session.execute(HIBENCH_JOIN)
         session.execute(HIBENCH_AGGREGATE)
+        # the serving benchmark's top-10: DESC, then ASC as the tie-break
+        top = session.query("SELECT r.pageurl, r.pagerank FROM rankings r "
+                            "ORDER BY r.pagerank DESC, r.pageurl LIMIT 10").rows
+        assert top == sorted(top, key=lambda row: (-row[1], row[0]))
     after = _shuffle_counters()
     moved = {name: after[name] - before[name] for name in after}
     assert moved["columns_exact"] == 0
     assert moved["columns_bulk"] > 1000
-    assert moved["sort_comparator"] == 3 and moved["sort_native"] == 45
+    assert moved["sort_comparator"] == 0 and moved["sort_native"] == 49
 
 
 def test_counters_name_the_column_and_the_sort_that_left_the_fast_path():

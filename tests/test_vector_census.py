@@ -11,12 +11,13 @@ statements see the tables earlier ones created.
 
 import pytest
 
-from repro import connect
+from repro import connect, get_metrics
 from repro.bench import fresh_hibench, fresh_tpch
 from repro.engines.local import LocalEngine
 from repro.exec.operators import FileSinkDesc, ListCollector, OperatorContext
 from repro.exec.vectorized import build_vector_pipeline
 from repro.workloads.hibench import hibench_ddl
+from repro.workloads.tpch import TPCH_SCHEMAS, tpch_query
 
 from .conftest import shipped_scripts
 from .test_vectorized import _CORPUS, _STORE
@@ -90,3 +91,58 @@ def test_every_compiled_pipeline_vectorizes(sessions, compiled_plans, name):
             )
             checked += 1
     assert checked >= len(compiled_plans)
+
+
+# ---------------------------------------------------------------------------
+# which kernel ran: NULL guards as a count, not as a slow benchmark
+# ---------------------------------------------------------------------------
+
+_KERNEL_COUNTERS = ("exec.kernel.guarded_refs", "exec.kernel.free_refs",
+                    "exec.kernel.variants")
+
+
+def _kernel_counts():
+    return [get_metrics().counter(name).value for name in _KERNEL_COUNTERS]
+
+
+def _compiled_while(session, sql):
+    """``(guarded refs, free refs, variants)`` compiled running *sql*."""
+    before = _kernel_counts()
+    session.execute(sql)
+    return tuple(int(now - then) for now, then in zip(_kernel_counts(), before))
+
+
+@pytest.mark.parametrize("format_name", ["text", "orc"])
+def test_q1_and_q6_compile_without_a_null_guard(format_name):
+    """A loaded ``lineitem`` holds no NULL and its files say so, so every
+    kernel of Q1 and Q6 — filter, group, reduce — is the unguarded
+    variant.  An operator that drops the facts on the way shows up here
+    as guarded references."""
+    hdfs, metastore = fresh_tpch(1, lineitem_sample=400, format_name=format_name)
+    with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
+        assert _compiled_while(session, tpch_query(1, 1)) == (0, 18, 3)
+        assert _compiled_while(session, tpch_query(6, 1)) == (0, 6, 3)
+        # the plan is cached and so are its kernels: nothing compiles twice
+        assert _compiled_while(session, tpch_query(6, 1)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("format_name", ["text", "orc"])
+def test_one_null_compiles_the_guarded_form(format_name):
+    schema = TPCH_SCHEMAS["lineitem"]
+    hdfs, metastore = fresh_tpch(1, lineitem_sample=400, format_name=format_name)
+    location = metastore.get_table("lineitem").location
+    data_file = hdfs.list_dir(location)[-1]
+    rows = list(data_file.rows)
+    discount = schema.index_of("l_discount")
+    rows[-1] = rows[-1][:discount] + (None,) + rows[-1][discount + 1:]
+    hdfs.delete(data_file.path)
+    hdfs.write(data_file.path, schema, rows, scale=data_file.scale,
+               format_name=format_name)
+    with connect(engine="local", hdfs=hdfs, metastore=metastore) as oracle:
+        expected = oracle.query(tpch_query(6, 1)).rows
+    with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
+        # the last file's tasks compile a second filter and a second
+        # group kernel, each guarding l_discount; their SUM slot may be
+        # NULL, so the reduce kernel guards its one column too
+        assert _compiled_while(session, tpch_query(6, 1)) == (3, 8, 5)
+        assert session.query(tpch_query(6, 1)).rows == expected

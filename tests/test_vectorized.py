@@ -209,15 +209,29 @@ def _batch():
     )
 
 
-def test_nulls_live_in_columns_and_null_mask():
+def test_nulls_live_in_columns_and_no_nulls_is_a_promise():
     batch = _batch()
     assert batch.columns[2] == [None, 1.5, -2.0, None]
-    assert batch.null_mask(2) == [True, False, False, True]
-    assert batch.null_mask(0) == [False] * 4
     # NULLs survive selection + materialization untouched
     assert batch.with_selection([1, 3]).to_rows() == [
         (2, None, 1.5), (4, "d", None)
     ]
+    # a batch built without facts promises nothing (even a typed buffer)
+    assert batch.no_nulls is None
+    assert ColumnBatch([[1, 2]], 2).no_nulls is None
+    # whoever knows passes them; selections, windows and gathers keep them
+    facts = [True, False, False]
+    known = ColumnBatch(batch.columns, batch.size, None, facts)
+    for derived in (known.with_selection([1, 3]), known.take_first(2),
+                    known[1:3], known[1:3].dense(),
+                    known.with_selection([3, 0]).dense()):
+        assert derived.no_nulls == facts
+    # concat: a column is NULL-free only if it is in every piece
+    other = ColumnBatch([[5], ["z"], [2.5]], 1, None, [True, True, True])
+    assert ColumnBatch.concat([known, other]).no_nulls == facts
+    assert ColumnBatch.concat([other, other]).no_nulls == [True, True, True]
+    assert ColumnBatch.concat([known, batch]).no_nulls is None
+    assert not hasattr(ColumnBatch, "null_mask")
 
 
 def test_empty_batches():
