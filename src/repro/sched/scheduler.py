@@ -13,10 +13,14 @@ Layering (top to bottom):
   :class:`~repro.engines.base.EngineRuntime`.
 
 ``submit`` never advances simulated time; it parses (through the
-driver's statement cache, so a repeated text costs one lookup), compiles
-nothing, and spawns the query's driver process into the shared
-simulator.  A handle's :meth:`QueryHandle.result` (or
-:meth:`WorkloadScheduler.drain`) runs the simulation until every
+driver's statement cache, so a repeated text costs one lookup) and
+compiles nothing.  Simulated-process machinery is paid only for work
+that takes simulated time: when a handle is admitted its *instant
+prefix* — host statements and statements the result cache answers —
+runs on the spot, a script that is all prefix is finished there and
+then, and a driver process is spawned into the shared simulator only
+for the statements that remain.  A handle's :meth:`QueryHandle.result`
+(or :meth:`WorkloadScheduler.drain`) runs the simulation until every
 runnable query completes.  Everything is deterministic: same seed + same
 submission sequence replays the exact same event order, timings and
 results.
@@ -211,6 +215,11 @@ class QueryHandle:
     ``Driver.query``), re-raising the query's failure if it had one.
     """
 
+    __slots__ = ("_scheduler", "query_id", "pool", "owner", "statements",
+                 "results", "error", "submitted_at", "admitted_at",
+                 "finished_at", "deadline", "deadline_missed", "retry_budget",
+                 "_status")
+
     def __init__(self, scheduler: "WorkloadScheduler", query_id: str,
                  pool: Pool, statements: Sequence[ParsedStatement],
                  deadline: Optional[float] = None,
@@ -218,7 +227,9 @@ class QueryHandle:
         self._scheduler = scheduler
         self.query_id = query_id
         self.pool = pool.name
-        self.owner = LeaseOwner(query_id, pool=pool.name, weight=pool.weight)
+        #: lease identity, built with the driver process: a handle that
+        #: is answered at admission never holds a lease
+        self.owner: Optional[LeaseOwner] = None
         self.statements = statements
         self.results: List[QueryResult] = []
         self.error: Optional[BaseException] = None
@@ -232,8 +243,6 @@ class QueryHandle:
         #: per-query override of ``repro.retry.max`` (None = session conf)
         self.retry_budget = retry_budget
         self._status = QUEUED
-        self._start_event = scheduler.runtime.sim.event()
-        self._cancel_requested = False
 
     # -- public API ---------------------------------------------------------
     def status(self) -> str:
@@ -379,7 +388,6 @@ class WorkloadScheduler:
             self._queued_by_pool.get(pool_obj.name, 0) + 1
         )
         self._log("submit", handle)
-        self.runtime.sim.spawn(self._query_process(handle), handle.query_id)
         self._pump()
         return handle
 
@@ -443,10 +451,14 @@ class WorkloadScheduler:
         """Admit waiting queries, in submission order, as capacity allows
         (a full pool never blocks a later submission to another pool).
 
-        The waiting list is a deque: the common serving case — head of
-        the queue admitted, or nothing admissible — never rebuilds the
-        whole list, and the loop stops as soon as the *global* cap is
-        reached instead of re-checking every queued query.
+        An admitted handle is started on the spot; one answered without
+        simulated time has given its slot back before the next is looked
+        at, so a run of queued hits drains in this one pass (and nothing
+        skipped earlier can fit because of it: a pool only frees a slot
+        here that this pass took).  The waiting list is a deque: the
+        common serving case — head admitted, or nothing admissible —
+        never rebuilds it, and the loop stops at the *global* cap
+        instead of re-checking every queued query.
         """
         depth = len(self._waiting)
         if depth > self.peak_queue_depth:
@@ -471,7 +483,7 @@ class WorkloadScheduler:
             handle.admitted_at = self.runtime.sim.now
             handle._status = RUNNING
             self._log("admit", handle)
-            handle._start_event.trigger(None)
+            self._start(handle, pool)
         if skipped:
             skipped.extend(waiting)
             self._waiting = skipped
@@ -480,22 +492,50 @@ class WorkloadScheduler:
     def _cancel(self, handle: QueryHandle) -> bool:
         if handle._status != QUEUED:
             return False
-        handle._cancel_requested = True
-        handle._status = CANCELLED
+        handle._status = CANCELLED  # no process yet: marking is all
         handle.finished_at = self.runtime.sim.now
-        if handle in self._waiting:
-            self._waiting.remove(handle)
-            self._queued_by_pool[handle.pool] -= 1
+        self._waiting.remove(handle)
+        self._queued_by_pool[handle.pool] -= 1
         self._log("cancel", handle)
-        handle._start_event.trigger(None)  # wake the process so it exits
         return True
 
+    def _start(self, handle: QueryHandle, pool: Pool) -> None:
+        """Run the admitted handle's instant prefix; a script that is all
+        prefix is finished here, anything else gets a driver process for
+        the statements that remain."""
+        statements = handle.statements
+        start = 0
+        try:
+            while start < len(statements):
+                instant = self._instant_result(handle, statements[start])
+                if instant is None:
+                    break
+                handle.results.append(instant)
+                start += 1
+        except Exception as exc:  # as _guarded_body: never escapes submit
+            handle._status = FAILED
+            handle.error = exc
+        else:
+            if start < len(statements):
+                handle.owner = LeaseOwner(handle.query_id, pool=pool.name,
+                                          weight=pool.weight)
+                self.runtime.sim.spawn(self._query_process(handle, start),
+                                       handle.query_id)
+                return
+            handle._status = SUCCEEDED
+        self._finish(handle)
+
     def _finish(self, handle: QueryHandle) -> None:
+        """Book a handle out; the caller pumps (``_pump``'s own loop when
+        the handle was answered at admission)."""
+        now = self.runtime.sim.now
+        handle.finished_at = now
+        self._log("finish" if handle._status == SUCCEEDED else "fail", handle)
         self._running_by_pool[handle.pool] -= 1
         self._running_total -= 1
-        if handle.latency is not None:
-            get_metrics().histogram("sched.query.latency").observe(handle.latency)
-        self._pump()
+        get_metrics().histogram("sched.query.latency").observe(
+            now - handle.submitted_at
+        )
 
     def _log(self, action: str, handle: QueryHandle) -> None:
         self.events.append(
@@ -503,29 +543,27 @@ class WorkloadScheduler:
         )
 
     # -- the per-query driver process ------------------------------------------
-    def _query_process(self, handle: QueryHandle):
-        yield handle._start_event
-        if handle._cancel_requested:
-            return
-        sim = self.runtime.sim
+    def _query_process(self, handle: QueryHandle, start: int):
         try:
             if handle.deadline is None:
                 # no deadline: run the statements inline — structurally
                 # identical to the pre-deadline scheduler, so clean
                 # workloads replay byte-identically
-                yield from self._guarded_body(handle)
+                yield from self._guarded_body(handle, start)
             else:
-                yield from self._deadline_guard(handle)
+                yield from self._deadline_guard(handle, start)
         finally:
-            handle.finished_at = sim.now
-            self._log("finish" if handle._status == SUCCEEDED else "fail", handle)
             self._finish(handle)
+        # not in the finally: a process abandoned with its session books
+        # its handle out (at collection time) but must admit nobody —
+        # admission now *runs* statements
+        self._pump()
 
-    def _guarded_body(self, handle: QueryHandle):
+    def _guarded_body(self, handle: QueryHandle, start: int):
         """Run the statements, recording outcome on the handle; a
         deadline interrupt passes through to the guard untouched."""
         try:
-            yield from self._statements_body(handle)
+            yield from self._statements_body(handle, start)
             handle._status = SUCCEEDED
         except Interrupt:
             raise  # deadline abort: the guard records the timeout
@@ -533,7 +571,7 @@ class WorkloadScheduler:
             handle._status = FAILED
             handle.error = exc
 
-    def _deadline_guard(self, handle: QueryHandle):
+    def _deadline_guard(self, handle: QueryHandle, start: int):
         """Race the statement work against the query's deadline.
 
         The work runs in a child process so the guard can interrupt it:
@@ -543,7 +581,7 @@ class WorkloadScheduler:
         hold — the ledger stays balanced on every abort path.
         """
         sim = self.runtime.sim
-        child = sim.spawn(self._guarded_body(handle),
+        child = sim.spawn(self._guarded_body(handle, start),
                           f"{handle.query_id}-body")
         remaining = max(0.0, handle.submitted_at + handle.deadline - sim.now)
         timer = sim.timeout(remaining)
@@ -568,22 +606,34 @@ class WorkloadScheduler:
             deadline=handle.deadline,
         )
 
-    def _statements_body(self, handle: QueryHandle):
+    def _instant_result(self, handle: QueryHandle,
+                        statement: ParsedStatement) -> Optional[QueryResult]:
+        """*statement*'s result when it takes no simulated time — a host
+        statement, or a SELECT the result cache answers — else ``None``.
+        The cache is checked on the shared clock at the moment the
+        statement gets to run, so a hit reflects every write that
+        committed before it; one call is one lookup (LRU order and the
+        hit counters are observable)."""
+        host = self.driver._execute_host_statement(statement.node)
+        if host is not None:
+            return host
+        cached = self.driver.result_cache_lookup(statement)
+        if cached is not None:
+            self._log("cache-hit", handle)
+        return cached
+
+    def _statements_body(self, handle: QueryHandle, start: int):
+        """The statements from *start* on.  ``statements[start]`` needs
+        the cluster — admission looked it up already."""
         sim = self.runtime.sim
-        for statement in handle.statements:
-            host = self.driver._execute_host_statement(statement.node)
-            if host is not None:
-                handle.results.append(host)
-                continue
-            # result cache: checked on the shared clock at the
-            # moment this query gets to run, so a hit reflects
-            # every write that committed before it (and a bump
-            # mid-workload invalidates stale entries right here)
-            cached = self.driver.result_cache_lookup(statement)
-            if cached is not None:
-                self._log("cache-hit", handle)
-                handle.results.append(cached)
-                continue
+        statements = handle.statements
+        for index in range(start, len(statements)):
+            statement = statements[index]
+            if index > start:
+                instant = self._instant_result(handle, statement)
+                if instant is not None:
+                    handle.results.append(instant)
+                    continue
             statement_start = sim.now
             version_at_compile = self.driver.metastore.version
             prepared = self.driver.prepare(statement, use_cache=False)
@@ -740,6 +790,7 @@ class WorkloadScheduler:
             h.latency for h in finished if h._status == SUCCEEDED
         )
         ledger = self.runtime.leases.ledger
+        usage = ledger.usage  # read only: ``owner_usage`` would add rows
 
         def nearest_rank(q: float) -> Optional[float]:
             if not latencies:
@@ -772,7 +823,8 @@ class WorkloadScheduler:
             },
             "oversubscribed_pools": ledger.oversubscribed_pools(),
             "slot_seconds": {
-                h.query_id: ledger.owner_usage(h.query_id).slot_seconds
+                h.query_id: (usage[h.query_id].slot_seconds
+                             if h.query_id in usage else 0.0)
                 for h in self.handles
             },
         }

@@ -222,15 +222,21 @@ class LeaseManager:
         self.sim = sim
         self.policy = policy
         self.ledger = ledger or LeaseLedger(audit=audit)
-        self._pending: List[_LeaseRequest] = []
-        self._by_event: Dict[Event, _LeaseRequest] = {}
+        # the queue, in arrival order (a dict keeps it, and unqueues in O(1))
+        self._pending: Dict[Event, _LeaseRequest] = {}
+        # the same requests by wanted pool name (``seq`` -> request, so
+        # arrival order again): ``acquire`` asks "is anyone ahead of me
+        # on this pool" and ``release`` "who can the freed slot serve"
+        # without scanning every pending request's wants
+        self._pending_by_pool: Dict[str, Dict[int, _LeaseRequest]] = {}
+        # True while no pending request fits: a release can then only
+        # serve requests that want the freed pool.  A request queued
+        # although it fits (behind another, ``_enqueue``) breaks it
+        # until the next full pass.
+        self._settled = True
         self._seq = 0
         self._active_by_pool_group: Dict[str, int] = {}
         self._active_by_query: Dict[str, int] = {}
-        # per-pool count of queued requests wanting it, so the
-        # fast-path admission check is O(1) instead of a scan over
-        # every pending request's wants
-        self._pending_pool_wants: Dict[str, int] = {}
 
     # -- single leases -------------------------------------------------------
     def acquire(self, pool: SlotPool, owner: Optional[LeaseOwner] = None) -> Event:
@@ -252,13 +258,13 @@ class LeaseManager:
         owner = owner or _ANONYMOUS
         pool.release()  # keeps the over-release check; waiters never queue here
         self._account_release(pool, owner)
-        self._dispatch()
+        self._dispatch(pool)
 
     def cancel(self, pool: SlotPool, event: Event,
                owner: Optional[LeaseOwner] = None) -> None:
         """Withdraw a single-slot ``acquire`` whose waiter was interrupted
         (same contract as ``SlotPool.cancel_acquire``)."""
-        request = self._by_event.pop(event, None)
+        request = self._pending.get(event)
         if request is not None:
             self._unqueue(request)
             return
@@ -272,7 +278,7 @@ class LeaseManager:
         every still-unclaimed slot is returned instead — checked-out
         slots remain the owning tasks' duty, exactly as on the normal
         cleanup path."""
-        request = self._by_event.pop(event, None)
+        request = self._pending.get(event)
         if request is not None:
             self._unqueue(request)
             return
@@ -300,8 +306,8 @@ class LeaseManager:
         if not wants:
             event.trigger(GangLease(self, owner, []))
             return event
-        if self._pending or not self._gang_fits(wants):
-            self._enqueue(list(wants), owner, event, gang=True)
+        if self._pending or not self._fits(wants):
+            self._enqueue(wants, owner, event, gang=True)
         else:
             self._grant_gang(wants, owner, event, waited=0.0)
         return event
@@ -319,24 +325,23 @@ class LeaseManager:
         # A fresh request may only jump straight to a free slot when no
         # queued request wants that pool (the queued one was first);
         # requests blocked on *other* pools do not reserve this one.
-        return self._pending_pool_wants.get(pool.name, 0) == 0
+        return not self._pending_by_pool.get(pool.name)
 
     def _enqueue(self, wants: List[Tuple[SlotPool, int]], owner: LeaseOwner,
                  event: Event, gang: bool) -> None:
         self._seq += 1
         request = _LeaseRequest(self._seq, owner, wants, event,
                                 self.sim.now, gang)
-        self._pending.append(request)
-        self._by_event[event] = request
+        if self._fits(wants):
+            self._settled = False  # queued behind someone, not for room
+        self._pending[event] = request
         for pool, _count in wants:
-            self._pending_pool_wants[pool.name] = (
-                self._pending_pool_wants.get(pool.name, 0) + 1
-            )
+            self._pending_by_pool.setdefault(pool.name, {})[request.seq] = request
 
     def _unqueue(self, request: _LeaseRequest) -> None:
-        self._pending.remove(request)
+        del self._pending[request.event]
         for pool, _count in request.wants:
-            self._pending_pool_wants[pool.name] -= 1
+            self._pending_by_pool[pool.name].pop(request.seq, None)
 
     def _take(self, pool: SlotPool, owner: LeaseOwner, waited: float,
               count: int = 1) -> None:
@@ -371,13 +376,8 @@ class LeaseManager:
         )
         self.ledger.record_release(now, pool.name, owner.query_id)
 
-    def _request_fits(self, request: _LeaseRequest) -> bool:
-        for pool, count in request.wants:
-            if pool.capacity - pool.in_use < count:
-                return False
-        return True
-
-    def _gang_fits(self, wants: Sequence[Tuple[SlotPool, int]]) -> bool:
+    @staticmethod
+    def _fits(wants: Sequence[Tuple[SlotPool, int]]) -> bool:
         for pool, count in wants:
             if pool.capacity - pool.in_use < count:
                 return False
@@ -391,23 +391,28 @@ class LeaseManager:
         return (pool_share, self._active_by_query.get(owner.query_id, 0),
                 request.seq)
 
-    def _select(self) -> Optional[_LeaseRequest]:
-        if self.policy == "fair":
-            candidates = sorted(self._pending, key=self._fair_key)
+    def _select(self, freed: SlotPool) -> Optional[_LeaseRequest]:
+        """The policy's pick among the pending requests that fit now
+        that a slot of *freed* came back: the first in arrival order
+        (``fifo``) or the least ``_fair_key`` (``fair`` — keys are
+        unique by ``seq``, so this is the first fit of the sorted
+        queue without sorting it)."""
+        if self._settled:
+            candidates = self._pending_by_pool.get(freed.name, {}).values()
         else:
-            candidates = self._pending
-        for request in candidates:
-            if self._request_fits(request):
-                return request
-        return None
+            candidates = self._pending.values()
+        fitting = (request for request in candidates
+                   if self._fits(request.wants))
+        if self.policy == "fair":
+            return min(fitting, key=self._fair_key, default=None)
+        return next(fitting, None)
 
-    def _dispatch(self) -> None:
+    def _dispatch(self, freed: SlotPool) -> None:
         while self._pending:
-            request = self._select()
+            request = self._select(freed)
             if request is None:
-                return
+                break
             self._unqueue(request)
-            del self._by_event[request.event]
             waited = self.sim.now - request.requested_at
             if request.gang:
                 self._grant_gang(request.wants, request.owner, request.event,
@@ -416,6 +421,7 @@ class LeaseManager:
                 pool = request.wants[0][0]
                 self._take(pool, request.owner, waited)
                 request.event.trigger(pool)
+        self._settled = True  # the last pass found nothing that fits
 
     def _grant_gang(self, wants: Sequence[Tuple[SlotPool, int]],
                     owner: LeaseOwner, event: Event, waited: float) -> None:

@@ -308,6 +308,27 @@ def test_cancel_before_admission():
                 if e[2] == second.query_id] == ["submit", "cancel"]
 
 
+def test_abandoned_session_admits_nobody():
+    """Admission runs host statements, so a driver process that dies
+    with its session (its ``finally`` runs when the collector gets to
+    it) frees its slot but must not admit the ``DROP`` queued behind it."""
+    import gc
+
+    hdfs, metastore = build_warehouse()
+    session = repro.connect(engine="datampi", hdfs=hdfs, metastore=metastore,
+                            conf={SCHED_MAX_CONCURRENT: 1})
+    session.submit(SCAN)
+    assert session.submit("DROP TABLE emp").status() == QUEUED
+    events = session.scheduler.events
+    session.scheduler.runtime.sim.run(until=1.0)  # the scan is mid-flight
+    session.close()
+    del session
+    gc.collect()
+    assert [event[1] for event in events] == [
+        "submit", "admit", "submit", "fail"]  # booked out, nobody admitted
+    assert metastore.has_table("emp")
+
+
 def test_one_failing_query_does_not_sink_the_batch():
     with open_session("datampi") as session:
         good = session.submit(AGG)
@@ -336,6 +357,35 @@ def test_submit_statuses_and_timings():
             handle.query_id
         )
         assert usage.slot_seconds > 0
+
+
+def test_summary_does_not_write_to_the_ledger():
+    """``summary()`` reports 0.0 slot-seconds for a handle that never
+    held a lease (a result-cache hit) without giving it a ledger row."""
+    def ledger_state(ledger):
+        state = {name: list(value) if isinstance(value, list) else dict(value)
+                 for name, value in vars(ledger).items()
+                 if isinstance(value, (list, dict))}
+        state["usage"] = {
+            query: tuple(getattr(row, slot) for slot in row.__slots__)
+            for query, row in ledger.usage.items()
+        }
+        return state
+
+    with open_session("llap") as session:
+        ran = session.submit(SCAN)
+        ran.result()
+        hit = session.submit(SCAN)
+        assert hit.result().cache_hit
+        ledger = session.scheduler.runtime.leases.ledger
+        before = ledger_state(ledger)
+        first = session.scheduler.summary()
+        second = session.scheduler.summary()
+        assert ledger_state(ledger) == before
+        assert hit.query_id not in ledger.usage
+        assert first["slot_seconds"][hit.query_id] == 0.0
+        assert first["slot_seconds"][ran.query_id] > 0
+        assert first == second
 
 
 def test_local_engine_refuses_scheduling():
