@@ -45,7 +45,7 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event budget, kernel + lease equivalence under PYTHONHASHSEED=1 =="
+echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event budget, kernel + lease equivalence, scan projection under PYTHONHASHSEED=1 =="
 # Same-instant ordering bugs are the kind that hide behind one hash
 # seed (a set or dict walked in address order decides who goes first),
 # so the exact-value suites run a second time under a different one.
@@ -59,12 +59,17 @@ echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event bud
 # The serving golden and the lease arbitration property too: admission
 # and the pending-lease index walk dicts keyed by pool and by event, and
 # only arrival order may decide who is served first.
+# And scan projection: a scan resolves the hinted names to positions
+# through a set, the planner collects them in one, and which columns a
+# batch holds (or a kernel shares a count slot with) may not depend on
+# how either is walked.
 PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
     tests/test_sim_golden.py tests/test_sim_golden_faults.py \
     tests/test_sim_golden_shuffle.py tests/test_event_budget.py \
     tests/test_orc_golden.py tests/test_sim_golden_write.py \
     tests/test_pair_golden.py tests/test_kernel_equivalence.py \
-    tests/test_serving_golden.py tests/test_lease_arbitration.py
+    tests/test_serving_golden.py tests/test_lease_arbitration.py \
+    tests/test_scan_projection.py
 
 echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # The wall-clock benchmark's own suite (BENCHMARK.json's contract): it

@@ -229,14 +229,20 @@ def pack_column(values) -> Sequence:
     return values if type(values) is list else list(values)
 
 
-def concat_columns(pieces: List[Sequence]) -> Sequence:
+def concat_columns(pieces: List[Sequence]) -> Optional[Sequence]:
     """Join slices of one column, preserving typed buffers when every
     piece packed to the same typecode.  A single piece comes back as it
-    is (columns are read-only once built, so sharing is safe)."""
+    is (columns are read-only once built, so sharing is safe).  Pieces
+    of an *absent* column (see :class:`ColumnBatch`) are all ``None`` and
+    so is their concatenation; absent in some pieces only is a bug."""
     if not pieces:
         return []
     if len(pieces) == 1:
         return pieces[0]
+    if None in pieces:
+        if pieces.count(None) != len(pieces):
+            raise ExecutionError("column absent from some pieces only")
+        return None
     first = pieces[0]
     if isinstance(first, array) and all(
         isinstance(piece, array) and piece.typecode == first.typecode
@@ -252,20 +258,25 @@ def concat_columns(pieces: List[Sequence]) -> Sequence:
     return out_list
 
 
-def take_columns(columns: Sequence[Sequence], sel: Sequence[int]) -> List[Sequence]:
+def take_columns(
+    columns: Sequence[Optional[Sequence]], sel: Sequence[int],
+) -> List[Optional[Sequence]]:
     """The *sel* positions of every column.  An engine window (a
     ``range`` with step 1) is sliced; any other selection is gathered
     through one shared ``itemgetter`` — a single C call per column, which
-    yields a tuple (typed buffers are rebuilt typed)."""
+    yields a tuple (typed buffers are rebuilt typed).  An absent column
+    (``None``, see :class:`ColumnBatch`) stays absent."""
     if type(sel) is range and sel.step == 1:
-        return [column[sel.start:sel.stop] for column in columns]
+        return [None if column is None else column[sel.start:sel.stop]
+                for column in columns]
     if len(sel) > 1:
         gather = itemgetter(*sel)
     else:  # itemgetter returns a tuple only from two indices on
         def gather(column):
             return tuple(map(column.__getitem__, sel))
     return [
-        array(column.typecode, gather(column)) if isinstance(column, array)
+        None if column is None
+        else array(column.typecode, gather(column)) if isinstance(column, array)
         else gather(column)
         for column in columns
     ]
@@ -305,6 +316,19 @@ class ColumnBatch:
     buffer, a stored file's write-time type scan, an operator's own
     output.  Selections, windows and gathers keep the facts (a subset of
     a NULL-free column is NULL-free); :meth:`concat` ANDs them.
+
+    A position of ``columns`` may hold ``None`` instead of a sequence:
+    an **absent column — the plan promised nobody reads it**.  A scan
+    leaves out what its map chain's ``ScanHints.columns`` does not name
+    (``StoredFile.scan_batch``); width, ``size`` and ``no_nulls`` (which
+    still describes the stored column) are those of the full-width
+    batch.  The helpers that move whole batches — selections, windows,
+    :meth:`dense`, :meth:`concat`, :func:`take_columns`, a pure-reference
+    Select, a map-join's big-side gather — carry an absent column along
+    as ``None``; anything that reads one fails: a kernel subscripts
+    ``None`` (``TypeError``), :meth:`to_rows` and a stored file's
+    constructor refuse.  There is no placeholder value to read by
+    accident.
 
     ``len()`` and slicing deliberately mirror a row list over the
     *unfiltered* batch so the engines' byte-proportional batching
@@ -355,6 +379,8 @@ class ColumnBatch:
         zero-width batch still has ``live_count`` rows: empty tuples)."""
         if not self.columns:
             return [()] * self.live_count
+        if None in self.columns:
+            raise ExecutionError("cannot make rows of a batch with absent columns")
         return list(zip(*self.dense().columns))
 
     def dense(self) -> "ColumnBatch":

@@ -800,11 +800,12 @@ class _Fold(NamedTuple):
     seeds: Optional[List[str]]  # a new group's slots from its first row
     slot_no_nulls: List[bool]   # per slot: never NULL once a row is in
     result_no_nulls: List[bool]  # per aggregate: its result is never NULL
+    shared: List[Tuple[int, int]]  # (slot standing still, the slot counting for it)
 
 
 def _emit_aggregate_updates(
     aggregates: List[Tuple[object, List[Tuple[str, bool]]]], scope: _Scope,
-    merge: bool = False, own_methods: bool = False,
+    merge: bool = False, own_methods: bool = False, share_counts: bool = False,
 ) -> _Fold:
     """Per-row statements folding each aggregate's ``(atom, maybe_null)``
     operands into a flat slot list named ``acc``: its argument
@@ -826,6 +827,15 @@ def _emit_aggregate_updates(
     and ``SUM``'s first value being ``x`` itself included — and later
     rows take bare updates, since no slot is ever NULL.
 
+    Seeded, every ``COUNT(*)``, ``COUNT(x)`` and count half of an
+    ``AVG(x)`` counts the same thing: the group's rows.  With
+    *share_counts* (the map-side group kernel, which can fill them in
+    when its table is flushed) only the first such slot is updated; the
+    others keep their seed, and ``shared`` pairs each with the slot that
+    counts for it.  Sums are not shared: ``0.0 + x`` is ``x`` for a
+    float but not for an int past 2**53, and nothing says a column is
+    all floats.
+
     A slot is NULL-free — every group has a row — for ``COUNT`` and
     ``AVG`` always and for ``SUM`` / ``MIN`` / ``MAX`` over a never-null
     operand; so is the result, except that a merged ``AVG`` divides by a
@@ -842,6 +852,19 @@ def _emit_aggregate_updates(
     seeds: List[str] = []
     slot_no_nulls: List[bool] = []
     result_no_nulls: List[bool] = []
+    shared: List[Tuple[int, int]] = []
+    share_counts = share_counts and seeded
+    counting: Optional[int] = None  # the slot whose updates count rows
+
+    def count_update(slot: int, counted: str) -> List[str]:
+        nonlocal counting
+        if share_counts:
+            if counting is not None:
+                shared.append((slot, counting))
+                return []
+            counting = slot
+        return [f"acc[{slot}] += {counted}"]
+
     for aggregate, operands in aggregates:
         kind = type(aggregate)
         atom, maybe = operands[0]
@@ -873,7 +896,7 @@ def _emit_aggregate_updates(
             slot_no_nulls.append(True)
             counted = atom if merge else "1"
             seeds.append(f"0 + {counted}")
-            update.append(f"{here} += {counted}")
+            update += count_update(slot, counted)
         elif kind is SumAggregate:
             initial.append(None)
             slot_no_nulls.append(not maybe)
@@ -892,7 +915,7 @@ def _emit_aggregate_updates(
             counted = operands[1][0] if merge else "1"
             seeds.extend([f"0.0 + {atom}", f"0 + {counted}"])
             update.append(f"{here} += {atom}")
-            update.append(f"{count} += {counted}")
+            update += count_update(slot + 1, counted)
             results[-1] = f"{here} / {count} if {count} else None"
         else:
             initial.append(None)
@@ -910,7 +933,7 @@ def _emit_aggregate_updates(
             update = [f"if {atom} is not None:", *_indented(update)]
         lines += update
     return _Fold(initial, lines, results, seeds if seeded else None,
-                 slot_no_nulls, result_no_nulls)
+                 slot_no_nulls, result_no_nulls, shared)
 
 
 def _collect(lines: List[str], value: str, condition: str = "") -> List[str]:
@@ -1042,6 +1065,12 @@ def codegen_group_kernel(
     no per-row 1-tuple allocation, and a string key's cached hash is
     reused — equality over scalars matches equality over their
     1-tuples, so the groups are unchanged.
+
+    ``kernel.shared`` lists the ``(slot, source)`` pairs of count slots
+    this variant leaves at their seed because *source* counts the same
+    rows (every operand NULL-free, see :func:`_emit_aggregate_updates`);
+    whoever owns the table copies each source over its slots before it
+    flushes or hands the table to a variant that shares differently.
     """
     # COUNT(*) has no argument: it counts the sentinel True
     arguments = [
@@ -1056,7 +1085,7 @@ def codegen_group_kernel(
     fold = _emit_aggregate_updates(
         [(aggregate, [_emit(argument, scope)])
          for (aggregate, _argument), argument in zip(aggregates, arguments)],
-        scope,
+        scope, share_counts=True,
     )
     body = [
         *scope.lines,
@@ -1080,6 +1109,8 @@ def codegen_group_kernel(
          *_indented(_indented(body))],
         "_group_batch",
     )
+    kernel.shared = tuple(fold.shared)
+    get_metrics().counter("exec.kernel.shared_slots").add(len(fold.shared))
     out_no_nulls = [not maybe for _atom, maybe in keys] + fold.slot_no_nulls
     return kernel, fold.initial, scalar_key, out_no_nulls
 

@@ -237,6 +237,10 @@ class VectorMapGroupByOperator(VectorOperator):
         self._known: Optional[Tuple[bool, ...]] = None
         self._scalar_key = False
         self._out_no_nulls: Optional[List[bool]] = None
+        # (slot, source) pairs: count slots of the live table that the
+        # running variant leaves at their seed because *source* counts
+        # the same rows (``kernel.shared``)
+        self._shared: Tuple[Tuple[int, int], ...] = ()
         self.flushes = 0
 
     def process_batch(self, batch: ColumnBatch) -> None:
@@ -247,6 +251,13 @@ class VectorMapGroupByOperator(VectorOperator):
         kernel, initial, self._scalar_key, self._out_no_nulls = (
             self._kernels.variant(known)
         )
+        if kernel.shared != self._shared:
+            # a variant promised less shares less and would count on
+            # from the seeds: bring the live groups up to date first
+            for acc in self._table.values():
+                for slot, source in self._shared:
+                    acc[slot] = acc[source]
+            self._shared = kernel.shared
         kernel(batch.columns, _live(batch), self._table, initial, self._flush)
 
     def _flush(self) -> None:
@@ -257,7 +268,10 @@ class VectorMapGroupByOperator(VectorOperator):
         # flat slots are exactly the concatenated partial tuples, so the
         # batch is the key column(s) followed by the slot columns
         columns = [list(table)] if self._scalar_key else list(map(list, zip(*table)))
+        first_slot = len(columns)
         columns += map(list, zip(*table.values()))
+        for slot, source in self._shared:  # filled in from the slot that counted
+            columns[first_slot + slot] = columns[first_slot + source]
         size = len(table)
         table.clear()
         self.child.process_batch(
@@ -324,8 +338,9 @@ class VectorMapJoinOperator(VectorOperator):
                 small_append(null_pad)
         if not gather:
             return
-        big_columns = [
-            [column[i] for i in gather] for column in batch.columns
+        big_columns = [  # an absent column stays absent
+            None if column is None else [column[i] for i in gather]
+            for column in batch.columns
         ]
         small_columns = [list(values) for values in zip(*small_out)]
         if self._swap:

@@ -77,7 +77,15 @@ SWAP_MARGIN = 0.8
 
 @dataclass
 class ScanHints:
-    """ORC reader hints derived from the map chain (pruning + pushdown)."""
+    """What a scan may leave out, derived from the map chain.
+
+    ``columns`` names the columns the chain reads (``None`` = all).  It
+    decides two things: what every format's columnar scan *materializes*
+    — a column it does not name is absent from the batch, and reading it
+    fails (``ColumnBatch``) — and, for ORC alone, which streams the scan
+    is *charged* for (a cost-model input; Text and Sequence pay the full
+    row width whatever it says).  ``stats_conjuncts`` prune partitions
+    for every format and stripes for ORC."""
 
     columns: Optional[List[str]] = None  # None = all columns
     stats_conjuncts: List[Tuple[str, str, object]] = field(default_factory=list)
@@ -795,13 +803,21 @@ class PhysicalCompiler:
 
         Walks the chain while row positions still equal scan columns;
         stops at the first width-changing operator.  Falls back to "all
-        columns" when the chain consumes rows opaquely.
+        columns" when the chain consumes rows opaquely — or when the
+        directory's files disagree on their column names: positions are
+        resolved to names once, against one schema, and a scan leaves
+        out whatever the names do not cover.
         """
-        if not self.hdfs.list_dir(map_input.location):
+        files = self.hdfs.list_dir(map_input.location)
+        if not files:
             return ScanHints()
-        sample = self.hdfs.list_dir(map_input.location)
-        schema = sample[0].schema
-        names = [column.name.lower() for column in schema.columns]
+        schemas = [
+            [column.name.lower() for column in data_file.schema.columns]
+            for data_file in files
+        ]
+        names = schemas[0]
+        if schemas.count(names) != len(schemas):
+            return ScanHints()
 
         # mapping[i] = scan-column index feeding position i of the current
         # row; pure-InputRef Selects (column pruner output) are looked

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.errors import StorageError
+from repro.common.errors import SemanticError, StorageError
 from repro.common.rows import ColumnBatch, Schema, pack_column
+from repro.obs import get_metrics
 
 Row = Tuple[object, ...]
 Predicate = Callable[[Row], bool]
@@ -113,11 +114,37 @@ class StoredFile(abc.ABC):
         columns: Optional[Sequence[str]] = None,
         stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
     ) -> BatchScanResult:
-        """Columnar scan: same contract as :meth:`scan` but the result is
-        a full-width :class:`~repro.common.rows.ColumnBatch` served from
-        the file's columns, with no intermediate row tuples.  Byte
-        charges and stripe skipping are identical to :meth:`scan`.
+        """Columnar scan: the rows :meth:`scan` returns as a
+        :class:`~repro.common.rows.ColumnBatch` served from the file's
+        columns, with no intermediate row tuples.  The batch has the
+        file's full width, but only the columns *columns* names are
+        materialized (``None`` = all): every other position holds
+        ``None``, an absent column nobody may read.  ``no_nulls`` covers
+        every column either way.  Byte charges and stripe skipping are
+        identical to :meth:`scan` — what a scan materializes is a matter
+        of the host, what it is charged is the cost model's (a row
+        format still pays for the full row width).
         """
+
+    def _materialized(self, columns: Optional[Sequence[str]]) -> Sequence[int]:
+        """Schema positions, ascending, a columnar scan asked for
+        *columns* materializes; a name the file does not have raises
+        :class:`StorageError` (a hint computed from another schema must
+        not silently read nothing)."""
+        schema = self.schema
+        if columns is None:
+            positions: Sequence[int] = range(len(schema))
+        else:
+            try:
+                positions = sorted(set(map(schema.index_of, columns)))
+            except SemanticError as error:
+                raise StorageError(
+                    f"scan names a column the file does not have: {error}"
+                ) from None
+        get_metrics().counter("storage.scan.columns_materialized").add(
+            len(positions)
+        )
+        return positions
 
     @abc.abstractmethod
     def bytes_for_range(self, row_start: int, row_count: int) -> int:
@@ -128,8 +155,9 @@ class RowMajorStoredFile(StoredFile):
     """Shared shape of the row-oriented encodings (Text, Sequence): the
     whole file's columns in normal form plus a prefix sum of encoded row
     sizes (the subclass says what a row costs), so a range's bytes are
-    one subtraction.  No pruning, no pushdown: every scan returns the
-    plain contiguous range and pays for its full width.
+    one subtraction.  No pushdown, and pruning saves no byte: every scan
+    returns the plain contiguous range and pays for its full width (a
+    columnar scan still leaves unread columns out of its batch).
 
     ``no_nulls`` (one flag per column, what :meth:`scan_batch` puts on
     its batches) falls out of the build: a typed buffer cannot hold a
@@ -192,16 +220,17 @@ class RowMajorStoredFile(StoredFile):
         columns: Optional[Sequence[str]] = None,
         stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
     ) -> BatchScanResult:
-        """Column slices of the range — slicing a typed ``array`` yields
-        a typed ``array``; hints are ignored exactly as :meth:`scan`
-        ignores them and the byte charge is the same."""
+        """Slices of the range out of the columns *columns* names (all
+        of them for ``None``) — slicing a typed ``array`` yields a typed
+        ``array``.  The byte charge ignores the hints exactly as
+        :meth:`scan` does: a row format reads whole rows."""
         row_end = min(row_start + row_count, self.row_count)
         start = min(row_start, self.row_count)
+        out: List[Optional[Sequence]] = [None] * len(self.columns)
+        for position in self._materialized(columns):
+            out[position] = self.columns[position][start:row_end]
         return BatchScanResult(
-            batch=ColumnBatch(
-                [column[start:row_end] for column in self.columns],
-                row_end - start, None, self.no_nulls,
-            ),
+            batch=ColumnBatch(out, row_end - start, None, self.no_nulls),
             bytes_read=self.bytes_for_range(row_start, row_count),
         )
 

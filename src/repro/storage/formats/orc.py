@@ -543,14 +543,17 @@ class OrcStoredFile(StoredFile):
         """Columnar scan straight from the decoded stripe streams.
 
         No intermediate row tuples: surviving stripes contribute slices
-        of their per-column value streams (typed ``array`` slices stay
-        typed).
+        of the value streams of the columns *columns* names (typed
+        ``array`` slices stay typed); the other positions of the batch
+        stay absent, never sliced or joined.
         Stripe skipping and the byte-charge arithmetic are the same
         statements as :meth:`scan`, so the cost model cannot diverge
         between the two paths.
         """
         width = len(self.schema)
-        parts: List[List[Sequence]] = [[] for _ in range(width)]
+        parts: Dict[int, List[Sequence]] = {
+            position: [] for position in self._materialized(columns)
+        }
         facts: List[List[bool]] = []
         size = 0
         bytes_read = 0.0
@@ -571,11 +574,13 @@ class OrcStoredFile(StoredFile):
             decoded = self._stripe_columns[stripe_index]
             local_lo = lo - stripe.row_start
             local_hi = hi - stripe.row_start
-            for position in range(width):
-                parts[position].append(decoded[position][local_lo:local_hi])
+            for position, pieces in parts.items():
+                pieces.append(decoded[position][local_lo:local_hi])
             facts.append(self._stripe_no_nulls[stripe_index])
             size += hi - lo
-        out_columns = [concat_columns(pieces) for pieces in parts]
+        out_columns: List[Optional[Sequence]] = [None] * width
+        for position, pieces in parts.items():
+            out_columns[position] = concat_columns(pieces)
         no_nulls = and_no_nulls(facts) or [True] * width  # no rows: vacuous
         return BatchScanResult(
             batch=ColumnBatch(out_columns, size, None, no_nulls),

@@ -213,10 +213,19 @@ def test_project_filter_and_keys_kernels(columns, expressions):
             assert not known or None not in column
 
 
-_AGGREGATE_SPECS = st.lists(
-    st.tuples(st.sampled_from(["count", "sum", "avg", "min", "max"]),
-              st.one_of(st.none(), _NUMERICS)),
-    min_size=0, max_size=4,
+_AGGREGATE_SPECS = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(["count", "sum", "avg", "min", "max"]),
+                  st.one_of(st.none(), _NUMERICS)),
+        min_size=0, max_size=4,
+    ),
+    # several counts side by side — COUNT(*), COUNT(x), AVG(x) over plain
+    # columns, the shape whose count slots a seeded kernel shares
+    st.lists(
+        st.tuples(st.sampled_from(["count", "count", "avg", "sum"]),
+                  st.one_of(st.none(), st.sampled_from([0, 1, 2]).map(_ref))),
+        min_size=2, max_size=6,
+    ),
 )
 
 
@@ -252,10 +261,15 @@ def test_group_kernel(tables, key_exprs, specs, max_groups):
         for columns in tables
     ]
     bare = [ColumnBatch(columns, len(columns[0])) for columns in tables]
-    # promises that change from batch to batch only ever narrow
+    # promises that change from batch to batch, in either direction: the
+    # operator only ever narrows what it takes as promised, and a table
+    # whose counts were shared is brought up to date before a variant
+    # that shares less runs on it
     mixed = [batch if index % 2 else plain
              for index, (batch, plain) in enumerate(zip(promised, bare))]
-    for batches in (promised, bare, mixed):
+    other = [plain if index % 2 else batch
+             for index, (batch, plain) in enumerate(zip(promised, bare))]
+    for batches in (promised, bare, mixed, other):
         assert _outcome(_group_rows, batches, key_exprs, aggregates,
                         max_groups, True) == expected
 
@@ -344,6 +358,68 @@ def test_avg_slot_is_seeded_with_zero_plus_the_first_value():
         table = {}
         kernel([[3], [-0.0]], range(1), table, initial, lambda: None)
         assert repr(table) == "{(): [3.0, 1, 0.0, 1]}"
+
+
+_COUNTS = [(AGGREGATES["count"], None), (AGGREGATES["avg"], _ref(1)),
+           (AGGREGATES["count"], _ref(2)), (AGGREGATES["sum"], _ref(1))]
+# slots: count(*) | avg sum, avg count | count(c2) | sum
+
+
+def test_counts_share_a_slot_only_when_they_count_the_same_rows():
+    """Seeded — every operand promised NULL-free — ``COUNT(*)``, the
+    count half of ``AVG`` and ``COUNT(x)`` all count the group's rows:
+    one is updated, the others are filled in at the flush.  A ``COUNT(x)``
+    over a column that may hold NULL counts something else, and a kernel
+    that shared it with ``COUNT(*)`` would report 3 for the 2 below."""
+    kernel = codegen_group_kernel([_ref(0)], _COUNTS, 10, frozenset({0, 1, 2}))[0]
+    assert kernel.shared == ((2, 0), (3, 0))
+    for no_nulls in (frozenset({0, 1}), frozenset()):
+        assert codegen_group_kernel([_ref(0)], _COUNTS, 10, no_nulls)[0].shared == ()
+    desc = MapGroupByDesc([_ref(0)], _COUNTS, 10)
+    mapper = ExecMapper([desc, FileSinkDesc()], None, 1, vectorized=True)
+    mapper.process_batch(ColumnBatch(
+        [[7, 7, 7], [1.0, 2.0, 4.0], [5, None, 6]], 3, None, [True, True, False]
+    ))
+    assert mapper.close().output_rows == [(7, 3, 7.0, 3, 2, 7.0)]
+    # the reduce-side kernel has no flush to fill anything in: it shares nothing
+    reduce, _initial, _facts_out = codegen_reduce_aggregate_kernel(
+        [aggregate for aggregate, _argument in _COUNTS], [1, 2, 1, 1],
+        frozenset(range(5)),
+    )
+    assert reduce([0, 1], [2], [[3, 2], [7.0, 1.0], [3, 2], [2, 2], [7.0, 1.0]],
+                  None) == [[5], [8.0 / 5], [4], [8.0]]
+
+
+def test_a_flush_fills_the_shared_counts_in_mid_batch_and_at_close():
+    """``max_groups`` 2 and three keys: the third key's first row flushes
+    the table in mid-batch.  A flush that forgot the fill would emit the
+    seeds — 1 — in every shared slot."""
+    desc = MapGroupByDesc([_ref(0)], _COUNTS, 2)
+    mapper = ExecMapper([desc, FileSinkDesc()], None, 1, vectorized=True)
+    mapper.process_batch(ColumnBatch(
+        [[1, 1, 2, 1, 3, 3], [1.0] * 6, [0] * 6], 6, None, [True, True, True]
+    ))
+    assert mapper.close().output_rows == [
+        (1, 3, 3.0, 3, 3, 3.0), (2, 1, 1.0, 1, 1, 1.0), (3, 2, 2.0, 2, 2, 2.0),
+    ]
+
+
+def test_a_variant_that_shares_less_starts_from_filled_in_counts():
+    """Batch one is promised NULL-free and runs the sharing variant: the
+    group's three rows are counted in one slot.  Batch two promises
+    nothing, so its variant updates every count on its own — from 3, not
+    from the seeds, or ``COUNT(*)`` would say 5 and ``AVG``'s count 3."""
+    desc = MapGroupByDesc([_ref(0)], _COUNTS, 10)
+    mapper = ExecMapper([desc, FileSinkDesc()], None, 1, vectorized=True)
+    mapper.process_batch(ColumnBatch(
+        [[7, 7, 7], [1.0, 2.0, 4.0], [5, 5, 6]], 3, None, [True, True, True]
+    ))
+    mapper.process_batch(ColumnBatch([[7, 7], [None, 8.0], [None, 1]], 2))
+    # and promised again: the operator stays on the narrower variant
+    mapper.process_batch(ColumnBatch(
+        [[7], [1.0], [1]], 1, None, [True, True, True]
+    ))
+    assert mapper.close().output_rows == [(7, 6, 16.0, 5, 5, 16.0)]
 
 
 def test_a_value_computed_in_a_case_branch_is_not_reused_outside_it():

@@ -126,6 +126,39 @@ def test_q1_and_q6_compile_without_a_null_guard(format_name):
         assert _compiled_while(session, tpch_query(6, 1)) == (0, 0, 0)
 
 
+def test_q1_counts_its_rows_once(monkeypatch):
+    """Q1 keeps eleven slots a group — four sums, three ``AVG`` pairs,
+    ``COUNT(*)`` — and four of them count the group's rows.  Over a
+    NULL-free ``lineitem`` the group kernel updates one of the four
+    (8 slot updates a row, not 11) and the flush fills in the other
+    three; Q6's single ``SUM`` has nothing to share."""
+    from repro.exec import expressions
+
+    sources = []
+    compile_kernel = expressions._compile_kernel
+
+    def spy(source, env, name):
+        sources.append(source)
+        return compile_kernel(source, env, name)
+
+    monkeypatch.setattr(expressions, "_compile_kernel", spy)
+    shared = get_metrics().counter("exec.kernel.shared_slots")
+
+    def group_kernel_of(session, number):
+        del sources[:]
+        before = shared.value
+        session.execute(tpch_query(number, 1))
+        (source,) = [text for text in sources if "_group_batch" in text]
+        updates = [line for line in source.splitlines()
+                   if line.lstrip().startswith("acc[")]
+        return len(updates), int(shared.value - before)
+
+    hdfs, metastore = fresh_tpch(1, lineitem_sample=400, format_name="orc")
+    with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
+        assert group_kernel_of(session, 1) == (8, 3)
+        assert group_kernel_of(session, 6) == (1, 0)
+
+
 @pytest.mark.parametrize("format_name", ["text", "orc"])
 def test_one_null_compiles_the_guarded_form(format_name):
     schema = TPCH_SCHEMAS["lineitem"]
