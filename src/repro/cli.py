@@ -21,22 +21,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import connect, make_warehouse
 from repro.common.config import (
-    FAULT_SPEC,
-    LEASE_AUDIT,
-    LLAP_CACHE_MB,
-    QUERY_DEADLINE,
-    RESULT_CACHE_ENABLED,
-    RESULT_CACHE_ENTRIES,
     SCHED_DEFAULT_POOL,
     SCHED_MAX_CONCURRENT,
     SCHED_POLICY,
     SCHED_POOLS,
-    SKEWJOIN_THRESHOLD,
-    STATS_ENABLED,
 )
 from repro.common.errors import ReproError
 from repro.common.units import format_duration
@@ -74,15 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="HiveQL to execute (repeatable)")
     parser.add_argument("-f", "--file", help="HiveQL script file")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
-                        help="session configuration, e.g. hive.datampi.parallelism=enhanced")
-    parser.add_argument("--faults", metavar="SPEC",
-                        help="fault plan, e.g. 'seed:7; fail:0.05; "
-                             "crash:w2@30-90; drain:w3@40; scale-up:w7@50' "
-                             "(grammar in docs/fault_model.md)")
-    parser.add_argument("--deadline", type=float, metavar="SECONDS",
-                        help="per-query deadline in simulated seconds for "
-                             "scheduled queries (repro.query.deadline); a "
-                             "query past it fails with QueryTimeoutError")
+                        help="session configuration, e.g. hive.datampi.parallelism=enhanced "
+                             "or 'repro.faults=seed:7; crash:w2@30-90' "
+                             "(keys in docs/sql_reference.md)")
     parser.add_argument("--trace", metavar="OUT.json",
                         help="write a Chrome-trace JSON of every query "
                              "(simulated time; one pid per engine)")
@@ -100,27 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="declare a scheduling pool, e.g. "
                              "'etl:weight=2,cap=1,queue=4' (repeatable; the "
                              "first one becomes the submit pool)")
-    parser.add_argument("--lease-audit", action="store_true",
-                        help="record the per-slot lease event trail "
-                             "(repro.lease.audit; aggregate accounting "
-                             "is always on)")
-    parser.add_argument("--llap-cache-mb", type=float, metavar="MB",
-                        help="per-node decoded-stripe cache capacity for "
-                             "--engine llap (repro.llap.cache.mb)")
-    parser.add_argument("--result-cache-entries", type=int, metavar="N",
-                        help="driver result-cache LRU capacity "
-                             "(repro.result.cache.entries)")
-    parser.add_argument("--no-result-cache", action="store_true",
-                        help="disable the driver result cache "
-                             "(repro.result.cache.enabled=false)")
-    parser.add_argument("--no-stats", action="store_true",
-                        help="plan from raw table bytes, ignoring collected "
-                             "statistics (repro.stats.enabled=false)")
-    parser.add_argument("--skew-threshold", type=float, metavar="SHARE",
-                        help="heavy-hitter share above which a join key is "
-                             "split across reducers; 0 disables skew joins "
-                             "(repro.skewjoin.threshold)")
     return parser
+
+
+def parse_settings(parser: argparse.ArgumentParser,
+                   assignments: List[str]) -> List[Tuple[str, str]]:
+    """``--set K=V`` pairs, split at the first ``=`` (the value keeps any
+    later ``=`` or ``;``); a missing ``=`` or an empty key is a usage
+    error."""
+    settings = []
+    for assignment in assignments:
+        key, sep, value = assignment.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            parser.error(f"--set expects K=V, got {assignment!r}")
+        settings.append((key, value.strip()))
+    return settings
 
 
 def load_workload(args, hdfs: HDFS, metastore: Metastore) -> None:
@@ -207,7 +188,9 @@ def run_concurrent(sessions, statements: List[str], quiet: bool,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    settings = parse_settings(parser, args.set)
     engines = args.engine or ["datampi"]
 
     hdfs, metastore = make_warehouse(num_workers=7)
@@ -217,25 +200,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     sessions = []
     for engine_name in engines:
         session = connect(engine=engine_name, hdfs=hdfs, metastore=metastore)
-        for assignment in args.set:
-            key, _, value = assignment.partition("=")
-            session.conf.set(key.strip(), value.strip())
-        if args.faults:
-            session.conf.set(FAULT_SPEC, args.faults)
-        if args.deadline is not None:
-            session.conf.set(QUERY_DEADLINE, args.deadline)
-        if args.llap_cache_mb is not None:
-            session.conf.set(LLAP_CACHE_MB, args.llap_cache_mb)
-        if args.result_cache_entries is not None:
-            session.conf.set(RESULT_CACHE_ENTRIES, args.result_cache_entries)
-        if args.no_result_cache:
-            session.conf.set(RESULT_CACHE_ENABLED, False)
-        if args.no_stats:
-            session.conf.set(STATS_ENABLED, False)
-        if args.skew_threshold is not None:
-            session.conf.set(SKEWJOIN_THRESHOLD, args.skew_threshold)
-        if args.lease_audit:
-            session.conf.set(LEASE_AUDIT, True)
+        for key, value in settings:
+            session.conf.set(key, value)
         if concurrent:
             session.conf.set(SCHED_POLICY, args.scheduler or "fifo")
             session.conf.set(SCHED_MAX_CONCURRENT, args.concurrency)

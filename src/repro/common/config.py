@@ -17,7 +17,6 @@ from repro.common.errors import ConfigError
 HIVE_DATAMPI_PARALLELISM = "hive.datampi.parallelism"  # "default" | "enhanced"
 HIVE_DATAMPI_MEM_USED_PERCENT = "hive.datampi.memusedpercent"  # float in (0,1)
 HIVE_DATAMPI_SEND_QUEUE = "hive.datampi.sendqueue"  # int >= 1
-HIVE_FILE_FORMAT = "hive.default.fileformat"  # "text" | "sequence" | "orc"
 HIVE_MAPJOIN_SMALLTABLE_BYTES = "hive.mapjoin.smalltable.filesize"
 HIVE_REDUCERS_BYTES_PER_REDUCER = "hive.exec.reducers.bytes.per.reducer"  # default 1 GB
 
@@ -28,38 +27,26 @@ DATAMPI_OVERLAP = "datampi.shuffle.overlap"  # bool; False = send only at O end
 HIVE_DATAMPI_DAG = "hive.datampi.dag"  # bool; True = pipeline stages (future work §VII.3)
 
 # -- fault injection / recovery knobs ---------------------------------------
-FAILURE_RATE = "repro.failure.rate"  # per-attempt task failure probability
 FAULT_SPEC = "repro.faults"  # declarative fault plan (see docs/fault_model.md)
-FAULT_SEED = "repro.faults.seed"  # seed for every fault-plan random draw
-TASK_MAX_ATTEMPTS = "repro.task.max.attempts"  # per-task attempt cap (mr)
 RETRY_MAX = "repro.retry.max"  # whole-job resubmissions (dm)
 RETRY_BACKOFF = "repro.retry.backoff"  # base backoff seconds, doubles per retry
 RETRY_FALLBACK = "repro.retry.fallback"  # engine name to degrade to ("" = off)
 SPECULATIVE_EXECUTION = "repro.speculative.execution"  # bool (mr stragglers)
-SPECULATIVE_SLOWDOWN = "repro.speculative.slowdown"  # lateness factor to trigger
-BLACKLIST_THRESHOLD = "repro.blacklist.failures"  # failures/node before blacklist
 
 # -- membership / health knobs (docs/fault_model.md) -------------------------
 HEARTBEAT_ENABLED = "repro.heartbeat.enabled"  # "auto" | "true" | "false"
-HEARTBEAT_INTERVAL = "repro.heartbeat.interval"  # seconds between beats
-HEARTBEAT_SUSPECT = "repro.heartbeat.suspect"  # silence before suspicion
-HEARTBEAT_TIMEOUT = "repro.heartbeat.timeout"  # silence before declared dead
 QUERY_DEADLINE = "repro.query.deadline"  # seconds per query (0 = no deadline)
 LEASE_AUDIT = "repro.lease.audit"  # record the per-slot lease event trail
 BREAKER_THRESHOLD = "repro.breaker.threshold"  # consecutive failures (0 = off)
-BREAKER_COOLDOWN = "repro.breaker.cooldown"  # seconds a tripped breaker stays open
 
 # -- llap persistent-daemon engine knobs (docs/llap_engine.md) ---------------
 LLAP_CACHE_MB = "repro.llap.cache.mb"  # per-node decoded-stripe cache capacity
-LLAP_DAEMON_SLOTS = "repro.llap.daemon.slots"  # executors per daemon (0 = all)
 RESULT_CACHE_ENABLED = "repro.result.cache.enabled"  # bool; driver result cache
-RESULT_CACHE_ENTRIES = "repro.result.cache.entries"  # LRU capacity (queries)
 
 # -- statistics / skew-join knobs (docs/optimizer.md) -----------------------
 STATS_ENABLED = "repro.stats.enabled"  # bool; stats-driven planning
 STATS_AUTO = "repro.stats.auto"  # bool; basic-stats autogather on INSERT/CTAS
 SKEWJOIN_THRESHOLD = "repro.skewjoin.threshold"  # heavy-key share; <=0 disables
-SKEWJOIN_FANOUT = "repro.skewjoin.fanout"  # reducers per heavy key; 0 = all
 
 # -- workload scheduler knobs (docs/scheduling.md) --------------------------
 SCHED_POLICY = "repro.sched.policy"  # "fifo" | "fair" | "capacity"

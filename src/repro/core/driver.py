@@ -21,12 +21,9 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.config import (
     Configuration,
-    HIVE_FILE_FORMAT,
     HIVE_MAPJOIN_SMALLTABLE_BYTES,
     RESULT_CACHE_ENABLED,
-    RESULT_CACHE_ENTRIES,
     RETRY_FALLBACK,
-    SKEWJOIN_FANOUT,
     SKEWJOIN_THRESHOLD,
     STATS_AUTO,
     STATS_ENABLED,
@@ -49,10 +46,13 @@ from repro.storage.metastore import Metastore
 COMPILE_BASE_SECONDS = 0.6
 COMPILE_PER_JOB_SECONDS = 0.15
 
-# bounds of the session-scoped caches (the result cache's comes from
-# ``repro.result.cache.entries``, default 64)
+# bounds of the session-scoped caches
 STATEMENT_CACHE_ENTRIES = 256
 PLAN_CACHE_ENTRIES = 64
+RESULT_CACHE_ENTRIES = 64
+
+# file format of a CREATE TABLE / CTAS without a STORED AS clause
+DEFAULT_FILE_FORMAT = "text"
 
 
 @dataclass
@@ -364,7 +364,7 @@ class Driver:
                 Column(col.name, DataType.from_name(col.type_name))
                 for col in statement.partition_columns
             ]
-            fmt = statement.format_name or self._default_format()
+            fmt = statement.format_name or DEFAULT_FILE_FORMAT
             self.metastore.create_table(
                 statement.name, schema, format_name=fmt,
                 partition_columns=partition_columns,
@@ -406,9 +406,6 @@ class Driver:
         )
 
     # -- helpers ------------------------------------------------------------------
-    def _default_format(self) -> str:
-        return self.conf.get(HIVE_FILE_FORMAT, "text") or "text"
-
     def _next_query_id(self) -> str:
         self._query_counter += 1
         return f"{self.engine.name}-q{self._query_counter}"
@@ -498,7 +495,7 @@ class Driver:
         if self.metastore.has_table(statement.name):
             raise SemanticError(f"table already exists: {statement.name}")
         query_id = self._next_query_id()
-        fmt = statement.format_name or self._default_format()
+        fmt = statement.format_name or DEFAULT_FILE_FORMAT
         location = f"/warehouse/{statement.name.lower()}"
         plan = self._compile(statement.query, location, fmt, query_id)
         plan.returns_rows = False
@@ -649,7 +646,7 @@ class Driver:
         target = statement.target
         query_id = self._next_query_id()
         if isinstance(target, ast.CreateTableAsSelect):
-            fmt = target.format_name or self._default_format()
+            fmt = target.format_name or DEFAULT_FILE_FORMAT
             plan = self._compile(
                 target.query, f"/warehouse/{target.name.lower()}", fmt, query_id
             )
@@ -682,9 +679,7 @@ class Driver:
         if not self.conf.get_bool(RESULT_CACHE_ENABLED, True):
             return None
         if self._result_cache is None:
-            self._result_cache = LruCache(
-                self.conf.get_int(RESULT_CACHE_ENTRIES, 64)
-            )
+            self._result_cache = LruCache(RESULT_CACHE_ENTRIES)
         return self._result_cache
 
     def result_cache_lookup(self, statement: ParsedStatement
@@ -765,7 +760,7 @@ class Driver:
         and epoch parts are read live on every call; the
         configuration the physical compiler consults is the map-join
         small-table threshold (``hive.mapjoin.smalltable.filesize``)
-        and the stats-driven planning and skew-join knobs.  The
+        and the stats-driven planning and skew-join threshold keys.  The
         metastore ``stats_epoch`` is part of the key so a plan costed
         under old statistics can never be replayed after an ANALYZE (or
         autogather) changed what the optimizer would decide — the
@@ -778,7 +773,6 @@ class Driver:
             self.conf.get(HIVE_MAPJOIN_SMALLTABLE_BYTES, None),
             self.conf.get(STATS_ENABLED, None),
             self.conf.get(SKEWJOIN_THRESHOLD, None),
-            self.conf.get(SKEWJOIN_FANOUT, None),
             self.metastore.stats_epoch,
         )
 

@@ -35,12 +35,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.common.config import (
-    LLAP_CACHE_MB,
-    LLAP_DAEMON_SLOTS,
-    RESULT_CACHE_ENABLED,
-    RESULT_CACHE_ENTRIES,
-)
+from repro.common.config import LLAP_CACHE_MB, RESULT_CACHE_ENABLED
 from repro.common.errors import EngineConfigError
 from repro.engines.base import (
     Engine,
@@ -290,19 +285,10 @@ register(EngineSpec(
             description="per-node decoded-stripe cache capacity in MB",
         ),
         EngineOption(
-            name="daemon_slots", key=LLAP_DAEMON_SLOTS, type=int, default=0,
-            description="executor slots per daemon (0 = every node slot)",
-        ),
-        EngineOption(
             name="result_cache", key=RESULT_CACHE_ENABLED, type=bool,
             default=True,
             description="serve repeated identical queries from the driver "
                         "result cache",
-        ),
-        EngineOption(
-            name="result_cache_entries", key=RESULT_CACHE_ENTRIES, type=int,
-            default=64,
-            description="driver result-cache LRU capacity in queries",
         ),
     ),
     description="LLAP-style persistent daemons with node-local columnar "

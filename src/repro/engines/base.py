@@ -26,9 +26,6 @@ from typing import (
 from repro.common.config import (
     Configuration,
     HEARTBEAT_ENABLED,
-    HEARTBEAT_INTERVAL,
-    HEARTBEAT_SUSPECT,
-    HEARTBEAT_TIMEOUT,
     HIVE_DATAMPI_PARALLELISM,
     HIVE_REDUCERS_BYTES_PER_REDUCER,
     LEASE_AUDIT,
@@ -764,9 +761,6 @@ class EngineRuntime:
             self.sim, self.cluster, FaultPlan.from_conf(conf),
             tracer=self.tracer, metrics=get_metrics(),
             heartbeat_enabled=(conf.get(HEARTBEAT_ENABLED, "auto") or "auto"),
-            heartbeat_interval=conf.get_float(HEARTBEAT_INTERVAL, 1.0),
-            heartbeat_suspect=conf.get_float(HEARTBEAT_SUSPECT, 3.0),
-            heartbeat_timeout=conf.get_float(HEARTBEAT_TIMEOUT, 10.0),
         )
         self.injector.start()
         # elastic scale-up: engines hold references to the per-worker aux

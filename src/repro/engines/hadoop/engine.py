@@ -34,11 +34,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.common.config import (
-    BLACKLIST_THRESHOLD,
     Configuration,
     MAPRED_COMPRESS_MAP_OUTPUT,
     SPECULATIVE_EXECUTION,
-    SPECULATIVE_SLOWDOWN,
 )
 from repro.common.units import MB
 from repro.engines.base import (
@@ -104,12 +102,7 @@ class _HadoopJob(JobContext):
         self.reduce_slots = reduce_slots
         compress = conf.get_bool(MAPRED_COMPRESS_MAP_OUTPUT, False)
         self.compress_ratio = engine.costs.compress_ratio if compress else 1.0
-        self.blacklist_threshold = max(
-            1, conf.get_int(BLACKLIST_THRESHOLD, DEFAULT_BLACKLIST_FAILURES)
-        )
         self.speculate = conf.get_bool(SPECULATIVE_EXECUTION, False)
-        self.spec_slowdown = conf.get_float(SPECULATIVE_SLOWDOWN,
-                                            DEFAULT_SPECULATIVE_SLOWDOWN)
         self.blacklist: Set[int] = set()
         self.failures_by_node: Dict[int, int] = {}
 
@@ -161,7 +154,7 @@ class HadoopEngine(TaskAttemptEngine):
         super().record_failure(ctx, node_index)
         count = ctx.failures_by_node.get(node_index, 0) + 1
         ctx.failures_by_node[node_index] = count
-        if count >= ctx.blacklist_threshold and node_index not in ctx.blacklist:
+        if count >= DEFAULT_BLACKLIST_FAILURES and node_index not in ctx.blacklist:
             ctx.blacklist.add(node_index)
             get_metrics().counter("hadoop.nodes.blacklisted").add(1)
             get_metrics().gauge("hadoop.blacklist.size").set(len(ctx.blacklist))
@@ -323,7 +316,7 @@ class HadoopEngine(TaskAttemptEngine):
                 if not ctx.map_durations:
                     continue
                 estimate = sum(ctx.map_durations) / len(ctx.map_durations)
-                if (sim.now - started) <= ctx.spec_slowdown * estimate:
+                if (sim.now - started) <= DEFAULT_SPECULATIVE_SLOWDOWN * estimate:
                     continue
                 candidates = [
                     i for i in injector.schedulable_worker_indices()

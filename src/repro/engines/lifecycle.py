@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.config import Configuration, TASK_MAX_ATTEMPTS
+from repro.common.config import Configuration
 from repro.engines.base import (
     Engine,
     EngineRuntime,
@@ -77,9 +77,6 @@ class JobContext:
         )
         self.timing.span = open_job_span(
             runtime.tracer, engine.name, job, sim.now, owner
-        )
-        self.max_attempts = max(
-            1, conf.get_int(TASK_MAX_ATTEMPTS, DEFAULT_MAX_TASK_ATTEMPTS)
         )
         self.first_start_event = sim.event()  # value: first attempt's start
         # map_index -> (node, collector, scale); filled as maps finish,
@@ -337,7 +334,7 @@ class TaskAttemptEngine(Engine):
                 task.attempts += 1
             execution = task.attempts
             doom = None
-            if executions < ctx.max_attempts:  # the last one always runs clean
+            if executions < DEFAULT_MAX_TASK_ATTEMPTS:  # the last one always runs clean
                 doom = injector.attempt_doom(ctx.job.job_id, task.task_id,
                                              execution)
             proc = sim.spawn(

@@ -39,11 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.common.config import (
-    Configuration,
-    LLAP_CACHE_MB,
-    LLAP_DAEMON_SLOTS,
-)
+from repro.common.config import Configuration, LLAP_CACHE_MB
 from repro.common.units import MB
 from repro.engines.base import (
     EngineCapabilities,
@@ -129,20 +125,15 @@ class _DaemonFleet:
     the fleet (:meth:`EngineRuntime.engine_state`) and closes it.
     """
 
-    def __init__(self, engine: "LlapEngine", runtime: EngineRuntime,
-                 conf: Configuration):
+    def __init__(self, engine: "LlapEngine", runtime: EngineRuntime):
         self.engine = engine
         self.runtime = runtime
         self.sim = runtime.sim
-        daemon_slots = conf.get_int(LLAP_DAEMON_SLOTS, 0)
-        if daemon_slots <= 0:
-            daemon_slots = runtime.spec.slots_per_node
-        daemon_slots = min(daemon_slots, runtime.spec.slots_per_node)
-        self.daemon_slots = daemon_slots
+        self.daemon_slots = runtime.spec.slots_per_node
         self.daemons = [
             _Daemon(index) for index in range(len(runtime.cluster.workers))
         ]
-        self.exec_slots = runtime.aux_slots("llap.exec", daemon_slots, "llapx")
+        self.exec_slots = runtime.aux_slots("llap.exec", self.daemon_slots, "llapx")
         self.owner = LeaseOwner("llap-daemons", pool="llap")
         self.ready = self.sim.event()
         self.starting = False
@@ -353,7 +344,7 @@ class LlapEngine(TaskAttemptEngine):
         conf = conf or Configuration()
         self._cache_mb = conf.get_float(LLAP_CACHE_MB, DEFAULT_CACHE_MB)
         fleet = runtime.engine_state(
-            "llap.fleet", lambda: _DaemonFleet(self, runtime, conf)
+            "llap.fleet", lambda: _DaemonFleet(self, runtime)
         )
         yield from fleet.ensure_started()
         timings = []

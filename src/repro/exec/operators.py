@@ -62,9 +62,9 @@ class SkewRouteDesc:
 
     The optimizer attaches one of these to each side's ReduceSink when
     column stats flag skewed join keys.  ``mode='split'`` (the big side)
-    round-robins a heavy key's pairs over ``fanout`` partitions starting
+    round-robins a heavy key's pairs over all ``P`` partitions starting
     at the key's hash partition; ``mode='replicate'`` (the other side)
-    copies each heavy-key pair to all ``fanout`` targets.  Every split
+    copies each heavy-key pair to all ``P`` targets.  Every split
     partition thus holds a disjoint slice of the big side against the
     complete other side, so the per-partition join outputs union to
     exactly the plain-shuffle result.  Non-heavy keys route normally.
@@ -72,7 +72,6 @@ class SkewRouteDesc:
 
     heavy_keys: Tuple[Tuple[object, ...], ...]
     mode: str  # 'split' | 'replicate'
-    fanout: int = 0  # target partitions per heavy key; 0 = all
 
 
 @dataclass
@@ -159,14 +158,12 @@ class SkewRoutingCollector(Collector):
     buffers, so byte accounting per partition stays exact on every
     engine and the local oracle alike.  Routing is
     deterministic: per-key round-robin counters start at zero in every
-    task and targets are ``(hash_partition + s) % P`` for ``s <
-    fanout``, so a run's pair placement never depends on task order.
+    task and targets are ``(hash_partition + s) % P`` for ``s < P``, so
+    a run's pair placement never depends on task order.
     """
 
     def __init__(self, desc: SkewRouteDesc, inner: Collector, context: "OperatorContext"):
-        num_partitions = context.num_partitions
-        self._fanout = min(desc.fanout or num_partitions, num_partitions)
-        self._num_partitions = num_partitions
+        self._num_partitions = context.num_partitions
         self._split = desc.mode == "split"
         self._inner = inner
         self._context = context
@@ -181,20 +178,19 @@ class SkewRoutingCollector(Collector):
         if key not in offsets:
             self._inner.collect(partition, pair)
             return
-        fanout = self._fanout
+        num_partitions = self._num_partitions
         if self._split:
             offset = offsets[key]
-            offsets[key] = (offset + 1) % fanout
-            self._inner.collect((partition + offset) % self._num_partitions, pair)
+            offsets[key] = (offset + 1) % num_partitions
+            self._inner.collect((partition + offset) % num_partitions, pair)
             return
         # replicate: one copy per split target.  The sink already
         # accounted the pair once, so charge the extra copies here —
         # the engine's partition buffers below see every copy anyway.
         inner_collect = self._inner.collect
-        num_partitions = self._num_partitions
-        for offset in range(fanout):
+        for offset in range(num_partitions):
             inner_collect((partition + offset) % num_partitions, pair)
-        extra = fanout - 1
+        extra = num_partitions - 1
         if extra > 0:
             size = pair.serialized_size()
             context = self._context
@@ -212,12 +208,11 @@ class SkewRoutingCollector(Collector):
         if not heavy:
             self._inner.collect_batch(partition_ids, run)
             return
-        fanout = self._fanout
         num_partitions = self._num_partitions
         if self._split:
             for i in heavy:
                 offset = offsets[keys[i]]
-                offsets[keys[i]] = (offset + 1) % fanout
+                offsets[keys[i]] = (offset + 1) % num_partitions
                 partition_ids[i] = (partition_ids[i] + offset) % num_partitions
             self._inner.collect_batch(partition_ids, run)
             return
@@ -227,15 +222,15 @@ class SkewRoutingCollector(Collector):
         for i in heavy:
             positions += range(done, i)
             routed += partition_ids[done:i]
-            positions += [i] * fanout
+            positions += [i] * num_partitions
             routed += [
                 (partition_ids[i] + offset) % num_partitions
-                for offset in range(fanout)
+                for offset in range(num_partitions)
             ]
             done = i + 1
         positions += range(done, len(run))
         routed += partition_ids[done:]
-        extra = fanout - 1
+        extra = num_partitions - 1
         if extra > 0:
             context = self._context
             sizes = [run.sizes[i] for i in heavy]

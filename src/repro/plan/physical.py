@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.config import (
     Configuration,
     HIVE_MAPJOIN_SMALLTABLE_BYTES,
-    SKEWJOIN_FANOUT,
     SKEWJOIN_THRESHOLD,
     STATS_ENABLED,
 )
@@ -243,7 +242,6 @@ class PhysicalCompiler:
         self._skew_threshold = self.conf.get_float(
             SKEWJOIN_THRESHOLD, DEFAULT_SKEW_THRESHOLD
         )
-        self._skew_fanout = self.conf.get_int(SKEWJOIN_FANOUT, 0)
 
     # -- public API ---------------------------------------------------------
     def compile(
@@ -762,12 +760,8 @@ class PhysicalCompiler:
             split_left = bool(left_heavy)
         hitters = left_heavy if split_left else right_heavy
         heavy_keys = tuple((value,) for value, _share in hitters)
-        split_desc = SkewRouteDesc(
-            heavy_keys=heavy_keys, mode="split", fanout=self._skew_fanout
-        )
-        replicate_desc = SkewRouteDesc(
-            heavy_keys=heavy_keys, mode="replicate", fanout=self._skew_fanout
-        )
+        split_desc = SkewRouteDesc(heavy_keys=heavy_keys, mode="split")
+        replicate_desc = SkewRouteDesc(heavy_keys=heavy_keys, mode="replicate")
         split_est = left_est if split_left else right_est
         side_name = split_est.table or ("left" if split_left else "right")
         get_metrics().counter("optimizer.skew_splits").add(1)

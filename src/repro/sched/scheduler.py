@@ -34,7 +34,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import engines as engine_registry
 from repro.common.config import (
-    BREAKER_COOLDOWN,
     BREAKER_THRESHOLD,
     Configuration,
     QUERY_DEADLINE,
@@ -63,6 +62,7 @@ from repro.simulate import Interrupt, LeaseOwner
 from repro.sql import parse_script  # noqa: F401
 
 POLICIES = ("fifo", "fair", "capacity")
+BREAKER_COOLDOWN = 30.0  # simulated seconds a tripped breaker stays open
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -335,9 +335,6 @@ class WorkloadScheduler:
         self._fallback_engines: Dict[str, Engine] = {}
         self._breaker_threshold = max(
             0, driver.conf.get_int(BREAKER_THRESHOLD, 0)
-        )
-        self._breaker_cooldown = max(
-            0.0, driver.conf.get_float(BREAKER_COOLDOWN, 30.0)
         )
         self._breakers: Dict[str, EngineBreaker] = {}
 
@@ -656,8 +653,7 @@ class WorkloadScheduler:
     def _breaker(self, engine_name: str) -> EngineBreaker:
         breaker = self._breakers.get(engine_name)
         if breaker is None:
-            breaker = EngineBreaker(self._breaker_threshold,
-                                    self._breaker_cooldown)
+            breaker = EngineBreaker(self._breaker_threshold, BREAKER_COOLDOWN)
             self._breakers[engine_name] = breaker
         return breaker
 

@@ -12,8 +12,8 @@ so recovery is something the engines actually have to *do* (release
 slots, free memory, discard partial output, re-execute), not a sleep
 penalty.
 
-Fault-plan grammar (also accepted via ``repro.faults`` / CLI
-``--faults``), clauses separated by ``;``::
+Fault-plan grammar (the value of ``repro.faults``; on the CLI
+``--set 'repro.faults=...'``), clauses separated by ``;``::
 
     seed:7                     # seed for every probabilistic draw
     fail:0.05                  # per-attempt task failure probability
@@ -32,14 +32,14 @@ from ``(seed, job, task, attempt)`` via :mod:`repro.common.rng`, so runs
 are deterministic and independent of event ordering.
 
 When a plan is active the injector also runs a :class:`HeartbeatMonitor`
-in simulated time: workers beat every ``repro.heartbeat.interval``
-seconds, silence beyond ``repro.heartbeat.suspect`` marks a node
-*suspected*, silence beyond ``repro.heartbeat.timeout`` *declares* it
-dead and only then notifies deferred crash subscribers — so engines
-learn about remote node loss with realistic detection latency instead of
-an oracle callback.  A straggling node beats late (every
-``interval x slowdown`` seconds), so heavy slowdowns cause transient
-false suspicions that clear when the late beat lands.
+in simulated time: workers beat every ``HEARTBEAT_INTERVAL`` seconds,
+silence beyond ``HEARTBEAT_SUSPECT`` marks a node *suspected*, silence
+beyond ``HEARTBEAT_TIMEOUT`` *declares* it dead and only then notifies
+deferred crash subscribers — so engines learn about remote node loss
+with realistic detection latency instead of an oracle callback.  A
+straggling node beats late (every ``HEARTBEAT_INTERVAL x slowdown``
+seconds), so heavy slowdowns cause transient false suspicions that clear
+when the late beat lands.
 """
 
 from __future__ import annotations
@@ -49,11 +49,15 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.config import FAILURE_RATE, FAULT_SEED, FAULT_SPEC
+from repro.common.config import FAULT_SPEC
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_rng
 from repro.simulate.cluster import Cluster
 from repro.simulate.events import Process, Simulator
+
+HEARTBEAT_INTERVAL = 1.0  # simulated seconds between beats
+HEARTBEAT_SUSPECT = 3.0  # silence before a node is suspected
+HEARTBEAT_TIMEOUT = 10.0  # silence before a node is declared dead
 
 
 @dataclass(frozen=True)
@@ -211,8 +215,10 @@ class FaultPlan:
 
     # -- construction ---------------------------------------------------------
     @staticmethod
-    def parse(spec: str, seed: int = 0, task_failure_rate: float = 0.0) -> "FaultPlan":
+    def parse(spec: str) -> "FaultPlan":
         """Parse the clause grammar documented at module top."""
+        seed = 0
+        task_failure_rate = 0.0
         crashes: List[NodeCrash] = []
         degradations: List[Degradation] = []
         stragglers: List[Straggler] = []
@@ -273,14 +279,8 @@ class FaultPlan:
 
     @staticmethod
     def from_conf(conf) -> "FaultPlan":
-        """Build the plan a session asked for: the declarative
-        ``repro.faults`` spec folded together with the legacy scalar
-        ``repro.failure.rate``."""
-        return FaultPlan.parse(
-            conf.get(FAULT_SPEC, "") or "",
-            seed=conf.get_int(FAULT_SEED, 0),
-            task_failure_rate=conf.get_float(FAILURE_RATE, 0.0),
-        )
+        """Build the plan a session asked for from ``repro.faults``."""
+        return FaultPlan.parse(conf.get(FAULT_SPEC, "") or "")
 
 
 @dataclass
@@ -300,15 +300,16 @@ class FaultEvent:
 class HeartbeatMonitor:
     """Failure detection through missed heartbeats, in simulated time.
 
-    Every worker conceptually sends a beat each *interval* seconds; a
-    straggling node (CPU slowdown ``F``) beats every ``interval x F``
-    seconds, and a dead node stops beating at the crash instant.  The
+    Every worker conceptually sends a beat each ``HEARTBEAT_INTERVAL``
+    seconds; a straggling node (CPU slowdown ``F``) beats every
+    ``HEARTBEAT_INTERVAL x F`` seconds, and a dead node stops beating at
+    the crash instant.  The
     monitor ticks once per interval (daemon callbacks only — it never
     keeps the simulation alive) and walks workers through the
     suspicion state machine:
 
-    * silence >= ``suspect_after``  -> *suspected* (``node-suspect``)
-    * silence >= ``timeout``        -> *declared dead*
+    * silence >= ``HEARTBEAT_SUSPECT`` -> *suspected* (``node-suspect``)
+    * silence >= ``HEARTBEAT_TIMEOUT`` -> *declared dead*
       (``node-dead-declared``) — only now are deferred crash
       subscribers notified, so remote recovery (lost-map re-execution,
       gang teardown for non-resident nodes) pays detection latency;
@@ -319,19 +320,9 @@ class HeartbeatMonitor:
       ``node-rejoin`` and re-arm detection.
     """
 
-    def __init__(self, injector: "FaultInjector", interval: float,
-                 suspect_after: float, timeout: float):
-        if interval <= 0:
-            raise ConfigError(f"heartbeat interval must be > 0: {interval}")
-        if not 0 < suspect_after < timeout:
-            raise ConfigError(
-                f"need 0 < suspect ({suspect_after}) < timeout ({timeout})"
-            )
+    def __init__(self, injector: "FaultInjector"):
         self.injector = injector
         self.sim = injector.sim
-        self.interval = interval
-        self.suspect_after = suspect_after
-        self.timeout = timeout
         self._last_beat: Dict[int, float] = {}
         self._suspected: Set[int] = set()
         self._declared: Set[int] = set()
@@ -351,7 +342,7 @@ class HeartbeatMonitor:
         self._started = True
         for index in range(len(self.injector.cluster.workers)):
             self._last_beat[index] = self.sim.now
-        self.sim.call_at(self.sim.now + self.interval, self._tick, daemon=True)
+        self.sim.call_at(self.sim.now + HEARTBEAT_INTERVAL, self._tick, daemon=True)
 
     def track(self, worker_index: int) -> None:
         """Start watching a worker that joined after :meth:`start`."""
@@ -364,18 +355,18 @@ class HeartbeatMonitor:
             if node.alive:
                 # credit the newest beat that would have arrived by now;
                 # a straggler's beats are spaced interval x slowdown
-                gap = self.interval * max(1.0, node.slowdown)
+                gap = HEARTBEAT_INTERVAL * max(1.0, node.slowdown)
                 if now - last >= gap:
                     last += math.floor((now - last) / gap) * gap
                     self._last_beat[index] = last
             silence = now - last
             if index in self._declared:
-                if silence < self.suspect_after:
+                if silence < HEARTBEAT_SUSPECT:
                     self._declared.discard(index)
                     self._suspected.discard(index)
                     self.injector._record("node-rejoin", worker=index)
                 continue
-            if silence >= self.timeout:
+            if silence >= HEARTBEAT_TIMEOUT:
                 self._suspected.discard(index)
                 self._declared.add(index)
                 self.injector._record(
@@ -383,7 +374,7 @@ class HeartbeatMonitor:
                     silence=round(silence, 3),
                 )
                 self.injector._notify_deferred(index)
-            elif silence >= self.suspect_after:
+            elif silence >= HEARTBEAT_SUSPECT:
                 if index not in self._suspected:
                     self._suspected.add(index)
                     self.injector._record(
@@ -393,7 +384,7 @@ class HeartbeatMonitor:
             elif index in self._suspected:
                 self._suspected.discard(index)
                 self.injector._record("suspect-cleared", worker=index)
-        self.sim.call_at(now + self.interval, self._tick, daemon=True)
+        self.sim.call_at(now + HEARTBEAT_INTERVAL, self._tick, daemon=True)
 
 
 class FaultInjector:
@@ -428,10 +419,7 @@ class FaultInjector:
     DRAIN_POLL_SECONDS = 0.5
 
     def __init__(self, sim: Simulator, cluster: Cluster, plan: FaultPlan,
-                 tracer=None, metrics=None, heartbeat_enabled: str = "auto",
-                 heartbeat_interval: float = 1.0,
-                 heartbeat_suspect: float = 3.0,
-                 heartbeat_timeout: float = 10.0):
+                 tracer=None, metrics=None, heartbeat_enabled: str = "auto"):
         self.sim = sim
         self.cluster = cluster
         self.plan = plan
@@ -441,9 +429,6 @@ class FaultInjector:
         self.span = None
         self.monitor: Optional[HeartbeatMonitor] = None
         self._heartbeat_enabled = heartbeat_enabled
-        self._heartbeat_params = (
-            heartbeat_interval, heartbeat_suspect, heartbeat_timeout
-        )
         # insertion-ordered on purpose: crash delivery iterates this, and
         # a set's address-dependent order would make replays diverge
         self._registered: Dict[int, Dict[Process, None]] = {}
@@ -502,8 +487,7 @@ class FaultInjector:
         for drain in self.plan.drains:
             self.sim.call_at(drain.at, self._drain, drain.worker, daemon=True)
         if self._heartbeat_enabled != "false":
-            interval, suspect, timeout = self._heartbeat_params
-            self.monitor = HeartbeatMonitor(self, interval, suspect, timeout)
+            self.monitor = HeartbeatMonitor(self)
             self.monitor.start()
         self._refresh_alive_gauge()
 

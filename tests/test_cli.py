@@ -4,7 +4,9 @@ import io
 
 import pytest
 
+from repro import connect
 from repro.cli import build_parser, main
+from repro.common.config import SCHED_POOLS
 
 
 class TestParser:
@@ -63,6 +65,35 @@ class TestMain:
             capsys,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("assignment", ["=x", "hive.datampi.sendqueue"])
+    def test_malformed_set_is_usage_error(self, assignment, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--set", assignment, "-e", "SELECT 1"])
+        assert excinfo.value.code == 2
+        assert "--set expects K=V" in capsys.readouterr().err
+
+    def test_set_value_keeps_equals_and_semicolons(self, capsys, monkeypatch):
+        import repro.cli
+
+        sessions = []
+
+        def capture(**kwargs):
+            session = connect(**kwargs)
+            sessions.append(session)
+            return session
+
+        monkeypatch.setattr(repro.cli, "connect", capture)
+        code, _out, _err = self.run_cli(
+            ["--engine", "local", "--quiet",
+             "--set", "repro.sched.pools=etl:weight=2,cap=1; adhoc",
+             "-e", "SELECT x FROM ghost"],
+            capsys,
+        )
+        assert code == 0
+        assert [s.conf.get(SCHED_POOLS) for s in sessions] == [
+            "etl:weight=2,cap=1; adhoc"
+        ]
 
     def test_tpch_query_flag(self, capsys):
         code, out, err = self.run_cli(

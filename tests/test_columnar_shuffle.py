@@ -426,13 +426,12 @@ class _Stream(Collector):
 @given(
     st.sampled_from(["split", "replicate"]),
     st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=7),
     st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                       min_size=1, max_size=15), min_size=1, max_size=3),
 )
 def test_skew_routing_of_a_run_matches_per_pair_routing(mode, num_partitions,
-                                                        fanout, batches):
-    desc = SkewRouteDesc(heavy_keys=((1,), (4,)), mode=mode, fanout=fanout)
+                                                        batches):
+    desc = SkewRouteDesc(heavy_keys=((1,), (4,)), mode=mode)
     outcomes = []
     for columnar in (False, True):
         inner = _Stream()

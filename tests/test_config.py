@@ -2,13 +2,24 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 import repro
+from repro import engines
+from repro.cli import build_parser
 from repro.common import config
 from repro.common.config import Configuration
 from repro.common.errors import ConfigError
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+# The option surface, pinned.  Edit these downward only: a change that
+# raises one says which option it retires in exchange.
+DECLARED_KEYS = 27
+CLI_FLAGS = 16
+LLAP_OPTIONS = 2
 
 
 class TestConfiguration:
@@ -86,13 +97,18 @@ class TestConfiguration:
             conf.set("", "v")
 
 
+def _declared_keys():
+    """Key constant name -> key string, for every key the module declares."""
+    return {
+        name: value for name, value in vars(config).items()
+        if name.isupper() and isinstance(value, str)
+    }
+
+
 def test_every_declared_key_is_read_by_the_package():
     """A key constant nothing imports is a knob that silently does
     nothing when set."""
-    declared = {
-        name for name, value in vars(config).items()
-        if name.isupper() and isinstance(value, str)
-    }
+    declared = set(_declared_keys())
     imported = set()
     package = pathlib.Path(repro.__file__).parent
     for path in package.rglob("*.py"):
@@ -101,3 +117,37 @@ def test_every_declared_key_is_read_by_the_package():
                     and node.module == "repro.common.config"):
                 imported.update(alias.name for alias in node.names)
     assert declared - imported == set()
+
+
+def test_every_declared_key_is_set_by_a_test_bench_or_example():
+    """A key nothing outside the package sets is a knob nobody has
+    shown to work at a non-default value."""
+    corpus = "".join(
+        path.read_text()
+        for folder in ("tests", "benchmarks", "hostbench", "examples")
+        for path in (REPO / folder).rglob("*.py")
+    )
+    unset = {
+        name for name, key in _declared_keys().items()
+        if name not in corpus and key not in corpus
+    }
+    assert unset == set()
+
+
+def test_option_surface_is_pinned():
+    flags = [
+        action for action in build_parser()._actions
+        if action.option_strings and action.dest != "help"
+    ]
+    assert len(_declared_keys()) == DECLARED_KEYS
+    assert len(flags) == CLI_FLAGS
+    assert len(engines.get_spec("llap").options) == LLAP_OPTIONS
+
+
+def test_sql_reference_lists_exactly_the_declared_keys():
+    text = (REPO / "docs" / "sql_reference.md").read_text()
+    section = text.split("## Session configuration keys", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(_declared_keys().values())

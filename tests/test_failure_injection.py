@@ -12,13 +12,11 @@ import pytest
 
 from repro import connect
 from repro.common.config import (
-    FAULT_SEED,
     FAULT_SPEC,
     RETRY_BACKOFF,
     RETRY_FALLBACK,
     RETRY_MAX,
     SPECULATIVE_EXECUTION,
-    Configuration,
 )
 from repro.common.errors import ConfigError, RetryExhaustedError
 from repro.engines.base import compare_result_rows
@@ -61,21 +59,6 @@ class TestFaultPlanParsing:
     def test_bad_clause_rejected(self, spec):
         with pytest.raises(ConfigError):
             FaultPlan.parse(spec)
-
-    def test_from_conf_folds_legacy_rate_and_seed(self):
-        conf = Configuration({
-            FAULT_SPEC: "crash:w1@5",
-            FAULT_SEED: "42",
-            "repro.failure.rate": "0.2",
-        })
-        plan = FaultPlan.from_conf(conf)
-        assert plan.seed == 42
-        assert plan.task_failure_rate == pytest.approx(0.2)
-        assert len(plan.node_crashes) == 1
-
-    def test_spec_seed_overrides_conf_seed(self):
-        conf = Configuration({FAULT_SPEC: "seed:9", FAULT_SEED: "42"})
-        assert FaultPlan.from_conf(conf).seed == 9
 
 
 def _injector(rate, seed=0):

@@ -13,6 +13,7 @@ from repro.common.config import (
     SCHED_POLICY,
 )
 from repro.common.rows import Schema
+from repro.core import driver as driver_module
 from repro.engines.base import compare_result_rows
 from repro.engines.llap import LlapEngine, StripeCache
 from repro.sched.scheduler import scheduler_from_conf
@@ -298,10 +299,10 @@ class TestResultCache:
         assert session.caches()["result"] is None
         assert session.caches()["columnar"] == {}
 
-    def test_lru_capacity_evicts(self):
+    def test_lru_capacity_evicts(self, monkeypatch):
+        monkeypatch.setattr(driver_module, "RESULT_CACHE_ENTRIES", 2)
         hdfs, metastore = build_orc_warehouse()
-        session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                          engine_config={"result_cache_entries": 2})
+        session = connect(engine="llap", hdfs=hdfs, metastore=metastore)
         for sql in QUERIES:  # 3 distinct entries through a 2-entry cache
             session.query(sql)
         stats = session.caches()["result"]

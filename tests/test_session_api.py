@@ -148,8 +148,7 @@ class TestCapabilities:
     def test_spec_carries_options(self):
         spec = registry.get_spec("llap")
         names = {option.name for option in spec.options}
-        assert {"cache_mb", "daemon_slots", "result_cache",
-                "result_cache_entries"} <= names
+        assert names == {"cache_mb", "result_cache"}
 
     def test_engine_config_lands_on_conf_keys(self, warehouse):
         hdfs, metastore = warehouse
@@ -169,9 +168,9 @@ class TestCapabilities:
 
     def test_engine_config_bad_value_type(self, warehouse):
         hdfs, metastore = warehouse
-        with pytest.raises(EngineConfigError, match="daemon_slots"):
+        with pytest.raises(EngineConfigError, match="cache_mb"):
             connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                    engine_config={"daemon_slots": "lots"})
+                    engine_config={"cache_mb": "lots"})
 
     def test_engine_config_bool_parsing(self):
         option = registry.get_spec("llap").option("result_cache")
