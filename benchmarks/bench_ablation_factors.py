@@ -9,19 +9,21 @@ it carries; a final column shows the paper's future-work DAG mode on
 top (stage pipelining without HDFS materialization — §VII.3).
 """
 
+from dataclasses import replace
+
 from benchhelpers import emit, results_path, run_once
 
 from repro.bench import fresh_hibench, improvement_percent, run_hibench_query
 from repro.core.driver import Driver
 from repro.common.config import Configuration
-from repro.engines.datampi import DataMPICosts, DataMPIEngine
-from repro.engines.hadoop import HadoopCosts
+from repro.engines.datampi import DataMPIEngine
 from repro.reporting.figures import write_csv
+from repro.simulate import CostModel
 from repro.workloads.hibench import HIBENCH_JOIN, hibench_ddl
 
 
-def _run_with(hdfs, metastore, costs=None, conf=None):
-    engine = DataMPIEngine(hdfs, costs=costs or DataMPICosts())
+def _run_with(hdfs, metastore, model=None, conf=None):
+    engine = DataMPIEngine(hdfs, model=model)
     configuration = Configuration()
     for key, value in (conf or {}).items():
         configuration.set(key, value)
@@ -33,19 +35,21 @@ def _run_with(hdfs, metastore, costs=None, conf=None):
 
 def _experiment():
     hdfs, metastore = fresh_hibench(20, sample_uservisits=14000)
-    hadoop_costs = HadoopCosts()
+    model = CostModel()
 
     cases = {}
     cases["hadoop"] = run_hibench_query("hadoop", hdfs, metastore, "join").breakdown.total
     cases["datampi (full)"] = _run_with(hdfs, metastore)
 
     # factor 1 off: give DataMPI Hadoop-grade job control costs
-    heavy = DataMPICosts(
-        mpidrun_spawn=hadoop_costs.job_submit,
-        process_launch=hadoop_costs.schedule_delay + hadoop_costs.task_jvm_start,
-        task_setup=hadoop_costs.schedule_delay + hadoop_costs.task_jvm_start,
-    )
-    cases["- light-weight startup"] = _run_with(hdfs, metastore, costs=heavy)
+    hadoop = model.hadoop
+    heavy = replace(model, datampi=replace(
+        model.datampi,
+        mpidrun_spawn=hadoop.job_submit,
+        process_launch=hadoop.schedule_delay + hadoop.task_jvm_start,
+        task_setup=hadoop.schedule_delay + hadoop.task_jvm_start,
+    ))
+    cases["- light-weight startup"] = _run_with(hdfs, metastore, model=heavy)
 
     # factor 2 off: no computation/communication overlap
     cases["- overlapped shuffle"] = _run_with(

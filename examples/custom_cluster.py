@@ -2,16 +2,17 @@
 """Run your own workload on a custom simulated cluster.
 
 Demonstrates the lower-level API: a hand-defined star-schema workload, a
-non-default :class:`ClusterSpec` (more nodes, faster network — the
-paper's future-work point 2: "evaluate on different high-performance
-clusters"), and reading the dstat-style resource samples.
+:class:`CostModel` on a non-default :class:`ClusterSpec` (more nodes,
+faster network — the paper's future-work point 2: "evaluate on different
+high-performance clusters"), and reading the dstat-style resource
+samples.
 
 Run with:  python examples/custom_cluster.py
 """
 
 import random
 
-from repro import ClusterSpec, HDFS, Metastore, connect
+from repro import ClusterSpec, CostModel, HDFS, Metastore, connect
 from repro.common.rows import Schema
 from repro.common.units import GB, MB
 
@@ -61,19 +62,20 @@ LIMIT 10
 def main():
     rng = random.Random(7)
     # a bigger, faster cluster than the paper's testbed: 16 workers, 10 GigE
-    spec = ClusterSpec(
+    model = CostModel(cluster=ClusterSpec(
         num_nodes=17,
         slots_per_node=8,
         nic_bandwidth=1170 * MB,  # 10 GigE
         disk_bandwidth=180 * MB,
         memory_per_node=32 * GB,
-    )
-    hdfs = HDFS(num_workers=spec.num_workers)
+    ))
+    hdfs = HDFS(num_workers=model.cluster.num_workers)
     metastore = Metastore(hdfs)
     build(hdfs, metastore, rng)
 
     for engine in ("hadoop", "datampi"):
-        session = connect(engine=engine, hdfs=hdfs, metastore=metastore, spec=spec)
+        session = connect(engine=engine, hdfs=hdfs, metastore=metastore,
+                          model=model)
         result = session.query(QUERY, with_metrics=True)
         timing = result.execution
         peak_net = max((s.net_tx_bps for s in timing.metrics), default=0.0)

@@ -35,6 +35,7 @@ from repro.obs import MetricsRegistry, Span, Tracer, get_metrics
 from repro.sched import Pool, QueryHandle, WorkloadScheduler
 from repro.session import Session, connect
 from repro.simulate.cluster import ClusterSpec
+from repro.simulate.costmodel import CostModel
 from repro.storage.hdfs import HDFS
 from repro.storage.metastore import Metastore
 
@@ -50,6 +51,7 @@ __all__ = [
     "HDFS",
     "Metastore",
     "ClusterSpec",
+    "CostModel",
     "HadoopEngine",
     "DataMPIEngine",
     "LlapEngine",

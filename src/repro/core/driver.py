@@ -41,11 +41,6 @@ from repro.stats.model import collect_table_stats
 from repro.storage.hdfs import DEFAULT_BLOCK_SIZE, HDFS
 from repro.storage.metastore import Metastore
 
-# modeled HiveQL compile latency (identical for both engines: the
-# compiler is shared; §IV-A principle 1)
-COMPILE_BASE_SECONDS = 0.6
-COMPILE_PER_JOB_SECONDS = 0.15
-
 # bounds of the session-scoped caches
 STATEMENT_CACHE_ENTRIES = 256
 PLAN_CACHE_ENTRIES = 64
@@ -447,7 +442,7 @@ class Driver:
         self._discard_partial_outputs(plan)
         get_metrics().counter("engine.fallbacks").add(1)
         engine = engine_registry.create(
-            fallback, self.hdfs, spec=getattr(self.engine, "spec", None)
+            fallback, self.hdfs, model=self.engine.model
         )
         execution = engine.run_plan(plan, self.conf, with_metrics=with_metrics)
         execution.fallback_from = self.engine.name
@@ -462,9 +457,12 @@ class Driver:
                 if data_file.path.startswith(prefix):
                     self.hdfs.delete(data_file.path)
 
-    @staticmethod
-    def _compile_seconds(plan: PhysicalPlan) -> float:
-        return COMPILE_BASE_SECONDS + COMPILE_PER_JOB_SECONDS * plan.num_jobs
+    def _compile_seconds(self, plan: PhysicalPlan) -> float:
+        """Modeled HiveQL compile latency, from the engine's cost model
+        (the compiler is shared, so every engine's model charges it the
+        same way; §IV-A principle 1)."""
+        costs = self.engine.model.compile
+        return costs.base_seconds + costs.per_job_seconds * plan.num_jobs
 
     def _assemble_trace(self, statement: str, query_id: str,
                         compile_seconds: float,

@@ -25,8 +25,9 @@ engines plug in with ``repro.engines.register(EngineSpec(...))`` — or
 the legacy ``register("mine", MyEngine)`` form — and become reachable
 through ``repro.connect(engine="mine")`` and the CLI, exactly like the
 built-ins.  A factory is either an :class:`Engine` subclass or any
-callable accepting ``(hdfs, spec=...)`` — factories without a ``spec``
-parameter (like :class:`LocalEngine`) are called with ``hdfs`` alone.
+callable accepting ``(hdfs, model=...)`` — factories without a ``model``
+parameter are called with ``hdfs`` alone (and ``connect(model=...)``
+refuses them).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.engines.base import (
 from repro.engines.datampi import DataMPIEngine
 from repro.engines.hadoop import HadoopEngine
 from repro.engines.llap import LlapEngine
+from repro.engines.llap.engine import DEFAULT_CACHE_MB
 from repro.engines.local import LocalEngine
 
 
@@ -234,21 +236,21 @@ def capabilities(name: str) -> EngineCapabilities:
     return get_spec(name).capabilities
 
 
-def create(name: str, hdfs, spec=None, **kwargs) -> Engine:
+def create(name: str, hdfs, model=None, **kwargs) -> Engine:
     """Instantiate the engine registered under *name* (or an alias).
 
-    *spec* here is the :class:`~repro.simulate.ClusterSpec` handed to
-    cluster engines (not the registry's :class:`EngineSpec`).
+    *model* is the :class:`~repro.simulate.CostModel` handed to cluster
+    engines (``None``: the default model).
     """
     factory = get_spec(name).factory
     target = factory.__init__ if inspect.isclass(factory) else factory
     parameters = inspect.signature(target).parameters
-    takes_spec = "spec" in parameters or any(
+    takes_model = "model" in parameters or any(
         parameter.kind is inspect.Parameter.VAR_KEYWORD
         for parameter in parameters.values()
     )
-    if takes_spec:
-        return factory(hdfs, spec=spec, **kwargs)
+    if takes_model:
+        return factory(hdfs, model=model, **kwargs)
     return factory(hdfs, **kwargs)
 
 
@@ -281,7 +283,8 @@ register(EngineSpec(
     capabilities=LlapEngine.capabilities,
     options=(
         EngineOption(
-            name="cache_mb", key=LLAP_CACHE_MB, type=float, default=512.0,
+            name="cache_mb", key=LLAP_CACHE_MB, type=float,
+            default=DEFAULT_CACHE_MB,
             description="per-node decoded-stripe cache capacity in MB",
         ),
         EngineOption(

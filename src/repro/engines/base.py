@@ -41,7 +41,7 @@ from repro.obs import MetricsRegistry, Span, Tracer, get_metrics
 from repro.plan.physical import MapInput, MRJob, PhysicalPlan
 from repro.simulate import (
     Cluster,
-    ClusterSpec,
+    CostModel,
     FaultInjector,
     FaultPlan,
     LeaseManager,
@@ -496,16 +496,17 @@ def run_map_compute(
     return MapCompute(bytes_to_read, records, mapper.close())
 
 
-def map_cpu_ms(costs, tagged: TaggedSplit, nbytes: float,
+def map_cpu_ms(cpu, tagged: TaggedSplit, nbytes: float,
                decode_bytes: Optional[float] = None) -> float:
     """CPU milliseconds to push *nbytes* of a split through the map
-    pipeline at the engine's calibrated rates; ORC input additionally
+    pipeline at the cost model's rates (*cpu*, a
+    :class:`~repro.simulate.costmodel.CpuModel`); ORC input additionally
     pays the decode rate on *decode_bytes* (default: all of *nbytes*)."""
-    cpu_ms = nbytes / MB * costs.cpu_map_ms_per_mb
+    cpu_ms = nbytes / MB * cpu.map_ms_per_mb
     if isinstance(tagged.split.stored, OrcStoredFile):
         if decode_bytes is None:
             decode_bytes = nbytes
-        cpu_ms += decode_bytes / MB * costs.cpu_orc_decode_ms_per_mb
+        cpu_ms += decode_bytes / MB * cpu.orc_decode_ms_per_mb
     return cpu_ms
 
 
@@ -735,6 +736,11 @@ class EngineRuntime:
     engine-agnostic shape also lets a DataMPI query degrade onto the
     Hadoop engine *inside the same simulation*.
 
+    *model* is the :class:`~repro.simulate.CostModel` that prices
+    everything simulated here: the cluster is built from its ``cluster``
+    block, and every plan executed in the runtime reads its costs from
+    :attr:`model`, whichever engine runs it.
+
     Slot access goes through :attr:`leases`; engine-private per-node
     pools (Hadoop reduce slots, DataMPI A slots) come from
     :meth:`aux_slots` so concurrent queries on the same engine contend
@@ -745,18 +751,18 @@ class EngineRuntime:
 
     def __init__(
         self,
-        spec: ClusterSpec,
+        model: CostModel,
         conf: Optional[Configuration] = None,
         with_metrics: bool = False,
         tracer: Optional[Tracer] = None,
         lease_policy: str = "fifo",
     ):
         conf = conf or Configuration()
-        self.spec = spec
+        self.model = model
         self.sim = Simulator()
         self.tracer = tracer or Tracer()
         self.tracer.set_clock(lambda: self.sim.now)
-        self.cluster = Cluster(self.sim, spec, metrics=get_metrics())
+        self.cluster = Cluster(self.sim, model.cluster, metrics=get_metrics())
         self.injector = FaultInjector(
             self.sim, self.cluster, FaultPlan.from_conf(conf),
             tracer=self.tracer, metrics=get_metrics(),
@@ -801,7 +807,8 @@ class EngineRuntime:
 
     def _grow_aux_slots(self, node, worker_index: int) -> None:
         for key, pools in self._aux_slots.items():
-            capacity = pools[0].capacity if pools else self.spec.slots_per_node
+            capacity = (pools[0].capacity if pools
+                        else self.model.cluster.slots_per_node)
             suffix = pools[0].name.split(".", 1)[1] if pools else key
             pools.append(SlotPool(self.sim, capacity, f"{node.name}.{suffix}"))
 
@@ -871,10 +878,18 @@ class Engine:
     simulated cluster.  The cluster engines implement only this and
     inherit ``run_plan``; the local engine, which has no simulation to
     share, overrides ``run_plan`` instead.
+
+    *model* (default: ``CostModel()``) is what solo runs build their
+    :class:`EngineRuntime` from and what the driver charges compile
+    time from.
     """
 
     name = "abstract"
     capabilities = EngineCapabilities()
+
+    def __init__(self, hdfs: HDFS, model: Optional[CostModel] = None):
+        self.hdfs = hdfs
+        self.model = model or CostModel()
 
     def cache_stats(self) -> Dict[str, Dict[str, object]]:
         """Per-node cache statistics for persistent engines.
@@ -893,10 +908,10 @@ class Engine:
         tracer: Optional[Tracer] = None,
     ) -> PlanResult:
         """Solo mode: run :meth:`plan_process` to completion in a fresh
-        :class:`EngineRuntime` built from the engine's ``spec``."""
+        :class:`EngineRuntime` built from the engine's ``model``."""
         conf = conf or Configuration()
         runtime = EngineRuntime(
-            self.spec, conf, with_metrics=with_metrics, tracer=tracer
+            self.model, conf, with_metrics=with_metrics, tracer=tracer
         )
         driver = runtime.sim.spawn(
             self.plan_process(runtime, plan, conf), "hive-driver"

@@ -14,6 +14,6 @@ This package is the reproduction of the paper's contribution:
   (``hive.datampi.*``).
 """
 
-from repro.engines.datampi.engine import DataMPIEngine, DataMPICosts
+from repro.engines.datampi.engine import DataMPIEngine
 
-__all__ = ["DataMPIEngine", "DataMPICosts"]
+__all__ = ["DataMPIEngine"]

@@ -84,7 +84,6 @@ from repro.exec.operators import Collector
 from repro.obs import get_metrics
 from repro.plan.physical import MRJob, PhysicalPlan
 from repro.simulate import (
-    ClusterSpec,
     Event,
     FaultInjector,
     GangLease,
@@ -93,33 +92,32 @@ from repro.simulate import (
     Simulator,
     SlotPool,
 )
-from repro.storage.hdfs import HDFS
 
 
 DEFAULT_RETRY_MAX = 2  # resubmissions after the first failed run
 DEFAULT_RETRY_BACKOFF = 1.0  # seconds; doubles per resubmission
+DEFAULT_MEM_USED_PERCENT = 0.4  # hive.datampi.memusedpercent
+DEFAULT_SEND_QUEUE = 6  # hive.datampi.sendqueue
 
 
-@dataclass
-class DataMPICosts:
-    """Calibrated latencies/rates for the DataMPI engine."""
+def _mem_used_percent(conf: Configuration) -> float:
+    value = conf.get_float(HIVE_DATAMPI_MEM_USED_PERCENT, DEFAULT_MEM_USED_PERCENT)
+    return min(0.98, max(0.02, value))
 
-    mpidrun_spawn: float = 1.2  # mpidrun + hostfile + plan/conf staging
-    process_launch: float = 1.6  # CommonProcess bring-up across the nodes
-    task_setup: float = 0.35  # dispatch a scheduled task into a live process
-    job_cleanup: float = 0.5
-    cpu_map_ms_per_mb: float = 35.0  # identical functional work to Hadoop
-    cpu_reduce_ms_per_mb: float = 14.0
-    cpu_sort_ms_per_mb: float = 7.0  # per merge pass
-    cpu_orc_decode_ms_per_mb: float = 14.0
-    batch_target_mb: float = 8.0
-    min_batch_rows: int = 200
-    partition_buffer_bytes: float = 512 * 1024  # SPL send-partition size (logical)
-    gc_coefficient: float = 0.55  # GC-pressure shaping (Fig 8 left)
-    default_mem_used_percent: float = 0.4
-    default_send_queue: int = 6
-    send_setup_seconds: float = 0.004  # per-message request setup in the engine
-    blocking_round_buffers: int = 10  # sends per synchronized round (blocking style)
+
+def _gc_factor(costs, mem_used_percent: float) -> float:
+    """CPU inflation from Java GC when the application is squeezed
+    (percent -> 1 leaves little heap for row processing: Fig 8)."""
+    pressure = mem_used_percent * mem_used_percent / (1.0 - mem_used_percent + 0.05)
+    return min(2.5, 1.0 + costs.gc_coefficient * pressure)
+
+
+def _partition_buffer_bytes(costs, mem_used_percent: float) -> float:
+    """SPL send-partition size: the library's buffer pool grows with
+    its heap share; a starved pool means tiny partitions and many
+    more, higher-overhead sends (the left edge of Fig 8)."""
+    scaled = costs.partition_buffer_bytes * (mem_used_percent / DEFAULT_MEM_USED_PERCENT)
+    return min(2.0 * 1024 * 1024, max(64.0 * 1024, scaled))
 
 
 class DataMPICollector(Collector):
@@ -232,6 +230,7 @@ class _Submission:
                  pipe_in: bool):
         runtime = stage.runtime
         conf = stage.conf
+        self.model = runtime.model
         self.sim = runtime.sim
         self.cluster = runtime.cluster
         self.leases = runtime.leases
@@ -248,11 +247,9 @@ class _Submission:
         self.small_tables = inputs.small_tables
         self.scale = inputs.scale
         self.total_bytes = inputs.total_bytes
-        self.mem_used = engine._mem_used_percent(conf)
-        self.gc_factor = engine._gc_factor(self.mem_used)
-        self.queue_capacity = conf.get_int(
-            HIVE_DATAMPI_SEND_QUEUE, engine.costs.default_send_queue
-        )
+        self.mem_used = _mem_used_percent(conf)
+        self.gc_factor = _gc_factor(runtime.model.datampi, self.mem_used)
+        self.queue_capacity = conf.get_int(HIVE_DATAMPI_SEND_QUEUE, DEFAULT_SEND_QUEUE)
         self.nonblocking = conf.get_bool(DATAMPI_NONBLOCKING, True)
         self.overlap = conf.get_bool(DATAMPI_OVERLAP, True)
         self.barrier = DynamicBarrier(self.sim)
@@ -310,16 +307,6 @@ class DataMPIEngine(Engine):
     name = "datampi"
     capabilities = EngineCapabilities(gang_scheduling=True, shared_runtime=True)
 
-    def __init__(
-        self,
-        hdfs: HDFS,
-        spec: Optional[ClusterSpec] = None,
-        costs: Optional[DataMPICosts] = None,
-    ):
-        self.hdfs = hdfs
-        self.spec = spec or ClusterSpec()
-        self.costs = costs or DataMPICosts()
-
     # -- public API ---------------------------------------------------------
     def plan_process(
         self,
@@ -334,7 +321,7 @@ class DataMPIEngine(Engine):
         conf = conf or Configuration()
         mpi = SimulatedMPI(runtime.cluster)
         a_slots = runtime.aux_slots(
-            "datampi.a", runtime.spec.slots_per_node, "aslots"
+            "datampi.a", runtime.model.cluster.slots_per_node, "aslots"
         )
 
         # DAG mode (paper §VII future work 3): consecutive stages whose only
@@ -363,28 +350,6 @@ class DataMPIEngine(Engine):
             )
             timings.append((yield from self._run_job(stage)))
         return timings
-
-    # -- knobs ------------------------------------------------------------------
-    def _mem_used_percent(self, conf: Configuration) -> float:
-        value = conf.get_float(
-            HIVE_DATAMPI_MEM_USED_PERCENT, self.costs.default_mem_used_percent
-        )
-        return min(0.98, max(0.02, value))
-
-    def _gc_factor(self, mem_used_percent: float) -> float:
-        """CPU inflation from Java GC when the application is squeezed
-        (percent -> 1 leaves little heap for row processing: Fig 8)."""
-        pressure = mem_used_percent * mem_used_percent / (1.0 - mem_used_percent + 0.05)
-        return min(2.5, 1.0 + self.costs.gc_coefficient * pressure)
-
-    def _partition_buffer_bytes(self, mem_used_percent: float) -> float:
-        """SPL send-partition size: the library's buffer pool grows with
-        its heap share; a starved pool means tiny partitions and many
-        more, higher-overhead sends (the left edge of Fig 8)."""
-        scaled = self.costs.partition_buffer_bytes * (
-            mem_used_percent / self.costs.default_mem_used_percent
-        )
-        return min(2.0 * 1024 * 1024, max(64.0 * 1024, scaled))
 
     # -- job retry loop ----------------------------------------------------------
     def _run_job(self, stage: _Stage):
@@ -442,15 +407,16 @@ class DataMPIEngine(Engine):
                 gang.close()
         timing.finished = sim.now
         close_job_span(timing)
-        record_job_metrics(self.name, timing, self.spec.total_slots)
+        record_job_metrics(self.name, timing, stage.runtime.model.cluster.total_slots)
         return timing
 
     # -- one submission ----------------------------------------------------------
     def _attempt_job(self, stage: _Stage, gang: _Gang, submission: int,
                      retry_max: int):
-        costs = self.costs
         sub = _Submission(self, stage, gang,
                           pipe_in=stage.pipe_in and submission == 1)
+        costs = sub.model.datampi
+        spec = sub.model.cluster
         sim = sub.sim
         job = sub.job
         timing = sub.timing
@@ -482,7 +448,7 @@ class DataMPIEngine(Engine):
         attempt_set = set(live_indices)
         gang.attempt_indices = attempt_set
         attempt_workers = [workers[i] for i in live_indices]
-        process_heap = 2 * self.spec.heap_per_task * self.spec.slots_per_node
+        process_heap = 2 * spec.heap_per_task * spec.slots_per_node
         for worker in attempt_workers:
             worker.memory.allocate(process_heap)
 
@@ -507,13 +473,13 @@ class DataMPIEngine(Engine):
             # and less than the maximum number of executing slots"); each O
             # task consumes several splits, so there are no task waves.
             groups = _group_splits(sub.splits, len(workers),
-                                   self.spec.slots_per_node)
+                                   spec.slots_per_node)
             groups = [(remap(node_index), group) for node_index, group in groups]
             num_o = len(groups)
             timing.num_maps = num_o
             num_reducers = sub.num_reducers = decide_num_reducers(
                 job, num_o, sub.total_bytes, stage.conf, stage.is_last,
-                self.spec.total_slots,
+                spec.total_slots,
             )
             timing.num_reducers = num_reducers
             partition_nodes = [
@@ -522,7 +488,7 @@ class DataMPIEngine(Engine):
             # the A-side processes' share of the heap caches received
             # partitions; beyond it, buffers spill to local disk (Fig 8 left)
             cache_budget = (
-                sub.mem_used * self.spec.heap_per_task * self.spec.slots_per_node
+                sub.mem_used * spec.heap_per_task * spec.slots_per_node
             )
             receive = sub.receive = ReceiveManager(
                 sim, partition_nodes, cache_budget
@@ -640,7 +606,7 @@ class DataMPIEngine(Engine):
     def _o_task(self, sub: _Submission, index: int, group: List[TaggedSplit],
                 node_index: int, doom: Optional[float],
                 gang_lease: Optional[GangLease]):
-        costs = self.costs
+        cpu = sub.model.cpu
         sim = sub.sim
         job = sub.job
         leases = sub.leases
@@ -668,7 +634,7 @@ class DataMPIEngine(Engine):
             if acquired is not None:
                 yield acquired
                 held_slot = True
-            yield from node.compute(costs.task_setup)
+            yield from node.compute(sub.model.datampi.task_setup)
             task.started = sim.now
             if not sub.first_start_event.triggered:
                 sub.first_start_event.trigger(sim.now)
@@ -682,7 +648,7 @@ class DataMPIEngine(Engine):
                         sub.cluster, node, node_index, group[0], partial
                     )
                 yield from node.compute(
-                    partial / MB * costs.cpu_map_ms_per_mb * gc_factor / 1000.0
+                    partial / MB * cpu.map_ms_per_mb * gc_factor / 1000.0
                 )
                 sub.rank_failed(task, doom)
                 return
@@ -707,7 +673,7 @@ class DataMPIEngine(Engine):
                         yield from charge_split_read(
                             sub.cluster, node, node_index, tagged, batch_bytes
                         )
-                    cpu_ms = map_cpu_ms(costs, tagged, batch_bytes)
+                    cpu_ms = map_cpu_ms(cpu, tagged, batch_bytes)
                     yield from node.compute(cpu_ms * gc_factor / 1000.0)
                     task.collect_samples.append((sim.now, spl_bytes))
                     fresh = _stamp(full_buffers, scale, index, emit_seq)
@@ -769,16 +735,17 @@ class DataMPIEngine(Engine):
         records — ``(batch bytes, (cumulative SPL bytes, send buffers the
         batch filled))`` — the buffers left over at close, and the map
         result."""
+        cpu = sub.model.cpu
         spl = SendPartitionList(
             max(1, sub.num_reducers),
-            self._partition_buffer_bytes(sub.mem_used)
+            _partition_buffer_bytes(sub.model.datampi, sub.mem_used)
             / max(tagged.split.scale, 1e-9),
         )
         collector = DataMPICollector(spl)
         _bytes_to_read, records, result = run_map_compute(
             tagged, collector, num_partitions=sub.num_reducers,
             small_tables=sub.small_tables, map_only=sub.job.is_map_only,
-            batching=(self.costs.batch_target_mb, self.costs.min_batch_rows),
+            batching=(cpu.batch_target_mb, cpu.min_batch_rows),
             record=lambda: (spl.bytes_added, collector.take_full()),
         )
         return records, collector.take_full() + spl.drain(), result
@@ -803,7 +770,7 @@ class DataMPIEngine(Engine):
             # blocking style: synchronized relaxed all-to-all rounds — every
             # participant must reach the round, then every send of the round
             # must complete (MPI_Waitall) before anyone proceeds
-            chunk = max(1, self.costs.blocking_round_buffers)
+            chunk = max(1, sub.model.datampi.blocking_round_buffers)
             for start in range(0, len(buffers), chunk):
                 round_buffers = buffers[start : start + chunk]
                 yield sub.barrier.arrive()
@@ -828,13 +795,14 @@ class DataMPIEngine(Engine):
         sim = sub.sim
         mpi = sub.mpi
         receive = sub.receive
+        setup = sub.model.datampi.send_setup_seconds
         while True:
             taken = queue.get()
             buffer = taken.value if taken.triggered else (yield taken)
             if buffer is _SENTINEL:
                 return
             queue.transfer_started()
-            yield sim.timeout(self.costs.send_setup_seconds)  # request setup
+            yield sim.timeout(setup)  # request setup
             destination = receive.node_for(buffer.partition)
             request = mpi.isend(node, destination, buffer.logical_bytes)
             sub.outstanding += 1
@@ -865,7 +833,7 @@ class DataMPIEngine(Engine):
     # -- A task ---------------------------------------------------------------------
     def _a_task(self, sub: _Submission, partition: int, node_index: int,
                 doom: Optional[float]):
-        costs = self.costs
+        cpu = sub.model.cpu
         sim = sub.sim
         leases = sub.leases
         receive = sub.receive
@@ -879,14 +847,14 @@ class DataMPIEngine(Engine):
         try:
             yield acquired
             held_slot = True
-            yield from node.compute(costs.task_setup)
+            yield from node.compute(sub.model.datampi.task_setup)
             task.started = sim.now
 
             received = receive.received_bytes[partition]
             if doom is not None:
                 # rank failure mid-merge: the whole job dies with it
                 yield from node.compute(
-                    received / MB * costs.cpu_sort_ms_per_mb * gc_factor
+                    received / MB * cpu.sort_ms_per_mb * gc_factor
                     * doom / 1000.0
                 )
                 sub.rank_failed(task, doom)
@@ -905,14 +873,14 @@ class DataMPIEngine(Engine):
                     spill_span.finish(sim.now)
             if received > 0:
                 yield from node.compute(
-                    received / MB * costs.cpu_sort_ms_per_mb * gc_factor / 1000.0
+                    received / MB * cpu.sort_ms_per_mb * gc_factor / 1000.0
                 )
             output = run_reducer_functionally(
                 sub.job, receive.partition_pairs(partition), sub.small_tables,
                 vectorized=True,
             )
             yield from node.compute(
-                received / MB * costs.cpu_reduce_ms_per_mb * gc_factor / 1000.0
+                received / MB * cpu.reduce_ms_per_mb * gc_factor / 1000.0
             )
             data_file = write_task_output(
                 sub.job, self.hdfs, partition, output, sub.scale,

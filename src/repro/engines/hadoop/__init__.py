@@ -1,5 +1,5 @@
 """Simulated Hadoop 1.x MapReduce engine (the paper's baseline)."""
 
-from repro.engines.hadoop.engine import HadoopEngine, HadoopCosts
+from repro.engines.hadoop.engine import HadoopEngine
 
-__all__ = ["HadoopEngine", "HadoopCosts"]
+__all__ = ["HadoopEngine"]

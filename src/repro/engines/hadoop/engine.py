@@ -30,7 +30,6 @@ and its attempt bodies — *when* things happen and *at what cost*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.common.config import (
@@ -57,34 +56,7 @@ from repro.engines.lifecycle import JobContext, TaskAttemptEngine
 from repro.exec.shuffle import Segments
 from repro.obs import get_metrics
 from repro.plan.physical import PhysicalPlan
-from repro.simulate import ClusterSpec, Interrupt, LeaseOwner, SlotPool
-from repro.storage.hdfs import HDFS
-
-
-@dataclass
-class HadoopCosts:
-    """Calibrated latencies/rates for the Hadoop engine (testbed §V-A)."""
-
-    job_submit: float = 2.2  # JobClient staging + JobTracker admission
-    schedule_delay: float = 1.4  # TaskTracker heartbeat pickup, per wave start
-    task_jvm_start: float = 1.3  # child JVM spawn per task attempt
-    job_cleanup: float = 0.8  # commit + JobTracker retirement
-    cpu_map_ms_per_mb: float = 35.0  # deserialize + operator pipeline, text-rate
-    cpu_reduce_ms_per_mb: float = 14.0
-    cpu_sort_ms_per_mb: float = 7.0  # per merge pass
-    cpu_orc_decode_ms_per_mb: float = 14.0  # extra per encoded MB (decompression)
-    io_sort_mb: float = 100.0  # map-output buffer before spill (logical MB)
-    shuffle_memory_mb: float = 450.0  # reducer in-memory shuffle budget (logical MB)
-    slowstart_fraction: float = 0.05  # maps done before reducers launch
-    batch_target_mb: float = 8.0  # compute/I-O interleave granularity
-    min_batch_rows: int = 200
-    # mapred.compress.map.output=true: intermediate data shrinks to this
-    # fraction on disk/wire at a CPU cost per (uncompressed) MB
-    compress_ratio: float = 0.40
-    cpu_compress_ms_per_mb: float = 4.0
-    cpu_decompress_ms_per_mb: float = 1.5
-    parallel_copies: int = 5  # mapred.reduce.parallel.copies
-    speculative_check_seconds: float = 5.0  # straggler-watch polling period
+from repro.simulate import Interrupt, LeaseOwner, SlotPool
 
 
 DEFAULT_BLACKLIST_FAILURES = 3  # mapred.max.tracker.failures (per job)
@@ -101,7 +73,7 @@ class _HadoopJob(JobContext):
         super().__init__(engine, runtime, job, conf, is_last, owner)
         self.reduce_slots = reduce_slots
         compress = conf.get_bool(MAPRED_COMPRESS_MAP_OUTPUT, False)
-        self.compress_ratio = engine.costs.compress_ratio if compress else 1.0
+        self.compress_ratio = self.model.hadoop.compress_ratio if compress else 1.0
         self.speculate = conf.get_bool(SPECULATIVE_EXECUTION, False)
         self.blacklist: Set[int] = set()
         self.failures_by_node: Dict[int, int] = {}
@@ -110,16 +82,7 @@ class _HadoopJob(JobContext):
 class HadoopEngine(TaskAttemptEngine):
     name = "hadoop"
     capabilities = EngineCapabilities(speculative=True, shared_runtime=True)
-
-    def __init__(
-        self,
-        hdfs: HDFS,
-        spec: Optional[ClusterSpec] = None,
-        costs: Optional[HadoopCosts] = None,
-    ):
-        self.hdfs = hdfs
-        self.spec = spec or ClusterSpec()
-        self.costs = costs or HadoopCosts()
+    model_block = "hadoop"
 
     def plan_process(
         self,
@@ -131,7 +94,7 @@ class HadoopEngine(TaskAttemptEngine):
         """Execute *plan* job-by-job inside a (possibly shared) runtime."""
         conf = conf or Configuration()
         reduce_slots = runtime.aux_slots(
-            "hadoop.reduce", runtime.spec.slots_per_node, "rslots"
+            "hadoop.reduce", runtime.model.cluster.slots_per_node, "rslots"
         )
         timings = []
         for index, job in enumerate(plan.jobs):
@@ -173,7 +136,9 @@ class HadoopEngine(TaskAttemptEngine):
         """One map attempt; returns ("ok", collector, result) or
         ("failed"|"killed"|"lost-race", cause).  All resources it holds
         are released on every exit path, interrupt included."""
-        costs = self.costs
+        costs = ctx.model.hadoop
+        cpu = ctx.model.cpu
+        heap = ctx.model.cluster.heap_per_task
         sim = ctx.sim
         cluster = ctx.cluster
         leases = ctx.leases
@@ -190,8 +155,8 @@ class HadoopEngine(TaskAttemptEngine):
         try:
             yield acquired
             held_slot = True
-            node.memory.allocate(self.spec.heap_per_task)  # child JVM footprint
-            held_heap = self.spec.heap_per_task
+            node.memory.allocate(heap)  # child JVM footprint
+            held_heap = heap
             # heartbeat pickup + JVM spawn
             yield sim.timeout(costs.schedule_delay)
             yield from node.compute(costs.task_jvm_start)
@@ -207,7 +172,7 @@ class HadoopEngine(TaskAttemptEngine):
                 yield from charge_split_read(cluster, node, node_index,
                                              tagged, partial)
                 yield from node.compute(
-                    partial / MB * costs.cpu_map_ms_per_mb / 1000.0
+                    partial / MB * cpu.map_ms_per_mb / 1000.0
                 )
                 return ("failed", "injected")
 
@@ -218,7 +183,7 @@ class HadoopEngine(TaskAttemptEngine):
             _bytes_to_read, records, result = run_map_compute(
                 tagged, collector, num_partitions=ctx.num_reducers,
                 small_tables=ctx.small_tables, map_only=job.is_map_only,
-                batching=(costs.batch_target_mb, costs.min_batch_rows),
+                batching=(cpu.batch_target_mb, cpu.min_batch_rows),
                 record=lambda: collector.total_bytes,
             )
 
@@ -230,7 +195,7 @@ class HadoopEngine(TaskAttemptEngine):
                 # read this chunk (locally or from a replica over the net)
                 yield from charge_split_read(cluster, node, node_index,
                                              tagged, batch_bytes)
-                cpu_ms = map_cpu_ms(costs, tagged, batch_bytes)
+                cpu_ms = map_cpu_ms(cpu, tagged, batch_bytes)
                 yield from node.compute(cpu_ms / 1000.0)
                 emitted = collected_bytes * scale
                 task.collect_samples.append((sim.now, collected_bytes))
@@ -245,7 +210,7 @@ class HadoopEngine(TaskAttemptEngine):
                         if task.span is not None else None
                     )
                     get_metrics().counter("hadoop.spill.bytes").add(spill_bytes)
-                    cpu_ms = spill_bytes / MB * costs.cpu_sort_ms_per_mb
+                    cpu_ms = spill_bytes / MB * cpu.sort_ms_per_mb
                     if ratio < 1.0:
                         cpu_ms += spill_bytes / MB * costs.cpu_compress_ms_per_mb
                     yield from node.compute(cpu_ms / 1000.0)
@@ -256,7 +221,7 @@ class HadoopEngine(TaskAttemptEngine):
             emitted = collector.total_bytes * scale
             final_spill = emitted - spilled_mark
             if final_spill > 0 and not job.is_map_only:
-                cpu_ms = final_spill / MB * costs.cpu_sort_ms_per_mb
+                cpu_ms = final_spill / MB * cpu.sort_ms_per_mb
                 if ratio < 1.0:
                     cpu_ms += final_spill / MB * costs.cpu_compress_ms_per_mb
                 yield from node.compute(cpu_ms / 1000.0)
@@ -264,7 +229,7 @@ class HadoopEngine(TaskAttemptEngine):
             if spills > 0 and not job.is_map_only:
                 # merge the spill files into the final map output
                 yield from node.disk_read(emitted * ratio)
-                yield from node.compute(emitted / MB * costs.cpu_sort_ms_per_mb / 1000.0)
+                yield from node.compute(emitted / MB * cpu.sort_ms_per_mb / 1000.0)
                 yield from node.disk_write(emitted * ratio)
 
             if job.is_map_only:
@@ -302,13 +267,14 @@ class HadoopEngine(TaskAttemptEngine):
         Returns (result, node it came from)."""
         sim = ctx.sim
         injector = ctx.injector
+        check_seconds = ctx.model.hadoop.speculative_check_seconds
         backup = None
         backup_node = None
         started = sim.now
         while True:
             if backup is None:
                 yield sim.any_of([
-                    primary, sim.timeout(self.costs.speculative_check_seconds)
+                    primary, sim.timeout(check_seconds)
                 ])
                 if primary.triggered:
                     injector.unregister(primary_node, primary)
@@ -364,7 +330,9 @@ class HadoopEngine(TaskAttemptEngine):
     def reduce_attempt(self, ctx: _HadoopJob, task: TaskTiming,
                        partition: int, node_index: int,
                        doom: Optional[float]):
-        costs = self.costs
+        costs = ctx.model.hadoop
+        cpu = ctx.model.cpu
+        heap = ctx.model.cluster.heap_per_task
         sim = ctx.sim
         cluster = ctx.cluster
         leases = ctx.leases
@@ -379,8 +347,8 @@ class HadoopEngine(TaskAttemptEngine):
         try:
             yield acquired
             held_slot = True
-            node.memory.allocate(self.spec.heap_per_task)  # reduce JVM footprint
-            held_heap = self.spec.heap_per_task
+            node.memory.allocate(heap)  # reduce JVM footprint
+            held_heap = heap
             yield sim.timeout(costs.schedule_delay)
             yield from node.compute(costs.task_jvm_start)
             task.started = sim.now
@@ -420,7 +388,7 @@ class HadoopEngine(TaskAttemptEngine):
 
             # merge-sort phase
             if copied > 0:
-                yield from node.compute(copied / MB * costs.cpu_sort_ms_per_mb / 1000.0)
+                yield from node.compute(copied / MB * cpu.sort_ms_per_mb / 1000.0)
                 if copied > costs.shuffle_memory_mb * MB:
                     # read back spilled (compressed) runs
                     yield from node.disk_read(copied * ctx.compress_ratio)
@@ -433,7 +401,7 @@ class HadoopEngine(TaskAttemptEngine):
                 ctx.job, pairs, ctx.small_tables, vectorized=True
             )
 
-            yield from node.compute(copied / MB * costs.cpu_reduce_ms_per_mb / 1000.0)
+            yield from node.compute(copied / MB * cpu.reduce_ms_per_mb / 1000.0)
             if not ctx.claim_commit(task):
                 return ("lost-race", None)
             data_file = write_task_output(
@@ -469,7 +437,7 @@ class HadoopEngine(TaskAttemptEngine):
         Copied data is safe on the reduce side (a map-node death cannot
         take it back); a death *mid-copy* re-waits for the re-executed
         map and pulls again."""
-        costs = self.costs
+        costs = ctx.model.hadoop
         cluster = ctx.cluster
         ratio = ctx.compress_ratio
         while True:

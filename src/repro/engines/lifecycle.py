@@ -55,6 +55,7 @@ class JobContext:
                  owner: Optional[LeaseOwner]):
         sim = runtime.sim
         self.sim = sim
+        self.model = runtime.model
         self.cluster = runtime.cluster
         self.injector = runtime.injector
         self.leases = runtime.leases
@@ -67,7 +68,7 @@ class JobContext:
         self.num_maps = len(inputs.splits)
         self.num_reducers = decide_num_reducers(
             job, self.num_maps, inputs.total_bytes, conf, is_last,
-            engine.spec.total_slots,
+            runtime.model.cluster.total_slots,
         )
         self.timing = JobTiming(
             job_id=job.job_id,
@@ -130,8 +131,9 @@ class TaskAttemptEngine(Engine):
     engine's subclass of it).  Everything an engine may vary is one of
     these hooks, and nothing else:
 
-    * ``costs.job_submit`` / ``costs.job_cleanup`` — the job-level
-      entries of the engine's cost table;
+    * :attr:`model_block` — which block of the cost model is the
+      engine's own (``"hadoop"``, ...); its ``job_submit`` /
+      ``job_cleanup`` are the job-level entries;
     * :meth:`place` — which node a placement try lands on;
     * :meth:`admit` — what must hold on that node before an attempt may
       run there (default: nothing);
@@ -145,6 +147,8 @@ class TaskAttemptEngine(Engine):
       ``("ok", ...)``, ``("failed", cause)``, ``("killed", cause)`` or
       ``("lost-race", None)`` and release what they hold on every path.
     """
+
+    model_block: str
 
     # -- hooks ---------------------------------------------------------------
     def place(self, ctx: JobContext, preferred: int, salt: int,
@@ -190,7 +194,8 @@ class TaskAttemptEngine(Engine):
         sim = ctx.sim
         job = ctx.job
         timing = ctx.timing
-        yield sim.timeout(self.costs.job_submit)
+        costs = getattr(ctx.model, self.model_block)
+        yield sim.timeout(costs.job_submit)
 
         if ctx.splits:
             yield from self._run_tasks(ctx)
@@ -203,7 +208,7 @@ class TaskAttemptEngine(Engine):
             write_task_output(job, self.hdfs, 0, [], ctx.scale)
             timing.first_task_started = sim.now
             timing.shuffle_done = sim.now
-        yield sim.timeout(self.costs.job_cleanup)
+        yield sim.timeout(costs.job_cleanup)
         timing.finished = sim.now
         if ctx.splits:
             timing.shuffle_logical_bytes = sum(
@@ -213,7 +218,7 @@ class TaskAttemptEngine(Engine):
             yield ctx.first_start_event  # already triggered by the first map
             timing.first_task_started = ctx.first_start_event.value
         close_job_span(timing)
-        record_job_metrics(self.name, timing, self.spec.total_slots)
+        record_job_metrics(self.name, timing, ctx.model.cluster.total_slots)
         return timing
 
     def _run_tasks(self, ctx: JobContext):

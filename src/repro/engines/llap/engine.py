@@ -61,32 +61,12 @@ from repro.engines.llap.cache import StripeCache
 from repro.exec.shuffle import Segments
 from repro.obs import get_metrics
 from repro.plan.physical import PhysicalPlan
-from repro.simulate import ClusterSpec, Interrupt, LeaseOwner
+from repro.simulate import CostModel, Interrupt, LeaseOwner
 from repro.storage.formats.orc import OrcStoredFile
 from repro.storage.hdfs import HDFS
 
 DEFAULT_CACHE_MB = 512.0
 RETRY_BACKOFF_SECONDS = 0.5  # wait for a node before re-picking placement
-
-
-@dataclass
-class LlapCosts:
-    """Calibrated latencies/rates for the LLAP engine.
-
-    CPU rates match the Hadoop engine (same operators on the same
-    hardware); only the control-plane costs differ — that difference
-    *is* the daemon model.
-    """
-
-    daemon_spawn: float = 2.8  # whole-fleet bring-up, once per session
-    daemon_restart: float = 2.0  # relaunch one daemon after a node crash
-    job_submit: float = 0.3  # AM admits the fragment DAG
-    fragment_dispatch: float = 0.08  # enqueue into a warm executor
-    job_cleanup: float = 0.3
-    cpu_map_ms_per_mb: float = 35.0
-    cpu_reduce_ms_per_mb: float = 14.0
-    cpu_sort_ms_per_mb: float = 7.0
-    cpu_orc_decode_ms_per_mb: float = 14.0  # skipped for cached stripes
 
 
 @dataclass
@@ -129,7 +109,7 @@ class _DaemonFleet:
         self.engine = engine
         self.runtime = runtime
         self.sim = runtime.sim
-        self.daemon_slots = runtime.spec.slots_per_node
+        self.daemon_slots = runtime.model.cluster.slots_per_node
         self.daemons = [
             _Daemon(index) for index in range(len(runtime.cluster.workers))
         ]
@@ -203,7 +183,7 @@ class _DaemonFleet:
         charge = not self.engine._daemons_started
         self.engine._daemons_started = True
         if charge:
-            yield self.sim.timeout(self.engine.costs.daemon_spawn)
+            yield self.sim.timeout(self.runtime.model.llap.daemon_spawn)
         waits = []
         for index in self.runtime.injector.schedulable_worker_indices():
             waits.append(self._launch(index, restart=False))
@@ -248,7 +228,7 @@ class _DaemonFleet:
         try:
             injector.register(daemon.node_index, daemon.proc)
             if restart:
-                yield self.sim.timeout(self.engine.costs.daemon_restart)
+                yield self.sim.timeout(runtime.model.llap.daemon_restart)
                 get_metrics().counter("llap.daemons.restarted").add(1)
             acquired = [
                 leases.acquire(node.slots, self.owner)
@@ -257,7 +237,7 @@ class _DaemonFleet:
             for event in acquired:
                 yield event
                 held += 1
-            heap = runtime.spec.heap_per_task * self.daemon_slots
+            heap = runtime.model.cluster.heap_per_task * self.daemon_slots
             node.memory.allocate(heap)
             daemon.up = True
             daemon.launching = False
@@ -296,16 +276,10 @@ class LlapEngine(TaskAttemptEngine):
     capabilities = EngineCapabilities(
         persistent=True, result_cache=True, shared_runtime=True
     )
+    model_block = "llap"
 
-    def __init__(
-        self,
-        hdfs: HDFS,
-        spec: Optional[ClusterSpec] = None,
-        costs: Optional[LlapCosts] = None,
-    ):
-        self.hdfs = hdfs
-        self.spec = spec or ClusterSpec()
-        self.costs = costs or LlapCosts()
+    def __init__(self, hdfs: HDFS, model: Optional[CostModel] = None):
+        super().__init__(hdfs, model)
         # daemon memory persists across runtimes (that is the point):
         # per-node stripe caches and the once-per-session spawn charge
         self._caches: Dict[int, StripeCache] = {}
@@ -426,7 +400,8 @@ class LlapEngine(TaskAttemptEngine):
         leases = ctx.leases
         owner = ctx.owner
         job = ctx.job
-        costs = self.costs
+        dispatch = ctx.model.llap.fragment_dispatch
+        cpu = ctx.model.cpu
         tagged = ctx.splits[index]
         node = cluster.workers[node_index]
         exec_pool = ctx.fleet.exec_slots[node_index]
@@ -438,7 +413,7 @@ class LlapEngine(TaskAttemptEngine):
         try:
             yield acquired
             held_slot = True
-            yield sim.timeout(costs.fragment_dispatch)
+            yield sim.timeout(dispatch)
             task.started = sim.now
             if not ctx.first_start_event.triggered:
                 ctx.first_start_event.trigger(sim.now)
@@ -478,7 +453,7 @@ class LlapEngine(TaskAttemptEngine):
                 yield from charge_split_read(cluster, node, node_index,
                                              tagged, read_bytes * doom)
                 yield from node.compute(
-                    burn_bytes * doom / MB * costs.cpu_map_ms_per_mb / 1000.0
+                    burn_bytes * doom / MB * cpu.map_ms_per_mb / 1000.0
                 )
                 return ("failed", "injected")
 
@@ -497,7 +472,7 @@ class LlapEngine(TaskAttemptEngine):
             # pay the decode rate; hits cost neither
             yield from charge_split_read(cluster, node, node_index, tagged,
                                          miss_bytes)
-            cpu_ms = map_cpu_ms(costs, tagged, total_bytes, miss_bytes)
+            cpu_ms = map_cpu_ms(cpu, tagged, total_bytes, miss_bytes)
             yield from node.compute(cpu_ms / 1000.0)
             task.collect_samples.append((sim.now, collector.total_bytes))
 
@@ -530,7 +505,8 @@ class LlapEngine(TaskAttemptEngine):
         cluster = ctx.cluster
         leases = ctx.leases
         owner = ctx.owner
-        costs = self.costs
+        dispatch = ctx.model.llap.fragment_dispatch
+        cpu = ctx.model.cpu
         node = cluster.workers[node_index]
         pool = ctx.fleet.exec_slots[node_index]
         acquired = leases.acquire(pool, owner)
@@ -539,7 +515,7 @@ class LlapEngine(TaskAttemptEngine):
         try:
             yield acquired
             held_slot = True
-            yield sim.timeout(costs.fragment_dispatch)
+            yield sim.timeout(dispatch)
             task.started = sim.now
 
             # stream every map's partition straight out of daemon memory:
@@ -590,7 +566,7 @@ class LlapEngine(TaskAttemptEngine):
 
             if copied > 0:
                 yield from node.compute(
-                    copied / MB * costs.cpu_sort_ms_per_mb / 1000.0
+                    copied / MB * cpu.sort_ms_per_mb / 1000.0
                 )
             pairs = Segments()
             for map_index in range(ctx.num_maps):
@@ -600,7 +576,7 @@ class LlapEngine(TaskAttemptEngine):
                 ctx.job, pairs, ctx.small_tables, vectorized=True
             )
             yield from node.compute(
-                copied / MB * costs.cpu_reduce_ms_per_mb / 1000.0
+                copied / MB * cpu.reduce_ms_per_mb / 1000.0
             )
 
             if not ctx.claim_commit(task):

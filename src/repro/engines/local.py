@@ -32,6 +32,7 @@ from repro.exec.mapper import ExecMapper
 from repro.exec.operators import Collector
 from repro.obs import Tracer
 from repro.plan.physical import PhysicalPlan
+from repro.simulate import CostModel
 from repro.storage.hdfs import HDFS
 
 
@@ -48,8 +49,9 @@ class LocalEngine(Engine):
 
     name = "local"
 
-    def __init__(self, hdfs: HDFS, max_slots: int = 28):
-        self.hdfs = hdfs
+    def __init__(self, hdfs: HDFS, model: Optional[CostModel] = None,
+                 max_slots: int = 28):
+        super().__init__(hdfs, model)
         self.max_slots = max_slots
 
     def run_plan(

@@ -317,7 +317,7 @@ class WorkloadScheduler:
         self.default_pool = default_pool
         self.pools.setdefault(default_pool, Pool(default_pool))
         self.runtime = EngineRuntime(
-            driver.engine.spec,
+            driver.engine.model,
             driver.conf,
             lease_policy="fair" if policy == "fair" else "fifo",
         )
@@ -684,7 +684,7 @@ class WorkloadScheduler:
         engine = self._fallback_engines.get(name)
         if engine is None:
             engine = engine_registry.create(
-                name, self.driver.hdfs, spec=self.driver.engine.spec
+                name, self.driver.hdfs, model=self.driver.engine.model
             )
             self._require_plan_process(engine)
             self._fallback_engines[name] = engine

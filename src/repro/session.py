@@ -30,11 +30,12 @@ from typing import Dict, Optional, Union
 
 from repro import engines as engine_registry
 from repro.common.config import Configuration
-from repro.common.errors import ExecutionError
+from repro.common.errors import ConfigError, ExecutionError
 from repro.core.driver import Driver, make_warehouse
 from repro.engines.base import Engine
 from repro.exec.expressions import KERNEL_CODE_CACHE
 from repro.simulate.cluster import ClusterSpec
+from repro.simulate.costmodel import CostModel
 from repro.storage.hdfs import HDFS
 from repro.storage.metastore import Metastore
 
@@ -65,7 +66,7 @@ class Session(Driver):
         engine: Union[str, Engine] = "datampi",
         num_workers: int = 7,
         conf: ConfLike = None,
-        spec: Optional[ClusterSpec] = None,
+        model: Optional[CostModel] = None,
         hdfs: Optional[HDFS] = None,
         metastore: Optional[Metastore] = None,
         engine_config: Optional[Dict[str, object]] = None,
@@ -84,8 +85,15 @@ class Session(Driver):
             for key, value in engine_spec.validate_config(engine_config).items():
                 configuration.set(key, value)
         if isinstance(engine, str):
-            spec = spec or ClusterSpec(num_nodes=hdfs.num_workers + 1)
-            engine = engine_registry.create(engine, hdfs, spec=spec)
+            engine = engine_registry.create(engine, hdfs, model=model or CostModel(
+                cluster=ClusterSpec(num_nodes=hdfs.num_workers + 1)
+            ))
+        if model is not None and engine.model != model:
+            # an engine instance, or a factory that takes no model
+            raise ConfigError(
+                f"engine {engine.name!r} does not run under the given "
+                "model=; an Engine instance carries its own"
+            )
         super().__init__(hdfs, metastore, engine, conf=configuration)
         self._closed = False
         self._scheduler = None
@@ -210,7 +218,7 @@ def connect(
     engine: Union[str, Engine] = "datampi",
     num_workers: int = 7,
     conf: ConfLike = None,
-    spec: Optional[ClusterSpec] = None,
+    model: Optional[CostModel] = None,
     hdfs: Optional[HDFS] = None,
     metastore: Optional[Metastore] = None,
     engine_config: Optional[Dict[str, object]] = None,
@@ -222,7 +230,11 @@ def connect(
     via ``repro.engines.register``) or an already-built :class:`Engine`.
     Pass an existing *hdfs*/*metastore* pair to share one warehouse
     between sessions (e.g. to run the same tables on both engines);
-    *conf* accepts a :class:`Configuration` or a plain dict.
+    *conf* accepts a :class:`Configuration` or a plain dict.  *model* is
+    the :class:`~repro.simulate.CostModel` simulated seconds are priced
+    with (default: the paper's testbed, one worker per HDFS datanode);
+    it needs an engine name whose factory takes ``model=`` and raises
+    :class:`~repro.common.errors.ConfigError` otherwise.
 
     *engine_config* is the engine's typed option namespace (e.g.
     ``{"cache_mb": 1024}`` for llap): names and value types are checked
@@ -234,7 +246,7 @@ def connect(
         engine=engine,
         num_workers=num_workers,
         conf=conf,
-        spec=spec,
+        model=model,
         hdfs=hdfs,
         metastore=metastore,
         engine_config=engine_config,

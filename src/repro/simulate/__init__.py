@@ -11,6 +11,8 @@ Layers:
 * :mod:`repro.simulate.events`  — event loop, processes, timeouts, combinators
 * :mod:`repro.simulate.resources` — slot pools, processor-shared bandwidth, memory
 * :mod:`repro.simulate.cluster` — nodes and the cluster topology
+* :mod:`repro.simulate.costmodel` — every calibrated constant, one frozen
+  :class:`CostModel` the runtime carries
 * :mod:`repro.simulate.metrics` — dstat-style 1 Hz utilization sampler
 * :mod:`repro.simulate.faults` — declarative fault plans, elastic
   membership (scale-up/drain) and the heartbeat failure detector
@@ -22,6 +24,7 @@ Layers:
 from repro.simulate.events import Simulator, Event, Process, Interrupt
 from repro.simulate.resources import SlotPool, Bandwidth, MemoryAccount
 from repro.simulate.cluster import Node, Cluster, ClusterSpec
+from repro.simulate.costmodel import CostModel
 from repro.simulate.metrics import MetricsSampler, ResourceSample
 from repro.simulate.faults import (
     Degradation,
@@ -53,6 +56,7 @@ __all__ = [
     "Node",
     "Cluster",
     "ClusterSpec",
+    "CostModel",
     "MetricsSampler",
     "ResourceSample",
     "FaultPlan",

@@ -1,12 +1,16 @@
 """Tests for the DataMPI engine: O/A structure, knobs, paper behaviours."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import connect
 from repro.common.config import Configuration
 from repro.core.driver import Driver
 from repro.engines.base import compare_result_rows
-from repro.engines.datampi import DataMPICosts, DataMPIEngine
+from repro.engines.datampi import DataMPIEngine
+from repro.engines.datampi.engine import _gc_factor, _partition_buffer_bytes
+from repro.simulate import CostModel
 
 
 GROUP_QUERY = "SELECT grp, count(*) c, sum(val) s FROM facts GROUP BY grp ORDER BY grp"
@@ -138,24 +142,25 @@ class TestPaperBehaviours:
 class TestCostKnobs:
     def test_send_setup_slows_shuffle(self, big_warehouse):
         hdfs, metastore = big_warehouse
-        fast = DataMPIEngine(hdfs, costs=DataMPICosts(send_setup_seconds=0.0))
-        slow = DataMPIEngine(hdfs, costs=DataMPICosts(send_setup_seconds=0.05))
+        base = CostModel()
+        fast = DataMPIEngine(hdfs, model=replace(
+            base, datampi=replace(base.datampi, send_setup_seconds=0.0)))
+        slow = DataMPIEngine(hdfs, model=replace(
+            base, datampi=replace(base.datampi, send_setup_seconds=0.05)))
         fast_time = Driver(hdfs, metastore, fast).query(GROUP_QUERY).execution.total_seconds
         slow_time = Driver(hdfs, metastore, slow).query(GROUP_QUERY).execution.total_seconds
         assert slow_time >= fast_time
 
-    def test_gc_factor_shape(self, big_warehouse):
-        hdfs, _metastore = big_warehouse
-        engine = DataMPIEngine(hdfs)
-        low = engine._gc_factor(0.1)
-        mid = engine._gc_factor(0.4)
-        high = engine._gc_factor(0.95)
+    def test_gc_factor_shape(self):
+        costs = CostModel().datampi
+        low = _gc_factor(costs, 0.1)
+        mid = _gc_factor(costs, 0.4)
+        high = _gc_factor(costs, 0.95)
         assert low < mid < high
         assert high <= 2.5  # capped
 
-    def test_partition_buffer_scales_with_percent(self, big_warehouse):
-        hdfs, _metastore = big_warehouse
-        engine = DataMPIEngine(hdfs)
-        assert engine._partition_buffer_bytes(0.05) < engine._partition_buffer_bytes(0.4)
-        assert engine._partition_buffer_bytes(0.4) == pytest.approx(512 * 1024)
-        assert engine._partition_buffer_bytes(0.99) <= 2 * 1024 * 1024
+    def test_partition_buffer_scales_with_percent(self):
+        costs = CostModel().datampi
+        assert _partition_buffer_bytes(costs, 0.05) < _partition_buffer_bytes(costs, 0.4)
+        assert _partition_buffer_bytes(costs, 0.4) == pytest.approx(512 * 1024)
+        assert _partition_buffer_bytes(costs, 0.99) <= 2 * 1024 * 1024

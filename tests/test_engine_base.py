@@ -21,6 +21,7 @@ from repro.plan.analyzer import Analyzer
 from repro.plan.optimizer import prune_columns
 from repro.plan.physical import PhysicalCompiler
 from repro.simulate import Cluster, ClusterSpec, Simulator
+from repro.simulate.costmodel import CpuModel
 from repro.sql import parse_statement
 from repro.storage.formats.orc import OrcStoredFile
 
@@ -93,15 +94,15 @@ def test_orc_decode_charge_follows_the_class_not_its_name():
     class RenamedColumnar(OrcStoredFile):
         pass
 
-    costs = SimpleNamespace(cpu_map_ms_per_mb=10.0, cpu_orc_decode_ms_per_mb=4.0)
+    cpu = CpuModel(map_ms_per_mb=10.0, orc_decode_ms_per_mb=4.0)
 
     def tagged(stored):
         return TaggedSplit(SimpleNamespace(stored=stored), 0, [], None)
 
     orc = tagged(object.__new__(RenamedColumnar))
-    assert map_cpu_ms(costs, orc, 2 * MB) == 28.0
-    assert map_cpu_ms(costs, orc, 2 * MB, decode_bytes=MB) == 24.0
-    assert map_cpu_ms(costs, tagged(object()), 2 * MB) == 20.0
+    assert map_cpu_ms(cpu, orc, 2 * MB) == 28.0
+    assert map_cpu_ms(cpu, orc, 2 * MB, decode_bytes=MB) == 24.0
+    assert map_cpu_ms(cpu, tagged(object()), 2 * MB) == 20.0
 
 
 # -- pick_node ---------------------------------------------------------------

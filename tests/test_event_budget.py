@@ -8,7 +8,7 @@ schedules — ``Simulator.call_at`` + ``call_soon`` calls, counted the way
 the class attributes.  The comparison is exact (the simulation is
 deterministic), so a change to an engine's event structure has to
 re-capture the file and say so:
-``PYTHONPATH=src python tests/test_event_budget.py``.
+``PYTHONPATH=src python -m tests.test_event_budget``.
 
 On datampi the entries are also held against the number of
 ``MPI_Isend``\\ s, over both workloads together: at most 9 per message
@@ -27,7 +27,6 @@ the rest the burst's).
 """
 
 import contextlib
-import json
 import os
 from unittest import mock
 
@@ -45,6 +44,8 @@ from repro.engines.datampi.mpi import SimulatedMPI
 from repro.simulate.events import Simulator
 from repro.workloads.hibench import HIBENCH_JOIN, hibench_ddl
 from repro.workloads.tpch import tpch_query
+
+from .goldens import load_golden, write_golden
 
 BUDGET_PATH = os.path.join(os.path.dirname(__file__), "data", "event_budget.json")
 
@@ -166,8 +167,7 @@ def wrappers_removed():
 
 @pytest.fixture(scope="module")
 def budget():
-    with open(BUDGET_PATH) as handle:
-        return json.load(handle)
+    return load_golden(BUDGET_PATH)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -211,6 +211,4 @@ if __name__ == "__main__":
         for engine in ENGINES
     }
     captured["llap"]["serving"] = measure_serving()["entries"]
-    with open(BUDGET_PATH, "w") as handle:
-        json.dump(captured, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_golden(BUDGET_PATH, captured)

@@ -8,9 +8,12 @@ exercised deterministically and results must stay byte-identical to the
 fault-free run.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import connect
+from repro import engines as engine_registry
 from repro.common.config import (
     FAULT_SPEC,
     RETRY_BACKOFF,
@@ -20,7 +23,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigError, RetryExhaustedError
 from repro.engines.base import compare_result_rows
-from repro.simulate import FaultInjector, FaultPlan, Simulator
+from repro.simulate import CostModel, FaultInjector, FaultPlan, Simulator
 from repro.simulate.cluster import Cluster, ClusterSpec
 
 SQL = "SELECT grp, sum(val) FROM facts GROUP BY grp ORDER BY grp"
@@ -234,6 +237,42 @@ class TestRetryExhaustionAndFallback:
                          RETRY_FALLBACK: "mr"})
         assert degraded.fallback_engine == "hadoop"
         assert compare_result_rows(clean.rows, degraded.rows, ordered=True)
+
+    def test_fallback_runs_under_the_primary_model(self, big_warehouse,
+                                                   monkeypatch):
+        """The degraded run is priced by the session's model, hadoop
+        block included: a slower JVM spawn in it slows the fallback."""
+        hdfs, metastore = big_warehouse
+        created = []
+        create = engine_registry.create
+
+        def recording(*args, **kwargs):
+            created.append(create(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(engine_registry, "create", recording)
+        conf = {FAULT_SPEC: _ROLLING_CRASHES, RETRY_MAX: "1",
+                RETRY_BACKOFF: "0.5", RETRY_FALLBACK: "mr"}
+        base = CostModel(cluster=ClusterSpec(num_nodes=hdfs.num_workers + 1))
+        slow = replace(base, hadoop=replace(base.hadoop, task_jvm_start=3.0))
+        seconds = []
+        for model in (base, slow):
+            session = connect(engine="datampi", hdfs=hdfs,
+                              metastore=metastore, conf=conf, model=model)
+            result = session.query(SQL)
+            assert result.fallback_engine == "hadoop"
+            fallback = created[-1]
+            assert fallback.name == "hadoop"
+            assert fallback.model is session.engine.model is model
+            seconds.append(result.execution.total_seconds)
+        assert seconds[1] > seconds[0]
+
+    def test_breaker_fallback_shares_the_session_model(self):
+        model = replace(CostModel(), hadoop=replace(CostModel().hadoop,
+                                                    task_jvm_start=3.0))
+        with connect(engine="datampi", model=model) as session:
+            fallback = session.scheduler._fallback_engine("hadoop")
+            assert fallback.model is session.engine.model is model
 
     def test_no_fallback_marker_on_clean_run(self, big_warehouse):
         hdfs, metastore = big_warehouse

@@ -1,11 +1,13 @@
 """Tests for the simulated Hadoop engine: timing structure + correctness."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import connect
 from repro.engines.base import compare_result_rows
-from repro.engines.hadoop import HadoopCosts, HadoopEngine
-from repro.simulate import ClusterSpec
+from repro.engines.hadoop import HadoopEngine
+from repro.simulate import ClusterSpec, CostModel
 
 
 @pytest.fixture()
@@ -48,7 +50,7 @@ class TestTimingStructure:
     def test_startup_includes_submit_and_jvm(self, sessions):
         _local, hadoop = sessions
         result = hadoop.query(GROUP_QUERY)
-        costs = HadoopCosts()
+        costs = hadoop.engine.model.hadoop
         expected_min = costs.job_submit + costs.schedule_delay
         assert result.execution.jobs[0].startup >= expected_min
 
@@ -65,8 +67,10 @@ class TestTimingStructure:
 
     def test_waves_respect_slots(self, big_warehouse):
         hdfs, metastore = big_warehouse
-        spec = ClusterSpec(num_nodes=3, slots_per_node=2)  # 4 map slots total
-        session = connect(engine="hadoop", hdfs=hdfs, metastore=metastore, spec=spec)
+        # 4 map slots total
+        model = CostModel(cluster=ClusterSpec(num_nodes=3, slots_per_node=2))
+        session = connect(engine="hadoop", hdfs=hdfs, metastore=metastore,
+                          model=model)
         result = session.query("SELECT count(*) FROM facts")
         job = result.execution.jobs[0]
         maps = sorted(
@@ -112,8 +116,11 @@ class TestTimingStructure:
 class TestCostKnobs:
     def test_slower_jvm_slows_job(self, big_warehouse):
         hdfs, metastore = big_warehouse
-        fast = HadoopEngine(hdfs, costs=HadoopCosts(task_jvm_start=0.5))
-        slow = HadoopEngine(hdfs, costs=HadoopCosts(task_jvm_start=3.0))
+        base = CostModel()
+        fast = HadoopEngine(hdfs, model=replace(
+            base, hadoop=replace(base.hadoop, task_jvm_start=0.5)))
+        slow = HadoopEngine(hdfs, model=replace(
+            base, hadoop=replace(base.hadoop, task_jvm_start=3.0)))
         from repro.core.driver import Driver
 
         fast_time = Driver(hdfs, metastore, fast).query(GROUP_QUERY).execution.total_seconds

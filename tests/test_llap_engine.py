@@ -7,6 +7,7 @@ import gc
 import weakref
 
 from repro import connect
+from repro import engines as registry
 from repro.common.config import (
     FAULT_SPEC,
     LLAP_CACHE_MB,
@@ -87,7 +88,7 @@ class TestDaemonLifecycle:
                           engine_config={"result_cache": False})
         first = session.query(QUERIES[0]).execution
         second = session.query(QUERIES[0]).execution
-        spawn = session.engine.costs.daemon_spawn
+        spawn = session.engine.model.llap.daemon_spawn
         # the fleet bring-up is inside the first query's makespan only
         assert first.total_seconds >= second.total_seconds + spawn * 0.5
 
@@ -139,6 +140,19 @@ class TestDaemonLifecycle:
 
 
 class TestColumnarCache:
+    def test_engine_options_default_to_what_the_engine_falls_back_to(self):
+        """An llap session without ``engine_config`` runs with exactly
+        the values the registry documents as each option's default."""
+        options = {option.name: option
+                   for option in registry.get_spec("llap").options}
+        hdfs, metastore = build_orc_warehouse()
+        session = connect(engine="llap", hdfs=hdfs, metastore=metastore)
+        session.query(QUERIES[0])
+        assert session.engine._cache_mb == options["cache_mb"].default
+        assert (session.result_cache() is not None) == \
+            options["result_cache"].default
+        assert set(options) == {"cache_mb", "result_cache"}
+
     def test_repeat_scan_hits_cache(self):
         hdfs, metastore = build_orc_warehouse()
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore,

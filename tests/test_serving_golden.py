@@ -25,7 +25,6 @@ scheduling change) with ``PYTHONPATH=src python -m tests.test_serving_golden``.
 """
 
 import hashlib
-import json
 import os
 import random
 
@@ -42,6 +41,8 @@ from repro.common.errors import AdmissionRejectedError
 from repro.common.lru import LruCache
 from repro.simulate.chaos import assert_clean_ledger
 from repro.workloads.hibench import load_hibench
+
+from .goldens import load_golden, write_golden
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "serving_golden.json"
@@ -232,8 +233,7 @@ def measure(policy):
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
+    return load_golden(GOLDEN_PATH)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -386,7 +386,5 @@ class TestOneLookupPerStatement:
 
 
 if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as out:
-        json.dump({policy: measure(policy) for policy in POLICIES}, out,
-                  indent=0, sort_keys=True)
-        out.write("\n")
+    write_golden(GOLDEN_PATH, {policy: measure(policy) for policy in POLICIES},
+                 indent=0)

@@ -1,13 +1,16 @@
 """The public session API: engine registry, connect()/Session lifecycle,
 capability specs, and the QueryResult cursor surface."""
 
+from dataclasses import replace
+
 import pytest
 
 import repro
 from repro import Session, connect, make_warehouse
 from repro import engines as registry
-from repro.common.errors import EngineConfigError, ExecutionError
+from repro.common.errors import ConfigError, EngineConfigError, ExecutionError
 from repro.engines.local import LocalEngine
+from repro.simulate.costmodel import CompileModel
 from repro.storage.hdfs import DEFAULT_BLOCK_SIZE
 from repro.common.units import MB
 
@@ -42,8 +45,8 @@ class TestRegistry:
     def test_custom_engine_round_trip(self, warehouse):
         hdfs, metastore = warehouse
 
-        def factory(hdfs, spec=None):
-            return LocalEngine(hdfs)
+        def factory(hdfs, model=None):
+            return LocalEngine(hdfs, model=model)
 
         registry.register("mine", factory, aliases=("m",))
         try:
@@ -94,6 +97,38 @@ class TestConnect:
         assert isinstance(session, Session)
         assert session.engine is engine
         assert session.engine_name == "local"
+
+    def test_local_engine_runs_under_the_given_model(self, warehouse):
+        """The local engine has no cluster, but the driver's compile
+        charge still comes from the session's model."""
+        hdfs, metastore = warehouse
+        model = replace(repro.CostModel(), compile=CompileModel(base_seconds=5.0))
+        session = connect(engine="local", hdfs=hdfs, metastore=metastore,
+                          model=model)
+        assert session.engine.model is model
+        result = session.query("SELECT count(*) FROM emp")
+        assert result.compile_seconds == \
+            5.0 + model.compile.per_job_seconds * result.plan.num_jobs
+
+    def test_model_an_engine_cannot_take_is_refused(self, warehouse):
+        hdfs, metastore = warehouse
+        model = replace(repro.CostModel(), compile=CompileModel(base_seconds=5.0))
+        with pytest.raises(ConfigError, match="model="):
+            connect(engine=LocalEngine(hdfs), hdfs=hdfs, metastore=metastore,
+                    model=model)
+
+        def modelless(hdfs):
+            return LocalEngine(hdfs)
+
+        registry.register("modelless", modelless)
+        try:
+            with pytest.raises(ConfigError, match="'local'.*model="):
+                connect(engine="modelless", hdfs=hdfs, metastore=metastore,
+                        model=model)
+            # without model= such a factory still connects
+            connect(engine="modelless", hdfs=hdfs, metastore=metastore).close()
+        finally:
+            registry.unregister("modelless")
 
     def test_conf_accepts_dict(self, warehouse):
         hdfs, metastore = warehouse

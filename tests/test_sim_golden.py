@@ -5,11 +5,10 @@ digest for every engine x storage format on TPC-H Q1/Q3/Q12 and HiBench
 AGGREGATE/JOIN.  Simulated seconds are the paper's
 numbers: a refactor must not move them, so the comparison is exact.
 Re-capture (only after a deliberate cost-model change) with
-``PYTHONPATH=src python tests/test_sim_golden.py``.
+``PYTHONPATH=src python -m tests.test_sim_golden``.
 """
 
 import hashlib
-import json
 import os
 
 import pytest
@@ -18,6 +17,8 @@ from repro import connect
 from repro.bench import fresh_hibench, fresh_tpch
 from repro.workloads.hibench import HIBENCH_AGGREGATE, HIBENCH_JOIN, hibench_ddl
 from repro.workloads.tpch import tpch_query
+
+from .goldens import load_golden, write_golden
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "sim_golden.json")
 
@@ -65,8 +66,7 @@ def measure(engine, fmt):
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
+    return load_golden(GOLDEN_PATH)
 
 
 # ids keep the suffix they had beside the retired ``-row`` cells, so a
@@ -79,9 +79,4 @@ def test_simulated_seconds_and_rows_match_golden(golden, engine, fmt):
 
 
 if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump(
-            {f"{e}/{f}": measure(e, f) for e, f in CELLS},
-            handle, indent=1, sort_keys=True,
-        )
-        handle.write("\n")
+    write_golden(GOLDEN_PATH, {f"{e}/{f}": measure(e, f) for e, f in CELLS})

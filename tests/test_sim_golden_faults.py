@@ -16,7 +16,6 @@ after a deliberate cost-model change) with
 """
 
 import hashlib
-import json
 import os
 
 import pytest
@@ -30,6 +29,7 @@ from repro.common.config import (
     SPECULATIVE_EXECUTION,
 )
 from .conftest import build_big_warehouse
+from .goldens import load_golden, write_golden
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "sim_golden_faults.json"
@@ -92,8 +92,7 @@ def measure_all():
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
+    return load_golden(GOLDEN_PATH)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -112,6 +111,4 @@ def test_shared_runtime_matches_golden(golden, engine):
 
 
 if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump(measure_all(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_golden(GOLDEN_PATH, measure_all())

@@ -17,16 +17,17 @@ re-cut the DES event structure) and must not move without a declared
 cost-model change.  Known-sensitive: 5 GB JOIN at ``sendqueue=3``
 (``142.41960192074052``) moves in the 12th digit if a waiter overtakes
 a heap entry due at the same instant.  Re-capture with
-``PYTHONPATH=src python tests/test_sim_golden_shuffle.py``.
+``PYTHONPATH=src python -m tests.test_sim_golden_shuffle``.
 """
 
 import hashlib
-import json
 import os
 
 import pytest
 
 from repro.bench import fresh_hibench, run_hibench_query
+
+from .goldens import load_golden, write_golden
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "sim_golden_shuffle.json"
@@ -75,8 +76,7 @@ def measure(knob, gb, which):
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
+    return load_golden(GOLDEN_PATH)
 
 
 @pytest.mark.parametrize(
@@ -87,9 +87,5 @@ def test_shuffle_path_matches_golden(golden, knob, gb, which):
 
 
 if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump(
-            {f"{k}/{g}gb/{w}": measure(k, g, w) for k, g, w in CELLS},
-            handle, indent=1, sort_keys=True,
-        )
-        handle.write("\n")
+    write_golden(GOLDEN_PATH,
+                 {f"{k}/{g}gb/{w}": measure(k, g, w) for k, g, w in CELLS})

@@ -16,17 +16,18 @@ exact.
 The values were captured at ``682c24c`` (the parent of the PR that made
 the write path column-primary) and must not move without a declared
 cost-model or format change.  Re-capture, only after such a declared
-change, with ``PYTHONPATH=src python tests/test_sim_golden_write.py``.
+change, with ``PYTHONPATH=src python -m tests.test_sim_golden_write``.
 """
 
 import hashlib
-import json
 import os
 
 import pytest
 
 from repro import connect
 from repro.bench import fresh_tpch
+
+from .goldens import load_golden, write_golden
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "sim_golden_write.json"
@@ -110,8 +111,7 @@ def measure(engine):
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
+    return load_golden(GOLDEN_PATH)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -122,7 +122,4 @@ def test_written_files_and_simulated_seconds_match_golden(golden, engine):
 
 
 if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump({engine: measure(engine) for engine in ENGINES},
-                  handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_golden(GOLDEN_PATH, {engine: measure(engine) for engine in ENGINES})
