@@ -11,7 +11,7 @@ top (stage pipelining without HDFS materialization — §VII.3).
 
 from dataclasses import replace
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, improvement_percent, run_hibench_query
 from repro.core.driver import Driver
@@ -69,8 +69,8 @@ def _experiment():
     return cases
 
 
-def test_ablation_of_datampi_factors(benchmark):
-    cases = run_once(benchmark, _experiment)
+def test_ablation_of_datampi_factors():
+    cases = _experiment()
     full = cases["datampi (full)"]
     hadoop = cases["hadoop"]
     lines = ["== DataMPI factor ablation (HiBench JOIN, 20 GB; seconds) =="]

@@ -13,27 +13,12 @@ reports, per engine:
 * **replay** — one schedule per engine is run twice and the reports
   must be identical (determinism).
 
-Standalone (the check.sh gate runs it with ``CHECK_CHAOS_FULL=1``)::
-
-    python benchmarks/bench_chaos.py [--smoke] [--output OUT.json]
+Regenerates ``results/BENCH_chaos.json``.
 """
 
-from __future__ import annotations
+from benchhelpers import emit, write_report
 
-import argparse
-import json
-import os
-import sys
-import time
-
-sys.path.insert(0, os.path.dirname(__file__))  # benchhelpers
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:  # runnable without an installed package
-    sys.path.insert(0, _SRC)
-
-from benchhelpers import results_path  # noqa: E402
-
-from repro.simulate.chaos import (  # noqa: E402
+from repro.simulate.chaos import (
     CHAOS_QUERIES,
     oracle_rows,
     run_chaos,
@@ -41,112 +26,65 @@ from repro.simulate.chaos import (  # noqa: E402
 )
 
 ENGINES = ("hadoop", "datampi", "llap")
+CONFIG = {"seeds": 9, "deadline_seed": 4, "replay": True}
 
 
-def config(smoke: bool):
-    if smoke:
-        return {"seeds": 2, "deadline_seed": 0, "replay": False}
-    return {"seeds": 9, "deadline_seed": 4, "replay": True}
-
-
-def run_engine(engine: str, cfg):
+def run_engine(engine: str):
     oracle = oracle_rows(engine, CHAOS_QUERIES)
     schedules = []
     completed = 0
     deadline_misses = 0
     recovery = {}
-    for seed in range(cfg["seeds"]):
+    for seed in range(CONFIG["seeds"]):
         # one seed per engine also carries a tight per-query deadline so
         # the bench exercises the timeout path, not just clean recovery
-        deadline = 150.0 if seed == cfg["deadline_seed"] else None
+        deadline = 150.0 if seed == CONFIG["deadline_seed"] else None
         report = run_chaos(engine, seed=seed, deadline=deadline, oracle=oracle)
         completed += report.succeeded
         deadline_misses += report.deadline_misses
         for kind, seconds in report.recovery_seconds.items():
             recovery.setdefault(kind, []).append(seconds)
         schedules.append(report.to_dict())
-    replayed = False
-    if cfg["replay"]:
-        verify_replay(engine, seed=1, oracle=oracle)
-        replayed = True
+    verify_replay(engine, seed=1, oracle=oracle)
     return {
         "schedules": len(schedules),
         "queries_completed": completed,
-        "queries_total": cfg["seeds"] * len(CHAOS_QUERIES),
+        "queries_total": CONFIG["seeds"] * len(CHAOS_QUERIES),
         "deadline_misses": deadline_misses,
         "mean_recovery_seconds": {
             kind: round(sum(values) / len(values), 3)
             for kind, values in sorted(recovery.items())
         },
-        "replay_verified": replayed,
+        "replay_verified": True,
         "runs": schedules,
     }
 
 
-def run(cfg):
-    report = {"config": dict(cfg), "workload": list(CHAOS_QUERIES)}
+def _experiment():
+    report = {"config": CONFIG, "workload": list(CHAOS_QUERIES)}
     for engine in ENGINES:
-        report[engine] = run_engine(engine, cfg)
+        report[engine] = run_engine(engine)
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="fewer seeds, no replay pass (CI gate)")
-    parser.add_argument("--output", default=results_path("BENCH_chaos.json"),
-                        help="where to write the JSON report")
-    parser.add_argument("--guard-seconds", type=float, default=0.0,
-                        metavar="S",
-                        help="fail if the whole run takes longer than S "
-                             "wall-clock seconds (0 = no guard)")
-    args = parser.parse_args(argv)
+def test_chaos_report():
+    report = _experiment()
+    write_report("BENCH_chaos.json", report)
 
-    started = time.perf_counter()
-    report = run(config(args.smoke))
-    elapsed = time.perf_counter() - started
-    report["wall_clock_seconds"] = round(elapsed, 3)
-
-    header = (f"{'engine':>9} {'schedules':>10} {'completed':>10} "
-              f"{'deadline miss':>14} {'recovery (crash/drain/join)':>28}")
-    print(header)
+    lines = [f"{'engine':>9} {'schedules':>10} {'completed':>10} "
+             f"{'deadline miss':>14} {'recovery (crash/drain/join)':>28}"]
     for engine in ENGINES:
         cell = report[engine]
         rec = cell["mean_recovery_seconds"]
         rec_text = "/".join(
             f"{rec.get(kind, 0.0):.0f}s" for kind in ("crash", "drain", "scale-up"))
-        print(f"{engine:>9} {cell['schedules']:>10} "
-              f"{cell['queries_completed']:>6}/{cell['queries_total']:<3} "
-              f"{cell['deadline_misses']:>14} {rec_text:>28}")
+        lines.append(f"{engine:>9} {cell['schedules']:>10} "
+                     f"{cell['queries_completed']:>6}/{cell['queries_total']:<3} "
+                     f"{cell['deadline_misses']:>14} {rec_text:>28}")
+    emit("\n".join(lines))
 
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {args.output}")
-
-    # shape checks: the acceptance properties of the chaos harness
-    ok = True
-    total_schedules = sum(report[e]["schedules"] for e in ENGINES)
-    floor = 6 if args.smoke else 25
-    if total_schedules < floor:
-        print(f"FAIL: only {total_schedules} schedules ran (need >={floor})",
-              file=sys.stderr)
-        ok = False
+    assert sum(report[e]["schedules"] for e in ENGINES) >= 25
     for engine in ENGINES:
         cell = report[engine]
-        runnable = cell["queries_total"] - cell["deadline_misses"]
-        if cell["queries_completed"] < runnable:
-            print(f"FAIL: {engine} completed {cell['queries_completed']} of "
-                  f"{runnable} non-deadline queries", file=sys.stderr)
-            ok = False
-        if not args.smoke and not cell["replay_verified"]:
-            print(f"FAIL: {engine} replay pass did not run", file=sys.stderr)
-            ok = False
-    if args.guard_seconds and elapsed > args.guard_seconds:
-        print(f"FAIL: run took {elapsed:.1f}s wall-clock "
-              f"(guard {args.guard_seconds:.0f}s)", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        assert cell["queries_completed"] >= cell["queries_total"] - cell["deadline_misses"], \
+            f"{engine} left a non-deadline query unfinished"

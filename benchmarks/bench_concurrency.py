@@ -14,33 +14,19 @@ scheduling policy, on both cluster engines.  Reported per policy:
 Every run also cross-checks correctness: each query's rows under every
 policy must be byte-identical to its solo run.
 
-Standalone (the check.sh gate runs it with ``CHECK_CONCURRENCY_FULL=1``)::
-
-    python benchmarks/bench_concurrency.py [--smoke] [--output OUT.json]
+Regenerates ``results/BENCH_concurrency.json``.
 """
 
-from __future__ import annotations
+from benchhelpers import emit, write_report
 
-import argparse
-import json
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(__file__))  # benchhelpers
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:  # runnable without an installed package
-    sys.path.insert(0, _SRC)
-
-from benchhelpers import results_path  # noqa: E402
-
-from repro import connect  # noqa: E402
-from repro.bench import fresh_hibench  # noqa: E402
-from repro.common.config import (  # noqa: E402
+from repro import connect
+from repro.bench import fresh_hibench
+from repro.common.config import (
     SCHED_DEFAULT_POOL,
     SCHED_POLICY,
     SCHED_POOLS,
 )
-from repro.sched import POLICIES, jain_fairness_index  # noqa: E402
+from repro.sched import POLICIES, jain_fairness_index
 
 LONG_QUERY = (
     "SELECT sourceip, SUM(adrevenue), COUNT(*), AVG(adrevenue) "
@@ -52,29 +38,21 @@ SHORT_QUERY = "SELECT COUNT(*) FROM rankings"
 
 POOLS = "etl:weight=2; adhoc:weight=1"
 ENGINES = ("hadoop", "datampi")
+# (pool, sql) submission schedule: long ETL queries ahead of short
+# ad-hoc ones — the adversarial case for FIFO
+WORKLOAD = [("etl", LONG_QUERY)] * 3 + [("adhoc", SHORT_QUERY)] * 3
 
 
-def workload(smoke: bool):
-    """(pool, sql) submission schedule: long ETL queries ahead of short
-    ad-hoc ones — the adversarial case for FIFO."""
-    longs = 2 if smoke else 3
-    shorts = 1 if smoke else 3
-    plan = [("etl", LONG_QUERY)] * longs + [("adhoc", SHORT_QUERY)] * shorts
-    return plan
-
-
-def _fresh(smoke: bool):
-    if smoke:
-        return fresh_hibench(5, sample_uservisits=2000)
+def _fresh():
     return fresh_hibench(20, sample_uservisits=8000)
 
 
-def solo_latencies(engine: str, smoke: bool):
+def solo_latencies(engine: str):
     """Each distinct query's latency (and rows) on an empty cluster."""
-    hdfs, metastore = _fresh(smoke)
+    hdfs, metastore = _fresh()
     latencies = {}
     rows = {}
-    for sql in dict.fromkeys(sql for _pool, sql in workload(smoke)):
+    for sql in dict.fromkeys(sql for _pool, sql in WORKLOAD):
         with connect(engine=engine, hdfs=hdfs, metastore=metastore) as session:
             result = session.query(sql)
             latencies[sql] = result.simulated_seconds
@@ -82,13 +60,13 @@ def solo_latencies(engine: str, smoke: bool):
     return latencies, rows
 
 
-def run_policy(engine: str, policy: str, smoke: bool, solo_rows):
-    hdfs, metastore = _fresh(smoke)
+def run_policy(engine: str, policy: str, solo_rows):
+    hdfs, metastore = _fresh()
     conf = {SCHED_POLICY: policy, SCHED_POOLS: POOLS, SCHED_DEFAULT_POOL: "adhoc"}
     with connect(engine=engine, hdfs=hdfs, metastore=metastore, conf=conf) as session:
         handles = [
             (pool, sql, session.submit(sql, pool=pool))
-            for pool, sql in workload(smoke)
+            for pool, sql in WORKLOAD
         ]
         session.scheduler.drain()
         latencies = []
@@ -116,12 +94,12 @@ def percentile(values, fraction: float) -> float:
     return ordered[index]
 
 
-def run(smoke: bool):
+def _experiment():
     report = {}
     for engine in ENGINES:
-        solo, solo_rows = solo_latencies(engine, smoke)
+        solo, solo_rows = solo_latencies(engine)
         for policy in POLICIES:
-            latencies, makespan = run_policy(engine, policy, smoke, solo_rows)
+            latencies, makespan = run_policy(engine, policy, solo_rows)
             slowdowns = [latency / solo[sql] for _pool, sql, latency in latencies]
             values = [latency for _pool, _sql, latency in latencies]
             adhoc = [latency for pool, _sql, latency in latencies
@@ -139,38 +117,19 @@ def run(smoke: bool):
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small dataset + fewer queries (CI gate)")
-    parser.add_argument("--output", default=results_path("BENCH_concurrency.json"),
-                        help="where to write the JSON report")
-    args = parser.parse_args(argv)
+def test_concurrency_report():
+    report = _experiment()
+    write_report("BENCH_concurrency.json", report)
 
-    report = run(args.smoke)
-
-    header = (f"{'engine/policy':>18} {'makespan':>9} {'p50':>8} {'p95':>8} "
-              f"{'adhoc50':>8} {'jain':>6}")
-    print(header)
+    lines = [f"{'engine/policy':>18} {'makespan':>9} {'p50':>8} {'p95':>8} "
+             f"{'adhoc50':>8} {'jain':>6}"]
     for key, cell in report.items():
-        print(f"{key:>18} {cell['makespan']:>9.2f} {cell['p50_latency']:>8.2f} "
-              f"{cell['p95_latency']:>8.2f} {cell['adhoc_p50_latency']:>8.2f} "
-              f"{cell['fairness_jain_slowdown']:>6.3f}")
+        lines.append(f"{key:>18} {cell['makespan']:>9.2f} {cell['p50_latency']:>8.2f} "
+                     f"{cell['p95_latency']:>8.2f} {cell['adhoc_p50_latency']:>8.2f} "
+                     f"{cell['fairness_jain_slowdown']:>6.3f}")
+    emit("\n".join(lines))
 
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {args.output}")
-
-    # shape check: fair sharing must help the short ad-hoc queries stuck
-    # behind the ETL pool on the task-granular engine
-    fifo = report["hadoop/fifo"]
-    fair = report["hadoop/fair"]
-    if not fair["adhoc_p50_latency"] < fifo["adhoc_p50_latency"]:
-        print("FAIL: fair-share did not beat FIFO ad-hoc latency on hadoop",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    # fair sharing must help the short ad-hoc queries stuck behind the
+    # ETL pool on the task-granular engine
+    assert (report["hadoop/fair"]["adhoc_p50_latency"]
+            < report["hadoop/fifo"]["adhoc_p50_latency"])

@@ -5,7 +5,7 @@ section averages >50 % of a MapReduce job and startup ~5 %, motivating
 the attack on data movement and job startup.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, run_hibench_query
 from repro.reporting.breakdown import format_breakdown_table
@@ -21,8 +21,8 @@ def _experiment():
     return breakdowns
 
 
-def test_fig01_motivation_breakdown(benchmark):
-    breakdowns = run_once(benchmark, _experiment)
+def test_fig01_motivation_breakdown():
+    breakdowns = _experiment()
     emit(format_breakdown_table(breakdowns))
 
     rows = []

@@ -13,7 +13,7 @@ through the same shuffle.
 
 import statistics
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, fresh_tpch, run_hibench_query, run_script
 from repro.reporting.figures import write_csv
@@ -108,8 +108,8 @@ def _spread(values):
     return statistics.pstdev(values) / max(1e-9, statistics.mean(values))
 
 
-def test_fig02_communication_pattern(benchmark):
-    data = run_once(benchmark, _experiment)
+def test_fig02_communication_pattern():
+    data = _experiment()
 
     hive_windows = data["hive_windows"]
     tera_windows = data["terasort_windows"]

@@ -6,7 +6,7 @@ style's synchronized rounds make every task wait for the slowest
 participant (data skew), fragmenting the send timelines.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, run_hibench_query
 from repro.reporting.figures import write_csv
@@ -37,8 +37,8 @@ def _experiment():
     return runs
 
 
-def test_fig06_blocking_vs_nonblocking(benchmark):
-    runs = run_once(benchmark, _experiment)
+def test_fig06_blocking_vs_nonblocking():
+    runs = _experiment()
     spans = {}
     rows = []
     for style, run in runs.items():

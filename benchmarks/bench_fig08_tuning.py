@@ -6,7 +6,7 @@ spills to disk, near 1 the application starves and GC hurts — and
 performance stabilizes once ``hive.datampi.sendqueue`` exceeds ~6.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, run_hibench_query
 from repro.reporting.figures import format_series_table, write_csv
@@ -36,8 +36,8 @@ def _experiment():
     return memory_series, queue_series
 
 
-def test_fig08_memory_and_sendqueue_tuning(benchmark):
-    memory_series, queue_series = run_once(benchmark, _experiment)
+def test_fig08_memory_and_sendqueue_tuning():
+    memory_series, queue_series = _experiment()
 
     emit(format_series_table(
         "Fig 8(a) cache-memory percent", "memusedpercent", MEM_PERCENTS, memory_series

@@ -4,7 +4,7 @@ Paper: Hive on DataMPI improves AGGREGATE by ~29 % and JOIN by ~31 % on
 average across the 5/10/20/40 GB data sets.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, improvement_percent, run_hibench_query
 from repro.reporting.figures import format_series_table, write_csv
@@ -23,8 +23,8 @@ def _experiment():
     return results
 
 
-def test_fig09_hibench_scaling(benchmark):
-    results = run_once(benchmark, _experiment)
+def test_fig09_hibench_scaling():
+    results = _experiment()
     csv_rows = []
     for which, series in results.items():
         emit(format_series_table(

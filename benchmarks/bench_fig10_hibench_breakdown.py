@@ -10,7 +10,7 @@ Paper findings reproduced here:
   purely from light-weight process management).
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, improvement_percent, run_hibench_query
 from repro.reporting.breakdown import format_breakdown_table
@@ -26,8 +26,8 @@ def _experiment():
     return runs
 
 
-def test_fig10_hibench_breakdown(benchmark):
-    runs = run_once(benchmark, _experiment)
+def test_fig10_hibench_breakdown():
+    runs = _experiment()
     emit(format_breakdown_table(
         {f"{which}/{engine}": run.breakdown for (which, engine), run in runs.items()}
     ))

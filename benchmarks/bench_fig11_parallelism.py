@@ -12,7 +12,7 @@ Paper (§IV-D, §V-C):
 * with enhanced on both sides, DataMPI beats Hadoop by ~29 % on average.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_tpch, improvement_percent, run_script
 from repro.reporting.figures import write_csv
@@ -61,8 +61,8 @@ def _experiment():
     return table, q9_skew
 
 
-def test_fig11_parallelism_strategies(benchmark):
-    table, q9_skew = run_once(benchmark, _experiment)
+def test_fig11_parallelism_strategies():
+    table, q9_skew = _experiment()
 
     header = "case " + "".join(f"{'Q%d' % q:>9}" for q in TPCH_QUERY_IDS)
     lines = ["== Fig 11: default(h/d) vs enhanced(H/D), 40 GB ORC (seconds) ==",

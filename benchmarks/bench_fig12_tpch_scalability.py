@@ -6,7 +6,7 @@ by ~20 % (Text) and ~32 % (ORC); the best case is Q12 on the 20 GB ORC
 set (~53 %).
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_tpch, improvement_percent, run_script
 from repro.reporting.figures import write_csv
@@ -32,8 +32,8 @@ def _experiment():
     return results
 
 
-def test_fig12_tpch_scalability(benchmark):
-    results = run_once(benchmark, _experiment)
+def test_fig12_tpch_scalability():
+    results = _experiment()
     avg = lambda xs: sum(xs) / len(xs)
 
     csv_rows = []

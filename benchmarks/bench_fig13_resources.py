@@ -7,7 +7,7 @@ data), and higher average network bandwidth (30 vs 20 MB/s) thanks to
 the non-blocking shuffle.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_tpch, run_script
 from repro.common.units import MB
@@ -33,8 +33,8 @@ def _series_stats(samples, attribute):
     return sum(values) / len(values), max(values)
 
 
-def test_fig13_resource_utilization(benchmark):
-    runs = run_once(benchmark, _experiment)
+def test_fig13_resource_utilization():
+    runs = _experiment()
 
     csv_rows = []
     stats = {}

@@ -14,30 +14,15 @@ LLAP targets) runs on the three cluster engines.  Reported per engine:
 Every run cross-checks correctness: each query's rows on every engine
 must be byte-identical to the local reference executor.
 
-Standalone (the check.sh gate runs it with ``CHECK_LLAP_FULL=1``)::
-
-    python benchmarks/bench_llap.py [--smoke] [--output OUT.json]
+Regenerates ``results/BENCH_llap.json``.
 """
 
-from __future__ import annotations
+from benchhelpers import emit, write_report
 
-import argparse
-import json
-import os
-import sys
-import time
-
-sys.path.insert(0, os.path.dirname(__file__))  # benchhelpers
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:  # runnable without an installed package
-    sys.path.insert(0, _SRC)
-
-from benchhelpers import results_path  # noqa: E402
-
-from repro import connect  # noqa: E402
-from repro.bench import fresh_tpch  # noqa: E402
-from repro.engines.base import compare_result_rows  # noqa: E402
-from repro.workloads.tpch import tpch_query  # noqa: E402
+from repro import connect
+from repro.bench import fresh_tpch
+from repro.engines.base import compare_result_rows
+from repro.workloads.tpch import tpch_query
 
 # label -> (engine, engine_config); llap-nocache disables the result
 # cache so the warm pass exercises fragment dispatch + the stripe cache
@@ -47,37 +32,32 @@ VARIANTS = (
     ("llap", "llap", None),
     ("llap-nocache", "llap", {"result_cache": False}),
 )
+CONFIG = {"sf": 5, "sample": 3000, "queries": [1, 3, 6, 12], "repeats": 4}
 
 
-def config(smoke: bool):
-    if smoke:
-        return {"sf": 1, "sample": 800, "queries": (1, 6), "repeats": 3}
-    return {"sf": 5, "sample": 3000, "queries": (1, 3, 6, 12), "repeats": 4}
-
-
-def _fresh(cfg):
-    return fresh_tpch(cfg["sf"], lineitem_sample=cfg["sample"],
+def _fresh():
+    return fresh_tpch(CONFIG["sf"], lineitem_sample=CONFIG["sample"],
                       format_name="orc")
 
 
-def reference_rows(cfg):
-    hdfs, metastore = _fresh(cfg)
+def reference_rows():
+    hdfs, metastore = _fresh()
     rows = {}
     with connect(engine="local", hdfs=hdfs, metastore=metastore) as session:
-        for query in cfg["queries"]:
-            rows[query] = session.query(tpch_query(query, cfg["sf"])).rows
+        for query in CONFIG["queries"]:
+            rows[query] = session.query(tpch_query(query, CONFIG["sf"])).rows
     return rows
 
 
-def run_engine(engine: str, cfg, oracle, engine_config=None):
+def run_engine(engine: str, oracle, engine_config=None):
     """Cold pass + measured repeated workload on one engine."""
-    hdfs, metastore = _fresh(cfg)
+    hdfs, metastore = _fresh()
     with connect(engine=engine, hdfs=hdfs, metastore=metastore,
                  engine_config=engine_config) as session:
         cold_seconds = 0.0
         startups = []
-        for query in cfg["queries"]:
-            result = session.query(tpch_query(query, cfg["sf"]))
+        for query in CONFIG["queries"]:
+            result = session.query(tpch_query(query, CONFIG["sf"]))
             cold_seconds += result.simulated_seconds
             if not compare_result_rows(oracle[query], result.rows,
                                        ordered=True):
@@ -86,9 +66,9 @@ def run_engine(engine: str, cfg, oracle, engine_config=None):
 
         warm_seconds = 0.0
         result_hits = 0
-        for _round in range(cfg["repeats"]):
-            for query in cfg["queries"]:
-                result = session.query(tpch_query(query, cfg["sf"]))
+        for _round in range(CONFIG["repeats"]):
+            for query in CONFIG["queries"]:
+                result = session.query(tpch_query(query, CONFIG["sf"]))
                 warm_seconds += result.simulated_seconds
                 result_hits += int(result.cache_hit)
                 if result.execution is not None:
@@ -111,77 +91,37 @@ def run_engine(engine: str, cfg, oracle, engine_config=None):
     }
 
 
-def run(cfg):
-    oracle = reference_rows(cfg)
-    report = {"config": {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in cfg.items()}}
+def _experiment():
+    oracle = reference_rows()
+    report = {"config": CONFIG}
     for label, engine, engine_config in VARIANTS:
-        report[label] = run_engine(engine, cfg, oracle, engine_config)
+        report[label] = run_engine(engine, oracle, engine_config)
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small dataset + fewer repeats (CI gate)")
-    parser.add_argument("--output", default=results_path("BENCH_llap.json"),
-                        help="where to write the JSON report")
-    parser.add_argument("--guard-seconds", type=float, default=0.0,
-                        metavar="S",
-                        help="fail if the whole run takes longer than S "
-                             "wall-clock seconds (0 = no guard)")
-    args = parser.parse_args(argv)
+def test_llap_report():
+    report = _experiment()
+    write_report("BENCH_llap.json", report)
 
-    started = time.perf_counter()
-    report = run(config(args.smoke))
-    elapsed = time.perf_counter() - started
-    report["wall_clock_seconds"] = round(elapsed, 3)
+    lines = [f"{'engine':>13} {'cold':>9} {'warm total':>11} "
+             f"{'job startup':>12} {'result hits':>12} {'stripe h/m':>11}"]
+    for label, _engine, _config in VARIANTS:
+        cell = report[label]
+        lines.append(f"{label:>13} {cell['cold_seconds']:>9.1f} "
+                     f"{cell['warm_total_seconds']:>11.1f} "
+                     f"{cell['mean_job_startup']:>12.2f} "
+                     f"{cell['result_cache_hits']:>12} "
+                     f"{cell['columnar_cache_hits']:>5}/"
+                     f"{cell['columnar_cache_misses']}")
+    emit("\n".join(lines))
 
-    header = (f"{'engine':>13} {'cold':>9} {'warm total':>11} "
-              f"{'job startup':>12} {'result hits':>12} {'stripe h/m':>11}")
-    print(header)
-    for engine, _name, _config in VARIANTS:
-        cell = report[engine]
-        print(f"{engine:>13} {cell['cold_seconds']:>9.1f} "
-              f"{cell['warm_total_seconds']:>11.1f} "
-              f"{cell['mean_job_startup']:>12.2f} "
-              f"{cell['result_cache_hits']:>12} "
-              f"{cell['columnar_cache_hits']:>5}/"
-              f"{cell['columnar_cache_misses']}")
-
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {args.output}")
-
-    # shape checks: the two acceptance properties of the LLAP design.
-    # llap-nocache executes every warm query for real, so its per-job
-    # startup measures fragment dispatch into live daemons.
-    llap, hadoop = report["llap"], report["hadoop"]
-    ok = True
-    if not report["llap-nocache"]["mean_job_startup"] <= hadoop["mean_job_startup"]:
-        print("FAIL: warm llap fragment dispatch did not undercut hadoop "
-              "per-job startup", file=sys.stderr)
-        ok = False
-    if not report["llap-nocache"]["columnar_cache_hits"] > 0:
-        print("FAIL: warm llap re-scans never hit the decoded-stripe cache",
-              file=sys.stderr)
-        ok = False
-    floor = 3.0
-    for rival_name in ("hadoop", "datampi"):
-        rival = report[rival_name]
-        speedup = rival["warm_total_seconds"] / max(
+    # the two acceptance properties of the LLAP design.  llap-nocache
+    # executes every warm query for real, so its per-job startup
+    # measures fragment dispatch into live daemons.
+    llap, nocache = report["llap"], report["llap-nocache"]
+    assert nocache["mean_job_startup"] <= report["hadoop"]["mean_job_startup"]
+    assert nocache["columnar_cache_hits"] > 0
+    for rival in ("hadoop", "datampi"):
+        speedup = report[rival]["warm_total_seconds"] / max(
             llap["warm_total_seconds"], 1e-9)
-        if speedup < floor:
-            print(f"FAIL: warm llap only {speedup:.1f}x faster than "
-                  f"{rival_name} on the repeated workload (need >={floor}x)",
-                  file=sys.stderr)
-            ok = False
-    if args.guard_seconds and elapsed > args.guard_seconds:
-        print(f"FAIL: run took {elapsed:.1f}s wall-clock "
-              f"(guard {args.guard_seconds:.0f}s)", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        assert speedup >= 3.0, f"warm llap only {speedup:.1f}x faster than {rival}"

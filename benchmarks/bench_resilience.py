@@ -10,7 +10,7 @@ to recovery — correctness is identical (byte-identical rows), the
 difference is purely time.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_hibench, run_script
 from repro.common.config import FAULT_SPEC, RETRY_BACKOFF, RETRY_MAX
@@ -52,8 +52,8 @@ def _experiment():
     return table
 
 
-def test_resilience_under_identical_faults(benchmark):
-    table = run_once(benchmark, _experiment)
+def test_resilience_under_identical_faults():
+    table = _experiment()
 
     rows = []
     overhead = {}

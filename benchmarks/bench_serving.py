@@ -10,39 +10,21 @@ fresh shared cluster under each admission policy.  Reported per policy:
 * **rejection rate** — arrivals bounced by pool admission control;
 * **deadline-miss rate** — queries past their submit-relative budget.
 
-The full run offers >=10k queries to a >=100-node simulated cluster
-(``--guard-seconds`` bounds the harness wall clock so a kernel
-regression shows up as a failure, not a hang); ``--smoke`` is the small
-CI gate.  Standalone::
-
-    python benchmarks/bench_serving.py [--smoke] [--guard-seconds N]
-                                       [--output OUT.json]
+The run offers >=10k queries to a 101-node simulated cluster and
+regenerates ``results/BENCH_serving.json``.
 """
 
-from __future__ import annotations
+from benchhelpers import emit, write_report
 
-import argparse
-import json
-import os
-import sys
-import time
-
-sys.path.insert(0, os.path.dirname(__file__))  # benchhelpers
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:  # runnable without an installed package
-    sys.path.insert(0, _SRC)
-
-from benchhelpers import results_path  # noqa: E402
-
-from repro import connect  # noqa: E402
-from repro.common.config import (  # noqa: E402
+from repro import connect
+from repro.common.config import (
     HEARTBEAT_ENABLED,
     SCHED_MAX_CONCURRENT,
     SCHED_POLICY,
     SCHED_POOLS,
 )
-from repro.sched import POLICIES  # noqa: E402
-from repro.workloads.serving import (  # noqa: E402
+from repro.sched import POLICIES
+from repro.workloads.serving import (
     ServingConfig,
     generate_arrivals,
     load_serving_warehouse,
@@ -50,113 +32,65 @@ from repro.workloads.serving import (  # noqa: E402
 )
 
 ENGINE = "llap"  # the serving engine: daemons + caches soak up repeats
+NUM_WORKERS = 100  # +1 master node
 POOL_WEIGHTS = {"bi": 3.0, "etl": 1.0, "adhoc": 2.0}
 POOLS = ("bi:weight=3,cap=24,queue=256; etl:weight=1,cap=8,queue=48; "
          "adhoc:weight=2,cap=16,queue=96")
-SMOKE_POOLS = ("bi:weight=3,cap=6,queue=24; etl:weight=1,cap=2,queue=8; "
-               "adhoc:weight=2,cap=4,queue=12")
+CONFIG = ServingConfig(
+    num_queries=4000, num_sessions=2000, process="bursty", rate=8.0,
+    burst_factor=3.0, burst_fraction=0.25, burst_cycle=60.0,
+    zipf_s=1.1, pool_weights=POOL_WEIGHTS,
+    deadline=60.0, deadline_fraction=0.15, seed=11,
+)
 
 
-def serving_config(smoke: bool) -> ServingConfig:
-    if smoke:
-        return ServingConfig(
-            num_queries=300, num_sessions=60, process="bursty", rate=2.5,
-            burst_factor=3.0, burst_fraction=0.25, burst_cycle=30.0,
-            zipf_s=1.1, pool_weights=POOL_WEIGHTS,
-            deadline=45.0, deadline_fraction=0.15, seed=11,
-        )
-    return ServingConfig(
-        num_queries=4000, num_sessions=2000, process="bursty", rate=8.0,
-        burst_factor=3.0, burst_fraction=0.25, burst_cycle=60.0,
-        zipf_s=1.1, pool_weights=POOL_WEIGHTS,
-        deadline=60.0, deadline_fraction=0.15, seed=11,
-    )
-
-
-def run_policy(policy: str, smoke: bool, arrivals):
-    num_workers = 20 if smoke else 100  # +1 master node = 21 / 101 nodes
+def run_policy(policy: str, arrivals):
     conf = {
         HEARTBEAT_ENABLED: False,  # 1 tick x 100 workers adds nothing here
         SCHED_POLICY: policy,
-        SCHED_POOLS: SMOKE_POOLS if smoke else POOLS,
-        SCHED_MAX_CONCURRENT: 12 if smoke else 48,
+        SCHED_POOLS: POOLS,
+        SCHED_MAX_CONCURRENT: 48,
     }
-    with connect(engine=ENGINE, num_workers=num_workers, conf=conf) as session:
-        load_serving_warehouse(
-            session.hdfs, session.metastore,
-            nominal_gb=0.5 if smoke else 2.0,
-            sample_uservisits=1000 if smoke else 4000,
-        )
+    with connect(engine=ENGINE, num_workers=NUM_WORKERS, conf=conf) as session:
+        load_serving_warehouse(session.hdfs, session.metastore,
+                               nominal_gb=2.0, sample_uservisits=4000)
         return run_serving(session, arrivals)
 
 
-def run(smoke: bool):
-    config = serving_config(smoke)
-    arrivals = generate_arrivals(config)
+def _experiment():
+    arrivals = generate_arrivals(CONFIG)
     report = {
         "engine": ENGINE,
-        "nodes": (20 if smoke else 100) + 1,
-        "offered_per_policy": config.num_queries,
-        "sessions": config.num_sessions,
-        "arrival_process": config.process,
-        "mean_rate_qps": config.rate,
-        "zipf_s": config.zipf_s,
+        "nodes": NUM_WORKERS + 1,
+        "offered_per_policy": CONFIG.num_queries,
+        "sessions": CONFIG.num_sessions,
+        "arrival_process": CONFIG.process,
+        "mean_rate_qps": CONFIG.rate,
+        "zipf_s": CONFIG.zipf_s,
         "policies": {},
     }
     for policy in POLICIES:
-        report["policies"][policy] = run_policy(policy, smoke, arrivals).to_dict()
+        report["policies"][policy] = run_policy(policy, arrivals).to_dict()
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small cluster + fewer queries (CI gate)")
-    parser.add_argument("--guard-seconds", type=float, default=600.0,
-                        help="fail if the harness wall clock exceeds this")
-    parser.add_argument("--output", default=results_path("BENCH_serving.json"),
-                        help="where to write the JSON report")
-    args = parser.parse_args(argv)
+def test_serving_report():
+    report = _experiment()
+    write_report("BENCH_serving.json", report)
 
-    started = time.monotonic()
-    report = run(args.smoke)
-    wall = time.monotonic() - started
-    report["wall_clock_seconds"] = round(wall, 3)
-
-    header = (f"{'policy':>10} {'p50':>8} {'p95':>8} {'p99':>8} "
-              f"{'qpeak':>6} {'rej%':>6} {'miss%':>6} {'qps':>8}")
-    print(header)
+    lines = [f"{'policy':>10} {'p50':>8} {'p95':>8} {'p99':>8} "
+             f"{'qpeak':>6} {'rej%':>6} {'miss%':>6} {'qps':>8}"]
     for policy, cell in report["policies"].items():
-        print(f"{policy:>10} {cell['latency_p50']:>8.2f} "
-              f"{cell['latency_p95']:>8.2f} {cell['latency_p99']:>8.2f} "
-              f"{cell['queue_depth_peak']:>6d} "
-              f"{100 * cell['rejection_rate']:>6.2f} "
-              f"{100 * cell['deadline_miss_rate']:>6.2f} "
-              f"{cell['throughput_qps']:>8.2f}")
+        lines.append(f"{policy:>10} {cell['latency_p50']:>8.2f} "
+                     f"{cell['latency_p95']:>8.2f} {cell['latency_p99']:>8.2f} "
+                     f"{cell['queue_depth_peak']:>6d} "
+                     f"{100 * cell['rejection_rate']:>6.2f} "
+                     f"{100 * cell['deadline_miss_rate']:>6.2f} "
+                     f"{cell['throughput_qps']:>8.2f}")
+    emit("\n".join(lines))
 
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {args.output} ({wall:.1f}s wall clock)")
-
-    total = sum(cell["offered"] for cell in report["policies"].values())
-    completed = sum(cell["succeeded"] for cell in report["policies"].values())
-    if not args.smoke and total < 10_000:
-        print(f"FAIL: offered only {total} queries (< 10k)", file=sys.stderr)
-        return 1
-    if completed == 0:
-        print("FAIL: no query completed", file=sys.stderr)
-        return 1
+    cells = report["policies"].values()
+    assert sum(cell["offered"] for cell in cells) >= 10_000
+    assert sum(cell["succeeded"] for cell in cells) > 0
     for policy, cell in report["policies"].items():
-        if cell["latency_p99"] is None:
-            print(f"FAIL: {policy} produced no latency percentiles",
-                  file=sys.stderr)
-            return 1
-    if wall > args.guard_seconds:
-        print(f"FAIL: wall clock {wall:.1f}s exceeded guard "
-              f"{args.guard_seconds:.0f}s", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        assert cell["latency_p99"] is not None, f"{policy} has no latency percentiles"

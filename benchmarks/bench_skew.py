@@ -15,37 +15,25 @@ Every run cross-checks correctness: rows with and without splitting
 must be byte-identical to each other and to the local reference
 executor.
 
-Standalone (the check.sh gate runs it with ``CHECK_SKEW_FULL=1``)::
-
-    python benchmarks/bench_skew.py [--smoke] [--output OUT.json]
+Regenerates ``results/BENCH_skew.json``.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import math
-import os
 import random
-import sys
-import time
 
-sys.path.insert(0, os.path.dirname(__file__))  # benchhelpers
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:  # runnable without an installed package
-    sys.path.insert(0, _SRC)
+from benchhelpers import emit, write_report
 
-from benchhelpers import results_path  # noqa: E402
-
-from repro import HDFS, Metastore, connect  # noqa: E402
-from repro.common.config import (  # noqa: E402
+from repro import HDFS, Metastore, connect
+from repro.common.config import (
     HIVE_MAPJOIN_SMALLTABLE_BYTES,
     SKEWJOIN_THRESHOLD,
 )
-from repro.common.rows import Schema  # noqa: E402
+from repro.common.rows import Schema
 
 ENGINES = ("hadoop", "datampi", "llap")
 NUM_KEYS = 50
+ROWS = 8000
+ALPHAS = (0.8, 1.2, 1.6)
 SQL = (
     "SELECT f.k, f.v, d.label FROM fact f JOIN dim d ON f.k = d.k "
     "ORDER BY f.k, f.v, d.label"
@@ -55,12 +43,6 @@ JOIN_CONF = {
     "hive.exec.reducers.bytes.per.reducer": 600,  # force many reducers
 }
 SPLIT_THRESHOLD = 0.1  # split any key holding >= 10% of the fact rows
-
-
-def config(smoke: bool):
-    if smoke:
-        return {"rows": 2000, "alphas": (1.6,)}
-    return {"rows": 8000, "alphas": (0.8, 1.2, 1.6)}
 
 
 def zipf_keys(alpha: float, count: int, seed: int = 17):
@@ -77,7 +59,7 @@ def zipf_keys(alpha: float, count: int, seed: int = 17):
     ]
 
 
-def build_warehouse(alpha: float, rows: int):
+def build_warehouse(alpha: float):
     hdfs = HDFS(num_workers=7)
     metastore = Metastore(hdfs)
     dim_schema = Schema.parse("k int, label string")
@@ -86,17 +68,17 @@ def build_warehouse(alpha: float, rows: int):
     fact = metastore.create_table("fact", fact_schema, format_name="sequence")
     hdfs.write(f"{dim.location}/part-0", dim_schema,
                [(i, f"L{i}") for i in range(NUM_KEYS)], format_name="sequence")
-    keys = zipf_keys(alpha, rows)
-    chunk = max(1, rows // 4)
-    for part in range(0, rows, chunk):
+    keys = zipf_keys(alpha, ROWS)
+    chunk = max(1, ROWS // 4)
+    for part in range(0, ROWS, chunk):
         hdfs.write(f"{fact.location}/part-{part // chunk}", fact_schema,
                    [(k, part + i) for i, k in enumerate(keys[part:part + chunk])],
                    format_name="sequence")
     return hdfs, metastore
 
 
-def reference_rows(alpha: float, rows: int):
-    hdfs, metastore = build_warehouse(alpha, rows)
+def reference_rows(alpha: float):
+    hdfs, metastore = build_warehouse(alpha)
     with connect(engine="local", hdfs=hdfs, metastore=metastore,
                  conf=dict(JOIN_CONF)) as session:
         return session.query(SQL).rows
@@ -113,8 +95,8 @@ def reducer_shares(result):
     raise AssertionError("no multi-reducer shuffle job in result")
 
 
-def run_variant(engine: str, alpha: float, rows: int, threshold: float):
-    hdfs, metastore = build_warehouse(alpha, rows)
+def run_variant(engine: str, alpha: float, threshold: float):
+    hdfs, metastore = build_warehouse(alpha)
     conf = dict(JOIN_CONF, **{SKEWJOIN_THRESHOLD: threshold})
     with connect(engine=engine, hdfs=hdfs, metastore=metastore,
                  conf=conf) as session:
@@ -132,14 +114,14 @@ def run_variant(engine: str, alpha: float, rows: int, threshold: float):
     }
 
 
-def run(cfg):
-    report = {"config": {"rows": cfg["rows"], "alphas": list(cfg["alphas"]),
+def _experiment():
+    report = {"config": {"rows": ROWS, "alphas": list(ALPHAS),
                          "split_threshold": SPLIT_THRESHOLD}}
-    for alpha in cfg["alphas"]:
-        oracle = reference_rows(alpha, cfg["rows"])
+    for alpha in ALPHAS:
+        oracle = reference_rows(alpha)
         for engine in ENGINES:
-            off = run_variant(engine, alpha, cfg["rows"], threshold=0.0)
-            on = run_variant(engine, alpha, cfg["rows"], SPLIT_THRESHOLD)
+            off = run_variant(engine, alpha, threshold=0.0)
+            on = run_variant(engine, alpha, SPLIT_THRESHOLD)
             if off["rows"] != oracle or on["rows"] != oracle:
                 raise AssertionError(
                     f"{engine} alpha={alpha}: rows diverged from local oracle"
@@ -156,58 +138,26 @@ def run(cfg):
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small dataset + one skew factor (CI gate)")
-    parser.add_argument("--output", default=results_path("BENCH_skew.json"),
-                        help="where to write the JSON report")
-    parser.add_argument("--guard-seconds", type=float, default=0.0,
-                        metavar="S",
-                        help="fail if the whole run takes longer than S "
-                             "wall-clock seconds (0 = no guard)")
-    args = parser.parse_args(argv)
+def test_skew_report():
+    report = _experiment()
+    write_report("BENCH_skew.json", report)
 
-    started = time.perf_counter()
-    cfg = config(args.smoke)
-    report = run(cfg)
-    elapsed = time.perf_counter() - started
-    report["wall_clock_seconds"] = round(elapsed, 3)
-
-    print(f"{'variant':>16} {'plain max':>10} {'split max':>10} "
-          f"{'tail x':>7} {'plain s':>9} {'split s':>9}")
-    for alpha in cfg["alphas"]:
+    lines = [f"{'variant':>16} {'plain max':>10} {'split max':>10} "
+             f"{'tail x':>7} {'plain s':>9} {'split s':>9}"]
+    for alpha in ALPHAS:
         for engine in ENGINES:
             cell = report[f"{engine}-a{alpha:g}"]
-            print(f"{engine + '-a' + format(alpha, 'g'):>16} "
-                  f"{cell['plain_max_share']:>10.3f} "
-                  f"{cell['split_max_share']:>10.3f} "
-                  f"{cell['tail_reduction']:>7.2f} "
-                  f"{cell['plain_seconds']:>9.1f} "
-                  f"{cell['split_seconds']:>9.1f}")
+            lines.append(f"{engine + '-a' + format(alpha, 'g'):>16} "
+                         f"{cell['plain_max_share']:>10.3f} "
+                         f"{cell['split_max_share']:>10.3f} "
+                         f"{cell['tail_reduction']:>7.2f} "
+                         f"{cell['plain_seconds']:>9.1f} "
+                         f"{cell['split_seconds']:>9.1f}")
+    emit("\n".join(lines))
 
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {args.output}")
-
-    # acceptance: on the most skewed workload at least two engines must
-    # collapse the hot-reducer byte share by >= 2x (rows already proven
-    # byte-identical above)
-    hottest = max(cfg["alphas"])
-    improved = [
-        engine for engine in ENGINES
-        if report[f"{engine}-a{hottest:g}"]["tail_reduction"] >= 2.0
-    ]
-    ok = len(improved) >= 2
-    if not ok:
-        print(f"FAIL: only {improved} reached a 2x hot-reducer reduction "
-              f"at alpha={hottest}")
-    if args.guard_seconds and elapsed > args.guard_seconds:
-        print(f"FAIL: wall clock {elapsed:.1f}s exceeded guard "
-              f"{args.guard_seconds:.1f}s")
-        ok = False
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    # on the most skewed workload at least two engines must collapse the
+    # hot-reducer byte share by >= 2x (rows already proven identical)
+    hottest = max(ALPHAS)
+    improved = [engine for engine in ENGINES
+                if report[f"{engine}-a{hottest:g}"]["tail_reduction"] >= 2.0]
+    assert len(improved) >= 2, f"only {improved} reached a 2x reduction"

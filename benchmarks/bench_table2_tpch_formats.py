@@ -5,7 +5,7 @@ Paper: ORCFile is ~22 % faster than Text for both engines; DataMPI
 improves on Hadoop by ~20 % (Text) and ~32 % (ORC) on average.
 """
 
-from benchhelpers import emit, results_path, run_once
+from benchhelpers import emit, results_path
 
 from repro.bench import fresh_tpch, improvement_percent, run_script
 from repro.reporting.figures import write_csv
@@ -27,8 +27,8 @@ def _experiment():
     return table
 
 
-def test_table2_tpch_text_vs_orc(benchmark):
-    table = run_once(benchmark, _experiment)
+def test_table2_tpch_text_vs_orc():
+    table = _experiment()
 
     header = "case    " + "".join(f"{'Q%d' % q:>9}" for q in TPCH_QUERY_IDS)
     lines = ["== Table II: TPC-H 40 GB (seconds) ==", header, "-" * len(header)]

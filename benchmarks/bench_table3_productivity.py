@@ -7,7 +7,7 @@ split in this reproduction: the shared compiler + operator runtime vs
 the DataMPI-specific engine package.
 """
 
-from benchhelpers import emit, run_once
+from benchhelpers import emit
 
 from repro.reporting.productivity import (
     format_productivity_table,
@@ -15,8 +15,8 @@ from repro.reporting.productivity import (
 )
 
 
-def test_table3_productivity(benchmark):
-    report = run_once(benchmark, productivity_report)
+def test_table3_productivity():
+    report = productivity_report()
     emit(format_productivity_table(report))
 
     shared = (

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Dict, List
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
@@ -18,6 +18,8 @@ def emit(text: str) -> None:
     print("\n" + text)
 
 
-def run_once(benchmark, fn):
-    """Run *fn* exactly once under pytest-benchmark's timer."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def write_report(name: str, report) -> None:
+    """Write a JSON report under ``results/``: sorted keys, two-space
+    indent, no trailing newline — the committed bytes."""
+    with open(results_path(name), "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)

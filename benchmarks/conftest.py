@@ -1,10 +1,10 @@
 """Shared configuration for the paper-reproduction benchmarks.
 
-Each ``bench_*`` module regenerates one table or figure of the paper.
-Simulated seconds are printed (and written as CSV under ``results/``);
-pytest-benchmark records the wall-clock cost of regenerating each
-artifact.  Keep ``-s`` in mind: run with ``pytest benchmarks/
---benchmark-only -s`` to see the tables inline.
+Each ``bench_*`` module is a pytest module that regenerates one
+committed artifact under ``results/`` — a paper table or figure as CSV,
+or a ``BENCH_*.json`` report — and asserts its shape.  Everything is
+measured in simulated seconds; run ``PYTHONPATH=src pytest benchmarks/
+-s`` to see the tables inline.
 """
 
 import os
@@ -12,11 +12,3 @@ import sys
 
 # allow `from benchhelpers import ...` inside the benchmark modules
 sys.path.insert(0, os.path.dirname(__file__))
-
-
-def pytest_configure(config):
-    os.makedirs(results_dir(), exist_ok=True)
-
-
-def results_dir() -> str:
-    return os.path.join(os.path.dirname(os.path.dirname(__file__)), "results")

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo health gate: lint (when ruff is installed), the tier-1 test suite,
-# the hostbench suite and the smoke benchmarks.
+# the hostbench suite and the report benches.
 # Usage: scripts/check.sh [extra pytest args]
 #
 # Not part of this gate (about 5 minutes) but REQUIRED for any change
@@ -80,102 +80,22 @@ echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # or bypasses one fails here instead of in the benchmark run.
 python -m pytest hostbench/tests -q
 
-echo "== concurrency smoke (scheduler policies, shared cluster) =="
-# Small mixed workload under every scheduling policy on both engines;
-# cross-checks rows against solo runs and fails if fair-share does not
-# beat FIFO ad-hoc latency.  The tier-1 run above already covers the
-# deterministic-concurrency and differential-oracle suites
-# (tests/test_scheduler.py, tests/test_differential_oracle.py).
-python benchmarks/bench_concurrency.py --smoke \
-    --output "$(mktemp -d)/BENCH_concurrency_smoke.json"
-
-echo "== llap smoke (persistent daemons + caches, oracle-checked) =="
-# Repeated-query workload on all engines: every row cross-checked
-# against the local oracle, and the run fails unless warm llap beats
-# both baselines >=3x, warm fragment dispatch undercuts hadoop's
-# per-job startup, and re-scans hit the decoded-stripe cache.  The
-# wall-clock guard only trips on order-of-magnitude regressions.
-python benchmarks/bench_llap.py --smoke --guard-seconds 60 \
-    --output "$(mktemp -d)/BENCH_llap_smoke.json"
-
-echo "== chaos smoke (seeded fault schedules, four invariants) =="
-# A couple of randomized-but-seeded fault + membership schedules per
-# engine, each asserting the four chaos invariants (oracle-identical
-# rows, balanced lease ledger, cache coherence, no stuck query).  The
-# wall-clock guard only trips on order-of-magnitude regressions.
-python benchmarks/bench_chaos.py --smoke --guard-seconds 120 \
-    --output "$(mktemp -d)/BENCH_chaos_smoke.json"
-
-echo "== serving smoke (open-loop traffic, SLO metrics per policy) =="
-# Seeded bursty arrivals (Zipf-skewed query mix, sessions over pools)
-# replayed under every admission policy on a small llap cluster; fails
-# unless every policy reports latency percentiles and at least one
-# query completes.  The wall-clock guard only trips on order-of-
-# magnitude kernel regressions (or a stuck scheduler).
-python benchmarks/bench_serving.py --smoke --guard-seconds 60 \
-    --output "$(mktemp -d)/BENCH_serving_smoke.json"
-
-echo "== skew smoke (stats-driven split shuffle, oracle-checked) =="
-# One Zipf-1.6 join per engine with splitting on and off: rows must be
-# byte-identical to the local oracle both ways, and at least two
-# engines must collapse the hot reducer's byte share >=2x.  The
-# wall-clock guard only trips on order-of-magnitude regressions.
-python benchmarks/bench_skew.py --smoke --guard-seconds 60 \
-    --output "$(mktemp -d)/BENCH_skew_smoke.json"
-
-if [[ "${CHECK_HOSTBENCH_SMOKE:-0}" == "1" ]]; then
-    echo "== hostbench smoke (six workloads, 1 pass + 1 traced pass each) =="
-    # Quarter-size run of every BENCHMARK.json workload, oracle-checked,
-    # with the per-layer trace installed once.  Opt-in because it takes
-    # up to a minute; run it before committing a change that claims (or
-    # risks) a wall-clock difference.
-    python3 hostbench/run.py --smoke
-fi
-
-if [[ "${CHECK_CHAOS_FULL:-0}" == "1" ]]; then
-    echo "== chaos full (>=25 schedules + replay determinism) =="
-    # Full sweep (9 seeds x 3 engines plus a replay pass per engine)
-    # writing the committed availability/recovery report to
-    # results/BENCH_chaos.json.  Opt-in because it takes a while; run it
-    # before committing fault-, membership- or scheduler-sensitive
-    # changes.
-    python benchmarks/bench_chaos.py
-fi
-
-if [[ "${CHECK_LLAP_FULL:-0}" == "1" ]]; then
-    echo "== llap full (warm/cold + cache economics report) =="
-    # Full-size repeated workload writing the committed report to
-    # results/BENCH_llap.json.  Opt-in because it takes a while; run it
-    # before committing llap- or cache-sensitive changes.
-    python benchmarks/bench_llap.py
-fi
-
-if [[ "${CHECK_CONCURRENCY_FULL:-0}" == "1" ]]; then
-    echo "== concurrency full (policy comparison report) =="
-    # Full-size workload (more queries, bigger warehouse) writing the
-    # policy comparison to results/.  Opt-in because it takes a while;
-    # run it before committing scheduler- or lease-sensitive changes.
-    python benchmarks/bench_concurrency.py
-fi
-
-if [[ "${CHECK_SERVING_FULL:-0}" == "1" ]]; then
-    echo "== serving full (>=10k queries on a 101-node cluster + soak) =="
-    # Full traffic run (3 policies x 4000 queries, 2000 sessions)
-    # writing the committed SLO report to results/BENCH_serving.json,
-    # plus the long-run soak test (liveness, clean ledger, stable RSS
-    # across thousands of queries with deadlines and cancellations).
-    # Opt-in because it takes a while; run it before committing kernel-,
-    # scheduler- or lease-sensitive changes.
-    python benchmarks/bench_serving.py --guard-seconds 600
-    CHECK_SERVING_FULL=1 PYTHONPATH=src python -m pytest \
-        tests/test_serving.py::TestServingSoak -q
-fi
-
-if [[ "${CHECK_SKEW_FULL:-0}" == "1" ]]; then
-    echo "== skew full (3 skew factors x 3 engines, committed report) =="
-    # Full sweep over Zipf 0.8/1.2/1.6 writing the committed tail-
-    # reduction report to results/BENCH_skew.json.  Opt-in because it
-    # takes a while; run it before committing optimizer-, stats- or
-    # shuffle-sensitive changes.
-    python benchmarks/bench_skew.py
-fi
+echo "== report benches (regenerate results/BENCH_*.json, byte-diff) =="
+# Each bench is a pytest module that regenerates one committed report
+# and asserts its shape: chaos (>=25 seeded fault schedules, four
+# invariants, replay), concurrency (fair beats FIFO on hadoop ad-hoc
+# p50), llap (warm >=3x both rivals, cache hits), serving (>=10k
+# offered, percentiles per policy) and skew (>=2x hot-reducer cut on
+# two engines).  Every report is deterministic, so any byte difference
+# from the file in the tree (the committed one, in a clean checkout)
+# fails here; a deliberate change commits the regenerated file.
+committed="$(mktemp -d)"
+trap 'rm -rf "$committed"' EXIT
+cp results/BENCH_*.json "$committed/"
+PYTHONPATH=src python -m pytest -q -p no:cacheprovider \
+    benchmarks/bench_chaos.py benchmarks/bench_concurrency.py \
+    benchmarks/bench_llap.py benchmarks/bench_serving.py \
+    benchmarks/bench_skew.py
+for report in "$committed"/*.json; do
+    diff -u "$report" "results/$(basename "$report")"
+done

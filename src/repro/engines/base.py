@@ -176,10 +176,6 @@ class PlanResult:
     def total_attempts(self) -> int:
         return sum(task.attempts for job in self.jobs for task in job.tasks)
 
-    @property
-    def job_seconds(self) -> float:
-        return sum(job.total for job in self.jobs)
-
 
 # ---------------------------------------------------------------------------
 # tracing/metrics glue shared by the engines

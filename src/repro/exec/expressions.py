@@ -1176,5 +1176,5 @@ def stable_hash(fields: Tuple[object, ...]) -> int:
 
 def require_boolean(expression: BoundExpression, context: str) -> BoundExpression:
     if expression.dtype is not DataType.BOOLEAN:
-        raise SemanticError(f"{context} must be boolean, got {expression.dtype}")
+        raise SemanticError(f"{context} must be boolean, got {expression.dtype.value}")
     return expression

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from repro.common.errors import SemanticError
 from repro.common.rows import DataType
 from repro.exec import expressions as bexpr
-from repro.exec.expressions import BoundExpression, Const, InputRef
+from repro.exec.expressions import BoundExpression, Const, InputRef, require_boolean
 from repro.sql import ast
 from repro.sql.functions import get_aggregate, get_scalar, is_aggregate, is_scalar
 from repro.storage.metastore import Metastore
@@ -146,7 +146,7 @@ class Analyzer:
         if select.where is not None:
             if expr_has_aggregate(select.where):
                 raise SemanticError("aggregates are not allowed in WHERE")
-            predicate = self._bind(select.where, node.signature)
+            predicate = require_boolean(self._bind(select.where, node.signature), "WHERE")
             node = self._push_filter(node, predicate)
 
         needs_aggregate = bool(select.group_by) or any(
@@ -159,9 +159,9 @@ class Analyzer:
         if needs_aggregate:
             node, agg_context = self._plan_aggregate(select, node)
             if select.having is not None:
-                having = self._bind(
+                having = require_boolean(self._bind(
                     select.having, node.signature, agg_context=agg_context
-                )
+                ), "HAVING")
                 node = Filter(node, having)
 
         node = self._plan_projection(select, node, agg_context)
@@ -287,7 +287,7 @@ class Analyzer:
         residuals: List[BoundExpression] = []
 
         if join.condition is not None:
-            bound = self._bind(join.condition, concat)
+            bound = require_boolean(self._bind(join.condition, concat), "ON")
             for conjunct in split_conjuncts(bound):
                 pair = self._as_equi_key(conjunct, left_width)
                 if pair is not None:
@@ -579,7 +579,7 @@ class Analyzer:
         if isinstance(expression, ast.UnaryOp):
             operand = self._bind(expression.operand, signature, agg_context)
             if expression.op == "not":
-                return bexpr.LogicalNot(operand=operand)
+                return bexpr.LogicalNot(operand=require_boolean(operand, "NOT operand"))
             if expression.op == "-":
                 zero = Const(0, operand.dtype if operand.dtype.is_numeric else DataType.DOUBLE)
                 return bexpr.Arithmetic(
@@ -677,10 +677,10 @@ class Analyzer:
         op = expression.op
         left = self._bind(expression.left, signature, agg_context)
         right = self._bind(expression.right, signature, agg_context)
-        if op == "and":
-            return bexpr.LogicalAnd(operands=[left, right])
-        if op == "or":
-            return bexpr.LogicalOr(operands=[left, right])
+        if op in ("and", "or"):
+            operands = [require_boolean(side, f"{op.upper()} operand") for side in (left, right)]
+            logical = bexpr.LogicalAnd if op == "and" else bexpr.LogicalOr
+            return logical(operands=operands)
         if op in ("=", "<>", "<", "<=", ">", ">="):
             return bexpr.Comparison(op, left, right)
         if op in ("+", "-", "*", "/", "%"):

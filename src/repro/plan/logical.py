@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.errors import SemanticError
 from repro.common.rows import Column, DataType, Schema
-from repro.exec.expressions import BoundExpression, InputRef
+from repro.exec.expressions import BoundExpression
 from repro.storage.metastore import TableDescriptor
 
 
@@ -76,11 +76,6 @@ class RowSignature:
             taken.add(name)
             columns.append(Column(name, info.dtype))
         return Schema(columns)
-
-    def input_refs(self) -> List[InputRef]:
-        return [
-            InputRef(position, info.dtype) for position, info in enumerate(self.fields)
-        ]
 
     def __len__(self) -> int:
         return len(self.fields)

@@ -328,13 +328,6 @@ class HeartbeatMonitor:
         self._declared: Set[int] = set()
         self._started = False
 
-    # -- state the engines may consult ---------------------------------------
-    def is_suspect(self, worker_index: int) -> bool:
-        return worker_index in self._suspected
-
-    def is_declared_dead(self, worker_index: int) -> bool:
-        return worker_index in self._declared
-
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
         if self._started:

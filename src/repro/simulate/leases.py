@@ -317,9 +317,6 @@ class LeaseManager:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def active_leases(self, query_id: str) -> int:
-        return self._active_by_query.get(query_id, 0)
-
     # -- internals -----------------------------------------------------------
     def _fits_nothing_ahead(self, pool: SlotPool) -> bool:
         # A fresh request may only jump straight to a free slot when no

@@ -147,9 +147,6 @@ class Metastore:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
-
     # -- statistics ---------------------------------------------------------
     def put_table_stats(self, stats: TableStats) -> None:
         """Store *stats* and bump the stats epoch.

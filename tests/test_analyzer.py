@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro import connect
+from repro.bench import fresh_tpch
 from repro.common.errors import SemanticError
 from repro.common.rows import DataType
+from repro.engines.base import Engine
+from repro.engines.local import LocalEngine
 from repro.plan.analyzer import Analyzer, collect_input_refs, shift_input_refs
 from repro.plan.logical import (
     AggregateNode,
@@ -248,3 +252,39 @@ class TestHelpers:
             bexpr.IsNullExpr(operand=InputRef(7)),
         ])
         assert sorted(collect_input_refs(expr)) == [1, 4, 7]
+
+
+NON_BOOLEAN_PREDICATES = [
+    "SELECT count(*) FROM lineitem WHERE l_quantity",
+    "SELECT count(*) FROM lineitem WHERE l_comment",
+    "SELECT count(*) FROM lineitem l JOIN orders o "
+    "ON l.l_orderkey = o.o_orderkey AND l.l_quantity",
+    "SELECT l_returnflag, count(*) FROM lineitem GROUP BY l_returnflag "
+    "HAVING sum(l_quantity)",
+    "SELECT count(*) FROM lineitem WHERE l_quantity > 1 OR l_comment",
+    "SELECT count(*) FROM lineitem WHERE NOT l_quantity",
+]
+
+
+@pytest.fixture(scope="module")
+def tpch_warehouse():
+    return fresh_tpch(1, lineitem_sample=200)
+
+
+@pytest.mark.parametrize("engine", ["local", "datampi"])
+@pytest.mark.parametrize("sql", NON_BOOLEAN_PREDICATES)
+def test_non_boolean_predicate_rejected_before_any_job(tpch_warehouse, engine, sql,
+                                                       monkeypatch):
+    """Hive rejects a WHERE / HAVING / ON predicate, or an AND / OR / NOT
+    operand, that is not boolean: analysis fails, instead of a job that
+    silently returns no rows."""
+
+    def no_job(*_args, **_kwargs):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(Engine, "run_plan", no_job)
+    monkeypatch.setattr(LocalEngine, "run_plan", no_job)
+    hdfs, metastore = tpch_warehouse
+    with connect(engine=engine, hdfs=hdfs, metastore=metastore) as session:
+        with pytest.raises(SemanticError, match="must be boolean"):
+            session.query(sql)

@@ -144,6 +144,29 @@ def test_option_surface_is_pinned():
     assert len(engines.get_spec("llap").options) == LLAP_OPTIONS
 
 
+def test_harness_surface_is_pinned():
+    """scripts/check.sh reads no environment gate, no bench has a CLI or
+    reads a clock (hostbench/ alone measures wall time), and the test
+    extra is exactly pytest + hypothesis."""
+    check = (REPO / "scripts" / "check.sh").read_text()
+    assert re.findall(r"\$\{?[A-Z_][A-Z0-9_]*", check) == []
+    banned = {"argparse", "time.perf_counter", "time.monotonic", "time.time"}
+    for path in (REPO / "benchmarks").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {f"{node.value.id}.{node.attr}"}
+            else:
+                continue
+            assert names.isdisjoint(banned), f"{path.name}: {names & banned}"
+    pyproject = (REPO / "pyproject.toml").read_text()
+    extra = re.search(r"^test = (\[.*\])$", pyproject, re.MULTILINE).group(1)
+    assert ast.literal_eval(extra) == ["pytest", "hypothesis"]
+
+
 def test_sql_reference_lists_exactly_the_declared_keys():
     text = (REPO / "docs" / "sql_reference.md").read_text()
     section = text.split("## Session configuration keys", 1)[1]

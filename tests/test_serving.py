@@ -3,14 +3,13 @@
 Covers the open-loop arrival generator (determinism, arrival-process
 shape, Zipf skew, validation), the serving runner's SLO accounting, the
 histogram reservoir fix (first-N bias froze percentiles at warm-up),
-and — behind ``CHECK_SERVING_FULL=1`` — a long-run soak asserting
-scheduler liveness, a clean lease ledger and stable memory across
-thousands of queries with mixed deadlines and cancellations.
+and a soak asserting scheduler liveness, a clean lease ledger and
+stable memory across thousands of queries with mixed deadlines and
+cancellations.
 """
 
 import gc
 import json
-import os
 
 import pytest
 
@@ -222,8 +221,6 @@ class TestHistogramReservoir:
         assert hist.count == 5000
 
 
-@pytest.mark.skipif(os.environ.get("CHECK_SERVING_FULL") != "1",
-                    reason="long-run soak; set CHECK_SERVING_FULL=1")
 class TestServingSoak:
     def test_soak_liveness_ledger_and_memory(self):
         """>=5k queries with mixed deadlines and cancellations: the
