@@ -24,13 +24,13 @@ from repro.bench import fresh_tpch
 from repro.engines.base import compare_result_rows
 from repro.workloads.tpch import tpch_query
 
-# label -> (engine, engine_config); llap-nocache disables the result
-# cache so the warm pass exercises fragment dispatch + the stripe cache
+# label -> (engine, conf); llap-nocache disables the result cache so
+# the warm pass exercises fragment dispatch + the stripe cache
 VARIANTS = (
     ("hadoop", "hadoop", None),
     ("datampi", "datampi", None),
     ("llap", "llap", None),
-    ("llap-nocache", "llap", {"result_cache": False}),
+    ("llap-nocache", "llap", {"repro.result.cache.enabled": False}),
 )
 CONFIG = {"sf": 5, "sample": 3000, "queries": [1, 3, 6, 12], "repeats": 4}
 
@@ -49,11 +49,11 @@ def reference_rows():
     return rows
 
 
-def run_engine(engine: str, oracle, engine_config=None):
+def run_engine(engine: str, oracle, conf=None):
     """Cold pass + measured repeated workload on one engine."""
     hdfs, metastore = _fresh()
     with connect(engine=engine, hdfs=hdfs, metastore=metastore,
-                 engine_config=engine_config) as session:
+                 conf=conf) as session:
         cold_seconds = 0.0
         startups = []
         for query in CONFIG["queries"]:
@@ -94,8 +94,8 @@ def run_engine(engine: str, oracle, engine_config=None):
 def _experiment():
     oracle = reference_rows()
     report = {"config": CONFIG}
-    for label, engine, engine_config in VARIANTS:
-        report[label] = run_engine(engine, oracle, engine_config)
+    for label, engine, conf in VARIANTS:
+        report[label] = run_engine(engine, oracle, conf)
     return report
 
 

@@ -64,7 +64,9 @@ def main():
         result = session.query(QUERY)
         timing = result.execution
         print(f"== {engine} ==")
-        print(f"  capabilities: {', '.join(capabilities(engine).enabled())}")
+        caps = capabilities(engine)
+        print(f"  result cache: {caps.result_cache}, "
+              f"shared runtime: {caps.shared_runtime}")
         print(f"  physical plan: {len(result.plan.jobs)} MapReduce job(s)")
         print(f"  simulated time: {timing.total_seconds:.1f}s "
               f"(startup {sum(j.startup for j in timing.jobs):.1f}s, "

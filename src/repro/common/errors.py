@@ -17,21 +17,6 @@ class ConfigError(ReproError):
     """Invalid or missing configuration value."""
 
 
-class EngineConfigError(ConfigError):
-    """``engine_config`` passed to :func:`repro.connect` referenced an
-    option the target engine does not declare, or a value that does not
-    parse as the declared type.
-
-    Carries the engine name and offending key so callers can surface the
-    valid option list (see ``repro.engines.EngineSpec.options``).
-    """
-
-    def __init__(self, message: str, engine: str = "", key: str = ""):
-        super().__init__(message)
-        self.engine = engine
-        self.key = key
-
-
 class ParseError(ReproError):
     """The HiveQL text could not be tokenized or parsed.
 

@@ -427,7 +427,9 @@ class Driver:
             if not fallback:
                 raise
             execution = self._run_plan_fallback(plan, fallback, with_metrics)
-        self.hdfs.delete(f"/tmp/hive/{query_id}")  # intermediate job outputs
+        finally:
+            # intermediate job outputs, also when a later job failed
+            self.hdfs.delete(f"/tmp/hive/{query_id}")
         return execution
 
     def _run_plan_fallback(self, plan: PhysicalPlan, fallback: str,

@@ -15,12 +15,10 @@
   node-local columnar caches and driver result-cache support.
 
 The registry is the public extension point.  Every engine is described
-by an :class:`EngineSpec`: a factory, declared
+by an :class:`EngineSpec`: a factory and declared
 :class:`~repro.engines.base.EngineCapabilities` (what the driver and
-scheduler branch on — speculative, gang_scheduling, persistent,
-result_cache, shared_runtime) and a typed per-engine
-configuration namespace (:class:`EngineOption`) that
-``repro.connect(engine_config=...)`` validates against.  Third-party
+scheduler branch on — result_cache, shared_runtime); engine knobs are
+ordinary conf keys.  Third-party
 engines plug in with ``repro.engines.register(EngineSpec(...))`` — or
 the legacy ``register("mine", MyEngine)`` form — and become reachable
 through ``repro.connect(engine="mine")`` and the CLI, exactly like the
@@ -34,10 +32,8 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.common.config import LLAP_CACHE_MB, RESULT_CACHE_ENABLED
-from repro.common.errors import EngineConfigError
 from repro.engines.base import (
     Engine,
     EngineCapabilities,
@@ -49,98 +45,23 @@ from repro.engines.base import (
 from repro.engines.datampi import DataMPIEngine
 from repro.engines.hadoop import HadoopEngine
 from repro.engines.llap import LlapEngine
-from repro.engines.llap.engine import DEFAULT_CACHE_MB
 from repro.engines.local import LocalEngine
 
 
 @dataclass(frozen=True)
-class EngineOption:
-    """One typed knob in an engine's configuration namespace.
-
-    *name* is the short key users pass in ``engine_config``; *key* is
-    the full :mod:`repro.common.config` key the validated value lands
-    under, so engines read it back with the ordinary typed getters.
-    """
-
-    name: str
-    key: str
-    type: type = str
-    default: object = None
-    description: str = ""
-
-    def parse(self, engine: str, value: object) -> object:
-        """Coerce *value* to the declared type, raising the typed
-        :class:`EngineConfigError` on mismatch."""
-        if self.type is bool:
-            if isinstance(value, bool):
-                return value
-            lowered = str(value).strip().lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise EngineConfigError(
-                f"engine {engine!r} option {self.name!r}={value!r} is not a bool",
-                engine=engine, key=self.name,
-            )
-        if self.type in (int, float) and isinstance(value, bool):
-            raise EngineConfigError(
-                f"engine {engine!r} option {self.name!r}={value!r} is not "
-                f"a {self.type.__name__}",
-                engine=engine, key=self.name,
-            )
-        try:
-            return self.type(value)
-        except (TypeError, ValueError) as exc:
-            raise EngineConfigError(
-                f"engine {engine!r} option {self.name!r}={value!r} is not "
-                f"a {self.type.__name__}",
-                engine=engine, key=self.name,
-            ) from exc
-
-
-@dataclass(frozen=True)
 class EngineSpec:
-    """Registry entry describing one engine: how to build it, what it
-    can do, and which configuration options it understands."""
+    """Registry entry describing one engine: how to build it and what
+    it can do."""
 
     name: str
     factory: Callable
     aliases: Tuple[str, ...] = ()
     capabilities: EngineCapabilities = field(default_factory=EngineCapabilities)
-    options: Tuple[EngineOption, ...] = ()
     description: str = ""
     #: declared fallback chain, most-preferred first — the scheduler's
     #: circuit breaker degrades a query along this list when the engine
     #: keeps failing (docs/fault_model.md)
     degrades_to: Tuple[str, ...] = ()
-
-    def option(self, name: str) -> Optional[EngineOption]:
-        for candidate in self.options:
-            if candidate.name == name:
-                return candidate
-        return None
-
-    def validate_config(self, config: Mapping[str, object]) -> Dict[str, object]:
-        """Validate an ``engine_config`` mapping against this engine's
-        declared options.
-
-        Returns ``{full config key: coerced value}`` ready to apply to a
-        :class:`~repro.common.config.Configuration`.  Unknown option
-        names and mis-typed values raise :class:`EngineConfigError`.
-        """
-        validated: Dict[str, object] = {}
-        for name, value in config.items():
-            option = self.option(name)
-            if option is None:
-                known = ", ".join(sorted(o.name for o in self.options)) or "none"
-                raise EngineConfigError(
-                    f"engine {self.name!r} has no config option {name!r} "
-                    f"(valid options: {known})",
-                    engine=self.name, key=name,
-                )
-            validated[option.key] = option.parse(self.name, value)
-        return validated
 
 
 _REGISTRY: Dict[str, EngineSpec] = {}
@@ -153,7 +74,6 @@ def register(
     aliases: Iterable[str] = (),
     replace: bool = False,
     capabilities: Optional[EngineCapabilities] = None,
-    options: Iterable[EngineOption] = (),
     description: str = "",
 ) -> EngineSpec:
     """Make an engine constructible by name.
@@ -182,7 +102,6 @@ def register(
             factory=factory,
             aliases=tuple(aliases),
             capabilities=capabilities,
-            options=tuple(options),
             description=description,
         )
     key = spec.name.strip().lower()
@@ -231,7 +150,7 @@ def capabilities(name: str) -> EngineCapabilities:
     """Declared capabilities of the engine registered under *name*.
 
     Public API: the stable way to ask what an engine supports without
-    instantiating it — ``repro.engines.capabilities("llap").persistent``.
+    instantiating it — ``repro.engines.capabilities("llap").result_cache``.
     """
     return get_spec(name).capabilities
 
@@ -281,19 +200,6 @@ register(EngineSpec(
     factory=LlapEngine,
     aliases=("live",),
     capabilities=LlapEngine.capabilities,
-    options=(
-        EngineOption(
-            name="cache_mb", key=LLAP_CACHE_MB, type=float,
-            default=DEFAULT_CACHE_MB,
-            description="per-node decoded-stripe cache capacity in MB",
-        ),
-        EngineOption(
-            name="result_cache", key=RESULT_CACHE_ENABLED, type=bool,
-            default=True,
-            description="serve repeated identical queries from the driver "
-                        "result cache",
-        ),
-    ),
     description="LLAP-style persistent daemons with node-local columnar "
                 "cache and driver result cache",
     degrades_to=("hadoop", "local"),
@@ -302,7 +208,6 @@ register(EngineSpec(
 __all__ = [
     "Engine",
     "EngineCapabilities",
-    "EngineOption",
     "EngineSpec",
     "JobTiming",
     "TaskTiming",

@@ -44,6 +44,7 @@ from repro.simulate import (
     CostModel,
     FaultInjector,
     FaultPlan,
+    GangLease,
     LeaseManager,
     LeaseOwner,
     MetricsSampler,
@@ -66,29 +67,12 @@ class EngineCapabilities:
 
     ``shared_runtime`` marks engines whose :meth:`Engine.plan_process`
     can execute inside a caller-owned :class:`EngineRuntime` (required
-    for concurrent scheduling).  ``persistent`` marks engines that keep
-    daemon state (and caches) alive across queries; ``result_cache``
-    opts the engine into the driver-level result cache.
+    for concurrent scheduling); ``result_cache`` opts the engine into
+    the driver-level result cache.
     """
 
-    speculative: bool = False
-    gang_scheduling: bool = False
-    persistent: bool = False
     result_cache: bool = False
     shared_runtime: bool = False
-
-    def as_dict(self) -> Dict[str, bool]:
-        return {
-            "speculative": self.speculative,
-            "gang_scheduling": self.gang_scheduling,
-            "persistent": self.persistent,
-            "result_cache": self.result_cache,
-            "shared_runtime": self.shared_runtime,
-        }
-
-    def enabled(self) -> List[str]:
-        """Sorted names of the capabilities that are on."""
-        return sorted(name for name, on in self.as_dict().items() if on)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +222,15 @@ def close_task_span(task: TaskTiming) -> None:
         kv_pairs=task.kv_pairs,
         kv_bytes=task.kv_bytes,
     )
+
+
+def child_span(task: TaskTiming, name: str, start: float,
+               **attributes) -> Span:
+    """Open a child of *task*'s span (category *name*).  An untraced
+    task gets a detached span, so callers finish it unconditionally."""
+    if task.span is None:
+        return Span(name, start)
+    return task.span.start_child(name, start, category=name, **attributes)
 
 
 def record_job_metrics(engine_name: str, timing: JobTiming, total_slots: int,
@@ -817,6 +810,122 @@ class EngineRuntime:
         for state in self._engine_state.values():
             state.close()  # before the injector: they hold subscriptions
         self.injector.close()
+
+
+class SlotHold:
+    """One task body's single slot, from request to give-back.
+
+    :meth:`take` waits in line for the slot; :meth:`give_back` returns
+    it in whatever state it is in — a held slot is released, a request
+    still in line (or granted but not yet taken up) is cancelled — and
+    may run again after another :meth:`take` (an llap reduce hands its
+    slot back while a lost map re-runs).  A slot checked out of a
+    granted *gang* lease is held from the start.
+    """
+
+    __slots__ = ("leases", "pool", "owner", "request", "held")
+
+    def __init__(self, leases: LeaseManager, pool: SlotPool,
+                 owner: Optional[LeaseOwner],
+                 gang: Optional[GangLease] = None):
+        self.leases = leases
+        self.pool = pool
+        self.owner = owner
+        self.request = None
+        self.held = gang is not None
+        if gang is not None:
+            gang.checkout(pool)  # the task takes over its release duty
+
+    def take(self):
+        """Generator: request the slot unless it is held, and wait."""
+        if not self.held:
+            self.request = self.leases.acquire(self.pool, self.owner)
+            yield self.request
+            self.held = True
+
+    def give_back(self) -> None:
+        if self.held:
+            self.leases.release(self.pool, self.owner)
+        elif self.request is not None:
+            self.leases.cancel(self.pool, self.request, self.owner)
+        self.held = False
+        self.request = None
+
+
+class JobRun:
+    """One run of a job on a cluster engine: what its task bodies share,
+    and the scaffolding each body wraps around its own charges — slot
+    hold, start stamp, doomed-map burn, reduce tail and commit point.
+
+    Hadoop and llap run one :class:`~repro.engines.lifecycle.JobContext`
+    per job, DataMPI one per ``mpidrun`` submission; each defines
+    :meth:`commit`.
+    """
+
+    def __init__(self, engine: "Engine", runtime: EngineRuntime, job: MRJob,
+                 owner: Optional[LeaseOwner]):
+        self.sim = runtime.sim
+        self.model = runtime.model
+        self.cluster = runtime.cluster
+        self.leases = runtime.leases
+        self.hdfs = engine.hdfs
+        self.job = job
+        self.owner = owner
+        inputs = load_job_inputs(job, engine.hdfs, vectorized=True)
+        self.splits = inputs.splits
+        self.small_tables = inputs.small_tables
+        self.scale = inputs.scale
+        self.total_bytes = inputs.total_bytes
+        self.first_start_event = self.sim.event()  # value: first task's start
+
+    def hold(self, pool: SlotPool, gang: Optional[GangLease] = None) -> SlotHold:
+        return SlotHold(self.leases, pool, self.owner, gang)
+
+    def started(self, task: TaskTiming) -> None:
+        """Stamp a map-side task's start; the first one starts the job."""
+        task.started = self.sim.now
+        if not self.first_start_event.triggered:
+            self.first_start_event.trigger(self.sim.now)
+
+    def burn_doomed(self, node_index: int, tagged: TaggedSplit, doom: float,
+                    read: Optional[float] = None, burn: Optional[float] = None,
+                    gc_factor: float = 1.0):
+        """Generator: an injected failure burns the *doom* fraction of a
+        split's read (*read* bytes) and map CPU (*burn* bytes; both
+        default to the split's scan) before the task dies."""
+        node = self.cluster.workers[node_index]
+        if burn is None:
+            _batch, burn = scan_split_batch(tagged)
+        if read is None:
+            read = burn
+        yield from charge_split_read(self.cluster, node, node_index, tagged,
+                                     read * doom)
+        yield from node.compute(
+            burn * doom / MB * self.model.cpu.map_ms_per_mb * gc_factor / 1000.0
+        )
+
+    def reduce_tail(self, task: TaskTiming, partition: int, node_index: int,
+                    nbytes: float, pairs: Segments, reducer,
+                    spilled: float = 0.0, gc_factor: float = 1.0):
+        """Generator: a reduce task once its *nbytes* of input *pairs*
+        have arrived — merge-sort charge, read-back of *spilled* runs,
+        the reduce itself through the engine module's *reducer* binding,
+        the reduce charge and the commit point; returns :meth:`commit`'s
+        verdict."""
+        node = self.cluster.workers[node_index]
+        cpu = self.model.cpu
+        yield from node.compute(nbytes / MB * cpu.sort_ms_per_mb * gc_factor / 1000.0)
+        yield from node.disk_read(spilled)
+        output = reducer(self.job, pairs, self.small_tables, vectorized=True)
+        yield from node.compute(
+            nbytes / MB * cpu.reduce_ms_per_mb * gc_factor / 1000.0
+        )
+        return (yield from self.commit(task, partition, output, node_index))
+
+    def commit(self, task: TaskTiming, index: int, rows, node_index: int):
+        """Generator writing *task*'s output as part-file *index* from
+        node *node_index*; returns False when the task lost its commit."""
+        raise NotImplementedError
 
 
 def collect_plan_result(

@@ -54,23 +54,23 @@ from repro.engines.base import (
     Engine,
     EngineCapabilities,
     EngineRuntime,
+    JobRun,
     JobTiming,
     TaggedSplit,
     TaskTiming,
     assign_splits_locality,
     charge_split_read,
+    child_span,
     close_job_span,
     close_task_span,
     hdfs_write_pipeline,
     decide_num_reducers,
-    load_job_inputs,
     map_cpu_ms,
     open_job_span,
     open_task,
     record_job_metrics,
     run_map_compute,
     run_reducer_functionally,
-    scan_split_batch,
     write_task_output,
 )
 from repro.engines.datampi.buffers import (
@@ -223,32 +223,21 @@ class _Stage:
     timing: Optional[JobTiming] = None
 
 
-class _Submission:
+class _Submission(JobRun):
     """One ``mpidrun`` submission: everything its O and A tasks share."""
 
     def __init__(self, engine: "DataMPIEngine", stage: _Stage, gang: _Gang,
                  pipe_in: bool):
-        runtime = stage.runtime
+        super().__init__(engine, stage.runtime, stage.job, stage.owner)
         conf = stage.conf
-        self.model = runtime.model
-        self.sim = runtime.sim
-        self.cluster = runtime.cluster
-        self.leases = runtime.leases
         self.mpi = stage.mpi
         self.a_slots = stage.a_slots
-        self.job = stage.job
         self.timing = stage.timing
-        self.owner = stage.owner
         self.gang = gang
         self.pipe_in = pipe_in
         self.pipe_out = stage.pipe_out
-        inputs = load_job_inputs(stage.job, engine.hdfs, vectorized=True)
-        self.splits = inputs.splits
-        self.small_tables = inputs.small_tables
-        self.scale = inputs.scale
-        self.total_bytes = inputs.total_bytes
         self.mem_used = _mem_used_percent(conf)
-        self.gc_factor = _gc_factor(runtime.model.datampi, self.mem_used)
+        self.gc_factor = _gc_factor(self.model.datampi, self.mem_used)
         self.queue_capacity = conf.get_int(HIVE_DATAMPI_SEND_QUEUE, DEFAULT_SEND_QUEUE)
         self.nonblocking = conf.get_bool(DATAMPI_NONBLOCKING, True)
         self.overlap = conf.get_bool(DATAMPI_OVERLAP, True)
@@ -258,10 +247,23 @@ class _Submission:
         # the event ``_attempt_job`` waits on while that is non-zero
         self.outstanding = 0
         self.drained: Optional[Event] = None
-        self.first_start_event = self.sim.event()
         # fixed once the communicator's membership is known
         self.num_reducers = 0
         self.receive: Optional[ReceiveManager] = None
+
+    def commit(self, task: TaskTiming, index: int, rows, node_index: int):
+        """Write a task's part-file.  It is recorded on the gang, whose
+        abort deletes it; a DAG stage skips the replicated write (the
+        next stage's O tasks consume the rows in memory).  Without
+        speculation a task cannot lose its commit."""
+        data_file = write_task_output(self.job, self.hdfs, index, rows,
+                                      self.scale, writer_node=node_index)
+        self.gang.written.append(data_file.path)
+        if not self.pipe_out:
+            yield from hdfs_write_pipeline(
+                self.cluster, self.cluster.workers[node_index], data_file
+            )
+        return True
 
     def landed(self, queue: SendQueue) -> None:
         """One send's buffer is accounted on the A side: free its send
@@ -305,7 +307,7 @@ class _Submission:
 
 class DataMPIEngine(Engine):
     name = "datampi"
-    capabilities = EngineCapabilities(gang_scheduling=True, shared_runtime=True)
+    capabilities = EngineCapabilities(shared_runtime=True)
 
     # -- public API ---------------------------------------------------------
     def plan_process(
@@ -609,47 +611,28 @@ class DataMPIEngine(Engine):
         cpu = sub.model.cpu
         sim = sub.sim
         job = sub.job
-        leases = sub.leases
         gc_factor = sub.gc_factor
         node = sub.cluster.workers[node_index]
         task = open_task(sub.timing, f"o{index}", "o", node_index, sim.now)
-
-        if gang_lease is not None:
-            # slot was granted atomically with the rest of the gang before
-            # this process was spawned; claim release duty from the lease
-            gang_lease.checkout(node.slots)
-            acquired = None
-            held_slot = True
-        else:
-            # remap overflow beyond the node's slot capacity: wave through
-            # like any other single-slot request
-            acquired = leases.acquire(node.slots, sub.owner)
-            held_slot = False
+        # a slot granted with the rest of the gang is checked out of its
+        # lease; remap overflow beyond the node's slot capacity waves
+        # through like any other single-slot request
+        hold = sub.hold(node.slots, gang_lease)
         queue = SendQueue(sim, sub.queue_capacity)
         sender_done = None
         sender_started = False
         emit_seq = count()  # provenance stamp for canonical receive order
         outputs: List[ColumnBatch] = []  # one per split, map-only jobs
         try:
-            if acquired is not None:
-                yield acquired
-                held_slot = True
+            yield from hold.take()
             yield from node.compute(sub.model.datampi.task_setup)
-            task.started = sim.now
-            if not sub.first_start_event.triggered:
-                sub.first_start_event.trigger(sim.now)
-
+            sub.started(task)
             if doom is not None:
                 # burn a doom-fraction of the first split's work, then die
-                _batch0, bytes0 = scan_split_batch(group[0])
-                partial = bytes0 * doom
-                if not sub.pipe_in:
-                    yield from charge_split_read(
-                        sub.cluster, node, node_index, group[0], partial
-                    )
-                yield from node.compute(
-                    partial / MB * cpu.map_ms_per_mb * gc_factor / 1000.0
-                )
+                # (a DAG stage's input is already in memory: no read)
+                yield from sub.burn_doomed(node_index, group[0], doom,
+                                           0.0 if sub.pipe_in else None,
+                                           gc_factor=gc_factor)
                 sub.rank_failed(task, doom)
                 return
 
@@ -697,13 +680,8 @@ class DataMPIEngine(Engine):
                 yield from self._emit_buffers(sub, node, held, queue, task)
 
             if job.is_map_only:
-                data_file = write_task_output(
-                    job, self.hdfs, index, ColumnBatch.concat(outputs),
-                    sub.scale, writer_node=node_index,
-                )
-                sub.gang.written.append(data_file.path)
-                if not sub.pipe_out:
-                    yield from hdfs_write_pipeline(sub.cluster, node, data_file)
+                yield from sub.commit(task, index, ColumnBatch.concat(outputs),
+                                      node_index)
         except Interrupt as interrupt:
             # stop mid-flight; resources unwind in the finally below
             sub.rank_interrupted(task, interrupt.cause)
@@ -713,18 +691,15 @@ class DataMPIEngine(Engine):
                 sub.barrier.deregister()
             if sender_started:
                 queue.put(_SENTINEL)  # stop the sender thread
-            if held_slot:
-                leases.release(node.slots, sub.owner)
-            elif acquired is not None:
-                leases.cancel(node.slots, acquired, sub.owner)
+            hold.give_back()
         if sender_done is not None:
             yield sender_done
         task.finished = sim.now
-        if task.span is not None and task.send_events:
+        if task.send_events:
             # the O-side shuffle window: first send handed to the engine
             # until the last delivery this task awaited
-            task.span.start_child(
-                "shuffle", task.send_events[0], category="shuffle",
+            child_span(
+                task, "shuffle", task.send_events[0],
                 sends=len(task.send_events), node=node_index,
             ).finish(sim.now)
         close_task_span(task)
@@ -833,20 +808,14 @@ class DataMPIEngine(Engine):
     # -- A task ---------------------------------------------------------------------
     def _a_task(self, sub: _Submission, partition: int, node_index: int,
                 doom: Optional[float]):
-        cpu = sub.model.cpu
         sim = sub.sim
-        leases = sub.leases
         receive = sub.receive
         gc_factor = sub.gc_factor
         node = sub.cluster.workers[node_index]
-        pool = sub.a_slots[node_index]
         task = open_task(sub.timing, f"a{partition}", "a", node_index, sim.now)
-
-        acquired = leases.acquire(pool, sub.owner)
-        held_slot = False
+        hold = sub.hold(sub.a_slots[node_index])
         try:
-            yield acquired
-            held_slot = True
+            yield from hold.take()
             yield from node.compute(sub.model.datampi.task_setup)
             task.started = sim.now
 
@@ -854,7 +823,7 @@ class DataMPIEngine(Engine):
             if doom is not None:
                 # rank failure mid-merge: the whole job dies with it
                 yield from node.compute(
-                    received / MB * cpu.sort_ms_per_mb * gc_factor
+                    received / MB * sub.model.cpu.sort_ms_per_mb * gc_factor
                     * doom / 1000.0
                 )
                 sub.rank_failed(task, doom)
@@ -862,45 +831,23 @@ class DataMPIEngine(Engine):
 
             spilled = receive.spilled_bytes[partition]
             if spilled > 0:
-                spill_span = (
-                    task.span.start_child("spill", sim.now, category="spill",
-                                          bytes=spilled, node=node_index)
-                    if task.span is not None else None
-                )
+                spill_span = child_span(task, "spill", sim.now,
+                                        bytes=spilled, node=node_index)
                 get_metrics().counter("datampi.spill.bytes").add(spilled)
                 yield from node.disk_read(spilled)  # read back spilled runs
-                if spill_span is not None:
-                    spill_span.finish(sim.now)
-            if received > 0:
-                yield from node.compute(
-                    received / MB * cpu.sort_ms_per_mb * gc_factor / 1000.0
-                )
-            output = run_reducer_functionally(
-                sub.job, receive.partition_pairs(partition), sub.small_tables,
-                vectorized=True,
+                spill_span.finish(sim.now)
+            yield from sub.reduce_tail(
+                task, partition, node_index, received,
+                receive.partition_pairs(partition), run_reducer_functionally,
+                gc_factor=gc_factor,
             )
-            yield from node.compute(
-                received / MB * cpu.reduce_ms_per_mb * gc_factor / 1000.0
-            )
-            data_file = write_task_output(
-                sub.job, self.hdfs, partition, output, sub.scale,
-                writer_node=node_index,
-            )
-            sub.gang.written.append(data_file.path)
-            if not sub.pipe_out:
-                # DAG mode skips materializing the stage boundary to HDFS:
-                # the next stage's O tasks consume these rows in memory
-                yield from hdfs_write_pipeline(sub.cluster, node, data_file)
             receive.release_partition(partition)
             task.kv_bytes = received
         except Interrupt as interrupt:
             sub.rank_interrupted(task, interrupt.cause)
             return
         finally:
-            if held_slot:
-                leases.release(pool, sub.owner)
-            else:
-                leases.cancel(pool, acquired, sub.owner)
+            hold.give_back()
         task.finished = sim.now
         close_task_span(task)
 

@@ -44,13 +44,11 @@ from repro.engines.base import (
     MapOutputCollector,
     TaskTiming,
     charge_split_read,
-    hdfs_write_pipeline,
+    child_span,
     map_cpu_ms,
     pick_node,
     run_map_compute,
     run_reducer_functionally,
-    scan_split_batch,
-    write_task_output,
 )
 from repro.engines.lifecycle import JobContext, TaskAttemptEngine
 from repro.exec.shuffle import Segments
@@ -81,7 +79,7 @@ class _HadoopJob(JobContext):
 
 class HadoopEngine(TaskAttemptEngine):
     name = "hadoop"
-    capabilities = EngineCapabilities(speculative=True, shared_runtime=True)
+    capabilities = EngineCapabilities(shared_runtime=True)
     model_block = "hadoop"
 
     def plan_process(
@@ -141,39 +139,21 @@ class HadoopEngine(TaskAttemptEngine):
         heap = ctx.model.cluster.heap_per_task
         sim = ctx.sim
         cluster = ctx.cluster
-        leases = ctx.leases
-        owner = ctx.owner
         job = ctx.job
         tagged = ctx.splits[index]
         node = cluster.workers[node_index]
-        acquired = leases.acquire(node.slots, owner)
-        held_slot = False
+        hold = ctx.hold(node.slots)
         held_heap = 0.0
-        committed = False
-        collector = None
-        result = None
         try:
-            yield acquired
-            held_slot = True
+            yield from hold.take()
             node.memory.allocate(heap)  # child JVM footprint
             held_heap = heap
             # heartbeat pickup + JVM spawn
             yield sim.timeout(costs.schedule_delay)
             yield from node.compute(costs.task_jvm_start)
-            task.started = sim.now
-            if not ctx.first_start_event.triggered:
-                ctx.first_start_event.trigger(sim.now)
-
+            ctx.started(task)
             if doom is not None:
-                # injected failure: burn the work done up to the doom point,
-                # then die — the coordinator re-launches elsewhere
-                _batch, bytes_to_read = scan_split_batch(tagged)
-                partial = bytes_to_read * doom
-                yield from charge_split_read(cluster, node, node_index,
-                                             tagged, partial)
-                yield from node.compute(
-                    partial / MB * cpu.map_ms_per_mb / 1000.0
-                )
+                yield from ctx.burn_doomed(node_index, tagged, doom)
                 return ("failed", "injected")
 
             # compute the whole split, recording the collector's
@@ -204,19 +184,15 @@ class HadoopEngine(TaskAttemptEngine):
                     spill_bytes = costs.io_sort_mb * MB
                     spilled_mark += spill_bytes
                     spills += 1
-                    spill_span = (
-                        task.span.start_child("spill", sim.now, category="spill",
-                                              bytes=spill_bytes, node=node_index)
-                        if task.span is not None else None
-                    )
+                    spill_span = child_span(task, "spill", sim.now,
+                                            bytes=spill_bytes, node=node_index)
                     get_metrics().counter("hadoop.spill.bytes").add(spill_bytes)
                     cpu_ms = spill_bytes / MB * cpu.sort_ms_per_mb
                     if ratio < 1.0:
                         cpu_ms += spill_bytes / MB * costs.cpu_compress_ms_per_mb
                     yield from node.compute(cpu_ms / 1000.0)
                     yield from node.disk_write(spill_bytes * ratio)
-                    if spill_span is not None:
-                        spill_span.finish(sim.now)
+                    spill_span.finish(sim.now)
 
             emitted = collector.total_bytes * scale
             final_spill = emitted - spilled_mark
@@ -232,32 +208,17 @@ class HadoopEngine(TaskAttemptEngine):
                 yield from node.compute(emitted / MB * cpu.sort_ms_per_mb / 1000.0)
                 yield from node.disk_write(emitted * ratio)
 
-            if job.is_map_only:
-                # commit point: exactly one attempt may write the part-file
-                # (speculative backups lose the race here)
-                if not ctx.claim_commit(task):
-                    return ("lost-race", None)
-                data_file = write_task_output(
-                    job, self.hdfs, index, result.output, ctx.scale,
-                    writer_node=node_index,
-                )
-                committed = True
-                yield from hdfs_write_pipeline(cluster, node, data_file)
-
+            if job.is_map_only and not (
+                yield from ctx.commit(task, index, result.output, node_index)
+            ):
+                return ("lost-race", None)
             return ("ok", collector, result)
         except Interrupt as interrupt:
-            if committed:
-                # output already durable in replicated HDFS — the task
-                # succeeded even though its node just died
-                return ("ok", collector, result)
             return ("killed", interrupt.cause)
         finally:
             if held_heap:
                 node.memory.free(held_heap)
-            if held_slot:
-                leases.release(node.slots, owner)
-            else:
-                leases.cancel(node.slots, acquired, owner)
+            hold.give_back()
 
     # -- speculative execution ---------------------------------------------------
     def _speculate(self, ctx: _HadoopJob, task: TaskTiming, index: int,
@@ -331,22 +292,16 @@ class HadoopEngine(TaskAttemptEngine):
                        partition: int, node_index: int,
                        doom: Optional[float]):
         costs = ctx.model.hadoop
-        cpu = ctx.model.cpu
         heap = ctx.model.cluster.heap_per_task
         sim = ctx.sim
         cluster = ctx.cluster
-        leases = ctx.leases
-        owner = ctx.owner
-        pool = ctx.reduce_slots[node_index]
+        ratio = ctx.compress_ratio
         node = cluster.workers[node_index]
-        acquired = leases.acquire(pool, owner)
-        held_slot = False
+        hold = ctx.hold(ctx.reduce_slots[node_index])
         held_heap = 0.0
-        committed = False
         fetchers: List = []
         try:
-            yield acquired
-            held_slot = True
+            yield from hold.take()
             node.memory.allocate(heap)  # reduce JVM footprint
             held_heap = heap
             yield sim.timeout(costs.schedule_delay)
@@ -354,117 +309,69 @@ class HadoopEngine(TaskAttemptEngine):
             task.started = sim.now
 
             # copy phase: mapred.reduce.parallel.copies concurrent fetcher
-            # threads pull each map's partition as the map completes
-            shuffle_span = (
-                task.span.start_child("shuffle", sim.now, category="shuffle",
-                                      node=node_index)
-                if task.span is not None else None
-            )
+            # threads pull each map's partition as the map completes: disk
+            # at the source, network, decompress; past the in-memory
+            # shuffle budget the copy spills.  Copied data is safe on the
+            # reduce side (a map-node death cannot take it back).
+            shuffle_span = child_span(task, "shuffle", sim.now, node=node_index)
             fetch_slots = SlotPool(sim, costs.parallel_copies,
                                    f"{task.task_id}.fetchers")
-            copied_cell = [0.0]
-            pairs_by_map: Dict[int, Segments] = {}
-            fetchers = [
-                sim.spawn(
-                    self._fetch_map_output(
-                        ctx, node, partition, map_index, fetch_slots,
-                        copied_cell, pairs_by_map,
-                    ),
-                    f"{task.task_id}-f{map_index}",
+            copied = 0.0
+            pulled: List[Optional[Segments]] = [None] * ctx.num_maps
+
+            def transfer(source_index: int, raw_chunk: float):
+                source = cluster.workers[source_index]
+                yield from source.disk_read(raw_chunk * ratio)
+                yield from cluster.network_transfer(source, node,
+                                                    raw_chunk * ratio)
+                if ratio < 1.0:
+                    yield from node.compute(
+                        raw_chunk / MB * costs.cpu_decompress_ms_per_mb / 1000.0
+                    )
+
+            def landed(raw_chunk: float):
+                nonlocal copied
+                copied += raw_chunk
+                if copied > costs.shuffle_memory_mb * MB:
+                    yield from node.disk_write(raw_chunk * ratio)  # overflow
+
+            def fetch(map_index: int):
+                pulled[map_index], _bytes = yield from ctx.pull_map_output(
+                    map_index, partition, transfer, fetch_slots, landed
                 )
+
+            fetchers = [
+                sim.spawn(fetch(map_index), f"{task.task_id}-f{map_index}")
                 for map_index in range(ctx.num_maps)
             ]
             yield sim.all_of(fetchers)
-            copied = copied_cell[0]
             ctx.last_copy_done = max(ctx.last_copy_done, sim.now)
             task.kv_bytes = copied
-            if shuffle_span is not None:
-                shuffle_span.finish(sim.now, bytes=copied, maps=ctx.num_maps)
+            shuffle_span.finish(sim.now, bytes=copied, maps=ctx.num_maps)
 
             if doom is not None:
                 # injected failure during the sort/merge phase: the whole
                 # copy is thrown away and redone by the next attempt
                 return ("failed", "injected")
 
-            # merge-sort phase
-            if copied > 0:
-                yield from node.compute(copied / MB * cpu.sort_ms_per_mb / 1000.0)
-                if copied > costs.shuffle_memory_mb * MB:
-                    # read back spilled (compressed) runs
-                    yield from node.disk_read(copied * ctx.compress_ratio)
-
             pairs = Segments()
-            for map_index in range(ctx.num_maps):
-                if map_index in pairs_by_map:
-                    pairs.extend(pairs_by_map[map_index])
-            output = run_reducer_functionally(
-                ctx.job, pairs, ctx.small_tables, vectorized=True
-            )
-
-            yield from node.compute(copied / MB * cpu.reduce_ms_per_mb / 1000.0)
-            if not ctx.claim_commit(task):
+            for segments in pulled:
+                pairs.extend(segments)
+            spilled = 0.0
+            if copied > costs.shuffle_memory_mb * MB:
+                spilled = copied * ratio  # read back spilled (compressed) runs
+            if not (yield from ctx.reduce_tail(
+                task, partition, node_index, copied, pairs,
+                run_reducer_functionally, spilled,
+            )):
                 return ("lost-race", None)
-            data_file = write_task_output(
-                ctx.job, self.hdfs, partition, output, ctx.scale,
-                writer_node=node_index,
-            )
-            committed = True
-            yield from hdfs_write_pipeline(cluster, node, data_file)
             return ("ok",)
         except Interrupt as interrupt:
             for fetcher in fetchers:
                 if fetcher.alive:
                     fetcher.interrupt(interrupt.cause)
-            if committed:
-                return ("ok",)
             return ("killed", interrupt.cause)
         finally:
             if held_heap:
                 node.memory.free(held_heap)
-            if held_slot:
-                leases.release(pool, owner)
-            else:
-                leases.cancel(pool, acquired, owner)
-
-    def _fetch_map_output(self, ctx: _HadoopJob, node, partition: int,
-                          map_index: int, fetch_slots: SlotPool,
-                          copied_cell: List[float],
-                          pairs_by_map: Dict[int, Segments]):
-        """One fetcher: wait for the map, grab a copier slot, pull the
-        partition (disk at the source, network, decompress), spill past
-        the in-memory shuffle budget.
-
-        Copied data is safe on the reduce side (a map-node death cannot
-        take it back); a death *mid-copy* re-waits for the re-executed
-        map and pulls again."""
-        costs = ctx.model.hadoop
-        cluster = ctx.cluster
-        ratio = ctx.compress_ratio
-        while True:
-            while map_index not in ctx.map_outputs:
-                yield ctx.map_completion_events[map_index]
-            entry = ctx.map_outputs[map_index]
-            source_index, collector, map_scale = entry
-            raw_chunk = collector.partition_bytes[partition] * map_scale
-            chunk = raw_chunk * ratio
-            if chunk <= 0:
-                pairs_by_map[map_index] = collector.partitions[partition]
-                return
-            yield fetch_slots.acquire()
-            try:
-                source = cluster.workers[source_index]
-                yield from source.disk_read(chunk)
-                yield from cluster.network_transfer(source, node, chunk)
-                if ratio < 1.0:
-                    yield from node.compute(
-                        raw_chunk / MB * costs.cpu_decompress_ms_per_mb / 1000.0
-                    )
-                if ctx.map_outputs.get(map_index) is not entry:
-                    continue  # source died mid-copy: re-fetch from the rerun
-                pairs_by_map[map_index] = collector.partitions[partition]
-                copied_cell[0] += raw_chunk
-                if copied_cell[0] > costs.shuffle_memory_mb * MB:
-                    yield from node.disk_write(chunk)  # overflow to disk
-                return
-            finally:
-                fetch_slots.release()
+            hold.give_back()

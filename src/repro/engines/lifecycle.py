@@ -4,13 +4,19 @@ Hadoop MapReduce and LLAP recover at the same granularity — one task
 *attempt* — so everything around an attempt is the same code: per-job
 state (:class:`JobContext`), the job driver (:meth:`TaskAttemptEngine.run_job`)
 and the map/reduce coordinators that place, doom, spawn, classify and
-retry attempts.  An engine contributes only its policy, through the
-hooks listed on :class:`TaskAttemptEngine`.
+retry attempts.  Inside an attempt, the commit point
+(:meth:`JobContext.commit`) and the map-output pull
+(:meth:`JobContext.pull_map_output`) are written here too, and the rest
+of the scaffolding — slot hold, start stamp, doomed-map burn, reduce
+tail — in :class:`~repro.engines.base.JobRun`, which DataMPI shares.
+An engine contributes only its policy, through the hooks listed on
+:class:`TaskAttemptEngine`, and its attempt bodies' charges.
 
 DataMPI is deliberately not built on this: its unit of recovery is the
 whole ``mpidrun`` submission (gang abort, resubmit), so it shares
-:meth:`Engine.run_plan <repro.engines.base.Engine.run_plan>` and the
-job prologue but keeps its own job loop.
+:meth:`Engine.run_plan <repro.engines.base.Engine.run_plan>`, the job
+prologue and :class:`~repro.engines.base.JobRun` but keeps its own job
+loop.
 """
 
 from __future__ import annotations
@@ -21,14 +27,16 @@ from repro.common.config import Configuration
 from repro.engines.base import (
     Engine,
     EngineRuntime,
+    JobRun,
     JobTiming,
     MapOutputCollector,
+    SlotHold,
     TaskTiming,
     assign_splits_locality,
     close_job_span,
     close_task_span,
     decide_num_reducers,
-    load_job_inputs,
+    hdfs_write_pipeline,
     open_job_span,
     open_task,
     record_job_metrics,
@@ -36,38 +44,30 @@ from repro.engines.base import (
 )
 from repro.obs import get_metrics
 from repro.plan.physical import MRJob
-from repro.simulate import LeaseOwner
+from repro.simulate import Interrupt, LeaseOwner, SlotPool
 
 DEFAULT_MAX_TASK_ATTEMPTS = 4  # mapred.map.max.attempts
 
 
-class JobContext:
+class JobContext(JobRun):
     """One job's shared state — the single object its coordinators and
     attempt bodies receive.
 
-    Holds the runtime handles, the job's functional inputs, its timing
-    record and the map-output bookkeeping the shuffle synchronizes on.
-    Engines subclass it to add what their own attempt bodies need.
+    Adds to :class:`~repro.engines.base.JobRun` the job's timing record,
+    the map-output bookkeeping the shuffle synchronizes on, the commit
+    point and the map-output pull.  Engines subclass it to add what
+    their own attempt bodies need.
     """
 
     def __init__(self, engine: Engine, runtime: EngineRuntime, job: MRJob,
                  conf: Configuration, is_last: bool,
                  owner: Optional[LeaseOwner]):
-        sim = runtime.sim
-        self.sim = sim
-        self.model = runtime.model
-        self.cluster = runtime.cluster
+        super().__init__(engine, runtime, job, owner)
+        sim = self.sim
         self.injector = runtime.injector
-        self.leases = runtime.leases
-        self.job = job
-        self.owner = owner
-        inputs = load_job_inputs(job, engine.hdfs, vectorized=True)
-        self.splits = inputs.splits
-        self.small_tables = inputs.small_tables
-        self.scale = inputs.scale
-        self.num_maps = len(inputs.splits)
+        self.num_maps = len(self.splits)
         self.num_reducers = decide_num_reducers(
-            job, self.num_maps, inputs.total_bytes, conf, is_last,
+            job, self.num_maps, self.total_bytes, conf, is_last,
             runtime.model.cluster.total_slots,
         )
         self.timing = JobTiming(
@@ -79,11 +79,10 @@ class JobContext:
         self.timing.span = open_job_span(
             runtime.tracer, engine.name, job, sim.now, owner
         )
-        self.first_start_event = sim.event()  # value: first attempt's start
         # map_index -> (node, collector, scale); filled as maps finish,
         # entries removed again when the hosting node dies (lost output)
         self.map_outputs: Dict[int, Tuple[int, MapOutputCollector, float]] = {}
-        self.map_completion_events = [sim.event() for _ in inputs.splits]
+        self.map_completion_events = [sim.event() for _ in self.splits]
         self.maps_done = 0
         self.slowstart_event = sim.event()  # the first map completed
         self.all_maps_event = sim.event()
@@ -93,12 +92,68 @@ class JobContext:
         self.committed: Set[str] = set()  # task ids whose output is in HDFS
 
     def claim_commit(self, task: TaskTiming) -> bool:
-        """The commit point: true for exactly one attempt per task
-        (speculative backups lose the race here)."""
+        """True for exactly one attempt per task (speculative backups
+        lose the race here)."""
         if task.task_id in self.committed:
             return False
         self.committed.add(task.task_id)
         return True
+
+    def commit(self, task: TaskTiming, index: int, rows, node_index: int):
+        """The commit point: the attempt that claims it writes the task's
+        part-file, every other one gets False.  The written file is
+        durable, so an interrupt during its replicated write still
+        returns True — the task succeeded."""
+        if not self.claim_commit(task):
+            return False
+        data_file = write_task_output(self.job, self.hdfs, index, rows,
+                                      self.scale, writer_node=node_index)
+        try:
+            yield from hdfs_write_pipeline(
+                self.cluster, self.cluster.workers[node_index], data_file
+            )
+        except Interrupt:
+            pass  # the node died after the commit: the output survives
+        return True
+
+    def pull_map_output(self, map_index: int, partition: int, transfer,
+                        gate: Optional[SlotPool] = None, landed=None,
+                        hold: Optional[SlotHold] = None):
+        """Generator pulling map *map_index*'s *partition* to a reducer;
+        returns ``(segments, bytes)``.
+
+        Waits for the map's output, then runs ``transfer(source node,
+        bytes)`` (inside one of *gate*'s slots, when given).  If a crash
+        replaced the output mid-copy the pull starts over from the
+        re-executed map; otherwise ``landed(bytes)`` runs, still inside
+        the gate.  *hold*, the attempt's own slot, is handed back while
+        it waits for a re-run map, which may need that very slot.
+        """
+        while True:
+            if map_index not in self.map_outputs:
+                if hold is not None:
+                    hold.give_back()
+                while map_index not in self.map_outputs:
+                    yield self.map_completion_events[map_index]
+                if hold is not None:
+                    yield from hold.take()
+            entry = self.map_outputs[map_index]
+            source_index, collector, map_scale = entry
+            nbytes = collector.partition_bytes[partition] * map_scale
+            segments = collector.partitions[partition]
+            if nbytes <= 0:
+                return segments, nbytes
+            if gate is not None:
+                yield gate.acquire()
+            try:
+                yield from transfer(source_index, nbytes)
+                if self.map_outputs.get(map_index) is entry:
+                    if landed is not None:
+                        yield from landed(nbytes)
+                    return segments, nbytes
+            finally:
+                if gate is not None:
+                    gate.release()
 
     def map_finished(self, map_index: int, node: int,
                      collector: MapOutputCollector, scale: float) -> None:
@@ -146,6 +201,10 @@ class TaskAttemptEngine(Engine):
       what an attempt costs and how it moves shuffle data.  They return
       ``("ok", ...)``, ``("failed", cause)``, ``("killed", cause)`` or
       ``("lost-race", None)`` and release what they hold on every path.
+      A body is its charges only: it takes its slot through
+      :meth:`~repro.engines.base.JobRun.hold`, and stamps its start,
+      burns a doomed split, pulls map output, runs its reduce tail and
+      commits through the :class:`JobContext` it is handed.
     """
 
     model_block: str

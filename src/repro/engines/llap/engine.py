@@ -48,13 +48,11 @@ from repro.engines.base import (
     TaskTiming,
     TaggedSplit,
     charge_split_read,
-    hdfs_write_pipeline,
+    child_span,
     map_cpu_ms,
     pick_node,
     run_map_compute,
     run_reducer_functionally,
-    scan_split_batch,
-    write_task_output,
 )
 from repro.engines.lifecycle import JobContext, TaskAttemptEngine
 from repro.engines.llap.cache import StripeCache
@@ -273,9 +271,7 @@ class _LlapJob(JobContext):
 
 class LlapEngine(TaskAttemptEngine):
     name = "llap"
-    capabilities = EngineCapabilities(
-        persistent=True, result_cache=True, shared_runtime=True
-    )
+    capabilities = EngineCapabilities(result_cache=True, shared_runtime=True)
     model_block = "llap"
 
     def __init__(self, hdfs: HDFS, model: Optional[CostModel] = None):
@@ -397,26 +393,15 @@ class LlapEngine(TaskAttemptEngine):
         """One map attempt inside node *node_index*'s daemon."""
         sim = ctx.sim
         cluster = ctx.cluster
-        leases = ctx.leases
-        owner = ctx.owner
         job = ctx.job
-        dispatch = ctx.model.llap.fragment_dispatch
         cpu = ctx.model.cpu
         tagged = ctx.splits[index]
         node = cluster.workers[node_index]
-        exec_pool = ctx.fleet.exec_slots[node_index]
-        acquired = leases.acquire(exec_pool, owner)
-        held_slot = False
-        committed = False
-        collector = None
-        result = None
+        hold = ctx.hold(ctx.fleet.exec_slots[node_index])
         try:
-            yield acquired
-            held_slot = True
-            yield sim.timeout(dispatch)
-            task.started = sim.now
-            if not ctx.first_start_event.triggered:
-                ctx.first_start_event.trigger(sim.now)
+            yield from hold.take()
+            yield sim.timeout(ctx.model.llap.fragment_dispatch)
+            ctx.started(task)
 
             orc = isinstance(tagged.split.stored, OrcStoredFile)
             scan = None
@@ -444,17 +429,12 @@ class LlapEngine(TaskAttemptEngine):
                     )
 
             if doom is not None:
-                # injected failure: burn the work up to the doom point
+                # a cached stripe costs no read, but its rows still burn
                 if orc:
-                    read_bytes, burn_bytes = scan.miss_bytes, scan.total_bytes
+                    yield from ctx.burn_doomed(node_index, tagged, doom,
+                                               scan.miss_bytes, scan.total_bytes)
                 else:
-                    _payload, nbytes = scan_split_batch(tagged)
-                    read_bytes = burn_bytes = nbytes
-                yield from charge_split_read(cluster, node, node_index,
-                                             tagged, read_bytes * doom)
-                yield from node.compute(
-                    burn_bytes * doom / MB * cpu.map_ms_per_mb / 1000.0
-                )
+                    yield from ctx.burn_doomed(node_index, tagged, doom)
                 return ("failed", "injected")
 
             # the whole fragment is one batch with no mid-task accounting;
@@ -476,124 +456,62 @@ class LlapEngine(TaskAttemptEngine):
             yield from node.compute(cpu_ms / 1000.0)
             task.collect_samples.append((sim.now, collector.total_bytes))
 
-            if job.is_map_only:
-                # commit point: exactly one attempt writes the part-file
-                if not ctx.claim_commit(task):
-                    return ("lost-race", None)
-                data_file = write_task_output(
-                    job, self.hdfs, index, result.output, ctx.scale,
-                    writer_node=node_index,
-                )
-                committed = True
-                yield from hdfs_write_pipeline(cluster, node, data_file)
-
+            if job.is_map_only and not (
+                yield from ctx.commit(task, index, result.output, node_index)
+            ):
+                return ("lost-race", None)
             return ("ok", collector, result)
         except Interrupt as interrupt:
-            if committed:
-                return ("ok", collector, result)
             return ("killed", interrupt.cause)
         finally:
-            if held_slot:
-                leases.release(exec_pool, owner)
-            elif acquired is not None:
-                leases.cancel(exec_pool, acquired, owner)
+            hold.give_back()
 
     # -- reduce attempt ------------------------------------------------------
     def reduce_attempt(self, ctx: _LlapJob, task: TaskTiming, partition: int,
                        node_index: int, doom: Optional[float]):
         sim = ctx.sim
         cluster = ctx.cluster
-        leases = ctx.leases
-        owner = ctx.owner
-        dispatch = ctx.model.llap.fragment_dispatch
-        cpu = ctx.model.cpu
         node = cluster.workers[node_index]
-        pool = ctx.fleet.exec_slots[node_index]
-        acquired = leases.acquire(pool, owner)
-        held_slot = False
-        committed = False
+        hold = ctx.hold(ctx.fleet.exec_slots[node_index])
         try:
-            yield acquired
-            held_slot = True
-            yield sim.timeout(dispatch)
+            yield from hold.take()
+            yield sim.timeout(ctx.model.llap.fragment_dispatch)
             task.started = sim.now
 
             # stream every map's partition straight out of daemon memory:
-            # network only (no source disk read, no spill files)
-            shuffle_span = (
-                task.span.start_child("shuffle", sim.now, category="shuffle",
-                                      node=node_index)
-                if task.span is not None else None
-            )
+            # network only (no source disk read, no spill files).  A map
+            # a crash invalidated mid-stream re-runs in an executor slot
+            # — possibly of this very pool — so the wait for it hands
+            # ours back instead of deadlocking the daemon.
+            shuffle_span = child_span(task, "shuffle", sim.now, node=node_index)
+
+            def transfer(source_index: int, chunk: float):
+                if source_index != node_index:
+                    yield from cluster.network_transfer(
+                        cluster.workers[source_index], node, chunk
+                    )
+
             copied = 0.0
-            pairs_by_map: Dict[int, Segments] = {}
+            pairs = Segments()
             for map_index in range(ctx.num_maps):
-                while True:
-                    if map_index not in ctx.map_outputs:
-                        # a crash invalidated this map mid-stream and its
-                        # re-run needs an executor slot — possibly in this
-                        # very pool.  Parking here while holding ours would
-                        # deadlock the daemon, so hand the slot back for
-                        # the duration of the wait.
-                        leases.release(pool, owner)
-                        held_slot = False
-                        acquired = None
-                        while map_index not in ctx.map_outputs:
-                            yield ctx.map_completion_events[map_index]
-                        acquired = leases.acquire(pool, owner)
-                        yield acquired
-                        held_slot = True
-                    entry = ctx.map_outputs[map_index]
-                    source_index, collector, map_scale = entry
-                    chunk = collector.partition_bytes[partition] * map_scale
-                    if chunk > 0 and source_index != node_index:
-                        source = cluster.workers[source_index]
-                        yield from cluster.network_transfer(source, node,
-                                                            chunk)
-                    if ctx.map_outputs.get(map_index) is not entry:
-                        continue  # source daemon died mid-stream: re-pull
-                    pairs_by_map[map_index] = collector.partitions[partition]
-                    copied += chunk
-                    break
+                segments, chunk = yield from ctx.pull_map_output(
+                    map_index, partition, transfer, hold=hold
+                )
+                pairs.extend(segments)
+                copied += chunk
             ctx.last_copy_done = max(ctx.last_copy_done, sim.now)
             task.kv_bytes = copied
-            if shuffle_span is not None:
-                shuffle_span.finish(sim.now, bytes=copied,
-                                    maps=ctx.num_maps)
+            shuffle_span.finish(sim.now, bytes=copied, maps=ctx.num_maps)
 
             if doom is not None:
                 return ("failed", "injected")
-
-            if copied > 0:
-                yield from node.compute(
-                    copied / MB * cpu.sort_ms_per_mb / 1000.0
-                )
-            pairs = Segments()
-            for map_index in range(ctx.num_maps):
-                if map_index in pairs_by_map:
-                    pairs.extend(pairs_by_map[map_index])
-            output = run_reducer_functionally(
-                ctx.job, pairs, ctx.small_tables, vectorized=True
-            )
-            yield from node.compute(
-                copied / MB * cpu.reduce_ms_per_mb / 1000.0
-            )
-
-            if not ctx.claim_commit(task):
+            if not (yield from ctx.reduce_tail(
+                task, partition, node_index, copied, pairs,
+                run_reducer_functionally,
+            )):
                 return ("lost-race", None)
-            data_file = write_task_output(
-                ctx.job, self.hdfs, partition, output, ctx.scale,
-                writer_node=node_index,
-            )
-            committed = True
-            yield from hdfs_write_pipeline(cluster, node, data_file)
             return ("ok",)
         except Interrupt as interrupt:
-            if committed:
-                return ("ok",)
             return ("killed", interrupt.cause)
         finally:
-            if held_slot:
-                leases.release(pool, owner)
-            elif acquired is not None:
-                leases.cancel(pool, acquired, owner)
+            hold.give_back()

@@ -704,34 +704,42 @@ class WorkloadScheduler:
         conf = self._query_conf(handle)
         if prepared.clear_output:
             driver.hdfs.delete(prepared.plan.output_location)
+        intermediates = f"/tmp/hive/{prepared.query_id}"
         started_at = sim.now
         try:
-            timings = yield from engine.plan_process(
-                self.runtime, prepared.plan, conf, handle.owner
-            )
-            execution = collect_plan_result(
-                engine, self.runtime, prepared.plan, timings,
-                started_at=started_at, include_injector_span=False,
-            )
-            self._breaker(engine.name).record_success()
-        except Interrupt:
-            raise  # deadline abort: not the engine's failure
-        except Exception as exc:
-            now = sim.now
-            if self._breaker(engine.name).record_failure(now):
-                get_metrics().counter("sched.breaker.trips").add(1)
-                self.events.append(
-                    (now, "breaker-open", handle.query_id, engine.name)
+            try:
+                timings = yield from engine.plan_process(
+                    self.runtime, prepared.plan, conf, handle.owner
                 )
-            fallback = (conf.get(RETRY_FALLBACK, "") or "").strip()
-            if not isinstance(exc, RetryExhaustedError) or not fallback:
-                raise
-            execution = yield from self._run_fallback(
-                handle, prepared, engine, fallback, started_at, conf
-            )
+                execution = collect_plan_result(
+                    engine, self.runtime, prepared.plan, timings,
+                    started_at=started_at, include_injector_span=False,
+                )
+                self._breaker(engine.name).record_success()
+            except Interrupt:
+                raise  # deadline abort: not the engine's failure
+            except Exception as exc:
+                now = sim.now
+                if self._breaker(engine.name).record_failure(now):
+                    get_metrics().counter("sched.breaker.trips").add(1)
+                    self.events.append(
+                        (now, "breaker-open", handle.query_id, engine.name)
+                    )
+                fallback = (conf.get(RETRY_FALLBACK, "") or "").strip()
+                if not isinstance(exc, RetryExhaustedError) or not fallback:
+                    raise
+                execution = yield from self._run_fallback(
+                    handle, prepared, engine, fallback, started_at, conf
+                )
+        except Exception:
+            # failed or past its deadline: the intermediates go too.  Not
+            # on GeneratorExit — a collected, abandoned session's query
+            # id may belong to a later session on the same warehouse.
+            driver.hdfs.delete(intermediates)
+            raise
         if engine is not driver.engine and execution.fallback_from is None:
             execution.fallback_from = driver.engine.name
-        driver.hdfs.delete(f"/tmp/hive/{prepared.query_id}")
+        driver.hdfs.delete(intermediates)
         return execution
 
     def _run_fallback(self, handle: QueryHandle, prepared: PreparedStatement,

@@ -14,12 +14,11 @@ with context-manager lifecycle::
 
 Engines are looked up in :mod:`repro.engines`' registry, so anything
 registered with ``repro.engines.register(...)`` — including third-party
-engines — connects the same way as the built-ins.  Per-engine options
-go through ``engine_config``, validated against the engine's declared
-:class:`~repro.engines.EngineSpec.options`::
+engines — connects the same way as the built-ins.  Engine knobs are
+ordinary conf keys::
 
     with repro.connect(engine="llap",
-                       engine_config={"cache_mb": 1024}) as session:
+                       conf={"repro.llap.cache.mb": 1024}) as session:
         ...
         session.caches()  # live result-/columnar-cache counters
 """
@@ -69,21 +68,12 @@ class Session(Driver):
         model: Optional[CostModel] = None,
         hdfs: Optional[HDFS] = None,
         metastore: Optional[Metastore] = None,
-        engine_config: Optional[Dict[str, object]] = None,
     ):
         if hdfs is None:
             hdfs = HDFS(num_workers=num_workers)
         if metastore is None:
             metastore = Metastore(hdfs)
         configuration = _as_configuration(conf) or Configuration()
-        if engine_config:
-            # typed per-engine namespace: option names are validated and
-            # coerced against the registry spec's declared options, then
-            # land on their full repro.* keys in the session conf
-            name = engine if isinstance(engine, str) else engine.name
-            engine_spec = engine_registry.get_spec(name)
-            for key, value in engine_spec.validate_config(engine_config).items():
-                configuration.set(key, value)
         if isinstance(engine, str):
             engine = engine_registry.create(engine, hdfs, model=model or CostModel(
                 cluster=ClusterSpec(num_nodes=hdfs.num_workers + 1)
@@ -221,7 +211,6 @@ def connect(
     model: Optional[CostModel] = None,
     hdfs: Optional[HDFS] = None,
     metastore: Optional[Metastore] = None,
-    engine_config: Optional[Dict[str, object]] = None,
 ) -> Session:
     """Open a :class:`Session` on a registered engine.
 
@@ -235,12 +224,6 @@ def connect(
     with (default: the paper's testbed, one worker per HDFS datanode);
     it needs an engine name whose factory takes ``model=`` and raises
     :class:`~repro.common.errors.ConfigError` otherwise.
-
-    *engine_config* is the engine's typed option namespace (e.g.
-    ``{"cache_mb": 1024}`` for llap): names and value types are checked
-    against the engine's declared options and a
-    :class:`~repro.common.errors.EngineConfigError` names the offending
-    key on a mismatch.
     """
     return Session(
         engine=engine,
@@ -249,7 +232,6 @@ def connect(
         model=model,
         hdfs=hdfs,
         metastore=metastore,
-        engine_config=engine_config,
     )
 
 

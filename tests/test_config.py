@@ -7,7 +7,6 @@ import re
 import pytest
 
 import repro
-from repro import engines
 from repro.cli import build_parser
 from repro.common import config
 from repro.common.config import Configuration
@@ -19,7 +18,6 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # raises one says which option it retires in exchange.
 DECLARED_KEYS = 27
 CLI_FLAGS = 16
-LLAP_OPTIONS = 2
 
 
 class TestConfiguration:
@@ -141,7 +139,6 @@ def test_option_surface_is_pinned():
     ]
     assert len(_declared_keys()) == DECLARED_KEYS
     assert len(flags) == CLI_FLAGS
-    assert len(engines.get_spec("llap").options) == LLAP_OPTIONS
 
 
 def test_harness_surface_is_pinned():

@@ -7,21 +7,23 @@ import gc
 import weakref
 
 from repro import connect
-from repro import engines as registry
 from repro.common.config import (
     FAULT_SPEC,
     LLAP_CACHE_MB,
+    RESULT_CACHE_ENABLED,
     SCHED_POLICY,
 )
 from repro.common.rows import Schema
 from repro.core import driver as driver_module
 from repro.engines.base import compare_result_rows
 from repro.engines.llap import LlapEngine, StripeCache
+from repro.engines.llap.engine import DEFAULT_CACHE_MB
 from repro.sched.scheduler import scheduler_from_conf
 from repro.storage.hdfs import HDFS
 from repro.storage.metastore import Metastore
 
 FACT_SCHEMA = Schema.parse("k int, grp string, val double")
+NO_RESULT_CACHE = {RESULT_CACHE_ENABLED: False}
 
 
 def build_orc_warehouse(scale: float = 2e4):
@@ -85,7 +87,7 @@ class TestDaemonLifecycle:
     def test_daemon_spawn_charged_once(self):
         hdfs, metastore = build_orc_warehouse()
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                          engine_config={"result_cache": False})
+                          conf=NO_RESULT_CACHE)
         first = session.query(QUERIES[0]).execution
         second = session.query(QUERIES[0]).execution
         spawn = session.engine.model.llap.daemon_spawn
@@ -95,7 +97,7 @@ class TestDaemonLifecycle:
     def test_warm_startup_beats_hadoop_per_job(self):
         hdfs, metastore = build_orc_warehouse()
         llap = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                       engine_config={"result_cache": False})
+                       conf=NO_RESULT_CACHE)
         hadoop = connect(engine="hadoop", hdfs=hdfs, metastore=metastore)
         llap.query(QUERIES[0])  # pay the one-time spawn
         warm = llap.query(QUERIES[0]).execution
@@ -112,7 +114,7 @@ class TestDaemonLifecycle:
         for the session's next runtime."""
         hdfs, metastore = build_orc_warehouse()
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                          engine_config={"result_cache": False})
+                          conf=NO_RESULT_CACHE)
         runtimes = []
         for _ in range(2):
             scheduler = scheduler_from_conf(session)
@@ -130,8 +132,7 @@ class TestDaemonLifecycle:
 
     def test_capabilities_surface(self):
         caps = LlapEngine.capabilities
-        assert caps.persistent and caps.result_cache and caps.shared_runtime
-        assert not caps.speculative and not caps.gang_scheduling
+        assert caps.result_cache and caps.shared_runtime
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +142,18 @@ class TestDaemonLifecycle:
 
 class TestColumnarCache:
     def test_engine_options_default_to_what_the_engine_falls_back_to(self):
-        """An llap session without ``engine_config`` runs with exactly
-        the values the registry documents as each option's default."""
-        options = {option.name: option
-                   for option in registry.get_spec("llap").options}
+        """An llap session without conf runs with the stripe cache at
+        ``DEFAULT_CACHE_MB`` and the result cache on."""
         hdfs, metastore = build_orc_warehouse()
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore)
         session.query(QUERIES[0])
-        assert session.engine._cache_mb == options["cache_mb"].default
-        assert (session.result_cache() is not None) == \
-            options["result_cache"].default
-        assert set(options) == {"cache_mb", "result_cache"}
+        assert session.engine._cache_mb == DEFAULT_CACHE_MB
+        assert session.result_cache() is not None
 
     def test_repeat_scan_hits_cache(self):
         hdfs, metastore = build_orc_warehouse()
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                          engine_config={"result_cache": False})
+                          conf=NO_RESULT_CACHE)
         session.query(QUERIES[0])
         misses_after_first = total_cache(session, "misses")
         assert misses_after_first > 0, "first scan must populate the cache"
@@ -169,7 +166,7 @@ class TestColumnarCache:
     def test_warm_cache_saves_simulated_time(self):
         hdfs, metastore = build_orc_warehouse()
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                          engine_config={"result_cache": False})
+                          conf=NO_RESULT_CACHE)
         cold = session.query(QUERIES[0]).simulated_seconds
         warm = session.query(QUERIES[0]).simulated_seconds
         assert warm < cold
@@ -178,8 +175,8 @@ class TestColumnarCache:
         def run_workload():
             hdfs, metastore = build_orc_warehouse()
             session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                              engine_config={"result_cache": False,
-                                             "cache_mb": 512})
+                              conf={RESULT_CACHE_ENABLED: False,
+                                    LLAP_CACHE_MB: 512})
             for sql in QUERIES * 2:
                 session.query(sql)
             return session.engine.cache_stats()
@@ -190,7 +187,7 @@ class TestColumnarCache:
         # derive a capacity that holds roughly half the working set
         hdfs, metastore = build_orc_warehouse()
         probe = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                        engine_config={"result_cache": False})
+                        conf=NO_RESULT_CACHE)
         probe.query(QUERIES[0])
         resident = sum(
             stats["bytes"] for stats in probe.engine.cache_stats().values()
@@ -205,8 +202,8 @@ class TestColumnarCache:
             small_hdfs, small_ms = build_orc_warehouse()
             session = connect(engine="llap", hdfs=small_hdfs,
                               metastore=small_ms,
-                              engine_config={"result_cache": False,
-                                             "cache_mb": cache_mb})
+                              conf={RESULT_CACHE_ENABLED: False,
+                                    LLAP_CACHE_MB: cache_mb})
             for sql in QUERIES * 2:
                 session.query(sql)
             return session.engine.cache_stats()
@@ -235,8 +232,7 @@ class TestColumnarCache:
         hdfs, metastore = build_orc_warehouse()
         session = connect(
             engine="llap", hdfs=hdfs, metastore=metastore,
-            conf={FAULT_SPEC: "crash:w1@4-60"},
-            engine_config={"result_cache": False},
+            conf={FAULT_SPEC: "crash:w1@4-60", **NO_RESULT_CACHE},
         )
         # pre-seed w1 so the crash demonstrably drops resident data
         session.engine.node_cache(1).insert(("seed", 0, None), object(),
@@ -296,10 +292,10 @@ class TestResultCache:
         assert not after.cache_hit, "new input files must invalidate"
         assert after.rows != before.rows
 
-    def test_disabled_by_engine_config(self):
+    def test_disabled_by_conf(self):
         hdfs, metastore = build_orc_warehouse()
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                          engine_config={"result_cache": False})
+                          conf=NO_RESULT_CACHE)
         session.query(QUERIES[0])
         assert not session.query(QUERIES[0]).cache_hit
         assert session.caches()["result"] is None

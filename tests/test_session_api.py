@@ -1,6 +1,7 @@
 """The public session API: engine registry, connect()/Session lifecycle,
 capability specs, and the QueryResult cursor surface."""
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 import repro
 from repro import Session, connect, make_warehouse
 from repro import engines as registry
-from repro.common.errors import ConfigError, EngineConfigError, ExecutionError
+from repro.common import errors
+from repro.common.errors import ConfigError, ExecutionError
 from repro.engines.local import LocalEngine
 from repro.simulate.costmodel import CompileModel
 from repro.storage.hdfs import DEFAULT_BLOCK_SIZE
@@ -159,75 +161,45 @@ class TestHiveSessionRemoved:
 
 class TestCapabilities:
     def test_builtin_capability_matrix(self):
-        assert registry.capabilities("hadoop").speculative
         assert registry.capabilities("hadoop").shared_runtime
-        assert not registry.capabilities("hadoop").persistent
-        assert registry.capabilities("datampi").gang_scheduling
-        assert registry.capabilities("llap").persistent
+        assert not registry.capabilities("hadoop").result_cache
+        assert registry.capabilities("datampi").shared_runtime
         assert registry.capabilities("llap").result_cache
         assert not registry.capabilities("local").shared_runtime
+        assert [f.name for f in dataclasses.fields(registry.EngineCapabilities)] \
+            == ["result_cache", "shared_runtime"]
 
     def test_capabilities_resolves_aliases(self):
         assert registry.capabilities("mr") == registry.capabilities("hadoop")
         assert registry.capabilities("live") == registry.capabilities("llap")
 
-    def test_capabilities_dict_and_enabled(self):
-        caps = registry.capabilities("llap")
-        assert caps.as_dict()["persistent"] is True
-        assert "result_cache" in caps.enabled()
-
     def test_get_spec_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
             registry.get_spec("spark")
 
-    def test_spec_carries_options(self):
-        spec = registry.get_spec("llap")
-        names = {option.name for option in spec.options}
-        assert names == {"cache_mb", "result_cache"}
-
-    def test_engine_config_lands_on_conf_keys(self, warehouse):
+    def test_engine_config_is_retired(self, warehouse):
+        """Engine knobs are conf keys: there is no second, per-engine
+        option namespace to validate them through."""
         hdfs, metastore = warehouse
+        with pytest.raises(TypeError):
+            connect(engine="llap", hdfs=hdfs, metastore=metastore,
+                    engine_config={"cache_mb": 64})
+        assert not hasattr(registry, "EngineOption")
+        assert not hasattr(errors, "EngineConfigError")
         session = connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                          engine_config={"cache_mb": 64,
-                                         "result_cache": False})
+                          conf={"repro.llap.cache.mb": 64,
+                                "repro.result.cache.enabled": False})
         assert session.conf.get_float("repro.llap.cache.mb", 0.0) == 64.0
         assert session.conf.get_bool("repro.result.cache.enabled", True) is False
 
-    def test_engine_config_unknown_key_is_typed_error(self, warehouse):
-        hdfs, metastore = warehouse
-        with pytest.raises(EngineConfigError, match="cache_mbs") as excinfo:
-            connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                    engine_config={"cache_mbs": 64})
-        assert excinfo.value.engine == "llap"
-        assert excinfo.value.key == "cache_mbs"
-
-    def test_engine_config_bad_value_type(self, warehouse):
-        hdfs, metastore = warehouse
-        with pytest.raises(EngineConfigError, match="cache_mb"):
-            connect(engine="llap", hdfs=hdfs, metastore=metastore,
-                    engine_config={"cache_mb": "lots"})
-
-    def test_engine_config_bool_parsing(self):
-        option = registry.get_spec("llap").option("result_cache")
-        assert option.parse("llap", "off") is False
-        assert option.parse("llap", "Yes") is True
-        with pytest.raises(EngineConfigError):
-            option.parse("llap", "sometimes")
-
-    def test_engine_config_rejected_for_option_less_engine(self, warehouse):
-        hdfs, metastore = warehouse
-        with pytest.raises(EngineConfigError):
-            connect(engine="local", hdfs=hdfs, metastore=metastore,
-                    engine_config={"cache_mb": 64})
-
     def test_registered_engine_derives_capabilities_from_class(self):
-        class Speculating(LocalEngine):
-            capabilities = registry.EngineCapabilities(speculative=True)
+        class Caching(LocalEngine):
+            capabilities = registry.EngineCapabilities(result_cache=True)
 
-        registry.register("mine2", Speculating, aliases=("m2",))
+        registry.register("mine2", Caching, aliases=("m2",))
         try:
-            assert registry.capabilities("mine2").speculative
-            assert not registry.capabilities("mine2").persistent
+            assert registry.capabilities("mine2").result_cache
+            assert not registry.capabilities("mine2").shared_runtime
         finally:
             registry.unregister("mine2")
 
