@@ -7,8 +7,13 @@ Responsibilities (Hive's Driver + DDL task equivalents):
   structural keys, so an interactive repeat reaches the result cache
   without paying the compile front-end;
 * DDL — ``CREATE TABLE``, ``DROP TABLE``, ``SET``;
-* DML/queries — analyze, physically compile, run the job DAG on the
-  session's engine, register CTAS outputs, clean temp directories;
+* DML/queries — analyze, physically compile, then run the statement's
+  one lifecycle (:meth:`Driver.statement_process`): compile charged on
+  the simulated clock, the job DAG on the session's engine, fallback on
+  the same cluster, CTAS outputs registered, temp directories cleaned,
+  the result cached.  ``execute`` runs it on a fresh cluster per
+  statement — a scheduler of one — and :mod:`repro.sched` in one shared
+  cluster for every submitted query;
 * bookkeeping — per-statement :class:`QueryResult` with the engine's job
   timings plus the (modeled) query-compile time that the paper's Fig 10
   breakdown reports as the "compile" section.
@@ -22,20 +27,31 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from repro.common.config import (
     Configuration,
     HIVE_MAPJOIN_SMALLTABLE_BYTES,
+    QUERY_DEADLINE,
     RESULT_CACHE_ENABLED,
     RETRY_FALLBACK,
     SKEWJOIN_THRESHOLD,
     STATS_AUTO,
     STATS_ENABLED,
 )
-from repro.common.errors import RetryExhaustedError, SemanticError
+from repro.common.errors import (
+    QueryTimeoutError,
+    RetryExhaustedError,
+    SemanticError,
+)
 from repro.common.lru import LruCache
 from repro.common.rows import Schema, Column, DataType
-from repro.engines.base import Engine, PlanResult
+from repro.engines.base import (
+    Engine,
+    EngineRuntime,
+    PlanResult,
+    collect_plan_result,
+)
 from repro.obs import Span, get_metrics
 from repro.plan.analyzer import Analyzer
 from repro.plan.optimizer import prune_columns
 from repro.plan.physical import PhysicalCompiler, PhysicalPlan
+from repro.simulate import Interrupt, LeaseOwner, Simulator
 from repro.sql import ast, parse_script
 from repro.stats.model import collect_table_stats
 from repro.storage.hdfs import DEFAULT_BLOCK_SIZE, HDFS
@@ -59,9 +75,10 @@ class QueryResult:
     Behaves like a cursor over its result rows: iterate it directly,
     ``len()`` it, or use :meth:`fetchall` / :meth:`to_pydict`.
     ``trace`` holds the statement's span tree (``query`` → ``compile`` →
-    ``job`` → ``task``/``shuffle``/``spill``) in simulated seconds from
-    statement start; ``None`` for statements that execute nothing
-    (``SET``, DDL).
+    ``job`` → ``task``/``shuffle``/``spill``) in simulated seconds on
+    the clock of the cluster it ran on — from statement start under
+    ``execute``, which gives each statement a cluster of its own;
+    ``None`` for statements that execute nothing (``SET``, DDL).
 
     ``engine`` names the engine that produced the rows (the fallback
     engine when graceful degradation kicked in; ``None`` for host-only
@@ -197,22 +214,72 @@ class ResultCacheEntry:
 
 @dataclass
 class PreparedStatement:
-    """A compiled engine-bound statement, split from its execution.
-
-    The solo path (:meth:`Driver._execute_statement`) runs the plan
-    immediately; the workload scheduler (:mod:`repro.sched`) instead
-    carries many of these into one shared simulation and calls
-    ``finalize`` when each plan's jobs complete.  ``finalize`` performs
-    the host-side epilogue (register a CTAS table, drop the temp result
-    directory) and builds the :class:`QueryResult`.
+    """A compiled engine-bound statement, split from its execution, which
+    :meth:`Driver.statement_process` runs.  ``epilogue`` is the
+    host-side work once the plan ran (register a CTAS table, gather
+    stats, drop the temp result directory); ``statement``, ``version``
+    and ``snapshot`` (the metastore version and input fingerprint at
+    compile time) are what the result cache checks before admitting the
+    rows.
     """
 
     kind: str  # 'ctas' | 'insert' | 'select'
     plan: PhysicalPlan
     query_id: str
     clear_output: bool
-    compile_seconds: float
-    finalize: Callable[[Optional[PlanResult], Optional[Span]], QueryResult]
+    epilogue: Callable[[], None]
+    statement: Optional[ParsedStatement] = None
+    compile_seconds: float = 0.0
+    version: int = 0
+    snapshot: tuple = ()
+
+    @property
+    def intermediates(self) -> str:
+        """Where the plan's non-final jobs write (gone once it ends)."""
+        return f"/tmp/hive/{self.query_id}"
+
+
+@dataclass
+class StatementContext:
+    """Who runs a statement, as :meth:`Driver.statement_process` asks it:
+    the conf, the lease owner, extra attributes of the ``query`` span,
+    and — from the workload scheduler's breakers — *choose*, the engine
+    the plan starts on at a given time (default: the session's), and
+    *finished*, told how that engine did.  ``Driver.execute`` passes the
+    session conf alone."""
+
+    conf: Configuration
+    owner: Optional[LeaseOwner] = None
+    attributes: Dict[str, object] = field(default_factory=dict)
+    choose: Optional[Callable[[float], Engine]] = None
+    finished: Optional[Callable[[Engine, float, bool], None]] = None
+
+
+def within_deadline(sim: Simulator, body, query_id: str,
+                    deadline: Optional[float], submitted_at: float = 0.0):
+    """Generator: *body* raced against a *deadline* of simulated seconds
+    from *submitted_at* (``None``: run inline); returns what *body*
+    returns, or raises :class:`QueryTimeoutError` once it has unwound.
+
+    The body runs in a child process so the race can interrupt it:
+    engine-level ``finally`` blocks unwind (crash subscriptions, queued
+    lease/gang requests are withdrawn), while already-running task
+    processes finish on their own.  A body that wins withdraws the
+    timer, which would otherwise pin the clock to the last deadline.
+    """
+    if deadline is None:
+        return (yield from body)
+    child = sim.spawn(body, f"{query_id}-body")
+    timer = sim.timeout(max(0.0, submitted_at + deadline - sim.now))
+    yield sim.any_of([child, timer])
+    if child.triggered:
+        timer.cancel()
+        return child.value
+    child.interrupt(("deadline", query_id))
+    yield child  # let the finallys unwind before reporting
+    raise QueryTimeoutError(
+        f"query {query_id} exceeded its deadline of {deadline:g}s "
+        f"(submitted at t={submitted_at:g})", query_id, deadline)
 
 
 def _append_constant_items(query, values):
@@ -276,6 +343,8 @@ class Driver:
         # by plan identity (the plan is held so its id cannot be reused)
         self._snapshots: Dict[int, Tuple[PhysicalPlan, tuple]] = {}
         self._snapshots_generation = hdfs.generation
+        # engines a plan degrades onto, by registry name
+        self._engines: Dict[str, Engine] = {}
 
     # -- public API ---------------------------------------------------------
     def parse(self, sql: str) -> Tuple[ParsedStatement, ...]:
@@ -292,11 +361,33 @@ class Driver:
         return parsed
 
     def execute(self, sql: str, with_metrics: bool = False) -> List[QueryResult]:
-        """Run a (possibly multi-statement) HiveQL script."""
-        return [
-            self._execute_statement(statement, with_metrics)
-            for statement in self.parse(sql)
-        ]
+        """Run a (possibly multi-statement) HiveQL script.  Each
+        engine-bound statement is a scheduler of one: its lifecycle runs
+        on a fresh simulated cluster through :meth:`Engine.run_plan
+        <repro.engines.base.Engine.run_plan>`, bounded by
+        ``repro.query.deadline``; *with_metrics* samples that cluster at
+        1 Hz while the plan runs."""
+        results = []
+        for statement in self.parse(sql):
+            result = self.instant_result(statement)
+            if result is None:
+                prepared = self.prepare(statement)
+                try:
+                    result = self.engine.run_plan(
+                        prepared.plan, self.conf, with_metrics=with_metrics,
+                        process=lambda runtime: within_deadline(
+                            runtime.sim, self.statement_process(
+                                runtime, prepared, StatementContext(self.conf)
+                            ), prepared.query_id, self.query_deadline(),
+                        ),
+                    )
+                except Exception:
+                    # a task's own exception ends the simulation without
+                    # passing through the statement's lifecycle
+                    self.hdfs.delete(prepared.intermediates)
+                    raise
+            results.append(result)
+        return results
 
     def query(self, sql: str, with_metrics: bool = False) -> QueryResult:
         """Run a script and return the last result that produced rows
@@ -307,37 +398,136 @@ class Driver:
                 return result
         return results[-1]
 
-    # -- statement dispatch ------------------------------------------------------
-    def _execute_statement(
-        self, statement: ParsedStatement, with_metrics: bool
-    ) -> QueryResult:
-        host = self._execute_host_statement(statement.node)
-        if host is not None:
-            return host
-        cached = self.result_cache_lookup(statement)
-        if cached is not None:
-            return cached
-        version_at_compile = self.metastore.version
-        prepared = self.prepare(statement)
-        snapshot_at_compile = self._plan_snapshot(prepared.plan)
-        execution = self._run_plan(
-            prepared.plan, prepared.query_id, with_metrics,
-            clear_output=prepared.clear_output,
+    # -- the statement lifecycle ------------------------------------------------
+    def query_deadline(self) -> Optional[float]:
+        """``repro.query.deadline`` in simulated seconds (0/unset: none)."""
+        deadline = self.conf.get_float(QUERY_DEADLINE, 0.0)
+        return deadline if deadline > 0 else None
+
+    def statement_process(self, runtime: EngineRuntime,
+                          prepared: PreparedStatement,
+                          context: StatementContext):
+        """Generator: the one lifecycle of a prepared engine-bound
+        statement in *runtime*; returns its :class:`QueryResult`.
+
+        The modeled compile is charged on the simulated clock, then the
+        plan runs from a cleared output location — degrading to
+        ``repro.retry.fallback`` on the same cluster and clock once
+        retries are exhausted — and its intermediates are deleted,
+        whatever happened.  Then the trace, the host-side epilogue and
+        the result-cache store.
+        """
+        sim = runtime.sim
+        started = sim.now
+        yield sim.timeout(prepared.compile_seconds)
+        compiled = sim.now
+        plan = prepared.plan
+        if prepared.clear_output:  # INSERT OVERWRITE / fresh result dir
+            self.hdfs.delete(plan.output_location)
+        if runtime.sampler is not None:
+            runtime.sampler.start()  # samples the plan, on its own clock
+        try:
+            execution = yield from self._plan_execution(
+                runtime, plan, context, started
+            )
+        except Exception:
+            # failed or past its deadline: the intermediates go too.  Not
+            # on GeneratorExit — a collected, abandoned session's query
+            # id may belong to a later session on the same warehouse.
+            self.hdfs.delete(prepared.intermediates)
+            raise
+        self.hdfs.delete(prepared.intermediates)
+        prepared.epilogue()
+        result = QueryResult(
+            statement=prepared.kind,
+            rows=execution.rows,
+            schema=plan.output_schema,
+            plan=plan,
+            execution=execution,
+            compile_seconds=prepared.compile_seconds,
+            trace=self._trace(
+                prepared.kind, prepared.query_id, execution.engine, started,
+                compiled, sim.now, execution.spans, **context.attributes
+            ),
+            engine=execution.engine,
         )
-        trace = self._assemble_trace(
-            prepared.kind, prepared.query_id, prepared.compile_seconds, execution
-        )
-        result = prepared.finalize(execution, trace)
-        self.result_cache_store(
-            statement, prepared, result, version_at_compile, snapshot_at_compile
-        )
+        self.result_cache_store(prepared, result)
         return result
 
-    def _execute_host_statement(
-        self, statement: ast.Statement
-    ) -> Optional[QueryResult]:
-        """Run a statement that never touches the engine (``SET``, DDL,
-        ``EXPLAIN``); ``None`` means the statement needs a cluster."""
+    def _plan_execution(self, runtime: EngineRuntime, plan: PhysicalPlan,
+                        context: StatementContext, statement_started: float):
+        """Generator: *plan* on the context's engine; a job whose retries
+        are exhausted re-runs the whole plan on ``repro.retry.fallback``
+        in the same runtime, after the failed run's committed part-files
+        are removed.  Its :class:`PlanResult` counts from the plan's
+        start, the failed run included, and holds the fault events
+        delivered since the statement started."""
+        started = runtime.sim.now
+        engine = first = (context.choose(started) if context.choose
+                          else self.engine)
+        try:
+            timings = yield from engine.plan_process(
+                runtime, plan, context.conf, context.owner
+            )
+            if context.finished:
+                context.finished(engine, runtime.sim.now, False)
+        except Interrupt:
+            raise  # deadline abort: not the engine's failure
+        except Exception as exc:
+            if context.finished:
+                context.finished(engine, runtime.sim.now, True)
+            fallback = (context.conf.get(RETRY_FALLBACK, "") or "").strip()
+            if not isinstance(exc, RetryExhaustedError) or not fallback:
+                raise
+            self._discard_partial_outputs(plan)
+            get_metrics().counter("engine.fallbacks").add(1)
+            engine = self.engine_named(fallback)
+            timings = yield from engine.plan_process(
+                runtime, plan, context.conf, context.owner
+            )
+        execution = collect_plan_result(engine, runtime, plan, timings,
+                                        started, statement_started)
+        if engine is not first:
+            execution.fallback_from = first.name
+        elif engine is not self.engine:  # the breaker degraded it
+            execution.fallback_from = self.engine.name
+        return execution
+
+    def engine_named(self, name: str) -> Engine:
+        """The registry engine *name* a plan degrades onto, built once
+        per session and priced by the session engine's model."""
+        from repro import engines as engine_registry
+
+        engine = self._engines.get(name)
+        if engine is None:
+            engine = self._engines[name] = engine_registry.create(
+                name, self.hdfs, model=self.engine.model
+            )
+        return engine
+
+    def _trace(self, kind: str, query_id: str, engine: str, started: float,
+               compiled: float, ended: float, spans=(), **attributes) -> Span:
+        """A statement's span tree: the ``query`` root from *started* to
+        *ended*, its ``compile`` child up to *compiled* and the job
+        *spans*, all on the clock of the cluster the statement ran on."""
+        root = Span(
+            "query", start=started, category="query",
+            attributes=dict(engine=engine, query_id=query_id, statement=kind,
+                            **attributes),
+        )
+        root.start_child("compile", started, category="compile").finish(compiled)
+        for job_span in spans:
+            root.adopt(job_span)
+        return root.finish(ended)
+
+    def instant_result(self, parsed: ParsedStatement
+                       ) -> Optional[QueryResult]:
+        """*parsed*'s result when it takes no simulated time — a statement
+        that never touches the engine (``SET``, DDL, ``EXPLAIN``), run
+        here, or a SELECT the result cache answers — else ``None``: the
+        statement needs a cluster.  One call is one cache lookup (LRU
+        order and the hit counters are observable)."""
+        statement = parsed.node
         if isinstance(statement, ast.SetOption):
             self.conf.set(statement.key, statement.value.strip())
             return QueryResult(statement="set")
@@ -376,7 +566,7 @@ class Driver:
             statement,
             (ast.CreateTableAsSelect, ast.InsertOverwrite, ast.Select, ast.UnionAll),
         ):
-            return None
+            return self.result_cache_lookup(parsed)
 
         raise SemanticError(f"unsupported statement {type(statement).__name__}")
 
@@ -390,15 +580,22 @@ class Driver:
         compile a fresh plan under their own query id.
         """
         node = statement.node
+        version = self.metastore.version
         if isinstance(node, ast.CreateTableAsSelect):
-            return self._prepare_ctas(node)
-        if isinstance(node, ast.InsertOverwrite):
-            return self._prepare_insert(node)
-        if isinstance(node, (ast.Select, ast.UnionAll)):
-            return self._prepare_select(statement, use_cache=use_cache)
-        raise SemanticError(
-            f"statement {type(node).__name__} does not run on an engine"
-        )
+            prepared = self._prepare_ctas(node)
+        elif isinstance(node, ast.InsertOverwrite):
+            prepared = self._prepare_insert(node)
+        elif isinstance(node, (ast.Select, ast.UnionAll)):
+            prepared = self._prepare_select(statement, use_cache=use_cache)
+        else:
+            raise SemanticError(
+                f"statement {type(node).__name__} does not run on an engine"
+            )
+        prepared.statement = statement
+        prepared.compile_seconds = self._compile_seconds(prepared.plan)
+        prepared.version = version
+        prepared.snapshot = self._plan_snapshot(prepared.plan)
+        return prepared
 
     # -- helpers ------------------------------------------------------------------
     def _next_query_id(self) -> str:
@@ -413,42 +610,6 @@ class Driver:
             self.metastore, self.hdfs, self.conf, query_id=query_id
         )
         return compiler.compile(logical, output_location, output_format)
-
-    def _run_plan(self, plan: PhysicalPlan, query_id: str,
-                  with_metrics: bool, clear_output: bool = True) -> PlanResult:
-        if clear_output:  # INSERT OVERWRITE / fresh result dir semantics
-            self.hdfs.delete(plan.output_location)
-        try:
-            execution = self.engine.run_plan(
-                plan, self.conf, with_metrics=with_metrics
-            )
-        except RetryExhaustedError:
-            fallback = (self.conf.get(RETRY_FALLBACK, "") or "").strip()
-            if not fallback:
-                raise
-            execution = self._run_plan_fallback(plan, fallback, with_metrics)
-        finally:
-            # intermediate job outputs, also when a later job failed
-            self.hdfs.delete(f"/tmp/hive/{query_id}")
-        return execution
-
-    def _run_plan_fallback(self, plan: PhysicalPlan, fallback: str,
-                           with_metrics: bool) -> PlanResult:
-        """Graceful degradation (``repro.retry.fallback``): a job whose
-        gang-scheduled resubmissions are exhausted re-runs the whole plan
-        on a task-granular engine from the registry.  Part-files written
-        by the failed run's earlier jobs are removed first so the re-run
-        can commit them again."""
-        from repro import engines as engine_registry
-
-        self._discard_partial_outputs(plan)
-        get_metrics().counter("engine.fallbacks").add(1)
-        engine = engine_registry.create(
-            fallback, self.hdfs, model=self.engine.model
-        )
-        execution = engine.run_plan(plan, self.conf, with_metrics=with_metrics)
-        execution.fallback_from = self.engine.name
-        return execution
 
     def _discard_partial_outputs(self, plan: PhysicalPlan) -> None:
         """Remove part-files a failed run's earlier jobs committed so a
@@ -466,29 +627,6 @@ class Driver:
         costs = self.engine.model.compile
         return costs.base_seconds + costs.per_job_seconds * plan.num_jobs
 
-    def _assemble_trace(self, statement: str, query_id: str,
-                        compile_seconds: float,
-                        execution: Optional[PlanResult]) -> Span:
-        """Fold the modeled compile section and the engine's job spans
-        into one query-rooted tree on a common simulated clock (seconds
-        from statement start)."""
-        root = Span(
-            "query", start=0.0, category="query",
-            attributes={
-                "engine": self.engine.name,
-                "query_id": query_id,
-                "statement": statement,
-            },
-        )
-        root.start_child("compile", 0.0, category="compile").finish(compile_seconds)
-        run_seconds = 0.0
-        if execution is not None:
-            run_seconds = execution.total_seconds
-            for job_span in execution.spans:
-                # engine spans start at their own t=0; shift past compile
-                root.adopt(job_span.shift(compile_seconds))
-        return root.finish(compile_seconds + run_seconds)
-
     def _prepare_ctas(
         self, statement: ast.CreateTableAsSelect
     ) -> PreparedStatement:
@@ -499,29 +637,15 @@ class Driver:
         location = f"/warehouse/{statement.name.lower()}"
         plan = self._compile(statement.query, location, fmt, query_id)
         plan.returns_rows = False
-        compile_seconds = self._compile_seconds(plan)
 
-        def finalize(execution: Optional[PlanResult],
-                     trace: Optional[Span]) -> QueryResult:
+        def register() -> None:
             self.metastore.create_table(
                 statement.name, plan.output_schema, format_name=fmt,
                 location=location,
             )
-            if execution is not None:
-                self._autogather_stats(statement.name)
-            return QueryResult(
-                statement="ctas",
-                schema=plan.output_schema,
-                plan=plan,
-                execution=execution,
-                compile_seconds=compile_seconds,
-                trace=trace,
-                engine=execution.engine if execution else self.engine.name,
-            )
+            self._autogather_stats(statement.name)
 
-        return PreparedStatement(
-            "ctas", plan, query_id, True, compile_seconds, finalize
-        )
+        return PreparedStatement("ctas", plan, query_id, True, register)
 
     def _prepare_insert(
         self, statement: ast.InsertOverwrite
@@ -568,25 +692,9 @@ class Driver:
         plan.jobs[-1].output_partition_values = partition_values
         plan.output_schema = target_schema
         plan.returns_rows = False
-        compile_seconds = self._compile_seconds(plan)
-
-        def finalize(execution: Optional[PlanResult],
-                     trace: Optional[Span]) -> QueryResult:
-            if execution is not None:
-                self._autogather_stats(table.name)
-            return QueryResult(
-                statement="insert",
-                schema=target_schema,
-                plan=plan,
-                execution=execution,
-                compile_seconds=compile_seconds,
-                trace=trace,
-                engine=execution.engine if execution else self.engine.name,
-            )
-
         return PreparedStatement(
-            "insert", plan, query_id, statement.overwrite, compile_seconds,
-            finalize,
+            "insert", plan, query_id, statement.overwrite,
+            lambda: self._autogather_stats(table.name),
         )
 
     def _run_analyze(self, statement: ast.AnalyzeTable) -> QueryResult:
@@ -666,7 +774,8 @@ class Driver:
             rows=[(line,) for line in lines],
             schema=Schema([Column("plan", DataType.STRING)]),
             plan=plan,
-            trace=self._assemble_trace("explain", query_id, compile_seconds, None),
+            trace=self._trace("explain", query_id, self.engine.name, 0.0,
+                              compile_seconds, compile_seconds),
         )
 
     # -- result cache -------------------------------------------------------
@@ -718,10 +827,8 @@ class Driver:
             engine=entry.engine,
         )
 
-    def result_cache_store(self, statement: ParsedStatement,
-                           prepared: "PreparedStatement",
-                           result: QueryResult, version_at_compile: int,
-                           snapshot_at_compile: tuple) -> None:
+    def result_cache_store(self, prepared: PreparedStatement,
+                           result: QueryResult) -> None:
         """Admit a completed SELECT, unless a writer overlapped it.
 
         The metastore version and input snapshot captured at compile
@@ -734,17 +841,17 @@ class Driver:
             return
         if result.execution is None:
             return
-        if self.metastore.version != version_at_compile:
+        if self.metastore.version != prepared.version:
             return
-        if self._plan_snapshot(prepared.plan) != snapshot_at_compile:
+        if self._plan_snapshot(prepared.plan) != prepared.snapshot:
             return
         cache.store(
-            self._plan_cache_key(statement.key),
+            self._plan_cache_key(prepared.statement.key),
             ResultCacheEntry(
                 plan=prepared.plan,
                 query_id=prepared.query_id,
-                version=version_at_compile,
-                snapshot=snapshot_at_compile,
+                version=prepared.version,
+                snapshot=prepared.snapshot,
                 rows=list(result.rows),
                 schema=result.schema,
                 engine=result.engine or self.engine.name,
@@ -839,23 +946,7 @@ class Driver:
                     plan, query_id, self.metastore.version,
                     self._plan_snapshot(plan),
                 ))
-        compile_seconds = self._compile_seconds(plan)
-        bound_plan = plan
-
-        def finalize(execution: Optional[PlanResult],
-                     trace: Optional[Span]) -> QueryResult:
-            self.hdfs.delete(bound_plan.output_location)
-            return QueryResult(
-                statement="select",
-                rows=execution.rows if execution else [],
-                schema=bound_plan.output_schema,
-                plan=bound_plan,
-                execution=execution,
-                compile_seconds=compile_seconds,
-                trace=trace,
-                engine=execution.engine if execution else self.engine.name,
-            )
-
         return PreparedStatement(
-            "select", bound_plan, query_id, True, compile_seconds, finalize
+            "select", plan, query_id, True,
+            lambda: self.hdfs.delete(plan.output_location),
         )

@@ -15,6 +15,7 @@ from typing import (
     Callable,
     Collection,
     Dict,
+    Generator,
     List,
     NamedTuple,
     Optional,
@@ -148,7 +149,6 @@ class PlanResult:
     rows: List[Row]
     schema: Schema
     jobs: List[JobTiming] = field(default_factory=list)
-    compile_seconds: float = 0.0
     total_seconds: float = 0.0
     engine: str = "local"
     metrics: List[object] = field(default_factory=list)  # ResourceSamples
@@ -716,14 +716,14 @@ def assign_splits_locality(splits: Sequence[TaggedSplit], num_workers: int) -> L
 class EngineRuntime:
     """One shared simulated cluster any number of plan executions run in.
 
-    Solo mode builds a fresh runtime per ``run_plan`` (exactly the
-    simulator/cluster/injector/sampler setup the engines used to own
-    privately, in the same construction order, so agenda ordering — and
-    therefore every simulated second — is unchanged).  The workload
+    Solo mode builds a fresh runtime per ``run_plan``, so a statement
+    that ``Driver.execute`` runs has a cluster of its own; the workload
     scheduler builds one runtime per session and drives many queries'
-    :meth:`Engine.plan_process` coroutines through it concurrently; the
-    engine-agnostic shape also lets a DataMPI query degrade onto the
-    Hadoop engine *inside the same simulation*.
+    statement lifecycles through it concurrently.  Either way a failed
+    DataMPI plan degrades onto the Hadoop engine *inside the same
+    simulation*.  With *with_metrics* the runtime carries a 1 Hz
+    :class:`MetricsSampler`, which the statement lifecycle starts with
+    the plan.
 
     *model* is the :class:`~repro.simulate.CostModel` that prices
     everything simulated here: the cluster is built from its ``cluster``
@@ -743,13 +743,12 @@ class EngineRuntime:
         model: CostModel,
         conf: Optional[Configuration] = None,
         with_metrics: bool = False,
-        tracer: Optional[Tracer] = None,
         lease_policy: str = "fifo",
     ):
         conf = conf or Configuration()
         self.model = model
         self.sim = Simulator()
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         self.tracer.set_clock(lambda: self.sim.now)
         self.cluster = Cluster(self.sim, model.cluster, metrics=get_metrics())
         self.injector = FaultInjector(
@@ -767,8 +766,6 @@ class EngineRuntime:
             audit=conf.get_bool(LEASE_AUDIT, False),
         )
         self.sampler = MetricsSampler(self.cluster) if with_metrics else None
-        if self.sampler is not None:
-            self.sampler.start()
         self._aux_slots: Dict[str, List[SlotPool]] = {}
         self._engine_state: Dict[str, object] = {}
         self._closed = False
@@ -933,56 +930,35 @@ def collect_plan_result(
     runtime: EngineRuntime,
     plan: PhysicalPlan,
     timings: List[JobTiming],
-    started_at: float = 0.0,
-    include_injector_span: bool = True,
+    started_at: float,
+    events_since: float,
 ) -> PlanResult:
-    """Assemble a :class:`PlanResult` for a plan that ran in *runtime*.
-
-    With *started_at* (scheduler mode: the plan began mid-simulation),
-    ``total_seconds`` is the plan's own duration and the fault events are
-    restricted to its execution window; the injector span stays out of
-    per-query results there because it belongs to the whole shared run.
-    """
-    sim = runtime.sim
-    rows = final_sorted_rows(plan, engine.hdfs)
-    spans = [timing.span for timing in timings if timing.span is not None]
-    if include_injector_span and runtime.injector.span is not None:
-        spans.append(runtime.injector.span)
-    if started_at > 0.0:
-        fault_events = [
-            event for event in runtime.injector.events
-            if started_at <= event.time <= sim.now
-        ]
-    else:
-        fault_events = list(runtime.injector.events)
+    """Assemble a :class:`PlanResult` for a plan that ran in *runtime*
+    from *started_at* until now, with the fault events delivered since
+    *events_since* (its statement's start).  The injector's own span
+    belongs to the runtime, not to any one plan."""
     return PlanResult(
-        rows=rows,
+        rows=final_sorted_rows(plan, engine.hdfs),
         schema=plan.output_schema,
         jobs=timings,
-        total_seconds=sim.now - started_at,
+        total_seconds=runtime.sim.now - started_at,
         engine=engine.name,
         metrics=runtime.sampler.samples if runtime.sampler else [],
-        spans=spans,
-        fault_events=fault_events,
+        spans=[timing.span for timing in timings if timing.span is not None],
+        fault_events=[event for event in runtime.injector.events
+                      if event.time >= events_since],
     )
 
 
 class Engine:
     """Interface every engine implements.
 
-    ``run_plan`` executes a compiled physical plan and returns a
-    :class:`PlanResult`.  *with_metrics* turns on the 1 Hz dstat-style
-    resource sampler; *tracer* (a :class:`repro.obs.Tracer`) receives
-    the engine's job/task span tree — engines always build spans (cheap
-    bookkeeping, no simulated cost), a caller-supplied tracer merely
-    shares the root list.
-
-    ``plan_process`` is the re-entrant form the workload scheduler
-    drives: a coroutine executing one plan inside a caller-owned
-    :class:`EngineRuntime`, so several plans (and engines) share one
-    simulated cluster.  The cluster engines implement only this and
-    inherit ``run_plan``; the local engine, which has no simulation to
-    share, overrides ``run_plan`` instead.
+    ``plan_process`` is what an engine implements: a coroutine executing
+    one plan inside a caller-owned :class:`EngineRuntime`, so several
+    plans (and engines) share one simulated cluster.  Engines always
+    build job/task spans (cheap bookkeeping, no simulated cost).
+    ``run_plan`` is the solo entry every engine inherits: one fresh
+    runtime, run to completion.
 
     *model* (default: ``CostModel()``) is what solo runs build their
     :class:`EngineRuntime` from and what the driver charges compile
@@ -1010,22 +986,27 @@ class Engine:
         plan: PhysicalPlan,
         conf: Optional[Configuration] = None,
         with_metrics: bool = False,
-        tracer: Optional[Tracer] = None,
-    ) -> PlanResult:
-        """Solo mode: run :meth:`plan_process` to completion in a fresh
-        :class:`EngineRuntime` built from the engine's ``model``."""
+        process: Optional[Callable[[EngineRuntime], Generator]] = None,
+    ):
+        """Solo mode: a fresh :class:`EngineRuntime` (with a 1 Hz sampler
+        if *with_metrics*) run to completion; returns what its driver
+        process returns.  That is *process(runtime)* — ``Driver.execute``
+        passes *plan*'s statement lifecycle, a ``QueryResult`` — or else
+        *plan* bare, its :class:`PlanResult` (no compile charge, no
+        driver epilogue: a hand-built plan, like Fig. 2's TeraSort)."""
         conf = conf or Configuration()
-        runtime = EngineRuntime(
-            self.model, conf, with_metrics=with_metrics, tracer=tracer
-        )
-        driver = runtime.sim.spawn(
-            self.plan_process(runtime, plan, conf), "hive-driver"
-        )
+        runtime = EngineRuntime(self.model, conf, with_metrics=with_metrics)
+
+        def bare(runtime):
+            timings = yield from self.plan_process(runtime, plan, conf)
+            return collect_plan_result(self, runtime, plan, timings, 0.0, 0.0)
+
+        driver = runtime.sim.spawn((process or bare)(runtime), "hive-driver")
         try:
             runtime.sim.run()
         finally:
             runtime.close()
-        return collect_plan_result(self, runtime, plan, driver.value or [])
+        return driver.value
 
     def plan_process(
         self,

@@ -19,10 +19,9 @@ from repro.common.config import Configuration
 from repro.common.kv import KeyValue
 from repro.engines.base import (
     Engine,
+    EngineRuntime,
     JobTiming,
-    PlanResult,
     decide_num_reducers,
-    final_sorted_rows,
     load_job_inputs,
     run_reducer_functionally,
     scan_split,
@@ -30,9 +29,8 @@ from repro.engines.base import (
 )
 from repro.exec.mapper import ExecMapper
 from repro.exec.operators import Collector
-from repro.obs import Tracer
 from repro.plan.physical import PhysicalPlan
-from repro.simulate import CostModel
+from repro.simulate import CostModel, LeaseOwner
 from repro.storage.hdfs import HDFS
 
 
@@ -54,35 +52,31 @@ class LocalEngine(Engine):
         super().__init__(hdfs, model)
         self.max_slots = max_slots
 
-    def run_plan(
+    def plan_process(
         self,
+        runtime: EngineRuntime,
         plan: PhysicalPlan,
         conf: Optional[Configuration] = None,
-        with_metrics: bool = False,
-        tracer: Optional[Tracer] = None,
-    ) -> PlanResult:
+        owner: Optional[LeaseOwner] = None,
+    ):
+        """Generator that never waits: the reference executor has no
+        clock, so the plan runs at the runtime's current instant and its
+        job spans take zero time — ``QueryResult.trace`` keeps a uniform
+        shape across engines."""
         conf = conf or Configuration()
-        tracer = tracer or Tracer()
+        now = runtime.sim.now
         timings: List[JobTiming] = []
         for index, job in enumerate(plan.jobs):
             is_last = index == len(plan.jobs) - 1
             timing = self._run_job(job, conf, is_last)
-            # zero-duration spans: the reference executor has no clock,
-            # but QueryResult.trace keeps a uniform shape across engines
-            timing.span = tracer.start(
-                job.job_id, start=0.0, category="job",
+            timing.span = runtime.tracer.start(
+                job.job_id, start=now, category="job",
                 engine=self.name, job_id=job.job_id,
                 num_maps=timing.num_maps, num_reducers=timing.num_reducers,
-            ).finish(0.0)
+            ).finish(now)
             timings.append(timing)
-        rows = final_sorted_rows(plan, self.hdfs)
-        return PlanResult(
-            rows=rows,
-            schema=plan.output_schema,
-            jobs=timings,
-            engine=self.name,
-            spans=[timing.span for timing in timings if timing.span is not None],
-        )
+        return timings
+        yield  # a generator, driven like every engine's
 
     def _run_job(self, job, conf: Configuration, is_last: bool) -> JobTiming:
         hdfs = self.hdfs

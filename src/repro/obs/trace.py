@@ -100,18 +100,6 @@ class Span:
     def closed(self) -> bool:
         return self.end is not None
 
-    def shift(self, delta: float) -> "Span":
-        """Translate this subtree in time (the driver shifts engine spans
-        past the compile section)."""
-        self.start += delta
-        if self.end is not None:
-            self.end += delta
-        for event in self.events:
-            event.time += delta
-        for child in self.children:
-            child.shift(delta)
-        return self
-
     # -- traversal ----------------------------------------------------------
     def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
         """Yield (span, depth) over the subtree, pre-order."""
@@ -148,10 +136,10 @@ class Span:
 class Tracer:
     """Builds span trees against a pluggable clock.
 
-    The clock returns *simulated seconds*; each engine installs
-    ``lambda: sim.now`` at ``run_plan`` time, the driver uses explicit
-    timestamps.  Roots accumulate in :attr:`roots` (the engines' job
-    spans, or the driver's query span).
+    The clock returns *simulated seconds*; each ``EngineRuntime``
+    installs ``lambda: sim.now``, the driver uses explicit timestamps.
+    Roots accumulate in :attr:`roots` (the engines' job spans, or the
+    driver's query span).
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):

@@ -8,9 +8,10 @@ Layering (top to bottom):
 * **slot arbitration** (:class:`repro.simulate.LeaseManager`) — which
   *admitted* query's task gets the next free slot, per the ``fifo`` or
   ``fair`` policy;
-* **execution** (:meth:`repro.engines.base.Engine.plan_process`) — each
-  query's job DAG runs as a coroutine inside one shared
-  :class:`~repro.engines.base.EngineRuntime`.
+* **execution** (:meth:`repro.core.driver.Driver.statement_process`) —
+  each statement runs the driver's one statement lifecycle, the same
+  ``Driver.execute`` runs on a cluster of its own, as a coroutine
+  inside one shared :class:`~repro.engines.base.EngineRuntime`.
 
 ``submit`` never advances simulated time; it parses (through the
 driver's statement cache, so a repeated text costs one lookup) and
@@ -28,34 +29,29 @@ results.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import engines as engine_registry
-from repro.common.config import (
-    BREAKER_THRESHOLD,
-    Configuration,
-    QUERY_DEADLINE,
-    RETRY_FALLBACK,
-    RETRY_MAX,
-)
+from repro.common.config import BREAKER_THRESHOLD, Configuration, RETRY_MAX
 from repro.common.errors import (
     AdmissionRejectedError,
     ConfigError,
     ExecutionError,
     QueryCancelledError,
     QueryTimeoutError,
-    RetryExhaustedError,
 )
 from repro.core.driver import (
     Driver,
     ParsedStatement,
-    PreparedStatement,
     QueryResult,
+    StatementContext,
+    within_deadline,
 )
-from repro.engines.base import Engine, EngineRuntime, PlanResult, collect_plan_result
-from repro.obs import Span, get_metrics
+from repro.engines.base import Engine, EngineRuntime
+from repro.obs import get_metrics
 from repro.simulate import Interrupt, LeaseOwner
 # submit parses through Driver.parse; the binding stays because hostbench
 # pins it as a seam (hostbench/README.md, "Pinned seams")
@@ -332,7 +328,6 @@ class WorkloadScheduler:
         self._counter = 0
         self.rejected = 0
         self.peak_queue_depth = 0
-        self._fallback_engines: Dict[str, Engine] = {}
         self._breaker_threshold = max(
             0, driver.conf.get_int(BREAKER_THRESHOLD, 0)
         )
@@ -368,8 +363,7 @@ class WorkloadScheduler:
         if not statements:
             raise ExecutionError("submit needs at least one statement")
         if deadline is None:
-            configured = self.driver.conf.get_float(QUERY_DEADLINE, 0.0)
-            deadline = configured if configured > 0 else None
+            deadline = self.driver.query_deadline()
         elif deadline <= 0:
             raise ConfigError(f"deadline must be positive: {deadline}")
         if retry_budget is not None and retry_budget < 0:
@@ -542,13 +536,16 @@ class WorkloadScheduler:
     # -- the per-query driver process ------------------------------------------
     def _query_process(self, handle: QueryHandle, start: int):
         try:
-            if handle.deadline is None:
-                # no deadline: run the statements inline — structurally
-                # identical to the pre-deadline scheduler, so clean
-                # workloads replay byte-identically
-                yield from self._guarded_body(handle, start)
-            else:
-                yield from self._deadline_guard(handle, start)
+            yield from within_deadline(
+                self.runtime.sim, self._guarded_body(handle, start),
+                handle.query_id, handle.deadline, handle.submitted_at,
+            )
+        except QueryTimeoutError as exc:
+            handle.deadline_missed = True
+            get_metrics().counter("sched.deadline.misses").add(1)
+            self._log("deadline", handle)
+            handle._status = FAILED
+            handle.error = exc
         finally:
             self._finish(handle)
         # not in the finally: a process abandoned with its session books
@@ -563,66 +560,24 @@ class WorkloadScheduler:
             yield from self._statements_body(handle, start)
             handle._status = SUCCEEDED
         except Interrupt:
-            raise  # deadline abort: the guard records the timeout
+            raise  # deadline abort: within_deadline reports the timeout
         except Exception as exc:  # one query's failure never sinks the rest
             handle._status = FAILED
             handle.error = exc
 
-    def _deadline_guard(self, handle: QueryHandle, start: int):
-        """Race the statement work against the query's deadline.
-
-        The work runs in a child process so the guard can interrupt it:
-        engine-level ``finally`` blocks unwind (crash subscriptions,
-        queued lease/gang requests are withdrawn), while already-running
-        task processes finish on their own and release the slots they
-        hold — the ledger stays balanced on every abort path.
-        """
-        sim = self.runtime.sim
-        child = sim.spawn(self._guarded_body(handle, start),
-                          f"{handle.query_id}-body")
-        remaining = max(0.0, handle.submitted_at + handle.deadline - sim.now)
-        timer = sim.timeout(remaining)
-        yield sim.any_of([child, timer])
-        if child.triggered:
-            # withdraw the losing deadline timer: an orphaned timer is
-            # regular pending work, so across thousands of queries it
-            # both bloats the agenda and pins the simulation clock to
-            # the *last* deadline instead of the last real finish
-            timer.cancel()
-            return
-        handle.deadline_missed = True
-        get_metrics().counter("sched.deadline.misses").add(1)
-        self._log("deadline", handle)
-        child.interrupt(("deadline", handle.query_id))
-        yield child  # let the finallys unwind before reporting
-        handle._status = FAILED
-        handle.error = QueryTimeoutError(
-            f"query {handle.query_id} exceeded its deadline of "
-            f"{handle.deadline:g}s (submitted at t={handle.submitted_at:g})",
-            query_id=handle.query_id,
-            deadline=handle.deadline,
-        )
-
     def _instant_result(self, handle: QueryHandle,
                         statement: ParsedStatement) -> Optional[QueryResult]:
-        """*statement*'s result when it takes no simulated time — a host
-        statement, or a SELECT the result cache answers — else ``None``.
-        The cache is checked on the shared clock at the moment the
-        statement gets to run, so a hit reflects every write that
-        committed before it; one call is one lookup (LRU order and the
-        hit counters are observable)."""
-        host = self.driver._execute_host_statement(statement.node)
-        if host is not None:
-            return host
-        cached = self.driver.result_cache_lookup(statement)
-        if cached is not None:
+        """:meth:`Driver.instant_result` on the shared clock, at the
+        moment the statement gets to run — a hit reflects every write
+        that committed before it."""
+        result = self.driver.instant_result(statement)
+        if result is not None and result.cache_hit:
             self._log("cache-hit", handle)
-        return cached
+        return result
 
     def _statements_body(self, handle: QueryHandle, start: int):
         """The statements from *start* on.  ``statements[start]`` needs
         the cluster — admission looked it up already."""
-        sim = self.runtime.sim
         statements = handle.statements
         for index in range(start, len(statements)):
             statement = statements[index]
@@ -631,23 +586,26 @@ class WorkloadScheduler:
                 if instant is not None:
                     handle.results.append(instant)
                     continue
-            statement_start = sim.now
-            version_at_compile = self.driver.metastore.version
             prepared = self.driver.prepare(statement, use_cache=False)
-            snapshot_at_compile = self.driver._plan_snapshot(
-                prepared.plan
-            )
-            yield sim.timeout(prepared.compile_seconds)
-            execution = yield from self._run_prepared(handle, prepared)
-            trace = self._build_trace(
-                handle, prepared, execution, statement_start
-            )
-            result = prepared.finalize(execution, trace)
-            handle.results.append(result)
-            self.driver.result_cache_store(
-                statement, prepared, result, version_at_compile,
-                snapshot_at_compile,
-            )
+            handle.results.append((yield from self.driver.statement_process(
+                self.runtime, prepared, self._context(handle)
+            )))
+
+    def _context(self, handle: QueryHandle) -> StatementContext:
+        """A statement of *handle* as the lifecycle sees it: the handle's
+        retry budget and lease owner, the breakers, and the workload
+        attribution of its trace root."""
+        conf = self.driver.conf
+        if handle.retry_budget is not None:
+            conf = conf.copy()
+            conf.set(RETRY_MAX, handle.retry_budget)
+        return StatementContext(
+            conf, handle.owner,
+            {"query": handle.query_id, "pool": handle.pool,
+             "policy": self.policy, "queue_wait": handle.queue_wait or 0.0},
+            functools.partial(self._select_engine, handle),
+            functools.partial(self._engine_finished, handle),
+        )
 
     # -- circuit breaker -------------------------------------------------------
     def _breaker(self, engine_name: str) -> EngineBreaker:
@@ -657,14 +615,13 @@ class WorkloadScheduler:
             self._breakers[engine_name] = breaker
         return breaker
 
-    def _select_engine(self, handle: QueryHandle) -> Engine:
+    def _select_engine(self, handle: QueryHandle, now: float) -> Engine:
         """Breaker-aware engine choice: the session engine unless its
         breaker is open, else the first closed engine along the declared
         ``degrades_to`` chain (shared-runtime engines only)."""
         primary = self.driver.engine
         if self._breaker_threshold <= 0:
             return primary
-        now = self.runtime.sim.now
         if self._breaker(primary.name).allows(now):
             return primary
         spec = engine_registry.get_spec(primary.name)
@@ -677,114 +634,18 @@ class WorkloadScheduler:
             self.events.append(
                 (now, "breaker-degrade", handle.query_id, name)
             )
-            return self._fallback_engine(name)
+            return self.driver.engine_named(name)
         return primary  # whole chain open: last resort is the primary
 
-    def _fallback_engine(self, name: str) -> Engine:
-        engine = self._fallback_engines.get(name)
-        if engine is None:
-            engine = engine_registry.create(
-                name, self.driver.hdfs, model=self.driver.engine.model
-            )
-            self._require_plan_process(engine)
-            self._fallback_engines[name] = engine
-        return engine
-
-    def _query_conf(self, handle: QueryHandle) -> Configuration:
-        if handle.retry_budget is None:
-            return self.driver.conf
-        conf = self.driver.conf.copy()
-        conf.set(RETRY_MAX, handle.retry_budget)
-        return conf
-
-    def _run_prepared(self, handle: QueryHandle, prepared: PreparedStatement):
-        driver = self.driver
-        engine = self._select_engine(handle)
-        sim = self.runtime.sim
-        conf = self._query_conf(handle)
-        if prepared.clear_output:
-            driver.hdfs.delete(prepared.plan.output_location)
-        intermediates = f"/tmp/hive/{prepared.query_id}"
-        started_at = sim.now
-        try:
-            try:
-                timings = yield from engine.plan_process(
-                    self.runtime, prepared.plan, conf, handle.owner
-                )
-                execution = collect_plan_result(
-                    engine, self.runtime, prepared.plan, timings,
-                    started_at=started_at, include_injector_span=False,
-                )
-                self._breaker(engine.name).record_success()
-            except Interrupt:
-                raise  # deadline abort: not the engine's failure
-            except Exception as exc:
-                now = sim.now
-                if self._breaker(engine.name).record_failure(now):
-                    get_metrics().counter("sched.breaker.trips").add(1)
-                    self.events.append(
-                        (now, "breaker-open", handle.query_id, engine.name)
-                    )
-                fallback = (conf.get(RETRY_FALLBACK, "") or "").strip()
-                if not isinstance(exc, RetryExhaustedError) or not fallback:
-                    raise
-                execution = yield from self._run_fallback(
-                    handle, prepared, engine, fallback, started_at, conf
-                )
-        except Exception:
-            # failed or past its deadline: the intermediates go too.  Not
-            # on GeneratorExit — a collected, abandoned session's query
-            # id may belong to a later session on the same warehouse.
-            driver.hdfs.delete(intermediates)
-            raise
-        if engine is not driver.engine and execution.fallback_from is None:
-            execution.fallback_from = driver.engine.name
-        driver.hdfs.delete(intermediates)
-        return execution
-
-    def _run_fallback(self, handle: QueryHandle, prepared: PreparedStatement,
-                      failed_engine: Engine, fallback: str, started_at: float,
-                      conf: Configuration):
-        """Graceful degradation *inside the shared simulation*: the plan
-        re-runs on the fallback engine against the same cluster, so
-        bystander queries keep their slots and timeline."""
-        driver = self.driver
-        driver._discard_partial_outputs(prepared.plan)
-        get_metrics().counter("engine.fallbacks").add(1)
-        engine = self._fallback_engine(fallback)
-        timings = yield from engine.plan_process(
-            self.runtime, prepared.plan, conf, handle.owner
-        )
-        execution = collect_plan_result(
-            engine, self.runtime, prepared.plan, timings,
-            started_at=started_at, include_injector_span=False,
-        )
-        execution.fallback_from = failed_engine.name
-        return execution
-
-    def _build_trace(self, handle: QueryHandle, prepared: PreparedStatement,
-                     execution: PlanResult, statement_start: float) -> Span:
-        """Per-statement span tree on the *shared* simulated clock (the
-        solo driver rebases to statement-relative time; here absolute
-        times are the point — overlap between queries is visible)."""
-        root = Span(
-            "query", start=statement_start, category="query",
-            attributes={
-                "engine": execution.engine,
-                "query_id": prepared.query_id,
-                "statement": prepared.kind,
-                "query": handle.query_id,
-                "pool": handle.pool,
-                "policy": self.policy,
-                "queue_wait": handle.queue_wait or 0.0,
-            },
-        )
-        root.start_child("compile", statement_start, category="compile").finish(
-            statement_start + prepared.compile_seconds
-        )
-        for job_span in execution.spans:
-            root.adopt(job_span)  # already on the shared clock: no shift
-        return root.finish(self.runtime.sim.now)
+    def _engine_finished(self, handle: QueryHandle, engine: Engine,
+                         now: float, failed: bool) -> None:
+        breaker = self._breaker(engine.name)
+        if not failed:
+            breaker.record_success()
+        elif breaker.record_failure(now):
+            get_metrics().counter("sched.breaker.trips").add(1)
+            self.events.append((now, "breaker-open", handle.query_id,
+                                engine.name))
 
     # -- reporting -------------------------------------------------------------
     def summary(self) -> Dict[str, object]:

@@ -85,13 +85,11 @@ class Node:
     def disk_bytes_read(self) -> float:
         """Progressive read-byte counter (shared spindle, split by
         category inside the bandwidth resource)."""
-        self.disk.progressed_bytes()
-        return self.disk.categorized.get("read", 0.0)
+        return self.disk.progressed_bytes("read")
 
     @property
     def disk_bytes_written(self) -> float:
-        self.disk.progressed_bytes()
-        return self.disk.categorized.get("write", 0.0)
+        return self.disk.progressed_bytes("write")
 
     # -- coroutine helpers (use with ``yield from``) ---------------------------
     def compute(self, seconds: float) -> Generator:

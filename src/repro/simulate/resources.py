@@ -140,10 +140,26 @@ class Bandwidth:
     def active_transfers(self) -> int:
         return len(self._active)
 
-    def progressed_bytes(self) -> float:
-        """Total bytes moved up to the current instant (for samplers)."""
-        self._advance()
-        return self.bytes_moved
+    def progressed_bytes(self, category: Optional[str] = None) -> float:
+        """Bytes moved up to the current instant — all of them, or those
+        of one *category* (for samplers).
+
+        A pure read: it adds the credit a pass would make now, transfer
+        by transfer in admission order as :meth:`_advance` does, without
+        storing it.  Storing it would split one pass's credit in two and
+        re-round every ``remaining``, so an observer would move the
+        completion times it observes.
+        """
+        moved = (self.bytes_moved if category is None
+                 else self.categorized.get(category, 0.0))
+        elapsed = self.sim.now - self._last_update
+        if elapsed > 0 and self._active:
+            share = elapsed * self.rate / len(self._active)
+            for item in self._active:
+                if category is None or item.category == category:
+                    remaining = item.remaining
+                    moved += share if share < remaining else remaining
+        return moved
 
     # -- internals ------------------------------------------------------------
     def _advance(

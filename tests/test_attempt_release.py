@@ -14,7 +14,7 @@ import importlib
 import pytest
 
 from repro import connect
-from repro.common.config import FAULT_SPEC
+from repro.common.config import FAULT_SPEC, QUERY_DEADLINE
 from repro.common.errors import QueryTimeoutError
 
 ENGINES = ("hadoop", "datampi", "llap")
@@ -83,16 +83,22 @@ def _first_job_end(engine, build_warehouse):
     return jobs[0].finished
 
 
+@pytest.mark.parametrize("path", ("submit", "execute"))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_deadline_after_first_job_leaves_no_intermediates(
-        engine, big_warehouse_factory):
+        engine, path, big_warehouse_factory):
     deadline = _first_job_end(engine, big_warehouse_factory) + 1.5
     hdfs, metastore = big_warehouse_factory()
     session = connect(engine=engine, hdfs=hdfs, metastore=metastore)
-    handle = session.submit(SQL, deadline=deadline)
-    with pytest.raises(QueryTimeoutError):
-        handle.result()
-    session.scheduler.drain()
+    if path == "submit":
+        handle = session.submit(SQL, deadline=deadline)
+        with pytest.raises(QueryTimeoutError):
+            handle.result()
+        session.scheduler.drain()
+    else:  # solo statements are bounded by repro.query.deadline too
+        session.conf.set(QUERY_DEADLINE, deadline)
+        with pytest.raises(QueryTimeoutError):
+            session.query(SQL)
     assert hdfs.list_dir("/tmp/hive") == []
 
 

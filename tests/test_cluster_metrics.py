@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import connect
 from repro.common.units import MB
 from repro.simulate import Cluster, ClusterSpec, MetricsSampler, Simulator
+
+from .conftest import build_big_warehouse
 
 
 @pytest.fixture()
@@ -147,3 +150,36 @@ class TestMetricsSampler:
         sampler = MetricsSampler(cluster)
         assert sampler.average("cpu_utilization") is None
         assert sampler.peak("io_wait") is None
+
+    def test_sample_times_count_from_start(self):
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterSpec())
+        sampler = MetricsSampler(cluster, interval=1.0)
+        node = cluster.workers[0]
+
+        def proc():
+            yield sim.timeout(0.75)
+            sampler.start()
+            yield from node.compute(2.5)
+
+        sim.spawn(proc())
+        sim.run()
+        sampler.stop()
+        assert [sample.time for sample in sampler.samples] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("engine", ["hadoop", "datampi", "llap"])
+def test_sampling_does_not_move_the_simulation(engine):
+    """The 1 Hz sampler observes: a query sampled is the same query
+    unsampled, to the last bit of its simulated seconds."""
+    seconds = {}
+    for with_metrics in (False, True):
+        hdfs, metastore = build_big_warehouse()
+        with connect(engine=engine, hdfs=hdfs, metastore=metastore) as session:
+            result = session.query(
+                "SELECT grp, sum(val) FROM facts GROUP BY grp ORDER BY grp",
+                with_metrics=with_metrics,
+            )
+        assert bool(result.execution.metrics) == with_metrics
+        seconds[with_metrics] = repr(result.execution.total_seconds)
+    assert seconds[True] == seconds[False]

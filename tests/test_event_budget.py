@@ -10,6 +10,14 @@ deterministic), so a change to an engine's event structure has to
 re-capture the file and say so:
 ``PYTHONPATH=src python -m tests.test_event_budget``.
 
+Each solo cell rose by exactly 2 after ``74b355d`` (e.g. datampi TPC-H
+Q3 2,771 → 2,773), the one time the budget went up: ``execute`` now
+runs a statement's one lifecycle, which charges the modeled compile as
+a timeout on the simulated clock — one ``call_at`` and the wakeup it
+triggers per engine-bound statement — where the solo path used to add
+the compile seconds after the run.  The ``serving`` cell, already
+charged that way, did not move.
+
 On datampi the entries are also held against the number of
 ``MPI_Isend``\\ s, over both workloads together: at most 9 per message
 (13.1 here and 12.2 on ``tpch22_three_engines`` before the send's

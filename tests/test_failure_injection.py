@@ -271,7 +271,7 @@ class TestRetryExhaustionAndFallback:
         model = replace(CostModel(), hadoop=replace(CostModel().hadoop,
                                                     task_jvm_start=3.0))
         with connect(engine="datampi", model=model) as session:
-            fallback = session.scheduler._fallback_engine("hadoop")
+            fallback = session.engine_named("hadoop")
             assert fallback.model is session.engine.model is model
 
     def test_no_fallback_marker_on_clean_run(self, big_warehouse):

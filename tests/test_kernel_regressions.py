@@ -622,8 +622,15 @@ class _ThreeLoopBandwidth:
         self._reschedule()
 
     def progressed_bytes(self) -> float:
-        self._update()
-        return self.bytes_moved
+        # a pure read, as the link's own: the credit an update would
+        # make now, without storing it
+        moved = self.bytes_moved
+        elapsed = self.sim.now - self._last_update
+        if elapsed > 0 and self._active:
+            share = elapsed * self.rate / len(self._active)
+            for item in self._active:
+                moved += share if share < item.remaining else item.remaining
+        return moved
 
     def _update(self) -> None:
         now = self.sim.now
@@ -751,7 +758,7 @@ def _drive(link_class, operations):
                 )
             elif operation[0] == "set_rate":
                 link.set_rate(operation[1])
-            else:
+            elif operation[0] == "probe":
                 seen.append(("probe", index, repr(link.progressed_bytes())))
 
     sim.spawn(driver())
@@ -775,6 +782,18 @@ class TestBandwidthFusedPass:
         assert _drive(Bandwidth, operations) == _drive(
             _ThreeLoopBandwidth, operations
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(_OPERATIONS)
+    def test_probes_move_nothing(self, operations):
+        """A sampler's read is an observer: the run with its ``probe``
+        steps equals the same run with each probe an empty step, in
+        every completion time, counter and timer."""
+        quiet = [(gap, ("wait",) if operation[0] == "probe" else operation)
+                 for gap, operation in operations]
+        probed, plain = _drive(Bandwidth, operations), _drive(Bandwidth, quiet)
+        assert [seen for seen in probed[0] if seen[0] == "done"] == plain[0]
+        assert probed[1:] == plain[1:]
 
     def test_idle_link_fast_path_matches_reference(self):
         # one transfer at a time: every admit finds the link idle

@@ -26,8 +26,11 @@ column runs the unit of exchange — by this harness with its probes
 reading that tree's per-pair objects (``KeyValue.serialized_size()`` at
 ``collect`` / ``collect_batch``, ``len(SendBuffer.pairs)``, the keys of
 ``sort_pairs``' result).  They must not move: buffer boundaries and pair
-sizes are cost-model inputs.  Re-capture, after a *declared* change
-only, with ``PYTHONPATH=src python tests/test_pair_golden.py``.
+sizes are cost-model inputs.  The simulated seconds alone were
+re-captured after ``74b355d``, when ``execute`` began charging the
+modeled compile on the simulated clock (last digits only).  Re-capture,
+after a *declared* change only, with
+``PYTHONPATH=src python tests/test_pair_golden.py``.
 """
 
 import contextlib

@@ -7,11 +7,14 @@ attempt / retry / lost-map / speculation / gang-restart paths do on
 digest]``, and per engine one scheduler run of three concurrent queries
 under injected task failures (``repr`` of the makespan and of each
 latency).  ``datampi/drain-crash`` (captured at ``7e980c7``) crashes a
-node at 60.4 s with the heartbeat monitor off: every O task of the first
-submission has finished (60.35 s) but deliveries are still on the wire
-(until 60.46 s), so the gang must abort at the crash instant, not when
-the last delivery lands.  The comparison is exact.  Re-capture (only
-after a deliberate cost-model change) with
+node 60.4 s into the plan with the heartbeat monitor off: every O task
+of the first submission has finished (60.35 s) but deliveries are still
+on the wire (until 60.46 s), so the gang must abort at the crash
+instant, not when the last delivery lands.  Fault times are on the
+cluster's clock, which starts with the statement, and the plan starts
+after the 0.9 s modeled compile, so the crash is at 61.3 s.  The
+comparison is exact.  Re-capture (only after a deliberate cost-model
+or lifecycle change) with
 ``PYTHONPATH=src python -m tests.test_sim_golden_faults``.
 """
 
@@ -44,7 +47,7 @@ FAULTS = {
     "slow": {FAULT_SPEC: "slow:w0x8@0", SPECULATIVE_EXECUTION: "true"},
 }
 DRAIN_CRASH = dict(
-    _RETRY, **{FAULT_SPEC: "crash:w1@60.4-200", HEARTBEAT_ENABLED: "false"}
+    _RETRY, **{FAULT_SPEC: "crash:w1@61.3-200", HEARTBEAT_ENABLED: "false"}
 )
 SHARED_CONF = {FAULT_SPEC: "seed:3; fail:0.2"}
 SHARED_QUERIES = 3

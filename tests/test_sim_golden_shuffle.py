@@ -13,9 +13,14 @@ Each entry is ``[repr(simulated seconds), row digest]``; the comparison
 is exact.
 
 The values were captured at ``7e980c7`` (the parent of the PR that
-re-cut the DES event structure) and must not move without a declared
-cost-model change.  Known-sensitive: 5 GB JOIN at ``sendqueue=3``
-(``142.41960192074052``) moves in the 12th digit if a waiter overtakes
+re-cut the DES event structure) and re-captured once after ``74b355d``,
+when ``execute`` began charging the modeled compile on the simulated
+clock: the plan starts at the compile seconds, every event time rounds
+differently, and the small send queue turns that into different
+same-instant orders (20 GB JOIN at ``sendqueue=1``: 339.66 → 345.39 s;
+the rest move by under 0.05 s).  They must not move without a declared
+change.  Known-sensitive: 5 GB JOIN at ``sendqueue=3``
+(``142.41960190635072``) moves in the 12th digit if a waiter overtakes
 a heap entry due at the same instant.  Re-capture with
 ``PYTHONPATH=src python -m tests.test_sim_golden_shuffle``.
 """

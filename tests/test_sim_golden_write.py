@@ -14,8 +14,10 @@ encoded sizes) and a digest of the target's rows; the comparison is
 exact.
 
 The values were captured at ``682c24c`` (the parent of the PR that made
-the write path column-primary) and must not move without a declared
-cost-model or format change.  Re-capture, only after such a declared
+the write path column-primary); the seconds were re-captured once after
+``74b355d``, when ``execute`` began charging the modeled compile on the
+simulated clock (last digits only; no block boundary or digest moved).
+They must not move without a declared cost-model or format change.  Re-capture, only after such a declared
 change, with ``PYTHONPATH=src python -m tests.test_sim_golden_write``.
 """
 

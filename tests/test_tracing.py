@@ -64,17 +64,6 @@ class TestTracerPrimitives:
         tracer.finish(span)
         assert (span.start, span.end) == (2.5, 9.0)
 
-    def test_shift_moves_whole_subtree(self):
-        root = Span("job", start=0.0)
-        task = root.start_child("task", start=1.0)
-        task.add_event("spill", 1.5)
-        task.finish(2.0)
-        root.finish(3.0)
-        root.shift(10.0)
-        assert (root.start, root.end) == (10.0, 13.0)
-        assert (task.start, task.end) == (11.0, 12.0)
-        assert task.events[0].time == 11.5
-
     def test_find_and_walk(self):
         root = Span("query", start=0.0, category="query")
         job = root.start_child("j1", start=0.0, category="job")
@@ -141,6 +130,25 @@ class TestQueryTrace:
         result = traced_query(warehouse, "local")
         assert result.trace.find("compile") is not None
         assert result.trace.find("job") is not None
+
+    @pytest.mark.parametrize("engine", ["local", "hadoop", "datampi"])
+    def test_explain_trace_is_the_compile_alone(self, warehouse, engine):
+        """EXPLAIN compiles and runs nothing: one ``query`` root holding
+        one ``compile`` child over the modeled compile seconds, and no
+        job span."""
+        hdfs, metastore = warehouse
+        session = connect(engine=engine, hdfs=hdfs, metastore=metastore)
+        result = session.query("EXPLAIN " + QUERY)
+        costs = session.engine.model.compile
+        seconds = costs.base_seconds + costs.per_job_seconds * result.plan.num_jobs
+        trace = result.trace
+        assert (trace.name, trace.category, trace.start, trace.end) == (
+            "query", "query", 0.0, seconds)
+        assert trace.attributes == {"engine": engine, "query_id": f"{engine}-q1",
+                                    "statement": "explain"}
+        assert [(span.name, span.category, span.start, span.end, span.children)
+                for span in trace.children] == [
+            ("compile", "compile", 0.0, seconds, [])]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ no ``StoredFile`` derives its ``rows``.  Rows are a derivation only row
 readers trigger — the ``local`` engine's scan, ``HDFS.dir_rows``, the
 result fetch of a SELECT — once per file, cached.  And an INSERT / CTAS
 does not read its target back: ``PlanResult.rows`` is what a SELECT's
-``finalize`` hands to the client, so only result-directory plans gather
-it.
+``QueryResult`` hands to the client, so only result-directory plans
+gather it.
 """
 
 from array import array
