@@ -54,7 +54,7 @@ LIMIT 5
 
 
 def main():
-    from repro.engines import capabilities
+    from repro.engines import engine_class
 
     hdfs, metastore = build_warehouse()
 
@@ -64,9 +64,9 @@ def main():
         result = session.query(QUERY)
         timing = result.execution
         print(f"== {engine} ==")
-        caps = capabilities(engine)
-        print(f"  result cache: {caps.result_cache}, "
-              f"shared runtime: {caps.shared_runtime}")
+        declared = engine_class(engine)
+        print(f"  result cache: {declared.result_cache}, "
+              f"degrades to: {declared.degrades_to}")
         print(f"  physical plan: {len(result.plan.jobs)} MapReduce job(s)")
         print(f"  simulated time: {timing.total_seconds:.1f}s "
               f"(startup {sum(j.startup for j in timing.jobs):.1f}s, "

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo health gate: lint (when ruff is installed), the tier-1 test suite,
-# the hostbench suite and the report benches.
+# the hostbench suite, the examples and the report benches.
 # Usage: scripts/check.sh [extra pytest args]
 #
 # Not part of this gate (about 5 minutes) but REQUIRED for any change
@@ -83,6 +83,14 @@ echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # wraps the pinned seams of the real package, so a change that renames
 # or bypasses one fails here instead of in the benchmark run.
 python -m pytest hostbench/tests -q
+
+echo "== examples (each runs to completion) =="
+# Nothing else imports examples/*.py, so an API change would strand
+# them silently; together they take about 11 s on 2 Xeon cores.
+for example in examples/*.py; do
+    echo "-- $example"
+    PYTHONPATH=src python "$example" > /dev/null
+done
 
 echo "== report benches (regenerate results/BENCH_*.json, byte-diff) =="
 # Each bench is a pytest module that regenerates one committed report

@@ -18,15 +18,15 @@ Quick start::
         result.trace      # cross-layer span tree (simulated seconds)
 
 Engines are resolved through the registry in :mod:`repro.engines`;
-``repro.engines.register("mine", MyEngine)`` makes a third-party engine
-connectable by name.  Query traces export to Chrome-trace JSON via
+``repro.engines.register(MyEngine)`` makes a third-party engine — an
+:class:`~repro.engines.base.Engine` subclass, whose class attributes are
+its whole declaration — connectable by its ``name``.  Query traces export to Chrome-trace JSON via
 :mod:`repro.obs`.  See README.md for the full tour, DESIGN.md for the
 architecture and docs/observability.md for tracing.
 """
 
 from repro.common.config import Configuration
 from repro.core.driver import Driver, QueryResult, make_warehouse
-from repro.engines import EngineCapabilities, EngineSpec, capabilities
 from repro.engines.datampi import DataMPIEngine
 from repro.engines.hadoop import HadoopEngine
 from repro.engines.llap import LlapEngine
@@ -56,9 +56,6 @@ __all__ = [
     "DataMPIEngine",
     "LlapEngine",
     "LocalEngine",
-    "EngineCapabilities",
-    "EngineSpec",
-    "capabilities",
     "WorkloadScheduler",
     "QueryHandle",
     "Pool",

@@ -30,11 +30,10 @@ HIVE_DATAMPI_DAG = "hive.datampi.dag"  # bool; True = pipeline stages (future wo
 FAULT_SPEC = "repro.faults"  # declarative fault plan (see docs/fault_model.md)
 RETRY_MAX = "repro.retry.max"  # whole-job resubmissions (dm)
 RETRY_BACKOFF = "repro.retry.backoff"  # base backoff seconds, doubles per retry
-RETRY_FALLBACK = "repro.retry.fallback"  # engine name to degrade to ("" = off)
 SPECULATIVE_EXECUTION = "repro.speculative.execution"  # bool (mr stragglers)
 
 # -- membership / health knobs (docs/fault_model.md) -------------------------
-HEARTBEAT_ENABLED = "repro.heartbeat.enabled"  # "auto" | "true" | "false"
+HEARTBEAT_ENABLED = "repro.heartbeat.enabled"  # bool; failure detector
 QUERY_DEADLINE = "repro.query.deadline"  # seconds per query (0 = no deadline)
 LEASE_AUDIT = "repro.lease.audit"  # record the per-slot lease event trail
 BREAKER_THRESHOLD = "repro.breaker.threshold"  # consecutive failures (0 = off)

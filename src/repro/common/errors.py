@@ -60,8 +60,9 @@ class JobAbortedError(ExecutionError):
 class RetryExhaustedError(ExecutionError):
     """Every resubmission of a gang-scheduled job failed.
 
-    Carries the attempt count so the session/driver can decide whether
-    to degrade gracefully onto another engine (``repro.retry.fallback``).
+    Carries the attempt count.  The driver then re-runs the plan on the
+    engine the failing one names in ``degrades_to`` (DataMPI: hadoop),
+    or lets the error surface when it names none.
     """
 
     def __init__(self, message: str, job_id: str = "", attempts: int = 0):

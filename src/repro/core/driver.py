@@ -29,7 +29,6 @@ from repro.common.config import (
     HIVE_MAPJOIN_SMALLTABLE_BYTES,
     QUERY_DEADLINE,
     RESULT_CACHE_ENABLED,
-    RETRY_FALLBACK,
     SKEWJOIN_THRESHOLD,
     STATS_AUTO,
     STATS_ENABLED,
@@ -336,14 +335,14 @@ class Driver:
         self._plan_cache: LruCache[tuple, CachedPlan] = (
             LruCache(PLAN_CACHE_ENTRIES)
         )
-        # result cache (capability-gated): built on first use so the
+        # result cache (for engines declaring it): built on first use so the
         # configured capacity is read after any SET statements ran
         self._result_cache: Optional[LruCache[tuple, ResultCacheEntry]] = None
         # input snapshots taken at the current HDFS namespace generation,
         # by plan identity (the plan is held so its id cannot be reused)
         self._snapshots: Dict[int, Tuple[PhysicalPlan, tuple]] = {}
         self._snapshots_generation = hdfs.generation
-        # engines a plan degrades onto, by registry name
+        # engines a plan degrades onto, by resolved registry name
         self._engines: Dict[str, Engine] = {}
 
     # -- public API ---------------------------------------------------------
@@ -411,8 +410,8 @@ class Driver:
         statement in *runtime*; returns its :class:`QueryResult`.
 
         The modeled compile is charged on the simulated clock, then the
-        plan runs from a cleared output location — degrading to
-        ``repro.retry.fallback`` on the same cluster and clock once
+        plan runs from a cleared output location — degrading to the
+        engine's ``degrades_to`` on the same cluster and clock once
         retries are exhausted — and its intermediates are deleted,
         whatever happened.  Then the trace, the host-side epilogue and
         the result-cache store.
@@ -457,11 +456,11 @@ class Driver:
     def _plan_execution(self, runtime: EngineRuntime, plan: PhysicalPlan,
                         context: StatementContext, statement_started: float):
         """Generator: *plan* on the context's engine; a job whose retries
-        are exhausted re-runs the whole plan on ``repro.retry.fallback``
-        in the same runtime, after the failed run's committed part-files
-        are removed.  Its :class:`PlanResult` counts from the plan's
-        start, the failed run included, and holds the fault events
-        delivered since the statement started."""
+        are exhausted re-runs the whole plan on the engine's
+        :meth:`degrade_target` in the same runtime, after the failed
+        run's committed part-files are removed.  Its :class:`PlanResult`
+        counts from the plan's start, the failed run included, and holds
+        the fault events delivered since the statement started."""
         started = runtime.sim.now
         engine = first = (context.choose(started) if context.choose
                           else self.engine)
@@ -476,12 +475,12 @@ class Driver:
         except Exception as exc:
             if context.finished:
                 context.finished(engine, runtime.sim.now, True)
-            fallback = (context.conf.get(RETRY_FALLBACK, "") or "").strip()
-            if not isinstance(exc, RetryExhaustedError) or not fallback:
+            fallback = self.degrade_target(engine)
+            if not isinstance(exc, RetryExhaustedError) or fallback is None:
                 raise
             self._discard_partial_outputs(plan)
             get_metrics().counter("engine.fallbacks").add(1)
-            engine = self.engine_named(fallback)
+            engine = fallback
             timings = yield from engine.plan_process(
                 runtime, plan, context.conf, context.owner
             )
@@ -493,15 +492,26 @@ class Driver:
             execution.fallback_from = self.engine.name
         return execution
 
+    def degrade_target(self, engine: Engine) -> Optional[Engine]:
+        """The engine a plan failing on *engine* goes to — its declared
+        ``degrades_to`` — or ``None``.  The one degrade rule: retry
+        exhaustion and the scheduler's open circuit breaker both ask
+        it."""
+        if engine.degrades_to is None:
+            return None
+        return self.engine_named(engine.degrades_to)
+
     def engine_named(self, name: str) -> Engine:
-        """The registry engine *name* a plan degrades onto, built once
-        per session and priced by the session engine's model."""
+        """The registry engine *name* (or an alias) a plan degrades
+        onto, built once per session and priced by the session engine's
+        model."""
         from repro import engines as engine_registry
 
-        engine = self._engines.get(name)
+        key = engine_registry.resolve(name)
+        engine = self._engines.get(key)
         if engine is None:
-            engine = self._engines[name] = engine_registry.create(
-                name, self.hdfs, model=self.engine.model
+            engine = self._engines[key] = engine_registry.create(
+                key, self.hdfs, model=self.engine.model
             )
         return engine
 
@@ -781,9 +791,9 @@ class Driver:
     # -- result cache -------------------------------------------------------
     def result_cache(self) -> Optional[LruCache[tuple, ResultCacheEntry]]:
         """The driver's result cache, or ``None`` when the session's
-        engine does not advertise the ``result_cache`` capability or
+        engine does not declare ``result_cache`` or
         ``repro.result.cache.enabled`` is off."""
-        if not self.engine.capabilities.result_cache:
+        if not self.engine.result_cache:
             return None
         if not self.conf.get_bool(RESULT_CACHE_ENABLED, True):
             return None

@@ -60,22 +60,6 @@ Row = Tuple[object, ...]
 BYTES_PER_REDUCER_DEFAULT = 1 * GB
 
 
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """Declared behaviours of an engine, used by the driver and workload
-    scheduler to branch on *what an engine can do* rather than on its
-    name or concrete class.
-
-    ``shared_runtime`` marks engines whose :meth:`Engine.plan_process`
-    can execute inside a caller-owned :class:`EngineRuntime` (required
-    for concurrent scheduling); ``result_cache`` opts the engine into
-    the driver-level result cache.
-    """
-
-    result_cache: bool = False
-    shared_runtime: bool = False
-
-
 # ---------------------------------------------------------------------------
 # timing records (what the paper's breakdowns are made of)
 # ---------------------------------------------------------------------------
@@ -754,7 +738,7 @@ class EngineRuntime:
         self.injector = FaultInjector(
             self.sim, self.cluster, FaultPlan.from_conf(conf),
             tracer=self.tracer, metrics=get_metrics(),
-            heartbeat_enabled=(conf.get(HEARTBEAT_ENABLED, "auto") or "auto"),
+            heartbeat=conf.get_bool(HEARTBEAT_ENABLED, True),
         )
         self.injector.start()
         # elastic scale-up: engines hold references to the per-worker aux
@@ -963,10 +947,20 @@ class Engine:
     *model* (default: ``CostModel()``) is what solo runs build their
     :class:`EngineRuntime` from and what the driver charges compile
     time from.
+
+    The class is the engine's whole declaration — what the registry
+    (:func:`repro.engines.register`), the driver and the scheduler read:
+    its registry :attr:`name` and :attr:`aliases`; :attr:`result_cache`,
+    which opts it into the driver's result cache; and
+    :attr:`degrades_to`, the registry name of the engine a plan goes to
+    when this one fails (retries exhausted, or its circuit breaker
+    open), ``None`` for nowhere.
     """
 
     name = "abstract"
-    capabilities = EngineCapabilities()
+    aliases: Tuple[str, ...] = ()
+    result_cache = False
+    degrades_to: Optional[str] = None
 
     def __init__(self, hdfs: HDFS, model: Optional[CostModel] = None):
         self.hdfs = hdfs
@@ -1019,7 +1013,7 @@ class Engine:
         timings.  *owner* attributes every slot lease and job span to the
         submitting query."""
         raise NotImplementedError(
-            f"engine {self.name!r} does not support shared-runtime execution"
+            f"engine {self.name!r} does not implement plan_process"
         )
 
 

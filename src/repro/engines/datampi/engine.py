@@ -21,9 +21,10 @@ Differences from the Hadoop engine, each mapped to a paper claim:
   communicator, every surviving rank is interrupted mid-flight and the
   attempt's partial output is discarded.  ``mpidrun`` resubmits the job
   under exponential backoff (``repro.retry.max`` / ``repro.retry.backoff``);
-  when resubmissions run out a :class:`RetryExhaustedError` surfaces so
-  the session can degrade to the MapReduce engine (§I, §VI — the
-  fault-tolerance trade-off the paper concedes to Hadoop).
+  when resubmissions run out a :class:`RetryExhaustedError` surfaces and
+  the driver re-runs the plan on the MapReduce engine, which the class
+  declares as its ``degrades_to`` (§I, §VI — the fault-tolerance
+  trade-off the paper concedes to Hadoop).
 * **Tuning knobs** — ``hive.datampi.memusedpercent`` splits the heap
   between DataMPI's buffers and the application (low → A-side spill,
   high → GC pressure: Fig 8 left); ``hive.datampi.sendqueue`` bounds the
@@ -52,7 +53,6 @@ from repro.common.rows import ColumnBatch
 from repro.common.units import MB
 from repro.engines.base import (
     Engine,
-    EngineCapabilities,
     EngineRuntime,
     JobRun,
     JobTiming,
@@ -307,7 +307,8 @@ class _Submission(JobRun):
 
 class DataMPIEngine(Engine):
     name = "datampi"
-    capabilities = EngineCapabilities(shared_runtime=True)
+    aliases = ("dm",)
+    degrades_to = "hadoop"
 
     # -- public API ---------------------------------------------------------
     def plan_process(

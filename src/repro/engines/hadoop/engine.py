@@ -39,7 +39,6 @@ from repro.common.config import (
 )
 from repro.common.units import MB
 from repro.engines.base import (
-    EngineCapabilities,
     EngineRuntime,
     MapOutputCollector,
     TaskTiming,
@@ -79,8 +78,7 @@ class _HadoopJob(JobContext):
 
 class HadoopEngine(TaskAttemptEngine):
     name = "hadoop"
-    capabilities = EngineCapabilities(shared_runtime=True)
-    model_block = "hadoop"
+    aliases = ("mr",)
 
     def plan_process(
         self,

@@ -186,9 +186,9 @@ class TaskAttemptEngine(Engine):
     engine's subclass of it).  Everything an engine may vary is one of
     these hooks, and nothing else:
 
-    * :attr:`model_block` — which block of the cost model is the
-      engine's own (``"hadoop"``, ...); its ``job_submit`` /
-      ``job_cleanup`` are the job-level entries;
+    * the cost-model block named like the engine (``model.hadoop``,
+      ...) — its ``job_submit`` / ``job_cleanup`` are the job-level
+      entries;
     * :meth:`place` — which node a placement try lands on;
     * :meth:`admit` — what must hold on that node before an attempt may
       run there (default: nothing);
@@ -206,8 +206,6 @@ class TaskAttemptEngine(Engine):
       burns a doomed split, pulls map output, runs its reduce tail and
       commits through the :class:`JobContext` it is handed.
     """
-
-    model_block: str
 
     # -- hooks ---------------------------------------------------------------
     def place(self, ctx: JobContext, preferred: int, salt: int,
@@ -253,7 +251,7 @@ class TaskAttemptEngine(Engine):
         sim = ctx.sim
         job = ctx.job
         timing = ctx.timing
-        costs = getattr(ctx.model, self.model_block)
+        costs = getattr(ctx.model, self.name)
         yield sim.timeout(costs.job_submit)
 
         if ctx.splits:

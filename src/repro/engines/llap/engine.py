@@ -42,7 +42,6 @@ from typing import Dict, Optional
 from repro.common.config import Configuration, LLAP_CACHE_MB
 from repro.common.units import MB
 from repro.engines.base import (
-    EngineCapabilities,
     EngineRuntime,
     MapOutputCollector,
     TaskTiming,
@@ -271,8 +270,9 @@ class _LlapJob(JobContext):
 
 class LlapEngine(TaskAttemptEngine):
     name = "llap"
-    capabilities = EngineCapabilities(result_cache=True, shared_runtime=True)
-    model_block = "llap"
+    aliases = ("live",)
+    result_cache = True
+    degrades_to = "hadoop"
 
     def __init__(self, hdfs: HDFS, model: Optional[CostModel] = None):
         super().__init__(hdfs, model)

@@ -30,8 +30,11 @@ from repro.engines.base import (
 from repro.exec.mapper import ExecMapper
 from repro.exec.operators import Collector
 from repro.plan.physical import PhysicalPlan
-from repro.simulate import CostModel, LeaseOwner
-from repro.storage.hdfs import HDFS
+from repro.simulate import LeaseOwner
+
+# the slot count that clamps the reducer heuristic: the default
+# testbed's 7 workers x 4 slots (the oracle has no cluster to ask)
+MAX_SLOTS = 28
 
 
 class _PartitionedCollector(Collector):
@@ -46,11 +49,6 @@ class LocalEngine(Engine):
     """Single-process, zero-latency execution of a physical plan."""
 
     name = "local"
-
-    def __init__(self, hdfs: HDFS, model: Optional[CostModel] = None,
-                 max_slots: int = 28):
-        super().__init__(hdfs, model)
-        self.max_slots = max_slots
 
     def plan_process(
         self,
@@ -84,7 +82,7 @@ class LocalEngine(Engine):
             job, hdfs, vectorized=False
         )
         num_reducers = decide_num_reducers(
-            job, len(splits), total_bytes, conf, is_last, self.max_slots
+            job, len(splits), total_bytes, conf, is_last, MAX_SLOTS
         )
         timing = JobTiming(job_id=job.job_id, num_maps=len(splits), num_reducers=num_reducers)
 

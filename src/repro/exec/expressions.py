@@ -22,6 +22,7 @@ Semantics follow Hive:
 
 from __future__ import annotations
 
+import copy
 import operator
 import re
 import zlib
@@ -73,6 +74,37 @@ class InputRef(BoundExpression):
     def compile(self) -> Evaluator:
         index = self.index
         return lambda row: row[index]
+
+
+def _input_refs(expressions) -> List[InputRef]:
+    """Every distinct :class:`InputRef` node under *expressions* (a
+    subtree shared by BETWEEN desugaring counts once)."""
+    found = {}
+    pending = list(expressions)
+    while pending:
+        node = pending.pop()
+        if type(node) is InputRef:
+            found[id(node)] = node
+        elif isinstance(node, BoundExpression):
+            pending.extend(vars(node).values())
+        elif type(node) in (list, tuple):  # operands, CASE branches
+            pending.extend(node)
+    return list(found.values())
+
+
+def referenced_columns(*expressions: BoundExpression) -> frozenset:
+    """The input column indexes *expressions* read."""
+    return frozenset(ref.index for ref in _input_refs(expressions))
+
+
+def remap_input_refs(expression: BoundExpression,
+                     new_index: Callable[[int], int]) -> BoundExpression:
+    """A copy of *expression* whose every InputRef index ``i`` reads
+    ``new_index(i)`` instead (a shifted join side, a pruned row)."""
+    clone = copy.deepcopy(expression)
+    for ref in _input_refs([clone]):
+        ref.index = new_index(ref.index)
+    return clone
 
 
 @dataclass
@@ -437,21 +469,6 @@ def _cast_callable(target: DataType) -> Callable[[object], object]:
         except (TypeError, ValueError):
             return None  # Hive casts malformed values to NULL
     return cast
-
-
-def referenced_columns(expressions: Sequence[BoundExpression]) -> frozenset:
-    """The input column indexes *expressions* read."""
-    found = set()
-    pending = list(expressions)
-    while pending:
-        node = pending.pop()
-        if type(node) is InputRef:
-            found.add(node.index)
-        elif isinstance(node, BoundExpression):
-            pending.extend(vars(node).values())
-        elif type(node) in (list, tuple):  # operands, CASE branches
-            pending.extend(node)
-    return frozenset(found)
 
 
 class _Codegen:

@@ -70,7 +70,7 @@ class Kernels:
     __slots__ = ("referenced", "build", "variants")
 
     def __init__(self, expressions, build: Callable):
-        self.referenced = sorted(referenced_columns(expressions))
+        self.referenced = sorted(referenced_columns(*expressions))
         self.build = build
         self.variants: Dict[Tuple[bool, ...], object] = {}
 

@@ -18,7 +18,14 @@ from typing import List, Optional, Tuple
 from repro.common.errors import SemanticError
 from repro.common.rows import DataType
 from repro.exec import expressions as bexpr
-from repro.exec.expressions import BoundExpression, Const, InputRef, require_boolean
+from repro.exec.expressions import (
+    BoundExpression,
+    Const,
+    InputRef,
+    referenced_columns,
+    remap_input_refs,
+    require_boolean,
+)
 from repro.sql import ast
 from repro.sql.functions import get_aggregate, get_scalar, is_aggregate, is_scalar
 from repro.storage.metastore import Metastore
@@ -46,56 +53,9 @@ def expr_has_aggregate(expression: ast.Expression) -> bool:
     return False
 
 
-def collect_input_refs(expression: BoundExpression) -> List[int]:
-    """All InputRef positions used by a bound expression tree."""
-    refs: List[int] = []
-    stack = [expression]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, InputRef):
-            refs.append(node.index)
-        for name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, name)
-            if isinstance(value, BoundExpression):
-                stack.append(value)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, BoundExpression):
-                        stack.append(item)
-                    elif isinstance(item, tuple):
-                        stack.extend(
-                            piece for piece in item if isinstance(piece, BoundExpression)
-                        )
-    return refs
-
-
-def shift_input_refs(expression: BoundExpression, delta: int) -> BoundExpression:
-    """Return a copy with every InputRef index shifted by *delta*."""
-    import copy
-
-    clone = copy.deepcopy(expression)
-    stack = [clone]
-    seen = set()  # shared subtrees (BETWEEN desugaring) must shift once
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, InputRef):
-            node.index += delta
-        for name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, name)
-            if isinstance(value, BoundExpression):
-                stack.append(value)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, BoundExpression):
-                        stack.append(item)
-                    elif isinstance(item, tuple):
-                        stack.extend(
-                            piece for piece in item if isinstance(piece, BoundExpression)
-                        )
-    return clone
+def _shift(expression: BoundExpression, delta: int) -> BoundExpression:
+    """A copy of *expression* with every InputRef index moved by *delta*."""
+    return remap_input_refs(expression, lambda index: index + delta)
 
 
 def split_conjuncts(expression: BoundExpression) -> List[BoundExpression]:
@@ -293,7 +253,7 @@ class Analyzer:
                 if pair is not None:
                     left_key, right_key = pair
                     left_keys.append(left_key)
-                    right_keys.append(shift_input_refs(right_key, -left_width))
+                    right_keys.append(_shift(right_key, -left_width))
                 else:
                     residuals.append(conjunct)
 
@@ -301,7 +261,7 @@ class Analyzer:
         # for LEFT joins the right side must not be pre-filtered by ON)
         kept: List[BoundExpression] = []
         for conjunct in residuals:
-            refs = collect_input_refs(conjunct)
+            refs = referenced_columns(conjunct)
             if join.join_type == "inner" and refs and all(r < left_width for r in refs):
                 left = Filter(left, conjunct)
             elif (
@@ -309,7 +269,7 @@ class Analyzer:
                 and refs
                 and all(r >= left_width for r in refs)
             ):
-                right = Filter(right, shift_input_refs(conjunct, -left_width))
+                right = Filter(right, _shift(conjunct, -left_width))
             else:
                 kept.append(conjunct)
 
@@ -328,8 +288,8 @@ class Analyzer:
     ) -> Optional[Tuple[BoundExpression, BoundExpression]]:
         if not isinstance(conjunct, bexpr.Comparison) or conjunct.op != "=":
             return None
-        left_refs = collect_input_refs(conjunct.left)
-        right_refs = collect_input_refs(conjunct.right)
+        left_refs = referenced_columns(conjunct.left)
+        right_refs = referenced_columns(conjunct.right)
         if not left_refs or not right_refs:
             return None  # constant side: stays a residual/filter
         if all(r < left_width for r in left_refs) and all(
@@ -358,7 +318,7 @@ class Analyzer:
         """Push one conjunct below joins in place; returns the node if the
         push happened, None if the caller must keep the filter."""
         if isinstance(node, JoinNode):
-            refs = collect_input_refs(conjunct)
+            refs = referenced_columns(conjunct)
             left_width = len(node.left.signature)
             if refs and all(r < left_width for r in refs):
                 if self._try_push(node.left, conjunct) is None:
@@ -369,7 +329,7 @@ class Analyzer:
                 and all(r >= left_width for r in refs)
                 and node.join_type == "inner"
             ):
-                shifted = shift_input_refs(conjunct, -left_width)
+                shifted = _shift(conjunct, -left_width)
                 if self._try_push(node.right, shifted) is None:
                     node.right = Filter(node.right, shifted)
                 return node

@@ -11,11 +11,15 @@ difference between a 39 GB and a 2 GB temp table for TPC-H Q13.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.common.errors import PlanError
-from repro.exec.expressions import BoundExpression, InputRef
-from repro.plan.analyzer import collect_input_refs
+from repro.exec.expressions import (
+    BoundExpression,
+    InputRef,
+    referenced_columns,
+    remap_input_refs,
+)
 from repro.plan.logical import (
     AggregateNode,
     DistinctNode,
@@ -34,41 +38,12 @@ from repro.plan.logical import (
 
 def _remap_refs(expression: BoundExpression, mapping: Dict[int, int]) -> BoundExpression:
     """Copy *expression* with every InputRef index translated."""
-    clone = copy.deepcopy(expression)
-    stack = [clone]
-    seen = set()  # subtrees can be shared (BETWEEN desugaring); remap once
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, InputRef):
-            try:
-                node.index = mapping[node.index]
-            except KeyError:
-                raise PlanError(
-                    f"column pruner lost input position {node.index}"
-                ) from None
-        for name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, name)
-            if isinstance(value, BoundExpression):
-                stack.append(value)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, BoundExpression):
-                        stack.append(item)
-                    elif isinstance(item, tuple):
-                        stack.extend(
-                            piece for piece in item if isinstance(piece, BoundExpression)
-                        )
-    return clone
-
-
-def _refs_of(expressions: List[BoundExpression]) -> Set[int]:
-    needed: Set[int] = set()
-    for expression in expressions:
-        needed.update(collect_input_refs(expression))
-    return needed
+    try:
+        return remap_input_refs(expression, mapping.__getitem__)
+    except KeyError as lost:
+        raise PlanError(
+            f"column pruner lost input position {lost.args[0]}"
+        ) from None
 
 
 def prune_columns(root: LogicalNode) -> LogicalNode:
@@ -107,7 +82,7 @@ def _prune(node: LogicalNode, required: Set[int]) -> Tuple[LogicalNode, Dict[int
         return project, {old: new for new, old in enumerate(wanted)}
 
     if isinstance(node, Filter):
-        child_required = set(required) | set(collect_input_refs(node.predicate))
+        child_required = set(required) | referenced_columns(node.predicate)
         child, mapping = _prune(node.child, child_required)
         predicate = _remap_refs(node.predicate, mapping)
         return Filter(child, predicate, signature=child.signature), mapping
@@ -118,7 +93,7 @@ def _prune(node: LogicalNode, required: Set[int]) -> Tuple[LogicalNode, Dict[int
         if not wanted:
             wanted = list(range(width))
         kept_expressions = [node.expressions[index] for index in wanted]
-        child_required = _refs_of(kept_expressions)
+        child_required = set(referenced_columns(*kept_expressions))
         if not child_required:
             child_required = {0} if len(node.child.signature) else set()
         child, mapping = _prune(node.child, child_required)
@@ -130,15 +105,15 @@ def _prune(node: LogicalNode, required: Set[int]) -> Tuple[LogicalNode, Dict[int
     if isinstance(node, JoinNode):
         left_width = len(node.left.signature)
         residual_refs = (
-            set(collect_input_refs(node.residual)) if node.residual is not None else set()
+            referenced_columns(node.residual) if node.residual is not None else set()
         )
         left_required = {index for index in required if index < left_width}
-        left_required |= _refs_of(node.left_keys)
+        left_required |= referenced_columns(*node.left_keys)
         left_required |= {index for index in residual_refs if index < left_width}
         right_required = {
             index - left_width for index in required if index >= left_width
         }
-        right_required |= _refs_of(node.right_keys)
+        right_required |= referenced_columns(*node.right_keys)
         right_required |= {
             index - left_width for index in residual_refs if index >= left_width
         }
@@ -168,10 +143,10 @@ def _prune(node: LogicalNode, required: Set[int]) -> Tuple[LogicalNode, Dict[int
 
     if isinstance(node, AggregateNode):
         # output layout (groups then aggregates) is fixed; prune below
-        child_required = _refs_of(node.group_expressions)
+        child_required = set(referenced_columns(*node.group_expressions))
         for call in node.calls:
             if call.argument is not None:
-                child_required |= set(collect_input_refs(call.argument))
+                child_required |= referenced_columns(call.argument)
         if not child_required and len(node.child.signature):
             child_required = {0}
         child, mapping = _prune(node.child, child_required)
@@ -194,7 +169,7 @@ def _prune(node: LogicalNode, required: Set[int]) -> Tuple[LogicalNode, Dict[int
         return new_node, _identity(len(node.signature))
 
     if isinstance(node, SortNode):
-        child_required = set(required) | _refs_of(node.sort_expressions)
+        child_required = set(required) | referenced_columns(*node.sort_expressions)
         child, mapping = _prune(node.child, child_required)
         sort_expressions = [
             _remap_refs(expression, mapping) for expression in node.sort_expressions

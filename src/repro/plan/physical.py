@@ -27,7 +27,12 @@ from repro.common.errors import PlanError
 from repro.common.rows import DataType, Schema
 from repro.common.units import MB
 from repro.exec import expressions as bexpr
-from repro.exec.expressions import BoundExpression, Const, InputRef
+from repro.exec.expressions import (
+    BoundExpression,
+    Const,
+    InputRef,
+    referenced_columns,
+)
 from repro.exec.operators import (
     FileSinkDesc,
     FilterDesc,
@@ -45,7 +50,7 @@ from repro.exec.reduce import (
     ReduceJoinDesc,
     ReduceSortDesc,
 )
-from repro.plan.analyzer import collect_input_refs, split_conjuncts
+from repro.plan.analyzer import split_conjuncts
 from repro.plan.logical import (
     AggregateNode,
     DistinctNode,
@@ -820,7 +825,7 @@ class PhysicalCompiler:
 
         def map_refs(expression) -> Optional[List[int]]:
             out = []
-            for index in collect_input_refs(expression):
+            for index in referenced_columns(expression):
                 if not 0 <= index < len(mapping):
                     return None
                 out.append(mapping[index])

@@ -34,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro import engines as engine_registry
 from repro.common.config import BREAKER_THRESHOLD, Configuration, RETRY_MAX
 from repro.common.errors import (
     AdmissionRejectedError,
@@ -139,7 +138,7 @@ class EngineBreaker:
 
     Closed until ``threshold`` consecutive query failures, then open for
     ``cooldown`` simulated seconds (the scheduler degrades new queries
-    along the engine's declared ``degrades_to`` chain).  After the
+    onto the engine's declared ``degrades_to``).  After the
     cooldown one half-open probe query is let through: success closes
     the breaker, failure re-opens it with a fresh cooldown.  A
     ``threshold`` of 0 disables the breaker entirely.
@@ -305,7 +304,6 @@ class WorkloadScheduler:
             )
         if max_concurrent < 0:
             raise ConfigError("repro.sched.max.concurrent must be >= 0")
-        self._require_plan_process(driver.engine)
         self.driver = driver
         self.policy = policy
         self.max_concurrent = max_concurrent
@@ -332,16 +330,6 @@ class WorkloadScheduler:
             0, driver.conf.get_int(BREAKER_THRESHOLD, 0)
         )
         self._breakers: Dict[str, EngineBreaker] = {}
-
-    @staticmethod
-    def _require_plan_process(engine: Engine) -> None:
-        if not engine.capabilities.shared_runtime:
-            raise ConfigError(
-                f"engine {engine.name!r} does not support shared-runtime "
-                "execution; concurrent scheduling needs a cluster engine "
-                "(one whose capabilities advertise shared_runtime, e.g. "
-                "hadoop / datampi / llap)"
-            )
 
     # -- submission ----------------------------------------------------------
     def submit(self, sql: str, pool: Optional[str] = None,
@@ -617,25 +605,22 @@ class WorkloadScheduler:
 
     def _select_engine(self, handle: QueryHandle, now: float) -> Engine:
         """Breaker-aware engine choice: the session engine unless its
-        breaker is open, else the first closed engine along the declared
-        ``degrades_to`` chain (shared-runtime engines only)."""
+        breaker is open, else the engine it names in ``degrades_to``
+        (:meth:`Driver.degrade_target`) while that one's breaker is
+        closed."""
         primary = self.driver.engine
         if self._breaker_threshold <= 0:
             return primary
         if self._breaker(primary.name).allows(now):
             return primary
-        spec = engine_registry.get_spec(primary.name)
-        for name in spec.degrades_to:
-            if not engine_registry.capabilities(name).shared_runtime:
-                continue
-            if not self._breaker(name).allows(now):
-                continue
-            get_metrics().counter("sched.breaker.degraded").add(1)
-            self.events.append(
-                (now, "breaker-degrade", handle.query_id, name)
-            )
-            return self.driver.engine_named(name)
-        return primary  # whole chain open: last resort is the primary
+        target = self.driver.degrade_target(primary)
+        if target is None or not self._breaker(target.name).allows(now):
+            return primary  # nowhere to go: last resort is the primary
+        get_metrics().counter("sched.breaker.degraded").add(1)
+        self.events.append(
+            (now, "breaker-degrade", handle.query_id, target.name)
+        )
+        return target
 
     def _engine_finished(self, handle: QueryHandle, engine: Engine,
                          now: float, failed: bool) -> None:

@@ -79,7 +79,7 @@ class Session(Driver):
                 cluster=ClusterSpec(num_nodes=hdfs.num_workers + 1)
             ))
         if model is not None and engine.model != model:
-            # an engine instance, or a factory that takes no model
+            # an engine instance carries its own model
             raise ConfigError(
                 f"engine {engine.name!r} does not run under the given "
                 "model=; an Engine instance carries its own"
@@ -222,8 +222,9 @@ def connect(
     *conf* accepts a :class:`Configuration` or a plain dict.  *model* is
     the :class:`~repro.simulate.CostModel` simulated seconds are priced
     with (default: the paper's testbed, one worker per HDFS datanode);
-    it needs an engine name whose factory takes ``model=`` and raises
-    :class:`~repro.common.errors.ConfigError` otherwise.
+    it needs an engine name — an :class:`Engine` instance carries its
+    own model, and one with another raises
+    :class:`~repro.common.errors.ConfigError`.
     """
     return Session(
         engine=engine,

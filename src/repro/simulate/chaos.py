@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.config import (
     FAULT_SPEC,
     QUERY_DEADLINE,
-    RETRY_FALLBACK,
     SCHED_MAX_CONCURRENT,
 )
 from repro.common.errors import ExecutionError, QueryTimeoutError
@@ -291,8 +290,6 @@ def run_chaos(engine: str = "hadoop", seed: int = 0, num_workers: int = 5,
     precomputed *oracle* (from :func:`oracle_rows`) to amortize the
     reference run across many seeds.
     """
-    from repro import engines as engine_registry
-
     schedule = generate_schedule(seed, num_workers=num_workers, horizon=horizon)
     workload = list(queries or CHAOS_QUERIES)
     if oracle is None:
@@ -303,9 +300,6 @@ def run_chaos(engine: str = "hadoop", seed: int = 0, num_workers: int = 5,
     session = _fresh_session(engine, num_workers, conf)
     try:
         session.conf.set(FAULT_SPEC, schedule.spec)
-        degrades = engine_registry.get_spec(session.engine.name).degrades_to
-        if degrades:
-            session.conf.set(RETRY_FALLBACK, degrades[0])
         if deadline is not None:
             session.conf.set(QUERY_DEADLINE, deadline)
 

@@ -412,7 +412,7 @@ class FaultInjector:
     DRAIN_POLL_SECONDS = 0.5
 
     def __init__(self, sim: Simulator, cluster: Cluster, plan: FaultPlan,
-                 tracer=None, metrics=None, heartbeat_enabled: str = "auto"):
+                 tracer=None, metrics=None, heartbeat: bool = True):
         self.sim = sim
         self.cluster = cluster
         self.plan = plan
@@ -421,7 +421,7 @@ class FaultInjector:
         self.events: List[FaultEvent] = []
         self.span = None
         self.monitor: Optional[HeartbeatMonitor] = None
-        self._heartbeat_enabled = heartbeat_enabled
+        self._heartbeat = heartbeat
         # insertion-ordered on purpose: crash delivery iterates this, and
         # a set's address-dependent order would make replays diverge
         self._registered: Dict[int, Dict[Process, None]] = {}
@@ -479,7 +479,7 @@ class FaultInjector:
             )
         for drain in self.plan.drains:
             self.sim.call_at(drain.at, self._drain, drain.worker, daemon=True)
-        if self._heartbeat_enabled != "false":
+        if self._heartbeat:
             self.monitor = HeartbeatMonitor(self)
             self.monitor.start()
         self._refresh_alive_gauge()

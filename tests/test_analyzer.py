@@ -8,7 +8,7 @@ from repro.common.errors import SemanticError
 from repro.common.rows import DataType
 from repro.engines.base import Engine
 from repro.engines.local import LocalEngine
-from repro.plan.analyzer import Analyzer, collect_input_refs, shift_input_refs
+from repro.plan.analyzer import Analyzer
 from repro.plan.logical import (
     AggregateNode,
     DistinctNode,
@@ -20,7 +20,7 @@ from repro.plan.logical import (
     SortNode,
 )
 from repro.exec import expressions as bexpr
-from repro.exec.expressions import InputRef
+from repro.exec.expressions import InputRef, referenced_columns, remap_input_refs
 from repro.sql import parse_statement
 from repro.storage.metastore import Metastore
 
@@ -96,7 +96,7 @@ class TestJoins:
         node = analyze(
             analyzer, "SELECT name FROM emp e JOIN dept d ON d.dept = e.dept"
         ).child
-        assert collect_input_refs(node.left_keys[0]) == [2]
+        assert referenced_columns(node.left_keys[0]) == {2}
 
     def test_non_equi_stays_residual(self, analyzer):
         node = analyze(
@@ -239,19 +239,27 @@ class TestSubqueries:
 class TestHelpers:
     def test_shift_input_refs(self):
         expr = bexpr.Comparison("=", InputRef(2), InputRef(5))
-        shifted = shift_input_refs(expr, -2)
-        assert collect_input_refs(shifted) == [3, 0] or sorted(
-            collect_input_refs(shifted)
-        ) == [0, 3]
+        shifted = remap_input_refs(expr, lambda index: index - 2)
+        assert (shifted.left.index, shifted.right.index) == (0, 3)
         # original untouched
-        assert sorted(collect_input_refs(expr)) == [2, 5]
+        assert referenced_columns(expr) == {2, 5}
+
+    def test_shared_subtree_remaps_once(self):
+        """BETWEEN desugars into two comparisons sharing one operand."""
+        operand = InputRef(4)
+        expr = bexpr.LogicalAnd(operands=[
+            bexpr.Comparison(">=", operand, bexpr.Const(1)),
+            bexpr.Comparison("<=", operand, bexpr.Const(9)),
+        ])
+        shifted = remap_input_refs(expr, lambda index: index - 4)
+        assert referenced_columns(shifted) == {0}
 
     def test_collect_refs_nested(self):
         expr = bexpr.LogicalAnd(operands=[
             bexpr.Comparison(">", InputRef(1), InputRef(4)),
             bexpr.IsNullExpr(operand=InputRef(7)),
         ])
-        assert sorted(collect_input_refs(expr)) == [1, 4, 7]
+        assert referenced_columns(expr) == {1, 4, 7}
 
 
 NON_BOOLEAN_PREDICATES = [

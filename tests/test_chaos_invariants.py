@@ -4,7 +4,7 @@ daemon crashes, executor slots, invariant enforcement, replay)."""
 import pytest
 
 from repro import connect
-from repro.common.config import FAULT_SPEC, RETRY_FALLBACK
+from repro.common.config import FAULT_SPEC
 from repro.simulate.chaos import (
     CHAOS_QUERIES,
     ChaosInvariantError,
@@ -84,15 +84,14 @@ def test_datampi_gang_checkout_survives_crash():
     """A node crash mid-job trips the gang; ``release_unclaimed`` plus
     the rank finallys must leave zero orphaned slots in the ledger."""
     ledger = _run_with_faults(
-        "datampi", "seed:3; crash:w2@6-60", RETRY_FALLBACK="hadoop")
+        "datampi", "seed:3; crash:w2@6-60")
     assert ledger.gang_grants  # the all-or-nothing grants happened
     assert_clean_ledger(ledger)
 
 
 def test_datampi_repeated_crashes_clean_ledger():
     ledger = _run_with_faults(
-        "datampi", "seed:5; crash:w1@4-30; crash:w3@8-40",
-        RETRY_FALLBACK="hadoop")
+        "datampi", "seed:5; crash:w1@4-30; crash:w3@8-40")
     assert_clean_ledger(ledger)
 
 

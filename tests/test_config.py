@@ -16,7 +16,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # The option surface, pinned.  Edit these downward only: a change that
 # raises one says which option it retires in exchange.
-DECLARED_KEYS = 27
+DECLARED_KEYS = 26
 CLI_FLAGS = 16
 
 

@@ -17,12 +17,12 @@ from repro import engines as engine_registry
 from repro.common.config import (
     FAULT_SPEC,
     RETRY_BACKOFF,
-    RETRY_FALLBACK,
     RETRY_MAX,
     SPECULATIVE_EXECUTION,
 )
 from repro.common.errors import ConfigError, RetryExhaustedError
 from repro.engines.base import compare_result_rows
+from repro.engines.datampi import DataMPIEngine
 from repro.simulate import CostModel, FaultInjector, FaultPlan, Simulator
 from repro.simulate.cluster import Cluster, ClusterSpec
 
@@ -221,20 +221,28 @@ _ROLLING_CRASHES = "crash:w1@5-7; crash:w2@12-14; crash:w3@18-20; crash:w4@24-26
 
 class TestRetryExhaustionAndFallback:
     def test_exhaustion_raises_without_fallback(self, big_warehouse):
+        """An engine that declares no ``degrades_to`` lets the exhausted
+        retries surface."""
+        class NoDegrade(DataMPIEngine):
+            degrades_to = None
+
         hdfs, metastore = big_warehouse
-        session = connect(engine="datampi", hdfs=hdfs, metastore=metastore,
+        model = CostModel(cluster=ClusterSpec(num_nodes=hdfs.num_workers + 1))
+        session = connect(engine=NoDegrade(hdfs, model=model), hdfs=hdfs,
+                          metastore=metastore,
                           conf={FAULT_SPEC: _ROLLING_CRASHES,
                                 RETRY_MAX: "1", RETRY_BACKOFF: "0.5"})
         with pytest.raises(RetryExhaustedError):
             session.query(SQL)
 
     def test_graceful_degradation_to_mapreduce(self, big_warehouse):
+        """No conf key asks for it: DataMPI declares ``degrades_to =
+        "hadoop"``, so exhausted retries re-run the plan there."""
         hdfs, metastore = big_warehouse
         clean = _run("datampi", hdfs, metastore)
         degraded = _run("datampi", hdfs, metastore,
                         {FAULT_SPEC: _ROLLING_CRASHES,
-                         RETRY_MAX: "1", RETRY_BACKOFF: "0.5",
-                         RETRY_FALLBACK: "mr"})
+                         RETRY_MAX: "1", RETRY_BACKOFF: "0.5"})
         assert degraded.fallback_engine == "hadoop"
         assert compare_result_rows(clean.rows, degraded.rows, ordered=True)
 
@@ -252,7 +260,7 @@ class TestRetryExhaustionAndFallback:
 
         monkeypatch.setattr(engine_registry, "create", recording)
         conf = {FAULT_SPEC: _ROLLING_CRASHES, RETRY_MAX: "1",
-                RETRY_BACKOFF: "0.5", RETRY_FALLBACK: "mr"}
+                RETRY_BACKOFF: "0.5"}
         base = CostModel(cluster=ClusterSpec(num_nodes=hdfs.num_workers + 1))
         slow = replace(base, hadoop=replace(base.hadoop, task_jvm_start=3.0))
         seconds = []
@@ -273,6 +281,7 @@ class TestRetryExhaustionAndFallback:
         with connect(engine="datampi", model=model) as session:
             fallback = session.engine_named("hadoop")
             assert fallback.model is session.engine.model is model
+            assert session.engine_named("mr") is fallback  # one per engine
 
     def test_no_fallback_marker_on_clean_run(self, big_warehouse):
         hdfs, metastore = big_warehouse
@@ -293,7 +302,7 @@ class TestConcurrentFailureIsolation:
                              metastore=metastore).query(sql).rows
                 for sql in (SQL, COUNT_SQL)}
         conf = {FAULT_SPEC: "crash:w1@5-7; crash:w2@9-11",
-                RETRY_MAX: "1", RETRY_BACKOFF: "0.5", RETRY_FALLBACK: "mr"}
+                RETRY_MAX: "1", RETRY_BACKOFF: "0.5"}
         with connect(engine="datampi", hdfs=hdfs, metastore=metastore,
                      conf=conf) as session:
             struck = session.submit(SQL)

@@ -131,8 +131,8 @@ class TestDaemonLifecycle:
         assert total_cache(session, "hits") > 0, "caches outlive runtimes"
 
     def test_capabilities_surface(self):
-        caps = LlapEngine.capabilities
-        assert caps.result_cache and caps.shared_runtime
+        assert LlapEngine.result_cache
+        assert LlapEngine.degrades_to == "hadoop"
 
 
 # ---------------------------------------------------------------------------

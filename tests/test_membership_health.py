@@ -256,7 +256,7 @@ def test_open_breaker_degrades_to_fallback_engine():
         scheduler.drain()
         result = handle.result()
         assert result.rows
-        # llap declares degrades_to=("hadoop", ...): the query ran there
+        # llap declares degrades_to = "hadoop": the query ran there
         assert result.fallback_engine == "hadoop"
         assert any(event[1] == "breaker-degrade" for event in scheduler.events)
     finally:

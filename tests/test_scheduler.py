@@ -388,12 +388,6 @@ def test_summary_does_not_write_to_the_ledger():
         assert first == second
 
 
-def test_local_engine_refuses_scheduling():
-    with open_session("local") as session:
-        with pytest.raises(ConfigError):
-            session.submit(SCAN)
-
-
 def test_closed_session_refuses_submit():
     session = open_session("datampi")
     session.close()

@@ -1,7 +1,6 @@
 """The public session API: engine registry, connect()/Session lifecycle,
-capability specs, and the QueryResult cursor surface."""
+engine class declarations, and the QueryResult cursor surface."""
 
-import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -38,19 +37,20 @@ class TestRegistry:
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(ValueError, match="already registered"):
-            registry.register("local", LocalEngine)
+            registry.register(LocalEngine)
 
     def test_replace_allows_override(self):
-        registry.register("local", LocalEngine, replace=True)
+        registry.register(LocalEngine, replace=True)
         assert "local" in registry.available()
 
     def test_custom_engine_round_trip(self, warehouse):
         hdfs, metastore = warehouse
 
-        def factory(hdfs, model=None):
-            return LocalEngine(hdfs, model=model)
+        class Mine(LocalEngine):
+            name = "mine"
+            aliases = ("m",)
 
-        registry.register("mine", factory, aliases=("m",))
+        registry.register(Mine)
         try:
             session = connect(engine="m", hdfs=hdfs, metastore=metastore)
             rows = session.query("SELECT count(*) FROM emp").rows
@@ -115,22 +115,9 @@ class TestConnect:
     def test_model_an_engine_cannot_take_is_refused(self, warehouse):
         hdfs, metastore = warehouse
         model = replace(repro.CostModel(), compile=CompileModel(base_seconds=5.0))
-        with pytest.raises(ConfigError, match="model="):
+        with pytest.raises(ConfigError, match="'local'.*model="):
             connect(engine=LocalEngine(hdfs), hdfs=hdfs, metastore=metastore,
                     model=model)
-
-        def modelless(hdfs):
-            return LocalEngine(hdfs)
-
-        registry.register("modelless", modelless)
-        try:
-            with pytest.raises(ConfigError, match="'local'.*model="):
-                connect(engine="modelless", hdfs=hdfs, metastore=metastore,
-                        model=model)
-            # without model= such a factory still connects
-            connect(engine="modelless", hdfs=hdfs, metastore=metastore).close()
-        finally:
-            registry.unregister("modelless")
 
     def test_conf_accepts_dict(self, warehouse):
         hdfs, metastore = warehouse
@@ -155,27 +142,38 @@ class TestHiveSessionRemoved:
 
 
 # ---------------------------------------------------------------------------
-# Capability registry + typed engine config
+# Engine class declarations + typed engine config
 # ---------------------------------------------------------------------------
 
 
 class TestCapabilities:
     def test_builtin_capability_matrix(self):
-        assert registry.capabilities("hadoop").shared_runtime
-        assert not registry.capabilities("hadoop").result_cache
-        assert registry.capabilities("datampi").shared_runtime
-        assert registry.capabilities("llap").result_cache
-        assert not registry.capabilities("local").shared_runtime
-        assert [f.name for f in dataclasses.fields(registry.EngineCapabilities)] \
-            == ["result_cache", "shared_runtime"]
+        """The class is the declaration: result cache and the one engine
+        a failed plan degrades to."""
+        declared = {
+            name: (registry.engine_class(name).result_cache,
+                   registry.engine_class(name).degrades_to)
+            for name in registry.available()
+        }
+        assert declared == {
+            "datampi": (False, "hadoop"),
+            "hadoop": (False, None),
+            "llap": (True, "hadoop"),
+            "local": (False, None),
+        }
+        for retired in ("EngineSpec", "EngineCapabilities", "capabilities",
+                        "get_spec"):
+            assert not hasattr(registry, retired)
+            assert retired not in repro.__all__
 
     def test_capabilities_resolves_aliases(self):
-        assert registry.capabilities("mr") == registry.capabilities("hadoop")
-        assert registry.capabilities("live") == registry.capabilities("llap")
+        assert registry.engine_class("mr") is registry.engine_class("hadoop")
+        assert registry.engine_class("live") is registry.engine_class("llap")
+        assert registry.engine_class("DM").aliases == ("dm",)
 
-    def test_get_spec_unknown_engine(self):
+    def test_engine_class_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            registry.get_spec("spark")
+            registry.engine_class("spark")
 
     def test_engine_config_is_retired(self, warehouse):
         """Engine knobs are conf keys: there is no second, per-engine
@@ -192,14 +190,20 @@ class TestCapabilities:
         assert session.conf.get_float("repro.llap.cache.mb", 0.0) == 64.0
         assert session.conf.get_bool("repro.result.cache.enabled", True) is False
 
-    def test_registered_engine_derives_capabilities_from_class(self):
+    def test_registered_engine_derives_capabilities_from_class(self, warehouse):
         class Caching(LocalEngine):
-            capabilities = registry.EngineCapabilities(result_cache=True)
+            name = "mine2"
+            aliases = ("m2",)
+            result_cache = True
 
-        registry.register("mine2", Caching, aliases=("m2",))
+        registry.register(Caching)
         try:
-            assert registry.capabilities("mine2").result_cache
-            assert not registry.capabilities("mine2").shared_runtime
+            assert registry.engine_class("m2") is Caching
+            hdfs, metastore = warehouse
+            with connect(engine="m2", hdfs=hdfs, metastore=metastore) as session:
+                assert session.engine_name == "mine2"
+                session.query("SELECT count(*) FROM emp")
+                assert session.query("SELECT count(*) FROM emp").cache_hit
         finally:
             registry.unregister("mine2")
 

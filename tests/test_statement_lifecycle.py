@@ -22,7 +22,8 @@ The cells are the three cluster engines × a clean run, random task
 failures, rolling crashes that exhaust DataMPI's gang restarts and
 degrade to MapReduce (337.06 s solo vs 263.45 s submitted while the two
 lifecycles were separate copies), and a ``repro.query.deadline`` at half
-the clean run.
+the clean run; plus the ``local`` oracle's clean run, which a scheduler
+runs like any engine.
 """
 
 import pytest
@@ -32,7 +33,6 @@ from repro.common.config import (
     FAULT_SPEC,
     QUERY_DEADLINE,
     RETRY_BACKOFF,
-    RETRY_FALLBACK,
     RETRY_MAX,
 )
 from repro.common.errors import QueryTimeoutError
@@ -44,7 +44,7 @@ SQL = "SELECT grp, sum(val) FROM facts GROUP BY grp ORDER BY grp"
 ENGINES = ("hadoop", "datampi", "llap")
 ROLLING_CRASHES = {
     FAULT_SPEC: "crash:w1@5-7; crash:w2@12-14; crash:w3@18-20; crash:w4@24-26",
-    RETRY_MAX: "1", RETRY_BACKOFF: "0.5", RETRY_FALLBACK: "mr",
+    RETRY_MAX: "1", RETRY_BACKOFF: "0.5",
 }
 CELLS = {
     "clean": {},
@@ -91,8 +91,10 @@ def clean_seconds():
     return seconds
 
 
-@pytest.mark.parametrize("cell", sorted(CELLS) + ["deadline"])
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine,cell", [
+    (engine, cell) for engine in ENGINES
+    for cell in sorted(CELLS) + ["deadline"]
+] + [("local", "clean")])
 def test_execute_is_a_scheduler_of_one(engine, cell, clean_seconds):
     if cell == "deadline":
         conf = {QUERY_DEADLINE: clean_seconds[engine] / 2}
