@@ -45,7 +45,7 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event budget, cost-model fingerprint, kernel + lease equivalence, scan projection, statement lifecycle, sampler purity under PYTHONHASHSEED=1 =="
+echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event budget, cost-model fingerprint, kernel + lease equivalence, scan projection, statement lifecycle, sampler purity, loader identity + held-once tables under PYTHONHASHSEED=1 =="
 # Same-instant ordering bugs are the kind that hide behind one hash
 # seed (a set or dict walked in address order decides who goes first),
 # so the exact-value suites run a second time under a different one.
@@ -69,6 +69,10 @@ echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event bud
 # And the statement lifecycle: execute and submit run one generator and
 # must agree to the last bit, and the metrics sampler must not move a
 # simulated second — both are exact comparisons of simulated time.
+# And the loaders: every golden descends from their rows, sizes and
+# block layouts, ORC loads encode dictionaries that walk sets, and the
+# held-once structure (typed columns straight from the loader, no row
+# list left behind) may not depend on how any of them is walked.
 PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
     tests/test_sim_golden.py tests/test_sim_golden_faults.py \
     tests/test_sim_golden_shuffle.py tests/test_event_budget.py \
@@ -76,7 +80,8 @@ PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
     tests/test_pair_golden.py tests/test_kernel_equivalence.py \
     tests/test_serving_golden.py tests/test_lease_arbitration.py \
     tests/test_scan_projection.py tests/test_costmodel.py \
-    tests/test_statement_lifecycle.py tests/test_cluster_metrics.py
+    tests/test_statement_lifecycle.py tests/test_cluster_metrics.py \
+    tests/test_dbgen_reference.py tests/test_table_held_once.py
 
 echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # The wall-clock benchmark's own suite (BENCHMARK.json's contract): it

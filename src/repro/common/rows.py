@@ -444,6 +444,60 @@ class ColumnBatch:
         )
 
 
+#: rows a :class:`ColumnBuilder` holds as tuples before moving them
+#: into its columns
+_CHUNK_ROWS = 4096
+
+
+class ColumnBuilder:
+    """A table drawn row by row and held as columns.
+
+    :meth:`append` takes one row tuple; every ``_CHUNK_ROWS`` rows the
+    pending tuples are moved into the columns, so a generator holds at
+    most one chunk of tuples.  The columns are in :func:`pack_column`
+    normal form throughout: a column stays a typed buffer while every
+    chunk packs to the same typecode and turns into a list the first
+    time one does not — exactly what packing the whole column at once
+    gives."""
+
+    def __init__(self, width: int):
+        self.columns: List[Sequence] = [[] for _ in range(width)]
+        self.size = 0
+        self._pending: List[Tuple[object, ...]] = []
+
+    def append(self, row: Tuple[object, ...]) -> None:
+        pending = self._pending
+        pending.append(row)
+        if len(pending) >= _CHUNK_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        columns = self.columns
+        for position, values in enumerate(zip(*pending)):
+            piece = pack_column(values)
+            column = columns[position]
+            if not self.size:
+                columns[position] = piece
+                continue
+            if isinstance(column, array):
+                if isinstance(piece, array) and piece.typecode == column.typecode:
+                    column.extend(piece)
+                    continue
+                column = columns[position] = column.tolist()
+            column.extend(piece)
+        self.size += len(pending)
+        pending.clear()
+
+    def finish(self) -> ColumnBatch:
+        """The rows appended so far as a dense batch over the builder's
+        own columns."""
+        self._flush()
+        return ColumnBatch(self.columns, self.size)
+
+
 def row_text_size(row: Sequence[object], delimiter: str = "\x01") -> int:
     """Byte size of a row in Hive's delimited-text encoding."""
     total = len(delimiter) * max(0, len(row) - 1) + 1  # newline

@@ -390,6 +390,7 @@ class Simulator:
         if handle.cancelled or handle.executed:
             return
         handle.cancelled = True
+        handle.callback = handle.args = None  # it never runs: let go
         if not handle.daemon:
             self._pending_regular -= 1
         if handle.in_heap:
@@ -467,7 +468,9 @@ class Simulator:
                     handle.executed = True
                     if not handle.daemon:
                         self._pending_regular -= 1
-                    handle.callback(*handle.args)
+                    callback, args = handle.callback, handle.args
+                    handle.callback = handle.args = None
+                    callback(*args)
                 continue
             elif agenda:
                 when, _seq, handle = agenda[0]
@@ -485,7 +488,12 @@ class Simulator:
             handle.executed = True
             if not handle.daemon:
                 self._pending_regular -= 1
-            handle.callback(*handle.args)
+            # an executed entry lets go of its callback, so a Timeout ->
+            # ScheduledCall -> bound trigger cycle dies by reference
+            # counting instead of waiting for the cyclic collector
+            callback, args = handle.callback, handle.args
+            handle.callback = handle.args = None
+            callback(*args)
         if until is not None and until > self.now:
             self.now = until
         return self.now

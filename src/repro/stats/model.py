@@ -208,7 +208,8 @@ def table_fingerprint(hdfs, location: str) -> Fingerprint:
 
 
 def collect_table_stats(hdfs, table, with_columns: bool = True) -> TableStats:
-    """Scan *table*'s files and build a :class:`TableStats`.
+    """Scan *table*'s files, column by column, and build a
+    :class:`TableStats`.
 
     Per-file column sketches are built independently and merged — the
     same block-wise shape a distributed stats task would use, and what
@@ -228,10 +229,14 @@ def collect_table_stats(hdfs, table, with_columns: bool = True) -> TableStats:
     merged: Dict[str, ColumnStats] = {}
     for data_file in files:
         per_file = {name: ColumnStats(name=name) for name in names}
-        for row in data_file.rows:
-            for position, name in enumerate(names):
-                if position < len(row):
-                    per_file[name].observe(row[position])
+        # a column at a time from the file's columns, each in row order;
+        # no row is made (partition columns are not in the file)
+        stored = data_file.stored
+        batch = stored.scan_batch(0, stored.row_count).batch
+        for name, column in zip(names, batch.columns):
+            observe = per_file[name].observe
+            for value in column:
+                observe(value)
         for name, column_stats in per_file.items():
             merged[name] = (
                 column_stats if name not in merged

@@ -17,7 +17,7 @@ import abc
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.common.errors import SemanticError, StorageError
 from repro.common.rows import ColumnBatch, Schema, pack_column
@@ -59,30 +59,26 @@ class StoredFile(abc.ABC):
     sequence of *size* values per schema column, in any container,
     walked once in schema order — and keeps what it needs of them in
     :func:`~repro.common.rows.pack_column` normal form, so a columnar
-    scan hands kernels typed buffers.
-    :attr:`rows` is a derivation, made on first use and cached; only row
-    readers trigger it (:meth:`scan`, ``HDFS.dir_rows``, the result
-    fetch of a SELECT, ``ANALYZE``) — the engines' column path and
-    :attr:`row_count` never do.  A file built from rows
-    (:meth:`FileFormat.build`) keeps the producer's tuples as that view
-    and has nothing to derive.
+    scan hands kernels typed buffers.  A file holds no row tuples: a row
+    reader (:meth:`scan`, :attr:`rows`, ``HDFS.dir_rows``, the result
+    fetch of a SELECT) derives exactly the rows it reads, every time,
+    and nothing keeps them — the engines' column path and
+    :attr:`row_count` never derive any.
     """
 
     def __init__(self, schema: Schema, size: int):
         self.schema = schema
         self.row_count = size
-        self._rows: Optional[List[Row]] = None
 
     @property
     def rows(self) -> List[Row]:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._derive_rows()
-        return rows
+        """The whole file as row tuples, derived on every read."""
+        return self._derive_rows(0, self.row_count)
 
     @abc.abstractmethod
-    def _derive_rows(self) -> List[Row]:
-        """The file's contents as row tuples, built from its columns."""
+    def _derive_rows(self, row_start: int, row_end: int) -> List[Row]:
+        """Rows ``row_start`` to ``row_end`` (exclusive) as tuples, built
+        from the columns that hold them."""
 
     @property
     @abc.abstractmethod
@@ -188,8 +184,9 @@ class RowMajorStoredFile(StoredFile):
         each list column's set of value types (``None`` for a typed
         buffer)."""
 
-    def _derive_rows(self) -> List[Row]:
-        return ColumnBatch(self.columns, self.row_count).to_rows()
+    def _derive_rows(self, row_start: int, row_end: int) -> List[Row]:
+        window = ColumnBatch(self.columns, self.row_count)[row_start:row_end]
+        return window.to_rows()
 
     @property
     def total_bytes(self) -> int:
@@ -209,7 +206,7 @@ class RowMajorStoredFile(StoredFile):
     ) -> ScanResult:
         row_end = min(row_start + row_count, self.row_count)
         return ScanResult(
-            rows=self.rows[row_start:row_end],
+            rows=self._derive_rows(row_start, row_end),
             bytes_read=self.bytes_for_range(row_start, row_count),
         )
 
@@ -240,24 +237,56 @@ class FileFormat(abc.ABC):
     :class:`StoredFile`."""
 
     name: str = "abstract"
+    #: the class of every file the format builds
+    stored_type: Type[StoredFile]
 
-    @abc.abstractmethod
     def from_columns(
         self, schema: Schema, columns: Iterable[Sequence], size: int
     ) -> StoredFile:
         """Encode *size* rows given as one sequence per schema column
         (walked once, so a lazy transpose never holds two copies)."""
+        return self.stored_type(schema, columns, size)
 
     def build(self, schema: Schema, rows: Sequence[Row]) -> StoredFile:
-        """Encode *rows*: the one adapter for row producers (loaders, the
-        reference executor, reduce output), a single transpose at the
-        door."""
+        """Encode *rows*: the adapter for row producers (the reference
+        executor, reduce output), a single transpose at the door.  The
+        file keeps its columns only; the tuples stay the caller's."""
         rows = list(rows)
         # zip(*rows) yields one column at a time and the formats walk
         # them once: a single transposed tuple is alive, not all of them
-        stored = self.from_columns(schema, zip(*rows), len(rows))
-        stored._rows = rows  # the producer's tuples: nothing to derive
-        return stored
+        return self.from_columns(schema, zip(*rows), len(rows))
+
+    def build_parts(
+        self, schema: Schema, table: ColumnBatch, parts: int
+    ) -> List[StoredFile]:
+        """*table* (dense) cut into *parts* files of ``ceil(size /
+        parts)`` consecutive rows each (trailing parts may be short or
+        empty), every file built once from its column slices.
+
+        The table's columns are consumed: each part is cut off the tail
+        of every column, the last part first, so the table and its
+        files never hold the same values twice, and the first part is
+        built from what is left of the producer's own buffers
+        (``table.columns`` ends up empty).  The columns must be lists or
+        typed arrays — what :class:`~repro.common.rows.ColumnBuilder`
+        makes."""
+        columns = table.columns
+        size = table.size
+        chunk = -(-size // parts)
+        built: List[StoredFile] = []
+        for part in reversed(range(parts)):
+            start = min(part * chunk, size)
+            stop = min(start + chunk, size)
+            if part:
+                piece = [column[start:] for column in columns]
+                for column in columns:
+                    del column[start:]
+            else:
+                piece = columns[:]
+                columns.clear()
+            built.append(self.from_columns(schema, piece, stop - start))
+        built.reverse()
+        return built
 
 
 _REGISTRY: Dict[str, FileFormat] = {}

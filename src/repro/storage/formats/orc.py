@@ -470,10 +470,17 @@ class OrcStoredFile(StoredFile):
             sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
         )
 
-    def _derive_rows(self) -> List[Row]:
+    def _derive_rows(self, row_start: int, row_end: int) -> List[Row]:
+        """Rows of the range from the decoded streams of the stripes it
+        overlaps, and of no other stripe."""
+        stripe_rows = self.stripe_rows
         rows: List[Row] = []
-        for stripe, decoded in zip(self.stripes, self._stripe_columns):
-            rows.extend(ColumnBatch(decoded, stripe.row_count).to_rows())
+        for index in range(row_start // stripe_rows, -(-row_end // stripe_rows)):
+            base = index * stripe_rows
+            stripe = ColumnBatch(
+                self._stripe_columns[index], self.stripes[index].row_count
+            )
+            rows.extend(stripe[max(0, row_start - base):row_end - base].to_rows())
         return rows
 
     @property
@@ -530,7 +537,7 @@ class OrcStoredFile(StoredFile):
                 continue  # predicate pushdown: stripe eliminated via stats
             overlap = self._overlap_fraction(stripe, row_start, row_end)
             bytes_read += stripe.bytes_for_columns(columns) * overlap
-            rows.extend(self.rows[lo:hi])
+            rows.extend(self._derive_rows(lo, hi))  # this stripe's rows only
         return ScanResult(rows=rows, bytes_read=int(bytes_read), rows_skipped=skipped)
 
     def scan_batch(
@@ -631,6 +638,7 @@ class OrcStoredFile(StoredFile):
 
 class OrcFormat(FileFormat):
     name = "orc"
+    stored_type = OrcStoredFile
 
     def __init__(self, stripe_rows: int = 1024):
         if stripe_rows < 1:

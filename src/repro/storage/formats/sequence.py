@@ -10,10 +10,9 @@ carries.  Like Text it is row-oriented: no pruning, no pushdown.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from repro.common.kv import _FIXED_FIELD_SIZES, fields_size
-from repro.common.rows import Schema
 from repro.storage.formats.base import (
     FileFormat,
     Row,
@@ -90,11 +89,7 @@ class SequenceStoredFile(RowMajorStoredFile):
 
 class SequenceFormat(FileFormat):
     name = "sequence"
-
-    def from_columns(
-        self, schema: Schema, columns: Iterable[Sequence], size: int
-    ) -> SequenceStoredFile:
-        return SequenceStoredFile(schema, columns, size)
+    stored_type = SequenceStoredFile
 
 
 register_format(SequenceFormat())

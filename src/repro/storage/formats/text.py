@@ -7,10 +7,11 @@ Table II shows ORCFile beating Text by ~22 %.
 
 from __future__ import annotations
 
+from array import array
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from repro.common.rows import Schema, coerce_value
+from repro.common.rows import ColumnBatch, Schema, coerce_value
 from repro.storage.formats.base import (
     FileFormat,
     Row,
@@ -59,16 +60,25 @@ def _field_sizes(column: Sequence, types: Optional[set]) -> Iterator[int]:
     return map(len, map(str.encode, texts))
 
 
-def text_size(rows: Sequence[Row]) -> int:
-    """Encoded bytes of *rows* as one text file, without building it —
-    what a loader scales a table by.  The same field sizes as
-    :class:`TextStoredFile`, summed a column at a time, so one
-    transposed column is alive instead of a whole throwaway file."""
+def text_size(table: Union[ColumnBatch, Sequence[Row]]) -> int:
+    """Encoded bytes of *table* as one text file, without building it.
+    The TPC-H loader scales a non-Text table by it over the table's
+    columns (a dense :class:`~repro.common.rows.ColumnBatch`); terasort
+    sizes its Text table by it over row tuples (transposed a column at a
+    time).  The same field sizes as
+    :class:`TextStoredFile`, summed a column at a time, so no line is
+    ever laid out."""
+    if isinstance(table, ColumnBatch):
+        columns: Iterable[Sequence] = table.columns
+        size = table.size
+    else:
+        columns, size = zip(*table), len(table)
     total = width = 0
-    for column in zip(*rows):
-        total += sum(_field_sizes(column, set(map(type, column))))
+    for column in columns:
+        types = None if isinstance(column, array) else set(map(type, column))
+        total += sum(_field_sizes(column, types))
         width += 1
-    return total + len(rows) * max(1, width)  # delimiters + the newline
+    return total + size * max(1, width)  # delimiters + the newline
 
 
 class TextStoredFile(RowMajorStoredFile):
@@ -86,11 +96,7 @@ class TextStoredFile(RowMajorStoredFile):
 
 class TextFormat(FileFormat):
     name = "text"
-
-    def from_columns(
-        self, schema: Schema, columns: Iterable[Sequence], size: int
-    ) -> TextStoredFile:
-        return TextStoredFile(schema, columns, size)
+    stored_type = TextStoredFile
 
 
 register_format(TextFormat())

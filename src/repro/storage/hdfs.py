@@ -186,6 +186,8 @@ class HDFS:
         return splits
 
     def dir_rows(self, directory: str) -> List[Row]:
+        """Every row of the directory's files, in path order, derived
+        from their columns on every call (no file keeps them)."""
         rows: List[Row] = []
         for data_file in self.list_dir(directory):
             rows.extend(data_file.rows)
@@ -199,7 +201,7 @@ class HDFS:
         self,
         path: str,
         schema: Schema,
-        rows: Union[Sequence[Row], ColumnBatch],
+        rows: Union[Sequence[Row], ColumnBatch, StoredFile],
         format_name: str = "text",
         scale: float = 1.0,
         writer_node: Optional[int] = None,
@@ -207,10 +209,12 @@ class HDFS:
     ) -> DataFile:
         """Encode *rows* with *format_name* and register the file.
 
-        *rows* is what the writer produced: row tuples, or — from an
-        engine task, whose output is columnar already — a
-        :class:`~repro.common.rows.ColumnBatch`, which reaches the format
-        as columns without ever becoming rows.
+        *rows* is whatever the writer has: row tuples, a
+        :class:`~repro.common.rows.ColumnBatch` (an engine task's output,
+        which reaches the format as columns without ever becoming rows),
+        or a :class:`StoredFile` the writer already built with
+        *format_name* and *schema* (a loader that sized the table by its
+        parts), which is registered as it is.
 
         The first replica of every block lands on *writer_node* when given
         (HDFS's writer-affinity rule); remaining replicas are placed
@@ -219,7 +223,14 @@ class HDFS:
         if path in self._files:
             raise StorageError(f"file exists: {path}")
         file_format = get_format(format_name)
-        if isinstance(rows, ColumnBatch):
+        if isinstance(rows, StoredFile):
+            if type(rows) is not file_format.stored_type or rows.schema != schema:
+                raise StorageError(
+                    f"{path}: a built file must be {format_name} with the "
+                    "table's schema"
+                )
+            stored = rows
+        elif isinstance(rows, ColumnBatch):
             batch = rows.dense()
             stored = file_format.from_columns(schema, batch.columns, batch.size)
         else:

@@ -6,6 +6,7 @@ from typing import Dict, List, Tuple
 
 from repro.common.rows import Schema
 
+#: in load (and HDFS write) order, which decides the block placement
 TPCH_SCHEMAS: Dict[str, Schema] = {
     "region": Schema.parse("r_regionkey int, r_name string, r_comment string"),
     "nation": Schema.parse(

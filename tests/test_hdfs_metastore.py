@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.common.errors import SemanticError, StorageError
 from repro.common.rows import Schema
 from repro.common.units import MB
+from repro.storage.formats.base import get_format
 from repro.storage.hdfs import HDFS
 from repro.storage.metastore import Metastore
 
@@ -29,6 +30,16 @@ class TestHdfsNamespace:
         hdfs.write("/a", SCHEMA, make_rows(1))
         with pytest.raises(StorageError):
             hdfs.write("/a", SCHEMA, make_rows(1))
+
+    def test_built_file_must_match_format_and_schema(self):
+        hdfs = HDFS(num_workers=4)
+        orc = get_format("orc").build(SCHEMA, make_rows(3))
+        assert hdfs.write("/orc", SCHEMA, orc, format_name="orc").stored is orc
+        with pytest.raises(StorageError):
+            hdfs.write("/text", SCHEMA, orc, format_name="text")
+        with pytest.raises(StorageError):
+            hdfs.write("/other", Schema.parse("k int"), orc, format_name="orc")
+        assert not hdfs.exists("/text") and not hdfs.exists("/other")
 
     def test_missing_file(self):
         with pytest.raises(StorageError):

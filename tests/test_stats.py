@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import HDFS, Metastore, connect
-from repro.common.rows import Schema
+from repro.common.rows import ColumnBatch, Schema
 from repro.stats.model import ColumnStats, TableStats, collect_table_stats, table_fingerprint
+from repro.storage.formats.base import RowMajorStoredFile, get_format
+from repro.storage.formats.orc import OrcStoredFile
 from repro.stats.sketches import (
     KMVSketch,
     SpaceSavingSketch,
@@ -315,6 +317,52 @@ class TestAnalyzeStatement:
         stats = local_session.metastore.get_table_stats("emp")
         assert stats.column("dept").null_count == 1
         assert stats.column("salary").max_value == 120.0
+
+    @pytest.mark.parametrize("format_name", ["text", "orc", "sequence"])
+    def test_analyze_reads_columns(self, format_name, monkeypatch):
+        """ANALYZE observes each file a column at a time through
+        ``scan_batch``: no row is derived, no batch becomes rows, and
+        every column's stats equal a row walk's (each column sees its
+        values in the same order)."""
+        hdfs = HDFS(num_workers=3)
+        metastore = Metastore(hdfs)
+        schema = Schema.parse("k int, v string, x double, b boolean")
+        table = metastore.create_table("t", schema, format_name=format_name)
+        rows = [(i % 7, None if i % 5 == 0 else f"v{i % 11}",
+                 i / 4, i % 3 == 0) for i in range(300)]
+        parts = [rows[:150], rows[150:]]
+        if format_name == "orc":  # several stripes per file
+            monkeypatch.setattr(get_format("orc"), "stripe_rows", 64)
+        for index, part in enumerate(parts):  # columns in, as an INSERT
+            hdfs.write(f"{table.location}/part-{index}", schema,
+                       ColumnBatch.from_rows(part), format_name=format_name)
+
+        expected = {}  # the row walk ANALYZE made: per file, then merged
+        for part in parts:
+            per_file = {name: ColumnStats(name=name) for name in schema.names}
+            for row in part:
+                for name, value in zip(schema.names, row):
+                    per_file[name].observe(value)
+            for name, column_stats in per_file.items():
+                expected[name] = (column_stats if name not in expected
+                                  else expected[name].merge(column_stats))
+
+        made = []
+        for owner in (RowMajorStoredFile, OrcStoredFile):
+            monkeypatch.setattr(owner, "_derive_rows",
+                                lambda *args: made.append(args))
+        monkeypatch.setattr(ColumnBatch, "to_rows",
+                            lambda batch: made.append(batch))
+        with connect(engine="local", hdfs=hdfs, metastore=metastore) as session:
+            session.execute("ANALYZE TABLE t COMPUTE STATISTICS FOR COLUMNS")
+        assert made == []
+        stats = metastore.get_table_stats("t")
+        for name, want in expected.items():
+            got = stats.column(name)
+            assert (got.count, got.null_count, got.min_value, got.max_value) \
+                == (want.count, want.null_count, want.min_value, want.max_value)
+            assert got.ndv_sketch == want.ndv_sketch
+            assert got.heavy == want.heavy
 
     def test_session_stats_summary(self, local_session):
         local_session.execute("ANALYZE TABLE dept COMPUTE STATISTICS FOR COLUMNS")

@@ -4,12 +4,12 @@
 An engine task's output reaches ``HDFS.write`` as one dense
 ``ColumnBatch`` and the stored file is built from those columns: during
 an INSERT on a cluster engine nothing calls ``ColumnBatch.to_rows`` and
-no ``StoredFile`` derives its ``rows``.  Rows are a derivation only row
-readers trigger — the ``local`` engine's scan, ``HDFS.dir_rows``, the
-result fetch of a SELECT — once per file, cached.  And an INSERT / CTAS
-does not read its target back: ``PlanResult.rows`` is what a SELECT's
-``QueryResult`` hands to the client, so only result-directory plans
-gather it.
+no ``StoredFile`` derives rows.  Rows are a derivation only row readers
+trigger — the ``local`` engine's scan, ``HDFS.dir_rows``, the result
+fetch of a SELECT — and each read derives exactly the rows it reads,
+every time: no file keeps them.  And an INSERT / CTAS does not read its
+target back: ``PlanResult.rows`` is what a SELECT's ``QueryResult``
+hands to the client, so only result-directory plans gather it.
 """
 
 from array import array
@@ -24,6 +24,7 @@ from repro.storage.formats.base import RowMajorStoredFile
 from repro.storage.formats.orc import OrcStoredFile
 
 from .test_sim_golden_write import TARGETS
+from .test_table_held_once import row_lists
 
 CLUSTER_ENGINES = ("hadoop", "datampi", "llap")
 
@@ -40,12 +41,14 @@ _QUERIES = {
 
 
 class RowMaterializations:
-    """Counts ``ColumnBatch.to_rows`` calls and ``StoredFile.rows``
-    derivations (per file) while installed."""
+    """Counts ``ColumnBatch.to_rows`` calls and the rows each
+    ``StoredFile`` derives (per file) while installed."""
 
     def __init__(self):
         self.to_rows = 0
-        self.derived = Counter()  # id(stored file) -> derivations
+        # stored file -> rows derived (the key keeps the file alive, so
+        # a dead file's id cannot be mistaken for a later one's)
+        self.derived = Counter()
 
     def reset(self):
         self.to_rows = 0
@@ -67,11 +70,11 @@ def materializations(monkeypatch):
     for owner in (RowMajorStoredFile, OrcStoredFile):
         derive = owner._derive_rows
 
-        def counted_derive(stored, derive=derive):
-            counts.derived[id(stored)] += 1
+        def counted_derive(stored, row_start, row_end, derive=derive):
             before = counts.to_rows  # deriving goes through to_rows:
-            rows = derive(stored)    # count it once, as a derivation
+            rows = derive(stored, row_start, row_end)  # count it as rows
             counts.to_rows = before
+            counts.derived[stored] += len(rows)
             return rows
 
         monkeypatch.setattr(owner, "_derive_rows", counted_derive)
@@ -113,20 +116,38 @@ def test_insert_never_materializes_rows(engine, warehouse, materializations):
         assert sum(data_file.row_count for data_file in files) == len(rows)
     assert not materializations.derived  # row_count derives nothing
 
-    # a row reader derives each file's rows exactly once, and they are
-    # the oracle's
+    # every row read derives exactly the rows it reads, and they are the
+    # oracle's; nothing keeps them, so the next read derives them again
     with connect(engine="local", hdfs=hdfs, metastore=metastore) as reader:
         for table, rows in expected.items():
-            materializations.reset()
             files = _table_files(hdfs, metastore, table)
             assert len(files) > 1  # one part-file per map task
-            got = reader.query(f"SELECT * FROM {table}").rows
-            assert sorted(got, key=repr) == sorted(rows, key=repr)
-            reader.query(f"SELECT count(*) FROM {table}")
-            assert hdfs.dir_rows(metastore.get_table(table).location) == got
-            assert materializations.derived == Counter(
-                {id(data_file.stored): 1 for data_file in files}
+            each_row_once = Counter(
+                {data_file.stored: data_file.row_count for data_file in files}
             )
+            location = metastore.get_table(table).location
+            reads = (
+                lambda: reader.query(f"SELECT * FROM {table}").rows,
+                lambda: reader.query(f"SELECT count(*) FROM {table}").rows,
+                lambda: hdfs.dir_rows(location),
+            )
+            got = []
+            for read in reads:
+                materializations.reset()
+                got.append(read())
+                # result files of the SELECTs derive too: only count
+                # the table's own files
+                assert Counter({
+                    stored: count for stored, count
+                    in materializations.derived.items()
+                    if stored in each_row_once
+                }) == each_row_once
+            selected, counted, listed = got
+            assert sorted(selected, key=repr) == sorted(rows, key=repr)
+            assert counted == [(len(rows),)]
+            assert listed == selected
+            for data_file in files:
+                assert not row_lists(data_file.stored)
 
 
 @pytest.mark.parametrize("engine", ("local",) + CLUSTER_ENGINES)
@@ -140,12 +161,15 @@ def test_only_result_directory_plans_gather_rows(engine, warehouse,
             "CREATE TABLE li_copy STORED AS ORC AS SELECT * FROM lineitem;"
         )
         assert [result.execution.rows for result in inserted] == [[], [], []]
-        assert not materializations.derived
-        source = sum(
-            f.row_count for f in _table_files(hdfs, metastore, "lineitem")
-        )
+        # nothing is read back: only the local engine's row scan of the
+        # source derives rows
+        source = _table_files(hdfs, metastore, "lineitem")
+        scanned = {f.stored for f in source} if engine == "local" else set()
+        assert set(materializations.derived) <= scanned
         selected = session.query("SELECT count(*) FROM li_seq")
-        assert selected.execution.rows == selected.rows == [(2 * source,)]
+        assert selected.execution.rows == selected.rows == [
+            (2 * sum(f.row_count for f in source),)
+        ]
 
 
 @pytest.mark.parametrize("engine", CLUSTER_ENGINES)
@@ -162,7 +186,7 @@ def test_scheduled_insert_does_not_read_its_target_back(
             f.row_count for f in _table_files(hdfs, metastore, "lineitem")
         )
         assert select.result().rows == [(source,)]
-        written = {id(f.stored) for f in _table_files(hdfs, metastore, "li_orc")}
+        written = {f.stored for f in _table_files(hdfs, metastore, "li_orc")}
     assert materializations.to_rows == 0
     # the SELECT's result file is fetched (a row reader); the INSERT's
     # target is not
