@@ -67,7 +67,8 @@ def _experiment():
 
     # KV size histograms come from re-driving the first job's map side
     # functionally (the histogram lives in the operator context)
-    from repro.engines.base import expand_job_splits, scan_split
+    from repro.engines.base import expand_job_splits
+    from repro.engines.local import scan_split
     from repro.exec.mapper import ExecMapper
     from repro.exec.operators import ListCollector
 
@@ -83,7 +84,7 @@ def _experiment():
                     type(op).__name__ == "ReduceSinkDesc" for op in tagged.operators
                 ):
                     continue
-                rows, _bytes = scan_split(tagged)
+                rows = scan_split(tagged)
                 mapper = ExecMapper(tagged.operators, ListCollector(), 16)
                 mapper.process_batch(rows)
                 mapper.close()

@@ -334,28 +334,11 @@ def expand_job_splits(job: MRJob, hdfs: HDFS) -> List[TaggedSplit]:
     return tagged
 
 
-def scan_split(tagged: TaggedSplit) -> Tuple[List[Row], float]:
-    """Read a split's rows, honoring ORC pruning hints — the reference
-    executor's scan (the engines call :func:`scan_split_batch`).
-
-    Returns (rows, logical bytes actually read).
-    """
-    hints = tagged.map_input.hints
-    result = tagged.split.stored.scan(
-        tagged.split.row_start,
-        tagged.split.row_count,
-        columns=hints.columns,
-        stats_conjuncts=hints.stats_conjuncts or None,
-    )
-    return result.rows, result.bytes_read * tagged.split.scale
-
-
 def scan_split_batch(tagged: TaggedSplit):
-    """Read a split as a column batch, honoring ORC pruning hints.
+    """Read a split as a column batch, honoring the scan hints (ORC
+    pruning and stripe skipping).
 
-    Returns (:class:`~repro.common.rows.ColumnBatch`, logical bytes) —
-    the batch holds the rows :func:`scan_split` returns, in the same
-    order, and the byte charge is identical.
+    Returns (:class:`~repro.common.rows.ColumnBatch`, logical bytes).
     """
     hints = tagged.map_input.hints
     result = tagged.split.stored.scan_batch(
@@ -402,11 +385,11 @@ def make_batches(rows, total_bytes: float, target_mb: float, min_rows: int):
     ``rows`` is a row list or a dense :class:`ColumnBatch` (both support
     ``len`` and contiguous slicing); each chunk carries a byte share
     proportional to its row count.  Simulated charges are computed from
-    these shares, so the arithmetic — including the empty-payload literal
-    and the float division — must not change.
+    these shares, so the arithmetic — including the empty payload's one
+    chunk and the float division — must not change.
     """
     if not rows:
-        return [([], total_bytes)] if total_bytes > 0 else []
+        return [(rows, total_bytes)] if total_bytes > 0 else []
     target = target_mb * MB
     num_batches = max(1, int(total_bytes / target))
     batch_rows = max(min_rows, (len(rows) + num_batches - 1) // num_batches)
@@ -430,7 +413,7 @@ def run_map_compute(
     collector: Collector,
     *,
     num_partitions: int,
-    small_tables: Optional[Dict[str, List[Row]]],
+    small_tables: Optional[Dict[str, BroadcastTable]],
     map_only: bool,
     batching: Optional[Tuple[float, int]] = None,
     record: Callable[[], object] = lambda: None,
@@ -485,22 +468,32 @@ def map_cpu_ms(cpu, tagged: TaggedSplit, nbytes: float,
 
 def load_broadcast_tables(
     job: MRJob, hdfs: HDFS, *, vectorized: bool
-) -> Dict[str, BroadcastTable]:
+) -> Dict[str, Union[List[Row], BroadcastTable]]:
     """Load + preprocess every broadcast (map-join) table of a job.
 
-    Each table is loaded once per job run; the returned objects also own
-    the hash tables the job's map-join operators build over them."""
-    small: Dict[str, BroadcastTable] = {}
+    The engines (``vectorized=True``) read each table's files as columns,
+    in path order, run its broadcast chain on the column kernels and
+    keep the dense output in a :class:`BroadcastTable`, which also owns
+    the hash tables the job's map-join operators build over it; the
+    reference executor reads the table's rows and runs the row
+    operators.  Each table is loaded once per job run."""
+    small: Dict[str, Union[List[Row], BroadcastTable]] = {}
     for spec in job.broadcasts:
-        rows = hdfs.dir_rows(spec.location)
+        if vectorized:
+            table = ColumnBatch.concat([
+                data_file.stored.scan_batch(0, data_file.row_count).batch
+                for data_file in hdfs.list_dir(spec.location)
+            ])
+        else:
+            table = hdfs.dir_rows(spec.location)
         if spec.operators:
             mapper = ExecMapper(
                 list(spec.operators) + [FileSinkDesc()], collector=None,
                 num_partitions=1, vectorized=vectorized,
             )
-            mapper.process_batch(rows)
-            rows = mapper.close().output_rows
-        small[spec.location] = BroadcastTable(rows)
+            mapper.process_batch(table)
+            table = mapper.close().output
+        small[spec.location] = BroadcastTable(table) if vectorized else table
     return small
 
 
@@ -522,7 +515,7 @@ class JobInputs(NamedTuple):
     """What :func:`load_job_inputs` reads from HDFS at job start."""
 
     splits: List[TaggedSplit]
-    small_tables: Dict[str, BroadcastTable]
+    small_tables: Dict[str, Union[List[Row], BroadcastTable]]
     scale: float  # bytes-weighted input scale, applied to the job's outputs
     total_bytes: float  # logical bytes over all splits
 
@@ -595,11 +588,9 @@ def final_sorted_rows(plan: PhysicalPlan, hdfs: HDFS) -> List[Row]:
     already ordered; otherwise part-file order is used (Hive semantics:
     unordered).  ``final_limit`` is applied exactly here.
     """
-    rows: List[Row] = []
     if not plan.returns_rows:
-        return rows
-    for data_file in hdfs.list_dir(plan.output_location):
-        rows.extend(data_file.rows)
+        return []
+    rows = hdfs.dir_rows(plan.output_location)
     if plan.final_limit is not None:
         rows = rows[: plan.final_limit]
     return rows

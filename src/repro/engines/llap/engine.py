@@ -72,8 +72,8 @@ class _ScanOutcome:
 
     The payload itself comes from
     :func:`~repro.engines.base.run_map_compute` via the stored file's
-    ordinary ``scan``/``scan_batch`` — byte-identical rows by
-    construction — so the cache pass only decides which bytes were hits."""
+    ordinary ``scan_batch``, which walks the same stripes, so the cache
+    pass only decides which of the scan's bytes were hits."""
 
     total_bytes: float  # logical bytes the fragment processed
     hit_bytes: float  # served from the node cache (no read, no decode)
@@ -344,43 +344,36 @@ class LlapEngine(TaskAttemptEngine):
     def _cached_scan(self, tagged: TaggedSplit, node_index: int) -> _ScanOutcome:
         """Pass an ORC split through node *node_index*'s stripe cache.
 
-        The stripe iteration (range overlap, predicate skipping, byte
-        arithmetic) mirrors ``OrcStoredFile.scan``/``scan_batch``
-        statement for statement, so the hit/miss split covers exactly the
-        bytes those scans charge; only the hit portion of the byte charge
-        is dropped.  Non-ORC formats never come here — they have no
-        stripe structure to cache, so every byte is a miss and the charge
-        comes straight from the compute outcome.
+        The stripes are the ones the split's scan reads
+        (``OrcStoredFile.walk_stripes``, the walk every scan takes), so
+        the hit/miss split covers exactly the bytes the scan charges; a
+        stripe its stats skip never reaches the cache, and only the hit
+        portion of the charge is dropped.  Non-ORC formats never come
+        here — they have no stripe structure to cache, so every byte is
+        a miss and the charge comes straight from the compute outcome.
         """
         stored = tagged.split.stored
         cache = self.node_cache(node_index)
         split = tagged.split
         hints = tagged.map_input.hints
         columns = hints.columns
-        conjuncts = hints.stats_conjuncts or None
         scale = split.scale
-        row_start = split.row_start
-        row_end = row_start + split.row_count
+        reads, _skipped = stored.walk_stripes(
+            split.row_start, split.row_count, columns,
+            hints.stats_conjuncts or None,
+        )
         hit = 0.0
         miss = 0.0
-        for stripe_index, stripe in enumerate(stored.stripes):
-            if stripe.row_start >= row_end:
-                break
-            lo = max(stripe.row_start, row_start)
-            hi = min(stripe.row_start + stripe.row_count, row_end)
-            if hi <= lo:
-                continue
-            if not stripe.may_contain(conjuncts):
-                continue  # predicate pushdown: never reaches the cache
-            overlap = OrcStoredFile._overlap_fraction(stripe, row_start, row_end)
-            nbytes = stripe.bytes_for_columns(columns) * overlap * scale
-            key = stored.stripe_cache_key(split.path, stripe_index, columns)
+        for read in reads:
+            nbytes = read.charge * scale
+            key = stored.stripe_cache_key(split.path, read.index, columns)
             decoded = cache.lookup(key, stored, nbytes)
             if decoded is None:
-                decoded = stored.decoded_stripe_columns(stripe_index)
+                decoded = stored.decoded_stripe_columns(read.index)
                 cache.insert(
                     key, stored,
-                    stripe.bytes_for_columns(columns) * scale, decoded,
+                    stored.stripes[read.index].bytes_for_columns(columns) * scale,
+                    decoded,
                 )
                 miss += nbytes
             else:

@@ -13,7 +13,7 @@ logic, so a kernel bug cannot hide from it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.config import Configuration
 from repro.common.kv import KeyValue
@@ -21,10 +21,10 @@ from repro.engines.base import (
     Engine,
     EngineRuntime,
     JobTiming,
+    TaggedSplit,
     decide_num_reducers,
     load_job_inputs,
     run_reducer_functionally,
-    scan_split,
     write_task_output,
 )
 from repro.exec.mapper import ExecMapper
@@ -35,6 +35,21 @@ from repro.simulate import LeaseOwner
 # the slot count that clamps the reducer heuristic: the default
 # testbed's 7 workers x 4 slots (the oracle has no cluster to ask)
 MAX_SLOTS = 28
+
+Row = Tuple[object, ...]
+
+
+def scan_split(tagged: TaggedSplit) -> List[Row]:
+    """The oracle's read of a split: the stored file's full-width
+    ``scan`` (ORC still skips the stripes the hints' conjuncts rule
+    out), as row tuples for the row operators."""
+    split = tagged.split
+    hints = tagged.map_input.hints
+    return split.stored.scan(
+        split.row_start, split.row_count,
+        columns=hints.columns,
+        stats_conjuncts=hints.stats_conjuncts or None,
+    ).batch.to_rows()
 
 
 class _PartitionedCollector(Collector):
@@ -88,7 +103,7 @@ class LocalEngine(Engine):
 
         if job.is_map_only:
             for task_index, tagged in enumerate(splits):
-                rows, _bytes = scan_split(tagged)
+                rows = scan_split(tagged)
                 mapper = ExecMapper(
                     tagged.operators, collector=None, num_partitions=1,
                     small_tables=small_tables, vectorized=False,
@@ -102,7 +117,7 @@ class LocalEngine(Engine):
 
         collector = _PartitionedCollector(num_reducers)
         for tagged in splits:
-            rows, _bytes = scan_split(tagged)
+            rows = scan_split(tagged)
             mapper = ExecMapper(
                 tagged.operators,
                 collector=collector,

@@ -48,19 +48,12 @@ class MapTaskResult:
     ``output`` is what the task's FileSink received, in the
     representation its pipeline runs on: one dense
     :class:`~repro.common.rows.ColumnBatch` from the column kernels, row
-    tuples from the row operators.  ``HDFS.write`` takes either;
-    ``output_rows`` is the row view for everyone else."""
+    tuples from the row operators.  ``HDFS.write`` takes either."""
 
     output: Union[List[Row], ColumnBatch]  # non-empty only for map-only jobs
     rows_read: int
     kv_pairs: int
     kv_bytes: int
-
-    @property
-    def output_rows(self) -> List[Row]:
-        if isinstance(self.output, ColumnBatch):
-            return self.output.to_rows()
-        return self.output
 
 
 def _task_result(context: OperatorContext) -> MapTaskResult:
@@ -107,32 +100,21 @@ class ExecMapper:
         )
         self._closed = False
 
-    def process_batch(self, rows) -> int:
+    def process_batch(self, batch: Union[ColumnBatch, List[Row]]) -> int:
         """Push a batch through the pipeline; returns rows consumed.
 
-        Accepts either a list of row tuples or a
-        :class:`~repro.common.rows.ColumnBatch` and converts to whichever
-        representation the active pipeline needs.  Rows travel as one
-        list/batch per operator hop instead of one Python call per row —
-        same semantics, an order of magnitude fewer interpreter frames.
+        The batch is in the representation the pipeline runs on — a
+        :class:`~repro.common.rows.ColumnBatch` for the column kernels,
+        a list of row tuples for the row operators; nothing converts
+        between the two.  Rows travel as one batch per operator hop
+        instead of one Python call per row.
         """
         if self.vector_pipeline is not None:
-            if isinstance(rows, ColumnBatch):
-                batch = rows
-            else:
-                batch = ColumnBatch.from_rows(
-                    rows if isinstance(rows, list) else list(rows)
-                )
             if batch.live_count:
                 self.vector_pipeline.process_batch(batch)
-            count = len(batch)
         else:
-            if isinstance(rows, ColumnBatch):
-                rows = rows.to_rows()
-            elif not isinstance(rows, list):
-                rows = list(rows)
-            self.pipeline.process_rows(rows)
-            count = len(rows)
+            self.pipeline.process_rows(batch)
+        count = len(batch)
         self.context.rows_read += count
         return count
 

@@ -114,36 +114,40 @@ def _facts_of(facts: Optional[Sequence[bool]], indices: List[int]):
     return None if facts is None else [facts[index] for index in indices]
 
 
-class BroadcastTable(list):
-    """The rows of one loaded broadcast table, plus the map-join hash
-    tables built over them (keyed by build-key kernels).  A hash table is
+class BroadcastTable:
+    """One loaded broadcast table — its rows as a dense
+    :class:`~repro.common.rows.ColumnBatch` — plus the map-join hash
+    tables built over it (keyed by build-key kernels).  A hash table is
     read-only after its build, so every task of the job run — they share
     this object — probes one copy, and it is freed with the job."""
 
-    def __init__(self, rows=()):
-        super().__init__(rows)
-        self.hash_tables: Dict[Kernels, Dict[Row, List[Row]]] = {}
-        self._no_nulls: Optional[List[bool]] = None
+    def __init__(self, batch: ColumnBatch):
+        self.batch = batch
+        self.hash_tables: Dict[Kernels, Dict[Row, List[int]]] = {}
+        self._padded: Optional[List[list]] = None
 
-    @property
-    def no_nulls(self) -> List[bool]:
-        """Per column: no row holds a NULL there (one check per table)."""
-        if self._no_nulls is None:
-            self._no_nulls = [None not in column for column in zip(*self)]
-        return self._no_nulls
-
-    def hash_table(self, build_keys: Kernels) -> Dict[Row, List[Row]]:
-        """``key -> [rows]`` under the *build_keys* kernels, built once."""
+    def hash_table(self, build_keys: Kernels) -> Dict[Row, List[int]]:
+        """``key -> [row index]`` (table order) under the *build_keys*
+        kernels, which run on the table's columns; built once."""
         table = self.hash_tables.get(build_keys)
         if table is None:
             table = self.hash_tables[build_keys] = {}
-            if self:
-                kernel = build_keys.for_facts(self.no_nulls)
-                keys = kernel(list(zip(*self)), range(len(self)))
-                for key, row in zip(keys, self):
+            batch = self.batch
+            if batch.size:
+                kernel = build_keys.for_facts(batch.no_nulls)
+                keys = kernel(batch.columns, range(batch.size))
+                for index, key in enumerate(keys):
                     if key is not None:  # NULL never matches an equi-join key
-                        table.setdefault(key, []).append(row)
+                        table.setdefault(key, []).append(index)
         return table
+
+    def padded(self, width: int) -> List[list]:
+        """The *width* columns with a NULL appended — row ``batch.size``
+        is a left join's padding — built once."""
+        if self._padded is None:
+            columns = self.batch.columns or [[]] * width  # an empty table
+            self._padded = [list(column) + [None] for column in columns]
+        return self._padded
 
 
 def _live(batch: ColumnBatch):
@@ -300,49 +304,52 @@ class VectorMapJoinOperator(VectorOperator):
             )
         )
         self._left_join = desc.join_type == "left"
-        self._null_pad = (None,) * desc.small_width
         self._swap = desc.swap_output
         try:
-            small_rows = context.small_tables[desc.small_location]
+            small = context.small_tables[desc.small_location]
         except KeyError:
             raise ExecutionError(
                 f"map-join small table not loaded: {desc.small_location}"
             ) from None
-        if not isinstance(small_rows, BroadcastTable):
-            small_rows = BroadcastTable(small_rows)  # caller-supplied list
-        self._hash = small_rows.hash_table(build_keys)
-        # left-join padding puts NULLs in every small-side column
-        self._small_no_nulls = (
-            [False] * desc.small_width if self._left_join
-            else small_rows.no_nulls
-        )
+        self._hash = small.hash_table(build_keys)
+        width = desc.small_width
+        self._pad = small.batch.size  # the row a left join's miss picks
+        if self._left_join:
+            # the padding puts NULLs in every small-side column
+            self._small_columns = small.padded(width)
+            self._small_no_nulls = [False] * width
+        else:
+            self._small_columns = small.batch.columns
+            self._small_no_nulls = list(small.batch.no_nulls or [False] * width)
 
     def process_batch(self, batch: ColumnBatch) -> None:
         probe_keys = self._probe_keys.for_facts(batch.no_nulls)
         keys = probe_keys(batch.columns, _live(batch))
         table_get = self._hash.get
         left_join = self._left_join
-        null_pad = self._null_pad
+        pad = self._pad
         gather: List[int] = []
         gather_append = gather.append
-        small_out: List[Row] = []
-        small_append = small_out.append
+        picks: List[int] = []  # small-side row per output row
+        pick_append = picks.append
         for position, key in zip(_live(batch), keys):
             matches = table_get(key) if key is not None else None
             if matches:
-                for small_row in matches:
+                for index in matches:
                     gather_append(position)
-                    small_append(small_row)
+                    pick_append(index)
             elif left_join:
                 gather_append(position)
-                small_append(null_pad)
+                pick_append(pad)
         if not gather:
             return
         big_columns = [  # an absent column stays absent
             None if column is None else [column[i] for i in gather]
             for column in batch.columns
         ]
-        small_columns = [list(values) for values in zip(*small_out)]
+        small_columns = [
+            list(map(column.__getitem__, picks)) for column in self._small_columns
+        ]
         if self._swap:
             columns = small_columns + big_columns
         else:

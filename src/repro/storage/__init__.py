@@ -1,9 +1,10 @@
 """Storage substrate: simulated HDFS, file formats, metastore.
 
-* :mod:`repro.storage.formats` — Text, Sequence and ORC encodings.  Rows
-  are kept in memory for functional execution, but each format computes
-  real encoded byte sizes (ORC actually dictionary/RLE-encodes and
-  zlib-compresses column streams) so the cost model charges realistic I/O.
+* :mod:`repro.storage.formats` — Text, Sequence and ORC encodings.  A
+  file keeps its columns in memory and is read as columns, but each
+  format computes real encoded byte sizes (ORC actually
+  dictionary/RLE-encodes and zlib-compresses column streams) so the
+  cost model charges realistic I/O.
 * :mod:`repro.storage.hdfs` — NameNode/DataNode simulation: block
   placement, replication, locality-aware input splits.
 * :mod:`repro.storage.metastore` — Hive Metastore: table name → schema,

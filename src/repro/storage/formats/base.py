@@ -6,9 +6,14 @@ by really encoding the values) and, for columnar formats,
 per-stripe/per-column sub-sizes so that column pruning and predicate
 pushdown translate into fewer bytes read.
 
-``ScanResult`` is what a table-scan operator gets back: the surviving rows
-(possibly a superset that still needs residual filtering) and the number of
-encoded bytes a real reader would have pulled off the disk for them.
+A file is read one way: each format has one read core (``_read``) that
+serves a row range from its columns, and every reader goes through it —
+the engines' :meth:`StoredFile.scan_batch`, the reference executor's
+full-width :meth:`StoredFile.scan` and the row fetch
+(:attr:`StoredFile.rows`).  :class:`ScanResult` is what a scan gets
+back: the surviving rows as a dense column batch (possibly a superset
+that still needs residual filtering) and the number of encoded bytes a
+real reader would have pulled off the disk for them.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ import abc
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.common.errors import SemanticError, StorageError
 from repro.common.rows import ColumnBatch, Schema, pack_column
 from repro.obs import get_metrics
 
 Row = Tuple[object, ...]
-Predicate = Callable[[Row], bool]
 
 #: Conjunctive comparison usable against stripe min/max statistics:
 #: (column_name, op, literal) with op in {'=', '<', '<=', '>', '>=' }.
@@ -33,22 +37,12 @@ StatsConjunct = Tuple[str, str, object]
 
 @dataclass
 class ScanResult:
-    """Rows surviving a (possibly pushed-down) scan plus bytes charged."""
-
-    rows: List[Row]
-    bytes_read: int
-    rows_skipped: int = 0  # rows eliminated before deserialization (ORC)
-
-
-@dataclass
-class BatchScanResult:
-    """Columnar twin of :class:`ScanResult`: the same surviving rows as a
-    dense :class:`~repro.common.rows.ColumnBatch`, with the identical
-    byte charge — the representation changes, the cost model does not."""
+    """Rows surviving a (possibly pushed-down) scan, as a dense
+    :class:`~repro.common.rows.ColumnBatch`, plus the bytes charged."""
 
     batch: ColumnBatch
     bytes_read: int
-    rows_skipped: int = 0
+    rows_skipped: int = 0  # rows eliminated before deserialization (ORC)
 
 
 class StoredFile(abc.ABC):
@@ -58,12 +52,11 @@ class StoredFile(abc.ABC):
     in: a constructor takes ``(schema, columns, size)`` — one indexable
     sequence of *size* values per schema column, in any container,
     walked once in schema order — and keeps what it needs of them in
-    :func:`~repro.common.rows.pack_column` normal form, so a columnar
-    scan hands kernels typed buffers.  A file holds no row tuples: a row
-    reader (:meth:`scan`, :attr:`rows`, ``HDFS.dir_rows``, the result
-    fetch of a SELECT) derives exactly the rows it reads, every time,
-    and nothing keeps them — the engines' column path and
-    :attr:`row_count` never derive any.
+    :func:`~repro.common.rows.pack_column` normal form, so a scan hands
+    kernels typed buffers.  A file holds no row tuples: a row reader
+    (:attr:`rows`, ``HDFS.dir_rows``, the result fetch of a SELECT)
+    derives exactly the rows it reads, every time, and nothing keeps
+    them — a scan and :attr:`row_count` never derive any.
     """
 
     def __init__(self, schema: Schema, size: int):
@@ -75,17 +68,18 @@ class StoredFile(abc.ABC):
         """The whole file as row tuples, derived on every read."""
         return self._derive_rows(0, self.row_count)
 
-    @abc.abstractmethod
     def _derive_rows(self, row_start: int, row_end: int) -> List[Row]:
         """Rows ``row_start`` to ``row_end`` (exclusive) as tuples, built
         from the columns that hold them."""
+        whole = self._read(row_start, row_end - row_start,
+                           range(len(self.schema)), None, None)
+        return whole.batch.to_rows()
 
     @property
     @abc.abstractmethod
     def total_bytes(self) -> int:
         """Encoded size of the whole file in bytes (un-scaled)."""
 
-    @abc.abstractmethod
     def scan(
         self,
         row_start: int,
@@ -93,54 +87,67 @@ class StoredFile(abc.ABC):
         columns: Optional[Sequence[str]] = None,
         stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
     ) -> ScanResult:
-        """Read a row range.
+        """The reference executor's read of a row range: the batch of
+        :meth:`scan_batch` at the file's **full width** whatever
+        *columns* names (the row operators read positions, not names).
+        *columns* still decides the byte charge and must name columns
+        the file has; stripes are skipped as for :meth:`scan_batch`."""
+        self._positions(columns)
+        return self._read(row_start, row_count, range(len(self.schema)),
+                          columns, stats_conjuncts)
 
-        *columns* lists the columns the query needs (None = all); columnar
-        formats charge only those streams.  *stats_conjuncts* allow
-        stripe-level elimination via min/max statistics.  Returned rows are
-        always **full-width** (the engine's residual filter/project runs on
-        top) — pruning affects only the byte charge and skipped stripes.
-        """
-
-    @abc.abstractmethod
     def scan_batch(
         self,
         row_start: int,
         row_count: int,
         columns: Optional[Sequence[str]] = None,
         stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> BatchScanResult:
-        """Columnar scan: the rows :meth:`scan` returns as a
-        :class:`~repro.common.rows.ColumnBatch` served from the file's
-        columns, with no intermediate row tuples.  The batch has the
-        file's full width, but only the columns *columns* names are
-        materialized (``None`` = all): every other position holds
-        ``None``, an absent column nobody may read.  ``no_nulls`` covers
-        every column either way.  Byte charges and stripe skipping are
-        identical to :meth:`scan` — what a scan materializes is a matter
-        of the host, what it is charged is the cost model's (a row
-        format still pays for the full row width).
-        """
+    ) -> ScanResult:
+        """The engines' read of a row range, served from the file's
+        columns with no intermediate row tuples.
 
-    def _materialized(self, columns: Optional[Sequence[str]]) -> Sequence[int]:
-        """Schema positions, ascending, a columnar scan asked for
-        *columns* materializes; a name the file does not have raises
+        *columns* lists the columns the query needs (``None`` = all):
+        only those are materialized — every other position of the
+        batch holds ``None``, an absent column nobody may read — and
+        columnar formats charge only those streams (a row format still
+        pays for the full row width).  ``no_nulls`` covers every column
+        either way.  *stats_conjuncts* allow stripe-level elimination
+        via min/max statistics (ORC).
+        """
+        positions = self._positions(columns)
+        get_metrics().counter("storage.scan.columns_materialized").add(
+            len(positions)
+        )
+        return self._read(row_start, row_count, positions, columns,
+                          stats_conjuncts)
+
+    @abc.abstractmethod
+    def _read(
+        self,
+        row_start: int,
+        row_count: int,
+        positions: Sequence[int],
+        columns: Optional[Sequence[str]],
+        stats_conjuncts: Optional[Sequence[StatsConjunct]],
+    ) -> ScanResult:
+        """The format's one read core: the rows of the range that
+        survive *stats_conjuncts*, with the schema positions *positions*
+        materialized, charged as a reader of *columns* would be."""
+
+    def _positions(self, columns: Optional[Sequence[str]]) -> Sequence[int]:
+        """Schema positions, ascending, *columns* names (all for
+        ``None``); a name the file does not have raises
         :class:`StorageError` (a hint computed from another schema must
         not silently read nothing)."""
         schema = self.schema
         if columns is None:
-            positions: Sequence[int] = range(len(schema))
-        else:
-            try:
-                positions = sorted(set(map(schema.index_of, columns)))
-            except SemanticError as error:
-                raise StorageError(
-                    f"scan names a column the file does not have: {error}"
-                ) from None
-        get_metrics().counter("storage.scan.columns_materialized").add(
-            len(positions)
-        )
-        return positions
+            return range(len(schema))
+        try:
+            return sorted(set(map(schema.index_of, columns)))
+        except SemanticError as error:
+            raise StorageError(
+                f"scan names a column the file does not have: {error}"
+            ) from None
 
     @abc.abstractmethod
     def bytes_for_range(self, row_start: int, row_count: int) -> int:
@@ -152,8 +159,8 @@ class RowMajorStoredFile(StoredFile):
     whole file's columns in normal form plus a prefix sum of encoded row
     sizes (the subclass says what a row costs), so a range's bytes are
     one subtraction.  No pushdown, and pruning saves no byte: every scan
-    returns the plain contiguous range and pays for its full width (a
-    columnar scan still leaves unread columns out of its batch).
+    returns the plain contiguous range and pays for its full width
+    (:meth:`scan_batch` still leaves unread columns out of its batch).
 
     ``no_nulls`` (one flag per column, what :meth:`scan_batch` puts on
     its batches) falls out of the build: a typed buffer cannot hold a
@@ -184,10 +191,6 @@ class RowMajorStoredFile(StoredFile):
         each list column's set of value types (``None`` for a typed
         buffer)."""
 
-    def _derive_rows(self, row_start: int, row_end: int) -> List[Row]:
-        window = ColumnBatch(self.columns, self.row_count)[row_start:row_end]
-        return window.to_rows()
-
     @property
     def total_bytes(self) -> int:
         return self._offsets[-1]
@@ -197,36 +200,18 @@ class RowMajorStoredFile(StoredFile):
         row_start = min(row_start, self.row_count)
         return self._offsets[row_end] - self._offsets[row_start]
 
-    def scan(
-        self,
-        row_start: int,
-        row_count: int,
-        columns: Optional[Sequence[str]] = None,
-        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> ScanResult:
-        row_end = min(row_start + row_count, self.row_count)
-        return ScanResult(
-            rows=self._derive_rows(row_start, row_end),
-            bytes_read=self.bytes_for_range(row_start, row_count),
-        )
-
-    def scan_batch(
-        self,
-        row_start: int,
-        row_count: int,
-        columns: Optional[Sequence[str]] = None,
-        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> BatchScanResult:
-        """Slices of the range out of the columns *columns* names (all
-        of them for ``None``) — slicing a typed ``array`` yields a typed
-        ``array``.  The byte charge ignores the hints exactly as
-        :meth:`scan` does: a row format reads whole rows."""
+    def _read(self, row_start, row_count, positions, columns,
+              stats_conjuncts) -> ScanResult:
+        """Slices of the range out of the columns at *positions* —
+        slicing a typed ``array`` yields a typed ``array``.  The charge
+        ignores *columns* and *stats_conjuncts*: a row format reads
+        whole rows."""
         row_end = min(row_start + row_count, self.row_count)
         start = min(row_start, self.row_count)
         out: List[Optional[Sequence]] = [None] * len(self.columns)
-        for position in self._materialized(columns):
+        for position in positions:
             out[position] = self.columns[position][start:row_end]
-        return BatchScanResult(
+        return ScanResult(
             batch=ColumnBatch(out, row_end - start, None, self.no_nulls),
             bytes_read=self.bytes_for_range(row_start, row_count),
         )

@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import is_, ne, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import StorageError
 from repro.common.rows import (
@@ -40,7 +40,6 @@ from repro.common.rows import (
     pack_column,
 )
 from repro.storage.formats.base import (
-    BatchScanResult,
     FileFormat,
     Row,
     ScanResult,
@@ -358,6 +357,16 @@ class Stripe:
         return True
 
 
+class StripeRead(NamedTuple):
+    """One stripe a scan reads: rows ``lo`` to ``hi`` (file positions)
+    of stripe ``index``, charged ``charge`` encoded bytes."""
+
+    index: int
+    lo: int
+    hi: int
+    charge: float
+
+
 _TEXT_TYPES = (DataType.STRING, DataType.DATE)
 
 
@@ -470,19 +479,6 @@ class OrcStoredFile(StoredFile):
             sum(stripe.total_bytes for stripe in self.stripes) + _FILE_FOOTER_BYTES
         )
 
-    def _derive_rows(self, row_start: int, row_end: int) -> List[Row]:
-        """Rows of the range from the decoded streams of the stripes it
-        overlaps, and of no other stripe."""
-        stripe_rows = self.stripe_rows
-        rows: List[Row] = []
-        for index in range(row_start // stripe_rows, -(-row_end // stripe_rows)):
-            base = index * stripe_rows
-            stripe = ColumnBatch(
-                self._stripe_columns[index], self.stripes[index].row_count
-            )
-            rows.extend(stripe[max(0, row_start - base):row_end - base].to_rows())
-        return rows
-
     @property
     def total_bytes(self) -> int:
         return self._total_bytes
@@ -509,64 +505,24 @@ class OrcStoredFile(StoredFile):
         hi = min(stripe.row_start + stripe.row_count, row_end)
         return max(0, hi - lo) / stripe.row_count
 
-    def stripes_in_range(self, row_start: int, row_count: int) -> List[Stripe]:
-        row_end = row_start + row_count
-        return [
-            stripe
-            for stripe in self.stripes
-            if stripe.row_start < row_end
-            and stripe.row_start + stripe.row_count > row_start
-        ]
-
-    def scan(
+    def walk_stripes(
         self,
         row_start: int,
         row_count: int,
         columns: Optional[Sequence[str]] = None,
         stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> ScanResult:
-        rows: List[Row] = []
-        bytes_read = 0.0
+    ) -> Tuple[List[StripeRead], int]:
+        """The one stripe walk of a scan: the stripes overlapping the
+        range that survive *stats_conjuncts*, in file order, each with
+        its byte charge for *columns* (partially-overlapped stripes
+        charge proportionally), and the row count the conjuncts
+        skipped.  Every scan (:meth:`_read`) and the LLAP engine's
+        stripe cache walk the range through here, so the bytes a cache
+        sees are the bytes a scan charges."""
+        reads: List[StripeRead] = []
         skipped = 0
         row_end = row_start + row_count
-        for stripe in self.stripes_in_range(row_start, row_count):
-            lo = max(stripe.row_start, row_start)
-            hi = min(stripe.row_start + stripe.row_count, row_end)
-            if not stripe.may_contain(stats_conjuncts):
-                skipped += hi - lo
-                continue  # predicate pushdown: stripe eliminated via stats
-            overlap = self._overlap_fraction(stripe, row_start, row_end)
-            bytes_read += stripe.bytes_for_columns(columns) * overlap
-            rows.extend(self._derive_rows(lo, hi))  # this stripe's rows only
-        return ScanResult(rows=rows, bytes_read=int(bytes_read), rows_skipped=skipped)
-
-    def scan_batch(
-        self,
-        row_start: int,
-        row_count: int,
-        columns: Optional[Sequence[str]] = None,
-        stats_conjuncts: Optional[Sequence[StatsConjunct]] = None,
-    ) -> BatchScanResult:
-        """Columnar scan straight from the decoded stripe streams.
-
-        No intermediate row tuples: surviving stripes contribute slices
-        of the value streams of the columns *columns* names (typed
-        ``array`` slices stay typed); the other positions of the batch
-        stay absent, never sliced or joined.
-        Stripe skipping and the byte-charge arithmetic are the same
-        statements as :meth:`scan`, so the cost model cannot diverge
-        between the two paths.
-        """
-        width = len(self.schema)
-        parts: Dict[int, List[Sequence]] = {
-            position: [] for position in self._materialized(columns)
-        }
-        facts: List[List[bool]] = []
-        size = 0
-        bytes_read = 0.0
-        skipped = 0
-        row_end = row_start + row_count
-        for stripe_index, stripe in enumerate(self.stripes):
+        for index, stripe in enumerate(self.stripes):
             if stripe.row_start >= row_end:
                 break
             lo = max(stripe.row_start, row_start)
@@ -577,19 +533,37 @@ class OrcStoredFile(StoredFile):
                 skipped += hi - lo
                 continue  # predicate pushdown: stripe eliminated via stats
             overlap = self._overlap_fraction(stripe, row_start, row_end)
-            bytes_read += stripe.bytes_for_columns(columns) * overlap
-            decoded = self._stripe_columns[stripe_index]
-            local_lo = lo - stripe.row_start
-            local_hi = hi - stripe.row_start
+            reads.append(StripeRead(
+                index, lo, hi, stripe.bytes_for_columns(columns) * overlap
+            ))
+        return reads, skipped
+
+    def _read(self, row_start, row_count, positions, columns,
+              stats_conjuncts) -> ScanResult:
+        """Slices of the decoded streams of the surviving stripes, for
+        the columns at *positions* (typed ``array`` slices stay typed);
+        the other positions stay absent, never sliced or joined."""
+        parts: Dict[int, List[Sequence]] = {position: [] for position in positions}
+        facts: List[List[bool]] = []
+        size = 0
+        bytes_read = 0.0
+        reads, skipped = self.walk_stripes(
+            row_start, row_count, columns, stats_conjuncts
+        )
+        for read in reads:
+            bytes_read += read.charge
+            decoded = self._stripe_columns[read.index]
+            base = self.stripes[read.index].row_start
             for position, pieces in parts.items():
-                pieces.append(decoded[position][local_lo:local_hi])
-            facts.append(self._stripe_no_nulls[stripe_index])
-            size += hi - lo
+                pieces.append(decoded[position][read.lo - base:read.hi - base])
+            facts.append(self._stripe_no_nulls[read.index])
+            size += read.hi - read.lo
+        width = len(self.schema)
         out_columns: List[Optional[Sequence]] = [None] * width
         for position, pieces in parts.items():
             out_columns[position] = concat_columns(pieces)
         no_nulls = and_no_nulls(facts) or [True] * width  # no rows: vacuous
-        return BatchScanResult(
+        return ScanResult(
             batch=ColumnBatch(out_columns, size, None, no_nulls),
             bytes_read=int(bytes_read),
             rows_skipped=skipped,

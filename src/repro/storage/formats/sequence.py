@@ -77,7 +77,7 @@ class SequenceStoredFile(RowMajorStoredFile):
         for column, types in zip(self.columns, kinds):
             contribution = _column_size_contribution(column, types)
             if contribution is None:  # exotic types: row-by-row fallback
-                return map(record_size, self.rows)
+                return map(record_size, zip(*self.columns))
             if isinstance(contribution, int):
                 constant += contribution
             else:

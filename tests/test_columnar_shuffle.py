@@ -243,7 +243,7 @@ _ROLES = [False, True]
 def _emit(descriptors, rows, vectorized, num_partitions):
     mapper = ExecMapper(descriptors, RunCollector(), num_partitions,
                         vectorized=vectorized)
-    mapper.process_batch(rows)
+    mapper.process_batch(ColumnBatch.from_rows(rows) if vectorized else rows)
     return mapper.close()
 
 
@@ -488,7 +488,7 @@ def _reduce_both(desc, pairs, directions=None, packed=False):
             outputs.append(TypeError)
             continue
         assert isinstance(result.output, ColumnBatch) == vectorized
-        outputs.append(result.output_rows)
+        outputs.append(result.output.to_rows() if vectorized else result.output)
     return outputs
 
 
@@ -771,4 +771,4 @@ def test_reducing_routed_buffers_matches_reducing_their_pairs(
         for desc in (ReduceSortDesc(), ReduceDistinctDesc(key_arity=1)):
             reference = ExecReducer(desc, [FileSinkDesc()]).run(routed[partition])
             columnar = ExecReducer(desc, [FileSinkDesc()], vectorized=True).run(received)
-            assert columnar.output_rows == reference.output_rows
+            assert columnar.output.to_rows() == reference.output

@@ -310,8 +310,9 @@ def _group_by(batches, key_exprs, aggregates, max_groups, vectorized):
         None, 1, vectorized=vectorized,
     )
     for rows in batches:
-        mapper.process_batch(rows)
-    return mapper.close().output_rows
+        mapper.process_batch(ColumnBatch.from_rows(rows) if vectorized else rows)
+    output = mapper.close().output
+    return output.to_rows() if vectorized else output
 
 
 # columns: int key, string key, mixed int/float measure, string measure

@@ -14,6 +14,7 @@ from repro.storage.formats.orc import (
     write_varint,
     zigzag,
 )
+from repro.storage.formats.sequence import record_size
 from repro.storage.formats.text import decode_row, encode_row, text_size
 
 SCHEMA = Schema.parse("id int, name string, price double, flag boolean, day date")
@@ -56,13 +57,13 @@ class TestTextFormat:
     def test_scan_range(self):
         stored = get_format("text").build(SCHEMA, ROWS)
         result = stored.scan(1, 2)
-        assert result.rows == ROWS[1:3]
+        assert result.batch.to_rows() == ROWS[1:3]
         assert result.bytes_read == stored.bytes_for_range(1, 2)
 
     def test_scan_past_end_clipped(self):
         stored = get_format("text").build(SCHEMA, ROWS)
         result = stored.scan(3, 100)
-        assert result.rows == ROWS[3:]
+        assert result.batch.to_rows() == ROWS[3:]
 
 
 class TestSequenceFormat:
@@ -73,7 +74,16 @@ class TestSequenceFormat:
 
     def test_scan_returns_rows(self):
         stored = get_format("sequence").build(SCHEMA, ROWS)
-        assert stored.scan(0, 4).rows == ROWS
+        assert stored.scan(0, 4).batch.to_rows() == ROWS
+
+    def test_exotic_types_are_sized_row_by_row(self):
+        class Name(str):  # a str subclass: no column-wise sizing pass
+            pass
+
+        rows = [(1, Name("alpha")), (2, Name("héllo")), (3, None)]
+        stored = get_format("sequence").build(Schema.parse("id int, name string"), rows)
+        assert stored.total_bytes == sum(map(record_size, rows))
+        assert stored.rows == rows
 
 
 class TestVarint:
@@ -111,19 +121,19 @@ class TestOrcFormat:
         full = stored.scan(0, len(rows))
         pruned = stored.scan(0, len(rows), columns=["id"])
         assert pruned.bytes_read < full.bytes_read
-        assert pruned.rows == full.rows  # rows stay full-width
+        assert pruned.batch.to_rows() == full.batch.to_rows()  # full-width
 
     def test_predicate_pushdown_skips_stripes(self):
         rows = [(i, "x", float(i), True, "1995-01-01") for i in range(4000)]
         stored = OrcFormat(stripe_rows=1000).build(SCHEMA, rows)
         result = stored.scan(0, 4000, stats_conjuncts=[("id", ">", 3500)])
         assert result.rows_skipped >= 3000
-        assert all(row[0] >= 3000 for row in result.rows)
+        assert all(row[0] >= 3000 for row in result.batch.to_rows())
 
     def test_pushdown_conservative_on_unknown_column(self):
         stored = OrcFormat(stripe_rows=2).build(SCHEMA, ROWS)
         result = stored.scan(0, 4, stats_conjuncts=[("nope", "=", 1)])
-        assert len(result.rows) == 4
+        assert result.batch.size == 4
 
     def test_partial_stripe_charges_fraction(self):
         rows = [(i, "n", 1.0, True, "1995-01-01") for i in range(1000)]

@@ -236,7 +236,8 @@ def _group_rows(batches, key_exprs, aggregates, max_groups, vectorized):
     )
     for batch in batches:
         mapper.process_batch(batch)
-    return mapper.close().output_rows
+    output = mapper.close().output
+    return output.to_rows() if vectorized else output
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,7 +381,7 @@ def test_counts_share_a_slot_only_when_they_count_the_same_rows():
     mapper.process_batch(ColumnBatch(
         [[7, 7, 7], [1.0, 2.0, 4.0], [5, None, 6]], 3, None, [True, True, False]
     ))
-    assert mapper.close().output_rows == [(7, 3, 7.0, 3, 2, 7.0)]
+    assert mapper.close().output.to_rows() == [(7, 3, 7.0, 3, 2, 7.0)]
     # the reduce-side kernel has no flush to fill anything in: it shares nothing
     reduce, _initial, _facts_out = codegen_reduce_aggregate_kernel(
         [aggregate for aggregate, _argument in _COUNTS], [1, 2, 1, 1],
@@ -399,7 +400,7 @@ def test_a_flush_fills_the_shared_counts_in_mid_batch_and_at_close():
     mapper.process_batch(ColumnBatch(
         [[1, 1, 2, 1, 3, 3], [1.0] * 6, [0] * 6], 6, None, [True, True, True]
     ))
-    assert mapper.close().output_rows == [
+    assert mapper.close().output.to_rows() == [
         (1, 3, 3.0, 3, 3, 3.0), (2, 1, 1.0, 1, 1, 1.0), (3, 2, 2.0, 2, 2, 2.0),
     ]
 
@@ -419,7 +420,7 @@ def test_a_variant_that_shares_less_starts_from_filled_in_counts():
     mapper.process_batch(ColumnBatch(
         [[7], [1.0], [1]], 1, None, [True, True, True]
     ))
-    assert mapper.close().output_rows == [(7, 6, 16.0, 5, 5, 16.0)]
+    assert mapper.close().output.to_rows() == [(7, 6, 16.0, 5, 5, 16.0)]
 
 
 def test_a_value_computed_in_a_case_branch_is_not_reused_outside_it():
@@ -458,7 +459,7 @@ def test_a_group_seeded_under_fewer_promises_is_not_updated_bare():
     mapper.process_batch(ColumnBatch([[1, 2], [], [None, 7]], 2))
     mapper.process_batch(ColumnBatch([[1, 2], [], [5, 1]], 2, None,
                                      [True, True, True]))
-    assert mapper.close().output_rows == [(1, 5, 5), (2, 8, 1)]
+    assert mapper.close().output.to_rows() == [(1, 5, 5), (2, 8, 1)]
 
 
 def test_a_dropped_guard_does_not_skip_an_operand_that_raises():

@@ -6,6 +6,9 @@ determinism, crash invalidation), and the driver result cache
 import gc
 import weakref
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import connect
 from repro.common.config import (
     FAULT_SPEC,
@@ -15,12 +18,16 @@ from repro.common.config import (
 )
 from repro.common.rows import Schema
 from repro.core import driver as driver_module
-from repro.engines.base import compare_result_rows
+from repro.engines.base import TaggedSplit, compare_result_rows
 from repro.engines.llap import LlapEngine, StripeCache
 from repro.engines.llap.engine import DEFAULT_CACHE_MB
+from repro.plan.physical import MapInput, ScanHints
 from repro.sched.scheduler import scheduler_from_conf
-from repro.storage.hdfs import HDFS
+from repro.storage.formats.orc import OrcFormat
+from repro.storage.hdfs import HDFS, FileSplit
 from repro.storage.metastore import Metastore
+
+from .test_scan_projection import _TYPES, _files
 
 FACT_SCHEMA = Schema.parse("k int, grp string, val double")
 NO_RESULT_CACHE = {RESULT_CACHE_ENABLED: False}
@@ -247,6 +254,60 @@ class TestColumnarCache:
         again = session.query(QUERIES[1])
         assert compare_result_rows(local.query(QUERIES[1]).rows, again.rows,
                                    ordered=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_files(), st.data())
+def test_cache_pass_covers_exactly_the_scan_charge(file, data):
+    """A cold pass misses, and a warm pass hits, exactly the bytes the
+    split's scan charges — stripe by stripe, times the split scale — and
+    a stripe its stats skip never reaches the cache."""
+    schema, rows = file
+    projection = data.draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(schema.names), unique=True)
+    ))
+    start = data.draw(st.integers(0, len(rows) + 3))
+    count = data.draw(st.integers(0, len(rows) + 3))
+    conjuncts = data.draw(st.one_of(
+        st.none(),
+        st.tuples(st.just("c0"), st.sampled_from(["=", "<", "<=", ">", ">="]),
+                  _TYPES[schema.columns[0].dtype.value]).map(lambda c: [c]),
+    ))
+    scale = data.draw(st.sampled_from([1.0, 0.37, 3e3]))
+    stored = OrcFormat(data.draw(st.integers(1, 16))).build(schema, rows)
+
+    # the scan's charge, stripe by stripe, as scan_batch sums it
+    charges, surviving = [], []
+    end = start + count
+    for index, stripe in enumerate(stored.stripes):
+        lo = max(stripe.row_start, start)
+        hi = min(stripe.row_start + stripe.row_count, end)
+        if hi <= lo or not stripe.may_contain(conjuncts):
+            continue
+        surviving.append(index)
+        charges.append(stripe.bytes_for_columns(projection)
+                       * ((hi - lo) / stripe.row_count))
+    scan = stored.scan_batch(start, count, projection, conjuncts)
+    assert scan.bytes_read == int(sum(charges))
+    scaled = 0.0
+    for charge in charges:
+        scaled += charge * scale
+
+    split = FileSplit("/t/part-0", start, count, 0.0, (0,), scale, stored)
+    hints = ScanHints(projection, conjuncts or [])
+    tagged = TaggedSplit(split, 0, [], MapInput("/t", 0, [], hints))
+    engine = LlapEngine(HDFS(num_workers=1))
+    cache = engine.node_cache(0)
+    cold = engine._cached_scan(tagged, 0)
+    assert (cold.miss_bytes, cold.hit_bytes, cold.total_bytes) == \
+        (scaled, 0.0, scaled)
+    assert (cache.misses, len(cache)) == (len(surviving), len(surviving))
+    warm = engine._cached_scan(tagged, 0)
+    assert (warm.hit_bytes, warm.miss_bytes) == (scaled, 0.0)
+    assert (cache.hits, cache.misses) == (len(surviving), len(surviving))
+    resident = {stored.stripe_cache_key("/t/part-0", index, projection)
+                for index in surviving}
+    assert set(cache._entries) == resident
 
 
 # ---------------------------------------------------------------------------

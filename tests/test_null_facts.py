@@ -143,7 +143,7 @@ def test_a_batch_built_without_facts_is_all_nullable():
                   ColumnBatch(ColumnBatch.from_rows(ROWS).columns, len(ROWS))):
         mapper = ExecMapper([desc, FileSinkDesc()], None, 1, vectorized=True)
         mapper.process_batch(batch)
-        assert len(mapper.close().output_rows) == 7
+        assert mapper.close().output.size == 7
     # one guarded variant, compiled once for the descriptor
     assert (guarded.value, free.value) == (before[0] + 1, before[1])
 

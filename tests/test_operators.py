@@ -51,7 +51,7 @@ class TestMapPipeline:
         )
         mapper.process_batch([(1, "a"), (2, "b"), (3, "c")])
         result = mapper.close()
-        assert result.output_rows == [("b", 2), ("c", 3)]
+        assert result.output == [("b", 2), ("c", 3)]
         assert result.rows_read == 3
 
     def test_filter_drops_null_predicate(self):
@@ -60,7 +60,7 @@ class TestMapPipeline:
             collector=None, num_partitions=1,
         )
         mapper.process_batch([(None, 1), (1, 1)])
-        assert mapper.close().output_rows == [(1, 1)]
+        assert mapper.close().output == [(1, 1)]
 
     def test_reduce_sink_partitions_and_tags(self):
         collector = ListCollector()
@@ -81,7 +81,7 @@ class TestMapPipeline:
             [LimitDesc(2), FileSinkDesc()], collector=None, num_partitions=1
         )
         mapper.process_batch([(i,) for i in range(10)])
-        assert len(mapper.close().output_rows) == 2
+        assert len(mapper.close().output) == 2
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ExecutionError):
@@ -109,14 +109,14 @@ class TestMapGroupBy:
     def test_partial_aggregation(self):
         mapper = self.make()
         mapper.process_batch([("a", 1), ("b", 5), ("a", 2)])
-        rows = sorted(mapper.close().output_rows)
+        rows = sorted(mapper.close().output)
         # rows are key + flattened partials: sum partial (value,), count (n,)
         assert rows == [("a", 3, 2), ("b", 5, 1)]
 
     def test_flush_on_pressure(self):
         mapper = self.make(max_groups=2)
         mapper.process_batch([("a", 1), ("b", 1), ("c", 1), ("a", 1)])
-        rows = mapper.close().output_rows
+        rows = mapper.close().output
         # 'a' may appear twice (flushed then re-created): partial results
         total_for_a = sum(row[1] for row in rows if row[0] == "a")
         assert total_for_a == 2
@@ -134,7 +134,7 @@ class TestMapGroupBy:
             collector=None, num_partitions=1,
         )
         mapper.process_batch([(None,), (None,), (1,)])
-        assert mapper.close().output_rows == [(3,)]
+        assert mapper.close().output == [(3,)]
 
 
 class TestMapJoin:
@@ -154,7 +154,7 @@ class TestMapJoin:
             small_tables={"/small": [(1, "one"), (2, "two"), (2, "deux")]},
         )
         mapper.process_batch(probe_rows or [(1, "L1"), (2, "L2"), (9, "L9")])
-        return mapper.close().output_rows
+        return mapper.close().output
 
     def test_inner(self):
         rows = self.run_join()
@@ -187,7 +187,7 @@ class TestMapJoin:
 def _reduced(reducer, *groups):
     """Output rows of *reducer* over ``(key, [value, ...])`` groups."""
     pairs = [KeyValue(key, value) for key, values in groups for value in values]
-    return reducer.run(pairs).output_rows
+    return reducer.run(pairs).output
 
 
 class TestReduceLogics:

@@ -29,7 +29,7 @@ from repro.reporting.productivity import (
 ENGINE_LINES = {
     "engine for Hadoop": 289,
     "engine for DataMPI (main changes)": 887,
-    "engine for LLAP": 441,
+    "engine for LLAP": 434,
 }
 
 

@@ -6,11 +6,11 @@ not name out of its batch (``None`` — an absent column, see
 
 (a) per stored file, a projected scan is the full-width scan at the
     positions in *P* — values, typed buffers, ``no_nulls`` — charges the
-    bytes and skips the stripes the untouched row ``scan`` does, and
+    bytes and skips the stripes the oracle's full-width ``scan`` does, and
     holds ``None`` everywhere else (hypothesis, every format);
 (b) per plan, ``ScanHints.columns`` covers everything the chain reads:
     every shipped query on every engine over every format returns the
-    ``local`` oracle's rows (the oracle's row scan is full-width) — an
+    ``local`` oracle's rows (the oracle's scan is full-width) — an
     absent column is its own poison, any read of ``None`` raises — and
     ``storage.scan.columns_materialized`` counts exactly what the hints
     name;
@@ -112,7 +112,8 @@ def test_projected_scan_is_the_full_scan_at_the_named_positions(file, data):
         assert got.rows_skipped == charged.rows_skipped == full.rows_skipped
         batch = got.batch
         assert (batch.width, batch.size, batch.sel) == (len(names), full.batch.size, None)
-        assert batch.size == len(charged.rows)
+        assert batch.size == charged.batch.size
+        assert None not in charged.batch.columns  # the oracle's scan is full-width
         assert list(batch.no_nulls) == list(full.batch.no_nulls)
         for position, column in enumerate(batch.columns):
             if position in wanted:
@@ -136,8 +137,11 @@ def test_edges_empty_file_nothing_named_and_an_unknown_name(format_name):
     assert past.size == 0 and list(past.columns[0]) == [] and past.columns[1] is None
     with pytest.raises(StorageError, match="nope"):
         stored.scan_batch(0, 5, ["a", "nope"])
-    # the row scan is the oracle's: full-width whatever is named
-    assert stored.scan(2, 3, ["a"]).rows == rows[2:5]
+    # the oracle's scan is full-width whatever is named, and it refuses
+    # an unknown name just the same
+    assert stored.scan(2, 3, ["a"]).batch.to_rows() == rows[2:5]
+    with pytest.raises(StorageError, match="nope"):
+        stored.scan(0, 5, ["nope"])
 
 
 def test_orc_with_every_stripe_skipped():
@@ -344,13 +348,13 @@ def _same(left, right):
 def test_mutant_a_scan_that_drops_a_named_column(format_name, monkeypatch):
     assert _same(_q6_and_q1("local", format_name),
                  _q6_and_q1("hadoop", format_name))
-    materialized = StoredFile._materialized
+    materialized = StoredFile._positions
 
     def drops_one(stored, columns):
         positions = materialized(stored, columns)
         return positions if columns is None else positions[:-1]
 
-    monkeypatch.setattr(StoredFile, "_materialized", drops_one)
+    monkeypatch.setattr(StoredFile, "_positions", drops_one)
     with pytest.raises(TypeError):  # a kernel subscripts the absent column
         _q6_and_q1("hadoop", format_name)
 

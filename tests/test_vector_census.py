@@ -13,9 +13,10 @@ import pytest
 
 from repro import connect, get_metrics
 from repro.bench import fresh_hibench, fresh_tpch
+from repro.common.rows import ColumnBatch
 from repro.engines.local import LocalEngine
 from repro.exec.operators import FileSinkDesc, ListCollector, OperatorContext
-from repro.exec.vectorized import build_vector_pipeline
+from repro.exec.vectorized import BroadcastTable, build_vector_pipeline
 from repro.workloads.hibench import hibench_ddl
 from repro.workloads.tpch import TPCH_SCHEMAS, tpch_query
 
@@ -84,7 +85,8 @@ def test_every_compiled_pipeline_vectorizes(sessions, compiled_plans, name):
         for label, descriptors, job in operator_lists(plan):
             context = OperatorContext(
                 collector=ListCollector(),
-                small_tables={spec.location: [] for spec in job.broadcasts},
+                small_tables={spec.location: BroadcastTable(ColumnBatch([], 0))
+                              for spec in job.broadcasts},
             )
             assert build_vector_pipeline(descriptors, context) is not None, (
                 f"{name}: {label} has no vector pipeline: {descriptors}"

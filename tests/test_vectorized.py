@@ -333,7 +333,7 @@ def test_sink_kernel_sizes_match_serde():
         [ReduceSinkDesc(refs[:2], refs[2:], tag=0)], collector, 4,
         vectorized=True,
     )
-    mapper.process_batch(rows)
+    mapper.process_batch(ColumnBatch.from_rows(rows))
     result = mapper.close()
     (partition_ids, run), = collector.batches
     assert len(run) == len(partition_ids) == result.kv_pairs == len(rows)
@@ -369,8 +369,9 @@ def test_empty_projection_is_supported():
         mapper = ExecMapper(
             [SelectDesc([]), FileSinkDesc()], None, 1, vectorized=vectorized
         )
-        mapper.process_batch(rows)
-        outputs.append(mapper.close().output_rows)
+        mapper.process_batch(ColumnBatch.from_rows(rows) if vectorized else rows)
+        output = mapper.close().output
+        outputs.append(output.to_rows() if vectorized else output)
     assert outputs == [[(), (), ()]] * 2
 
 
@@ -406,7 +407,7 @@ def test_reduce_tail_matches_reference(tail):
         )
         result = reducer.run(segments_of(pairs) if vectorized else pairs)
         assert isinstance(result.output, ColumnBatch) == vectorized
-        outputs.append(result.output_rows)
+        outputs.append(result.output.to_rows() if vectorized else result.output)
     assert outputs[0] == outputs[1] and outputs[0]
 
 
@@ -436,18 +437,23 @@ def test_map_join_hash_is_shared_through_the_broadcast_table():
         small_location="/small", probe_key_expressions=[_ref(0)],
         build_key_expressions=[_ref(0)], small_width=2,
     )
-    table = BroadcastTable([(1, "one"), (None, "null"), (2, "two"), (2, "deux")])
+    table = BroadcastTable(ColumnBatch.from_rows(
+        [(1, "one"), (None, "null"), (2, "two"), (2, "deux")]
+    ))
     outputs = []
     for _task in range(2):
         mapper = ExecMapper([desc, FileSinkDesc()], None, 1,
                             small_tables={"/small": table}, vectorized=True)
-        mapper.process_batch([(2, "L2"), (None, "LN"), (9, "L9")])
-        outputs.append(mapper.close().output_rows)
+        mapper.process_batch(
+            ColumnBatch.from_rows([(2, "L2"), (None, "LN"), (9, "L9")])
+        )
+        outputs.append(mapper.close().output.to_rows())
     assert outputs[0] == outputs[1] == [
         (2, "L2", 2, "two"), (2, "L2", 2, "deux")
     ]
-    (hash_table,) = table.hash_tables.values()  # built once, NULL key skipped
-    assert sorted(hash_table) == [(1,), (2,)]
+    # built once, NULL key skipped; a key maps to row indices in table order
+    (hash_table,) = table.hash_tables.values()
+    assert hash_table == {(1,): [0], (2,): [2, 3]}
 
 
 def _module_level_containers(module):

@@ -2,12 +2,13 @@
 ``test_exec_boundary.py``).
 
 An engine task's output reaches ``HDFS.write`` as one dense
-``ColumnBatch`` and the stored file is built from those columns: during
-an INSERT on a cluster engine nothing calls ``ColumnBatch.to_rows`` and
-no ``StoredFile`` derives rows.  Rows are a derivation only row readers
-trigger — the ``local`` engine's scan, ``HDFS.dir_rows``, the result
-fetch of a SELECT — and each read derives exactly the rows it reads,
-every time: no file keeps them.  And an INSERT / CTAS does not read its
+``ColumnBatch`` and the stored file is built from those columns, and a
+map-join's small table goes from its files to the hash table as columns
+too: during an INSERT on a cluster engine nothing calls
+``ColumnBatch.to_rows`` and no ``StoredFile`` derives rows.  Rows are a
+derivation only row readers trigger — the ``local`` engine's full-width
+scan, ``HDFS.dir_rows``, the result fetch of a SELECT — and each read
+derives exactly the rows it reads, every time: no file keeps them.  And an INSERT / CTAS does not read its
 target back: ``PlanResult.rows`` is what a SELECT's ``QueryResult``
 hands to the client, so only result-directory plans gather it.
 """
@@ -20,7 +21,8 @@ import pytest
 from repro import connect
 from repro.bench import fresh_tpch
 from repro.common.rows import ColumnBatch
-from repro.storage.formats.base import RowMajorStoredFile
+from repro.exec.operators import MapJoinDesc
+from repro.storage.formats.base import RowMajorStoredFile, StoredFile
 from repro.storage.formats.orc import OrcStoredFile
 
 from .test_sim_golden_write import TARGETS
@@ -42,7 +44,9 @@ _QUERIES = {
 
 class RowMaterializations:
     """Counts ``ColumnBatch.to_rows`` calls and the rows each
-    ``StoredFile`` derives (per file) while installed."""
+    ``StoredFile`` derives (per file) while installed — the rows of
+    ``StoredFile.rows`` and those of the oracle's full-width ``scan``,
+    which the ``local`` engine turns into row tuples."""
 
     def __init__(self):
         self.to_rows = 0
@@ -78,6 +82,14 @@ def materializations(monkeypatch):
             return rows
 
         monkeypatch.setattr(owner, "_derive_rows", counted_derive)
+    scan = StoredFile.scan
+
+    def counted_scan(stored, *args, **kwargs):
+        result = scan(stored, *args, **kwargs)
+        counts.derived[stored] += result.batch.size
+        return result
+
+    monkeypatch.setattr(StoredFile, "scan", counted_scan)
     return counts
 
 
@@ -196,9 +208,7 @@ def test_scheduled_insert_does_not_read_its_target_back(
 class TestToRowsWindow:
     """``ColumnBatch.to_rows`` on an engine window (a ``range`` selection
     with step 1 — what ``batch[a:b]`` produces) slices its columns
-    instead of gathering them element by element; the ``local`` reference
-    path in ``ExecMapper.process_batch`` still calls it on such
-    windows."""
+    instead of gathering them element by element."""
 
     COLUMNS = [
         array("q", range(10)),
@@ -256,3 +266,56 @@ class TestToRowsWindow:
         assert ColumnBatch.concat(pieces[:1]) is pieces[0]
         empty = ColumnBatch.concat([])
         assert (empty.size, empty.columns, empty.to_rows()) == (0, [], [])
+
+
+#: a map-join INSERT on every cluster engine: the small side (supplier,
+#: behind a pushed-down filter, so its broadcast chain runs) and an empty
+#: small side (a table with no file), inner and left
+_JOIN_SETUP = (
+    "CREATE TABLE li_sup (l_orderkey bigint, s_name string) STORED AS ORC;"
+    "CREATE TABLE sup_nation (s_suppkey bigint, n_name string) STORED AS ORC;"
+    "CREATE TABLE nation_none (n_nationkey int, n_name string, "
+    "n_regionkey int, n_comment string);"
+)
+_JOINS = {
+    "li_sup": "SELECT l_orderkey, s_name FROM lineitem JOIN supplier "
+              "ON l_suppkey = s_suppkey WHERE s_nationkey < 10",
+    "sup_nation": "SELECT s_suppkey, n_name FROM supplier JOIN nation_none "
+                  "ON s_nationkey = n_nationkey",
+    "sup_nation_left": "SELECT s_suppkey, n_name FROM supplier LEFT JOIN "
+                       "nation_none ON s_nationkey = n_nationkey",
+}
+
+
+def _map_joins(result):
+    return [
+        descriptor for job in result.plan.jobs for map_input in job.inputs
+        for descriptor in map_input.operators
+        if isinstance(descriptor, MapJoinDesc)
+    ]
+
+
+@pytest.mark.parametrize("engine", CLUSTER_ENGINES)
+def test_map_join_insert_stays_columnar(engine, warehouse, materializations):
+    hdfs, metastore = warehouse
+    with connect(engine="local", hdfs=hdfs, metastore=metastore) as oracle:
+        oracle.execute(_JOIN_SETUP)
+        expected = {name: oracle.query(query).rows
+                    for name, query in _JOINS.items()}
+    assert len(expected["li_sup"]) > 0
+    assert expected["sup_nation"] == []  # inner join with an empty side
+    assert expected["sup_nation_left"]
+    assert all(name is None for _key, name in expected["sup_nation_left"])
+
+    for name, query in _JOINS.items():
+        target = "sup_nation" if name.startswith("sup_nation") else name
+        materializations.reset()
+        with connect(engine=engine, hdfs=hdfs, metastore=metastore) as session:
+            (result,) = session.execute(
+                f"INSERT OVERWRITE TABLE {target} {query}"
+            )
+        assert _map_joins(result), f"{name}: no map-join in the plan"
+        assert materializations.to_rows == 0, name
+        assert not materializations.derived, name
+        got = hdfs.dir_rows(metastore.get_table(target).location)
+        assert sorted(got, key=repr) == sorted(expected[name], key=repr), name
