@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo health gate: lint (when ruff is installed), the tier-1 test suite,
-# the hostbench suite, the examples and the report benches.
+# the hostbench suite, one smoke pass of every hostbench workload, the
+# examples and the report benches.
 # Usage: scripts/check.sh [extra pytest args]
 #
 # Not part of this gate (about 5 minutes) but REQUIRED for any change
@@ -88,6 +89,16 @@ echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # wraps the pinned seams of the real package, so a change that renames
 # or bypasses one fails here instead of in the benchmark run.
 python -m pytest hostbench/tests -q
+
+echo "== hostbench smoke (every workload end to end, checked against the oracle) =="
+# The suite above tests the recorder and the seams, not the workloads'
+# answers: a kernel that returned wrong rows on tpch_scan_orc would pass
+# every gate before this one.  --smoke runs all six workloads at quarter
+# size, one untraced and one traced pass each (about 18 s on 2 Xeon
+# cores), compares every result with the local oracle and exits 1 on
+# any failed operation; only each record's heading and its attempted /
+# failed line are shown.
+python3 hostbench/run.py --smoke | grep -E "^== |attempted"
 
 echo "== examples (each runs to completion) =="
 # Nothing else imports examples/*.py, so an API change would strand

@@ -474,9 +474,11 @@ def load_broadcast_tables(
     The engines (``vectorized=True``) read each table's files as columns,
     in path order, run its broadcast chain on the column kernels and
     keep the dense output in a :class:`BroadcastTable`, which also owns
-    the hash tables the job's map-join operators build over it; the
-    reference executor reads the table's rows and runs the row
-    operators.  Each table is loaded once per job run."""
+    the hash tables the job's map-join operators build over it — a
+    table no row reaches (no file, empty files, a chain that drops
+    every row) is ``spec.width`` empty columns; the reference executor
+    reads the table's rows and runs the row operators.  Each table is
+    loaded once per job run."""
     small: Dict[str, Union[List[Row], BroadcastTable]] = {}
     for spec in job.broadcasts:
         if vectorized:
@@ -493,7 +495,11 @@ def load_broadcast_tables(
             )
             mapper.process_batch(table)
             table = mapper.close().output
-        small[spec.location] = BroadcastTable(table) if vectorized else table
+        if vectorized:
+            if not table.size:  # no row reached it: it keeps its width
+                table = ColumnBatch([[] for _ in range(spec.width)], 0)
+            table = BroadcastTable(table)
+        small[spec.location] = table
     return small
 
 

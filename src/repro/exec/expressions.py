@@ -28,10 +28,11 @@ import re
 import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
-from types import CodeType
+from types import CodeType, MappingProxyType
 from typing import (
     Callable,
     Container,
+    Dict,
     List,
     NamedTuple,
     Optional,
@@ -425,9 +426,12 @@ def compile_many(expressions: List[BoundExpression]) -> Callable[[Row], Row]:
 # Each kernel compiles one operator's whole per-batch work into a single
 # generated function running ONE ``for i in sel:`` loop over column lists
 # (``col{idx}`` locals — a distinct prefix from the ``c{n}`` environment
-# constants).  The emitter covers every node class above and the five
-# aggregates the planner places map-side, so kernel construction is
-# total: there is no second mode to fall back to.
+# constants).  The map-side group kernel alone walks rows instead: its
+# operator hands it just the columns it reads, dense, and one
+# ``for x0, x3, … in zip(*cols):`` binds each row's values.  The
+# emitter covers every node class above and the five aggregates the
+# planner places map-side, so kernel construction is total: there is
+# no second mode to fall back to.
 #
 # The emitter tracks *nullability per atom*.  A kernel is generated for
 # a set of NULL-free input columns (``ColumnBatch.no_nulls``; empty when
@@ -477,10 +481,13 @@ class _Codegen:
     numbers of its expressions (structurally equal subtrees share one)."""
 
     def __init__(self, expressions: Sequence[BoundExpression],
-                 no_nulls: Container[int]):
+                 no_nulls: Container[int], zipped: bool = False):
         self.env: dict = {}
         self.no_nulls = no_nulls  # input columns that hold no NULL
         self.used: set = set()    # input columns referenced
+        # the loop walks rows with ``zip``: column ``idx``'s value is the
+        # loop variable ``x{idx}``, not ``col{idx}[i]``
+        self.zipped = zipped
         self._temps = 0
         self._numbers: dict = {}  # structural key -> value number
         self._nodes: dict = {}    # id(node) -> (value number, sub-expressions)
@@ -650,7 +657,9 @@ def _emit(expression: BoundExpression, scope: _Scope) -> Tuple[str, bool]:
         index = expression.index
         gen.used.add(index)
         atom, maybe = f"col{index}[i]", index not in gen.no_nulls
-        if maybe or (scope.hoist and gen.shared(number)):
+        if gen.zipped:  # the row's value is already a loop variable
+            atom = f"x{index}"
+        elif maybe or (scope.hoist and gen.shared(number)):
             scope.lines.append(f"x{index} = {atom}")
             atom = f"x{index}"
     elif kind is Const:
@@ -817,12 +826,13 @@ class _Fold(NamedTuple):
     seeds: Optional[List[str]]  # a new group's slots from its first row
     slot_no_nulls: List[bool]   # per slot: never NULL once a row is in
     result_no_nulls: List[bool]  # per aggregate: its result is never NULL
-    shared: List[Tuple[int, int]]  # (slot standing still, the slot counting for it)
+    shared: List[Tuple[int, int]]  # (slot standing still, the slot running for it)
 
 
 def _emit_aggregate_updates(
     aggregates: List[Tuple[object, List[Tuple[str, bool]]]], scope: _Scope,
-    merge: bool = False, own_methods: bool = False, share_counts: bool = False,
+    merge: bool = False, own_methods: bool = False, share: bool = False,
+    sums: Optional[Dict[int, int]] = None,
 ) -> _Fold:
     """Per-row statements folding each aggregate's ``(atom, maybe_null)``
     operands into a flat slot list named ``acc``: its argument
@@ -845,13 +855,18 @@ def _emit_aggregate_updates(
     rows take bare updates, since no slot is ever NULL.
 
     Seeded, every ``COUNT(*)``, ``COUNT(x)`` and count half of an
-    ``AVG(x)`` counts the same thing: the group's rows.  With
-    *share_counts* (the map-side group kernel, which can fill them in
-    when its table is flushed) only the first such slot is updated; the
-    others keep their seed, and ``shared`` pairs each with the slot that
-    counts for it.  Sums are not shared: ``0.0 + x`` is ``x`` for a
-    float but not for an int past 2**53, and nothing says a column is
-    all floats.
+    ``AVG(x)`` counts the same thing: the group's rows.  With *share*
+    (the map-side group kernel, which can fill them in when its table is
+    flushed) only the first such slot is updated; the others keep their
+    seed, and ``shared`` pairs each with the slot that counts for it.
+    *sums* maps an ``AVG(x)``'s position to the position of a ``SUM(x)``
+    over the same column when that column is all floats: then, seeded
+    and sharing, AVG's sum slot keeps its seed too and is paired with
+    SUM's.  The fill is always the slot's initial value plus the running
+    one — ``0 + count``, ``0.0 + sum``.  That is exact for floats: while
+    every value so far is −0.0, SUM holds −0.0 and AVG's sum 0.0, and
+    from the first other value on the two are equal.  It is not for an
+    int past 2**53, which is why the column must be all floats.
 
     A slot is NULL-free — every group has a row — for ``COUNT`` and
     ``AVG`` always and for ``SUM`` / ``MIN`` / ``MAX`` over a never-null
@@ -870,22 +885,25 @@ def _emit_aggregate_updates(
     slot_no_nulls: List[bool] = []
     result_no_nulls: List[bool] = []
     shared: List[Tuple[int, int]] = []
-    share_counts = share_counts and seeded
+    share = share and seeded
+    sums = sums if share and sums else {}
     counting: Optional[int] = None  # the slot whose updates count rows
+    slots: List[int] = []  # each aggregate's first slot
 
     def count_update(slot: int, counted: str) -> List[str]:
         nonlocal counting
-        if share_counts:
+        if share:
             if counting is not None:
                 shared.append((slot, counting))
                 return []
             counting = slot
         return [f"acc[{slot}] += {counted}"]
 
-    for aggregate, operands in aggregates:
+    for position, (aggregate, operands) in enumerate(aggregates):
         kind = type(aggregate)
         atom, maybe = operands[0]
         slot = len(initial)
+        slots.append(slot)
         here = f"acc[{slot}]"
         results.append(here)
         if kind not in _INLINE_AGGREGATES:
@@ -931,7 +949,8 @@ def _emit_aggregate_updates(
             count = f"acc[{slot + 1}]"
             counted = operands[1][0] if merge else "1"
             seeds.extend([f"0.0 + {atom}", f"0 + {counted}"])
-            update.append(f"{here} += {atom}")
+            if position not in sums:
+                update.append(f"{here} += {atom}")
             update += count_update(slot + 1, counted)
             results[-1] = f"{here} / {count} if {count} else None"
         else:
@@ -949,6 +968,7 @@ def _emit_aggregate_updates(
         if maybe:
             update = [f"if {atom} is not None:", *_indented(update)]
         lines += update
+    shared += [(slots[position], slots[source]) for position, source in sums.items()]
     return _Fold(initial, lines, results, seeds if seeded else None,
                  slot_no_nulls, result_no_nulls, shared)
 
@@ -1065,67 +1085,140 @@ def codegen_keys_kernel(
     )
 
 
+def averaged_sums(
+    aggregates: List[Tuple[object, Optional[BoundExpression]]],
+) -> Dict[int, int]:
+    """``AVG position -> SUM position`` for every ``AVG(x)`` beside a
+    ``SUM(x)`` over the same input column: the pairs whose running sums
+    a group kernel can share when the column is all floats."""
+    summed = {}
+    for position, (aggregate, argument) in enumerate(aggregates):
+        if type(aggregate) is SumAggregate and type(argument) is InputRef:
+            summed.setdefault(argument.index, position)
+    return {
+        position: summed[argument.index]
+        for position, (aggregate, argument) in enumerate(aggregates)
+        if type(aggregate) is AvgAggregate and type(argument) is InputRef
+        and argument.index in summed
+    }
+
+
+def _index_insert(index: dict, acc: list, *parts) -> None:
+    """File a new group's slots under its key in the per-column index:
+    one dict per key column, nested, the last one holding *acc*."""
+    for part in parts[:-1]:
+        index = index.setdefault(part, {})
+    index[parts[-1]] = acc
+
+
 def codegen_group_kernel(
     key_expressions: List[BoundExpression],
     aggregates: List[Tuple[object, Optional[BoundExpression]]],
     max_groups: int,
     no_nulls: Container[int] = frozenset(),
+    floats: Container[int] = frozenset(),
+    predicate: Optional[BoundExpression] = None,
 ) -> Tuple[Callable, list, bool, List[bool]]:
-    """``(cols, sel, table, initial, flush) -> None``: the whole map-side
-    GROUP BY inner loop — key build, hash probe, pressure flush and the
-    fused accumulator updates — in one generated frame.  Returns
-    ``(kernel, initial_slots, scalar_key, out_no_nulls)``; a group's
-    slot list is exactly its concatenated partial tuples (see
-    :func:`_emit_aggregate_updates`) and *out_no_nulls* says which of
-    the flushed columns (keys, then slots) are NULL-free.  Single-key
-    grouping probes the table with the bare value (``scalar_key`` True):
-    no per-row 1-tuple allocation, and a string key's cached hash is
-    reused — equality over scalars matches equality over their
-    1-tuples, so the groups are unchanged.
+    """``(cols, count, table, index, initial, flush) -> None``: the whole
+    map-side GROUP BY inner loop — the filter feeding it (*predicate*),
+    hash probe, pressure flush and the fused accumulator updates — in
+    one generated frame.  Returns ``(kernel, initial_slots, scalar_key,
+    out_no_nulls)``; a group's slot list is exactly its concatenated
+    partial tuples (see :func:`_emit_aggregate_updates`) and
+    *out_no_nulls* says which of the flushed columns (keys, then slots)
+    are NULL-free.
 
-    ``kernel.shared`` lists the ``(slot, source)`` pairs of count slots
-    this variant leaves at their seed because *source* counts the same
-    rows (every operand NULL-free, see :func:`_emit_aggregate_updates`);
-    whoever owns the table copies each source over its slots before it
-    flushes or hands the table to a variant that shares differently.
+    *cols* are the columns the kernel reads (``kernel.columns``, in that
+    order) holding the *count* live rows and nothing else; the loop walks
+    them with one ``zip``.  A row *predicate* does not hold for — NULL
+    or FALSE alike — is skipped before anything else is evaluated.
+
+    *table* maps a group's key to its slots, in the order groups appear;
+    it is what a flush emits.  Single-key grouping probes it with the
+    bare value (``scalar_key`` True): no per-row 1-tuple, and a string
+    key's cached hash is reused.  With two or more key columns the probe
+    goes through *index*, one dict per key column, nested
+    (``index.get(k1).get(k2)``), so no key tuple is built or hashed per
+    row; a new group goes into both, and whoever flushes clears both.
+    ``dict`` lookup and tuple ``==`` both compare by identity, then
+    ``==``, so the groups are those of the tuple-keyed table.
+
+    ``kernel.shared`` lists the ``(slot, source)`` pairs of slots this
+    variant leaves at their seed because *source* runs the same value
+    (see :func:`_emit_aggregate_updates`; sums of the columns in
+    *floats* are shared); whoever owns the table sets each such slot to
+    its initial value plus *source*'s before it flushes or hands the
+    table to a variant that shares differently.
     """
     # COUNT(*) has no argument: it counts the sentinel True
     arguments = [
         argument if argument is not None else Const(True, DataType.BOOLEAN)
         for _aggregate, argument in aggregates
     ]
-    gen = _Codegen(key_expressions + arguments, no_nulls)
+    filtered = [] if predicate is None else [predicate]
+    walked = sorted(referenced_columns(*filtered, *key_expressions, *arguments))
+    gen = _Codegen(filtered + key_expressions + arguments, no_nulls, zipped=True)
     scope = gen.scope()
+    body: List[str] = []
+    if predicate is not None:
+        atom, _maybe = _emit(predicate, scope)
+        test = atom if _yields_bool(predicate) else f"{atom} is True"
+        body = [*scope.lines, f"if not {test}:", "    continue"]
+        scope.lines.clear()
     keys = [_emit(expression, scope) for expression in key_expressions]
-    key_atoms = [atom for atom, _maybe in keys]
+    key_atoms = [scope.named(atom) for atom, _maybe in keys]
     scalar_key = len(keys) == 1
+    sums = {
+        position: source
+        for position, source in averaged_sums(aggregates).items()
+        if aggregates[position][1].index in floats
+    }
     fold = _emit_aggregate_updates(
         [(aggregate, [_emit(argument, scope)])
          for (aggregate, _argument), argument in zip(aggregates, arguments)],
-        scope, share_counts=True,
+        scope, share=True, sums=sums,
     )
-    body = [
+    key = key_atoms[0] if scalar_key else _tuple_src(key_atoms)
+    if len(keys) < 2:
+        probed, probe = "table", f"get({key})"
+    else:
+        nothing = gen.bind("c", MappingProxyType({}))
+        probed = "index"
+        probe = f"get({key_atoms[0]}, {nothing})" + "".join(
+            f".get({atom}, {nothing})" for atom in key_atoms[1:-1]
+        ) + f".get({key_atoms[-1]})"
+    body += [
         *scope.lines,
-        f"k = {key_atoms[0] if scalar_key else _tuple_src(key_atoms)}",
-        "acc = table_get(k)",
+        f"acc = {probe}",
         "if acc is None:",
         f"    if len(table) >= {int(max_groups)}:",
         "        flush()",
+        "    acc = initial[:]" if fold.seeds is None
+        else f"    acc = [{', '.join(fold.seeds)}]",
+        f"    table[{key}] = acc",
     ]
+    if len(keys) > 1:
+        body.append(
+            f"    {gen.bind('f', _index_insert)}(index, acc, {', '.join(key_atoms)})"
+        )
     if fold.seeds is None:
-        body += ["    acc = initial[:]", "    table[k] = acc", *fold.updates]
+        body += fold.updates
+    elif fold.updates:
+        body += ["else:", *_indented(fold.updates)]
+    if not walked:
+        walk = "for _ in range(count):"
+    elif len(walked) == 1:
+        walk = f"for x{walked[0]} in cols[0]:"
     else:
-        body.append(f"    table[k] = [{', '.join(fold.seeds)}]")
-        if fold.updates:
-            body += ["else:", *_indented(fold.updates)]
+        walk = f"for {', '.join(f'x{index}' for index in walked)} in zip(*cols):"
     kernel = gen.compile(
-        ["def _group_batch(cols, sel, table, initial, flush):",
-         *_indented(gen.bindings()),
-         "    table_get = table.get",
-         "    for i in sel:",
+        ["def _group_batch(cols, count, table, index, initial, flush):",
+         f"    get = {probed}.get",
+         f"    {walk}",
          *_indented(_indented(body))],
         "_group_batch",
     )
+    kernel.columns = walked
     kernel.shared = tuple(fold.shared)
     get_metrics().counter("exec.kernel.shared_slots").add(len(fold.shared))
     out_no_nulls = [not maybe for _atom, maybe in keys] + fold.slot_no_nulls

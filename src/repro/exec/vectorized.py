@@ -4,7 +4,8 @@ The one execution path of every engine task — map chains, broadcast
 (map-join build) chains and reduce tails alike.  Each operator runs a
 codegen'd whole-column loop (the ``codegen_*_kernel`` family in
 :mod:`repro.exec.expressions`) against a column batch.  Filters narrow
-the batch's *selection vector* rather than copying data, and rows
+the batch's *selection vector* rather than copying data — except that a
+Filter feeding a map-side GROUP BY runs inside the group kernel — and rows
 never materialize back into tuples: a FileSink keeps columns, and the
 stored file is built from them; a ReduceSink hands the engine column
 runs (:mod:`repro.exec.shuffle`) — Hive's VectorizedRowBatch design.
@@ -31,6 +32,7 @@ it dies with the job).  This module keeps no module-level state.
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from itertools import compress
 from operator import and_
@@ -39,7 +41,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import ExecutionError
 from repro.common.rows import ColumnBatch, take_columns
 from repro.exec.expressions import (
+    BoundExpression,
     InputRef,
+    averaged_sums,
     codegen_filter_kernel,
     codegen_group_kernel,
     codegen_keys_kernel,
@@ -65,27 +69,41 @@ class Kernels:
     """The compiled kernels of one descriptor: one per set of NULL-free
     columns among those its *expressions* read.  ``build(no_nulls)`` is
     the ``codegen_*_kernel`` call that generates a variant; a variant is
-    keyed by one flag per referenced column (:meth:`known`)."""
+    keyed by one flag per referenced column (:meth:`known`).  A
+    descriptor that names *floats* columns keys its variants on one more
+    flag each — the batch holds that column as a typed ``array('d')``,
+    so every value in it is a float — and is built with
+    ``build(no_nulls, floats)``."""
 
-    __slots__ = ("referenced", "build", "variants")
+    __slots__ = ("referenced", "floats", "build", "variants")
 
-    def __init__(self, expressions, build: Callable):
+    def __init__(self, expressions, build: Callable, floats: Sequence[int] = ()):
         self.referenced = sorted(referenced_columns(*expressions))
+        self.floats = sorted(floats)
         self.build = build
         self.variants: Dict[Tuple[bool, ...], object] = {}
 
-    def known(self, facts: Optional[Sequence[bool]]) -> Tuple[bool, ...]:
-        """Per referenced column: a batch's ``no_nulls`` promises it."""
+    def known(self, facts: Optional[Sequence[bool]],
+              columns: Sequence[Optional[Sequence]] = ()) -> Tuple[bool, ...]:
+        """Per referenced column: a batch's ``no_nulls`` promises it;
+        then per *floats* column: *columns* holds it as ``array('d')``."""
         if facts is None:
-            return (False,) * len(self.referenced)
-        return tuple([facts[column] for column in self.referenced])
+            flags = [False] * len(self.referenced)
+        else:
+            flags = [facts[column] for column in self.referenced]
+        for column in self.floats:
+            values = columns[column]
+            flags.append(type(values) is array and values.typecode == "d")
+        return tuple(flags)
 
     def variant(self, known: Tuple[bool, ...]):
         kernel = self.variants.get(known)
         if kernel is None:
-            kernel = self.variants[known] = self.build(
-                frozenset(compress(self.referenced, known))
-            )
+            width = len(self.referenced)
+            facts = [frozenset(compress(self.referenced, known[:width]))]
+            if self.floats:
+                facts.append(frozenset(compress(self.floats, known[width:])))
+            kernel = self.variants[known] = self.build(*facts)
         return kernel
 
     def for_facts(self, facts: Optional[Sequence[bool]]):
@@ -93,9 +111,10 @@ class Kernels:
 
 
 def kernel_of(desc, expressions, build: Callable,
-              slot: str = "_kernel") -> Kernels:
+              slot: str = "_kernel", floats: Sequence[int] = ()) -> Kernels:
     """The :class:`Kernels` of the descriptor *desc*, kept on *desc*
-    itself (under *slot*: a map-join has two).
+    itself (under *slot*: a map-join has two, and a GROUP BY keeps the
+    kernels with a Filter run inside them apart).
 
     Descriptors are plain dataclass instances inside the driver's cached
     plans, so every task of every run re-sees the same objects; the
@@ -105,7 +124,7 @@ def kernel_of(desc, expressions, build: Callable,
     attributes = vars(desc)
     kernels = attributes.get(slot)
     if kernels is None:
-        kernels = attributes[slot] = Kernels(expressions, build)
+        kernels = attributes[slot] = Kernels(expressions, build, floats)
     return kernels
 
 
@@ -141,12 +160,11 @@ class BroadcastTable:
                         table.setdefault(key, []).append(index)
         return table
 
-    def padded(self, width: int) -> List[list]:
-        """The *width* columns with a NULL appended — row ``batch.size``
-        is a left join's padding — built once."""
+    def padded(self) -> List[list]:
+        """The columns with a NULL appended — row ``batch.size`` is a
+        left join's padding — built once."""
         if self._padded is None:
-            columns = self.batch.columns or [[]] * width  # an empty table
-            self._padded = [list(column) + [None] for column in columns]
+            self._padded = [list(column) + [None] for column in self.batch.columns]
         return self._padded
 
 
@@ -219,50 +237,66 @@ class VectorSelectOperator(VectorOperator):
 
 
 class VectorMapGroupByOperator(VectorOperator):
-    """Map-side partial aggregation: the whole inner loop (key build,
-    hash probe, pressure flush, accumulator updates) is one generated
-    frame."""
+    """Map-side partial aggregation: the whole inner loop (the filter
+    feeding it, hash probe, pressure flush, accumulator updates) is one
+    generated frame, which walks the columns it reads with ``zip`` — a
+    window is sliced and any other selection gathered first."""
 
-    def __init__(self, desc: MapGroupByDesc, child: VectorOperator):
+    def __init__(self, desc: MapGroupByDesc, child: VectorOperator,
+                 predicate: Optional[BoundExpression] = None):
         super().__init__(child)
-        arguments = [
+        expressions = desc.key_expressions + [
             argument for _aggregate, argument in desc.aggregates
             if argument is not None
         ]
+        if predicate is not None:
+            expressions.append(predicate)
+        averaged = averaged_sums(desc.aggregates)
         self._kernels = kernel_of(
-            desc, desc.key_expressions + arguments,
+            desc, expressions,
             partial(codegen_group_kernel, desc.key_expressions,
-                    desc.aggregates, desc.max_groups_in_memory),
+                    desc.aggregates, desc.max_groups_in_memory,
+                    predicate=predicate),
+            "_kernel" if predicate is None else "_filtered_kernel",
+            {desc.aggregates[position][1].index for position in averaged},
         )
         self._table: Dict[object, list] = {}
+        # the same groups, one nested dict per key column: what a kernel
+        # with two or more key columns probes
+        self._index: Dict[object, dict] = {}
         # what every batch so far promised: a group seeded by a kernel
         # that was promised less may hold a NULL slot, which a kernel
         # promised more would not guard — so the promises only narrow
         self._known: Optional[Tuple[bool, ...]] = None
         self._scalar_key = False
+        self._initial: list = []
         self._out_no_nulls: Optional[List[bool]] = None
-        # (slot, source) pairs: count slots of the live table that the
-        # running variant leaves at their seed because *source* counts
-        # the same rows (``kernel.shared``)
+        # (slot, source) pairs: slots of the live table that the running
+        # variant leaves at their seed because *source* runs the same
+        # value (``kernel.shared``)
         self._shared: Tuple[Tuple[int, int], ...] = ()
         self.flushes = 0
 
     def process_batch(self, batch: ColumnBatch) -> None:
-        known = self._kernels.known(batch.no_nulls)
+        known = self._kernels.known(batch.no_nulls, batch.columns)
         if self._known is not None and known != self._known:
             known = tuple(map(and_, known, self._known))
         self._known = known
-        kernel, initial, self._scalar_key, self._out_no_nulls = (
+        kernel, self._initial, self._scalar_key, self._out_no_nulls = (
             self._kernels.variant(known)
         )
         if kernel.shared != self._shared:
-            # a variant promised less shares less and would count on
-            # from the seeds: bring the live groups up to date first
+            # a variant promised less shares less and would run on from
+            # the seeds: bring the live groups up to date first
             for acc in self._table.values():
                 for slot, source in self._shared:
-                    acc[slot] = acc[source]
+                    acc[slot] = self._initial[slot] + acc[source]
             self._shared = kernel.shared
-        kernel(batch.columns, _live(batch), self._table, initial, self._flush)
+        columns = [batch.columns[index] for index in kernel.columns]
+        if batch.sel is not None:
+            columns = take_columns(columns, batch.sel)
+        kernel(columns, batch.live_count, self._table, self._index,
+               self._initial, self._flush)
 
     def _flush(self) -> None:
         self.flushes += 1
@@ -274,10 +308,14 @@ class VectorMapGroupByOperator(VectorOperator):
         columns = [list(table)] if self._scalar_key else list(map(list, zip(*table)))
         first_slot = len(columns)
         columns += map(list, zip(*table.values()))
-        for slot, source in self._shared:  # filled in from the slot that counted
-            columns[first_slot + slot] = columns[first_slot + source]
+        for slot, source in self._shared:  # filled in from the slot that ran
+            zero = self._initial[slot]
+            columns[first_slot + slot] = [
+                zero + value for value in columns[first_slot + source]
+            ]
         size = len(table)
         table.clear()
+        self._index.clear()
         self.child.process_batch(
             ColumnBatch(columns, size, None, self._out_no_nulls)
         )
@@ -312,11 +350,11 @@ class VectorMapJoinOperator(VectorOperator):
                 f"map-join small table not loaded: {desc.small_location}"
             ) from None
         self._hash = small.hash_table(build_keys)
-        width = desc.small_width
         self._pad = small.batch.size  # the row a left join's miss picks
+        width = small.batch.width
         if self._left_join:
             # the padding puts NULLs in every small-side column
-            self._small_columns = small.padded(width)
+            self._small_columns = small.padded()
             self._small_no_nulls = [False] * width
         else:
             self._small_columns = small.batch.columns
@@ -466,13 +504,19 @@ def build_vector_pipeline(
         operator = VectorFileSinkOperator(tail, context)
     else:
         raise ExecutionError(f"pipeline must end in a sink, got {type(tail).__name__}")
-    for descriptor in reversed(descriptors[:-1]):
+    chain = descriptors[:-1]
+    while chain:
+        descriptor = chain.pop()
         if isinstance(descriptor, FilterDesc):
             operator = VectorFilterOperator(descriptor, operator)
         elif isinstance(descriptor, SelectDesc):
             operator = VectorSelectOperator(descriptor, operator)
         elif isinstance(descriptor, MapGroupByDesc):
-            operator = VectorMapGroupByOperator(descriptor, operator)
+            # a Filter right in front runs inside the group kernel
+            predicate = None
+            if chain and isinstance(chain[-1], FilterDesc):
+                predicate = chain.pop().predicate
+            operator = VectorMapGroupByOperator(descriptor, operator, predicate)
         elif isinstance(descriptor, MapJoinDesc):
             operator = VectorMapJoinOperator(descriptor, operator, context)
         elif isinstance(descriptor, LimitDesc):

@@ -17,11 +17,13 @@ that come and go per column.  ``scripts/check.sh`` re-runs the module
 under ``PYTHONHASHSEED=1``.
 """
 
+import math
 import re
+from array import array
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.rows import ColumnBatch, DataType
@@ -36,7 +38,7 @@ from repro.exec.expressions import (
     codegen_reduce_aggregate_kernel,
 )
 from repro.exec.mapper import ExecMapper
-from repro.exec.operators import FileSinkDesc, MapGroupByDesc
+from repro.exec.operators import FileSinkDesc, FilterDesc, MapGroupByDesc
 from repro.sql.functions import AGGREGATES, get_scalar
 
 # columns: 0 ints, 1 floats, 2 ints mixed with floats, 3 strings
@@ -49,9 +51,9 @@ _VALUES = (
 
 
 @st.composite
-def _tables(draw, min_rows=1, max_rows=10):
+def _tables(draw):
     """Column lists; each column independently with or without NULLs."""
-    size = draw(st.integers(min_rows, max_rows))
+    size = draw(st.integers(1, 10))
     columns = []
     for values in _VALUES:
         if draw(st.booleans()):
@@ -62,7 +64,7 @@ def _tables(draw, min_rows=1, max_rows=10):
 
 def _ref(index):
     dtype = (DataType.BIGINT, DataType.DOUBLE, DataType.DOUBLE,
-             DataType.STRING)[index]
+             DataType.STRING, DataType.STRING)[index]
     return InputRef(index, dtype)
 
 
@@ -156,8 +158,8 @@ def _facts(columns):
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
-    except TypeError:
-        return "TypeError"
+    except (TypeError, OverflowError) as error:  # CAST(inf AS INT) overflows
+        return type(error).__name__
 
 
 def _rows(columns):
@@ -226,53 +228,131 @@ _AGGREGATE_SPECS = st.one_of(
                   st.one_of(st.none(), st.sampled_from([0, 1, 2]).map(_ref))),
         min_size=2, max_size=6,
     ),
+    # SUM(x) beside AVG(x): the running sum a seeded kernel shares when x
+    # is a typed array('d') column (1), and must not share over a list
+    # (2, where ints past 2**53 make 0.0 + SUM differ from AVG's sum)
+    st.sampled_from([1, 2]).flatmap(lambda column: st.lists(
+        st.sampled_from(["sum", "avg", "count"]), max_size=3,
+    ).map(lambda names: [(name, _ref(column))
+                         for name in ["sum", "avg", *names]])),
+)
+
+_NAN = float("nan")  # one object: the rows holding it are one group
+
+# columns of a GROUP BY table: 0 ints, 1 floats led by -0.0, NaN and
+# ±inf (a typed array('d') when drawn so), 2 ints — some past 2**53 —
+# mixed with floats, 3 strings, 4 key values equal across types
+# (1 / 1.0 / True, -0.0 / 0.0) and NaNs, one shared object and fresh ones
+_GROUP_VALUES = (
+    st.integers(-3, 3),
+    st.sampled_from([-0.0, -0.0, -0.0, 0.0, 1.5, -2.25,
+                     math.inf, -math.inf, _NAN]),
+    st.one_of(st.integers(-2, 2),
+              st.sampled_from([2**53 + 1, 2**60 + 3, 0.5, -0.0])),
+    st.sampled_from(["a", "ab", "b", ""]),
+    st.one_of(st.sampled_from([-0.0, 0.0, 1, 1.0, True, None, _NAN]),
+              st.builds(float, st.just("nan"))),
 )
 
 
-def _group_rows(batches, key_exprs, aggregates, max_groups, vectorized):
-    mapper = ExecMapper(
-        [MapGroupByDesc(key_exprs, aggregates, max_groups), FileSinkDesc()],
-        None, 1, vectorized=vectorized,
-    )
+@st.composite
+def _group_batches(draw):
+    """``(columns, live)``: each column independently with or without
+    NULLs, column 1 maybe typed, and the live positions — ``None``
+    (dense), an engine window or an arbitrary selection."""
+    size = draw(st.integers(0, 10))
+    columns = []
+    for position, values in enumerate(_GROUP_VALUES):
+        if draw(st.booleans()):
+            values = st.one_of(st.none(), values)
+        column = draw(st.lists(values, min_size=size, max_size=size))
+        if position == 1 and None not in column and draw(st.booleans()):
+            column = array("d", column)
+        columns.append(column)
+    window = st.tuples(st.integers(0, size), st.integers(0, size)).map(
+        lambda ends: range(min(ends), max(ends)))
+    chosen = st.lists(st.booleans(), min_size=size, max_size=size).map(
+        lambda keep: [i for i, kept in enumerate(keep) if kept])
+    return columns, draw(st.one_of(st.none(), window, chosen))
+
+
+def _batch(columns, live, promised):
+    """*columns* as a batch over the *live* positions: with the true
+    NULL promises and typed buffers (*promised*), or promising nothing
+    and holding lists only."""
+    if not promised:
+        columns = [list(column) for column in columns]
+    facts = [None not in column for column in columns] if promised else None
+    batch = ColumnBatch(columns, len(columns[0]), None, facts)
+    if type(live) is range:
+        return batch[live.start:live.stop]
+    return batch if live is None else batch.with_selection(live)
+
+
+def _exact(rows):
+    """Rows with every float spelled by ``float.hex``: -0.0, NaN, ±inf
+    and the last bit all show."""
+    return [tuple(value.hex() if type(value) is float else repr(value)
+                  for value in row) for row in rows]
+
+
+def _group_rows(batches, predicate, key_exprs, aggregates, max_groups,
+                vectorized):
+    chain = [MapGroupByDesc(key_exprs, aggregates, max_groups), FileSinkDesc()]
+    if predicate is not None:
+        chain.insert(0, FilterDesc(predicate))
+    mapper = ExecMapper(chain, None, 1, vectorized=vectorized)
     for batch in batches:
         mapper.process_batch(batch)
     output = mapper.close().output
-    return output.to_rows() if vectorized else output
+    return _exact(output.to_rows() if vectorized else output)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(_tables(min_rows=0), min_size=1, max_size=3),
-    st.lists(st.one_of(st.sampled_from([0, 2, 3]).map(_ref), _NUMERICS),
-             min_size=0, max_size=2),
+    st.lists(_group_batches(), min_size=1, max_size=3),
+    # a bare value filters too: only TRUE keeps a row, not 1
+    st.one_of(st.none(), _BOOLEANS, _NUMERIC_LEAVES),
+    st.lists(st.one_of(st.sampled_from([0, 2, 3, 4, 4]).map(_ref), _NUMERICS),
+             min_size=0, max_size=3),
     _AGGREGATE_SPECS,
     st.integers(1, 4),
 )
-def test_group_kernel(tables, key_exprs, specs, max_groups):
+# AVG's sum is 0.0 + SUM, never SUM itself (-0.0), and only over a typed
+# column: over a list 2**53 + 1 and 1 sum to 2**53 + 2 as ints, to 2**53
+# as floats
+@example([([[0], array("d", [-0.0]), [0], ["a"], [0]], None)], None, [],
+         [("sum", _ref(1)), ("avg", _ref(1))], 4)
+@example([([[0, 0], [0.5, 0.5], [2**53 + 1, 1], ["a", "a"], [0, 0]], None)],
+         None, [], [("sum", _ref(2)), ("avg", _ref(2))], 4)
+def test_group_kernel(tables, predicate, key_exprs, specs, max_groups):
     """The flushed rows are the table's ``key + slots`` in insertion
     order, pressure flushes included (``max_groups`` is tiny): identical
-    with the true promises, with none, and from the row operator."""
+    with the true promises, with none, and from the row operators — a
+    Filter in front runs inside the group kernel, keys of two and three
+    columns probe one dict per column, and a SUM's running sum is
+    shared with an AVG over the same all-float column."""
     aggregates = [(AGGREGATES[name], argument) for name, argument in specs]
-    as_rows = [_rows(columns) for columns in tables]
-    expected = _outcome(_group_rows, as_rows, key_exprs, aggregates,
-                        max_groups, False)
-    promised = [
-        ColumnBatch(columns, len(columns[0]), None,
-                    [None not in column for column in columns])
-        for columns in tables
+    as_rows = [
+        [row for index, row in enumerate(_rows(columns))
+         if live is None or index in live]
+        for columns, live in tables
     ]
-    bare = [ColumnBatch(columns, len(columns[0])) for columns in tables]
+    expected = _outcome(_group_rows, as_rows, predicate, key_exprs,
+                        aggregates, max_groups, False)
+    promised = [_batch(columns, live, True) for columns, live in tables]
+    bare = [_batch(columns, live, False) for columns, live in tables]
     # promises that change from batch to batch, in either direction: the
     # operator only ever narrows what it takes as promised, and a table
-    # whose counts were shared is brought up to date before a variant
+    # whose slots were shared is brought up to date before a variant
     # that shares less runs on it
     mixed = [batch if index % 2 else plain
              for index, (batch, plain) in enumerate(zip(promised, bare))]
     other = [plain if index % 2 else batch
              for index, (batch, plain) in enumerate(zip(promised, bare))]
     for batches in (promised, bare, mixed, other):
-        assert _outcome(_group_rows, batches, key_exprs, aggregates,
-                        max_groups, True) == expected
+        assert _outcome(_group_rows, batches, predicate, key_exprs,
+                        aggregates, max_groups, True) == expected
 
 
 def _reduce_reference(aggregates, arities, columns, order, ends):
@@ -357,7 +437,7 @@ def test_avg_slot_is_seeded_with_zero_plus_the_first_value():
             [], aggregates, 10, no_nulls
         )
         table = {}
-        kernel([[3], [-0.0]], range(1), table, initial, lambda: None)
+        kernel([[3], [-0.0]], 1, table, {}, initial, lambda: None)
         assert repr(table) == "{(): [3.0, 1, 0.0, 1]}"
 
 

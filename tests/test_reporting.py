@@ -27,7 +27,7 @@ from repro.reporting.productivity import (
 # an engine body that grows a copy of shared task scaffolding back needs
 # a declared test edit.
 ENGINE_LINES = {
-    "engine for Hadoop": 289,
+    "engine for Hadoop": 287,
     "engine for DataMPI (main changes)": 887,
     "engine for LLAP": 434,
 }

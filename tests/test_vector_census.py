@@ -117,23 +117,26 @@ def _compiled_while(session, sql):
 @pytest.mark.parametrize("format_name", ["text", "orc"])
 def test_q1_and_q6_compile_without_a_null_guard(format_name):
     """A loaded ``lineitem`` holds no NULL and its files say so, so every
-    kernel of Q1 and Q6 — filter, group, reduce — is the unguarded
-    variant.  An operator that drops the facts on the way shows up here
-    as guarded references."""
+    kernel of Q1 and Q6 — the group kernel with the filter inside it,
+    and the reduce — is the unguarded variant.  An operator that drops
+    the facts on the way shows up here as guarded references.  Q6's
+    filter and group share ``l_discount``: one reference, not two."""
     hdfs, metastore = fresh_tpch(1, lineitem_sample=400, format_name=format_name)
     with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
-        assert _compiled_while(session, tpch_query(1, 1)) == (0, 18, 3)
-        assert _compiled_while(session, tpch_query(6, 1)) == (0, 6, 3)
+        assert _compiled_while(session, tpch_query(1, 1)) == (0, 18, 2)
+        assert _compiled_while(session, tpch_query(6, 1)) == (0, 5, 2)
         # the plan is cached and so are its kernels: nothing compiles twice
         assert _compiled_while(session, tpch_query(6, 1)) == (0, 0, 0)
 
 
 def test_q1_counts_its_rows_once(monkeypatch):
     """Q1 keeps eleven slots a group — four sums, three ``AVG`` pairs,
-    ``COUNT(*)`` — and four of them count the group's rows.  Over a
-    NULL-free ``lineitem`` the group kernel updates one of the four
-    (8 slot updates a row, not 11) and the flush fills in the other
-    three; Q6's single ``SUM`` has nothing to share."""
+    ``COUNT(*)`` — and four of them count the group's rows, while
+    ``AVG(l_quantity)`` and ``AVG(l_extendedprice)`` sum what
+    ``SUM(l_quantity)`` and ``SUM(l_extendedprice)`` do over all-float
+    columns.  Over a NULL-free ``lineitem`` the group kernel updates one
+    count and the two sums (6 slot updates a row, not 11) and the flush
+    fills in the other five; Q6's single ``SUM`` has nothing to share."""
     from repro.exec import expressions
 
     sources = []
@@ -157,7 +160,7 @@ def test_q1_counts_its_rows_once(monkeypatch):
 
     hdfs, metastore = fresh_tpch(1, lineitem_sample=400, format_name="orc")
     with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
-        assert group_kernel_of(session, 1) == (8, 3)
+        assert group_kernel_of(session, 1) == (6, 5)
         assert group_kernel_of(session, 6) == (1, 0)
 
 
@@ -176,8 +179,8 @@ def test_one_null_compiles_the_guarded_form(format_name):
     with connect(engine="local", hdfs=hdfs, metastore=metastore) as oracle:
         expected = oracle.query(tpch_query(6, 1)).rows
     with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
-        # the last file's tasks compile a second filter and a second
-        # group kernel, each guarding l_discount; their SUM slot may be
+        # the last file's tasks compile a second group kernel (the
+        # filter inside it), guarding l_discount; its SUM slot may be
         # NULL, so the reduce kernel guards its one column too
-        assert _compiled_while(session, tpch_query(6, 1)) == (3, 8, 5)
+        assert _compiled_while(session, tpch_query(6, 1)) == (2, 7, 3)
         assert session.query(tpch_query(6, 1)).rows == expected

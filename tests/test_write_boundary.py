@@ -21,6 +21,7 @@ import pytest
 from repro import connect
 from repro.bench import fresh_tpch
 from repro.common.rows import ColumnBatch
+from repro.engines.base import load_broadcast_tables
 from repro.exec.operators import MapJoinDesc
 from repro.storage.formats.base import RowMajorStoredFile, StoredFile
 from repro.storage.formats.orc import OrcStoredFile
@@ -319,3 +320,31 @@ def test_map_join_insert_stays_columnar(engine, warehouse, materializations):
         assert not materializations.derived, name
         got = hdfs.dir_rows(metastore.get_table(target).location)
         assert sorted(got, key=repr) == sorted(expected[name], key=repr), name
+
+
+def test_an_empty_broadcast_table_keeps_its_width(warehouse):
+    """A small side no row reaches — no file, only empty files, or a
+    broadcast chain that drops every row — is still ``spec.width``
+    columns wide, so the map-join reads its width from the table."""
+    hdfs, metastore = warehouse
+    with connect(engine="local", hdfs=hdfs, metastore=metastore) as oracle:
+        oracle.execute(_JOIN_SETUP + "CREATE TABLE nation_empty (n_nationkey "
+                       "int, n_name string, n_regionkey int, n_comment string);")
+    table = metastore.get_table("nation_empty")
+    hdfs.write(f"{table.location}/part-00000", table.schema, [])
+    small_sides = {
+        "no file": "nation_none",
+        "empty files": "nation_empty",
+        "every row dropped": "(SELECT * FROM nation WHERE n_nationkey < 0) n",
+    }
+    with connect(engine="hadoop", hdfs=hdfs, metastore=metastore) as session:
+        for case, small in small_sides.items():
+            (explained,) = session.execute(
+                f"EXPLAIN SELECT s_suppkey, n_name FROM supplier LEFT JOIN "
+                f"{small} ON s_nationkey = n_nationkey"
+            )
+            (job,) = [job for job in explained.plan.jobs if job.broadcasts]
+            tables = load_broadcast_tables(job, hdfs, vectorized=True)
+            for spec in job.broadcasts:
+                batch = tables[spec.location].batch
+                assert (batch.size, batch.width) == (0, spec.width), case
