@@ -46,7 +46,7 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event budget, cost-model fingerprint, kernel + lease equivalence, scan projection, statement lifecycle, sampler purity, loader identity + held-once tables under PYTHONHASHSEED=1 =="
+echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event budget, cost-model fingerprint, kernel + lease equivalence, scan projection, statement lifecycle, sampler purity, loader identity + held-once tables, MPI-D library delivery + gang under PYTHONHASHSEED=1 =="
 # Same-instant ordering bugs are the kind that hide behind one hash
 # seed (a set or dict walked in address order decides who goes first),
 # so the exact-value suites run a second time under a different one.
@@ -74,6 +74,10 @@ echo "== simulated-time, encoded-byte, shuffle-pair + serving goldens, event bud
 # block layouts, ORC loads encode dictionaries that walk sets, and the
 # held-once structure (typed columns straight from the loader, no row
 # list left behind) may not depend on how any of them is walked.
+# And the MPI-D library on its own (a word count with no Hive, and its
+# building blocks): delivery order is (sender, seq) and a gang trip
+# interrupts ranks in launch order, neither of which may come from how
+# a set or dict of ranks, nodes or partitions hashes.
 PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
     tests/test_sim_golden.py tests/test_sim_golden_faults.py \
     tests/test_sim_golden_shuffle.py tests/test_event_budget.py \
@@ -82,7 +86,8 @@ PYTHONHASHSEED=1 PYTHONPATH=src python -m pytest -q \
     tests/test_serving_golden.py tests/test_lease_arbitration.py \
     tests/test_scan_projection.py tests/test_costmodel.py \
     tests/test_statement_lifecycle.py tests/test_cluster_metrics.py \
-    tests/test_dbgen_reference.py tests/test_table_held_once.py
+    tests/test_dbgen_reference.py tests/test_table_held_once.py \
+    tests/test_datampi_library.py tests/test_datampi_parts.py
 
 echo "== hostbench tests (recorder, seam wrappers, compare, oracle) =="
 # The wall-clock benchmark's own suite (BENCHMARK.json's contract): it

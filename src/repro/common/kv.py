@@ -20,6 +20,10 @@ tag     payload
 ======  ==========================================
 
 Each tuple is prefixed with a 1-byte arity.
+
+The engines move pairs as column runs (:class:`PairRun`: pair *i* is
+``(key_columns[*][i], (tag,) + value_columns[*][i])``, sized as
+``kv_size``) held in :class:`Segments`, ``(run, positions)`` slices.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
+from repro.common.rows import take_columns
 
 Fields = Tuple[object, ...]
 
@@ -284,3 +289,78 @@ def exact_field_bytes(column: Sequence) -> List[bytes]:
     """:func:`bulk_field_bytes` by the per-value serde."""
     # arity byte in front, empty-value arity byte behind
     return [serialize_fields((field,))[1:-1] for field in column]
+
+
+# -- the engines' pair model: column runs and their slices --------------------
+
+class PairRun:
+    """Shuffle pairs of one sink, column-wise, in emit order.
+    ``no_nulls`` carries the sink's ``ColumnBatch.no_nulls`` promises
+    over the key columns, then the value columns (``None``: none made)."""
+
+    __slots__ = ("key_columns", "value_columns", "tag", "sizes", "no_nulls")
+
+    def __init__(self, key_columns: List[Sequence], value_columns: List[Sequence],
+                 tag: int, sizes: List[int],
+                 no_nulls: Optional[Sequence[bool]] = None):
+        self.key_columns = key_columns
+        self.value_columns = value_columns
+        self.tag = tag
+        self.sizes = sizes  # wire bytes per pair
+        self.no_nulls = no_nulls
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def sizes_at(self, positions: Sequence[int]):
+        """The wire sizes of the pairs at *positions* (ascending: as many
+        positions as pairs is all of them), in order."""
+        if len(positions) == len(self.sizes):
+            return self.sizes
+        return map(self.sizes.__getitem__, positions)
+
+    def take(self, positions: Sequence[int]) -> "PairRun":
+        """The pairs at *positions* (repeats allowed), as a new run."""
+        return PairRun(
+            take_columns(self.key_columns, positions),
+            take_columns(self.value_columns, positions),
+            self.tag,
+            list(map(self.sizes.__getitem__, positions)),
+            self.no_nulls,
+        )
+
+
+class Segments:
+    """Pairs held as ``(run, positions)`` slices, in arrival order.
+    ``len()`` counts pairs."""
+
+    __slots__ = ("parts", "pairs")
+
+    def __init__(self):
+        self.parts: List[Tuple[PairRun, Sequence[int]]] = []
+        self.pairs = 0
+
+    def add(self, run: PairRun, positions: Sequence[int]) -> None:
+        self.parts.append((run, positions))
+        self.pairs += len(positions)
+
+    def extend(self, other: "Segments") -> None:
+        self.parts += other.parts
+        self.pairs += other.pairs
+
+    def __len__(self) -> int:
+        return self.pairs
+
+
+def split_positions(partition_ids: Sequence[int], num_partitions: int):
+    """``[(partition, positions)]`` for every partition *partition_ids*
+    names, positions ascending (a stable split of the emit stream)."""
+    if num_partitions == 1:
+        return [(0, range(len(partition_ids)))]
+    split: dict = {}
+    for position, partition in enumerate(partition_ids):
+        try:
+            split[partition].append(position)
+        except KeyError:
+            split[partition] = [position]
+    return list(split.items())

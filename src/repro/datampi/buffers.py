@@ -1,17 +1,10 @@
-"""DataMPI buffer manager (paper §IV-C, Fig 7).
-
-Three cooperating pieces:
-
-* :class:`SendPartitionList` — per-O-task partition buffers.  Each
-  partition accumulates key-value pairs for one A task; a full partition
-  becomes a :class:`SendBuffer` and is pushed toward the shuffle engine.
-* :class:`SendQueue` — the bounded queue between the computing thread
-  and the communication thread(s).  Its capacity is the
-  ``hive.datampi.sendqueue`` knob (Fig 8 right): a full queue blocks the
-  O task (computation waits for communication).
-* :class:`ReceiveManager` — A-side: delivered buffers are cached in
-  memory up to the ``hive.datampi.memusedpercent`` budget and spilled to
-  local disk beyond it (Fig 8 left).
+"""DataMPI buffer manager (paper §IV-C, Fig 7): the per-O-rank Send
+Partition List, whose full partitions become :class:`SendBuffer`\ s;
+the bounded :class:`SendQueue` between computation and communication
+(``hive.datampi.sendqueue``, Fig 8 right: a full queue blocks the O
+rank); the A-side :class:`ReceiveManager`, which caches delivered
+buffers up to the ``hive.datampi.memusedpercent`` budget and spills the
+rest to local disk (Fig 8 left).
 """
 
 from __future__ import annotations
@@ -22,10 +15,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ExecutionError
-from repro.exec.shuffle import Segments, split_positions
+from repro.common.kv import Segments, split_positions
 from repro.simulate.cluster import Node
 from repro.simulate.events import Event, Simulator
 
@@ -55,13 +48,10 @@ class SendPartitionList:
         if num_partitions < 1:
             raise ExecutionError("SPL needs at least one partition")
         self.num_partitions = num_partitions
-        self.capacity = partition_capacity_bytes
         # byte counts are whole numbers: a buffer holding this many has
         # reached the (float) capacity
         self._full_at = math.ceil(partition_capacity_bytes)
-        self._buffers: List[SendBuffer] = [
-            SendBuffer(partition=i) for i in range(num_partitions)
-        ]
+        self._buffers = [SendBuffer(partition=i) for i in range(num_partitions)]
         self.bytes_added = 0
 
     def add_many(self, partition_ids, run, on_full) -> None:
@@ -76,9 +66,7 @@ class SendPartitionList:
         buffers = self._buffers
         full_at = self._full_at
         closed: List[Tuple[int, SendBuffer]] = []  # (closing pair, buffer)
-        for partition, positions in split_positions(
-            partition_ids, self.num_partitions
-        ):
+        for partition, positions in split_positions(partition_ids, self.num_partitions):
             buffer = buffers[partition]
             count = len(positions)
             filled = list(accumulate(run.sizes_at(positions)))
@@ -103,17 +91,22 @@ class SendPartitionList:
             on_full(buffer)
 
     def drain(self) -> List[SendBuffer]:
-        """Remaining non-empty partial buffers (task close)."""
-        out = [buffer for buffer in self._buffers if buffer.segments]
-        self._buffers = [SendBuffer(partition=i) for i in range(self.num_partitions)]
+        """Remaining non-empty partial buffers (task close); an empty
+        buffer stays where it is."""
+        buffers = self._buffers
+        out = [buffer for buffer in buffers if buffer.segments]
+        for buffer in out:
+            buffers[buffer.partition] = SendBuffer(partition=buffer.partition)
         return out
 
 
 class SendQueue:
     """Bounded FIFO between computation and communication threads.
 
-    ``put`` returns an event that triggers once the buffer is admitted;
-    a slot frees when the shuffle engine reports the transfer finished.
+    A buffer that fits is admitted (or handed to a waiting sender) on
+    the spot; an :class:`Event` is made only for a caller that must
+    wait.  A slot frees when the shuffle engine reports the transfer
+    finished.
     """
 
     def __init__(self, sim: Simulator, capacity: int):
@@ -126,25 +119,25 @@ class SendQueue:
         self.in_flight = 0
         self._put_waiters: Deque[Tuple[Event, SendBuffer]] = deque()
         self._get_waiters: Deque[Event] = deque()
-        self.total_put_wait = 0.0  # accumulated producer blocking time
 
-    def put(self, buffer: SendBuffer) -> Event:
-        event = Event(self.sim)
+    def put(self, buffer: SendBuffer) -> Optional[Event]:
+        """``None`` once *buffer* is admitted, or (the queue is full) an
+        event that triggers when it is."""
         if self.backlog < self.capacity:
             self._admit(buffer)
-            event.trigger(None)
-        else:
-            self._put_waiters.append((event, buffer))
+            return None
+        event = Event(self.sim)
+        self._put_waiters.append((event, buffer))
         return event
 
-    def get(self) -> Event:
-        """Event that yields the next buffer (for the sender thread)."""
-        event = Event(self.sim)
+    def get(self) -> Union[SendBuffer, Event]:
+        """The next buffer (for the sender thread), or — none is queued —
+        an event that yields it."""
         if self.items:
             self.handed += 1
-            event.trigger(self.items.popleft())
-        else:
-            self._get_waiters.append(event)
+            return self.items.popleft()
+        event = Event(self.sim)
+        self._get_waiters.append(event)
         return event
 
     def transfer_started(self) -> None:
@@ -190,13 +183,7 @@ class ReceiveManager:
     budget are spilled (the A task later reads them back).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        partition_nodes: List[Node],
-        cache_budget_per_node: float,
-    ):
-        self.sim = sim
+    def __init__(self, partition_nodes: List[Node], cache_budget_per_node: float):
         self.partition_nodes = partition_nodes
         self.cache_budget = cache_budget_per_node
         self._arrivals: List[List[Tuple[int, int, Segments]]] = [
@@ -206,9 +193,6 @@ class ReceiveManager:
         self.cached_partition_bytes: List[float] = [0.0] * len(partition_nodes)
         self.spilled_bytes: List[float] = [0.0] * len(partition_nodes)
         self.received_bytes: List[float] = [0.0] * len(partition_nodes)
-
-    def node_for(self, partition: int) -> Node:
-        return self.partition_nodes[partition]
 
     def partition_pairs(self, partition: int) -> Segments:
         """The partition's pairs in canonical (sender, emission-seq)

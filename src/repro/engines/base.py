@@ -31,12 +31,12 @@ from repro.common.config import (
     HIVE_REDUCERS_BYTES_PER_REDUCER,
     LEASE_AUDIT,
 )
+from repro.common.kv import Segments, split_positions
 from repro.common.rows import ColumnBatch, Schema
 from repro.common.units import GB, MB
 from repro.exec.mapper import ExecMapper, ExecReducer, MapTaskResult
 from repro.exec.operators import Collector, FileSinkDesc
 from repro.exec.reduce import key_comparator
-from repro.exec.shuffle import Segments, split_positions
 from repro.exec.vectorized import BroadcastTable
 from repro.obs import MetricsRegistry, Span, Tracer, get_metrics
 from repro.plan.physical import MapInput, MRJob, PhysicalPlan
@@ -356,7 +356,7 @@ class MapOutputCollector(Collector):
     Shared by every cluster engine that materializes map output for a
     shuffle (Hadoop spills it to local disk; LLAP keeps it in daemon
     memory) — the bucketing and byte accounting are identical.  A
-    partition holds :class:`~repro.exec.shuffle.Segments` of the sink's
+    partition holds :class:`~repro.common.kv.Segments` of the sink's
     runs, not pairs.
     """
 
@@ -545,7 +545,7 @@ def run_reducer_functionally(
     vectorized: bool,
 ) -> Union[List[Row], ColumnBatch]:
     """Sort, group and reduce one partition's *shuffle_input* — the
-    :class:`~repro.exec.shuffle.Segments` an engine's partition received
+    :class:`~repro.common.kv.Segments` an engine's partition received
     (``len()`` is its pair count), a list of pair objects from the
     reference executor; returns the task's output as its tail produced
     it (see :class:`MapTaskResult`).  *vectorized* names the caller's

@@ -37,6 +37,7 @@ from repro.common.config import (
     MAPRED_COMPRESS_MAP_OUTPUT,
     SPECULATIVE_EXECUTION,
 )
+from repro.common.kv import Segments
 from repro.common.units import MB
 from repro.engines.base import (
     EngineRuntime,
@@ -50,7 +51,6 @@ from repro.engines.base import (
     run_reducer_functionally,
 )
 from repro.engines.lifecycle import JobContext, TaskAttemptEngine
-from repro.exec.shuffle import Segments
 from repro.obs import get_metrics
 from repro.plan.physical import PhysicalPlan
 from repro.simulate import Interrupt, LeaseOwner, SlotPool

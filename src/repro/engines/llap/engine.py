@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.config import Configuration, LLAP_CACHE_MB
+from repro.common.kv import Segments
 from repro.common.units import MB
 from repro.engines.base import (
     EngineRuntime,
@@ -55,7 +56,6 @@ from repro.engines.base import (
 )
 from repro.engines.lifecycle import JobContext, TaskAttemptEngine
 from repro.engines.llap.cache import StripeCache
-from repro.exec.shuffle import Segments
 from repro.obs import get_metrics
 from repro.plan.physical import PhysicalPlan
 from repro.simulate import CostModel, Interrupt, LeaseOwner

@@ -1,6 +1,6 @@
 """Reduce over column slices: what every engine's reduce task runs.
 
-A reduce task's input is the :class:`~repro.exec.shuffle.Segments` its
+A reduce task's input is the :class:`~repro.common.kv.Segments` its
 partition received.  :func:`reduce_segments` gathers them into key and
 value columns, sorts **one** stable index permutation over the key
 column(s), finds the group boundaries in one pass and runs the job's
@@ -27,6 +27,7 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
+from repro.common.kv import PairRun
 from repro.common.rows import (
     ColumnBatch,
     and_no_nulls,
@@ -41,7 +42,6 @@ from repro.exec.reduce import (
     ReduceSortDesc,
     key_comparator,
 )
-from repro.exec.shuffle import PairRun
 from repro.exec.vectorized import kernel_of
 from repro.obs import get_metrics
 

@@ -133,7 +133,7 @@ class ExecReducer:
     -> the tail pipeline, which sees the logic's output once.
 
     The engines (``vectorized=True``) hand :meth:`run` the
-    :class:`~repro.exec.shuffle.Segments` their partition received and
+    :class:`~repro.common.kv.Segments` their partition received and
     reduce over column slices (:func:`reduce_segments`); the reference
     executor hands it ``KeyValue`` pairs and runs the row logics of
     :mod:`repro.exec.reduce` one group at a time.

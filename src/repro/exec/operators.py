@@ -125,7 +125,7 @@ class Collector:
     Two entry points, one per executor role: the reference row sink
     calls :meth:`collect` once per pair; the column sink calls
     :meth:`collect_batch` once per batch with a
-    :class:`~repro.exec.shuffle.PairRun`.  A collector implements the
+    :class:`~repro.common.kv.PairRun`.  A collector implements the
     one its engine's role uses.
     """
 

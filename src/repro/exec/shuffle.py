@@ -1,107 +1,31 @@
-"""The unit of exchange between map and reduce tasks: column runs.
+"""A ReduceSink's output as one column run: :func:`emit_run`.
 
-A ReduceSink emits one :class:`PairRun` per column batch — the pairs'
-key columns, value columns and wire sizes, never one object per pair.
-Collectors, DataMPI's Send Partition Lists and the receive side hold
-:class:`Segments`: ``(run, positions)`` slices of those runs, split by
-partition without copying a field.  A reduce task gathers its segments
-back into columns (:mod:`repro.exec.column_reduce`).
-
-What a run says about its pairs is exactly what the reference
-``ReduceSinkOperator`` says one ``KeyValue`` at a time: pair *i* is
-``(key_columns[*][i], (tag,) + value_columns[*][i])``, its wire size is
-``kv_size`` of that pair and its partition ``stable_hash(key) % P``.
+A ReduceSink emits one :class:`~repro.common.kv.PairRun` per column
+batch — the pairs' key columns, value columns and wire sizes, never one
+object per pair — and a reduce task gathers the
+:class:`~repro.common.kv.Segments` its partition received back into
+columns (:mod:`repro.exec.column_reduce`).  What a run says about its
+pairs is exactly what the reference ``ReduceSinkOperator`` says one
+``KeyValue`` at a time: the same wire size per pair, and the partition
+``stable_hash(key) % P``.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 from zlib import crc32
 
 from repro.common.errors import ExecutionError
 from repro.common.kv import (
+    PairRun,
     bulk_field_bytes,
     bulk_field_sizes,
     exact_field_bytes,
     exact_field_sizes,
 )
-from repro.common.rows import take_columns
 from repro.obs import get_metrics
-
-
-class PairRun:
-    """Shuffle pairs of one sink, column-wise, in emit order.
-    ``no_nulls`` carries the sink's ``ColumnBatch.no_nulls`` promises
-    over the key columns, then the value columns (``None``: none made)."""
-
-    __slots__ = ("key_columns", "value_columns", "tag", "sizes", "no_nulls")
-
-    def __init__(self, key_columns: List[Sequence], value_columns: List[Sequence],
-                 tag: int, sizes: List[int],
-                 no_nulls: Optional[Sequence[bool]] = None):
-        self.key_columns = key_columns
-        self.value_columns = value_columns
-        self.tag = tag
-        self.sizes = sizes  # wire bytes per pair
-        self.no_nulls = no_nulls
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def sizes_at(self, positions: Sequence[int]):
-        """The wire sizes of the pairs at *positions* (ascending: as many
-        positions as pairs is all of them), in order."""
-        if len(positions) == len(self.sizes):
-            return self.sizes
-        return map(self.sizes.__getitem__, positions)
-
-    def take(self, positions: Sequence[int]) -> "PairRun":
-        """The pairs at *positions* (repeats allowed), as a new run."""
-        return PairRun(
-            take_columns(self.key_columns, positions),
-            take_columns(self.value_columns, positions),
-            self.tag,
-            list(map(self.sizes.__getitem__, positions)),
-            self.no_nulls,
-        )
-
-
-class Segments:
-    """Pairs held as ``(run, positions)`` slices, in arrival order.
-    ``len()`` counts pairs."""
-
-    __slots__ = ("parts", "pairs")
-
-    def __init__(self):
-        self.parts: List[Tuple[PairRun, Sequence[int]]] = []
-        self.pairs = 0
-
-    def add(self, run: PairRun, positions: Sequence[int]) -> None:
-        self.parts.append((run, positions))
-        self.pairs += len(positions)
-
-    def extend(self, other: "Segments") -> None:
-        self.parts += other.parts
-        self.pairs += other.pairs
-
-    def __len__(self) -> int:
-        return self.pairs
-
-
-def split_positions(partition_ids: Sequence[int], num_partitions: int):
-    """``[(partition, positions)]`` for every partition *partition_ids*
-    names, positions ascending (a stable split of the emit stream)."""
-    if num_partitions == 1:
-        return [(0, range(len(partition_ids)))]
-    split: dict = {}
-    for position, partition in enumerate(partition_ids):
-        try:
-            split[partition].append(position)
-        except KeyError:
-            split[partition] = [position]
-    return list(split.items())
 
 
 def emit_run(key_columns: List[Sequence], value_columns: List[Sequence],

@@ -415,7 +415,7 @@ class VectorLimitOperator(VectorOperator):
 
 class VectorReduceSinkOperator(VectorOperator):
     """Terminal: hands the engine's collector one
-    :class:`~repro.exec.shuffle.PairRun` per batch — the referenced
+    :class:`~repro.common.kv.PairRun` per batch — the referenced
     columns gathered once (a window is a slice), wire sizes and
     partitions computed per column — the pair stream the reference
     ``ReduceSinkOperator`` produces, never one object per pair.  The

@@ -10,8 +10,9 @@ in this reproduction, so we count it the same way:
   (ExecMapper/ExecReducer, operators) inherited by every engine, plus
   the engine base and the task-attempt job lifecycle;
 * **engine-specific** — the Hadoop, DataMPI and LLAP engine packages:
-  the DataMPI-specific lines are this reproduction's analogue of the
-  paper's "main changes".
+  the DataMPI plug-in's lines are this reproduction's analogue of the
+  paper's "main changes";
+* **DataMPI library** — MPI-D (:mod:`repro.datampi`), counted apart.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ def productivity_report() -> Dict[str, CodeCount]:
         ]),
         "engine for Hadoop": count_code_lines(["engines/hadoop"]),
         "engine for DataMPI (main changes)": count_code_lines(["engines/datampi"]),
+        "DataMPI library": count_code_lines(["datampi"]),
         "engine for LLAP": count_code_lines(["engines/llap"]),
         "driver plug-in (core)": count_code_lines(["core"]),
     }
@@ -91,9 +93,11 @@ def format_productivity_table(report: Dict[str, CodeCount]) -> str:
         count.lines for label, count in report.items() if "shared" in label or "compiler" in label
     )
     datampi = report["engine for DataMPI (main changes)"].lines
+    library = report["DataMPI library"].lines
     lines.append("-" * len(header))
     lines.append(
-        f"DataMPI-specific lines vs shared substrate: {datampi} vs {shared} "
-        f"({100.0 * datampi / max(1, shared + datampi):.1f}% of the engine stack)"
+        f"DataMPI plug-in lines vs shared substrate: {datampi} vs {shared} "
+        f"({100.0 * datampi / max(1, shared + datampi):.1f}% of the engine stack), "
+        f"on {library} lines of MPI-D library"
     )
     return "\n".join(lines)

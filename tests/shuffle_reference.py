@@ -5,10 +5,9 @@
 
 from itertools import groupby
 
-from repro.common.kv import KeyValue
+from repro.common.kv import KeyValue, PairRun, Segments
 from repro.common.rows import pack_column
 from repro.exec.operators import Collector
-from repro.exec.shuffle import PairRun, Segments
 
 
 def run_of(pairs, packed=False):

@@ -31,6 +31,7 @@ from repro.bench import fresh_hibench, fresh_tpch
 from repro.common.errors import ExecutionError
 from repro.common.kv import (
     KeyValue,
+    Segments,
     bulk_field_bytes,
     bulk_field_sizes,
     exact_field_bytes,
@@ -40,8 +41,8 @@ from repro.common.kv import (
     serialize_fields,
 )
 from repro.common.rows import ColumnBatch, Schema, pack_column
+from repro.datampi.buffers import SendPartitionList
 from repro.engines.base import MapOutputCollector
-from repro.engines.datampi.buffers import SendPartitionList
 from repro.exec.column_reduce import sort_permutation
 from repro.exec.expressions import Arithmetic, Const, InputRef
 from repro.exec.mapper import ExecMapper, ExecReducer
@@ -60,7 +61,7 @@ from repro.exec.reduce import (
     ReduceSortDesc,
     key_comparator,
 )
-from repro.exec.shuffle import Segments, emit_run
+from repro.exec.shuffle import emit_run
 from repro.sql.functions import AGGREGATES
 from repro.workloads.hibench import (
     HIBENCH_AGGREGATE,

@@ -1,22 +1,21 @@
 """Unit tests for the DataMPI building blocks: MPI layer, SPL, queues,
 the gang."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.common.errors import ExecutionError
 from repro.common.kv import KeyValue
 from repro.common.units import MB
-from repro.engines.datampi.buffers import (
+from repro.datampi.bipartite import Bipartite
+from repro.datampi.buffers import (
     ReceiveManager,
     SendBuffer,
     SendPartitionList,
     SendQueue,
 )
-from repro.engines.datampi.engine import DataMPIEngine, _Gang
-from repro.engines.datampi.mpi import DynamicBarrier, SimulatedMPI
-from repro.simulate import Cluster, ClusterSpec, Interrupt, Simulator
+from repro.datampi.mpi import DynamicBarrier, SimulatedMPI
+from repro.datampi.mpidrun import Gang
+from repro.simulate import Cluster, ClusterSpec, CostModel, Event, Interrupt, Simulator
 
 from .shuffle_reference import pairs_of, run_of, segments_of
 
@@ -35,8 +34,8 @@ class TestSimulatedMPI:
 
         def proc():
             request = mpi.isend(cluster.workers[0], cluster.workers[1], 117 * MB)
-            assert not request.done
-            yield request.event
+            assert not request.triggered  # MPI_Test
+            yield request
             done.append(sim.now)
 
         sim.spawn(proc())
@@ -47,7 +46,7 @@ class TestSimulatedMPI:
     def test_same_node_send_immediate(self, cluster):
         mpi = SimulatedMPI(cluster)
         request = mpi.isend(cluster.workers[0], cluster.workers[0], 10 * MB)
-        assert request.done
+        assert request.triggered
 
     def test_waitall(self, cluster):
         sim = cluster.sim
@@ -59,7 +58,7 @@ class TestSimulatedMPI:
                 mpi.isend(cluster.workers[0], cluster.workers[i], 58.5 * MB)
                 for i in (1, 2)
             ]
-            yield mpi.waitall(requests)
+            yield sim.all_of(requests)  # MPI_Waitall
             done.append(sim.now)
 
         sim.spawn(proc())
@@ -137,9 +136,15 @@ class TestSendPartitionList:
         filled = []
         spl.add_many([0], run_of([kv(1)]), filled.append)
         assert filled == []
+        idle = spl._buffers[1]
         drained = spl.drain()
         assert [pairs_of(buffer.segments) for buffer in drained] == [[kv(1)]]
         assert spl.drain() == []
+        # only a handed-out buffer is replaced; an empty one stays
+        assert spl._buffers[1] is idle
+        assert spl._buffers[0] is not drained[0] and not spl._buffers[0].segments
+        spl.add_many([0], run_of([kv(2)]), filled.append)
+        assert [pairs_of(buffer.segments) for buffer in spl.drain()] == [[kv(2)]]
 
     def test_zero_partitions_rejected(self):
         with pytest.raises(ExecutionError):
@@ -151,21 +156,20 @@ class TestSendQueue:
         sim = Simulator()
         queue = SendQueue(sim, capacity=2)
         a, b = SendBuffer(0), SendBuffer(1)
-        assert queue.put(a).triggered
-        assert queue.put(b).triggered
-        got = queue.get()
-        assert got.triggered and got.value is a
+        assert queue.put(a) is None  # admitted on the spot: no event
+        assert queue.put(b) is None
+        assert queue.get() is a  # queued: handed over directly
+        assert queue.get() is b
 
     def test_backpressure_until_transfer_finished(self):
         sim = Simulator()
         queue = SendQueue(sim, capacity=1)
         first = SendBuffer(0)
         second = SendBuffer(1)
-        assert queue.put(first).triggered
+        assert queue.put(first) is None
         blocked = queue.put(second)
-        assert not blocked.triggered  # queue full
-        taken = queue.get()
-        assert taken.value is first
+        assert isinstance(blocked, Event) and not blocked.triggered  # queue full
+        assert queue.get() is first
         queue.transfer_started()
         assert not blocked.triggered  # still in flight
         queue.transfer_finished()
@@ -176,9 +180,9 @@ class TestSendQueue:
         sim = Simulator()
         queue = SendQueue(sim, capacity=4)
         pending = queue.get()
-        assert not pending.triggered
+        assert isinstance(pending, Event) and not pending.triggered
         buffer = SendBuffer(0)
-        queue.put(buffer)
+        assert queue.put(buffer) is None  # handed to the waiting sender
         assert pending.triggered and pending.value is buffer
 
     def test_finish_without_start_rejected(self):
@@ -200,7 +204,7 @@ class TestReceiveManager:
 
     def test_cache_until_budget_then_spill(self, cluster):
         sim = cluster.sim
-        manager = ReceiveManager(sim, [cluster.workers[0]], cache_budget_per_node=100.0)
+        manager = ReceiveManager([cluster.workers[0]], cache_budget_per_node=100.0)
 
         def deliver():
             small = buffer_of(0, [kv(1)], 60)
@@ -219,7 +223,7 @@ class TestReceiveManager:
     def test_release_partition_frees_cache(self, cluster):
         sim = cluster.sim
         node = cluster.workers[0]
-        manager = ReceiveManager(sim, [node], cache_budget_per_node=1000.0)
+        manager = ReceiveManager([node], cache_budget_per_node=1000.0)
 
         def deliver():
             yield from manager.deliver(0, buffer_of(0, [kv(1)], 80))
@@ -231,7 +235,7 @@ class TestReceiveManager:
 
     def test_accept_returns_only_the_overflow(self, cluster):
         sim = cluster.sim
-        manager = ReceiveManager(sim, [cluster.workers[0]], cache_budget_per_node=100.0)
+        manager = ReceiveManager([cluster.workers[0]], cache_budget_per_node=100.0)
         fits = buffer_of(0, [kv(1)], 60)
         straddles = buffer_of(0, [kv(2)], 60)
         assert manager.accept(0, fits) == 0.0
@@ -265,7 +269,7 @@ class TestGang:
         # one entry per MPI_Isend used to pile up here for the whole
         # submission, and trip() walked them all
         sim = Simulator()
-        gang = _Gang(sim, _NoFaults())
+        gang = Gang(_NoFaults())
         survivor = self._rank(sim, 1e9)
         gang.add(survivor)
         for _ in range(5000):
@@ -279,7 +283,7 @@ class TestGang:
 
     def test_trip_interrupts_live_ranks_in_launch_order(self):
         sim = Simulator()
-        gang = _Gang(sim, _NoFaults())
+        gang = Gang(_NoFaults())
         order = []
 
         def rank(label):
@@ -298,7 +302,7 @@ class TestGang:
 
     def test_watched_event_fires_at_the_trip_instant(self):
         sim = Simulator()
-        gang = _Gang(sim, _NoFaults())
+        gang = Gang(_NoFaults())
         drained = sim.event()
         gang.watch(drained)
         woke = []
@@ -315,7 +319,7 @@ class TestGang:
 
     def test_trip_leaves_an_already_fired_watch_alone(self):
         sim = Simulator()
-        gang = _Gang(sim, _NoFaults())
+        gang = Gang(_NoFaults())
         drained = sim.event()
         gang.watch(drained)
         drained.trigger(None)
@@ -326,8 +330,12 @@ class TestGang:
         # a send still on the wire when the gang trips completes later;
         # it must neither land in the dead submission's receive cache
         # nor end a drain the abort already ended
-        sim = Simulator()
-        gang = _Gang(sim, _NoFaults())
+        cluster = Cluster(Simulator(), ClusterSpec())
+        gang = Gang(_NoFaults())
+        comm = Bipartite(cluster, gang, [cluster.workers[0]], CostModel().datampi,
+                         "job", cache_fraction=0.0, queue_capacity=1,
+                         nonblocking=True, overlap=True)
         gang.trip("node-crash")
-        dead = SimpleNamespace(gang=gang)  # no receive cache to touch
-        DataMPIEngine(hdfs=None)._delivered(None, dead, None, SendBuffer(0))
+        comm._delivered(None, None, buffer_of(0, [kv(1)], 60))
+        assert comm.receive.received_bytes == [0.0]
+        assert cluster.sim.now == 0.0 and comm.drained is None

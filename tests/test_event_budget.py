@@ -48,7 +48,7 @@ from repro.common.config import (
     SCHED_POLICY,
     SCHED_POOLS,
 )
-from repro.engines.datampi.mpi import SimulatedMPI
+from repro.datampi.mpi import SimulatedMPI
 from repro.simulate.events import Simulator
 from repro.workloads.hibench import HIBENCH_JOIN, hibench_ddl
 from repro.workloads.tpch import tpch_query

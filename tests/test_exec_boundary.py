@@ -77,6 +77,7 @@ def is_kernel_name(name: str) -> bool:
 def production_modules():
     engines = PACKAGE / "engines"
     yield from (p for p in engines.rglob("*.py") if p != engines / "local.py")
+    yield from (PACKAGE / "datampi").glob("*.py")  # the engines' MPI-D library
     for module in ("vectorized.py", "shuffle.py", "column_reduce.py"):
         yield PACKAGE / "exec" / module
 

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.common.kv import KeyValue
-from repro.engines.datampi.buffers import ReceiveManager, SendBuffer, SendQueue
+from repro.datampi.buffers import ReceiveManager, SendBuffer, SendQueue
 from repro.simulate import Cluster, ClusterSpec, Event, Interrupt, Simulator
 from repro.simulate.resources import _EPSILON_BYTES, Bandwidth
 
@@ -99,13 +99,12 @@ class TestSendQueueHandedWindow:
         sim = Simulator()
         queue = SendQueue(sim, capacity=1)
         first, second = SendBuffer(0), SendBuffer(1)
-        assert queue.put(first).triggered
-        taken = queue.get()
-        assert taken.triggered and taken.value is first
+        assert queue.put(first) is None  # admitted on the spot
+        assert queue.get() is first
         # the slot is NOT free yet: the sender holds the buffer but has
         # not started transmitting — the buggy backlog ignored this
         blocked = queue.put(second)
-        assert not blocked.triggered
+        assert isinstance(blocked, Event) and not blocked.triggered
         assert queue.backlog == 1
         queue.transfer_started()
         assert not blocked.triggered
@@ -136,9 +135,7 @@ class TestReceivePartialSpill:
 
     def test_straddling_buffer_split_between_cache_and_disk(self, cluster):
         sim = cluster.sim
-        manager = ReceiveManager(
-            sim, [cluster.workers[0]], cache_budget_per_node=100.0
-        )
+        manager = ReceiveManager([cluster.workers[0]], cache_budget_per_node=100.0)
         pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(sim, manager, [
             SendBuffer(0, segments=pairs, actual_bytes=70, scale=1.0),
@@ -154,7 +151,7 @@ class TestReceivePartialSpill:
         sim = cluster.sim
         node = cluster.workers[0]
         # two partitions sharing one node's cache budget
-        manager = ReceiveManager(sim, [node, node], cache_budget_per_node=100.0)
+        manager = ReceiveManager([node, node], cache_budget_per_node=100.0)
         pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(sim, manager, [
             SendBuffer(0, segments=pairs, actual_bytes=60, scale=1.0),
@@ -171,7 +168,7 @@ class TestReceivePartialSpill:
     def test_double_release_is_noop(self, cluster):
         sim = cluster.sim
         node = cluster.workers[0]
-        manager = ReceiveManager(sim, [node], cache_budget_per_node=1000.0)
+        manager = ReceiveManager([node], cache_budget_per_node=1000.0)
         pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(
             sim, manager,
@@ -185,7 +182,7 @@ class TestReceivePartialSpill:
     def test_over_free_raises(self, cluster):
         sim = cluster.sim
         node = cluster.workers[0]
-        manager = ReceiveManager(sim, [node], cache_budget_per_node=1000.0)
+        manager = ReceiveManager([node], cache_budget_per_node=1000.0)
         pairs = segments_of([KeyValue((1,), (0, "v"))])
         self._deliver(
             sim, manager,

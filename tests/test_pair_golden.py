@@ -92,6 +92,7 @@ class Recorder:
 @contextlib.contextmanager
 def probed(monkeypatch_like):
     """Install the probes; yields the :class:`Recorder`."""
+    import repro.datampi.bipartite as bipartite
     import repro.engines.base as base
     import repro.engines.datampi.engine as datampi_module
     import repro.engines.hadoop.engine as hadoop_module
@@ -137,7 +138,7 @@ def probed(monkeypatch_like):
     patch(ExecMapper, "__init__", probed_init)
     patch(ExecMapper, "close", probed_close)
 
-    stamp = datampi_module._stamp
+    stamp = bipartite._stamp
 
     def probed_stamp(buffers, scale, sender, emit_seq):
         stamped = stamp(buffers, scale, sender, emit_seq)
@@ -147,7 +148,7 @@ def probed(monkeypatch_like):
         )
         return stamped
 
-    patch(datampi_module, "_stamp", probed_stamp)
+    patch(bipartite, "_stamp", probed_stamp)
 
     sort_permutation = column_reduce.sort_permutation
     current = {}

@@ -25,10 +25,12 @@ from repro.reporting.productivity import (
 
 # Table III's engine-specific rows, pinned.  Edit these downward only:
 # an engine body that grows a copy of shared task scaffolding back needs
-# a declared test edit.
+# a declared test edit.  The DataMPI plug-in is counted without the MPI-D
+# library it runs on, which has a row of its own.
 ENGINE_LINES = {
     "engine for Hadoop": 287,
-    "engine for DataMPI (main changes)": 887,
+    "engine for DataMPI (main changes)": 313,
+    "DataMPI library": 560,
     "engine for LLAP": 434,
 }
 
